@@ -1,17 +1,21 @@
 //! Monte-Carlo engine throughput: sequential [`MonteCarloEngine::run`] vs
-//! instance-parallel `run_parallel` vs the batched `run_batched` path that
-//! fuses B fault realizations into each forward pass.
+//! instance-parallel `run_parallel` vs the planned `run_planned` engine at
+//! B = 1 and B = 16 fault realizations per forward pass.
 //!
 //! The workload is the paper's actual evaluation shape: a **small** model
 //! (the 64×512→256 linear probe and a compact CNN) evaluated over ~tens of
 //! Monte-Carlo chip instances. At these sizes a single instance cannot
 //! saturate the blocked GEMM, so `run_parallel` only scales by instance-level
 //! work stealing and still pays per-instance snapshot/restore clones, packing
-//! and allocator traffic; `run_batched` amortizes all of that across the
-//! batch. Results are written to `BENCH_monte_carlo.json`; the
-//! `*_batched_*` / `*_parallel_*` pairs are the tracked speedup.
+//! and allocator traffic; `run_planned` compiles each worker's model once
+//! and re-packs only dirty weight panels, and at B > 1 also shares each
+//! forward's input-derived work across the stacked realizations. Results
+//! are written to `BENCH_monte_carlo.json`; the `*_planned_*` /
+//! `*_parallel_*` pairs are the tracked speedup. The B = 1 points keep the
+//! name `*_planned_t4` and the B = 16 points `*_planned_batched_b16_t4`, so
+//! `bench_gate` compares them against the committed baseline rows.
 //!
-//! `run`, `run_parallel` and `run_batched` produce bit-identical per-run
+//! `run`, `run_parallel` and `run_planned` produce bit-identical per-run
 //! metrics (tested in `invnorm-imc`), so these benchmarks compare equal
 //! work, not approximations.
 
@@ -33,9 +37,9 @@ use invnorm_tensor::{Rng, Tensor};
 /// Chip instances per engine run (kept below the paper's 100 so every
 /// benchmark iteration is one full engine invocation).
 const RUNS: usize = 32;
-/// Fault realizations fused per batched forward pass.
+/// Fault realizations fused per planned forward pass.
 const BATCH: usize = 16;
-/// Worker threads for the parallel and batched engines.
+/// Worker threads for the parallel and planned engines.
 const THREADS: usize = 4;
 
 /// The paper's linear probe shape: one 512→256 dense layer on a 64-row
@@ -164,80 +168,41 @@ fn bench_model<F>(
                 })
             });
         }
-        // Batched engine: B realizations per forward pass.
-        group.bench_function(format!("{name}_{tag}_batched_b{BATCH}_t{THREADS}"), |b| {
-            b.iter(|| {
-                let summary = if quantized {
-                    engine
-                        .run_batched_quantized(
-                            factory,
-                            fault,
-                            input,
-                            |out| Ok(out.sum()),
-                            BATCH,
-                            THREADS,
-                        )
-                        .unwrap()
-                } else {
-                    engine
-                        .run_batched(factory, fault, input, |out| Ok(out.sum()), BATCH, THREADS)
-                        .unwrap()
-                };
-                summary.mean
-            })
-        });
         // Compiled-plan engine: per-worker plans amortize shape inference,
         // buffer allocation and weight packing across the whole simulation;
-        // only dirty panels are re-packed between realizations.
-        group.bench_function(format!("{name}_{tag}_planned_t{THREADS}"), |b| {
-            b.iter(|| {
-                let summary = if quantized {
-                    engine
-                        .run_planned_quantized(factory, fault, input, |out| Ok(out.sum()), THREADS)
-                        .unwrap()
-                } else {
-                    engine
-                        .run_planned(factory, fault, input, |out| Ok(out.sum()), THREADS)
-                        .unwrap()
-                };
-                summary.mean
-            })
-        });
-        // Fused planned-batched engine: B stacked realizations per planned
-        // forward — the batched wide-GEMM win and the compiled-plan win in
-        // one path (frozen activation panels streamed against B cached
-        // weight panels; sparse stuck-at lands in the panels cell by cell).
-        group.bench_function(
-            format!("{name}_{tag}_planned_batched_b{BATCH}_t{THREADS}"),
-            |b| {
+        // only dirty panels are re-packed between realizations. B = 1 runs
+        // one realization per forward; B = 16 streams the frozen activation
+        // panels against 16 cached weight panels per forward, and sparse
+        // stuck-at lands in the panels cell by cell.
+        for (batch, id) in [
+            (1, format!("{name}_{tag}_planned_t{THREADS}")),
+            (
+                BATCH,
+                format!("{name}_{tag}_planned_batched_b{BATCH}_t{THREADS}"),
+            ),
+        ] {
+            group.bench_function(id, |b| {
                 b.iter(|| {
                     let summary = if quantized {
                         engine
-                            .run_planned_batched_quantized(
+                            .run_planned_quantized(
                                 factory,
                                 fault,
                                 input,
                                 |out| Ok(out.sum()),
-                                BATCH,
+                                batch,
                                 THREADS,
                             )
                             .unwrap()
                     } else {
                         engine
-                            .run_planned_batched(
-                                factory,
-                                fault,
-                                input,
-                                |out| Ok(out.sum()),
-                                BATCH,
-                                THREADS,
-                            )
+                            .run_planned(factory, fault, input, |out| Ok(out.sum()), batch, THREADS)
                             .unwrap()
                     };
                     summary.mean
                 })
-            },
-        );
+            });
+        }
     }
 }
 
@@ -255,7 +220,7 @@ fn bench_supervised_parity(group: &mut criterion::BenchmarkGroup<'_>) {
         |b| {
             b.iter(|| {
                 engine
-                    .run_planned_batched_supervised(
+                    .run_planned_supervised(
                         || linear_model(1),
                         FaultModel::AdditiveVariation { sigma: 0.1 },
                         &x,
@@ -348,7 +313,7 @@ fn emit_telemetry_artifacts() {
     Telemetry::reset();
     Telemetry::enable();
     let cnn = engine
-        .run_planned_batched(
+        .run_planned(
             || cnn_model(2),
             fault,
             &cnn_input(),
@@ -358,7 +323,7 @@ fn emit_telemetry_artifacts() {
         )
         .expect("telemetry cnn pass");
     let linear = engine
-        .run_planned_batched(
+        .run_planned(
             || linear_model(1),
             fault,
             &linear_input(),

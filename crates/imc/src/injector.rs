@@ -242,144 +242,13 @@ impl WeightFaultInjector {
         self.targets(p)
     }
 
-    /// Materializes one fault realization per entry of `rngs` into the
-    /// network's **stacked batched buffers** (staged by
-    /// `Layer::begin_batched`), leaving the clean parameters untouched — the
-    /// batched Monte-Carlo engine's counterpart of
-    /// [`WeightFaultInjector::inject`] + restore.
-    ///
-    /// Realization `b` perturbs parameter `i` with the stream
-    /// `rngs[b].fork(i)` in `visit_params` order — exactly the stream the
-    /// sequential injector would fork on chip instance `b` — so every staged
-    /// realization is **bit-identical** to what [`MonteCarloEngine::run`]
-    /// would have programmed.
-    ///
-    /// [`MonteCarloEngine::run`]: crate::MonteCarloEngine::run
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the fault model is invalid, the injector was
-    /// configured with [`WeightFaultInjector::including_vectors`] (batched
-    /// evaluation targets the default rank ≥ 2 parameter set only), or a
-    /// staged buffer does not match the batch size.
-    pub fn realize_batch<L: Layer + ?Sized>(
-        &self,
-        network: &mut L,
-        rngs: &mut [Rng],
-    ) -> Result<()> {
-        let _span = telemetry::span(telemetry::Phase::Inject);
-        if self.include_vectors {
-            return Err(NnError::Config(
-                "batched evaluation supports the default (rank >= 2) fault targets only".into(),
-            ));
-        }
-        self.model.validate()?;
-        let model = self.model;
-        let batch = rngs.len();
-        let mut result: Result<()> = Ok(());
-        network.visit_batched(&mut |view| {
-            if result.is_err() {
-                return;
-            }
-            if view.stacked.batch() != batch || view.stacked.numel() != view.clean.numel() {
-                result = Err(NnError::Config(format!(
-                    "staged batch buffer is {}x{} elements, expected {}x{}",
-                    view.stacked.batch(),
-                    view.stacked.numel(),
-                    batch,
-                    view.clean.numel()
-                )));
-                return;
-            }
-            for (b, parent) in rngs.iter_mut().enumerate() {
-                let mut stream = parent.fork(view.index as u64);
-                if let Err(e) =
-                    model.perturb_into(view.clean, view.stacked.realization_mut(b), &mut stream)
-                {
-                    result = Err(e);
-                    return;
-                }
-            }
-        });
-        result
-    }
-
-    /// Materializes one fault realization into the network's **plan-owned
-    /// faulty weight buffers** (installed by `Layer::plan_compile`), leaving
-    /// the clean parameters untouched, and **reports the touched row
-    /// blocks** through each buffer's dirty set so the plan re-packs only
-    /// dirty panels — the compiled-plan engine's counterpart of
-    /// [`WeightFaultInjector::inject`] + restore.
-    ///
-    /// Parameter `i` draws from the stream `rng.fork(i)` in `visit_params`
-    /// order — exactly the stream the sequential injector forks — so the
-    /// realization is **bit-identical** to what
-    /// [`MonteCarloEngine::run`](crate::MonteCarloEngine::run) would have
-    /// programmed.
-    ///
-    /// Dense fault models (variation, noise, drift, f32 bit flips, which
-    /// rewrite every element) mark every row dirty; the sparse stuck-at
-    /// model marks only rows whose values actually changed, which is what
-    /// removes the per-run weight-pack cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the fault model is invalid, the injector was
-    /// configured with [`WeightFaultInjector::including_vectors`] (plans
-    /// target the default rank ≥ 2 parameter set only), or a faulty buffer
-    /// does not match its parameter.
-    pub fn realize_plan<L: Layer + ?Sized>(&self, network: &mut L, rng: &mut Rng) -> Result<()> {
-        let _span = telemetry::span(telemetry::Phase::Inject);
-        if self.include_vectors {
-            return Err(NnError::Config(
-                "compiled plans support the default (rank >= 2) fault targets only".into(),
-            ));
-        }
-        self.model.validate()?;
-        let model = self.model;
-        if let Some(factor) = model.uniform_scale() {
-            // Retention drift draws no randomness and maps every weight to
-            // `w · factor`: request the layers' uniform-scale fast path
-            // (panels scaled in place — or skipped once the factor is
-            // applied) instead of materializing and re-packing a full
-            // realization. The fork still runs so the parent RNG stream
-            // stays in lockstep with the sequential injector.
-            network.visit_plan_params(&mut |view| {
-                let _ = rng.fork(view.index as u64);
-                *view.scale = Some(factor);
-            });
-            return Ok(());
-        }
-        let mut result: Result<()> = Ok(());
-        network.visit_plan_params(&mut |mut view| {
-            if result.is_err() {
-                return;
-            }
-            if view.faulty.len() != view.clean.numel() {
-                result = Err(NnError::Config(format!(
-                    "plan staged {} faulty elements for a parameter of {} (was the plan \
-                     compiled batched? use realize_plan_batch)",
-                    view.faulty.len(),
-                    view.clean.numel()
-                )));
-                return;
-            }
-            let rows = view.dirty.rows();
-            let mut stream = rng.fork(view.index as u64);
-            if let Err(e) = realize_one_f32(&mut view, model, 0, rows, None, &mut stream) {
-                result = Err(e);
-            }
-        });
-        result
-    }
-
     /// Materializes one fault realization **per entry of `rngs`** into a
-    /// batched plan's stacked faulty weight buffers (compiled by
-    /// `Plan::compile_batched`), reporting per-realization dirty rows — the
-    /// fusion of [`WeightFaultInjector::realize_plan`] (plan-owned buffers,
-    /// dirty-row bookkeeping, uniform-scale and sparse packed-domain fast
-    /// paths) with [`WeightFaultInjector::realize_batch`]'s stacked
-    /// semantics.
+    /// compiled plan's stacked faulty weight buffers (installed by
+    /// `Layer::plan_compile`; `Plan::compile_batched` stacks one slot per
+    /// stream), leaving the clean parameters untouched, and **reports the
+    /// touched row blocks** of every realization through the plan's dirty
+    /// set so only dirty panels are re-packed — the planned engine's
+    /// counterpart of [`WeightFaultInjector::inject`] + restore.
     ///
     /// Realization `b` of parameter `i` draws from the stream
     /// `rngs[b].fork(i)` in `visit_params` order — exactly the stream the
@@ -388,11 +257,19 @@ impl WeightFaultInjector {
     /// [`MonteCarloEngine::run`](crate::MonteCarloEngine::run) would have
     /// programmed.
     ///
+    /// Dense fault models (variation, noise, f32 bit flips, which rewrite
+    /// every element) mark every row dirty; the sparse stuck-at and
+    /// line-defect models mark only rows whose values actually changed and
+    /// hand their exact cells to the plan, and retention drift requests the
+    /// layers' uniform-scale fast path — which is what removes the per-run
+    /// weight-pack cost.
+    ///
     /// # Errors
     ///
     /// Returns an error when the fault model is invalid, the injector was
-    /// configured with [`WeightFaultInjector::including_vectors`], `rngs` is
-    /// empty, or a staged buffer does not match the batch size.
+    /// configured with [`WeightFaultInjector::including_vectors`] (plans
+    /// target the default rank ≥ 2 parameter set only), `rngs` is empty, or
+    /// a staged buffer does not match the batch size.
     pub fn realize_plan_batch<L: Layer + ?Sized>(
         &self,
         network: &mut L,
@@ -764,98 +641,19 @@ impl CodeFaultInjector {
         self.snapshot.is_some()
     }
 
-    /// Materializes one code-domain fault realization per entry of `rngs`
-    /// into the network's stacked batched code buffers — the code-domain
-    /// counterpart of [`WeightFaultInjector::realize_batch`], with the same
-    /// bit-identity guarantee: realization `b` of quantized parameter `i`
-    /// uses the stream `rngs[b].fork(i)` in `visit_codes` order, exactly as
-    /// [`CodeFaultInjector::inject`] would on chip instance `b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the fault model is invalid or a staged buffer
-    /// does not match the batch size.
-    pub fn realize_batch<L: Layer + ?Sized>(
-        &self,
-        network: &mut L,
-        rngs: &mut [Rng],
-    ) -> Result<()> {
-        let _span = telemetry::span(telemetry::Phase::Inject);
-        self.model.validate()?;
-        let model = self.model;
-        let batch = rngs.len();
-        let mut result: Result<()> = Ok(());
-        network.visit_batched_codes(&mut |view| {
-            if result.is_err() {
-                return;
-            }
-            if view.stacked.batch() != batch || view.stacked.numel() != view.clean.len() {
-                result = Err(NnError::Config(format!(
-                    "staged batch code buffer is {}x{} codes, expected {}x{}",
-                    view.stacked.batch(),
-                    view.stacked.numel(),
-                    batch,
-                    view.clean.len()
-                )));
-                return;
-            }
-            for (b, parent) in rngs.iter_mut().enumerate() {
-                let mut stream = parent.fork(view.index as u64);
-                let slot = view.stacked.realization_mut(b);
-                slot.copy_from_slice(view.clean);
-                perturb_codes(slot, view.bits, view.rows, model, &mut stream);
-            }
-        });
-        result
-    }
-
-    /// Materializes one code-domain fault realization into the network's
-    /// plan-owned faulty code buffers, reporting touched row blocks — the
-    /// code-domain counterpart of [`WeightFaultInjector::realize_plan`],
-    /// with the same bit-identity guarantee against
-    /// [`CodeFaultInjector::inject`].
+    /// Materializes one code-domain fault realization **per entry of
+    /// `rngs`** into a compiled plan's stacked faulty code buffers,
+    /// reporting per-realization dirty rows — the code-domain counterpart
+    /// of [`WeightFaultInjector::realize_plan_batch`], with the same
+    /// bit-identity guarantee against [`CodeFaultInjector::inject`]:
+    /// realization `b` of quantized parameter `i` uses the stream
+    /// `rngs[b].fork(i)` in `visit_codes` order.
     ///
     /// In the code domain every dense model is diffed against the clean
     /// codes (rounding frequently leaves codes unchanged even under dense
     /// noise), so only rows with actually-changed codes trigger a panel
     /// re-pack; line defects additionally record their exact fired cells so
     /// the plan scatters them straight into the packed panels.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the fault model is invalid.
-    pub fn realize_plan<L: Layer + ?Sized>(&self, network: &mut L, rng: &mut Rng) -> Result<()> {
-        let _span = telemetry::span(telemetry::Phase::Inject);
-        self.model.validate()?;
-        let model = self.model;
-        let mut result: Result<()> = Ok(());
-        network.visit_plan_codes(&mut |mut view| {
-            if result.is_err() {
-                return;
-            }
-            if view.faulty.len() != view.clean.len() {
-                result = Err(NnError::Config(format!(
-                    "plan staged {} faulty codes for a parameter of {} (was the plan \
-                     compiled batched? use realize_plan_batch)",
-                    view.faulty.len(),
-                    view.clean.len()
-                )));
-                return;
-            }
-            let rows = view.dirty.rows();
-            let mut stream = rng.fork(view.index as u64);
-            realize_one_codes(&mut view, model, 0, rows, &mut stream);
-        });
-        result
-    }
-
-    /// Materializes one code-domain fault realization **per entry of `rngs`**
-    /// into a batched plan's stacked faulty code buffers, reporting
-    /// per-realization dirty rows — the code-domain counterpart of
-    /// [`WeightFaultInjector::realize_plan_batch`], with the same
-    /// bit-identity guarantee against [`CodeFaultInjector::inject`]:
-    /// realization `b` of quantized parameter `i` uses the stream
-    /// `rngs[b].fork(i)` in `visit_codes` order.
     ///
     /// # Errors
     ///
@@ -1322,72 +1120,11 @@ mod tests {
     }
 
     #[test]
-    fn realize_batch_matches_sequential_injection_per_instance() {
-        // Realization b of the batch must equal what `inject` with the same
-        // chip-instance RNG would have programmed — including across a
-        // rank-1-parameter layer that shifts the global parameter indices.
-        let mut build = Rng::seed_from(40);
-        let mut net = network(&mut build);
-        let batch = 3usize;
-        let fault = FaultModel::AdditiveVariation { sigma: 0.3 };
-        // Sequential realizations.
-        let mut expected: Vec<Vec<f32>> = Vec::new();
-        for b in 0..batch {
-            let mut rng = Rng::seed_from(1000 + b as u64);
-            let mut injector = WeightFaultInjector::new(fault).unwrap();
-            injector.inject(&mut net, &mut rng).unwrap();
-            let mut faulty = Vec::new();
-            net.visit_params(&mut |p| {
-                if p.value.rank() >= 2 {
-                    faulty.extend_from_slice(p.value.data());
-                }
-            });
-            injector.restore(&mut net).unwrap();
-            expected.push(faulty);
-        }
-        // Batched realizations from the same per-instance streams.
-        net.begin_batched(batch).unwrap();
-        let mut rngs: Vec<Rng> = (0..batch)
-            .map(|b| Rng::seed_from(1000 + b as u64))
-            .collect();
-        WeightFaultInjector::new(fault)
-            .unwrap()
-            .realize_batch(&mut net, &mut rngs)
-            .unwrap();
-        let mut got: Vec<Vec<f32>> = vec![Vec::new(); batch];
-        net.visit_batched(&mut |view| {
-            for (b, dst) in got.iter_mut().enumerate() {
-                dst.extend_from_slice(view.stacked.realization(b));
-            }
-        });
-        net.end_batched();
-        for b in 0..batch {
-            let identical = expected[b]
-                .iter()
-                .zip(got[b].iter())
-                .all(|(e, g)| e.to_bits() == g.to_bits());
-            assert!(
-                identical && expected[b].len() == got[b].len(),
-                "realization {b} diverged"
-            );
-        }
-        // including_vectors is unsupported in the batched path.
-        net.begin_batched(batch).unwrap();
-        let mut rngs: Vec<Rng> = (0..batch).map(|b| Rng::seed_from(b as u64)).collect();
-        assert!(WeightFaultInjector::new(fault)
-            .unwrap()
-            .including_vectors()
-            .realize_batch(&mut net, &mut rngs)
-            .is_err());
-        net.end_batched();
-    }
-
-    #[test]
     fn realize_plan_matches_sequential_injection_across_rank1_layers() {
-        // The planned counterpart of the batched re-basing test: a rank-1
-        // (norm affine) layer sits between the two Linears, shifting the
-        // global parameter indices; realize_plan must fork the same streams
-        // the sequential injector does.
+        // A rank-1 (norm affine) layer sits between the two Linears,
+        // shifting the global parameter indices; a single-stream
+        // realize_plan_batch into an ordinary (batch 1) plan must fork the
+        // same streams the sequential injector does.
         use invnorm_nn::plan::Plan;
         let mut build = Rng::seed_from(50);
         let mut net = network(&mut build);
@@ -1421,10 +1158,9 @@ mod tests {
             injector.restore(&mut net).unwrap();
             // Planned realization from the same stream.
             let _plan = Plan::compile(&mut net, &x).unwrap();
-            let mut rng = Rng::seed_from(7000);
             WeightFaultInjector::new(fault)
                 .unwrap()
-                .realize_plan(&mut net, &mut rng)
+                .realize_plan_batch(&mut net, &mut [Rng::seed_from(7000)])
                 .unwrap();
             let mut got = Vec::new();
             net.visit_plan_params(&mut |view| got.extend_from_slice(view.faulty));
@@ -1602,57 +1338,6 @@ mod tests {
                 assert_eq!(
                     expected[b], got[b],
                     "{fault:?} stacked code realization {b} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn code_realize_batch_matches_sequential_code_injection() {
-        let mut build = Rng::seed_from(41);
-        let mut net = quantized_network(&mut build);
-        let batch = 3usize;
-        for fault in [
-            FaultModel::BitFlip { rate: 0.1, bits: 8 },
-            FaultModel::LineDefect {
-                orientation: LineOrientation::Col,
-                rate: 0.5,
-                tile: TileShape { rows: 3, cols: 2 },
-            },
-            FaultModel::CorrelatedDrift {
-                nu: 0.1,
-                time_ratio: 1000.0,
-                sigma_nu: 0.3,
-                tile: TileShape { rows: 4, cols: 4 },
-            },
-        ] {
-            let mut expected: Vec<Vec<i8>> = Vec::new();
-            for b in 0..batch {
-                let mut rng = Rng::seed_from(2000 + b as u64);
-                let mut injector = CodeFaultInjector::new(fault).unwrap();
-                injector.inject(&mut net, &mut rng).unwrap();
-                expected.push(codes_of(&mut net));
-                injector.restore(&mut net).unwrap();
-            }
-            net.begin_batched(batch).unwrap();
-            let mut rngs: Vec<Rng> = (0..batch)
-                .map(|b| Rng::seed_from(2000 + b as u64))
-                .collect();
-            CodeFaultInjector::new(fault)
-                .unwrap()
-                .realize_batch(&mut net, &mut rngs)
-                .unwrap();
-            let mut got: Vec<Vec<i8>> = vec![Vec::new(); batch];
-            net.visit_batched_codes(&mut |view| {
-                for (b, dst) in got.iter_mut().enumerate() {
-                    dst.extend_from_slice(view.stacked.realization(b));
-                }
-            });
-            net.end_batched();
-            for b in 0..batch {
-                assert_eq!(
-                    expected[b], got[b],
-                    "{fault:?} code realization {b} diverged"
                 );
             }
         }

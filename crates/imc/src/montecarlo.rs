@@ -17,6 +17,17 @@
 //! therefore the aggregate statistics — are **bit-identical** to the
 //! sequential [`MonteCarloEngine::run`] regardless of thread count or
 //! scheduling order.
+//!
+//! [`MonteCarloEngine::run_planned`] is the fused engine: each worker
+//! compiles its model into an `invnorm_nn::plan::Plan` holding `batch ≥ 1`
+//! stacked fault realizations, materializes them from the same per-instance
+//! streams, and evaluates each stack in one planned forward — again
+//! bit-identical to `run`. [`MonteCarloEngine::run_auto`] tries it first and
+//! falls back to `run_parallel` only for a layer that plans cannot run
+//! (today only `Lstm`). The sequential and planned engines also have a
+//! `*_quantized` form that injects into i8 codes, and every engine has a
+//! `*_supervised` form with budgets, quarantine and resume (see
+//! [`crate::supervise`]).
 
 use crate::fault::{FaultLifetime, FaultModel, FaultSpec};
 use crate::injector::{CodeFaultInjector, WeightFaultInjector};
@@ -35,14 +46,6 @@ use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Which representation a batched Monte-Carlo run perturbs: f32 weights (via
-/// [`WeightFaultInjector`]) or quantization codes (via [`CodeFaultInjector`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchedDomain {
-    Weights,
-    Codes,
-}
 
 /// Aggregated result of a Monte-Carlo fault simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -98,17 +101,12 @@ impl MonteCarloSummary {
 /// summary and which rungs were skipped on the way down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// [`MonteCarloEngine::run_planned_batched`]: compiled plans with fused
-    /// realization stacks.
-    PlannedBatched,
-    /// [`MonteCarloEngine::run_planned`]: compiled plans, one realization per
-    /// forward.
+    /// [`MonteCarloEngine::run_planned`]: compiled plans with B ≥ 1 fused
+    /// fault realizations per forward.
     Planned,
-    /// [`MonteCarloEngine::run_batched`]: stacked batched buffers on the
-    /// direct eval path.
-    Batched,
     /// [`MonteCarloEngine::run_parallel`]: per-instance snapshot/restore on
-    /// the direct eval path — supports every layer.
+    /// the direct eval path — supports every layer, including the `Lstm`
+    /// that compiled plans cannot run.
     Parallel,
     /// [`MonteCarloEngine::run`] / [`MonteCarloEngine::run_quantized`]: the
     /// single-threaded reference engine. Never chosen by the ladder (it is
@@ -121,9 +119,7 @@ impl EngineKind {
     /// The engine entry-point name, as used in error messages.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::PlannedBatched => "MonteCarloEngine::run_planned_batched",
             EngineKind::Planned => "MonteCarloEngine::run_planned",
-            EngineKind::Batched => "MonteCarloEngine::run_batched",
             EngineKind::Parallel => "MonteCarloEngine::run_parallel",
             EngineKind::Sequential => "MonteCarloEngine::run",
         }
@@ -140,14 +136,14 @@ impl std::fmt::Display for EngineKind {
 /// an engine do not fit together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradationPolicy {
-    /// Fall down the engine ladder (`run_planned_batched` → `run_planned` →
-    /// `run_batched` → `run_parallel`), recording a typed reason per skipped
-    /// rung. Per-run metrics are bit-identical across rungs wherever two
-    /// engines both support the configuration, so degrading never changes
-    /// the statistics — only the throughput.
+    /// Fall down the engine ladder (`run_planned` → `run_parallel`),
+    /// recording a typed reason per skipped rung. Per-run metrics are
+    /// bit-identical across rungs wherever both engines support the
+    /// configuration, so degrading never changes the statistics — only the
+    /// throughput.
     #[default]
     Graceful,
-    /// No fallback: run the fastest engine and propagate its error loudly.
+    /// No fallback: run the planned engine and propagate its error loudly.
     Strict,
 }
 
@@ -155,8 +151,8 @@ pub enum DegradationPolicy {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackReason {
     /// The engine has no fault-lifetime model: its realizations outlive a
-    /// single forward pass (snapshot/restore brackets, staged stacked
-    /// buffers), so it cannot honor a per-inference fault lifetime.
+    /// single forward pass (snapshot/restore brackets), so it cannot honor a
+    /// per-inference fault lifetime.
     Lifetime,
     /// A layer rejected the engine's evaluation protocol
     /// (from [`NnError::Unsupported`]).
@@ -321,8 +317,8 @@ impl MonteCarloEngine {
 
     /// Validates the model of `spec` and rejects a per-inference lifetime on
     /// behalf of an engine whose realizations outlive a single forward pass
-    /// (snapshot/restore brackets, staged stacked buffers). Returns the bare
-    /// model for engines that realize once per run.
+    /// (snapshot/restore brackets). Returns the bare model for engines that
+    /// realize once per run.
     fn require_static(spec: FaultSpec, engine: &'static str) -> Result<FaultModel> {
         spec.model.validate()?;
         if spec.lifetime == FaultLifetime::PerInference {
@@ -343,7 +339,7 @@ impl MonteCarloEngine {
     /// Accepts a [`FaultModel`] or a [`FaultSpec`]; the snapshot/restore
     /// bracket holds each realization fixed across the whole `evaluate`
     /// call, so a per-inference fault lifetime is rejected with
-    /// [`NnError::FaultUnsupported`] — use the planned engines for that.
+    /// [`NnError::FaultUnsupported`] — use the planned engine for that.
     ///
     /// # Errors
     ///
@@ -753,372 +749,67 @@ impl MonteCarloEngine {
         )
     }
 
-    /// Runs the simulation with **B fault realizations fused into each
-    /// forward pass**: `runs` chip instances are chunked into batches of
-    /// `batch`, each batch stages B perturbed weight realizations into the
-    /// network's stacked batched buffers (the clean weights are never
-    /// touched, so there is no snapshot/restore), evaluates all of them in
-    /// one batched forward over the shared `input`, and applies `metric` to
-    /// each realization's output slice. Batches are distributed over
-    /// `threads` rayon workers exactly like [`MonteCarloEngine::run_parallel`]
-    /// distributes instances.
+    /// Runs the simulation on **compiled inference plans with B fault
+    /// realizations fused into each forward pass** (`batch ≥ 1`).
+    ///
+    /// Each worker builds its model once and compiles it into a plan for
+    /// the shape of `input` (`Plan::compile_batched`): one-shot shape
+    /// inference, arena-backed buffers, and — per weighted layer — `batch`
+    /// stacked faulty buffers with per-realization cached packed panels,
+    /// all reserved at compile time. Per batch of chip instances, the
+    /// injector materializes the realizations from the sequential
+    /// per-instance RNG streams straight into the stacked buffers
+    /// ([`WeightFaultInjector::realize_plan_batch`]; the clean weights are
+    /// never touched, so there is no snapshot/restore) — sparse stuck-at
+    /// realizations land in the packed panels cell by cell, drift scales
+    /// the whole panel stack in place, dense models re-pack only dirty rows
+    /// — and ONE planned forward evaluates the whole stack, with the cached
+    /// activation panels (packed/unfolded/quantized once per simulation,
+    /// not once per batch) streamed against every realization's weight
+    /// panel. `metric` then scores each realization's rows of the stacked
+    /// output. Batches are distributed over `threads` rayon workers exactly
+    /// like [`MonteCarloEngine::run_parallel`] distributes instances.
+    ///
+    /// `batch = 1` evaluates one realization per forward; larger stacks
+    /// share each forward's input-derived work across realizations. The
+    /// stack is capped so every worker gets at least one batch, and a
+    /// smaller tail batch recompiles the worker's plan.
     ///
     /// Chip instance `i` perturbs its weights with the same `(seed, i)`
-    /// derived streams as [`MonteCarloEngine::run`], and each realization's
-    /// forward pass is arithmetically identical to a sequential forward on
-    /// its perturbed weights, so the per-run metrics are **bit-identical** to
-    /// the sequential engine evaluating `metric(network.forward(input))` —
-    /// for every batch size and thread count. What batching buys is
-    /// throughput: the shared input panel is quantized/unfolded/packed once
-    /// per batch instead of once per instance, per-instance snapshot/restore
-    /// clones disappear, and small models stop being bound by per-run
-    /// dispatch overhead.
-    ///
-    /// The network must be built from batched-eval-capable layers
-    /// (`Linear`, `Conv2d`, the quantized layers, containers and stateless
-    /// layers); a layer with fault-targetable weights but no batched support
-    /// is rejected loudly. Networks that are stochastic at evaluation time
-    /// are not reproducible against the sequential engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when staging, injection, evaluation or the metric
-    /// fails, or when a metric is non-finite; with several failures, the
-    /// error of the lowest-indexed failing batch is returned.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched")?;
-        let outcome = self.run_batched_in(
-            BatchedDomain::Weights,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of [`MonteCarloEngine::run_batched`]:
-    /// workers honor the budget between batches, a panicking batch is
-    /// quarantined whole (a fused forward is a fused failure domain; the
-    /// worker rebuilds its model and stacked buffers), and resume re-runs
-    /// any batch with missing instances — deterministic streams make the
-    /// replayed values identical. See [`crate::supervise`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched")?;
-        self.run_batched_in(
-            BatchedDomain::Weights,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    /// The **quantized** counterpart of [`MonteCarloEngine::run_batched`]:
-    /// each batch materializes B fault realizations directly into the
-    /// stacked **i8 code** buffers (via [`CodeFaultInjector`] streams), and
-    /// the batched forward stays in the integer domain. Per-run metrics are
-    /// bit-identical to [`MonteCarloEngine::run_quantized`] evaluating
-    /// `metric(network.forward(input))`.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_batched`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched_quantized<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched_quantized")?;
-        let outcome = self.run_batched_in(
-            BatchedDomain::Codes,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of
-    /// [`MonteCarloEngine::run_batched_quantized`] — see
-    /// [`MonteCarloEngine::run_batched_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batched_quantized_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run_batched_quantized")?;
-        self.run_batched_in(
-            BatchedDomain::Codes,
-            factory,
-            fault,
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_batched_in<M, F, E>(
-        &self,
-        domain: BatchedDomain,
-        factory: F,
-        fault: FaultModel,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-        catch: bool,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        fault.validate()?;
-        let scope = RunScope::begin();
-        let runs = self.runs;
-        let seed = self.seed;
-        let mut ledger = RunLedger::new(
-            EngineKind::Batched,
-            match domain {
-                BatchedDomain::Weights => SweepDomain::Weights,
-                BatchedDomain::Codes => SweepDomain::Codes,
-            },
-            seed,
-            runs,
-            fault.label(),
-            control.resume.as_ref(),
-        )?;
-        let done = ledger.done_mask();
-        let budget = &control.budget;
-        let batch = batch.clamp(1, runs);
-        let n_batches = runs.div_ceil(batch);
-        let threads = threads.clamp(1, n_batches);
-        let next_batch = AtomicUsize::new(0);
-        type BatchEntry = (usize, usize, BatchAttempt);
-        let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::with_capacity(n_batches));
-        rayon::scope(|s| {
-            for _ in 0..threads {
-                let next_batch = &next_batch;
-                let collected = &collected;
-                let factory = &factory;
-                let metric = &metric;
-                let done = &done;
-                s.spawn(move || {
-                    let mut model = factory();
-                    let mut local: Vec<BatchEntry> = Vec::new();
-                    // Clean weights are staged into the stacked buffers once
-                    // per worker (targeted slots are fully overwritten by
-                    // every realization pass, untargeted slots stay clean),
-                    // so batch N+1 pays no re-staging memcpy.
-                    let mut staged = 0usize;
-                    loop {
-                        let bi = next_batch.fetch_add(1, Ordering::Relaxed);
-                        if bi >= n_batches {
-                            break;
-                        }
-                        let start = bi * batch;
-                        let bsize = batch.min(runs - start);
-                        // A batch whose every instance is already accounted
-                        // for (resume) costs nothing; a partially-done batch
-                        // re-runs whole — the replayed values are identical
-                        // and the ledger ignores re-records.
-                        if done[start..start + bsize].iter().all(|d| *d) {
-                            continue;
-                        }
-                        if budget.interrupted().is_some() {
-                            break;
-                        }
-                        if staged != bsize {
-                            if let Err(e) = model.begin_batched(bsize) {
-                                local.push((start, bsize, BatchAttempt::Metrics(Err(e))));
-                                break;
-                            }
-                            staged = bsize;
-                        }
-                        if catch {
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                Self::simulate_batch(
-                                    &mut model, domain, fault, seed, start, bsize, input, metric,
-                                )
-                            })) {
-                                Ok(r) => local.push((start, bsize, BatchAttempt::Metrics(r))),
-                                Err(payload) => {
-                                    local.push((
-                                        start,
-                                        bsize,
-                                        BatchAttempt::Panicked(panic_message(payload)),
-                                    ));
-                                    // The panic left the model and its
-                                    // stacked buffers in an unknown state;
-                                    // rebuild both.
-                                    model = factory();
-                                    staged = 0;
-                                }
-                            }
-                        } else {
-                            local.push((
-                                start,
-                                bsize,
-                                BatchAttempt::Metrics(Self::simulate_batch(
-                                    &mut model, domain, fault, seed, start, bsize, input, metric,
-                                )),
-                            ));
-                        }
-                    }
-                    model.end_batched();
-                    collected
-                        .lock()
-                        .expect("monte-carlo result lock poisoned")
-                        .append(&mut local);
-                });
-            }
-        });
-        let mut collected = collected
-            .into_inner()
-            .expect("monte-carlo result lock poisoned");
-        collected.sort_by_key(|(start, _, _)| *start);
-        for (start, bsize, attempt) in collected {
-            match attempt {
-                BatchAttempt::Metrics(Ok(metrics)) => {
-                    for (offset, metric) in metrics.into_iter().enumerate() {
-                        ledger.record(start + offset, metric);
-                    }
-                }
-                // Lowest-indexed genuine error wins (the drain is sorted).
-                BatchAttempt::Metrics(Err(e)) => return Err(e),
-                BatchAttempt::Panicked(message) => {
-                    for run in start..start + bsize {
-                        ledger.record_panic(run, message.clone());
-                    }
-                }
-            }
-        }
-        Ok(ledger.finish(scope, budget))
-    }
-
-    /// Runs the simulation on **compiled inference plans**: each worker
-    /// builds its model once, compiles it into an `invnorm_nn::plan::Plan`
-    /// for the shape of `input` (one-shot shape inference, arena-backed
-    /// buffers, cached packed-weight panels), and then claims chip instances
-    /// exactly like [`MonteCarloEngine::run_parallel`]. Per instance, the
-    /// fault realization lands in the plan's faulty weight buffers (clean
-    /// weights are never touched — no snapshot/restore), **only the packed
-    /// panels covering dirty weight rows are re-packed**, and the forward
-    /// pass runs zero-alloc and pack-free over the arena.
-    ///
-    /// Chip instance `i` perturbs its weights with the same `(seed, i)`
-    /// derived streams as [`MonteCarloEngine::run`] and the planned forward
-    /// is bit-identical to the direct eval path, so per-run metrics are
-    /// **bit-identical** to `run`/`run_parallel` for every thread count and
-    /// all fault models (tested). What planning buys is throughput: the
-    /// direct path re-packs every weight operand and re-derives every shape
-    /// on every run; the plan amortizes all of that across the whole
-    /// simulation — for the paper's linear probe the weight-pack bound
-    /// disappears entirely.
+    /// derived streams as [`MonteCarloEngine::run`], and realization `b`'s
+    /// rows of the stacked output are arithmetically identical to a direct
+    /// forward on its faulty weights, so the per-run metrics are
+    /// **bit-identical** to the sequential engine evaluating
+    /// `metric(network.forward(input))` — for every batch size and thread
+    /// count (tested for all eight fault models).
     ///
     /// The network must be built from plan-capable layers (the dense, conv,
-    /// quantized, container, activation, pooling, reshape and norm layers);
-    /// a layer with fault-targetable weights but no plan support is rejected
-    /// loudly with `NnError::Unsupported`. Networks that are stochastic at
-    /// evaluation time are not reproducible against the sequential engine.
+    /// quantized, container, activation, pooling, reshape, upsampling and
+    /// norm layers); a layer with fault-targetable weights but no plan
+    /// support — today only `Lstm` — is rejected loudly with
+    /// `NnError::Unsupported`. Networks that are stochastic at evaluation
+    /// time are not reproducible against the sequential engine.
     ///
-    /// Both fault lifetimes are supported: pass a
-    /// [`FaultSpec`] with [`FaultLifetime::PerInference`] (e.g. transient
-    /// read noise) and the plan re-realizes before every forward and
-    /// disables its frozen-input caching, so each forward sees a fresh
-    /// realization. Since this engine runs exactly one forward per chip
-    /// instance, per-run metrics remain bit-identical to the static
-    /// lifetime — the lifetime only changes behavior for callers driving
-    /// several forwards per realization.
+    /// Both fault lifetimes are supported: pass a [`FaultSpec`] with
+    /// [`FaultLifetime::PerInference`] (e.g. transient read noise) and the
+    /// plan re-realizes before every forward and disables its frozen-input
+    /// caching, so each forward sees a fresh realization. Since this engine
+    /// runs exactly one forward per chip instance, per-run metrics remain
+    /// bit-identical to the static lifetime — the lifetime only changes
+    /// behavior for callers driving several forwards per realization.
     ///
     /// # Errors
     ///
     /// Returns an error when compilation, injection, evaluation or the
     /// metric fails, or when a metric is non-finite; with several failures,
-    /// the error of the lowest-indexed failing instance is returned.
+    /// the error of the lowest-indexed failing batch is returned.
     pub fn run_planned<M, F, E>(
         &self,
         factory: F,
         fault: impl Into<FaultSpec>,
         input: &Tensor,
         metric: E,
+        batch: usize,
         threads: usize,
     ) -> Result<MonteCarloSummary>
     where
@@ -1127,11 +818,12 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         let outcome = self.run_planned_in(
-            BatchedDomain::Weights,
+            SweepDomain::Weights,
             factory,
             fault.into(),
             input,
             metric,
+            batch,
             threads,
             &SweepControl::default(),
             false,
@@ -1140,20 +832,25 @@ impl MonteCarloEngine {
     }
 
     /// The supervised counterpart of [`MonteCarloEngine::run_planned`]:
-    /// workers honor the budget between chip instances, a panicking run is
-    /// quarantined (the worker drops its plan, rebuilds its model and
-    /// recompiles — the pool survives), and the control's checkpoint resumes
-    /// only the missing instances. See [`crate::supervise`].
+    /// workers honor the [`SweepControl`] budget between batches, and the
+    /// control's checkpoint resumes only batches with missing instances
+    /// (a partially-done batch re-runs whole; deterministic streams make
+    /// the replayed values identical). Because a batch shares one fused
+    /// forward, the whole batch is its failure domain: a panic quarantines
+    /// every instance in it, and the worker drops its plan, rebuilds its
+    /// model and recompiles — the pool survives. See [`crate::supervise`].
     ///
     /// # Errors
     ///
     /// See [`MonteCarloEngine::run_supervised`].
+    #[allow(clippy::too_many_arguments)]
     pub fn run_planned_supervised<M, F, E>(
         &self,
         factory: F,
         fault: impl Into<FaultSpec>,
         input: &Tensor,
         metric: E,
+        batch: usize,
         threads: usize,
         control: &SweepControl,
     ) -> Result<SweepOutcome>
@@ -1163,11 +860,12 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         self.run_planned_in(
-            BatchedDomain::Weights,
+            SweepDomain::Weights,
             factory,
             fault.into(),
             input,
             metric,
+            batch,
             threads,
             control,
             true,
@@ -1175,11 +873,11 @@ impl MonteCarloEngine {
     }
 
     /// The **quantized** counterpart of [`MonteCarloEngine::run_planned`]:
-    /// fault realizations land directly in each layer's plan-owned i8 code
-    /// buffers (via [`CodeFaultInjector`] streams), dirty code rows drive
-    /// the panel re-packing, and the planned forward stays in the integer
-    /// domain. Per-run metrics are bit-identical to
-    /// [`MonteCarloEngine::run_quantized`] evaluating
+    /// realizations land directly in the plan's stacked i8 code buffers
+    /// (via [`CodeFaultInjector::realize_plan_batch`] streams),
+    /// per-realization dirty code rows drive the panel re-packing, and the
+    /// fused planned forward stays in the integer domain. Per-run metrics
+    /// are bit-identical to [`MonteCarloEngine::run_quantized`] evaluating
     /// `metric(network.forward(input))`.
     ///
     /// # Errors
@@ -1191,6 +889,7 @@ impl MonteCarloEngine {
         fault: impl Into<FaultSpec>,
         input: &Tensor,
         metric: E,
+        batch: usize,
         threads: usize,
     ) -> Result<MonteCarloSummary>
     where
@@ -1199,11 +898,12 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         let outcome = self.run_planned_in(
-            BatchedDomain::Codes,
+            SweepDomain::Codes,
             factory,
             fault.into(),
             input,
             metric,
+            batch,
             threads,
             &SweepControl::default(),
             false,
@@ -1218,12 +918,14 @@ impl MonteCarloEngine {
     /// # Errors
     ///
     /// See [`MonteCarloEngine::run_supervised`].
+    #[allow(clippy::too_many_arguments)]
     pub fn run_planned_quantized_supervised<M, F, E>(
         &self,
         factory: F,
         fault: impl Into<FaultSpec>,
         input: &Tensor,
         metric: E,
+        batch: usize,
         threads: usize,
         control: &SweepControl,
     ) -> Result<SweepOutcome>
@@ -1233,11 +935,12 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         self.run_planned_in(
-            BatchedDomain::Codes,
+            SweepDomain::Codes,
             factory,
             fault.into(),
             input,
             metric,
+            batch,
             threads,
             control,
             true,
@@ -1247,11 +950,12 @@ impl MonteCarloEngine {
     #[allow(clippy::too_many_arguments)]
     fn run_planned_in<M, F, E>(
         &self,
-        domain: BatchedDomain,
+        domain: SweepDomain,
         factory: F,
         spec: FaultSpec,
         input: &Tensor,
         metric: E,
+        batch: usize,
         threads: usize,
         control: &SweepControl,
         catch: bool,
@@ -1269,331 +973,7 @@ impl MonteCarloEngine {
         let seed = self.seed;
         let mut ledger = RunLedger::new(
             EngineKind::Planned,
-            match domain {
-                BatchedDomain::Weights => SweepDomain::Weights,
-                BatchedDomain::Codes => SweepDomain::Codes,
-            },
-            seed,
-            runs,
-            fault.label(),
-            control.resume.as_ref(),
-        )?;
-        let done = ledger.done_mask();
-        let budget = &control.budget;
-        let threads = threads.clamp(1, runs);
-        let n_chunks = runs.div_ceil(Self::CHUNK);
-        let next_chunk = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Attempt)>> = Mutex::new(Vec::with_capacity(runs));
-        rayon::scope(|s| {
-            for _ in 0..threads {
-                let next_chunk = &next_chunk;
-                let collected = &collected;
-                let factory = &factory;
-                let metric = &metric;
-                let done = &done;
-                s.spawn(move || {
-                    let mut model = factory();
-                    // Compile lazily on the first claimed chunk so a
-                    // compilation failure is attributed to a concrete run.
-                    let mut plan: Option<Plan> = None;
-                    let mut local: Vec<(usize, Attempt)> = Vec::new();
-                    'steal: loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= n_chunks {
-                            break;
-                        }
-                        let start = chunk * Self::CHUNK;
-                        let end = (start + Self::CHUNK).min(runs);
-                        // Resumed chunks with no pending instance must not
-                        // force a compile.
-                        if (start..end).all(|run| done[run]) {
-                            continue;
-                        }
-                        if plan.is_none() {
-                            match Plan::compile(&mut model, input) {
-                                Ok(mut p) => {
-                                    p.set_fault_lifetime(lifetime);
-                                    plan = Some(p);
-                                }
-                                Err(e) => {
-                                    local.push((start, Attempt::Metric(Err(e))));
-                                    break 'steal;
-                                }
-                            }
-                        }
-                        for run in start..end {
-                            if done[run] {
-                                continue;
-                            }
-                            if budget.interrupted().is_some() {
-                                break 'steal;
-                            }
-                            let plan_ref = plan.as_mut().expect("plan compiled above");
-                            if catch {
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    Self::simulate_planned(
-                                        &mut model, plan_ref, domain, fault, seed, run, metric,
-                                    )
-                                })) {
-                                    Ok(r) => local.push((run, Attempt::Metric(r))),
-                                    Err(payload) => {
-                                        local
-                                            .push((run, Attempt::Panicked(panic_message(payload))));
-                                        // The panic left the model and its
-                                        // plan buffers in an unknown state;
-                                        // rebuild both.
-                                        model = factory();
-                                        match Plan::compile(&mut model, input) {
-                                            Ok(mut p) => {
-                                                p.set_fault_lifetime(lifetime);
-                                                plan = Some(p);
-                                            }
-                                            Err(e) => {
-                                                local.push((run, Attempt::Metric(Err(e))));
-                                                break 'steal;
-                                            }
-                                        }
-                                    }
-                                }
-                            } else {
-                                local.push((
-                                    run,
-                                    Attempt::Metric(Self::simulate_planned(
-                                        &mut model, plan_ref, domain, fault, seed, run, metric,
-                                    )),
-                                ));
-                            }
-                        }
-                    }
-                    model.plan_end();
-                    collected
-                        .lock()
-                        .expect("monte-carlo result lock poisoned")
-                        .append(&mut local);
-                });
-            }
-        });
-        let mut collected = collected
-            .into_inner()
-            .expect("monte-carlo result lock poisoned");
-        collected.sort_by_key(|(run, _)| *run);
-        for (run, attempt) in collected {
-            match attempt {
-                Attempt::Metric(Ok(metric)) => ledger.record(run, metric),
-                // Lowest-indexed genuine error wins (the drain is sorted).
-                Attempt::Metric(Err(e)) => return Err(e),
-                Attempt::Panicked(message) => ledger.record_panic(run, message),
-            }
-        }
-        Ok(ledger.finish(scope, budget))
-    }
-
-    /// Runs the simulation with **compiled plans and B fused fault
-    /// realizations per forward pass** — the composition of
-    /// [`MonteCarloEngine::run_planned`] (one-shot shape inference,
-    /// arena-backed buffers, cached packed panels, dirty-row re-packing)
-    /// and [`MonteCarloEngine::run_batched`] (stacked realizations sharing
-    /// each forward's input-derived work).
-    ///
-    /// Each worker builds its model once and compiles it into a **batched
-    /// plan** (`Plan::compile_batched`): every weighted layer owns `batch`
-    /// stacked faulty buffers and per-realization cached packed panels, all
-    /// reserved at compile time. Per batch of chip instances, the injector
-    /// materializes the realizations from the sequential per-instance RNG
-    /// streams straight into the stacked buffers
-    /// ([`WeightFaultInjector::realize_plan_batch`]) — sparse stuck-at
-    /// realizations land in the packed panels cell by cell, drift scales
-    /// the whole panel stack in place, dense models re-pack only dirty rows
-    /// — and ONE planned forward evaluates the whole stack, with the cached
-    /// activation panels (packed/unfolded/quantized once per simulation,
-    /// not once per batch) streamed against every realization's weight
-    /// panel.
-    ///
-    /// Chip instance `i` perturbs its weights with the same `(seed, i)`
-    /// derived streams as [`MonteCarloEngine::run`], and realization `b`'s
-    /// rows of the stacked output are arithmetically identical to a
-    /// single-realization planned forward on its faulty weights, so the
-    /// per-run metrics are **bit-identical** to the sequential engine — for
-    /// every batch size and thread count (tested for all eight fault
-    /// models).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when compilation, injection, evaluation or the
-    /// metric fails, or when a metric is non-finite; with several failures,
-    /// the error of the lowest-indexed failing batch is returned.
-    pub fn run_planned_batched<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let outcome = self.run_planned_batched_in(
-            BatchedDomain::Weights,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of
-    /// [`MonteCarloEngine::run_planned_batched`] — honors the
-    /// [`SweepControl`] budget/resume and quarantines panicking or
-    /// non-finite batches. Because a panicking batch shares one fused
-    /// forward, the whole batch is its failure domain: every instance in
-    /// it is quarantined.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_batched_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        self.run_planned_batched_in(
-            BatchedDomain::Weights,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    /// The **quantized** counterpart of
-    /// [`MonteCarloEngine::run_planned_batched`]: realizations land directly
-    /// in the batched plan's stacked i8 code buffers (via
-    /// [`CodeFaultInjector::realize_plan_batch`] streams), per-realization
-    /// dirty code rows drive the panel re-packing, and the fused planned
-    /// forward stays in the integer domain. Per-run metrics are
-    /// bit-identical to [`MonteCarloEngine::run_quantized`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_planned_batched`].
-    pub fn run_planned_batched_quantized<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let outcome = self.run_planned_batched_in(
-            BatchedDomain::Codes,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of
-    /// [`MonteCarloEngine::run_planned_batched_quantized`] — see
-    /// [`MonteCarloEngine::run_planned_batched_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_batched_quantized_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        self.run_planned_batched_in(
-            BatchedDomain::Codes,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_planned_batched_in<M, F, E>(
-        &self,
-        domain: BatchedDomain,
-        factory: F,
-        spec: FaultSpec,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-        catch: bool,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        spec.model.validate()?;
-        let scope = RunScope::begin();
-        let fault = spec.model;
-        let lifetime = spec.lifetime;
-        let runs = self.runs;
-        let seed = self.seed;
-        let mut ledger = RunLedger::new(
-            EngineKind::PlannedBatched,
-            match domain {
-                BatchedDomain::Weights => SweepDomain::Weights,
-                BatchedDomain::Codes => SweepDomain::Codes,
-            },
+            domain,
             seed,
             runs,
             fault.label(),
@@ -1747,16 +1127,16 @@ impl MonteCarloEngine {
         Ok(ledger.finish(scope, budget))
     }
 
-    /// Injects one batch of realizations into the batched plan's stacked
-    /// faulty buffers, runs ONE fused planned forward, and scores each
+    /// Injects one batch of realizations into the plan's stacked faulty
+    /// buffers, runs ONE fused planned forward, and scores each
     /// realization's rows of the stacked output — the inner step of the
-    /// planned-batched engine. Depends only on the streams in `rngs`, not
-    /// on which thread executes it.
+    /// planned engine. Depends only on the streams in `rngs`, not on which
+    /// thread executes it.
     #[allow(clippy::too_many_arguments)]
     fn simulate_planned_batch<M: Layer + ?Sized>(
         model: &mut M,
         plan: &mut Plan,
-        domain: BatchedDomain,
+        domain: SweepDomain,
         fault: FaultModel,
         rngs: &mut [Rng],
         realization: &mut Option<Tensor>,
@@ -1764,10 +1144,10 @@ impl MonteCarloEngine {
     ) -> Result<Vec<f32>> {
         let bsize = rngs.len();
         match domain {
-            BatchedDomain::Weights => {
+            SweepDomain::Weights => {
                 WeightFaultInjector::new_unchecked(fault).realize_plan_batch(model, rngs)?;
             }
-            BatchedDomain::Codes => {
+            SweepDomain::Codes => {
                 CodeFaultInjector::new_unchecked(fault).realize_plan_batch(model, rngs)?;
             }
         }
@@ -1801,89 +1181,6 @@ impl MonteCarloEngine {
         Ok(metrics)
     }
 
-    /// Injects one realization into the plan's faulty buffers, runs the
-    /// planned forward and scores it — the inner step of the planned engine.
-    /// Depends only on `(seed, run)`, not on which thread executes it.
-    fn simulate_planned<M: Layer + ?Sized>(
-        model: &mut M,
-        plan: &mut Plan,
-        domain: BatchedDomain,
-        fault: FaultModel,
-        seed: u64,
-        run: usize,
-        metric: &impl Fn(&Tensor) -> Result<f32>,
-    ) -> Result<f32> {
-        let mut rng = Self::run_rng(seed, run);
-        match domain {
-            BatchedDomain::Weights => {
-                WeightFaultInjector::new_unchecked(fault).realize_plan(model, &mut rng)?;
-            }
-            BatchedDomain::Codes => {
-                CodeFaultInjector::new_unchecked(fault).realize_plan(model, &mut rng)?;
-            }
-        }
-        let out = {
-            let _span = telemetry::span(telemetry::Phase::Forward);
-            plan.forward(model)?
-        };
-        let _span = telemetry::span(telemetry::Phase::Metric);
-        metric(out)
-    }
-
-    /// Injects, evaluates and scores one batch of chip instances (whose
-    /// stacked buffers were staged by a prior `begin_batched`) — the inner
-    /// step of the batched engine. Depends only on
-    /// `(seed, start..start+bsize)`, not on which thread executes it.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_batch<M: Layer + ?Sized>(
-        model: &mut M,
-        domain: BatchedDomain,
-        fault: FaultModel,
-        seed: u64,
-        start: usize,
-        bsize: usize,
-        input: &Tensor,
-        metric: &impl Fn(&Tensor) -> Result<f32>,
-    ) -> Result<Vec<f32>> {
-        let mut rngs: Vec<Rng> = (0..bsize).map(|i| Self::run_rng(seed, start + i)).collect();
-        match domain {
-            BatchedDomain::Weights => {
-                WeightFaultInjector::new_unchecked(fault).realize_batch(model, &mut rngs)?;
-            }
-            BatchedDomain::Codes => {
-                CodeFaultInjector::new_unchecked(fault).realize_batch(model, &mut rngs)?;
-            }
-        }
-        let (out, shared) = {
-            let _span = telemetry::span(telemetry::Phase::Forward);
-            model.forward_batched(input, true, bsize, Mode::Eval)?
-        };
-        let _span = telemetry::span(telemetry::Phase::Metric);
-        let mut metrics = Vec::with_capacity(bsize);
-        if shared {
-            // Degenerate case: no weighted layer diverged the realizations,
-            // so every chip instance scores the same output.
-            let m = metric(&out)?;
-            metrics.resize(bsize, m);
-        } else {
-            let d0 = out.dims()[0];
-            if d0 % bsize != 0 {
-                return Err(NnError::Config(format!(
-                    "batched output rows {d0} not divisible by batch {bsize}"
-                )));
-            }
-            let per = out.numel() / bsize;
-            let mut dims = out.dims().to_vec();
-            dims[0] = d0 / bsize;
-            for b in 0..bsize {
-                let slice = out.data()[b * per..(b + 1) * per].to_vec();
-                let realization = Tensor::from_vec(slice, &dims)?;
-                metrics.push(metric(&realization)?);
-            }
-        }
-        Ok(metrics)
-    }
-
     /// Injects, evaluates and restores a single chip instance — the inner
     /// step of [`MonteCarloEngine::run_parallel`], kept in lockstep with the
     /// loop body of [`MonteCarloEngine::run`] (see the comment there for why
@@ -1912,53 +1209,32 @@ impl MonteCarloEngine {
         Ok(metric)
     }
 
-    /// Convenience sweep: runs the engine once per fault model and collects
-    /// the summaries in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when any individual simulation fails.
-    pub fn sweep<F>(
-        &self,
-        network: &mut dyn Layer,
-        faults: &[FaultModel],
-        mut evaluate: F,
-    ) -> Result<Vec<MonteCarloSummary>>
-    where
-        F: FnMut(&mut dyn Layer) -> Result<f32>,
-    {
-        faults
-            .iter()
-            .map(|&fault| self.run(network, fault, &mut evaluate))
-            .collect()
-    }
-
     /// Runs the simulation on the fastest engine that supports the fault
     /// configuration and the network, degrading gracefully down the ladder
-    /// `run_planned_batched` → `run_planned` → `run_batched` →
-    /// `run_parallel` and reporting every skipped rung with a typed reason.
+    /// `run_planned` → `run_parallel` and reporting every skipped rung with
+    /// a typed reason.
     ///
     /// Two kinds of capability gaps trigger a fallback:
     ///
     /// - **Lifetime**: a per-inference fault lifetime is only honored by the
-    ///   planned engines (the plan re-realizes before every forward and
-    ///   disables frozen-input caching); the direct batched and parallel
-    ///   engines are skipped pre-flight with [`FallbackReason::Lifetime`].
-    /// - **Layer support**: a layer that rejects compiled plans or batched
-    ///   evaluation surfaces as [`NnError::Unsupported`], recorded as
+    ///   planned engine (the plan re-realizes before every forward and
+    ///   disables frozen-input caching); `run_parallel` is skipped
+    ///   pre-flight with [`FallbackReason::Lifetime`].
+    /// - **Layer support**: a layer that rejects compiled plans (today only
+    ///   `Lstm`) surfaces as [`NnError::Unsupported`], recorded as
     ///   [`FallbackReason::Unsupported`]; the ladder continues downward.
     ///   `run_parallel` at the bottom supports every layer.
     ///
-    /// Per-run metrics are **bit-identical** across all rungs for every
-    /// configuration two engines both support, so degrading never changes
-    /// the reported statistics — only throughput. Under
-    /// [`DegradationPolicy::Strict`] no fallback happens: the fastest engine
-    /// runs and any error propagates loudly, preserving the pre-ladder
-    /// behavior.
+    /// Per-run metrics are **bit-identical** across both rungs for every
+    /// configuration both engines support, so degrading never changes the
+    /// reported statistics — only throughput. Under
+    /// [`DegradationPolicy::Strict`] no fallback happens: the planned
+    /// engine runs and any error propagates loudly, preserving the
+    /// pre-ladder behavior.
     ///
     /// # Errors
     ///
-    /// Returns the fastest engine's error under `Strict`; under `Graceful`,
+    /// Returns the planned engine's error under `Strict`; under `Graceful`,
     /// propagates the first non-capability error immediately, and returns
     /// [`NnError::FaultUnsupported`] listing every rung's reason when the
     /// whole ladder is exhausted (e.g. an unplannable layer combined with a
@@ -1983,26 +1259,19 @@ impl MonteCarloEngine {
         let spec = fault.into();
         spec.model.validate()?;
         if policy == DegradationPolicy::Strict {
-            let summary = self.run_planned_batched(factory, spec, input, metric, batch, threads)?;
+            let summary = self.run_planned(factory, spec, input, metric, batch, threads)?;
             return Ok(LadderOutcome {
                 summary,
-                engine: EngineKind::PlannedBatched,
+                engine: EngineKind::Planned,
                 fallbacks: Vec::new(),
             });
         }
         let mut fallbacks: Vec<FallbackStep> = Vec::new();
-        for engine in [
-            EngineKind::PlannedBatched,
-            EngineKind::Planned,
-            EngineKind::Batched,
-            EngineKind::Parallel,
-        ] {
-            // Pre-flight: the direct engines have no fault-lifetime model
-            // (their realizations outlive a forward pass), so a
-            // per-inference lifetime cannot reach them.
-            if spec.lifetime == FaultLifetime::PerInference
-                && matches!(engine, EngineKind::Batched | EngineKind::Parallel)
-            {
+        for engine in [EngineKind::Planned, EngineKind::Parallel] {
+            // Pre-flight: the direct engine has no fault-lifetime model (its
+            // realizations outlive a forward pass), so a per-inference
+            // lifetime cannot reach it.
+            if spec.lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel {
                 telemetry::count(telemetry::Counter::LadderFallbacks, 1);
                 fallbacks.push(FallbackStep {
                     engine,
@@ -2011,12 +1280,8 @@ impl MonteCarloEngine {
                 continue;
             }
             let result = match engine {
-                EngineKind::PlannedBatched => {
-                    self.run_planned_batched(&factory, spec, input, &metric, batch, threads)
-                }
-                EngineKind::Planned => self.run_planned(&factory, spec, input, &metric, threads),
-                EngineKind::Batched => {
-                    self.run_batched(&factory, spec, input, &metric, batch, threads)
+                EngineKind::Planned => {
+                    self.run_planned(&factory, spec, input, &metric, batch, threads)
                 }
                 EngineKind::Parallel => self.run_parallel(
                     &factory,
@@ -2102,30 +1367,17 @@ impl MonteCarloEngine {
         if let Some(checkpoint) = control.resume.as_ref() {
             let engine = checkpoint.engine;
             let outcome = match engine {
-                EngineKind::PlannedBatched => match checkpoint.domain {
-                    SweepDomain::Weights => self.run_planned_batched_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                    SweepDomain::Codes => self.run_planned_batched_quantized_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                },
-                EngineKind::Planned => match checkpoint.domain {
-                    SweepDomain::Weights => {
-                        self.run_planned_supervised(factory, spec, input, metric, threads, control)?
-                    }
-                    SweepDomain::Codes => self.run_planned_quantized_supervised(
-                        factory, spec, input, metric, threads, control,
-                    )?,
-                },
-                EngineKind::Batched => match checkpoint.domain {
-                    SweepDomain::Weights => self.run_batched_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                    SweepDomain::Codes => self.run_batched_quantized_supervised(
-                        factory, spec, input, metric, batch, threads, control,
-                    )?,
-                },
+                EngineKind::Planned => self.run_planned_in(
+                    checkpoint.domain,
+                    factory,
+                    spec,
+                    input,
+                    metric,
+                    batch,
+                    threads,
+                    control,
+                    true,
+                )?,
                 EngineKind::Parallel => self.run_parallel_supervised(
                     factory,
                     spec,
@@ -2153,26 +1405,18 @@ impl MonteCarloEngine {
             });
         }
         if policy == DegradationPolicy::Strict {
-            let outcome = self.run_planned_batched_supervised(
-                factory, spec, input, metric, batch, threads, control,
-            )?;
+            let outcome =
+                self.run_planned_supervised(factory, spec, input, metric, batch, threads, control)?;
             return Ok(SupervisedLadderOutcome {
                 outcome,
-                engine: EngineKind::PlannedBatched,
+                engine: EngineKind::Planned,
                 fallbacks: Vec::new(),
             });
         }
         let mut fallbacks: Vec<FallbackStep> = Vec::new();
-        for engine in [
-            EngineKind::PlannedBatched,
-            EngineKind::Planned,
-            EngineKind::Batched,
-            EngineKind::Parallel,
-        ] {
-            // Pre-flight: same lifetime capability gaps as the legacy ladder.
-            if spec.lifetime == FaultLifetime::PerInference
-                && matches!(engine, EngineKind::Batched | EngineKind::Parallel)
-            {
+        for engine in [EngineKind::Planned, EngineKind::Parallel] {
+            // Pre-flight: same lifetime capability gap as the legacy ladder.
+            if spec.lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel {
                 telemetry::count(telemetry::Counter::LadderFallbacks, 1);
                 fallbacks.push(FallbackStep {
                     engine,
@@ -2181,13 +1425,7 @@ impl MonteCarloEngine {
                 continue;
             }
             let result = match engine {
-                EngineKind::PlannedBatched => self.run_planned_batched_supervised(
-                    &factory, spec, input, &metric, batch, threads, control,
-                ),
-                EngineKind::Planned => {
-                    self.run_planned_supervised(&factory, spec, input, &metric, threads, control)
-                }
-                EngineKind::Batched => self.run_batched_supervised(
+                EngineKind::Planned => self.run_planned_supervised(
                     &factory, spec, input, &metric, batch, threads, control,
                 ),
                 EngineKind::Parallel => self.run_parallel_supervised(
@@ -2328,22 +1566,6 @@ mod tests {
         };
         assert_eq!(run(123), run(123));
         assert_ne!(run(123), run(456));
-    }
-
-    #[test]
-    fn sweep_runs_every_fault_model() {
-        let mut net = simple_net(12);
-        let x = Tensor::randn(&[4, 4], 0.0, 1.0, &mut Rng::seed_from(13));
-        let faults = [
-            FaultModel::None,
-            FaultModel::AdditiveVariation { sigma: 0.2 },
-            FaultModel::BitFlip { rate: 0.1, bits: 8 },
-        ];
-        let summaries = MonteCarloEngine::new(4, 1)
-            .sweep(&mut net, &faults, |n| Ok(n.forward(&x, Mode::Eval)?.sum()))
-            .unwrap();
-        assert_eq!(summaries.len(), 3);
-        assert_eq!(summaries[0].runs(), 4);
     }
 
     #[test]
@@ -2563,7 +1785,7 @@ mod tests {
 
     /// An MLP with a normalization layer in the middle: the norm's rank-1
     /// affine parameters shift the global parameter indices, exercising the
-    /// index re-basing that keeps batched RNG streams aligned with the
+    /// index re-basing that keeps the plan's RNG streams aligned with the
     /// sequential injector.
     fn mlp_with_norm(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
@@ -2574,46 +1796,6 @@ mod tests {
             .with(Box::new(GroupNorm::layer_norm(16)))
             .with(Box::new(Relu::new()))
             .with(Box::new(Linear::new(16, 4, &mut rng)))
-    }
-
-    #[test]
-    fn batched_is_bit_identical_to_sequential_for_all_fault_models() {
-        let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(50));
-        let engine = MonteCarloEngine::new(10, 1234);
-        for fault in all_fault_models() {
-            let mut net = mlp_with_norm(51);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            for batch in [1usize, 3, 10] {
-                for threads in [1usize, 4] {
-                    let batched = engine
-                        .run_batched(
-                            || mlp_with_norm(51),
-                            fault,
-                            &x,
-                            |out| Ok(out.sum()),
-                            batch,
-                            threads,
-                        )
-                        .unwrap();
-                    assert_eq!(batched.runs(), sequential.runs());
-                    let identical = sequential
-                        .per_run
-                        .iter()
-                        .zip(batched.per_run.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(
-                        identical,
-                        "{fault:?} batch={batch} threads={threads}: {:?} vs {:?}",
-                        sequential.per_run, batched.per_run
-                    );
-                    assert_eq!(batched.mean.to_bits(), sequential.mean.to_bits());
-                    assert_eq!(batched.std.to_bits(), sequential.std.to_bits());
-                }
-            }
-        }
     }
 
     fn small_cnn(seed: u64) -> Sequential {
@@ -2632,80 +1814,6 @@ mod tests {
             .with(Box::new(Linear::new(6 * 4 * 4, 3, &mut rng)))
     }
 
-    #[test]
-    fn batched_cnn_is_bit_identical_to_sequential() {
-        let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(60));
-        let engine = MonteCarloEngine::new(9, 77);
-        for fault in [
-            FaultModel::AdditiveVariation { sigma: 0.2 },
-            FaultModel::StuckAt { rate: 0.1 },
-        ] {
-            let mut net = small_cnn(61);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| {
-                    Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
-                })
-                .unwrap();
-            for (batch, threads) in [(4usize, 1usize), (3, 4), (9, 2)] {
-                let batched = engine
-                    .run_batched(
-                        || small_cnn(61),
-                        fault,
-                        &x,
-                        |out| Ok(out.abs().mean()),
-                        batch,
-                        threads,
-                    )
-                    .unwrap();
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(batched.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} batch={batch} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_residual_block_is_bit_identical_to_sequential() {
-        use invnorm_nn::activation::Relu;
-        use invnorm_nn::Residual;
-        let build = |seed: u64| -> Sequential {
-            let mut rng = Rng::seed_from(seed);
-            let main = Sequential::new()
-                .with(Box::new(Linear::new(6, 6, &mut rng)))
-                .with(Box::new(Relu::new()));
-            Sequential::new()
-                .with(Box::new(
-                    Residual::new(main).with_post(Box::new(Relu::new())),
-                ))
-                .with(Box::new(Linear::new(6, 2, &mut rng)))
-        };
-        let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut Rng::seed_from(70));
-        let engine = MonteCarloEngine::new(8, 99);
-        let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
-        let mut net = build(71);
-        let xc = x.clone();
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap();
-        let batched = engine
-            .run_batched(|| build(71), fault, &x, |out| Ok(out.sum()), 3, 2)
-            .unwrap();
-        let identical = sequential
-            .per_run
-            .iter()
-            .zip(batched.per_run.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            identical,
-            "{:?} vs {:?}",
-            sequential.per_run, batched.per_run
-        );
-    }
-
     fn quantized_net(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::quantized::QuantizedLinear;
@@ -2719,174 +1827,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_quantized_is_bit_identical_to_sequential_for_all_fault_models() {
-        let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(80));
-        let engine = MonteCarloEngine::new(10, 4321);
-        for fault in all_fault_models() {
-            let mut net = quantized_net(81);
-            let xc = x.clone();
-            let sequential = engine
-                .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            for (batch, threads) in [(1usize, 1usize), (3, 4), (10, 2)] {
-                let batched = engine
-                    .run_batched_quantized(
-                        || quantized_net(81),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        batch,
-                        threads,
-                    )
-                    .unwrap();
-                // Same streams, same integer GEMM, same dequantization
-                // expression: the quantized batched path is not merely
-                // within quantization tolerance — it is bit-identical.
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(batched.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} batch={batch} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn planned_is_bit_identical_to_sequential_for_all_fault_models() {
-        let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(150));
-        let engine = MonteCarloEngine::new(10, 1234);
-        for fault in all_fault_models() {
-            let mut net = mlp_with_norm(151);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            for threads in [1usize, 4] {
-                let planned = engine
-                    .run_planned(
-                        || mlp_with_norm(151),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        threads,
-                    )
-                    .unwrap();
-                assert_eq!(planned.runs(), sequential.runs());
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(planned.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(
-                    identical,
-                    "{fault:?} threads={threads}: {:?} vs {:?}",
-                    sequential.per_run, planned.per_run
-                );
-                assert_eq!(planned.mean.to_bits(), sequential.mean.to_bits());
-                assert_eq!(planned.std.to_bits(), sequential.std.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn planned_cnn_and_residual_are_bit_identical_to_sequential() {
-        let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(160));
-        let engine = MonteCarloEngine::new(9, 77);
-        for fault in [
-            FaultModel::AdditiveVariation { sigma: 0.2 },
-            FaultModel::StuckAt { rate: 0.1 },
-        ] {
-            let mut net = small_cnn(161);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| {
-                    Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
-                })
-                .unwrap();
-            for threads in [1usize, 4] {
-                let planned = engine
-                    .run_planned(
-                        || small_cnn(161),
-                        fault,
-                        &x,
-                        |out| Ok(out.abs().mean()),
-                        threads,
-                    )
-                    .unwrap();
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(planned.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} threads={threads}");
-            }
-        }
-
-        // Residual block with projection-free skip + post activation.
-        use invnorm_nn::activation::Relu;
-        use invnorm_nn::Residual;
-        let build = |seed: u64| -> Sequential {
-            let mut rng = Rng::seed_from(seed);
-            let main = Sequential::new()
-                .with(Box::new(Linear::new(6, 6, &mut rng)))
-                .with(Box::new(Relu::new()));
-            Sequential::new()
-                .with(Box::new(
-                    Residual::new(main).with_post(Box::new(Relu::new())),
-                ))
-                .with(Box::new(Linear::new(6, 2, &mut rng)))
-        };
-        let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut Rng::seed_from(162));
-        let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
-        let engine = MonteCarloEngine::new(8, 99);
-        let mut net = build(163);
-        let xc = x.clone();
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap();
-        let planned = engine
-            .run_planned(|| build(163), fault, &x, |out| Ok(out.sum()), 2)
-            .unwrap();
-        let identical = sequential
-            .per_run
-            .iter()
-            .zip(planned.per_run.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical, "residual planned diverged");
-    }
-
-    #[test]
-    fn planned_quantized_is_bit_identical_to_sequential_for_all_fault_models() {
-        let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(170));
-        let engine = MonteCarloEngine::new(10, 4321);
-        for fault in all_fault_models() {
-            let mut net = quantized_net(171);
-            let xc = x.clone();
-            let sequential = engine
-                .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            for threads in [1usize, 4] {
-                let planned = engine
-                    .run_planned_quantized(
-                        || quantized_net(171),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        threads,
-                    )
-                    .unwrap();
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(planned.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn planned_batched_is_bit_identical_to_sequential_for_all_fault_models() {
         let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(250));
         let engine = MonteCarloEngine::new(10, 1234);
@@ -2897,12 +1837,12 @@ mod tests {
                 .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
                 .unwrap();
             // batch = runs exercises the single-batch case; 3 leaves a tail
-            // batch of 1 (per-worker plan recompilation); 1 degenerates to
-            // the planned engine.
+            // batch of 1 (per-worker plan recompilation); 1 evaluates one
+            // realization per forward.
             for batch in [1usize, 3, 10] {
                 for threads in [1usize, 4] {
                     let fused = engine
-                        .run_planned_batched(
+                        .run_planned(
                             || mlp_with_norm(251),
                             fault,
                             &x,
@@ -2948,9 +1888,9 @@ mod tests {
                     Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
                 })
                 .unwrap();
-            for (batch, threads) in [(4usize, 1usize), (3, 4), (9, 2)] {
+            for (batch, threads) in [(1usize, 1usize), (1, 4), (4, 1), (3, 4), (9, 2)] {
                 let fused = engine
-                    .run_planned_batched(
+                    .run_planned(
                         || small_cnn(261),
                         fault,
                         &x,
@@ -2991,15 +1931,17 @@ mod tests {
         let sequential = engine
             .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
             .unwrap();
-        let fused = engine
-            .run_planned_batched(|| build(263), fault, &x, |out| Ok(out.sum()), 3, 2)
-            .unwrap();
-        let identical = sequential
-            .per_run
-            .iter()
-            .zip(fused.per_run.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical, "residual planned-batched diverged");
+        for batch in [1usize, 3] {
+            let fused = engine
+                .run_planned(|| build(263), fault, &x, |out| Ok(out.sum()), batch, 2)
+                .unwrap();
+            let identical = sequential
+                .per_run
+                .iter()
+                .zip(fused.per_run.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(identical, "residual planned batch={batch} diverged");
+        }
     }
 
     #[test]
@@ -3012,76 +1954,30 @@ mod tests {
             let sequential = engine
                 .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
                 .unwrap();
-            for (batch, threads) in [(1usize, 1usize), (3, 4), (10, 2)] {
-                let fused = engine
-                    .run_planned_batched_quantized(
-                        || quantized_net(271),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        batch,
-                        threads,
-                    )
-                    .unwrap();
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(fused.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} batch={batch} threads={threads}");
+            for batch in [1usize, 3, 10] {
+                for threads in [1usize, 4] {
+                    let fused = engine
+                        .run_planned_quantized(
+                            || quantized_net(271),
+                            fault,
+                            &x,
+                            |out| Ok(out.sum()),
+                            batch,
+                            threads,
+                        )
+                        .unwrap();
+                    // Same streams, same integer GEMM, same dequantization
+                    // expression: the quantized planned path is not merely
+                    // within quantization tolerance — it is bit-identical.
+                    let identical = sequential
+                        .per_run
+                        .iter()
+                        .zip(fused.per_run.iter())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(identical, "{fault:?} batch={batch} threads={threads}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn planned_batched_errors_are_reported_like_the_other_engines() {
-        use invnorm_nn::lstm::Lstm;
-        let engine = MonteCarloEngine::new(6, 5);
-        let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(280));
-        // Metric failure.
-        let result = engine.run_planned_batched(
-            || mlp_with_norm(281),
-            FaultModel::None,
-            &x,
-            |_out| Err(NnError::Config("boom".into())),
-            2,
-            2,
-        );
-        assert!(result.is_err());
-        // Non-finite metric names the lowest failing run.
-        let err = engine
-            .run_planned_batched(
-                || mlp_with_norm(281),
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &x,
-                |_out| Ok(f32::NAN),
-                2,
-                2,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("on run 0"), "unexpected error: {err}");
-        // Unsupported layers are rejected loudly at compile.
-        let build = || -> Sequential {
-            let mut rng = Rng::seed_from(282);
-            Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)))
-        };
-        let xl = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(283));
-        let err = engine
-            .run_planned_batched(
-                build,
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &xl,
-                |out| Ok(out.sum()),
-                2,
-                1,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("compiled plans") && err.contains("Lstm"),
-            "unexpected error: {err}"
-        );
     }
 
     #[test]
@@ -3093,98 +1989,53 @@ mod tests {
         };
         let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(181));
         let engine = MonteCarloEngine::new(4, 7);
-        let err = engine
-            .run_planned(
-                build,
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &x,
-                |out| Ok(out.sum()),
-                1,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("compiled plans") && err.contains("Lstm"),
-            "unexpected error: {err}"
-        );
+        for batch in [1usize, 2] {
+            let err = engine
+                .run_planned(
+                    build,
+                    FaultModel::AdditiveVariation { sigma: 0.1 },
+                    &x,
+                    |out| Ok(out.sum()),
+                    batch,
+                    1,
+                )
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains("compiled plans") && err.contains("Lstm"),
+                "batch={batch}: {err}"
+            );
+        }
     }
 
     #[test]
     fn planned_metric_errors_and_non_finite_metrics_are_reported() {
         let engine = MonteCarloEngine::new(6, 5);
         let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(190));
-        let result = engine.run_planned(
-            || mlp_with_norm(191),
-            FaultModel::None,
-            &x,
-            |_out| Err(NnError::Config("boom".into())),
-            2,
-        );
-        assert!(result.is_err());
-        let err = engine
-            .run_planned(
+        for batch in [1usize, 2] {
+            let result = engine.run_planned(
                 || mlp_with_norm(191),
-                FaultModel::AdditiveVariation { sigma: 0.1 },
+                FaultModel::None,
                 &x,
-                |_out| Ok(f32::NAN),
+                |_out| Err(NnError::Config("boom".into())),
+                batch,
                 2,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("on run 0"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn batched_rejects_unsupported_layers_loudly() {
-        use invnorm_nn::lstm::Lstm;
-        let build = || -> Sequential {
-            let mut rng = Rng::seed_from(90);
-            Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)))
-        };
-        let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(91));
-        let engine = MonteCarloEngine::new(4, 7);
-        let err = engine
-            .run_batched(
-                build,
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &x,
-                |out| Ok(out.sum()),
-                2,
-                1,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("batched evaluation"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn batched_metric_errors_and_non_finite_metrics_are_reported() {
-        let engine = MonteCarloEngine::new(6, 5);
-        let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(95));
-        let result = engine.run_batched(
-            || mlp_with_norm(96),
-            FaultModel::None,
-            &x,
-            |_out| Err(NnError::Config("boom".into())),
-            2,
-            2,
-        );
-        assert!(result.is_err());
-        let err = engine
-            .run_batched(
-                || mlp_with_norm(96),
-                FaultModel::AdditiveVariation { sigma: 0.1 },
-                &x,
-                |_out| Ok(f32::NAN),
-                2,
-                2,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("on run 0"), "unexpected error: {err}");
+            );
+            assert!(result.is_err());
+            // A non-finite metric names the lowest failing run.
+            let err = engine
+                .run_planned(
+                    || mlp_with_norm(191),
+                    FaultModel::AdditiveVariation { sigma: 0.1 },
+                    &x,
+                    |_out| Ok(f32::NAN),
+                    batch,
+                    2,
+                )
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("on run 0"), "batch={batch}: {err}");
+        }
     }
 
     #[test]
@@ -3247,27 +2098,16 @@ mod tests {
                             threads,
                         )
                         .unwrap();
-                    let batched = engine
-                        .run_batched(|| build(seed), fault, &x, |out| Ok(out.sum()), 3, threads)
-                        .unwrap();
                     let planned = engine
-                        .run_planned(|| build(seed), fault, &x, |out| Ok(out.sum()), threads)
+                        .run_planned(|| build(seed), fault, &x, |out| Ok(out.sum()), 1, threads)
                         .unwrap();
-                    let planned_batched = engine
-                        .run_planned_batched(
-                            || build(seed),
-                            fault,
-                            &x,
-                            |out| Ok(out.sum()),
-                            3,
-                            threads,
-                        )
+                    let planned_b3 = engine
+                        .run_planned(|| build(seed), fault, &x, |out| Ok(out.sum()), 3, threads)
                         .unwrap();
                     for (name, summary) in [
                         ("run_parallel", &parallel),
-                        ("run_batched", &batched),
-                        ("run_planned", &planned),
-                        ("run_planned_batched", &planned_batched),
+                        ("run_planned batch=1", &planned),
+                        ("run_planned batch=3", &planned_b3),
                     ] {
                         let identical = sequential
                             .per_run
@@ -3286,7 +2126,7 @@ mod tests {
     }
 
     /// Code-domain counterpart: structured faults land on the i8 codes and
-    /// the quantized engines stay bit-identical to `run_quantized`.
+    /// the quantized planned engine stays bit-identical to `run_quantized`.
     #[test]
     fn structured_code_faults_are_bit_identical_across_quantized_engines() {
         let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(221));
@@ -3298,46 +2138,23 @@ mod tests {
                 .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
                 .unwrap();
             for threads in [1usize, 4] {
-                let batched = engine
-                    .run_batched_quantized(
-                        || quantized_net(222),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        3,
-                        threads,
-                    )
-                    .unwrap();
-                let planned = engine
-                    .run_planned_quantized(
-                        || quantized_net(222),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        threads,
-                    )
-                    .unwrap();
-                let planned_batched = engine
-                    .run_planned_batched_quantized(
-                        || quantized_net(222),
-                        fault,
-                        &x,
-                        |out| Ok(out.sum()),
-                        3,
-                        threads,
-                    )
-                    .unwrap();
-                for (name, summary) in [
-                    ("run_batched_quantized", &batched),
-                    ("run_planned_quantized", &planned),
-                    ("run_planned_batched_quantized", &planned_batched),
-                ] {
+                for batch in [1usize, 3] {
+                    let summary = engine
+                        .run_planned_quantized(
+                            || quantized_net(222),
+                            fault,
+                            &x,
+                            |out| Ok(out.sum()),
+                            batch,
+                            threads,
+                        )
+                        .unwrap();
                     let identical = sequential
                         .per_run
                         .iter()
                         .zip(summary.per_run.iter())
                         .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(identical, "{fault:?} {name} threads={threads}");
+                    assert!(identical, "{fault:?} batch={batch} threads={threads}");
                 }
             }
         }
@@ -3359,11 +2176,11 @@ mod tests {
         assert_eq!(plan.fault_lifetime(), FaultLifetime::PerInference);
         let mut rng = Rng::seed_from(7);
         WeightFaultInjector::new_unchecked(fault)
-            .realize_plan(&mut net, &mut rng)
+            .realize_plan_batch(&mut net, std::slice::from_mut(&mut rng))
             .unwrap();
         let out1 = plan.forward(&mut net).unwrap().clone();
         WeightFaultInjector::new_unchecked(fault)
-            .realize_plan(&mut net, &mut rng)
+            .realize_plan_batch(&mut net, std::slice::from_mut(&mut rng))
             .unwrap();
         let out2 = plan.forward(&mut net).unwrap().clone();
         net.plan_end();
@@ -3377,7 +2194,7 @@ mod tests {
         assert_eq!(plan.fault_lifetime(), FaultLifetime::Static);
         let mut rng = Rng::seed_from(7);
         WeightFaultInjector::new_unchecked(fault)
-            .realize_plan(&mut net, &mut rng)
+            .realize_plan_batch(&mut net, std::slice::from_mut(&mut rng))
             .unwrap();
         let a = plan.forward(&mut net).unwrap().clone();
         let b = plan.forward(&mut net).unwrap().clone();
@@ -3393,8 +2210,8 @@ mod tests {
     /// The documented reproducibility boundary: the Monte-Carlo engines run
     /// exactly one forward per chip instance, so a per-inference lifetime
     /// yields per-run metrics bit-identical to the static lifetime on the
-    /// planned engines — and the non-frozen execution path it switches on is
-    /// bit-identical to the frozen one.
+    /// planned engine at every batch size — and the non-frozen execution
+    /// path it switches on is bit-identical to the frozen one.
     #[test]
     fn per_inference_matches_static_for_single_forward_metrics() {
         let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(241));
@@ -3406,42 +2223,24 @@ mod tests {
         ] {
             let per_inference = FaultSpec::per_inference(fault);
             for threads in [1usize, 4] {
-                let st = engine
-                    .run_planned(|| mlp_with_norm(242), fault, &x, |o| Ok(o.sum()), threads)
-                    .unwrap();
-                let pi = engine
-                    .run_planned(
-                        || mlp_with_norm(242),
-                        per_inference,
-                        &x,
-                        |o| Ok(o.sum()),
-                        threads,
-                    )
-                    .unwrap();
-                let st_b = engine
-                    .run_planned_batched(
-                        || mlp_with_norm(242),
-                        fault,
-                        &x,
-                        |o| Ok(o.sum()),
-                        3,
-                        threads,
-                    )
-                    .unwrap();
-                let pi_b = engine
-                    .run_planned_batched(
-                        || mlp_with_norm(242),
-                        per_inference,
-                        &x,
-                        |o| Ok(o.sum()),
-                        3,
-                        threads,
-                    )
-                    .unwrap();
+                let run = |spec: FaultSpec, batch: usize| {
+                    engine
+                        .run_planned(
+                            || mlp_with_norm(242),
+                            spec,
+                            &x,
+                            |o| Ok(o.sum()),
+                            batch,
+                            threads,
+                        )
+                        .unwrap()
+                };
+                let (st, pi) = (run(fault.into(), 1), run(per_inference, 1));
+                let (st_b, pi_b) = (run(fault.into(), 3), run(per_inference, 3));
                 for (name, a, b) in [
-                    ("run_planned", &st, &pi),
-                    ("run_planned_batched", &st_b, &pi_b),
-                    ("static planned vs planned_batched", &st, &st_b),
+                    ("batch=1", &st, &pi),
+                    ("batch=3", &st_b, &pi_b),
+                    ("static batch=1 vs batch=3", &st, &st_b),
                 ] {
                     let identical = a
                         .per_run
@@ -3489,14 +2288,6 @@ mod tests {
             .to_string();
         assert!(err.contains("MonteCarloEngine::run_parallel"), "{err}");
 
-        let err = engine
-            .run_batched(|| mlp_with_norm(252), spec, &x, |o| Ok(o.sum()), 2, 2)
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "MonteCarloEngine::run_batched does not support per-inference fault lifetime"
-        );
-
         let xq = Tensor::randn(&[3, 12], 0.0, 1.0, &mut Rng::seed_from(253));
         let mut qnet = quantized_net(254);
         let xc = xq.clone();
@@ -3505,14 +2296,6 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("MonteCarloEngine::run_quantized"), "{err}");
-        let err = engine
-            .run_batched_quantized(|| quantized_net(254), spec, &xq, |o| Ok(o.sum()), 2, 2)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("MonteCarloEngine::run_batched_quantized"),
-            "{err}"
-        );
     }
 
     /// The ladder on a fully-capable network: the fastest engine wins, no
@@ -3540,7 +2323,7 @@ mod tests {
                     policy,
                 )
                 .unwrap();
-            assert_eq!(outcome.engine, EngineKind::PlannedBatched);
+            assert_eq!(outcome.engine, EngineKind::Planned);
             assert!(outcome.fallbacks.is_empty());
             let identical = sequential
                 .per_run
@@ -3551,9 +2334,9 @@ mod tests {
         }
     }
 
-    /// An unplannable, unbatchable layer (Lstm) degrades all the way to
-    /// `run_parallel` under the graceful policy, with one typed reason per
-    /// skipped rung — and still reproduces the sequential reference.
+    /// An unplannable layer (Lstm) degrades to `run_parallel` under the
+    /// graceful policy, with one typed reason for the skipped planned rung —
+    /// and still reproduces the sequential reference.
     #[test]
     fn run_auto_degrades_to_parallel_for_unsupported_layers() {
         use invnorm_nn::lstm::Lstm;
@@ -3581,18 +2364,16 @@ mod tests {
             )
             .unwrap();
         assert_eq!(outcome.engine, EngineKind::Parallel);
-        assert_eq!(outcome.fallbacks.len(), 3);
-        for (step, expected_engine) in outcome.fallbacks.iter().zip([
-            EngineKind::PlannedBatched,
-            EngineKind::Planned,
-            EngineKind::Batched,
-        ]) {
-            assert_eq!(step.engine, expected_engine);
-            match &step.reason {
-                FallbackReason::Unsupported { layer, .. } => assert_eq!(*layer, "Lstm"),
-                other => panic!("expected a layer-support reason, got {other:?}"),
-            }
-        }
+        assert_eq!(
+            outcome.fallbacks,
+            vec![FallbackStep {
+                engine: EngineKind::Planned,
+                reason: FallbackReason::Unsupported {
+                    layer: "Lstm",
+                    op: "compiled plans",
+                },
+            }]
+        );
         let identical = sequential
             .per_run
             .iter()
@@ -3619,8 +2400,8 @@ mod tests {
         );
     }
 
-    /// A per-inference lifetime rules out the direct engines pre-flight; an
-    /// unplannable layer rules out the planned ones. Together they exhaust
+    /// A per-inference lifetime rules out the direct engine pre-flight; an
+    /// unplannable layer rules out the planned one. Together they exhaust
     /// the ladder, and the error lists every rung's reason.
     #[test]
     fn run_auto_reports_exhausted_ladder() {
@@ -3647,9 +2428,7 @@ mod tests {
         let msg = err.to_string();
         for part in [
             "MonteCarloEngine::run_auto",
-            "run_planned_batched",
             "run_planned",
-            "run_batched",
             "run_parallel",
             "Lstm",
             "no per-inference fault lifetime model",
@@ -3671,7 +2450,7 @@ mod tests {
                 DegradationPolicy::Graceful,
             )
             .unwrap();
-        assert_eq!(outcome.engine, EngineKind::PlannedBatched);
+        assert_eq!(outcome.engine, EngineKind::Planned);
         assert!(outcome.fallbacks.is_empty());
     }
 }

@@ -267,8 +267,10 @@ pub struct SweepCheckpoint {
 impl SweepCheckpoint {
     /// Format magic for serialized sweep checkpoints.
     pub const MAGIC: [u8; 4] = *b"INSW";
-    /// Current sweep-checkpoint format version.
-    pub const VERSION: u32 = 1;
+    /// Current sweep-checkpoint format version. Version 2 renumbered the
+    /// engine tags when the ladder shrank to planned → parallel; a version 1
+    /// checkpoint is rejected with [`CheckpointFault::VersionSkew`].
+    pub const VERSION: u32 = 2;
 
     /// Instances already accounted for (finished or quarantined).
     pub fn accounted_runs(&self) -> usize {
@@ -335,15 +337,17 @@ impl SweepCheckpoint {
             }
         };
         let fault_label = r.str()?;
-        let n_completed = r.u32()? as usize;
-        let mut completed = Vec::with_capacity(n_completed.min(runs));
+        // Bound each declared count by the bytes left before allocating: a
+        // completed record is 8 bytes, a quarantined one at least 9.
+        let n_completed = r.count(COMPLETED_RECORD_BYTES)?;
+        let mut completed = Vec::with_capacity(n_completed);
         for _ in 0..n_completed {
             let run = r.u32()? as usize;
             let metric = f32::from_bits(r.u32()?);
             completed.push((run, metric));
         }
-        let n_quarantined = r.u32()? as usize;
-        let mut quarantined = Vec::with_capacity(n_quarantined.min(runs));
+        let n_quarantined = r.count(MIN_QUARANTINED_RECORD_BYTES)?;
+        let mut quarantined = Vec::with_capacity(n_quarantined);
         for _ in 0..n_quarantined {
             let run = r.u32()? as usize;
             let cause = match r.u8()? {
@@ -630,24 +634,26 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Serialized size of one `(run, metric)` record.
+const COMPLETED_RECORD_BYTES: usize = 8;
+/// Smallest serialized quarantine record: run index plus cause tag, then at
+/// least a 4-byte string length or metric.
+const MIN_QUARANTINED_RECORD_BYTES: usize = 9;
+
 fn engine_tag(engine: EngineKind) -> u8 {
     match engine {
-        EngineKind::PlannedBatched => 0,
-        EngineKind::Planned => 1,
-        EngineKind::Batched => 2,
-        EngineKind::Parallel => 3,
-        EngineKind::Sequential => 4,
+        EngineKind::Planned => 0,
+        EngineKind::Parallel => 1,
+        EngineKind::Sequential => 2,
     }
 }
 
 fn engine_from_tag(tag: u8) -> Result<EngineKind> {
     Ok(match tag {
-        0 => EngineKind::PlannedBatched,
-        1 => EngineKind::Planned,
-        2 => EngineKind::Batched,
-        3 => EngineKind::Parallel,
-        4 => EngineKind::Sequential,
-        other => return Err(mismatch("engine tag", "0..=4", other)),
+        0 => EngineKind::Planned,
+        1 => EngineKind::Parallel,
+        2 => EngineKind::Sequential,
+        other => return Err(mismatch("engine tag", "0..=2", other)),
     })
 }
 
@@ -714,6 +720,22 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// Reads a record count and rejects it as truncated unless the payload
+    /// still holds `count` records of at least `record_bytes` each — so a
+    /// crafted count can never drive an allocation past the input size.
+    fn count(&mut self, record_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        let available = self.bytes.len() - self.pos;
+        let needed = count.saturating_mul(record_bytes);
+        if needed > available {
+            return Err(NnError::Checkpoint(CheckpointFault::Truncated {
+                needed,
+                available,
+            }));
+        }
+        Ok(count)
     }
 
     fn str(&mut self) -> Result<String> {
@@ -804,9 +826,92 @@ mod tests {
         assert!(matches!(
             SweepCheckpoint::from_bytes(&future),
             Err(NnError::Checkpoint(CheckpointFault::VersionSkew {
-                expected: 1,
+                expected: 2,
                 got: 9
             }))
+        ));
+    }
+
+    /// A hand-built payload prefix (seed, runs, engine tag, domain, label)
+    /// up to the completed-run count.
+    fn payload_head(engine_tag: u8, runs: u32) -> Vec<u8> {
+        let mut p = 7u64.to_le_bytes().to_vec();
+        push_u32(&mut p, runs);
+        p.push(engine_tag);
+        p.push(0);
+        push_str(&mut p, "additive");
+        p
+    }
+
+    fn framed(payload: Vec<u8>) -> Vec<u8> {
+        frame(payload, SweepCheckpoint::MAGIC, SweepCheckpoint::VERSION)
+    }
+
+    #[test]
+    fn checkpoint_rejects_v1_frames_and_unknown_engine_tags() {
+        // A version 1 frame is skew, whatever its payload: tag 1 meant
+        // `Planned` then and means `Parallel` now.
+        let mut p = payload_head(1, 4);
+        push_u32(&mut p, 0);
+        push_u32(&mut p, 0);
+        let v1 = frame(p.clone(), SweepCheckpoint::MAGIC, 1);
+        assert!(matches!(
+            SweepCheckpoint::from_bytes(&v1),
+            Err(NnError::Checkpoint(CheckpointFault::VersionSkew {
+                expected: 2,
+                got: 1
+            }))
+        ));
+        assert_eq!(
+            SweepCheckpoint::from_bytes(&framed(p)).unwrap().engine,
+            EngineKind::Parallel
+        );
+        for (tag, engine) in [
+            (0u8, EngineKind::Planned),
+            (1, EngineKind::Parallel),
+            (2, EngineKind::Sequential),
+        ] {
+            assert_eq!(engine_tag(engine), tag);
+        }
+        let mut p = payload_head(3, 4);
+        push_u32(&mut p, 0);
+        push_u32(&mut p, 0);
+        assert!(matches!(
+            SweepCheckpoint::from_bytes(&framed(p)),
+            Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                field: "engine tag",
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    fn checkpoint_rejects_crafted_record_counts_before_allocating() {
+        // runs = completed = u32::MAX with no records behind the count: a
+        // trusted count would ask for a 64 GiB buffer.
+        let mut p = payload_head(0, u32::MAX);
+        push_u32(&mut p, u32::MAX);
+        assert!(matches!(
+            SweepCheckpoint::from_bytes(&framed(p)),
+            Err(NnError::Checkpoint(CheckpointFault::Truncated { .. }))
+        ));
+        // The same for the quarantine ledger.
+        let mut p = payload_head(0, u32::MAX);
+        push_u32(&mut p, 0);
+        push_u32(&mut p, u32::MAX);
+        assert!(matches!(
+            SweepCheckpoint::from_bytes(&framed(p)),
+            Err(NnError::Checkpoint(CheckpointFault::Truncated { .. }))
+        ));
+        // One completed record too many for the bytes left.
+        let mut p = payload_head(0, 4);
+        push_u32(&mut p, 2);
+        push_u32(&mut p, 0);
+        push_u32(&mut p, 1.0f32.to_bits());
+        push_u32(&mut p, 0);
+        assert!(matches!(
+            SweepCheckpoint::from_bytes(&framed(p)),
+            Err(NnError::Checkpoint(CheckpointFault::Truncated { .. }))
         ));
     }
 
@@ -858,7 +963,7 @@ mod tests {
         // Each identity field is pinned.
         for (engine, domain, seed, runs, label) in [
             (
-                EngineKind::Batched,
+                EngineKind::Parallel,
                 SweepDomain::Codes,
                 0xDEAD_BEEFu64,
                 12usize,

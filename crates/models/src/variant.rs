@@ -6,9 +6,7 @@ use invnorm_core::inverted_norm::{InvNormConfig, InvertedNorm};
 use invnorm_imc::injector::{ActivationNoise, NoiseHandle};
 use invnorm_nn::activation::{Relu, SignSte};
 use invnorm_nn::dropout::{Dropout, SpatialDropout};
-use invnorm_nn::layer::{
-    BatchedCodeView, BatchedParamView, BoxedLayer, CodeView, Layer, Mode, Param,
-};
+use invnorm_nn::layer::{BoxedLayer, CodeView, Layer, Mode, Param};
 use invnorm_nn::norm::BatchNorm;
 use invnorm_nn::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
 use invnorm_quant::QuantConfig;
@@ -178,32 +176,6 @@ impl Layer for BuiltModel {
 
     fn visit_codes(&mut self, visitor: &mut dyn FnMut(CodeView<'_>)) {
         self.network.visit_codes(visitor);
-    }
-
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        self.network.begin_batched(batch)
-    }
-
-    fn end_batched(&mut self) {
-        self.network.end_batched();
-    }
-
-    fn visit_batched(&mut self, visitor: &mut dyn FnMut(BatchedParamView<'_>)) {
-        self.network.visit_batched(visitor);
-    }
-
-    fn visit_batched_codes(&mut self, visitor: &mut dyn FnMut(BatchedCodeView<'_>)) {
-        self.network.visit_batched_codes(visitor);
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        self.network.forward_batched(input, shared, batch, mode)
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {

@@ -162,13 +162,28 @@ impl Checkpoint {
                 dims.push(read_u64(&mut cursor)? as usize);
             }
             let len = read_u64(&mut cursor)? as usize;
-            let expected: usize = dims.iter().product();
+            let expected = dims
+                .iter()
+                .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                .ok_or_else(|| {
+                    NnError::Checkpoint(CheckpointFault::Mismatch {
+                        field: "entry shape",
+                        expected: "an element count that fits in usize".into(),
+                        got: format!("{dims:?}"),
+                    })
+                })?;
             if expected != len {
                 return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
                     field: "entry length",
                     expected: format!("{expected} (shape {dims:?})"),
                     got: len.to_string(),
                 }));
+            }
+            // The declared length must fit in the bytes left before it is
+            // trusted with an allocation.
+            let needed = len.saturating_mul(4);
+            if needed > payload.len() - cursor {
+                return Err(truncated(cursor, needed));
             }
             let mut data = Vec::with_capacity(len);
             for _ in 0..len {
@@ -396,6 +411,41 @@ mod tests {
             }
             other => panic!("version skew not detected: {other:?}"),
         }
+    }
+
+    /// Frames a hand-built one-entry payload declaring `dims` and `len`,
+    /// with no data behind the declaration.
+    fn crafted_entry(dims: &[u64], len: u64) -> Vec<u8> {
+        let mut p = 1u64.to_le_bytes().to_vec();
+        p.extend_from_slice(&(dims.len() as u64).to_le_bytes());
+        for d in dims {
+            p.extend_from_slice(&d.to_le_bytes());
+        }
+        p.extend_from_slice(&len.to_le_bytes());
+        frame(p, MAGIC, VERSION)
+    }
+
+    #[test]
+    fn overflowing_shape_is_a_typed_mismatch() {
+        use crate::error::CheckpointFault;
+        let bytes = crafted_entry(&[1 << 32, 1 << 32], 0);
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                field: "entry shape",
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    fn oversized_declared_length_is_truncated_before_allocating() {
+        use crate::error::CheckpointFault;
+        let bytes = crafted_entry(&[1 << 40], 1 << 40);
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(NnError::Checkpoint(CheckpointFault::Truncated { .. }))
+        ));
     }
 
     #[test]

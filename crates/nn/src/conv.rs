@@ -2,7 +2,7 @@
 //! [`invnorm_tensor::conv`].
 
 use crate::error::NnError;
-use crate::layer::{BatchedParam, BatchedParamView, Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param};
 use crate::plan::{PlanArenas, PlanCtx, PlanParamView, PlanShape, PlannedWeight};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
@@ -29,7 +29,6 @@ pub struct Conv2d {
     cached_cols: Option<Tensor>,
     cached_input_dims: Option<Vec<usize>>,
     scratch: Scratch,
-    batched: Option<Conv2dBatched>,
     plan: Option<Conv2dPlan>,
 }
 
@@ -50,14 +49,6 @@ struct Conv2dPlan {
     /// Dims of one realization's tile of the stacked input edge (frozen
     /// inputs unfold only the first tile — every tile is identical).
     tile_dims: Vec<usize>,
-}
-
-/// Batched-eval state: stacked kernel realizations plus the reusable packed
-/// activation panel shared across them.
-#[derive(Debug, Default)]
-struct Conv2dBatched {
-    weights: BatchedParam,
-    packed: PackedA,
 }
 
 impl Conv2d {
@@ -111,7 +102,6 @@ impl Conv2d {
             cached_cols: None,
             cached_input_dims: None,
             scratch: Scratch::new(),
-            batched: None,
             plan: None,
         }
     }
@@ -214,63 +204,6 @@ impl Layer for Conv2d {
         if let Some(bias) = &mut self.bias {
             visitor(bias);
         }
-    }
-
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        let state = self.batched.get_or_insert_with(Conv2dBatched::default);
-        state.weights.reset(&self.weight.value, batch);
-        Ok(())
-    }
-
-    fn end_batched(&mut self) {
-        self.batched = None;
-    }
-
-    fn visit_batched(&mut self, visitor: &mut dyn FnMut(BatchedParamView<'_>)) {
-        if let Some(state) = &mut self.batched {
-            visitor(BatchedParamView {
-                index: 0,
-                clean: &self.weight.value,
-                stacked: &mut state.weights,
-            });
-        }
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        _mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        if input.rank() != 4 || input.dims()[1] != self.in_channels {
-            return Err(NnError::Config(format!(
-                "Conv2d expects [N, {}, H, W], got {:?}",
-                self.in_channels,
-                input.dims()
-            )));
-        }
-        let state = self.batched.as_mut().ok_or_else(|| {
-            NnError::Config("Conv2d::forward_batched called without begin_batched".into())
-        })?;
-        if state.weights.batch() != batch {
-            return Err(NnError::Config(format!(
-                "Conv2d has {} staged weight realizations, expected {batch}",
-                state.weights.batch()
-            )));
-        }
-        let out = conv::conv2d_forward_batched(
-            input,
-            shared,
-            batch,
-            state.weights.data(),
-            self.weight.value.dims(),
-            self.bias.as_ref().map(|b| &b.value),
-            &self.spec,
-            &mut state.packed,
-            &mut self.scratch,
-        )?;
-        Ok((out, false))
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {

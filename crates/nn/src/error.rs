@@ -20,13 +20,13 @@ pub enum NnError {
         targets: usize,
     },
     /// A layer was asked to perform an operation it does not implement
-    /// (batched evaluation, compiled plans, backward on an inference-only
-    /// layer, ...). Replaces the scattered ad-hoc `Config` messages so every
-    /// "unsupported" failure names the layer and the operation uniformly.
+    /// (compiled plans, backward on an inference-only layer, ...). Replaces
+    /// the scattered ad-hoc `Config` messages so every "unsupported" failure
+    /// names the layer and the operation uniformly.
     Unsupported {
         /// Human-readable layer name (from [`crate::Layer::name`]).
         layer: &'static str,
-        /// The unsupported operation, e.g. `"batched evaluation"`.
+        /// The unsupported operation, e.g. `"compiled plans"`.
         op: &'static str,
     },
     /// An execution engine cannot honor the requested fault configuration
@@ -214,18 +214,15 @@ mod tests {
         assert!(NnError::BackwardBeforeForward("Linear")
             .to_string()
             .contains("Linear"));
-        let e = NnError::unsupported("Lstm", "batched evaluation");
-        assert_eq!(
-            e.to_string(),
-            "layer Lstm does not support batched evaluation"
-        );
+        let e = NnError::unsupported("Lstm", "compiled plans");
+        assert_eq!(e.to_string(), "layer Lstm does not support compiled plans");
         let e = NnError::fault_unsupported(
-            "MonteCarloEngine::run_batched",
+            "MonteCarloEngine::run_parallel",
             "per-inference fault lifetime",
         );
         assert_eq!(
             e.to_string(),
-            "MonteCarloEngine::run_batched does not support per-inference fault lifetime"
+            "MonteCarloEngine::run_parallel does not support per-inference fault lifetime"
         );
     }
 

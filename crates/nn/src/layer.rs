@@ -1,6 +1,5 @@
 //! The [`Layer`] trait, learnable [`Param`] storage and execution [`Mode`].
 
-use crate::error::NnError;
 use crate::plan::{self, PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
 use crate::Result;
 use invnorm_tensor::Tensor;
@@ -93,155 +92,6 @@ pub struct CodeView<'a> {
     pub rows: usize,
 }
 
-/// Stacked per-realization storage for one fault-targetable parameter,
-/// staged by [`Layer::begin_batched`] for batched Monte-Carlo evaluation.
-///
-/// Realization `b` of the parameter occupies
-/// `data[b * numel .. (b + 1) * numel]`. Buffers grow monotonically, so
-/// re-staging the same network batch after batch allocates nothing in steady
-/// state.
-#[derive(Debug, Default, Clone)]
-pub struct BatchedParam {
-    data: Vec<f32>,
-    batch: usize,
-    numel: usize,
-}
-
-impl BatchedParam {
-    /// Re-stages the buffer as `batch` copies of the clean parameter value
-    /// (fault injectors then overwrite targeted slots in place).
-    pub fn reset(&mut self, clean: &Tensor, batch: usize) {
-        self.numel = clean.numel();
-        self.batch = batch;
-        self.data.clear();
-        self.data.reserve(batch * self.numel);
-        for _ in 0..batch {
-            self.data.extend_from_slice(clean.data());
-        }
-    }
-
-    /// Number of staged realizations.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Elements per realization.
-    pub fn numel(&self) -> usize {
-        self.numel
-    }
-
-    /// The full stacked buffer (`[batch * numel]`).
-    pub fn data(&self) -> &[f32] {
-        &self.data[..self.batch * self.numel]
-    }
-
-    /// Realization `b` of the parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b >= batch`.
-    pub fn realization(&self, b: usize) -> &[f32] {
-        &self.data[b * self.numel..(b + 1) * self.numel]
-    }
-
-    /// Mutable realization `b` of the parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b >= batch`.
-    pub fn realization_mut(&mut self, b: usize) -> &mut [f32] {
-        &mut self.data[b * self.numel..(b + 1) * self.numel]
-    }
-}
-
-/// Stacked per-realization storage for one quantized parameter's integer
-/// codes — the code-domain analogue of [`BatchedParam`].
-#[derive(Debug, Default, Clone)]
-pub struct BatchedCodes {
-    data: Vec<i8>,
-    batch: usize,
-    numel: usize,
-}
-
-impl BatchedCodes {
-    /// Re-stages the buffer as `batch` copies of the clean codes.
-    pub fn reset(&mut self, clean: &[i8], batch: usize) {
-        self.numel = clean.len();
-        self.batch = batch;
-        self.data.clear();
-        self.data.reserve(batch * self.numel);
-        for _ in 0..batch {
-            self.data.extend_from_slice(clean);
-        }
-    }
-
-    /// Number of staged realizations.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Codes per realization.
-    pub fn numel(&self) -> usize {
-        self.numel
-    }
-
-    /// The full stacked buffer (`[batch * numel]`).
-    pub fn data(&self) -> &[i8] {
-        &self.data[..self.batch * self.numel]
-    }
-
-    /// Realization `b` of the codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b >= batch`.
-    pub fn realization(&self, b: usize) -> &[i8] {
-        &self.data[b * self.numel..(b + 1) * self.numel]
-    }
-
-    /// Mutable realization `b` of the codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b >= batch`.
-    pub fn realization_mut(&mut self, b: usize) -> &mut [i8] {
-        &mut self.data[b * self.numel..(b + 1) * self.numel]
-    }
-}
-
-/// One fault-targetable parameter's stacked buffer alongside its clean
-/// value, handed to [`Layer::visit_batched`] visitors.
-#[derive(Debug)]
-pub struct BatchedParamView<'a> {
-    /// Index of this parameter in [`Layer::visit_params`] order. Fault
-    /// injectors fork the per-parameter RNG stream from this index, exactly
-    /// as the sequential injector does, so batched realizations are
-    /// bit-identical to sequential ones.
-    pub index: usize,
-    /// The clean parameter value (never touched by batched injection).
-    pub clean: &'a Tensor,
-    /// The stacked realizations staged by [`Layer::begin_batched`].
-    pub stacked: &'a mut BatchedParam,
-}
-
-/// One quantized parameter's stacked code buffer alongside its clean codes,
-/// handed to [`Layer::visit_batched_codes`] visitors.
-#[derive(Debug)]
-pub struct BatchedCodeView<'a> {
-    /// Index of this parameter in [`Layer::visit_codes`] order (the fork
-    /// index of the sequential code injector).
-    pub index: usize,
-    /// The clean codes (never touched by batched injection).
-    pub clean: &'a [i8],
-    /// Bit width of the quantized representation (≤ 8).
-    pub bits: u8,
-    /// Leading (output) dimension of one realization's code matrix — the
-    /// row count structured tile topologies map crossbar lines onto.
-    pub rows: usize,
-    /// The stacked realizations staged by [`Layer::begin_batched`].
-    pub stacked: &'a mut BatchedCodes,
-}
-
 /// An object-safe neural-network layer with explicit forward and backward
 /// passes.
 ///
@@ -279,73 +129,6 @@ pub trait Layer {
         let _ = visitor;
     }
 
-    /// Stages stacked weight buffers for `batch` fault realizations, seeding
-    /// every slot with the clean value (see the batched Monte-Carlo engine in
-    /// `invnorm-imc`). Containers recurse; weighted layers with batched-eval
-    /// support override this.
-    ///
-    /// # Errors
-    ///
-    /// The default implementation returns an error when the layer carries
-    /// fault-targetable state (rank ≥ 2 parameters or quantization codes) but
-    /// does not support batched evaluation — a loud failure instead of
-    /// silently evaluating clean weights.
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        let _ = batch;
-        let mut needs_support = false;
-        self.visit_params(&mut |p| needs_support |= p.value.rank() >= 2);
-        self.visit_codes(&mut |_| needs_support = true);
-        if needs_support {
-            return Err(NnError::unsupported(self.name(), "batched evaluation"));
-        }
-        Ok(())
-    }
-
-    /// Releases the stacked buffers staged by [`Layer::begin_batched`].
-    fn end_batched(&mut self) {}
-
-    /// Visits every fault-targetable (rank ≥ 2) parameter's stacked buffer
-    /// alongside its clean value. Only meaningful between
-    /// [`Layer::begin_batched`] and [`Layer::end_batched`].
-    fn visit_batched(&mut self, visitor: &mut dyn FnMut(BatchedParamView<'_>)) {
-        let _ = visitor;
-    }
-
-    /// Visits every quantized parameter's stacked code buffer alongside its
-    /// clean codes. Only meaningful between [`Layer::begin_batched`] and
-    /// [`Layer::end_batched`].
-    fn visit_batched_codes(&mut self, visitor: &mut dyn FnMut(BatchedCodeView<'_>)) {
-        let _ = visitor;
-    }
-
-    /// Evaluates `batch` fault realizations in one forward pass.
-    ///
-    /// `shared == true` means `input` is one activation tensor broadcast
-    /// across all realizations (the network input); `shared == false` means
-    /// realization `b` owns rows `[b·N, (b+1)·N)` of the leading dimension.
-    /// The returned flag reports which of the two the *output* is: weighted
-    /// layers always produce per-realization output, while stateless layers
-    /// (activations, pooling, reshapes, eval-mode norms) preserve their
-    /// input's sharedness — the default implementation simply applies
-    /// [`Layer::forward`], which is correct exactly for those layers (any
-    /// layer with fault-targetable state was already rejected by
-    /// [`Layer::begin_batched`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the input shape is incompatible or the layer
-    /// has no staged batched state.
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        let _ = batch;
-        Ok((self.forward(input, mode)?, shared))
-    }
-
     /// Compiles this layer into an inference plan for a concrete input
     /// shape: records shapes, reserves arena buffers, and packs weights into
     /// cached panels. Returns the output edge (see [`crate::plan`]).
@@ -356,7 +139,7 @@ pub trait Layer {
     /// [`Layer::plan_forward`]'s default then routes through `forward`.
     /// Layers with rank ≥ 2 parameters or quantization codes must override
     /// the protocol — the default rejects them with
-    /// [`NnError::Unsupported`].
+    /// [`crate::NnError::Unsupported`].
     ///
     /// # Errors
     ///

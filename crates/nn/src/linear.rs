@@ -1,10 +1,10 @@
 //! Fully connected (dense) layer.
 
 use crate::error::NnError;
-use crate::layer::{BatchedParam, BatchedParamView, Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param};
 use crate::plan::{PlanArenas, PlanCtx, PlanParamView, PlanShape, PlannedWeight};
 use crate::Result;
-use invnorm_tensor::gemm::{gemm_prepacked, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ops, ArenaSlot, Rng, Scratch, Tensor};
 
@@ -37,7 +37,6 @@ pub struct Linear {
     weight: Param,
     bias: Option<Param>,
     cached_input: Option<Tensor>,
-    batched: Option<LinearBatched>,
     plan: Option<LinearPlan>,
 }
 
@@ -58,18 +57,6 @@ struct LinearPlan {
     /// Linear reserves this one output-edge-sized slot even though only a
     /// frozen first layer uses it.
     wide_stage: ArenaSlot,
-}
-
-/// Batched-eval state: stacked weight realizations plus the reusable GEMM
-/// buffers of the batch-fused forward pass (the wide `[N, B·out]` staging
-/// product for shared inputs, the packed activation panel for
-/// per-realization inputs).
-#[derive(Debug, Default)]
-struct LinearBatched {
-    weights: BatchedParam,
-    packed: PackedA,
-    packed_b: Vec<f32>,
-    wide: Vec<f32>,
 }
 
 impl Linear {
@@ -98,7 +85,6 @@ impl Linear {
             weight: Param::new(weight),
             bias,
             cached_input: None,
-            batched: None,
             plan: None,
         }
     }
@@ -186,129 +172,6 @@ impl Layer for Linear {
         if let Some(bias) = &mut self.bias {
             visitor(bias);
         }
-    }
-
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        let state = self.batched.get_or_insert_with(LinearBatched::default);
-        state.weights.reset(&self.weight.value, batch);
-        Ok(())
-    }
-
-    fn end_batched(&mut self) {
-        self.batched = None;
-    }
-
-    fn visit_batched(&mut self, visitor: &mut dyn FnMut(BatchedParamView<'_>)) {
-        if let Some(state) = &mut self.batched {
-            visitor(BatchedParamView {
-                index: 0,
-                clean: &self.weight.value,
-                stacked: &mut state.weights,
-            });
-        }
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        _mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
-            return Err(NnError::Config(format!(
-                "Linear expects input [N, {}], got {:?}",
-                self.in_features,
-                input.dims()
-            )));
-        }
-        let state = self.batched.as_mut().ok_or_else(|| {
-            NnError::Config("Linear::forward_batched called without begin_batched".into())
-        })?;
-        if state.weights.batch() != batch {
-            return Err(NnError::Config(format!(
-                "Linear has {} staged weight realizations, expected {batch}",
-                state.weights.batch()
-            )));
-        }
-        let rows = input.dims()[0];
-        let n = if shared {
-            rows
-        } else {
-            if !rows.is_multiple_of(batch) {
-                return Err(NnError::Config(format!(
-                    "per-realization input rows {rows} not divisible by batch {batch}"
-                )));
-            }
-            rows / batch
-        };
-        let (fin, fout) = (self.in_features, self.out_features);
-        let mut out = vec![0.0f32; batch * n * fout];
-        let LinearBatched {
-            weights,
-            packed,
-            packed_b,
-            wide,
-        } = state;
-        if shared {
-            // Fuse the B realizations into ONE wide product: the stacked
-            // weights `[B·out, in]` are already contiguous, so
-            // `x @ [B·out, in]ᵀ → [N, B·out]` evaluates every realization in
-            // a single GEMM. Each output element keeps the per-element
-            // k-accumulation order of `ops::matmul_a_bt`, so realization b's
-            // columns are bit-identical to a sequential forward on its
-            // weights — while the shared activation panel is packed and
-            // streamed once instead of B times.
-            if wide.len() < n * batch * fout {
-                wide.resize(n * batch * fout, 0.0);
-            }
-            let wide = &mut wide[..n * batch * fout];
-            invnorm_tensor::gemm::gemm(
-                false,
-                true,
-                n,
-                batch * fout,
-                fin,
-                1.0,
-                input.data(),
-                weights.data(),
-                0.0,
-                wide,
-            );
-            for b in 0..batch {
-                let out_b = &mut out[b * n * fout..][..n * fout];
-                for i in 0..n {
-                    out_b[i * fout..(i + 1) * fout]
-                        .copy_from_slice(&wide[i * batch * fout + b * fout..][..fout]);
-                }
-            }
-        } else {
-            for b in 0..batch {
-                packed.pack(false, &input.data()[b * n * fin..][..n * fin], n, fin);
-                // y_b = x_b W_bᵀ : same shape and accumulation order as the
-                // sequential `ops::matmul_a_bt`, so each realization is
-                // bit-identical to a sequential forward on its weights.
-                gemm_prepacked(
-                    packed,
-                    true,
-                    fout,
-                    1.0,
-                    weights.realization(b),
-                    0.0,
-                    &mut out[b * n * fout..][..n * fout],
-                    packed_b,
-                );
-            }
-        }
-        if let Some(bias) = &self.bias {
-            let bd = bias.value.data();
-            for row in out.chunks_exact_mut(fout) {
-                for (o, &bv) in row.iter_mut().zip(bd) {
-                    *o += bv;
-                }
-            }
-        }
-        Ok((Tensor::from_vec(out, &[batch * n, fout])?, false))
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
@@ -547,93 +410,6 @@ mod tests {
         assert!(layer.weight.grad.sq_norm() > 0.0);
         layer.zero_grad();
         assert_eq!(layer.weight.grad.sq_norm(), 0.0);
-    }
-
-    #[test]
-    fn forward_batched_matches_per_realization_forwards() {
-        let mut rng = Rng::seed_from(20);
-        let mut layer = Linear::new(6, 3, &mut rng);
-        let batch = 4usize;
-        let x = Tensor::randn(&[5, 6], 0.0, 1.0, &mut rng);
-        layer.begin_batched(batch).unwrap();
-        // Perturb each staged realization distinctly.
-        layer.visit_batched(&mut |view| {
-            assert_eq!(view.index, 0);
-            for b in 0..batch {
-                for (i, v) in view.stacked.realization_mut(b).iter_mut().enumerate() {
-                    *v += (b as f32 + 1.0) * 0.01 * (i % 3) as f32;
-                }
-            }
-        });
-        // Shared input: one packed activation panel, B realizations.
-        let (out, shared) = layer.forward_batched(&x, true, batch, Mode::Eval).unwrap();
-        assert!(!shared);
-        assert_eq!(out.dims(), &[batch * 5, 3]);
-        // Reference: a fresh Linear whose weights are realization b.
-        let stacked: Vec<Vec<f32>> = {
-            let mut v = Vec::new();
-            layer.visit_batched(&mut |view| {
-                for b in 0..batch {
-                    v.push(view.stacked.realization(b).to_vec());
-                }
-            });
-            v
-        };
-        for (b, wb) in stacked.iter().enumerate() {
-            let mut reference = Linear::new(6, 3, &mut Rng::seed_from(0));
-            reference.weight.value = Tensor::from_vec(wb.clone(), &[3, 6]).unwrap();
-            reference.bias = layer.bias.clone();
-            let expected = reference.forward(&x, Mode::Eval).unwrap();
-            let got = &out.data()[b * 15..(b + 1) * 15];
-            let identical = got
-                .iter()
-                .zip(expected.data().iter())
-                .all(|(g, e)| g.to_bits() == e.to_bits());
-            assert!(identical, "realization {b} diverged from sequential");
-        }
-        // Per-realization input path.
-        let xs = Tensor::randn(&[batch * 5, 6], 0.0, 1.0, &mut rng);
-        let (out2, _) = layer
-            .forward_batched(&xs, false, batch, Mode::Eval)
-            .unwrap();
-        for (b, wb) in stacked.iter().enumerate() {
-            let mut reference = Linear::new(6, 3, &mut Rng::seed_from(0));
-            reference.weight.value = Tensor::from_vec(wb.clone(), &[3, 6]).unwrap();
-            reference.bias = layer.bias.clone();
-            let xb = Tensor::from_vec(xs.data()[b * 30..(b + 1) * 30].to_vec(), &[5, 6]).unwrap();
-            let expected = reference.forward(&xb, Mode::Eval).unwrap();
-            let got = &out2.data()[b * 15..(b + 1) * 15];
-            let identical = got
-                .iter()
-                .zip(expected.data().iter())
-                .all(|(g, e)| g.to_bits() == e.to_bits());
-            assert!(identical, "per-realization input {b} diverged");
-        }
-        layer.end_batched();
-        assert!(layer.forward_batched(&x, true, batch, Mode::Eval).is_err());
-    }
-
-    #[test]
-    fn forward_batched_guards() {
-        let mut rng = Rng::seed_from(21);
-        let mut layer = Linear::new(4, 2, &mut rng);
-        // Without begin_batched: loud error.
-        assert!(layer
-            .forward_batched(&Tensor::zeros(&[2, 4]), true, 2, Mode::Eval)
-            .is_err());
-        layer.begin_batched(3).unwrap();
-        // Batch mismatch.
-        assert!(layer
-            .forward_batched(&Tensor::zeros(&[2, 4]), true, 2, Mode::Eval)
-            .is_err());
-        // Per-realization rows not divisible by batch.
-        assert!(layer
-            .forward_batched(&Tensor::zeros(&[4, 4]), false, 3, Mode::Eval)
-            .is_err());
-        // Wrong feature count.
-        assert!(layer
-            .forward_batched(&Tensor::zeros(&[3, 5]), true, 3, Mode::Eval)
-            .is_err());
     }
 
     #[test]

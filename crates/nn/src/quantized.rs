@@ -26,11 +26,11 @@
 //! quantization instead.
 
 use crate::error::NnError;
-use crate::layer::{BatchedCodeView, BatchedCodes, CodeView, Layer, Mode};
+use crate::layer::{CodeView, Layer, Mode};
 use crate::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanShape, PlannedCodes};
 use crate::Result;
 use invnorm_tensor::conv::{conv_out_shape, im2col_codes_into, im2col_slice_into, Conv2dSpec};
-use invnorm_tensor::qgemm::{qgemm_prepacked, qgemm_prepacked_ab, qgemm_prepacked_b, QPackedA};
+use invnorm_tensor::qgemm::{qgemm_prepacked_ab, qgemm_prepacked_b, QPackedA};
 use invnorm_tensor::scratch::uninit_slice_of;
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{qgemm, ArenaSlot, Scratch, Tensor};
@@ -120,17 +120,7 @@ pub struct QuantizedLinear {
     qin: Vec<i8>,
     acc: Vec<i32>,
     scratch: Scratch,
-    batched: Option<QuantizedBatched>,
     plan: Option<QuantizedPlan>,
-}
-
-/// Batched-eval state shared by both quantized layers: stacked code
-/// realizations plus the reusable i8 GEMM packing buffers.
-#[derive(Debug, Default)]
-struct QuantizedBatched {
-    codes: BatchedCodes,
-    packed: QPackedA,
-    packed_b: Vec<i8>,
 }
 
 /// Compiled-plan state shared by both quantized layers: arena slots for the
@@ -183,7 +173,6 @@ impl QuantizedLinear {
             qin: Vec::new(),
             acc: Vec::new(),
             scratch: Scratch::new(),
-            batched: None,
             plan: None,
         })
     }
@@ -309,140 +298,6 @@ impl Layer for QuantizedLinear {
             bits: self.bits,
             rows: self.out_features,
         });
-    }
-
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        let state = self.batched.get_or_insert_with(QuantizedBatched::default);
-        state.codes.reset(&self.codes, batch);
-        Ok(())
-    }
-
-    fn end_batched(&mut self) {
-        self.batched = None;
-    }
-
-    fn visit_batched_codes(&mut self, visitor: &mut dyn FnMut(BatchedCodeView<'_>)) {
-        if let Some(state) = &mut self.batched {
-            visitor(BatchedCodeView {
-                index: 0,
-                clean: &self.codes,
-                bits: self.bits,
-                rows: self.out_features,
-                stacked: &mut state.codes,
-            });
-        }
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        _mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
-            return Err(NnError::Config(format!(
-                "QuantizedLinear expects input [N, {}], got {:?}",
-                self.in_features,
-                input.dims()
-            )));
-        }
-        let state = self.batched.as_mut().ok_or_else(|| {
-            NnError::Config("QuantizedLinear::forward_batched called without begin_batched".into())
-        })?;
-        if state.codes.batch() != batch {
-            return Err(NnError::Config(format!(
-                "QuantizedLinear has {} staged code realizations, expected {batch}",
-                state.codes.batch()
-            )));
-        }
-        let rows = input.dims()[0];
-        let n = if shared {
-            rows
-        } else {
-            if !rows.is_multiple_of(batch) {
-                return Err(NnError::Config(format!(
-                    "per-realization input rows {rows} not divisible by batch {batch}"
-                )));
-            }
-            rows / batch
-        };
-        let (fin, fout) = (self.in_features, self.out_features);
-        let qin = uninit_slice_of(&mut self.qin, n * fin * if shared { 1 } else { batch });
-        // Activation quantization must match the sequential path exactly:
-        // per-tensor scale over each realization's own input slice (or the
-        // calibrated static scale when one is recorded).
-        let shared_sx = if shared {
-            Some(quantize_activations(input.data(), self.act_scale, qin))
-        } else {
-            None
-        };
-        let mut out = vec![0.0f32; batch * n * fout];
-        let bias = self.bias.as_ref().map(Tensor::data);
-        let QuantizedBatched {
-            codes,
-            packed,
-            packed_b,
-        } = state;
-        if let Some(sx) = shared_sx {
-            // Batch-fused wide product: the stacked codes `[B·out, in]` are
-            // contiguous, so one integer GEMM `[N, in] @ [B·out, in]ᵀ →
-            // [N, B·out]` evaluates every realization bit-exactly while
-            // packing/streaming the shared activation panel once.
-            let acc = uninit_slice_of(&mut self.acc, n * batch * fout);
-            qgemm::qgemm(
-                false,
-                true,
-                n,
-                batch * fout,
-                fin,
-                qin,
-                codes.data(),
-                false,
-                acc,
-            );
-            let ld = batch * fout;
-            for b in 0..batch {
-                let out_b = &mut out[b * n * fout..][..n * fout];
-                for i in 0..n {
-                    for j in 0..fout {
-                        let mut v = acc[i * ld + b * fout + j] as f32 * sx * self.scales[j];
-                        if let Some(bd) = bias {
-                            v += bd[j];
-                        }
-                        out_b[i * fout + j] = v;
-                    }
-                }
-            }
-        } else {
-            let acc = uninit_slice_of(&mut self.acc, n * fout);
-            for b in 0..batch {
-                let xs = &input.data()[b * n * fin..][..n * fin];
-                let sx =
-                    quantize_activations(xs, self.act_scale, &mut qin[b * n * fin..][..n * fin]);
-                packed.pack(false, &qin[b * n * fin..][..n * fin], n, fin);
-                qgemm_prepacked(
-                    packed,
-                    true,
-                    fout,
-                    codes.realization(b),
-                    false,
-                    acc,
-                    packed_b,
-                );
-                let out_b = &mut out[b * n * fout..][..n * fout];
-                for i in 0..n {
-                    for j in 0..fout {
-                        let mut v = acc[i * fout + j] as f32 * sx * self.scales[j];
-                        if let Some(bd) = bias {
-                            v += bd[j];
-                        }
-                        out_b[i * fout + j] = v;
-                    }
-                }
-            }
-        }
-        Ok((Tensor::from_vec(out, &[batch * n, fout])?, false))
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
@@ -610,7 +465,6 @@ pub struct QuantizedConv2d {
     cols: Vec<i8>,
     acc: Vec<i32>,
     scratch: Scratch,
-    batched: Option<QuantizedBatched>,
     plan: Option<QuantizedPlan>,
 }
 
@@ -637,7 +491,6 @@ impl QuantizedConv2d {
             cols: Vec::new(),
             acc: Vec::new(),
             scratch: Scratch::new(),
-            batched: None,
             plan: None,
         })
     }
@@ -766,171 +619,6 @@ impl Layer for QuantizedConv2d {
             bits: self.bits,
             rows: self.out_channels,
         });
-    }
-
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        let state = self.batched.get_or_insert_with(QuantizedBatched::default);
-        state.codes.reset(&self.codes, batch);
-        Ok(())
-    }
-
-    fn end_batched(&mut self) {
-        self.batched = None;
-    }
-
-    fn visit_batched_codes(&mut self, visitor: &mut dyn FnMut(BatchedCodeView<'_>)) {
-        if let Some(state) = &mut self.batched {
-            visitor(BatchedCodeView {
-                index: 0,
-                clean: &self.codes,
-                bits: self.bits,
-                rows: self.out_channels,
-                stacked: &mut state.codes,
-            });
-        }
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        _mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        if input.rank() != 4 || input.dims()[1] != self.in_channels {
-            return Err(NnError::Config(format!(
-                "QuantizedConv2d expects [N, {}, H, W], got {:?}",
-                self.in_channels,
-                input.dims()
-            )));
-        }
-        let state = self.batched.as_mut().ok_or_else(|| {
-            NnError::Config("QuantizedConv2d::forward_batched called without begin_batched".into())
-        })?;
-        if state.codes.batch() != batch {
-            return Err(NnError::Config(format!(
-                "QuantizedConv2d has {} staged code realizations, expected {batch}",
-                state.codes.batch()
-            )));
-        }
-        let d = input.dims().to_vec();
-        let (n_total, h, w) = (d[0], d[2], d[3]);
-        let n_per = if shared {
-            n_total
-        } else {
-            if n_total % batch != 0 {
-                return Err(NnError::Config(format!(
-                    "per-realization input rows {n_total} not divisible by batch {batch}"
-                )));
-            }
-            n_total / batch
-        };
-        let (oh, ow) = self.spec.output_hw(h, w)?;
-        let c = self.in_channels;
-        let oc = self.out_channels;
-        let patch = c * self.spec.kh * self.spec.kw;
-        let rows_per = n_per * oh * ow;
-        let per_in = n_per * c * h * w;
-        let per_out = n_per * oc * oh * ow;
-
-        // Quantize each realization's input over its own slice (the
-        // sequential per-instance scale semantics), then unfold the whole
-        // stacked batch of codes in a single im2col call.
-        let qin = uninit_slice_of(&mut self.qin, input.numel());
-        let mut shared_sx = 1.0f32;
-        let mut per_sx: Vec<f32> = Vec::new();
-        if shared {
-            shared_sx = quantize_activations(input.data(), self.act_scale, qin);
-        } else {
-            per_sx.reserve(batch);
-            for b in 0..batch {
-                let xs = &input.data()[b * per_in..][..per_in];
-                per_sx.push(quantize_activations(
-                    xs,
-                    self.act_scale,
-                    &mut qin[b * per_in..][..per_in],
-                ));
-            }
-        }
-        let cols = uninit_slice_of(&mut self.cols, n_total * oh * ow * patch);
-        im2col_codes_into(qin, &d, &self.spec, cols)?;
-
-        let mut out = vec![0.0f32; batch * per_out];
-        let bias = self.bias.as_ref().map(Tensor::data);
-        let QuantizedBatched {
-            codes,
-            packed,
-            packed_b,
-        } = state;
-        if shared {
-            // Batch-fused wide product: the stacked kernel codes
-            // `[B·OC, patch]` are contiguous, so one integer GEMM
-            // `[rows, patch] @ [B·OC, patch]ᵀ → [rows, B·OC]` evaluates every
-            // realization bit-exactly while packing/streaming the shared
-            // patch panel once.
-            let acc = uninit_slice_of(&mut self.acc, rows_per * batch * oc);
-            qgemm::qgemm(
-                false,
-                true,
-                rows_per,
-                batch * oc,
-                patch,
-                cols,
-                codes.data(),
-                false,
-                acc,
-            );
-            let ld = batch * oc;
-            for b in 0..batch {
-                let out_b = &mut out[b * per_out..][..per_out];
-                for ni in 0..n_per {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let row = (ni * oh + oy) * ow + ox;
-                            for co in 0..oc {
-                                let mut v = acc[row * ld + b * oc + co] as f32
-                                    * shared_sx
-                                    * self.scales[co];
-                                if let Some(bd) = bias {
-                                    v += bd[co];
-                                }
-                                out_b[((ni * oc + co) * oh + oy) * ow + ox] = v;
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            let acc = uninit_slice_of(&mut self.acc, rows_per * oc);
-            for b in 0..batch {
-                packed.pack(
-                    false,
-                    &cols[b * rows_per * patch..][..rows_per * patch],
-                    rows_per,
-                    patch,
-                );
-                let sx = per_sx[b];
-                // [rows, patch] @ [oc, patch]ᵀ → [rows, oc], exact i32.
-                qgemm_prepacked(packed, true, oc, codes.realization(b), false, acc, packed_b);
-                // Dequantize during the NCHW re-layout; bias is digital f32.
-                let out_b = &mut out[b * per_out..][..per_out];
-                for ni in 0..n_per {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let row = (ni * oh + oy) * ow + ox;
-                            for co in 0..oc {
-                                let mut v = acc[row * oc + co] as f32 * sx * self.scales[co];
-                                if let Some(bd) = bias {
-                                    v += bd[co];
-                                }
-                                out_b[((ni * oc + co) * oh + oy) * ow + ox] = v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok((Tensor::from_vec(out, &[batch * n_per, oc, oh, ow])?, false))
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
@@ -1352,90 +1040,6 @@ mod tests {
         let xc = Tensor::randn(&[2, 3, 6, 6], 0.0, 1.0, &mut rng);
         let sc = qc.calibrate(&xc).unwrap();
         assert!(sc > 0.0 && qc.activation_scale() == Some(sc));
-    }
-
-    #[test]
-    fn quantized_forward_batched_matches_sequential_realizations() {
-        let mut rng = Rng::seed_from(21);
-        let batch = 3usize;
-        // Linear.
-        let float = Linear::new(10, 4, &mut rng);
-        let mut ql = QuantizedLinear::from_linear(&float, 8).unwrap();
-        let x = Tensor::randn(&[5, 10], 0.0, 1.0, &mut rng);
-        ql.begin_batched(batch).unwrap();
-        ql.visit_batched_codes(&mut |view| {
-            assert_eq!(view.index, 0);
-            for b in 0..batch {
-                for c in view.stacked.realization_mut(b).iter_mut() {
-                    *c = c.wrapping_add(b as i8 + 1).clamp(-127, 127);
-                }
-            }
-        });
-        let realizations: Vec<Vec<i8>> = {
-            let mut v = Vec::new();
-            ql.visit_batched_codes(&mut |view| {
-                for b in 0..batch {
-                    v.push(view.stacked.realization(b).to_vec());
-                }
-            });
-            v
-        };
-        let (out, shared) = ql.forward_batched(&x, true, batch, Mode::Eval).unwrap();
-        assert!(!shared);
-        assert_eq!(out.dims(), &[batch * 5, 4]);
-        for (b, codes) in realizations.iter().enumerate() {
-            let mut reference = QuantizedLinear::from_linear(&float, 8).unwrap();
-            reference.codes = codes.clone();
-            let expected = reference.forward(&x, Mode::Eval).unwrap();
-            let got = &out.data()[b * 20..(b + 1) * 20];
-            let identical = got
-                .iter()
-                .zip(expected.data().iter())
-                .all(|(g, e)| g.to_bits() == e.to_bits());
-            assert!(identical, "quantized linear realization {b} diverged");
-        }
-        ql.end_batched();
-
-        // Conv, per-realization input path included.
-        let floatc = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
-        let mut qc = QuantizedConv2d::from_conv2d(&floatc, 8).unwrap();
-        let xs = Tensor::randn(&[batch * 2, 2, 5, 5], 0.0, 1.0, &mut rng);
-        qc.begin_batched(batch).unwrap();
-        qc.visit_batched_codes(&mut |view| {
-            for b in 0..batch {
-                for c in view.stacked.realization_mut(b).iter_mut() {
-                    *c = c.wrapping_sub(b as i8).clamp(-127, 127);
-                }
-            }
-        });
-        let realizations: Vec<Vec<i8>> = {
-            let mut v = Vec::new();
-            qc.visit_batched_codes(&mut |view| {
-                for b in 0..batch {
-                    v.push(view.stacked.realization(b).to_vec());
-                }
-            });
-            v
-        };
-        let (out, _) = qc.forward_batched(&xs, false, batch, Mode::Eval).unwrap();
-        let per_in = 2 * 2 * 5 * 5;
-        let per_out = 2 * 3 * 5 * 5;
-        for (b, codes) in realizations.iter().enumerate() {
-            let mut reference = QuantizedConv2d::from_conv2d(&floatc, 8).unwrap();
-            reference.codes = codes.clone();
-            let xb = Tensor::from_vec(
-                xs.data()[b * per_in..(b + 1) * per_in].to_vec(),
-                &[2, 2, 5, 5],
-            )
-            .unwrap();
-            let expected = reference.forward(&xb, Mode::Eval).unwrap();
-            let got = &out.data()[b * per_out..(b + 1) * per_out];
-            let identical = got
-                .iter()
-                .zip(expected.data().iter())
-                .all(|(g, e)| g.to_bits() == e.to_bits());
-            assert!(identical, "quantized conv realization {b} diverged");
-        }
     }
 
     #[test]

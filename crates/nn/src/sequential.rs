@@ -2,28 +2,10 @@
 //! [`Residual`] skip-connection combinator used by the residual CNN.
 
 use crate::error::NnError;
-use crate::layer::{BatchedCodeView, BatchedParamView, BoxedLayer, CodeView, Layer, Mode, Param};
+use crate::layer::{BoxedLayer, CodeView, Layer, Mode, Param};
 use crate::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
 use crate::Result;
 use invnorm_tensor::Tensor;
-
-/// Broadcasts a shared activation tensor to per-realization layout by tiling
-/// it `batch` times along the leading dimension (used when the two branches
-/// of a [`Residual`] disagree on sharedness).
-fn tile_realizations(t: &Tensor, batch: usize) -> Result<Tensor> {
-    let mut dims = t.dims().to_vec();
-    if dims.is_empty() {
-        return Err(NnError::Config(
-            "cannot tile a rank-0 activation across realizations".into(),
-        ));
-    }
-    dims[0] *= batch;
-    let mut data = Vec::with_capacity(t.numel() * batch);
-    for _ in 0..batch {
-        data.extend_from_slice(t.data());
-    }
-    Ok(Tensor::from_vec(data, &dims)?)
-}
 
 /// A chain of layers applied in order; the backward pass walks them in
 /// reverse.
@@ -134,65 +116,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        for layer in &mut self.layers {
-            layer.begin_batched(batch)?;
-        }
-        Ok(())
-    }
-
-    fn end_batched(&mut self) {
-        for layer in &mut self.layers {
-            layer.end_batched();
-        }
-    }
-
-    fn visit_batched(&mut self, visitor: &mut dyn FnMut(BatchedParamView<'_>)) {
-        // Re-base each layer's local parameter indices onto the container's
-        // global `visit_params` order, so RNG stream forking matches the
-        // sequential injector exactly.
-        let mut base = 0usize;
-        for layer in &mut self.layers {
-            layer.visit_batched(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut params = 0usize;
-            layer.visit_params(&mut |_| params += 1);
-            base += params;
-        }
-    }
-
-    fn visit_batched_codes(&mut self, visitor: &mut dyn FnMut(BatchedCodeView<'_>)) {
-        let mut base = 0usize;
-        for layer in &mut self.layers {
-            layer.visit_batched_codes(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut codes = 0usize;
-            layer.visit_codes(&mut |_| codes += 1);
-            base += codes;
-        }
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        let mut x = input.clone();
-        let mut sh = shared;
-        for layer in &mut self.layers {
-            let (y, s) = layer.forward_batched(&x, sh, batch, mode)?;
-            x = y;
-            sh = s;
-        }
-        Ok((x, sh))
-    }
-
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
         let mut shapes = Vec::with_capacity(self.layers.len());
         let mut cur = input.clone();
@@ -236,8 +159,8 @@ impl Layer for Sequential {
 
     fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
         // Re-base each layer's local parameter indices onto the container's
-        // global `visit_params` order, exactly like `visit_batched`, so the
-        // injector's RNG stream forking matches the sequential engine.
+        // global `visit_params` order, so the injector's RNG stream forking
+        // matches the sequential engine.
         let mut base = 0usize;
         for layer in &mut self.layers {
             layer.visit_plan_params(&mut |mut view| {
@@ -380,113 +303,6 @@ impl Layer for Residual {
         }
         if let Some(post) = &mut self.post {
             post.visit_codes(visitor);
-        }
-    }
-
-    fn begin_batched(&mut self, batch: usize) -> Result<()> {
-        self.main.begin_batched(batch)?;
-        if let Some(shortcut) = &mut self.shortcut {
-            shortcut.begin_batched(batch)?;
-        }
-        if let Some(post) = &mut self.post {
-            post.begin_batched(batch)?;
-        }
-        Ok(())
-    }
-
-    fn end_batched(&mut self) {
-        self.main.end_batched();
-        if let Some(shortcut) = &mut self.shortcut {
-            shortcut.end_batched();
-        }
-        if let Some(post) = &mut self.post {
-            post.end_batched();
-        }
-    }
-
-    fn visit_batched(&mut self, visitor: &mut dyn FnMut(BatchedParamView<'_>)) {
-        // Branch order and index re-basing mirror `visit_params`.
-        let mut base = 0usize;
-        self.main.visit_batched(&mut |mut view| {
-            view.index += base;
-            visitor(view);
-        });
-        let mut params = 0usize;
-        self.main.visit_params(&mut |_| params += 1);
-        base += params;
-        if let Some(shortcut) = &mut self.shortcut {
-            shortcut.visit_batched(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut params = 0usize;
-            shortcut.visit_params(&mut |_| params += 1);
-            base += params;
-        }
-        if let Some(post) = &mut self.post {
-            post.visit_batched(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-        }
-    }
-
-    fn visit_batched_codes(&mut self, visitor: &mut dyn FnMut(BatchedCodeView<'_>)) {
-        let mut base = 0usize;
-        self.main.visit_batched_codes(&mut |mut view| {
-            view.index += base;
-            visitor(view);
-        });
-        let mut codes = 0usize;
-        self.main.visit_codes(&mut |_| codes += 1);
-        base += codes;
-        if let Some(shortcut) = &mut self.shortcut {
-            shortcut.visit_batched_codes(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut codes = 0usize;
-            shortcut.visit_codes(&mut |_| codes += 1);
-            base += codes;
-        }
-        if let Some(post) = &mut self.post {
-            post.visit_batched_codes(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-        }
-    }
-
-    fn forward_batched(
-        &mut self,
-        input: &Tensor,
-        shared: bool,
-        batch: usize,
-        mode: Mode,
-    ) -> Result<(Tensor, bool)> {
-        let (main_out, main_sh) = self.main.forward_batched(input, shared, batch, mode)?;
-        let (skip_out, skip_sh) = match &mut self.shortcut {
-            Some(shortcut) => shortcut.forward_batched(input, shared, batch, mode)?,
-            None => (input.clone(), shared),
-        };
-        // Harmonize sharedness: a shared branch is broadcast to
-        // per-realization layout before the addition.
-        let (main_out, skip_out, sum_sh) = match (main_sh, skip_sh) {
-            (true, false) => (tile_realizations(&main_out, batch)?, skip_out, false),
-            (false, true) => (main_out, tile_realizations(&skip_out, batch)?, false),
-            (sh, _) => (main_out, skip_out, sh),
-        };
-        if main_out.dims() != skip_out.dims() {
-            return Err(NnError::Config(format!(
-                "residual branch output {:?} does not match shortcut output {:?}",
-                main_out.dims(),
-                skip_out.dims()
-            )));
-        }
-        let summed = main_out.add(&skip_out)?;
-        match &mut self.post {
-            Some(post) => post.forward_batched(&summed, sum_sh, batch, mode),
-            None => Ok((summed, sum_sh)),
         }
     }
 

@@ -10,7 +10,6 @@
 //! with height 1 so there is a single, well-tested code path.
 
 use crate::error::TensorError;
-use crate::gemm::{gemm_prepacked, PackedA};
 use crate::ops;
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
@@ -521,160 +520,6 @@ pub fn relayout_nchw_strided(
     }
 }
 
-/// Batched-weights 2-D convolution forward pass for the Monte-Carlo engine:
-/// evaluates `batch` weight realizations (stacked `[B, OC, IC, KH, KW]`,
-/// flattened) in one call.
-///
-/// With `shared == true` the input `[N, C, H, W]` is the same for every
-/// realization: it is unfolded **once**, the patch matrix is packed **once**
-/// (into `packed`) and reused against all `batch` kernel realizations — the
-/// pack-once/reuse-many discipline that amortizes im2col and A-panel packing
-/// across the batch. With `shared == false` the input is per-realization
-/// (`[B·N, C, H, W]`, realization `b` owning rows `[b·N, (b+1)·N)`); the
-/// unfold still happens in a single im2col call over the stacked batch.
-///
-/// The output is always per-realization: `[B·N, OC, OH, OW]`. Per
-/// realization, the arithmetic is **bit-identical** to
-/// [`conv2d_forward_with_scratch`] on that realization's input and weights.
-/// The bias (applied digitally, outside the crossbar) is shared.
-///
-/// # Errors
-///
-/// Returns an error when shapes are inconsistent with `spec`, the stacked
-/// weight length is not `batch` realizations, or (for `shared == false`) the
-/// leading input dimension is not divisible by `batch`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_forward_batched(
-    input: &Tensor,
-    shared: bool,
-    batch: usize,
-    stacked_weight: &[f32],
-    weight_dims: &[usize],
-    bias: Option<&Tensor>,
-    spec: &Conv2dSpec,
-    packed: &mut PackedA,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    let (n_total, c, _, _) = as_nchw(input)?;
-    if weight_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: weight_dims.len(),
-        });
-    }
-    let (oc, wc, wkh, wkw) = (
-        weight_dims[0],
-        weight_dims[1],
-        weight_dims[2],
-        weight_dims[3],
-    );
-    if wc != c || wkh != spec.kh || wkw != spec.kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "weight shape {weight_dims:?} inconsistent with input channels {c} and kernel {}x{}",
-            spec.kh, spec.kw
-        )));
-    }
-    if batch == 0 {
-        return Err(TensorError::InvalidArgument(
-            "batched conv needs batch >= 1".into(),
-        ));
-    }
-    let per_w = oc * c * spec.kh * spec.kw;
-    if stacked_weight.len() != batch * per_w {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![batch, per_w],
-            rhs: vec![stacked_weight.len()],
-        });
-    }
-    let n_per = if shared {
-        n_total
-    } else {
-        if n_total % batch != 0 {
-            return Err(TensorError::InvalidArgument(format!(
-                "per-realization input rows {n_total} not divisible by batch {batch}"
-            )));
-        }
-        n_total / batch
-    };
-    let ConvShape { oh, ow, patch, .. } = conv_out_shape(input.dims(), spec)?;
-    let rows_per = n_per * oh * ow;
-    let per_out = n_per * oc * oh * ow;
-    let mut out = vec![0.0f32; batch * per_out];
-    // Split-borrow the scratch fields so the patch matrix, the GEMM staging
-    // buffer and the B-panel packing buffer can be held simultaneously.
-    let Scratch {
-        cols: cols_buf,
-        out_mat: om_buf,
-        packed_b: packed_b_buf,
-        ..
-    } = scratch;
-    let cols = uninit_slice(cols_buf, n_total * oh * ow * patch);
-    im2col_into(input, spec, cols)?;
-    if shared {
-        // Fuse the B realizations into ONE wide product: the stacked kernels
-        // `[B·OC, patch]` are already contiguous, so
-        // `[rows, patch] @ [B·OC, patch]ᵀ → [rows, B·OC]` evaluates every
-        // realization in a single GEMM. Each output element keeps exactly the
-        // per-element k-accumulation order of a per-realization GEMM (the
-        // n-blocking never reorders a dot product), so this is bit-identical
-        // to B separate products — but the shared patch panel is packed and
-        // streamed once instead of B times, and a small OC no longer wastes
-        // the wide microkernel tile.
-        let om = uninit_slice(om_buf, rows_per * batch * oc);
-        crate::gemm::gemm(
-            false,
-            true,
-            rows_per,
-            batch * oc,
-            patch,
-            1.0,
-            cols,
-            stacked_weight,
-            0.0,
-            om,
-        );
-        for b in 0..batch {
-            relayout_nchw_strided(
-                om,
-                batch * oc,
-                b * oc,
-                bias,
-                n_per,
-                oc,
-                oh,
-                ow,
-                &mut out[b * per_out..][..per_out],
-            );
-        }
-    } else {
-        // Per-realization inputs form a block-diagonal product that cannot
-        // be fused; pack each realization's patch slice once and reuse the
-        // blocked traversal.
-        let om = uninit_slice(om_buf, rows_per * oc);
-        for b in 0..batch {
-            packed.pack(
-                false,
-                &cols[b * rows_per * patch..][..rows_per * patch],
-                rows_per,
-                patch,
-            );
-            let weight_b = &stacked_weight[b * per_w..][..per_w];
-            // [rows, patch] @ [oc, patch]ᵀ -> [rows, oc]
-            gemm_prepacked(packed, true, oc, 1.0, weight_b, 0.0, om, packed_b_buf);
-            relayout_nchw_into(
-                om,
-                bias,
-                n_per,
-                oc,
-                oh,
-                ow,
-                &mut out[b * per_out..][..per_out],
-            );
-        }
-    }
-    Tensor::from_vec(out, &[batch * n_per, oc, oh, ow])
-}
-
 /// 2-D convolution backward pass.
 ///
 /// `grad_output` is `[N, OutC, OH, OW]`; `cols` is the patch matrix cached by
@@ -1108,112 +953,6 @@ mod tests {
             conv2d_forward_with_scratch(&input, &weight, None, &spec, &mut scratch).unwrap();
         }
         assert_eq!(scratch.capacity(), warm, "steady state must not reallocate");
-    }
-
-    #[test]
-    fn batched_forward_matches_per_realization_scratch_forward() {
-        let mut rng = Rng::seed_from(20);
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let batch = 3usize;
-        let (n, c, h, w, oc) = (2usize, 3usize, 6usize, 6usize, 4usize);
-        let weights: Vec<Tensor> = (0..batch)
-            .map(|_| Tensor::randn(&[oc, c, 3, 3], 0.0, 0.5, &mut rng))
-            .collect();
-        let stacked: Vec<f32> = weights.iter().flat_map(|t| t.data().to_vec()).collect();
-        let bias = Tensor::randn(&[oc], 0.0, 0.5, &mut rng);
-        let mut packed = PackedA::new();
-        let mut scratch = Scratch::new();
-
-        // Shared input: one im2col, one pack, `batch` kernel realizations.
-        let x = Tensor::randn(&[n, c, h, w], 0.0, 1.0, &mut rng);
-        let got = conv2d_forward_batched(
-            &x,
-            true,
-            batch,
-            &stacked,
-            &[oc, c, 3, 3],
-            Some(&bias),
-            &spec,
-            &mut packed,
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(got.dims(), &[batch * n, oc, h, w]);
-        let per = n * oc * h * w;
-        for (b, wt) in weights.iter().enumerate() {
-            let mut s = Scratch::new();
-            let expected = conv2d_forward_with_scratch(&x, wt, Some(&bias), &spec, &mut s).unwrap();
-            let slice = &got.data()[b * per..(b + 1) * per];
-            let identical = slice
-                .iter()
-                .zip(expected.data().iter())
-                .all(|(a, e)| a.to_bits() == e.to_bits());
-            assert!(identical, "shared-input realization {b} diverged");
-        }
-
-        // Per-realization input: one im2col over the stacked batch.
-        let xs: Vec<Tensor> = (0..batch)
-            .map(|_| Tensor::randn(&[n, c, h, w], 0.0, 1.0, &mut rng))
-            .collect();
-        let stacked_x: Vec<f32> = xs.iter().flat_map(|t| t.data().to_vec()).collect();
-        let x_all = Tensor::from_vec(stacked_x, &[batch * n, c, h, w]).unwrap();
-        let got = conv2d_forward_batched(
-            &x_all,
-            false,
-            batch,
-            &stacked,
-            &[oc, c, 3, 3],
-            Some(&bias),
-            &spec,
-            &mut packed,
-            &mut scratch,
-        )
-        .unwrap();
-        for (b, (wt, xb)) in weights.iter().zip(&xs).enumerate() {
-            let mut s = Scratch::new();
-            let expected = conv2d_forward_with_scratch(xb, wt, Some(&bias), &spec, &mut s).unwrap();
-            let slice = &got.data()[b * per..(b + 1) * per];
-            let identical = slice
-                .iter()
-                .zip(expected.data().iter())
-                .all(|(a, e)| a.to_bits() == e.to_bits());
-            assert!(identical, "per-realization input {b} diverged");
-        }
-    }
-
-    #[test]
-    fn batched_forward_validates_shapes() {
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let x = Tensor::zeros(&[2, 3, 6, 6]);
-        let mut packed = PackedA::new();
-        let mut scratch = Scratch::new();
-        // Wrong stacked length.
-        assert!(conv2d_forward_batched(
-            &x,
-            true,
-            2,
-            &[0.0; 10],
-            &[4, 3, 3, 3],
-            None,
-            &spec,
-            &mut packed,
-            &mut scratch,
-        )
-        .is_err());
-        // Per-realization rows not divisible by batch.
-        let stacked = vec![0.0f32; 3 * 4 * 3 * 3 * 3];
-        assert!(conv2d_forward_batched(
-            &x,
-            false,
-            3,
-            &stacked,
-            &[4, 3, 3, 3],
-            None,
-            &spec,
-            &mut packed,
-            &mut scratch,
-        )
-        .is_err());
     }
 
     #[test]

@@ -346,11 +346,12 @@ fn a_block_stride(mr: usize) -> usize {
 /// exact strip layout the microkernel consumes.
 ///
 /// [`gemm`] re-packs A on every call; when the *same* A is multiplied against
-/// many different B matrices — the batched Monte-Carlo forward pass, where
-/// one activation panel meets B perturbed weight realizations — packing once
-/// via [`PackedA::pack`] and calling [`gemm_prepacked`] per B amortizes that
-/// work. Results are **bit-identical** to [`gemm_with_scratch`] (same packed
-/// values, same block traversal, same accumulation order).
+/// many different B matrices — a compiled plan's frozen input activation,
+/// which meets every perturbed weight realization's [`PackedB`] panel —
+/// packing once via [`PackedA::pack`] and calling [`gemm_prepacked_ab`] per
+/// B amortizes that work. Results are **bit-identical** to
+/// [`gemm_with_scratch`] (same packed values, same block traversal, same
+/// accumulation order).
 ///
 /// The layout depends on the kernel tier's `mr`, so the operand records the
 /// tier active when it was packed and prepacked multiplies always use that
@@ -409,60 +410,6 @@ impl PackedA {
                 let mc = MC.min(m - ic);
                 let slot = &mut buf[(pi * m_blocks + bi) * stride..][..stride];
                 pack_a(mr, trans_a, a, m, k, ic, mc, pc, kc, slot);
-            }
-        }
-    }
-}
-
-/// [`gemm_with_scratch`] with a pre-packed A operand (see [`PackedA`]):
-/// `C ← α · op(A) · op(B) + β · C` where only B is packed per call, into the
-/// caller's reusable `packed_b` buffer.
-///
-/// Runs on the kernel tier `packed_a` was packed for. Bit-identical to
-/// [`gemm`] / [`gemm_with_scratch`] on that tier for the same operands.
-///
-/// # Panics
-///
-/// Panics when a slice length disagrees with the packed dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_prepacked(
-    packed_a: &PackedA,
-    trans_b: bool,
-    n: usize,
-    alpha: f32,
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-    packed_b_buf: &mut Vec<f32>,
-) {
-    let _span = telemetry::span(telemetry::Phase::Gemm);
-    let (m, k) = (packed_a.m, packed_a.k);
-    assert_eq!(b.len(), k * n, "B must hold k*n elements");
-    assert_eq!(c.len(), m * n, "C must hold m*n elements");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 || alpha == 0.0 {
-        scale_in_place(c, beta);
-        return;
-    }
-    let kern = f32_kernel(packed_a.tier);
-    let (mr, nr) = (kern.mr, kern.nr);
-    let stride = a_block_stride(mr);
-    let m_blocks = m.div_ceil(MC);
-    let packed_b = uninit_slice(packed_b_buf, KC * NC.min(n.next_multiple_of(nr)));
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for (pi, pc) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - pc);
-            pack_b(nr, trans_b, b, k, n, pc, kc, jc, nc, packed_b);
-            let beta_block = if pc == 0 { beta } else { 1.0 };
-            for (bi, ic) in (0..m).step_by(MC).enumerate() {
-                let mc = MC.min(m - ic);
-                let pa = &packed_a.buf[(pi * m_blocks + bi) * stride..];
-                block_kernel(
-                    &kern, pa, packed_b, c, n, ic, mc, jc, nc, kc, alpha, beta_block,
-                );
             }
         }
     }
@@ -1248,8 +1195,9 @@ mod tests {
             (MC + 3, NC + 5, KC + 7),
             (2 * MC + 1, 9, 2 * KC + 3),
         ];
+        // One handle per operand, repacked across every shape.
         let mut packed = PackedA::new();
-        let mut packed_b_buf = Vec::new();
+        let mut packed_b = PackedB::new();
         for &(m, n, k) in &shapes {
             for &trans_a in &[false, true] {
                 for &trans_b in &[false, true] {
@@ -1275,17 +1223,9 @@ mod tests {
                         packed.pack(trans_a, &a, m, k);
                         assert_eq!((packed.m(), packed.k()), (m, k));
                         assert_eq!(packed.tier(), dispatch::active());
+                        packed_b.pack(trans_b, &b, k, n);
                         let mut got = seed_c.clone();
-                        gemm_prepacked(
-                            &packed,
-                            trans_b,
-                            n,
-                            alpha,
-                            &b,
-                            beta,
-                            &mut got,
-                            &mut packed_b_buf,
-                        );
+                        gemm_prepacked_ab(&packed, &packed_b, alpha, beta, &mut got);
                         let identical = expected
                             .iter()
                             .zip(got.iter())
@@ -1302,21 +1242,22 @@ mod tests {
 
     #[test]
     fn prepacked_a_is_reusable_across_many_b() {
-        // The batched Monte-Carlo access pattern: one packed activation panel
-        // multiplied against several perturbed weight matrices.
+        // The frozen-input plan access pattern: one packed activation panel
+        // multiplied against several perturbed weight panels.
         let mut rng = Rng::seed_from(14);
         let (m, n, k) = (33, 17, 300);
         let a = random_vec(m * k, &mut rng);
         let mut packed = PackedA::new();
         packed.pack(false, &a, m, k);
         let warm = packed.buf.capacity();
-        let mut packed_b_buf = Vec::new();
+        let mut packed_b = PackedB::new();
         for trial in 0..4 {
             let b = random_vec(k * n, &mut rng);
             let mut expected = vec![0.0f32; m * n];
             gemm(false, true, m, n, k, 1.0, &a, &b, 0.0, &mut expected);
+            packed_b.pack(true, &b, k, n);
             let mut got = vec![0.0f32; m * n];
-            gemm_prepacked(&packed, true, n, 1.0, &b, 0.0, &mut got, &mut packed_b_buf);
+            gemm_prepacked_ab(&packed, &packed_b, 1.0, 0.0, &mut got);
             let identical = expected
                 .iter()
                 .zip(got.iter())
@@ -1381,19 +1322,6 @@ mod tests {
                         assert!(
                             identical,
                             "prepacked_b m={m} n={n} k={k} ta={trans_a} tb={trans_b}"
-                        );
-                        // Fully prepacked path.
-                        let mut pa = PackedA::new();
-                        pa.pack(trans_a, &a, m, k);
-                        let mut got_ab = seed_c.clone();
-                        gemm_prepacked_ab(&pa, &packed, alpha, beta, &mut got_ab);
-                        let identical = expected
-                            .iter()
-                            .zip(got_ab.iter())
-                            .all(|(x, y)| x.to_bits() == y.to_bits());
-                        assert!(
-                            identical,
-                            "prepacked_ab m={m} n={n} k={k} ta={trans_a} tb={trans_b}"
                         );
                     }
                 }

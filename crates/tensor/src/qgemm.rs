@@ -356,10 +356,11 @@ fn qa_block_stride(qmr: usize) -> usize {
 
 /// A fully packed i8 `op(A)` operand in the quad-major strip layout the
 /// quantized microkernel consumes — the integer counterpart of
-/// [`crate::gemm::PackedA`], used by the batched quantized Monte-Carlo path
-/// to pack one activation-code panel once and reuse it against B perturbed
-/// weight-code realizations. Bit-exact vs [`qgemm_with_scratch`]. Records
-/// the kernel tier active when packed; prepacked multiplies use that tier.
+/// [`crate::gemm::PackedA`], used by compiled plans to pack a frozen
+/// activation-code panel once and reuse it against every perturbed
+/// weight-code panel through [`qgemm_prepacked_ab`]. Bit-exact vs
+/// [`qgemm_with_scratch`]. Records the kernel tier active when packed;
+/// prepacked multiplies use that tier.
 #[derive(Debug, Default, Clone)]
 pub struct QPackedA {
     m: usize,
@@ -411,60 +412,6 @@ impl QPackedA {
                 let mc = QMC.min(m - ic);
                 let slot = &mut buf[(pi * m_blocks + bi) * stride..][..stride];
                 pack_a(qmr, trans_a, a, m, k, ic, mc, pc, kc, slot);
-            }
-        }
-    }
-}
-
-/// [`qgemm_with_scratch`] with a pre-packed A operand (see [`QPackedA`]):
-/// only B is packed per call, into the caller's reusable `packed_b` buffer.
-/// Bit-exact vs every other kernel variant.
-///
-/// # Panics
-///
-/// Panics when a slice length disagrees with the packed dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn qgemm_prepacked(
-    packed_a: &QPackedA,
-    trans_b: bool,
-    n: usize,
-    b: &[i8],
-    accumulate: bool,
-    c: &mut [i32],
-    packed_b_buf: &mut Vec<i8>,
-) {
-    let _span = telemetry::span(telemetry::Phase::Gemm);
-    let (m, k) = (packed_a.m, packed_a.k);
-    assert_eq!(b.len(), k * n, "B must hold k*n codes");
-    assert_eq!(c.len(), m * n, "C must hold m*n accumulators");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        if !accumulate {
-            c.fill(0);
-        }
-        return;
-    }
-    let kern = q_kernel(packed_a.tier);
-    let (qmr, qnr) = (kern.qmr, kern.qnr);
-    let stride = qa_block_stride(qmr);
-    let m_blocks = m.div_ceil(QMC);
-    let kq_panel = QKC / KQ;
-    let packed_b = uninit_slice_of(
-        packed_b_buf,
-        kq_panel * KQ * QNC.min(n.next_multiple_of(qnr)),
-    );
-    for jc in (0..n).step_by(QNC) {
-        let nc = QNC.min(n - jc);
-        for (pi, pc) in (0..k).step_by(QKC).enumerate() {
-            let kc = QKC.min(k - pc);
-            pack_b(qnr, trans_b, b, k, n, pc, kc, jc, nc, packed_b);
-            let acc_block = accumulate || pc > 0;
-            for (bi, ic) in (0..m).step_by(QMC).enumerate() {
-                let mc = QMC.min(m - ic);
-                let pa = &packed_a.buf[(pi * m_blocks + bi) * stride..];
-                block_kernel(&kern, pa, packed_b, c, n, ic, mc, jc, nc, kc, acc_block);
             }
         }
     }
@@ -1187,7 +1134,7 @@ mod tests {
             (64, 256, 512),
         ];
         let mut packed = QPackedA::new();
-        let mut packed_b_buf = Vec::new();
+        let mut packed_b = QPackedB::new();
         for &(m, n, k) in &shapes {
             for &trans_a in &[false, true] {
                 for &trans_b in &[false, true] {
@@ -1196,27 +1143,23 @@ mod tests {
                     assert_eq!((packed.m(), packed.k()), (m, k));
                     assert_eq!(packed.tier(), dispatch::active());
                     // One packed A against several B realizations — the
-                    // batched quantized Monte-Carlo access pattern.
+                    // frozen-input quantized plan access pattern.
                     for _ in 0..2 {
                         let b = random_codes(k * n, &mut rng);
                         let expected = reference::qmatmul_i8(trans_a, trans_b, m, n, k, &a, &b);
+                        packed_b.pack(trans_b, &b, k, n);
                         let mut got = vec![0i32; m * n];
-                        qgemm_prepacked(
-                            &packed,
-                            trans_b,
-                            n,
-                            &b,
-                            false,
-                            &mut got,
-                            &mut packed_b_buf,
-                        );
+                        qgemm_prepacked_ab(&packed, &packed_b, false, &mut got);
                         assert_eq!(got, expected, "m={m} n={n} k={k} ta={trans_a} tb={trans_b}");
                         // Accumulate path.
                         let mut acc = expected.clone();
-                        qgemm_prepacked(&packed, trans_b, n, &b, true, &mut acc, &mut packed_b_buf);
+                        qgemm_prepacked_ab(&packed, &packed_b, true, &mut acc);
                         let doubled: Vec<i32> = expected.iter().map(|&x| 2 * x).collect();
                         assert_eq!(acc, doubled);
                     }
+                    let warm = packed.buf.capacity();
+                    packed.pack(trans_a, &a, m, k);
+                    assert_eq!(packed.buf.capacity(), warm, "repacking must not reallocate");
                 }
             }
         }

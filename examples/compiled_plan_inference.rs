@@ -3,8 +3,9 @@
 //! buffers, cached packed-weight panels), fault realizations land in
 //! plan-owned faulty buffers, and only panels covering dirty weight rows are
 //! re-packed between chip instances. The example verifies the planned
-//! engine is **bit-identical** to the sequential engine, then prints the
-//! wall-clock advantage on the paper's two evaluation shapes.
+//! engine is **bit-identical** to the sequential engine at B = 1 and at
+//! B = 16 realizations per forward, then prints the wall-clock advantage on
+//! the paper's two evaluation shapes.
 //!
 //! Run with `cargo run --release --example compiled_plan_inference`.
 
@@ -49,8 +50,8 @@ where
 {
     println!("\n{label}");
     println!(
-        "{:<22} {:>14} {:>12} {:>12} {:>9}",
-        "fault", "mean ± std", "seq (ms)", "planned", "speedup"
+        "{:<22} {:>14} {:>12} {:>12} {:>12}",
+        "fault", "mean ± std", "seq (ms)", "B=1 (ms)", "B=16 (ms)"
     );
     for &fault in faults {
         // Sequential reference: shapes re-derived, scratch re-allocated and
@@ -61,29 +62,37 @@ where
         let sequential = engine.run(&mut net, fault, |n| {
             Ok(n.forward(&xs, Mode::Eval)?.abs().mean())
         })?;
-        let t_seq = t0.elapsed();
+        let t_seq = t0.elapsed().as_secs_f64() * 1e3;
 
-        // Planned engine: compile once per worker, re-pack only dirty rows.
-        let t0 = Instant::now();
-        let planned = engine.run_planned(factory, fault, input, |out| Ok(out.abs().mean()), 4)?;
-        let t_planned = t0.elapsed();
+        // Planned engine: compile once per worker, re-pack only dirty rows,
+        // with one or sixteen realizations fused into each forward.
+        let mut t_planned = [0.0f64; 2];
+        for (slot, batch) in [1usize, 16].into_iter().enumerate() {
+            let t0 = Instant::now();
+            let planned =
+                engine.run_planned(factory, fault, input, |out| Ok(out.abs().mean()), batch, 4)?;
+            t_planned[slot] = t0.elapsed().as_secs_f64() * 1e3;
 
-        // Bit-identity is the whole point: assert it, loudly.
-        let identical = sequential
-            .per_run
-            .iter()
-            .zip(planned.per_run.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical, "planned metrics diverged for {fault:?}");
+            // Bit-identity is the whole point: assert it, loudly.
+            let identical = sequential
+                .per_run
+                .iter()
+                .zip(planned.per_run.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                identical,
+                "planned B={batch} metrics diverged for {fault:?}"
+            );
+        }
 
         println!(
-            "{:<22} {:>8.4} ± {:<5.4} {:>10.1} {:>10.1} {:>8.2}x",
+            "{:<22} {:>8.4} ± {:<5.4} {:>10.1} {:>12.1} {:>12.1}",
             fault.label(),
-            planned.mean,
-            planned.std,
-            t_seq.as_secs_f64() * 1e3,
-            t_planned.as_secs_f64() * 1e3,
-            t_seq.as_secs_f64() / t_planned.as_secs_f64(),
+            sequential.mean,
+            sequential.std,
+            t_seq,
+            t_planned[0],
+            t_planned[1],
         );
     }
     Ok(())

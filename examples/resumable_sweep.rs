@@ -46,7 +46,7 @@ fn main() -> Result<(), NnError> {
     let metric = |out: &Tensor| Ok(out.abs().mean());
 
     // Ground truth: one uninterrupted supervised sweep.
-    let outcome = engine.run_planned_batched_supervised(
+    let outcome = engine.run_planned_supervised(
         || build_mlp(7),
         fault,
         &x,
@@ -68,7 +68,7 @@ fn main() -> Result<(), NnError> {
     let token = CancelToken::new();
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
     let calls = AtomicUsize::new(0);
-    let outcome = engine.run_planned_batched_supervised(
+    let outcome = engine.run_planned_supervised(
         || build_mlp(7),
         fault,
         &x,
@@ -122,7 +122,7 @@ fn main() -> Result<(), NnError> {
 
     // Resume: only the missing instances run, and the merged summary is
     // bit-identical to the uninterrupted sweep.
-    let outcome = engine.run_planned_batched_supervised(
+    let outcome = engine.run_planned_supervised(
         || build_mlp(7),
         fault,
         &x,
@@ -149,21 +149,14 @@ fn main() -> Result<(), NnError> {
     // checkpoints before the first instance, and resuming finishes the job.
     let control = SweepControl::new()
         .with_budget(RunBudget::unbounded().with_deadline(std::time::Duration::ZERO));
-    let outcome = engine.run_planned_batched_supervised(
-        || build_mlp(7),
-        fault,
-        &x,
-        metric,
-        8,
-        4,
-        &control,
-    )?;
+    let outcome =
+        engine.run_planned_supervised(|| build_mlp(7), fault, &x, metric, 8, 4, &control)?;
     let checkpoint = outcome
         .checkpoint()
         .expect("an expired deadline yields a checkpoint")
         .clone();
     assert_eq!(checkpoint.remaining_runs(), runs);
-    let outcome = engine.run_planned_batched_supervised(
+    let outcome = engine.run_planned_supervised(
         || build_mlp(7),
         fault,
         &x,

@@ -7,8 +7,8 @@
 //! [`FaultLifetime`]) — and runs them through
 //! `MonteCarloEngine::run_auto`, which picks the fastest engine that
 //! supports each configuration and degrades down the ladder
-//! `run_planned_batched → run_planned → run_batched → run_parallel` with a
-//! typed reason per skipped rung. Every claim printed below is asserted.
+//! `run_planned → run_parallel` with a typed reason per skipped rung.
+//! Every claim printed below is asserted.
 //!
 //! Run with `cargo run --release --example structured_faults`.
 
@@ -18,7 +18,7 @@ use invnorm_imc::{
     LineOrientation, TileShape,
 };
 use invnorm_nn::activation::Relu;
-use invnorm_nn::layer::Mode;
+use invnorm_nn::layer::{Layer, Mode};
 use invnorm_nn::linear::Linear;
 use invnorm_nn::lstm::Lstm;
 use invnorm_nn::norm::GroupNorm;
@@ -78,7 +78,7 @@ fn main() -> Result<(), NnError> {
             4,
             DegradationPolicy::Graceful,
         )?;
-        assert_eq!(outcome.engine, EngineKind::PlannedBatched);
+        assert_eq!(outcome.engine, EngineKind::Planned);
         assert!(outcome.fallbacks.is_empty());
 
         // Bit-identity down the ladder: the sequential reference engine
@@ -102,19 +102,17 @@ fn main() -> Result<(), NnError> {
     }
 
     // Transient read noise: the same Gaussian model, but re-drawn on every
-    // inference. Only the planned engines model fault lifetime, so the
-    // direct engines reject the spec loudly...
+    // inference. Only the planned engine models fault lifetime, so the
+    // direct engine rejects the spec loudly...
     let read_noise = FaultSpec::new(
         FaultModel::AdditiveVariation { sigma: 0.1 },
         FaultLifetime::PerInference,
     );
     let err = engine
-        .run_batched(
+        .run_parallel(
             || build_mlp(7),
             read_noise,
-            &x,
-            |o| Ok(o.abs().mean()),
-            8,
+            |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.abs().mean()),
             4,
         )
         .unwrap_err();
@@ -134,7 +132,7 @@ fn main() -> Result<(), NnError> {
         4,
         DegradationPolicy::Graceful,
     )?;
-    assert_eq!(outcome.engine, EngineKind::PlannedBatched);
+    assert_eq!(outcome.engine, EngineKind::Planned);
     let static_ref = engine.run_auto(
         || build_mlp(7),
         read_noise.model,
@@ -151,9 +149,9 @@ fn main() -> Result<(), NnError> {
         outcome.summary.mean
     );
 
-    // An Lstm supports neither compiled plans nor batched evaluation: the
-    // ladder records one typed reason per skipped rung and lands on
-    // run_parallel, which supports every layer.
+    // An Lstm does not support compiled plans: the ladder records one typed
+    // reason for the skipped planned rung and lands on run_parallel, which
+    // supports every layer.
     let build_lstm = || -> Sequential {
         let mut rng = Rng::seed_from(21);
         Sequential::new().with(Box::new(Lstm::new(6, 8, false, &mut rng)))
@@ -169,7 +167,7 @@ fn main() -> Result<(), NnError> {
         DegradationPolicy::Graceful,
     )?;
     assert_eq!(outcome.engine, EngineKind::Parallel);
-    assert_eq!(outcome.fallbacks.len(), 3);
+    assert_eq!(outcome.fallbacks.len(), 1);
     println!("\nLstm network degraded to {}:", outcome.engine.name());
     for step in &outcome.fallbacks {
         assert!(matches!(
@@ -179,7 +177,7 @@ fn main() -> Result<(), NnError> {
         println!("  skipped {:<38} ({})", step.engine.name(), step.reason);
     }
 
-    // Strict mode keeps the pre-ladder behavior: the fastest engine's
+    // Strict mode keeps the pre-ladder behavior: the planned engine's
     // rejection propagates loudly instead of degrading.
     let strict = engine.run_auto(
         build_lstm,

@@ -80,9 +80,9 @@ fn model_faults() -> [FaultModel; 4] {
     ]
 }
 
-/// Asserts `run_planned` and `run_planned_batched` reproduce the sequential
-/// engine bit-for-bit on a deterministic model factory, across fault models,
-/// batch sizes and thread counts.
+/// Asserts `run_planned` reproduces the sequential engine bit-for-bit on a
+/// deterministic model factory, across fault models, batch sizes and thread
+/// counts.
 fn assert_planned_matches_run<F>(factory: F, x: &Tensor)
 where
     F: Fn() -> BuiltModel + Sync,
@@ -96,9 +96,18 @@ where
                 Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
             })
             .unwrap();
-        for threads in [1usize, 4] {
+        // Batch 1 is one realization per forward; batch 3 leaves a tail
+        // batch of 2 (per-worker recompilation); batch 8 is one full stack.
+        for (batch, threads) in [(1usize, 1usize), (1, 4), (3, 2), (8, 1)] {
             let planned = engine
-                .run_planned(&factory, fault, x, |out| Ok(out.abs().mean()), threads)
+                .run_planned(
+                    &factory,
+                    fault,
+                    x,
+                    |out| Ok(out.abs().mean()),
+                    batch,
+                    threads,
+                )
                 .unwrap();
             assert_eq!(planned.runs(), sequential.runs());
             let identical = sequential
@@ -108,37 +117,10 @@ where
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(
                 identical,
-                "{} {fault:?} threads={threads}: {:?} vs {:?}",
-                factory().name(),
-                sequential.per_run,
-                planned.per_run
-            );
-        }
-        // Fused planned-batched engine: batch 3 leaves a tail batch of 2
-        // (per-worker recompilation), batch 8 is one full stack.
-        for (batch, threads) in [(3usize, 2usize), (8, 1)] {
-            let fused = engine
-                .run_planned_batched(
-                    &factory,
-                    fault,
-                    x,
-                    |out| Ok(out.abs().mean()),
-                    batch,
-                    threads,
-                )
-                .unwrap();
-            assert_eq!(fused.runs(), sequential.runs());
-            let identical = sequential
-                .per_run
-                .iter()
-                .zip(fused.per_run.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                identical,
                 "{} {fault:?} batch={batch} threads={threads}: {:?} vs {:?}",
                 factory().name(),
                 sequential.per_run,
-                fused.per_run
+                planned.per_run
             );
         }
     }
@@ -183,6 +165,7 @@ fn lstm_model_is_rejected_as_unsupported() {
             &x,
             |out| Ok(out.sum()),
             2,
+            2,
         )
         .unwrap_err();
     assert!(
@@ -221,20 +204,9 @@ fn quantized_cnn_planned_is_bit_identical_to_run_quantized() {
         let sequential = engine
             .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
             .unwrap();
-        for threads in [1usize, 4] {
+        for (batch, threads) in [(1usize, 1usize), (1, 4), (3, 2), (8, 1)] {
             let planned = engine
-                .run_planned_quantized(|| quantized_cnn(6), fault, &x, |out| Ok(out.sum()), threads)
-                .unwrap();
-            let identical = sequential
-                .per_run
-                .iter()
-                .zip(planned.per_run.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(identical, "{fault:?} threads={threads}");
-        }
-        for (batch, threads) in [(3usize, 2usize), (8, 1)] {
-            let fused = engine
-                .run_planned_batched_quantized(
+                .run_planned_quantized(
                     || quantized_cnn(6),
                     fault,
                     &x,
@@ -246,7 +218,7 @@ fn quantized_cnn_planned_is_bit_identical_to_run_quantized() {
             let identical = sequential
                 .per_run
                 .iter()
-                .zip(fused.per_run.iter())
+                .zip(planned.per_run.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(identical, "{fault:?} batch={batch} threads={threads}");
         }
@@ -341,10 +313,10 @@ fn steady_state_planned_forward_allocates_nothing() {
     // Warm up: a couple of realizations exercise injection, dirty re-packing
     // and the frozen-input caches.
     let injector = WeightFaultInjector::new(FaultModel::StuckAt { rate: 0.1 }).unwrap();
+    let mut rng = [Rng::seed_from(0)];
     for seed in 0..3u64 {
-        injector
-            .realize_plan(&mut net, &mut Rng::seed_from(seed))
-            .unwrap();
+        rng[0] = Rng::seed_from(seed);
+        injector.realize_plan_batch(&mut net, &mut rng).unwrap();
         plan.forward(&mut net).unwrap();
     }
 
@@ -352,9 +324,8 @@ fn steady_state_planned_forward_allocates_nothing() {
     // (the acceptance criterion of the compiled-plan subsystem).
     let before = thread_allocations();
     for seed in 3..6u64 {
-        injector
-            .realize_plan(&mut net, &mut Rng::seed_from(seed))
-            .unwrap();
+        rng[0] = Rng::seed_from(seed);
+        injector.realize_plan_batch(&mut net, &mut rng).unwrap();
         plan.forward(&mut net).unwrap();
     }
     let allocations = thread_allocations() - before;
@@ -364,9 +335,8 @@ fn steady_state_planned_forward_allocates_nothing() {
     );
 
     // And the outputs still track the direct path for the clean realization.
-    injector
-        .realize_plan(&mut net, &mut Rng::seed_from(999))
-        .unwrap();
+    rng[0] = Rng::seed_from(999);
+    injector.realize_plan_batch(&mut net, &mut rng).unwrap();
     net.visit_plan_params(&mut |view| {
         view.faulty.copy_from_slice(view.clean.data());
         view.dirty.mark_all();

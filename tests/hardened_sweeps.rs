@@ -177,77 +177,32 @@ fn resume_is_bit_identical_on_every_weight_domain_engine() {
                     .unwrap()
             },
         );
-        interrupt_resume_bit_identity(
-            &format!("run_batched_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_batched_supervised(
-                        || mlp(7),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        5,
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
-        interrupt_resume_bit_identity(
-            &format!("run_planned_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_planned_supervised(
-                        || mlp(7),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
-        interrupt_resume_bit_identity(
-            &format!("run_planned_batched_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_planned_batched_supervised(
-                        || mlp(7),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        5,
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
+        for batch in [1usize, 5] {
+            interrupt_resume_bit_identity(
+                &format!("run_planned_supervised batch={batch} threads={threads}"),
+                &baseline,
+                |control, token, k| {
+                    let calls = AtomicUsize::new(0);
+                    engine
+                        .run_planned_supervised(
+                            || mlp(7),
+                            fault,
+                            &x,
+                            |out: &Tensor| {
+                                let v = out.sum();
+                                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
+                                    token.cancel();
+                                }
+                                Ok(v)
+                            },
+                            batch,
+                            threads,
+                            control,
+                        )
+                        .unwrap()
+                },
+            );
+        }
     }
 }
 
@@ -288,77 +243,32 @@ fn resume_is_bit_identical_on_every_code_domain_engine() {
     );
 
     for threads in [1usize, 4] {
-        interrupt_resume_bit_identity(
-            &format!("run_batched_quantized_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_batched_quantized_supervised(
-                        || quantized_net(9),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        5,
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
-        interrupt_resume_bit_identity(
-            &format!("run_planned_quantized_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_planned_quantized_supervised(
-                        || quantized_net(9),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
-        interrupt_resume_bit_identity(
-            &format!("run_planned_batched_quantized_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_planned_batched_quantized_supervised(
-                        || quantized_net(9),
-                        fault,
-                        &x,
-                        |out: &Tensor| {
-                            let v = out.sum();
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(v)
-                        },
-                        5,
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
+        for batch in [1usize, 5] {
+            interrupt_resume_bit_identity(
+                &format!("run_planned_quantized_supervised batch={batch} threads={threads}"),
+                &baseline,
+                |control, token, k| {
+                    let calls = AtomicUsize::new(0);
+                    engine
+                        .run_planned_quantized_supervised(
+                            || quantized_net(9),
+                            fault,
+                            &x,
+                            |out: &Tensor| {
+                                let v = out.sum();
+                                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
+                                    token.cancel();
+                                }
+                                Ok(v)
+                            },
+                            batch,
+                            threads,
+                            control,
+                        )
+                        .unwrap()
+                },
+            );
+        }
     }
 }
 
@@ -369,14 +279,14 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
     let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
     let metric = |out: &Tensor| Ok(out.sum());
     let baseline = engine
-        .run_planned_batched(|| mlp(11), fault, &x, metric, 5, 4)
+        .run_planned(|| mlp(11), fault, &x, metric, 5, 4)
         .unwrap()
         .per_run;
 
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
     let outcome = engine
-        .run_planned_batched_supervised(|| mlp(11), fault, &x, metric, 5, 4, &control)
+        .run_planned_supervised(|| mlp(11), fault, &x, metric, 5, 4, &control)
         .unwrap();
     let SweepOutcome::Interrupted {
         cause,
@@ -394,7 +304,7 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
     let restored = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
     let control = SweepControl::new().with_resume(restored);
     let outcome = engine
-        .run_planned_batched_supervised(|| mlp(11), fault, &x, metric, 5, 4, &control)
+        .run_planned_supervised(|| mlp(11), fault, &x, metric, 5, 4, &control)
         .unwrap();
     assert!(outcome.is_complete());
     assert_bits_equal(
@@ -421,7 +331,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
             DegradationPolicy::Graceful,
         )
         .unwrap();
-    assert_eq!(baseline.engine, EngineKind::PlannedBatched);
+    assert_eq!(baseline.engine, EngineKind::Planned);
 
     // Uninterrupted supervised ladder matches the legacy ladder bit for bit.
     let complete = engine
@@ -436,7 +346,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
             &SweepControl::new(),
         )
         .unwrap();
-    assert_eq!(complete.engine, EngineKind::PlannedBatched);
+    assert_eq!(complete.engine, EngineKind::Planned);
     assert!(complete.fallbacks.is_empty());
     assert_bits_equal(
         &baseline.summary.per_run,
@@ -472,7 +382,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
         .checkpoint()
         .expect("cancelled ladder sweep must be resumable")
         .clone();
-    assert_eq!(checkpoint.engine, EngineKind::PlannedBatched);
+    assert_eq!(checkpoint.engine, EngineKind::Planned);
 
     let restored = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
     let resumed = engine
@@ -487,7 +397,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
             &SweepControl::new().with_resume(restored),
         )
         .unwrap();
-    assert_eq!(resumed.engine, EngineKind::PlannedBatched);
+    assert_eq!(resumed.engine, EngineKind::Planned);
     assert!(resumed.fallbacks.is_empty(), "resume pins the engine");
     assert!(resumed.outcome.is_complete());
     assert_bits_equal(
@@ -533,7 +443,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
     let outcome = engine
-        .run_planned_supervised(|| mlp(17), fault, &x, metric, 2, &control)
+        .run_planned_supervised(|| mlp(17), fault, &x, metric, 1, 2, &control)
         .unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
 
@@ -544,6 +454,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
             FaultModel::StuckAt { rate: 0.1 },
             &x,
             metric,
+            1,
             2,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
@@ -561,12 +472,10 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
 
     // Wrong engine → engine mismatch.
     let err = engine
-        .run_batched_supervised(
+        .run_parallel_supervised(
             || mlp(17),
             fault,
-            &x,
-            metric,
-            5,
+            |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.sum()),
             2,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
@@ -589,6 +498,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
             fault,
             &x,
             metric,
+            1,
             2,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
@@ -903,14 +813,14 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
     let outcome = engine
-        .run_planned_batched_supervised(|| mlp(23), fault, &x, metric, 5, 2, &control)
+        .run_planned_supervised(|| mlp(23), fault, &x, metric, 5, 2, &control)
         .unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
     assert!(Telemetry::counter(Counter::CancelledRuns) >= RUNS as u64);
 
     let control = SweepControl::new().with_resume(checkpoint);
     let resumed = engine
-        .run_planned_batched_supervised(|| mlp(23), fault, &x, metric, 5, 2, &control)
+        .run_planned_supervised(|| mlp(23), fault, &x, metric, 5, 2, &control)
         .unwrap();
     assert!(resumed.is_complete());
     // Nothing was accounted before the zero deadline, so resume skips are
@@ -943,7 +853,7 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     let calls = AtomicUsize::new(0);
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
     let outcome = engine
-        .run_batched_supervised(
+        .run_planned_supervised(
             || mlp(23),
             fault,
             &x,
@@ -964,7 +874,7 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     assert!(accounted > 0);
     let skips_before = Telemetry::counter(Counter::ResumeSkips);
     let resumed = engine
-        .run_batched_supervised(
+        .run_planned_supervised(
             || mlp(23),
             fault,
             &x,

@@ -261,22 +261,18 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
                 3,
             )
             .unwrap();
-        let batched = engine
-            .run_batched(|| cnn(23), fault, &x, metric, 4, 2)
-            .unwrap();
         let planned = engine
-            .run_planned(|| cnn(23), fault, &x, metric, 2)
+            .run_planned(|| cnn(23), fault, &x, metric, 1, 2)
             .unwrap();
         let fused = engine
-            .run_planned_batched(|| cnn(23), fault, &x, metric, 2, 2)
+            .run_planned(|| cnn(23), fault, &x, metric, 2, 2)
             .unwrap();
         // Every summary records the forced tier as its provenance.
         for (name, s) in [
             ("run", &sequential),
             ("run_parallel", &parallel),
-            ("run_batched", &batched),
-            ("run_planned", &planned),
-            ("run_planned_batched", &fused),
+            ("run_planned batch=1", &planned),
+            ("run_planned batch=2", &fused),
         ] {
             assert_eq!(
                 s.kernel_tier,
@@ -289,9 +285,8 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
         // counts included) produces bit-identical per-run metrics.
         for (name, s) in [
             ("run_parallel", &parallel),
-            ("run_batched", &batched),
-            ("run_planned", &planned),
-            ("run_planned_batched", &fused),
+            ("run_planned batch=1", &planned),
+            ("run_planned batch=2", &fused),
         ] {
             let same = sequential
                 .per_run

@@ -135,7 +135,7 @@ fn assert_bits_equal(baseline: &[f32], instrumented: &[f32], what: &str) {
 }
 
 #[test]
-fn telemetry_is_bit_invisible_on_all_five_engines() {
+fn telemetry_is_bit_invisible_on_every_engine() {
     let _guard = telemetry_lock();
     let _restore = DisableOnDrop;
     let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(11));
@@ -144,7 +144,7 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
     for fault in all_faults() {
         // One pass per engine with telemetry disabled, then the exact same
         // simulation instrumented; per-run metrics must match bit for bit.
-        let mut results: [Option<[Vec<f32>; 5]>; 2] = [None, None];
+        let mut results: [Option<[Vec<f32>; 4]>; 2] = [None, None];
         for (slot, enabled) in [(0usize, false), (1usize, true)] {
             if enabled {
                 Telemetry::reset();
@@ -167,21 +167,17 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
                     2,
                 )
                 .unwrap();
-            let batched = engine
-                .run_batched(|| cnn(23), fault, &x, metric, 4, 2)
-                .unwrap();
             let planned = engine
-                .run_planned(|| cnn(23), fault, &x, metric, 2)
+                .run_planned(|| cnn(23), fault, &x, metric, 1, 2)
                 .unwrap();
             let fused = engine
-                .run_planned_batched(|| cnn(23), fault, &x, metric, 4, 2)
+                .run_planned(|| cnn(23), fault, &x, metric, 4, 2)
                 .unwrap();
             assert_eq!(sequential.telemetry.is_some(), enabled);
             assert_eq!(fused.telemetry.is_some(), enabled);
             results[slot] = Some([
                 sequential.per_run,
                 parallel.per_run,
-                batched.per_run,
                 planned.per_run,
                 fused.per_run,
             ]);
@@ -194,9 +190,8 @@ fn telemetry_is_bit_invisible_on_all_five_engines() {
         for (i, name) in [
             "run",
             "run_parallel",
-            "run_batched",
-            "run_planned",
-            "run_planned_batched",
+            "run_planned batch=1",
+            "run_planned batch=4",
         ]
         .iter()
         .enumerate()
@@ -264,7 +259,7 @@ fn chrome_trace_export_is_well_formed_and_balanced() {
     let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(31));
     let engine = MonteCarloEngine::new(6, 0xACE);
     let summary = engine
-        .run_planned_batched(
+        .run_planned(
             || cnn(29),
             FaultModel::AdditiveVariation { sigma: 0.2 },
             &x,
@@ -317,9 +312,7 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
     Telemetry::reset();
     Telemetry::enable();
     let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(41));
-    // A per-inference lifetime forces the direct engines to be skipped with
-    // a typed reason if the ladder ever degrades past the planned rungs;
-    // with a plannable CNN the fastest rung runs and no fallback fires.
+    // A plannable CNN runs on the planned rung and no fallback fires.
     let outcome = MonteCarloEngine::new(4, 7)
         .run_auto(
             || cnn(37),
@@ -332,16 +325,16 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
         )
         .unwrap();
     Telemetry::disable();
-    assert_eq!(outcome.engine, EngineKind::PlannedBatched);
+    assert_eq!(outcome.engine, EngineKind::Planned);
     let rendered = outcome.to_string();
-    assert!(rendered.contains("run_planned_batched"), "{rendered}");
+    assert!(rendered.contains("run_planned"), "{rendered}");
     assert!(rendered.contains("4 runs"), "{rendered}");
     // And a synthetic fallback renders with its reason.
     let step = FallbackStep {
-        engine: EngineKind::Batched,
+        engine: EngineKind::Parallel,
         reason: invnorm_imc::FallbackReason::Lifetime,
     };
     let line = step.to_string();
-    assert!(line.contains("run_batched"), "{line}");
+    assert!(line.contains("run_parallel"), "{line}");
     assert!(line.contains("lifetime"), "{line}");
 }
