@@ -1,29 +1,31 @@
-//! Monte-Carlo engine throughput: sequential [`MonteCarloEngine::run`] vs
-//! instance-parallel `run_parallel` vs the planned `run_planned` engine at
-//! B = 1 and B = 16 fault realizations per forward pass.
+//! Monte-Carlo engine throughput: the sequential engine
+//! ([`MonteCarloEngine::run_supervised`]) vs the instance-parallel and
+//! planned engines ([`MonteCarloEngine::execute_on`]) at B = 1 and B = 16
+//! fault realizations per forward pass.
 //!
 //! The workload is the paper's actual evaluation shape: a **small** model
 //! (the 64×512→256 linear probe and a compact CNN) evaluated over ~tens of
 //! Monte-Carlo chip instances. At these sizes a single instance cannot
-//! saturate the blocked GEMM, so `run_parallel` only scales by instance-level
-//! work stealing and still pays per-instance snapshot/restore clones, packing
-//! and allocator traffic; `run_planned` compiles each worker's model once
-//! and re-packs only dirty weight panels, and at B > 1 also shares each
-//! forward's input-derived work across the stacked realizations. Results
-//! are written to `BENCH_monte_carlo.json`; the `*_planned_*` /
-//! `*_parallel_*` pairs are the tracked speedup. The B = 1 points keep the
-//! name `*_planned_t4` and the B = 16 points `*_planned_batched_b16_t4`, so
-//! `bench_gate` compares them against the committed baseline rows.
+//! saturate the blocked GEMM, so the parallel engine only scales by
+//! instance-level work stealing and still pays per-instance snapshot/restore
+//! clones, packing and allocator traffic; the planned engine compiles each
+//! worker's model once and re-packs only dirty weight panels, and at B > 1
+//! also shares each forward's input-derived work across the stacked
+//! realizations. Results are written to `BENCH_monte_carlo.json`; the
+//! `*_planned_*` / `*_parallel_*` pairs are the tracked speedup. The B = 1
+//! points keep the name `*_planned_t4` and the B = 16 points
+//! `*_planned_batched_b16_t4`, so `bench_gate` compares them against the
+//! committed baseline rows.
 //!
-//! `run`, `run_parallel` and `run_planned` produce bit-identical per-run
-//! metrics (tested in `invnorm-imc`), so these benchmarks compare equal
-//! work, not approximations.
+//! The three engines produce bit-identical per-run metrics (tested in
+//! `invnorm-imc`), so these benchmarks compare equal work, not
+//! approximations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use invnorm_imc::fault::{FaultModel, LineOrientation};
-use invnorm_imc::montecarlo::MonteCarloEngine;
+use invnorm_imc::montecarlo::{EngineKind, MonteCarloEngine, MonteCarloSummary, Sweep};
 use invnorm_imc::telemetry::Telemetry;
-use invnorm_imc::{SweepControl, TileShape};
+use invnorm_imc::{SweepControl, SweepDomain, TileShape};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::conv::Conv2d;
 use invnorm_nn::layer::{Layer, Mode};
@@ -115,6 +117,31 @@ fn sweep_faults() -> [FaultModel; 5] {
     ]
 }
 
+/// One engine invocation of `THREADS` workers and `batch` realizations per
+/// planned forward, summing each realization's output.
+fn sweep<F>(
+    engine: EngineKind,
+    factory: F,
+    fault: FaultModel,
+    domain: SweepDomain,
+    input: &Tensor,
+    batch: usize,
+) -> MonteCarloSummary
+where
+    F: Fn() -> Sequential + Sync,
+{
+    let sweep = Sweep {
+        domain,
+        batch,
+        threads: THREADS,
+        ..Sweep::new(factory, fault, input, |out: &Tensor| Ok(out.sum()))
+    };
+    MonteCarloEngine::new(RUNS, 0xC0FFEE)
+        .execute_on(engine, &sweep, &SweepControl::new())
+        .and_then(|outcome| outcome.into_summary())
+        .unwrap()
+}
+
 fn bench_model<F>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
@@ -125,6 +152,11 @@ fn bench_model<F>(
     F: Fn() -> Sequential + Sync + Copy,
 {
     let engine = MonteCarloEngine::new(RUNS, 0xC0FFEE);
+    let domain = if quantized {
+        SweepDomain::Codes
+    } else {
+        SweepDomain::Weights
+    };
     for fault in sweep_faults() {
         let tag = match fault {
             FaultModel::AdditiveVariation { .. } => "additive",
@@ -139,33 +171,23 @@ fn bench_model<F>(
             b.iter(|| {
                 let mut net = factory();
                 let x = input.clone();
-                let summary = if quantized {
-                    engine
-                        .run_quantized(&mut net, fault, |n| Ok(n.forward(&x, Mode::Eval)?.sum()))
-                        .unwrap()
-                } else {
-                    engine
-                        .run(&mut net, fault, |n| Ok(n.forward(&x, Mode::Eval)?.sum()))
-                        .unwrap()
-                };
-                summary.mean
+                engine
+                    .run_supervised(
+                        domain,
+                        &mut net,
+                        fault,
+                        |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
+                        &SweepControl::new(),
+                    )
+                    .and_then(|outcome| outcome.into_summary())
+                    .unwrap()
+                    .mean
             })
         });
         // Instance-parallel engine (f32 weight domain only).
         if !quantized {
             group.bench_function(format!("{name}_{tag}_parallel_t{THREADS}"), |b| {
-                b.iter(|| {
-                    let x = input.clone();
-                    engine
-                        .run_parallel(
-                            factory,
-                            fault,
-                            move |n: &mut Sequential| Ok(n.forward(&x, Mode::Eval)?.sum()),
-                            THREADS,
-                        )
-                        .unwrap()
-                        .mean
-                })
+                b.iter(|| sweep(EngineKind::Parallel, factory, fault, domain, input, 1).mean)
             });
         }
         // Compiled-plan engine: per-worker plans amortize shape inference,
@@ -182,78 +204,10 @@ fn bench_model<F>(
             ),
         ] {
             group.bench_function(id, |b| {
-                b.iter(|| {
-                    let summary = if quantized {
-                        engine
-                            .run_planned_quantized(
-                                factory,
-                                fault,
-                                input,
-                                |out| Ok(out.sum()),
-                                batch,
-                                THREADS,
-                            )
-                            .unwrap()
-                    } else {
-                        engine
-                            .run_planned(factory, fault, input, |out| Ok(out.sum()), batch, THREADS)
-                            .unwrap()
-                    };
-                    summary.mean
-                })
+                b.iter(|| sweep(EngineKind::Planned, factory, fault, domain, input, batch).mean)
             });
         }
     }
-}
-
-/// Supervision parity: the `*_supervised` entry points with a default
-/// [`SweepControl`] (unbounded budget, no resume) must cost the same as the
-/// legacy wrappers — the budget check is one relaxed atomic load per chip
-/// instance and the ledger records on the main thread only. Benched against
-/// the matching legacy names above, the gate turns any creep into a failure.
-fn bench_supervised_parity(group: &mut criterion::BenchmarkGroup<'_>) {
-    let engine = MonteCarloEngine::new(RUNS, 0xC0FFEE);
-    let x = linear_input();
-    let control = SweepControl::new();
-    group.bench_function(
-        format!("linear_f32_additive_planned_batched_supervised_b{BATCH}_t{THREADS}"),
-        |b| {
-            b.iter(|| {
-                engine
-                    .run_planned_supervised(
-                        || linear_model(1),
-                        FaultModel::AdditiveVariation { sigma: 0.1 },
-                        &x,
-                        |out| Ok(out.sum()),
-                        BATCH,
-                        THREADS,
-                        &control,
-                    )
-                    .unwrap()
-                    .summary()
-                    .mean
-            })
-        },
-    );
-    group.bench_function(
-        format!("linear_f32_additive_parallel_supervised_t{THREADS}"),
-        |b| {
-            b.iter(|| {
-                let xc = x.clone();
-                engine
-                    .run_parallel_supervised(
-                        || linear_model(1),
-                        FaultModel::AdditiveVariation { sigma: 0.1 },
-                        move |n: &mut Sequential| Ok(n.forward(&xc, Mode::Eval)?.sum()),
-                        THREADS,
-                        &control,
-                    )
-                    .unwrap()
-                    .summary()
-                    .mean
-            })
-        },
-    );
 }
 
 fn bench_monte_carlo(c: &mut Criterion) {
@@ -279,8 +233,6 @@ fn bench_monte_carlo(c: &mut Criterion) {
         &x,
         true,
     );
-
-    bench_supervised_parity(&mut group);
 
     group.finish();
     emit_telemetry_artifacts();
@@ -308,30 +260,26 @@ fn json_dir() -> std::path::PathBuf {
 /// went. The timed samples above all run with telemetry disabled, so the
 /// numbers in `BENCH_monte_carlo.json` are unaffected.
 fn emit_telemetry_artifacts() {
-    let engine = MonteCarloEngine::new(RUNS, 0xC0FFEE);
     let fault = FaultModel::StuckAt { rate: 0.05 };
+    let domain = SweepDomain::Weights;
     Telemetry::reset();
     Telemetry::enable();
-    let cnn = engine
-        .run_planned(
-            || cnn_model(2),
-            fault,
-            &cnn_input(),
-            |out| Ok(out.sum()),
-            BATCH,
-            THREADS,
-        )
-        .expect("telemetry cnn pass");
-    let linear = engine
-        .run_planned(
-            || linear_model(1),
-            fault,
-            &linear_input(),
-            |out| Ok(out.sum()),
-            BATCH,
-            THREADS,
-        )
-        .expect("telemetry linear pass");
+    let cnn = sweep(
+        EngineKind::Planned,
+        || cnn_model(2),
+        fault,
+        domain,
+        &cnn_input(),
+        BATCH,
+    );
+    let linear = sweep(
+        EngineKind::Planned,
+        || linear_model(1),
+        fault,
+        domain,
+        &linear_input(),
+        BATCH,
+    );
     Telemetry::disable();
 
     let dir = json_dir();

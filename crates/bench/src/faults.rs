@@ -8,10 +8,9 @@
 
 use crate::Result;
 use invnorm_imc::fault::FaultModel;
-use invnorm_imc::montecarlo::MonteCarloSummary;
+use invnorm_imc::montecarlo::{MonteCarloEngine, MonteCarloSummary};
 use invnorm_models::BuiltModel;
 use invnorm_quant::config::Precision;
-use invnorm_tensor::stats::RunningStats;
 
 /// Where a fault is injected for a particular (model, fault) combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +52,13 @@ pub fn bitflip_for(model: &BuiltModel, rate: f32) -> FaultModel {
 
 /// Evaluates `metric` under `runs` independent realizations of `fault`,
 /// routed to the correct injection point, and returns the Monte-Carlo
-/// summary (mean ± std over chip instances).
+/// summary (mean ± std over chip instances). Weight faults run through
+/// [`MonteCarloEngine::run`] on the model itself.
 ///
 /// # Errors
 ///
-/// Returns an error when injection or evaluation fails.
+/// Returns an error when injection or evaluation fails, and — on the
+/// weight route — when a metric is non-finite or the evaluation panics.
 pub fn evaluate_under_fault<F>(
     model: &mut BuiltModel,
     fault: FaultModel,
@@ -69,25 +70,7 @@ where
     F: FnMut(&mut BuiltModel) -> Result<f32>,
 {
     match fault_target(model, &fault) {
-        FaultTarget::Weights => {
-            // [`MonteCarloEngine::run`] takes the network as `&mut dyn Layer`,
-            // but the metric here needs the full `BuiltModel` (for its
-            // Bayesian configuration), so run the identical protocol — same
-            // per-run RNG stream derivation, inject → evaluate → restore —
-            // directly on the model.
-            let mut per_run = Vec::with_capacity(runs.max(1));
-            for run in 0..runs.max(1) {
-                let mut rng = invnorm_tensor::Rng::seed_from(
-                    seed ^ (run as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let mut injector = invnorm_imc::injector::WeightFaultInjector::new(fault)?;
-                injector.inject(model, &mut rng)?;
-                let value = metric(model);
-                injector.restore(model)?;
-                per_run.push(value?);
-            }
-            Ok(summary_from(fault.label(), per_run))
-        }
+        FaultTarget::Weights => MonteCarloEngine::new(runs, seed).run(model, fault, metric),
         FaultTarget::PreActivation => {
             let mut per_run = Vec::with_capacity(runs.max(1));
             for _run in 0..runs.max(1) {
@@ -96,26 +79,11 @@ where
                 model.noise.clear();
                 per_run.push(value?);
             }
-            Ok(summary_from(
+            Ok(MonteCarloSummary::from_runs(
                 format!("{} (pre-activation)", fault.label()),
                 per_run,
             ))
         }
-    }
-}
-
-fn summary_from(label: String, per_run: Vec<f32>) -> MonteCarloSummary {
-    let mut stats = RunningStats::new();
-    stats.extend_from_slice(&per_run);
-    MonteCarloSummary {
-        fault_label: label,
-        mean: stats.mean(),
-        std: stats.std(),
-        min: stats.min(),
-        max: stats.max(),
-        per_run,
-        kernel_tier: invnorm_tensor::dispatch::active().name(),
-        telemetry: None,
     }
 }
 

@@ -114,7 +114,7 @@ impl WeightFaultInjector {
     /// function of the caller's seed and the parameter index, so large
     /// parameters can be perturbed **in parallel** (rayon) without changing
     /// any value — the realization is bit-identical for every thread count,
-    /// which is what keeps `MonteCarloEngine::run_parallel` exactly equal to
+    /// which is what keeps the parallel Monte-Carlo engine exactly equal to
     /// the sequential engine.
     ///
     /// # Errors
@@ -305,7 +305,7 @@ impl WeightFaultInjector {
         if let Some(factor) = model.uniform_scale() {
             // Drift's factor is deterministic, so every realization of the
             // stack shares it: one scale request covers all panels. The
-            // forks still run to keep every per-instance stream in lockstep
+            // forks still run to keep every per-instance stream aligned
             // with the sequential injector, and the staged-buffer check
             // still runs so a batch mismatch is as loud as on every other
             // model.

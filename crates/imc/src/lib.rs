@@ -28,9 +28,10 @@
 //! * [`montecarlo`] — the Monte-Carlo fault-simulation engine that evaluates
 //!   a metric over `N` simulated chip instances and reports mean ± std, the
 //!   protocol behind every robustness figure in the paper
-//!   (`run_quantized` drives the same protocol over code-domain faults;
-//!   `run_auto` picks the fastest engine that supports the configuration
-//!   and degrades gracefully down the engine ladder with typed reasons).
+//!   ([`montecarlo::Sweep`] requests carry the fault domain — f32 weights or
+//!   i8 codes; [`montecarlo::MonteCarloEngine::execute`] picks the fastest
+//!   engine that supports the configuration and degrades gracefully down
+//!   the engine ladder with typed reasons).
 //! * [`crossbar`] — a differential-pair crossbar model with DAC/ADC
 //!   quantization and conductance variation, demonstrating the full
 //!   weight-programming / analog-MVM path (`program_codes` programs a tile
@@ -39,7 +40,7 @@
 //!   deadlines and cooperative [`supervise::CancelToken`]s, panic / non-finite
 //!   quarantine with typed [`supervise::QuarantinedRun`] diagnostics, and
 //!   bit-identical checkpoint/resume via [`supervise::SweepCheckpoint`] —
-//!   driven through the `*_supervised` engine entry points.
+//!   honored by every engine body.
 //!
 //! # Example: perturb a network and measure the damage
 //!
@@ -87,7 +88,7 @@ pub use injector::{ActivationNoise, CodeFaultInjector, NoiseHandle, WeightFaultI
 pub use invnorm_tensor::telemetry;
 pub use montecarlo::{
     DegradationPolicy, EngineKind, FallbackReason, FallbackStep, LadderOutcome, MonteCarloEngine,
-    MonteCarloSummary, SupervisedLadderOutcome,
+    MonteCarloSummary, SupervisedLadderOutcome, Sweep,
 };
 pub use supervise::{
     CancelToken, InterruptCause, QuarantineCause, QuarantinedRun, RunBudget, SweepCheckpoint,

@@ -7,34 +7,34 @@
 //! fresh fault realization into the network, evaluates a caller-provided
 //! metric, restores the clean weights, and aggregates the results.
 //!
-//! For sweeps over many fault strengths, [`MonteCarloEngine::run_parallel`]
-//! distributes chip instances over rayon worker threads using model
-//! *factories* (each worker builds its own model copy once and reuses it
-//! across the chip instances it claims), since trained networks are not
-//! `Clone`. Chip instances are claimed in fixed-size chunks from a shared
-//! atomic counter (work stealing), and every instance derives its RNG stream
-//! from the base seed and its own index alone, so the per-run metrics — and
-//! therefore the aggregate statistics — are **bit-identical** to the
-//! sequential [`MonteCarloEngine::run`] regardless of thread count or
-//! scheduling order.
+//! Every instance derives its RNG stream from the base seed and its own
+//! index alone, so the per-run metrics — and therefore the aggregate
+//! statistics — are **bit-identical** across engines, batch sizes, thread
+//! counts and scheduling orders. Five entry points:
 //!
-//! [`MonteCarloEngine::run_planned`] is the fused engine: each worker
-//! compiles its model into an `invnorm_nn::plan::Plan` holding `batch ≥ 1`
-//! stacked fault realizations, materializes them from the same per-instance
-//! streams, and evaluates each stack in one planned forward — again
-//! bit-identical to `run`. [`MonteCarloEngine::run_auto`] tries it first and
-//! falls back to `run_parallel` only for a layer that plans cannot run
-//! (today only `Lstm`). The sequential and planned engines also have a
-//! `*_quantized` form that injects into i8 codes, and every engine has a
-//! `*_supervised` form with budgets, quarantine and resume (see
-//! [`crate::supervise`]).
+//! - [`MonteCarloEngine::run`] — the sequential oracle on one network, which
+//!   every bit-identity test compares against.
+//! - [`MonteCarloEngine::run_supervised`] — the same loop in either
+//!   [`SweepDomain`] (f32 weights or i8 codes) under a [`SweepControl`].
+//! - [`MonteCarloEngine::execute_on`] — runs a [`Sweep`] request (model
+//!   factory, fault, domain, input, metric, batch, threads) on one engine:
+//!   [`EngineKind::Planned`] compiles each worker's model into an
+//!   `invnorm_nn::plan::Plan` holding `batch ≥ 1` stacked realizations and
+//!   evaluates each stack in one planned forward; [`EngineKind::Parallel`]
+//!   injects and restores per instance on the direct eval path, and runs
+//!   every layer, including the `Lstm` that plans cannot run.
+//! - [`MonteCarloEngine::execute`] — the ladder: planned first, parallel when
+//!   a layer rejects plans, with a typed reason per skipped rung.
+//! - [`MonteCarloEngine::run_auto`] — the ladder, returning a plain summary.
+//!
+//! Every engine body is supervised (see [`crate::supervise`]): it honors a
+//! budget, quarantines panicking and non-finite runs, and resumes from a
+//! checkpoint. `run` and `run_auto` map the outcome back to a summary with
+//! [`SweepOutcome::into_summary`].
 
 use crate::fault::{FaultLifetime, FaultModel, FaultSpec};
 use crate::injector::{CodeFaultInjector, WeightFaultInjector};
-use crate::supervise::{
-    panic_message, QuarantineCause, QuarantinedRun, RunLedger, SweepControl, SweepDomain,
-    SweepOutcome,
-};
+use crate::supervise::{Attempt, RunLedger, SweepControl, SweepDomain, SweepOutcome};
 use crate::Result;
 use invnorm_nn::layer::{Layer, Mode};
 use invnorm_nn::plan::Plan;
@@ -43,6 +43,7 @@ use invnorm_tensor::stats::RunningStats;
 use invnorm_tensor::telemetry::{self, RunScope, RunTelemetry};
 use invnorm_tensor::{Rng, Tensor};
 use serde::{Deserialize, Serialize};
+use std::iter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -75,7 +76,9 @@ pub struct MonteCarloSummary {
 }
 
 impl MonteCarloSummary {
-    pub(crate) fn from_runs(fault_label: String, per_run: Vec<f32>) -> Self {
+    /// Aggregates the per-run metrics of a sweep under `fault_label`, tagged
+    /// with the active kernel tier and no telemetry.
+    pub fn from_runs(fault_label: String, per_run: Vec<f32>) -> Self {
         let mut stats = RunningStats::new();
         stats.extend_from_slice(&per_run);
         Self {
@@ -96,32 +99,31 @@ impl MonteCarloSummary {
     }
 }
 
-/// One rung of the Monte-Carlo engine ladder, fastest first. Used by
-/// [`MonteCarloEngine::run_auto`] to report which engine actually produced a
-/// summary and which rungs were skipped on the way down.
+/// One engine of the Monte-Carlo ladder, fastest first. Reported by
+/// [`MonteCarloEngine::execute`] and [`MonteCarloEngine::run_auto`] (which
+/// engine produced a summary, which rungs were skipped) and recorded in
+/// sweep checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// [`MonteCarloEngine::run_planned`]: compiled plans with B ≥ 1 fused
-    /// fault realizations per forward.
+    /// Compiled plans with B ≥ 1 fused fault realizations per forward.
     Planned,
-    /// [`MonteCarloEngine::run_parallel`]: per-instance snapshot/restore on
-    /// the direct eval path — supports every layer, including the `Lstm`
-    /// that compiled plans cannot run.
+    /// Per-instance inject/restore on the direct eval path over a worker
+    /// pool — supports every layer, including the `Lstm` that compiled
+    /// plans cannot run.
     Parallel,
-    /// [`MonteCarloEngine::run`] / [`MonteCarloEngine::run_quantized`]: the
-    /// single-threaded reference engine. Never chosen by the ladder (it is
-    /// `run_parallel` with one worker, minus the pool); appears in
-    /// supervised-sweep checkpoints taken from the sequential entry points.
+    /// The single-threaded loop of [`MonteCarloEngine::run`] and
+    /// [`MonteCarloEngine::run_supervised`]. Never chosen by the ladder;
+    /// appears in checkpoints taken from those entry points.
     Sequential,
 }
 
 impl EngineKind {
-    /// The engine entry-point name, as used in error messages.
+    /// The engine's name, as used in reports and error messages.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Planned => "MonteCarloEngine::run_planned",
-            EngineKind::Parallel => "MonteCarloEngine::run_parallel",
-            EngineKind::Sequential => "MonteCarloEngine::run",
+            EngineKind::Planned => "planned",
+            EngineKind::Parallel => "parallel",
+            EngineKind::Sequential => "sequential",
         }
     }
 }
@@ -136,18 +138,20 @@ impl std::fmt::Display for EngineKind {
 /// an engine do not fit together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradationPolicy {
-    /// Fall down the engine ladder (`run_planned` → `run_parallel`),
-    /// recording a typed reason per skipped rung. Per-run metrics are
-    /// bit-identical across rungs wherever both engines support the
+    /// Fall down the engine ladder ([`MonteCarloEngine::execute`]: planned →
+    /// parallel), recording a typed reason per skipped rung. Per-run metrics
+    /// are bit-identical across rungs wherever both engines support the
     /// configuration, so degrading never changes the statistics — only the
     /// throughput.
     #[default]
     Graceful,
-    /// No fallback: run the planned engine and propagate its error loudly.
+    /// No fallback: run the planned engine
+    /// ([`MonteCarloEngine::execute_on`] with [`EngineKind::Planned`]) and
+    /// propagate its error loudly.
     Strict,
 }
 
-/// Why [`MonteCarloEngine::run_auto`] stepped past an engine.
+/// Why [`MonteCarloEngine::execute`] stepped past an engine.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackReason {
     /// The engine has no fault-lifetime model: its realizations outlive a
@@ -223,8 +227,8 @@ impl std::fmt::Display for LadderOutcome {
     }
 }
 
-/// Result of [`MonteCarloEngine::run_auto_supervised`]: the supervised sweep
-/// outcome plus the ladder report.
+/// Result of [`MonteCarloEngine::execute`]: the supervised sweep outcome
+/// plus the ladder report.
 #[derive(Debug, Clone)]
 pub struct SupervisedLadderOutcome {
     /// The (complete or interrupted) sweep outcome.
@@ -236,23 +240,74 @@ pub struct SupervisedLadderOutcome {
     pub fallbacks: Vec<FallbackStep>,
 }
 
-/// What one worker attempt at a chip instance produced. `Panicked` only
-/// occurs on the supervised paths (the legacy entry points let panics
-/// propagate, preserving their pre-supervision behavior).
-enum Attempt {
-    Metric(Result<f32>),
-    Panicked(String),
+/// One Monte-Carlo sweep for the factory-driven engines
+/// ([`MonteCarloEngine::execute`] and [`MonteCarloEngine::execute_on`]).
+///
+/// Each worker builds its own model copy with `factory` (trained networks
+/// are not `Clone`; factories must reproduce identical weights, e.g. by
+/// re-training with a fixed seed or loading a shared checkpoint), evaluates
+/// `input` under every fault realization, and scores each realization's
+/// output with `metric`. Start from [`Sweep::new`] and set the other fields
+/// with struct-update syntax:
+///
+/// ```
+/// use invnorm_imc::montecarlo::{MonteCarloEngine, Sweep};
+/// use invnorm_imc::{FaultModel, SweepControl};
+/// use invnorm_nn::linear::Linear;
+/// use invnorm_tensor::{Rng, Tensor};
+///
+/// let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(1));
+/// let fault = FaultModel::AdditiveVariation { sigma: 0.1 };
+/// let sweep = Sweep {
+///     batch: 4,
+///     threads: 2,
+///     ..Sweep::new(
+///         || Linear::new(8, 2, &mut Rng::seed_from(2)),
+///         fault,
+///         &x,
+///         |out: &Tensor| Ok(out.sum()),
+///     )
+/// };
+/// let ladder = MonteCarloEngine::new(8, 3).execute(&sweep, &SweepControl::new())?;
+/// assert_eq!(ladder.outcome.summary().runs(), 8);
+/// # Ok::<(), invnorm_nn::NnError>(())
+/// ```
+pub struct Sweep<'a, F, E> {
+    /// Builds one model copy per worker (again after a quarantined panic).
+    pub factory: F,
+    /// The fault model and its lifetime.
+    pub fault: FaultSpec,
+    /// Whether faults land on the f32 weights or on the i8 codes.
+    pub domain: SweepDomain,
+    /// The input of every evaluation forward.
+    pub input: &'a Tensor,
+    /// Scores one realization's output.
+    pub metric: E,
+    /// Fault realizations stacked per planned forward (`≥ 1`); the parallel
+    /// engine evaluates one at a time.
+    pub batch: usize,
+    /// Rayon worker threads.
+    pub threads: usize,
 }
 
-/// Per-batch counterpart of [`Attempt`]: a fused forward is a fused failure
-/// domain, so a panic quarantines the whole batch.
-enum BatchAttempt {
-    Metrics(Result<Vec<f32>>),
-    Panicked(String),
+impl<'a, F, E> Sweep<'a, F, E> {
+    /// A sweep on the f32 weights, one realization per forward, on one
+    /// thread.
+    pub fn new(factory: F, fault: impl Into<FaultSpec>, input: &'a Tensor, metric: E) -> Self {
+        Self {
+            factory,
+            fault: fault.into(),
+            domain: SweepDomain::Weights,
+            input,
+            metric,
+            batch: 1,
+            threads: 1,
+        }
+    }
 }
 
-/// Injector dispatch shared by the sequential supervised body, so the f32
-/// and code-domain loops are literally the same code.
+/// Injector dispatch, so the f32 and code-domain loops are literally the
+/// same code.
 enum AnyInjector {
     Weights(WeightFaultInjector),
     Codes(CodeFaultInjector),
@@ -277,6 +332,17 @@ impl AnyInjector {
         match self {
             AnyInjector::Weights(i) => i.restore(network),
             AnyInjector::Codes(i) => i.restore(network),
+        }
+    }
+
+    fn realize_plan_batch<L: Layer + ?Sized>(
+        &mut self,
+        network: &mut L,
+        rngs: &mut [Rng],
+    ) -> Result<()> {
+        match self {
+            AnyInjector::Weights(i) => i.realize_plan_batch(network, rngs),
+            AnyInjector::Codes(i) => i.realize_plan_batch(network, rngs),
         }
     }
 }
@@ -309,6 +375,11 @@ impl MonteCarloEngine {
         self.runs
     }
 
+    /// Number of chip instances a parallel worker claims per steal. Small
+    /// enough to balance heterogeneous evaluation times, large enough to
+    /// amortize the atomic increment.
+    pub const CHUNK: usize = 4;
+
     /// Independent RNG stream for chip instance `run`, identical regardless of
     /// which thread (or call order) simulates it.
     fn run_rng(seed: u64, run: usize) -> Rng {
@@ -331,7 +402,8 @@ impl MonteCarloEngine {
     }
 
     /// Runs the simulation on a single network, injecting and restoring
-    /// faults around every evaluation.
+    /// faults around every evaluation — the sequential oracle every other
+    /// engine is checked against bit for bit.
     ///
     /// `evaluate` receives the faulty network and returns the metric of
     /// interest (accuracy, mIoU, RMSE, NLL, ...).
@@ -346,32 +418,42 @@ impl MonteCarloEngine {
     /// Returns an error when the fault configuration is invalid or
     /// unsupported, or when injection, evaluation or restoration fails; the
     /// network is restored to its clean weights before the error is returned
-    /// whenever possible.
-    pub fn run<F>(
+    /// whenever possible. A non-finite metric or a panicking evaluation
+    /// fails the sweep with the lowest such run (see
+    /// [`SweepOutcome::into_summary`]).
+    pub fn run<L, F>(
         &self,
-        network: &mut dyn Layer,
+        network: &mut L,
         fault: impl Into<FaultSpec>,
         evaluate: F,
     ) -> Result<MonteCarloSummary>
     where
-        F: FnMut(&mut dyn Layer) -> Result<f32>,
+        L: Layer + ?Sized,
+        F: FnMut(&mut L) -> Result<f32>,
     {
-        let outcome = self.run_seq_impl(
-            network,
-            fault.into(),
-            evaluate,
+        self.run_supervised(
             SweepDomain::Weights,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
+            network,
+            fault,
+            evaluate,
+            &SweepControl::new(),
+        )?
+        .into_summary()
     }
 
-    /// The supervised counterpart of [`MonteCarloEngine::run`]: honors the
-    /// control's [`crate::supervise::RunBudget`] between chip instances,
-    /// quarantines panicking and non-finite runs instead of failing the
-    /// sweep, and resumes from the control's checkpoint when one is given.
-    /// See [`crate::supervise`] for the full semantics.
+    /// The sequential engine in either fault domain, under `control`:
+    /// honors the control's [`crate::supervise::RunBudget`] between chip
+    /// instances, quarantines panicking and non-finite runs instead of
+    /// failing the sweep, and resumes from the control's checkpoint when one
+    /// is given. See [`crate::supervise`] for the full semantics.
+    ///
+    /// With [`SweepDomain::Codes`] each realization is injected **directly
+    /// into the i8 weight codes** (via [`CodeFaultInjector`]) of a network
+    /// built from `invnorm_nn::quantized` layers: faults land on the
+    /// representation the hardware programs, and every forward inside
+    /// `evaluate` runs through the integer GEMM on the faulty codes. Chip
+    /// instance `i` uses the same `(seed, i)` stream in both domains, so a
+    /// quantized simulation is directly comparable to its f32 counterpart.
     ///
     /// # Errors
     ///
@@ -380,48 +462,19 @@ impl MonteCarloEngine {
     /// when injection, evaluation or restoration fails *with a genuine
     /// error* (an `Err` from `evaluate` still propagates — only panics and
     /// non-finite metrics are quarantined).
-    pub fn run_supervised<F>(
+    pub fn run_supervised<L, F>(
         &self,
-        network: &mut dyn Layer,
-        fault: impl Into<FaultSpec>,
-        evaluate: F,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        F: FnMut(&mut dyn Layer) -> Result<f32>,
-    {
-        self.run_seq_impl(
-            network,
-            fault.into(),
-            evaluate,
-            SweepDomain::Weights,
-            control,
-            true,
-        )
-    }
-
-    /// Shared body of the sequential engines (`run` / `run_quantized` and
-    /// their supervised variants). `catch` is true only on the supervised
-    /// paths: the legacy entry points keep their pre-supervision panic
-    /// semantics (propagate) and map the lowest quarantined run back to the
-    /// historical error message via [`MonteCarloEngine::unwrap_legacy`].
-    fn run_seq_impl<F>(
-        &self,
-        network: &mut dyn Layer,
-        spec: FaultSpec,
-        mut evaluate: F,
         domain: SweepDomain,
+        network: &mut L,
+        fault: impl Into<FaultSpec>,
+        mut evaluate: F,
         control: &SweepControl,
-        catch: bool,
     ) -> Result<SweepOutcome>
     where
-        F: FnMut(&mut dyn Layer) -> Result<f32>,
+        L: Layer + ?Sized,
+        F: FnMut(&mut L) -> Result<f32>,
     {
-        let entry = match domain {
-            SweepDomain::Weights => "MonteCarloEngine::run",
-            SweepDomain::Codes => "MonteCarloEngine::run_quantized",
-        };
-        let fault = Self::require_static(spec, entry)?;
+        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run")?;
         let scope = RunScope::begin();
         let mut ledger = RunLedger::new(
             EngineKind::Sequential,
@@ -438,166 +491,138 @@ impl MonteCarloEngine {
             if control.budget.interrupted().is_some() {
                 break;
             }
-            // Kept in lockstep with `simulate_one` (the run_parallel inner
-            // step); they cannot share code because the `&mut dyn Layer` in
-            // `F`'s bound cannot unify with a `?Sized` type parameter
-            // (diagonal higher-ranked lifetime). Any divergence is caught by
-            // the `parallel_*_bit_identical*` tests below.
-            let mut rng = Self::run_rng(self.seed, run);
-            let mut injector = AnyInjector::new(domain, fault);
-            injector.inject(network, &mut rng)?;
-            // The user closure fuses forward and metric; span both together.
-            let result = {
-                let _span = telemetry::span(telemetry::Phase::Forward);
-                if catch {
-                    match catch_unwind(AssertUnwindSafe(|| evaluate(network))) {
-                        Ok(r) => Attempt::Metric(r),
-                        Err(payload) => Attempt::Panicked(panic_message(payload)),
-                    }
-                } else {
-                    Attempt::Metric(evaluate(network))
-                }
-            };
-            // Always restore, even if evaluation failed or panicked: the
-            // injector's snapshot is intact either way.
-            let restore_result = injector.restore(network);
-            match result {
-                Attempt::Metric(Ok(metric)) => {
-                    restore_result?;
-                    ledger.record(run, metric);
-                }
-                // A genuine evaluation error takes precedence over a
-                // restore failure, matching the historical ordering.
-                Attempt::Metric(Err(e)) => return Err(e),
-                Attempt::Panicked(message) => {
-                    restore_result?;
-                    ledger.record_panic(run, message);
-                }
-            }
+            let attempt = Self::simulate_one(network, domain, fault, self.seed, run, &mut evaluate);
+            ledger.record_attempt(run, 1, attempt.map(|r| r.map(iter::once)))?;
         }
         Ok(ledger.finish(scope, &control.budget))
     }
 
-    /// Maps a supervised outcome back onto the legacy contract: a complete,
-    /// quarantine-free sweep returns its summary, and the lowest quarantined
-    /// run reproduces the historical non-finite error message. Interrupts
-    /// cannot occur (legacy calls pass an unbounded default control).
-    fn unwrap_legacy(outcome: SweepOutcome) -> Result<MonteCarloSummary> {
-        match outcome {
-            SweepOutcome::Complete {
-                summary,
-                quarantined,
-            } => match quarantined.into_iter().min_by_key(|q| q.run) {
-                None => Ok(summary),
-                Some(q) => Err(Self::legacy_quarantine_error(&q)),
-            },
-            SweepOutcome::Interrupted { .. } => Err(NnError::Config(
-                "sweep interrupted under an unbounded budget (internal error)".into(),
-            )),
+    /// Injects, evaluates and restores a single chip instance — the inner
+    /// step of the sequential and parallel engines. A panic in `evaluate` is
+    /// caught and the clean weights are still restored; a genuine
+    /// evaluation error takes precedence over a restore failure. Depends
+    /// only on `(seed, run)`, not on which thread executes it.
+    // lint: no_alloc
+    fn simulate_one<M: Layer + ?Sized>(
+        model: &mut M,
+        domain: SweepDomain,
+        fault: FaultModel,
+        seed: u64,
+        run: usize,
+        evaluate: impl FnOnce(&mut M) -> Result<f32>,
+    ) -> Attempt<f32> {
+        let mut rng = Self::run_rng(seed, run);
+        let mut injector = AnyInjector::new(domain, fault);
+        if let Err(e) = injector.inject(model, &mut rng) {
+            return Ok(Err(e));
+        }
+        // The closure fuses forward and metric; span both together.
+        let result = {
+            let _span = telemetry::span(telemetry::Phase::Forward);
+            catch_unwind(AssertUnwindSafe(|| evaluate(model)))
+        };
+        let restored = injector.restore(model);
+        match result {
+            Ok(Err(e)) => Ok(Err(e)),
+            Ok(Ok(metric)) => Ok(restored.map(|()| metric)),
+            Err(payload) => restored.map_or_else(|e| Ok(Err(e)), |()| Err(payload)),
         }
     }
 
-    fn legacy_quarantine_error(q: &QuarantinedRun) -> NnError {
-        match &q.cause {
-            QuarantineCause::NonFinite { value } => NnError::Config(format!(
-                "evaluation returned a non-finite metric ({value}) on run {}",
-                q.run
-            )),
-            QuarantineCause::Panic { message } => {
-                NnError::Config(format!("evaluation panicked ({message}) on run {}", q.run))
-            }
-        }
-    }
-
-    /// Runs the simulation with per-worker model copies built by `factory`,
-    /// spreading chip instances over `threads` rayon workers.
+    /// Runs `sweep` on one engine, without the ladder.
     ///
-    /// This is the variant used for the larger sweeps in `invnorm-bench`;
-    /// each worker builds its own model once (factories are expected to
-    /// reproduce identical weights, e.g. by re-training with a fixed seed or
-    /// loading a shared checkpoint) and then claims chip instances in chunks
-    /// of [`MonteCarloEngine::CHUNK`] from a shared atomic counter, so slow
-    /// instances do not leave workers idle.
+    /// - [`EngineKind::Planned`]: each worker builds its model once and
+    ///   compiles it into a plan for the shape of `input`
+    ///   (`Plan::compile_batched`): one-shot shape inference, arena-backed
+    ///   buffers, and — per weighted layer — `batch` stacked faulty buffers
+    ///   with per-realization cached packed panels, all reserved at compile
+    ///   time. Per batch of chip instances, the injector materializes the
+    ///   realizations from the per-instance RNG streams straight into the
+    ///   stacked buffers ([`WeightFaultInjector::realize_plan_batch`] /
+    ///   [`CodeFaultInjector::realize_plan_batch`]; the clean weights are
+    ///   never touched) — sparse stuck-at realizations land in the packed
+    ///   panels cell by cell, drift scales the whole panel stack in place,
+    ///   dense models re-pack only dirty rows — and ONE planned forward
+    ///   evaluates the whole stack, with the cached activation panels
+    ///   streamed against every realization's weight panel. `metric` then
+    ///   scores each realization's rows of the stacked output. The stack is
+    ///   capped so every worker gets at least one batch, and a smaller tail
+    ///   batch recompiles the worker's plan. Both fault lifetimes are
+    ///   supported: under [`FaultLifetime::PerInference`] the plan
+    ///   re-realizes before every forward and disables its frozen-input
+    ///   caching; since the engine runs one forward per chip instance, the
+    ///   per-run metrics equal the static lifetime's. The network must be
+    ///   built from plan-capable layers; a layer with fault-targetable
+    ///   weights but no plan support — today only `Lstm` — is rejected with
+    ///   [`NnError::Unsupported`]. A panic quarantines its whole batch (one
+    ///   fused forward is one failure domain), and the worker rebuilds its
+    ///   model and recompiles.
+    /// - [`EngineKind::Parallel`]: every worker claims chip instances in
+    ///   chunks of [`MonteCarloEngine::CHUNK`] from a shared atomic counter
+    ///   (work stealing) and evaluates `metric(&model.forward(input,
+    ///   Mode::Eval)?)` between an inject and a restore — the sequential
+    ///   step on its own model copy, so it runs every layer. A panic
+    ///   quarantines its run and the worker rebuilds its model. It has no
+    ///   fault-lifetime model and rejects a per-inference lifetime with
+    ///   [`NnError::FaultUnsupported`].
+    /// - [`EngineKind::Sequential`] needs a network, not a factory: it is
+    ///   rejected with [`NnError::FaultUnsupported`]; call
+    ///   [`MonteCarloEngine::run_supervised`].
     ///
-    /// Because instance `i` always uses the RNG stream derived from
-    /// `(seed, i)` and writes metric slot `i`, the result is bit-identical to
-    /// [`MonteCarloEngine::run`] on an identically-weighted model, for every
-    /// thread count and schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when any instance fails; with several failures, the
-    /// error of the lowest-indexed failing instance is returned (matching
-    /// what the sequential engine would report first).
-    pub fn run_parallel<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        evaluate: E,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&mut M) -> Result<f32> + Sync,
-    {
-        let outcome = self.run_parallel_impl(
-            factory,
-            fault.into(),
-            evaluate,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of [`MonteCarloEngine::run_parallel`]:
-    /// workers honor the control's budget between chip instances, a
-    /// panicking run is quarantined (the worker rebuilds its model from the
-    /// factory and keeps claiming work — the pool survives), non-finite
-    /// metrics are quarantined at record time, and the control's checkpoint
-    /// resumes only the missing instances. See [`crate::supervise`].
+    /// Both engines use the `(seed, i)` stream of instance `i` and write its
+    /// metric slot, so their per-run metrics are **bit-identical** to
+    /// [`MonteCarloEngine::run_supervised`] evaluating
+    /// `metric(network.forward(input))` in the same domain, for every batch
+    /// size and thread count. Networks that are stochastic at evaluation time
+    /// are not reproducible across engines. Budgets, quarantine and resume
+    /// follow `control` (see [`crate::supervise`]); a resumed batch re-runs
+    /// whole and the ledger ignores its re-records.
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloEngine::run_supervised`]; with several genuine
-    /// errors, the lowest-indexed failing instance is reported.
-    pub fn run_parallel_supervised<M, F, E>(
+    /// Returns an error when the fault configuration is invalid or
+    /// unsupported, when a resume checkpoint does not match this sweep and
+    /// engine, or when compilation, injection, evaluation or the metric
+    /// fails with a genuine error; with several, the lowest-indexed failing
+    /// instance (or batch) is reported.
+    pub fn execute_on<M, F, E>(
         &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        evaluate: E,
-        threads: usize,
+        engine: EngineKind,
+        sweep: &Sweep<'_, F, E>,
         control: &SweepControl,
     ) -> Result<SweepOutcome>
     where
         M: Layer + Send,
         F: Fn() -> M + Sync,
-        E: Fn(&mut M) -> Result<f32> + Sync,
+        E: Fn(&Tensor) -> Result<f32> + Sync,
     {
-        self.run_parallel_impl(factory, fault.into(), evaluate, threads, control, true)
+        match engine {
+            EngineKind::Planned => self.planned_body(sweep, control),
+            EngineKind::Parallel => self.parallel_body(sweep, control),
+            EngineKind::Sequential => Err(NnError::fault_unsupported(
+                "the sequential engine",
+                "a factory-driven sweep (it runs one network: call \
+                 MonteCarloEngine::run_supervised)",
+            )),
+        }
     }
 
-    fn run_parallel_impl<M, F, E>(
+    /// The parallel engine body (see [`MonteCarloEngine::execute_on`]).
+    fn parallel_body<M, F, E>(
         &self,
-        factory: F,
-        spec: FaultSpec,
-        evaluate: E,
-        threads: usize,
+        sweep: &Sweep<'_, F, E>,
         control: &SweepControl,
-        catch: bool,
     ) -> Result<SweepOutcome>
     where
         M: Layer + Send,
         F: Fn() -> M + Sync,
-        E: Fn(&mut M) -> Result<f32> + Sync,
+        E: Fn(&Tensor) -> Result<f32> + Sync,
     {
-        let fault = Self::require_static(spec, "MonteCarloEngine::run_parallel")?;
+        let fault = Self::require_static(sweep.fault, "the parallel engine")?;
         let scope = RunScope::begin();
         let mut ledger = RunLedger::new(
             EngineKind::Parallel,
-            SweepDomain::Weights,
+            sweep.domain,
             self.seed,
             self.runs,
             fault.label(),
@@ -605,22 +630,21 @@ impl MonteCarloEngine {
         )?;
         let done = ledger.done_mask();
         let budget = &control.budget;
-        let threads = threads.clamp(1, self.runs);
-        let n_chunks = self.runs.div_ceil(Self::CHUNK);
-        let seed = self.seed;
-        let runs = self.runs;
+        let (seed, runs, domain, input) = (self.seed, self.runs, sweep.domain, sweep.input);
+        let threads = sweep.threads.clamp(1, runs);
+        let n_chunks = runs.div_ceil(Self::CHUNK);
         let next_chunk = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Attempt)>> = Mutex::new(Vec::with_capacity(runs));
+        let collected: Mutex<Vec<(usize, Attempt<f32>)>> = Mutex::new(Vec::with_capacity(runs));
         rayon::scope(|s| {
             for _ in 0..threads {
                 let next_chunk = &next_chunk;
                 let collected = &collected;
-                let factory = &factory;
-                let evaluate = &evaluate;
+                let factory = &sweep.factory;
+                let metric = &sweep.metric;
                 let done = &done;
                 s.spawn(move || {
                     let mut model = factory();
-                    let mut local: Vec<(usize, Attempt)> = Vec::new();
+                    let mut local: Vec<(usize, Attempt<f32>)> = Vec::new();
                     'steal: loop {
                         let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
                         if chunk >= n_chunks {
@@ -635,27 +659,16 @@ impl MonteCarloEngine {
                             if budget.interrupted().is_some() {
                                 break 'steal;
                             }
-                            if catch {
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    Self::simulate_one(&mut model, fault, seed, run, evaluate)
-                                })) {
-                                    Ok(r) => local.push((run, Attempt::Metric(r))),
-                                    Err(payload) => {
-                                        local
-                                            .push((run, Attempt::Panicked(panic_message(payload))));
-                                        // The panic left the model in an
-                                        // unknown state; rebuild it.
-                                        model = factory();
-                                    }
-                                }
-                            } else {
-                                local.push((
-                                    run,
-                                    Attempt::Metric(Self::simulate_one(
-                                        &mut model, fault, seed, run, evaluate,
-                                    )),
-                                ));
+                            let attempt =
+                                Self::simulate_one(&mut model, domain, fault, seed, run, |m| {
+                                    metric(&m.forward(input, Mode::Eval)?)
+                                });
+                            if attempt.is_err() {
+                                // The panic left the model in an unknown
+                                // state; rebuild it.
+                                model = factory();
                             }
+                            local.push((run, attempt));
                         }
                     }
                     collected
@@ -670,188 +683,15 @@ impl MonteCarloEngine {
             .expect("monte-carlo result lock poisoned");
         collected.sort_by_key(|(run, _)| *run);
         for (run, attempt) in collected {
-            match attempt {
-                Attempt::Metric(Ok(metric)) => ledger.record(run, metric),
-                // Lowest-indexed genuine error wins (the drain is sorted).
-                Attempt::Metric(Err(e)) => return Err(e),
-                Attempt::Panicked(message) => ledger.record_panic(run, message),
-            }
+            ledger.record_attempt(run, 1, attempt.map(|r| r.map(iter::once)))?;
         }
         Ok(ledger.finish(scope, budget))
     }
 
-    /// Number of chip instances a worker claims per steal. Small enough to
-    /// balance heterogeneous evaluation times, large enough to amortize the
-    /// atomic increment.
-    pub const CHUNK: usize = 4;
-
-    /// Runs the simulation on a **quantized** network, injecting each fault
-    /// realization **directly into the i8 weight codes**
-    /// (via [`CodeFaultInjector`]) instead of the f32 parameters. This is
-    /// the protocol for integer-inference models built from
-    /// `invnorm_nn::quantized` layers: faults are applied on the
-    /// representation the hardware programs, and every forward pass inside
-    /// `evaluate` runs through the integer GEMM on the faulty codes.
-    ///
-    /// Chip instance `i` uses the same `(seed, i)`-derived RNG stream as
-    /// [`MonteCarloEngine::run`], so a quantized simulation is directly
-    /// comparable to its f32 counterpart run with the same engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when injection, evaluation or restoration fails, or
-    /// when a metric is non-finite; the clean codes are restored before the
-    /// error is returned whenever possible.
-    pub fn run_quantized<F>(
+    /// The planned engine body (see [`MonteCarloEngine::execute_on`]).
+    fn planned_body<M, F, E>(
         &self,
-        network: &mut dyn Layer,
-        fault: impl Into<FaultSpec>,
-        evaluate: F,
-    ) -> Result<MonteCarloSummary>
-    where
-        F: FnMut(&mut dyn Layer) -> Result<f32>,
-    {
-        let outcome = self.run_seq_impl(
-            network,
-            fault.into(),
-            evaluate,
-            SweepDomain::Codes,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of [`MonteCarloEngine::run_quantized`]:
-    /// same code-domain protocol, plus budgets, quarantine and resume — see
-    /// [`MonteCarloEngine::run_supervised`] and [`crate::supervise`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    pub fn run_quantized_supervised<F>(
-        &self,
-        network: &mut dyn Layer,
-        fault: impl Into<FaultSpec>,
-        evaluate: F,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        F: FnMut(&mut dyn Layer) -> Result<f32>,
-    {
-        self.run_seq_impl(
-            network,
-            fault.into(),
-            evaluate,
-            SweepDomain::Codes,
-            control,
-            true,
-        )
-    }
-
-    /// Runs the simulation on **compiled inference plans with B fault
-    /// realizations fused into each forward pass** (`batch ≥ 1`).
-    ///
-    /// Each worker builds its model once and compiles it into a plan for
-    /// the shape of `input` (`Plan::compile_batched`): one-shot shape
-    /// inference, arena-backed buffers, and — per weighted layer — `batch`
-    /// stacked faulty buffers with per-realization cached packed panels,
-    /// all reserved at compile time. Per batch of chip instances, the
-    /// injector materializes the realizations from the sequential
-    /// per-instance RNG streams straight into the stacked buffers
-    /// ([`WeightFaultInjector::realize_plan_batch`]; the clean weights are
-    /// never touched, so there is no snapshot/restore) — sparse stuck-at
-    /// realizations land in the packed panels cell by cell, drift scales
-    /// the whole panel stack in place, dense models re-pack only dirty rows
-    /// — and ONE planned forward evaluates the whole stack, with the cached
-    /// activation panels (packed/unfolded/quantized once per simulation,
-    /// not once per batch) streamed against every realization's weight
-    /// panel. `metric` then scores each realization's rows of the stacked
-    /// output. Batches are distributed over `threads` rayon workers exactly
-    /// like [`MonteCarloEngine::run_parallel`] distributes instances.
-    ///
-    /// `batch = 1` evaluates one realization per forward; larger stacks
-    /// share each forward's input-derived work across realizations. The
-    /// stack is capped so every worker gets at least one batch, and a
-    /// smaller tail batch recompiles the worker's plan.
-    ///
-    /// Chip instance `i` perturbs its weights with the same `(seed, i)`
-    /// derived streams as [`MonteCarloEngine::run`], and realization `b`'s
-    /// rows of the stacked output are arithmetically identical to a direct
-    /// forward on its faulty weights, so the per-run metrics are
-    /// **bit-identical** to the sequential engine evaluating
-    /// `metric(network.forward(input))` — for every batch size and thread
-    /// count (tested for all eight fault models).
-    ///
-    /// The network must be built from plan-capable layers (the dense, conv,
-    /// quantized, container, activation, pooling, reshape, upsampling and
-    /// norm layers); a layer with fault-targetable weights but no plan
-    /// support — today only `Lstm` — is rejected loudly with
-    /// `NnError::Unsupported`. Networks that are stochastic at evaluation
-    /// time are not reproducible against the sequential engine.
-    ///
-    /// Both fault lifetimes are supported: pass a [`FaultSpec`] with
-    /// [`FaultLifetime::PerInference`] (e.g. transient read noise) and the
-    /// plan re-realizes before every forward and disables its frozen-input
-    /// caching, so each forward sees a fresh realization. Since this engine
-    /// runs exactly one forward per chip instance, per-run metrics remain
-    /// bit-identical to the static lifetime — the lifetime only changes
-    /// behavior for callers driving several forwards per realization.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when compilation, injection, evaluation or the
-    /// metric fails, or when a metric is non-finite; with several failures,
-    /// the error of the lowest-indexed failing batch is returned.
-    pub fn run_planned<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let outcome = self.run_planned_in(
-            SweepDomain::Weights,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of [`MonteCarloEngine::run_planned`]:
-    /// workers honor the [`SweepControl`] budget between batches, and the
-    /// control's checkpoint resumes only batches with missing instances
-    /// (a partially-done batch re-runs whole; deterministic streams make
-    /// the replayed values identical). Because a batch shares one fused
-    /// forward, the whole batch is its failure domain: a panic quarantines
-    /// every instance in it, and the worker drops its plan, rebuilds its
-    /// model and recompiles — the pool survives. See [`crate::supervise`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
+        sweep: &Sweep<'_, F, E>,
         control: &SweepControl,
     ) -> Result<SweepOutcome>
     where
@@ -859,118 +699,10 @@ impl MonteCarloEngine {
         F: Fn() -> M + Sync,
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
-        self.run_planned_in(
-            SweepDomain::Weights,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    /// The **quantized** counterpart of [`MonteCarloEngine::run_planned`]:
-    /// realizations land directly in the plan's stacked i8 code buffers
-    /// (via [`CodeFaultInjector::realize_plan_batch`] streams),
-    /// per-realization dirty code rows drive the panel re-packing, and the
-    /// fused planned forward stays in the integer domain. Per-run metrics
-    /// are bit-identical to [`MonteCarloEngine::run_quantized`] evaluating
-    /// `metric(network.forward(input))`.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_planned`].
-    pub fn run_planned_quantized<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let outcome = self.run_planned_in(
-            SweepDomain::Codes,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            &SweepControl::default(),
-            false,
-        )?;
-        Self::unwrap_legacy(outcome)
-    }
-
-    /// The supervised counterpart of
-    /// [`MonteCarloEngine::run_planned_quantized`] — see
-    /// [`MonteCarloEngine::run_planned_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloEngine::run_supervised`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_planned_quantized_supervised<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        self.run_planned_in(
-            SweepDomain::Codes,
-            factory,
-            fault.into(),
-            input,
-            metric,
-            batch,
-            threads,
-            control,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_planned_in<M, F, E>(
-        &self,
-        domain: SweepDomain,
-        factory: F,
-        spec: FaultSpec,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        control: &SweepControl,
-        catch: bool,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        spec.model.validate()?;
+        sweep.fault.model.validate()?;
         let scope = RunScope::begin();
-        let fault = spec.model;
-        let lifetime = spec.lifetime;
-        let runs = self.runs;
-        let seed = self.seed;
+        let (fault, lifetime) = (sweep.fault.model, sweep.fault.lifetime);
+        let (seed, runs, domain, input) = (self.seed, self.runs, sweep.domain, sweep.input);
         let mut ledger = RunLedger::new(
             EngineKind::Planned,
             domain,
@@ -985,21 +717,22 @@ impl MonteCarloEngine {
         // per-run metrics depend only on `(seed, run)`, so regrouping runs
         // into smaller stacks is bit-identical — but leaving workers idle
         // is pure wall-clock loss.
-        let batch = batch
+        let batch = sweep
+            .batch
             .clamp(1, runs)
-            .min(runs.div_ceil(threads.max(1)))
+            .min(runs.div_ceil(sweep.threads.max(1)))
             .max(1);
         let n_batches = runs.div_ceil(batch);
-        let threads = threads.clamp(1, n_batches);
+        let threads = sweep.threads.clamp(1, n_batches);
         let next_batch = AtomicUsize::new(0);
-        type BatchEntry = (usize, usize, BatchAttempt);
+        type BatchEntry = (usize, usize, Attempt<Vec<f32>>);
         let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::with_capacity(n_batches));
         rayon::scope(|s| {
             for _ in 0..threads {
                 let next_batch = &next_batch;
                 let collected = &collected;
-                let factory = &factory;
-                let metric = &metric;
+                let factory = &sweep.factory;
+                let metric = &sweep.metric;
                 let done = &done;
                 s.spawn(move || {
                     let mut model = factory();
@@ -1044,7 +777,7 @@ impl MonteCarloEngine {
                                     plan = Some(p);
                                 }
                                 Err(e) => {
-                                    local.push((start, bsize, BatchAttempt::Metrics(Err(e))));
+                                    local.push((start, bsize, Ok(Err(e))));
                                     break;
                                 }
                             }
@@ -1052,49 +785,27 @@ impl MonteCarloEngine {
                         let plan_ref = plan.as_mut().expect("plan compiled above");
                         rngs.clear();
                         rngs.extend((0..bsize).map(|i| Self::run_rng(seed, start + i)));
-                        if catch {
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                Self::simulate_planned_batch(
-                                    &mut model,
-                                    plan_ref,
-                                    domain,
-                                    fault,
-                                    &mut rngs,
-                                    &mut realization,
-                                    metric,
-                                )
-                            })) {
-                                Ok(r) => local.push((start, bsize, BatchAttempt::Metrics(r))),
-                                Err(payload) => {
-                                    local.push((
-                                        start,
-                                        bsize,
-                                        BatchAttempt::Panicked(panic_message(payload)),
-                                    ));
-                                    // The panic left the model, its plan and
-                                    // the staging tensor in an unknown state;
-                                    // rebuild everything (the next claimed
-                                    // batch recompiles lazily).
-                                    plan = None;
-                                    model = factory();
-                                    realization = None;
-                                }
-                            }
-                        } else {
-                            local.push((
-                                start,
-                                bsize,
-                                BatchAttempt::Metrics(Self::simulate_planned_batch(
-                                    &mut model,
-                                    plan_ref,
-                                    domain,
-                                    fault,
-                                    &mut rngs,
-                                    &mut realization,
-                                    metric,
-                                )),
-                            ));
+                        let attempt = catch_unwind(AssertUnwindSafe(|| {
+                            Self::simulate_planned_batch(
+                                &mut model,
+                                plan_ref,
+                                domain,
+                                fault,
+                                &mut rngs,
+                                &mut realization,
+                                metric,
+                            )
+                        }));
+                        if attempt.is_err() {
+                            // The panic left the model, its plan and the
+                            // staging tensor in an unknown state; rebuild
+                            // everything (the next claimed batch recompiles
+                            // lazily).
+                            plan = None;
+                            model = factory();
+                            realization = None;
                         }
+                        local.push((start, bsize, attempt));
                     }
                     model.plan_end();
                     collected
@@ -1109,20 +820,7 @@ impl MonteCarloEngine {
             .expect("monte-carlo result lock poisoned");
         collected.sort_by_key(|(start, _, _)| *start);
         for (start, bsize, attempt) in collected {
-            match attempt {
-                BatchAttempt::Metrics(Ok(metrics)) => {
-                    for (offset, metric) in metrics.into_iter().enumerate() {
-                        ledger.record(start + offset, metric);
-                    }
-                }
-                // Lowest-indexed genuine error wins (the drain is sorted).
-                BatchAttempt::Metrics(Err(e)) => return Err(e),
-                BatchAttempt::Panicked(message) => {
-                    for run in start..start + bsize {
-                        ledger.record_panic(run, message.clone());
-                    }
-                }
-            }
+            ledger.record_attempt(start, bsize, attempt)?;
         }
         Ok(ledger.finish(scope, budget))
     }
@@ -1143,14 +841,7 @@ impl MonteCarloEngine {
         metric: &impl Fn(&Tensor) -> Result<f32>,
     ) -> Result<Vec<f32>> {
         let bsize = rngs.len();
-        match domain {
-            SweepDomain::Weights => {
-                WeightFaultInjector::new_unchecked(fault).realize_plan_batch(model, rngs)?;
-            }
-            SweepDomain::Codes => {
-                CodeFaultInjector::new_unchecked(fault).realize_plan_batch(model, rngs)?;
-            }
-        }
+        AnyInjector::new(domain, fault).realize_plan_batch(model, rngs)?;
         let out = {
             let _span = telemetry::span(telemetry::Phase::Forward);
             plan.forward(model)?
@@ -1181,180 +872,45 @@ impl MonteCarloEngine {
         Ok(metrics)
     }
 
-    /// Injects, evaluates and restores a single chip instance — the inner
-    /// step of [`MonteCarloEngine::run_parallel`], kept in lockstep with the
-    /// loop body of [`MonteCarloEngine::run`] (see the comment there for why
-    /// they cannot literally share code). Depends only on `(seed, run)`, not
-    /// on which thread executes it.
-    // lint: no_alloc
-    fn simulate_one<M: Layer + ?Sized>(
-        model: &mut M,
-        fault: FaultModel,
-        seed: u64,
-        run: usize,
-        evaluate: impl FnOnce(&mut M) -> Result<f32>,
-    ) -> Result<f32> {
-        let mut rng = Self::run_rng(seed, run);
-        let mut injector = WeightFaultInjector::new_unchecked(fault);
-        injector.inject(model, &mut rng)?;
-        // The user closure fuses forward and metric; span both together.
-        let result = {
-            let _span = telemetry::span(telemetry::Phase::Forward);
-            evaluate(model)
-        };
-        // Always restore, even if evaluation failed.
-        let restore_result = injector.restore(model);
-        let metric = result?;
-        restore_result?;
-        Ok(metric)
-    }
-
-    /// Runs the simulation on the fastest engine that supports the fault
-    /// configuration and the network, degrading gracefully down the ladder
-    /// `run_planned` → `run_parallel` and reporting every skipped rung with
-    /// a typed reason.
+    /// Runs `sweep` on the fastest engine that supports its fault
+    /// configuration and network, degrading down the ladder planned →
+    /// parallel and reporting every skipped rung with a typed reason.
     ///
     /// Two kinds of capability gaps trigger a fallback:
     ///
     /// - **Lifetime**: a per-inference fault lifetime is only honored by the
-    ///   planned engine (the plan re-realizes before every forward and
-    ///   disables frozen-input caching); `run_parallel` is skipped
-    ///   pre-flight with [`FallbackReason::Lifetime`].
+    ///   planned engine; the parallel rung is skipped pre-flight with
+    ///   [`FallbackReason::Lifetime`].
     /// - **Layer support**: a layer that rejects compiled plans (today only
     ///   `Lstm`) surfaces as [`NnError::Unsupported`], recorded as
-    ///   [`FallbackReason::Unsupported`]; the ladder continues downward.
-    ///   `run_parallel` at the bottom supports every layer.
+    ///   [`FallbackReason::Unsupported`]; the ladder continues downward. The
+    ///   parallel rung at the bottom supports every layer.
     ///
     /// Per-run metrics are **bit-identical** across both rungs for every
     /// configuration both engines support, so degrading never changes the
-    /// reported statistics — only throughput. Under
-    /// [`DegradationPolicy::Strict`] no fallback happens: the planned
-    /// engine runs and any error propagates loudly, preserving the
-    /// pre-ladder behavior.
-    ///
-    /// # Errors
-    ///
-    /// Returns the planned engine's error under `Strict`; under `Graceful`,
-    /// propagates the first non-capability error immediately, and returns
-    /// [`NnError::FaultUnsupported`] listing every rung's reason when the
-    /// whole ladder is exhausted (e.g. an unplannable layer combined with a
-    /// per-inference lifetime). Also fails when the fault model itself is
-    /// invalid, or when any metric is non-finite.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_auto<M, F, E>(
-        &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        policy: DegradationPolicy,
-    ) -> Result<LadderOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let spec = fault.into();
-        spec.model.validate()?;
-        if policy == DegradationPolicy::Strict {
-            let summary = self.run_planned(factory, spec, input, metric, batch, threads)?;
-            return Ok(LadderOutcome {
-                summary,
-                engine: EngineKind::Planned,
-                fallbacks: Vec::new(),
-            });
-        }
-        let mut fallbacks: Vec<FallbackStep> = Vec::new();
-        for engine in [EngineKind::Planned, EngineKind::Parallel] {
-            // Pre-flight: the direct engine has no fault-lifetime model (its
-            // realizations outlive a forward pass), so a per-inference
-            // lifetime cannot reach it.
-            if spec.lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel {
-                telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                fallbacks.push(FallbackStep {
-                    engine,
-                    reason: FallbackReason::Lifetime,
-                });
-                continue;
-            }
-            let result = match engine {
-                EngineKind::Planned => {
-                    self.run_planned(&factory, spec, input, &metric, batch, threads)
-                }
-                EngineKind::Parallel => self.run_parallel(
-                    &factory,
-                    spec,
-                    |m: &mut M| {
-                        let out = m.forward(input, Mode::Eval)?;
-                        metric(&out)
-                    },
-                    threads,
-                ),
-                EngineKind::Sequential => unreachable!("the ladder never visits run"),
-            };
-            match result {
-                Ok(summary) => {
-                    return Ok(LadderOutcome {
-                        summary,
-                        engine,
-                        fallbacks,
-                    })
-                }
-                // A capability gap, not a failure: record it and degrade.
-                Err(NnError::Unsupported { layer, op }) => {
-                    telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                    fallbacks.push(FallbackStep {
-                        engine,
-                        reason: FallbackReason::Unsupported { layer, op },
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let reasons = fallbacks
-            .iter()
-            .map(|step| format!("{} ({})", step.engine.name(), step.reason))
-            .collect::<Vec<_>>()
-            .join(", ");
-        Err(NnError::fault_unsupported(
-            "MonteCarloEngine::run_auto",
-            format!("the fault configuration on any engine: {reasons}"),
-        ))
-    }
-
-    /// The supervised counterpart of [`MonteCarloEngine::run_auto`]: the same
-    /// graceful-degradation ladder, but every rung honors the
-    /// [`SweepControl`] budget (deadline / cancellation), quarantines
-    /// panicking or non-finite runs instead of aborting the sweep, and an
-    /// interrupted sweep returns a [`SweepCheckpoint`] in
-    /// [`SweepOutcome::Interrupted`].
+    /// reported statistics — only throughput.
     ///
     /// When `control.resume` carries a checkpoint, the ladder is **not**
     /// consulted: the checkpoint pins the engine that produced it (resuming
     /// on a different rung would be answering a different question about
     /// which engine's failure domains quarantined which runs), so the sweep
     /// resumes directly on `checkpoint.engine` with an empty fallback
-    /// report. A checkpoint taken from one of the sequential entry points is
-    /// rejected with [`CheckpointFault::Mismatch`] — `run_auto_supervised`
-    /// never produces one, so being handed one is a caller bug.
+    /// report, and the engine's ledger rejects a checkpoint whose domain,
+    /// seed, run count or fault label differ from `sweep`. A checkpoint
+    /// taken from the sequential engine is rejected with
+    /// [`CheckpointFault::Mismatch`] — the ladder never produces one, so
+    /// being handed one is a caller bug.
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloEngine::run_auto`]; additionally fails with a typed
-    /// [`NnError::Checkpoint`] when the resume checkpoint does not match the
-    /// sweep configuration.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_auto_supervised<M, F, E>(
+    /// Propagates the first non-capability error immediately, and returns
+    /// [`NnError::FaultUnsupported`] listing every rung's reason when the
+    /// whole ladder is exhausted (e.g. an unplannable layer combined with a
+    /// per-inference lifetime). Fails with a typed [`NnError::Checkpoint`]
+    /// when the resume checkpoint does not match the sweep.
+    pub fn execute<M, F, E>(
         &self,
-        factory: F,
-        fault: impl Into<FaultSpec>,
-        input: &Tensor,
-        metric: E,
-        batch: usize,
-        threads: usize,
-        policy: DegradationPolicy,
+        sweep: &Sweep<'_, F, E>,
         control: &SweepControl,
     ) -> Result<SupervisedLadderOutcome>
     where
@@ -1362,61 +918,29 @@ impl MonteCarloEngine {
         F: Fn() -> M + Sync,
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
-        let spec = fault.into();
-        spec.model.validate()?;
         if let Some(checkpoint) = control.resume.as_ref() {
             let engine = checkpoint.engine;
-            let outcome = match engine {
-                EngineKind::Planned => self.run_planned_in(
-                    checkpoint.domain,
-                    factory,
-                    spec,
-                    input,
-                    metric,
-                    batch,
-                    threads,
-                    control,
-                    true,
-                )?,
-                EngineKind::Parallel => self.run_parallel_supervised(
-                    factory,
-                    spec,
-                    |m: &mut M| {
-                        let out = m.forward(input, Mode::Eval)?;
-                        metric(&out)
-                    },
-                    threads,
-                    control,
-                )?,
-                EngineKind::Sequential => {
-                    return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
-                        field: "engine",
-                        expected: "a ladder engine (run_auto_supervised never runs \
-                                   the sequential engine)"
-                            .into(),
-                        got: engine.name().into(),
-                    }))
-                }
-            };
+            if engine == EngineKind::Sequential {
+                return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                    field: "engine",
+                    expected: "a ladder engine (the ladder never runs the sequential engine)"
+                        .into(),
+                    got: engine.name().into(),
+                }));
+            }
             return Ok(SupervisedLadderOutcome {
-                outcome,
+                outcome: self.execute_on(engine, sweep, control)?,
                 engine,
-                fallbacks: Vec::new(),
-            });
-        }
-        if policy == DegradationPolicy::Strict {
-            let outcome =
-                self.run_planned_supervised(factory, spec, input, metric, batch, threads, control)?;
-            return Ok(SupervisedLadderOutcome {
-                outcome,
-                engine: EngineKind::Planned,
                 fallbacks: Vec::new(),
             });
         }
         let mut fallbacks: Vec<FallbackStep> = Vec::new();
         for engine in [EngineKind::Planned, EngineKind::Parallel] {
-            // Pre-flight: same lifetime capability gap as the legacy ladder.
-            if spec.lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel {
+            // Pre-flight: the parallel engine has no fault-lifetime model
+            // (its realizations outlive a forward pass), so a per-inference
+            // lifetime cannot reach it.
+            if sweep.fault.lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel
+            {
                 telemetry::count(telemetry::Counter::LadderFallbacks, 1);
                 fallbacks.push(FallbackStep {
                     engine,
@@ -1424,23 +948,7 @@ impl MonteCarloEngine {
                 });
                 continue;
             }
-            let result = match engine {
-                EngineKind::Planned => self.run_planned_supervised(
-                    &factory, spec, input, &metric, batch, threads, control,
-                ),
-                EngineKind::Parallel => self.run_parallel_supervised(
-                    &factory,
-                    spec,
-                    |m: &mut M| {
-                        let out = m.forward(input, Mode::Eval)?;
-                        metric(&out)
-                    },
-                    threads,
-                    control,
-                ),
-                EngineKind::Sequential => unreachable!("the ladder never visits run"),
-            };
-            match result {
+            match self.execute_on(engine, sweep, control) {
                 Ok(outcome) => {
                     return Ok(SupervisedLadderOutcome {
                         outcome,
@@ -1465,9 +973,59 @@ impl MonteCarloEngine {
             .collect::<Vec<_>>()
             .join(", ");
         Err(NnError::fault_unsupported(
-            "MonteCarloEngine::run_auto",
+            "MonteCarloEngine::execute",
             format!("the fault configuration on any engine: {reasons}"),
         ))
+    }
+
+    /// [`MonteCarloEngine::execute`] on an f32-weight sweep of `batch`
+    /// stacked realizations over `threads` workers, returning a plain
+    /// summary: [`DegradationPolicy::Graceful`] walks the ladder,
+    /// [`DegradationPolicy::Strict`] runs
+    /// [`MonteCarloEngine::execute_on`] with [`EngineKind::Planned`] and
+    /// propagates its error loudly. The outcome maps through
+    /// [`SweepOutcome::into_summary`].
+    ///
+    /// # Errors
+    ///
+    /// See [`MonteCarloEngine::execute`] and
+    /// [`SweepOutcome::into_summary`]; under `Strict`, returns the planned
+    /// engine's error.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_auto<M, F, E>(
+        &self,
+        factory: F,
+        fault: impl Into<FaultSpec>,
+        input: &Tensor,
+        metric: E,
+        batch: usize,
+        threads: usize,
+        policy: DegradationPolicy,
+    ) -> Result<LadderOutcome>
+    where
+        M: Layer + Send,
+        F: Fn() -> M + Sync,
+        E: Fn(&Tensor) -> Result<f32> + Sync,
+    {
+        let sweep = Sweep {
+            batch,
+            threads,
+            ..Sweep::new(factory, fault, input, metric)
+        };
+        let control = SweepControl::new();
+        let ladder = match policy {
+            DegradationPolicy::Graceful => self.execute(&sweep, &control)?,
+            DegradationPolicy::Strict => SupervisedLadderOutcome {
+                outcome: self.execute_on(EngineKind::Planned, &sweep, &control)?,
+                engine: EngineKind::Planned,
+                fallbacks: Vec::new(),
+            },
+        };
+        Ok(LadderOutcome {
+            summary: ladder.outcome.into_summary()?,
+            engine: ladder.engine,
+            fallbacks: ladder.fallbacks,
+        })
     }
 }
 
@@ -1491,6 +1049,41 @@ mod tests {
         net.push(Box::new(Linear::new(4, 4, &mut rng)));
         net.push(Box::new(Linear::new(4, 2, &mut rng)));
         net
+    }
+
+    /// `sweep` on one engine under a default control, as a plain summary.
+    fn sweep_on<M, F, E>(
+        mc: &MonteCarloEngine,
+        engine: EngineKind,
+        sweep: &Sweep<'_, F, E>,
+    ) -> Result<MonteCarloSummary>
+    where
+        M: Layer + Send,
+        F: Fn() -> M + Sync,
+        E: Fn(&Tensor) -> Result<f32> + Sync,
+    {
+        mc.execute_on(engine, sweep, &SweepControl::new())?
+            .into_summary()
+    }
+
+    /// The sequential engine on the i8 codes, as a plain summary.
+    fn run_codes<F>(
+        mc: &MonteCarloEngine,
+        network: &mut Sequential,
+        fault: impl Into<FaultSpec>,
+        evaluate: F,
+    ) -> Result<MonteCarloSummary>
+    where
+        F: FnMut(&mut Sequential) -> Result<f32>,
+    {
+        mc.run_supervised(
+            SweepDomain::Codes,
+            network,
+            fault,
+            evaluate,
+            &SweepControl::new(),
+        )?
+        .into_summary()
     }
 
     #[test]
@@ -1577,15 +1170,15 @@ mod tests {
         let sequential = engine
             .run(&mut net, fault, |n| Ok(n.forward(&x, Mode::Eval)?.sum()))
             .unwrap();
-        let x_par = x.clone();
-        let parallel = engine
-            .run_parallel(
-                || simple_net(15),
-                fault,
-                move |n| Ok(n.forward(&x_par, Mode::Eval)?.sum()),
-                4,
-            )
-            .unwrap();
+        let parallel = sweep_on(
+            &engine,
+            EngineKind::Parallel,
+            &Sweep {
+                threads: 4,
+                ..Sweep::new(|| simple_net(15), fault, &x, |out: &Tensor| Ok(out.sum()))
+            },
+        )
+        .unwrap();
         assert_eq!(parallel.runs(), sequential.runs());
         // Same seeds and same model weights → per-run metrics bit-identical
         // to the sequential engine, in run order, regardless of which thread
@@ -1604,14 +1197,11 @@ mod tests {
             bits: 8,
         };
         let run_with = |threads: usize| {
-            let x = x.clone();
-            engine
-                .run_parallel(
-                    || simple_net(22),
-                    fault,
-                    move |n: &mut Sequential| Ok(n.forward(&x, Mode::Eval)?.sum()),
-                    threads,
-                )
+            let sweep = Sweep {
+                threads,
+                ..Sweep::new(|| simple_net(22), fault, &x, |out: &Tensor| Ok(out.sum()))
+            };
+            sweep_on(&engine, EngineKind::Parallel, &sweep)
                 .unwrap()
                 .per_run
         };
@@ -1629,21 +1219,36 @@ mod tests {
     #[test]
     fn parallel_error_reports_lowest_failing_run() {
         let engine = MonteCarloEngine::new(8, 5);
-        let result = engine.run_parallel(
-            || simple_net(23),
-            FaultModel::None,
-            |_n: &mut Sequential| Err(NnError::Config("boom".into())),
-            4,
+        let x = Tensor::ones(&[2, 4]);
+        let result = sweep_on(
+            &engine,
+            EngineKind::Parallel,
+            &Sweep {
+                threads: 4,
+                ..Sweep::new(
+                    || simple_net(23),
+                    FaultModel::None,
+                    &x,
+                    |_out: &Tensor| Err(NnError::Config("boom".into())),
+                )
+            },
         );
         assert!(result.is_err());
         // Every instance yields a non-finite metric; the reported error must
         // name the lowest-indexed instance (run 0) no matter which worker
         // finished first — the documented error-ordering contract.
-        let result = engine.run_parallel(
-            || simple_net(23),
-            FaultModel::AdditiveVariation { sigma: 0.1 },
-            |_n: &mut Sequential| Ok(f32::NAN),
-            4,
+        let result = sweep_on(
+            &engine,
+            EngineKind::Parallel,
+            &Sweep {
+                threads: 4,
+                ..Sweep::new(
+                    || simple_net(23),
+                    FaultModel::AdditiveVariation { sigma: 0.1 },
+                    &x,
+                    |_out: &Tensor| Ok(f32::NAN),
+                )
+            },
         );
         let err = result.unwrap_err().to_string();
         assert!(err.contains("on run 0"), "unexpected error: {err}");
@@ -1723,11 +1328,10 @@ mod tests {
             })
             .unwrap();
         let cq = clean_q.clone();
-        let quant_summary = engine
-            .run_quantized(&mut qnet, fault, |n| {
-                Ok(n.forward(&x, Mode::Eval)?.sub(&cq)?.abs().mean())
-            })
-            .unwrap();
+        let quant_summary = run_codes(&engine, &mut qnet, fault, |n| {
+            Ok(n.forward(&x, Mode::Eval)?.sub(&cq)?.abs().mean())
+        })
+        .unwrap();
         assert!(float_summary.mean > 0.0 && quant_summary.mean > 0.0);
         let diff = (float_summary.mean - quant_summary.mean).abs();
         let scale = float_summary.mean.max(quant_summary.mean);
@@ -1747,18 +1351,22 @@ mod tests {
         let run_means = |seed: u64| {
             let (_, mut qnet) = paired_float_and_quantized_nets(42);
             let x = Tensor::randn(&[4, 16], 0.0, 1.0, &mut Rng::seed_from(43));
-            MonteCarloEngine::new(6, seed)
-                .run_quantized(&mut qnet, FaultModel::StuckAt { rate: 0.2 }, |n| {
-                    Ok(n.forward(&x, Mode::Eval)?.sum())
-                })
-                .unwrap()
-                .per_run
+            let engine = MonteCarloEngine::new(6, seed);
+            run_codes(&engine, &mut qnet, FaultModel::StuckAt { rate: 0.2 }, |n| {
+                Ok(n.forward(&x, Mode::Eval)?.sum())
+            })
+            .unwrap()
+            .per_run
         };
         assert_eq!(run_means(9), run_means(9));
         assert_ne!(run_means(9), run_means(10));
         let (_, mut qnet) = paired_float_and_quantized_nets(42);
-        let result = MonteCarloEngine::new(2, 1)
-            .run_quantized(&mut qnet, FaultModel::None, |_n| Ok(f32::NAN));
+        let result = run_codes(
+            &MonteCarloEngine::new(2, 1),
+            &mut qnet,
+            FaultModel::None,
+            |_n| Ok(f32::NAN),
+        );
         assert!(result.is_err());
     }
 
@@ -1841,16 +1449,17 @@ mod tests {
             // realization per forward.
             for batch in [1usize, 3, 10] {
                 for threads in [1usize, 4] {
-                    let fused = engine
-                        .run_planned(
+                    let sweep = Sweep {
+                        batch,
+                        threads,
+                        ..Sweep::new(
                             || mlp_with_norm(251),
                             fault,
                             &x,
-                            |out| Ok(out.sum()),
-                            batch,
-                            threads,
+                            |out: &Tensor| Ok(out.sum()),
                         )
-                        .unwrap();
+                    };
+                    let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
                     assert_eq!(fused.runs(), sequential.runs());
                     let identical = sequential
                         .per_run
@@ -1889,16 +1498,17 @@ mod tests {
                 })
                 .unwrap();
             for (batch, threads) in [(1usize, 1usize), (1, 4), (4, 1), (3, 4), (9, 2)] {
-                let fused = engine
-                    .run_planned(
+                let sweep = Sweep {
+                    batch,
+                    threads,
+                    ..Sweep::new(
                         || small_cnn(261),
                         fault,
                         &x,
-                        |out| Ok(out.abs().mean()),
-                        batch,
-                        threads,
+                        |out: &Tensor| Ok(out.abs().mean()),
                     )
-                    .unwrap();
+                };
+                let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
                 let identical = sequential
                     .per_run
                     .iter()
@@ -1932,9 +1542,12 @@ mod tests {
             .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
             .unwrap();
         for batch in [1usize, 3] {
-            let fused = engine
-                .run_planned(|| build(263), fault, &x, |out| Ok(out.sum()), batch, 2)
-                .unwrap();
+            let sweep = Sweep {
+                batch,
+                threads: 2,
+                ..Sweep::new(|| build(263), fault, &x, |out: &Tensor| Ok(out.sum()))
+            };
+            let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
             let identical = sequential
                 .per_run
                 .iter()
@@ -1951,21 +1564,24 @@ mod tests {
         for fault in all_fault_models() {
             let mut net = quantized_net(271);
             let xc = x.clone();
-            let sequential = engine
-                .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
+            let sequential = run_codes(&engine, &mut net, fault, |n| {
+                Ok(n.forward(&xc, Mode::Eval)?.sum())
+            })
+            .unwrap();
             for batch in [1usize, 3, 10] {
                 for threads in [1usize, 4] {
-                    let fused = engine
-                        .run_planned_quantized(
+                    let sweep = Sweep {
+                        domain: SweepDomain::Codes,
+                        batch,
+                        threads,
+                        ..Sweep::new(
                             || quantized_net(271),
                             fault,
                             &x,
-                            |out| Ok(out.sum()),
-                            batch,
-                            threads,
+                            |out: &Tensor| Ok(out.sum()),
                         )
-                        .unwrap();
+                    };
+                    let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
                     // Same streams, same integer GEMM, same dequantization
                     // expression: the quantized planned path is not merely
                     // within quantization tolerance — it is bit-identical.
@@ -1990,15 +1606,16 @@ mod tests {
         let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(181));
         let engine = MonteCarloEngine::new(4, 7);
         for batch in [1usize, 2] {
-            let err = engine
-                .run_planned(
+            let sweep = Sweep {
+                batch,
+                ..Sweep::new(
                     build,
                     FaultModel::AdditiveVariation { sigma: 0.1 },
                     &x,
-                    |out| Ok(out.sum()),
-                    batch,
-                    1,
+                    |out: &Tensor| Ok(out.sum()),
                 )
+            };
+            let err = sweep_on(&engine, EngineKind::Planned, &sweep)
                 .unwrap_err()
                 .to_string();
             assert!(
@@ -2013,25 +1630,29 @@ mod tests {
         let engine = MonteCarloEngine::new(6, 5);
         let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(190));
         for batch in [1usize, 2] {
-            let result = engine.run_planned(
-                || mlp_with_norm(191),
-                FaultModel::None,
-                &x,
-                |_out| Err(NnError::Config("boom".into())),
+            let sweep = Sweep {
                 batch,
-                2,
-            );
-            assert!(result.is_err());
+                threads: 2,
+                ..Sweep::new(
+                    || mlp_with_norm(191),
+                    FaultModel::None,
+                    &x,
+                    |_out: &Tensor| Err(NnError::Config("boom".into())),
+                )
+            };
+            assert!(sweep_on(&engine, EngineKind::Planned, &sweep).is_err());
             // A non-finite metric names the lowest failing run.
-            let err = engine
-                .run_planned(
+            let sweep = Sweep {
+                batch,
+                threads: 2,
+                ..Sweep::new(
                     || mlp_with_norm(191),
                     FaultModel::AdditiveVariation { sigma: 0.1 },
                     &x,
-                    |_out| Ok(f32::NAN),
-                    batch,
-                    2,
+                    |_out: &Tensor| Ok(f32::NAN),
                 )
+            };
+            let err = sweep_on(&engine, EngineKind::Planned, &sweep)
                 .unwrap_err()
                 .to_string();
             assert!(err.contains("on run 0"), "batch={batch}: {err}");
@@ -2089,25 +1710,21 @@ mod tests {
                     .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
                     .unwrap();
                 for threads in [1usize, 4] {
-                    let xc = x.clone();
-                    let parallel = engine
-                        .run_parallel(
-                            || build(seed),
-                            fault,
-                            |m: &mut Sequential| Ok(m.forward(&xc, Mode::Eval)?.sum()),
+                    let on = |engine_kind, batch| {
+                        let sweep = Sweep {
+                            batch,
                             threads,
-                        )
-                        .unwrap();
-                    let planned = engine
-                        .run_planned(|| build(seed), fault, &x, |out| Ok(out.sum()), 1, threads)
-                        .unwrap();
-                    let planned_b3 = engine
-                        .run_planned(|| build(seed), fault, &x, |out| Ok(out.sum()), 3, threads)
-                        .unwrap();
+                            ..Sweep::new(|| build(seed), fault, &x, |out: &Tensor| Ok(out.sum()))
+                        };
+                        sweep_on(&engine, engine_kind, &sweep).unwrap()
+                    };
+                    let parallel = on(EngineKind::Parallel, 1);
+                    let planned = on(EngineKind::Planned, 1);
+                    let planned_b3 = on(EngineKind::Planned, 3);
                     for (name, summary) in [
-                        ("run_parallel", &parallel),
-                        ("run_planned batch=1", &planned),
-                        ("run_planned batch=3", &planned_b3),
+                        ("parallel", &parallel),
+                        ("planned batch=1", &planned),
+                        ("planned batch=3", &planned_b3),
                     ] {
                         let identical = sequential
                             .per_run
@@ -2126,7 +1743,8 @@ mod tests {
     }
 
     /// Code-domain counterpart: structured faults land on the i8 codes and
-    /// the quantized planned engine stays bit-identical to `run_quantized`.
+    /// the planned and parallel engines stay bit-identical to the
+    /// code-domain sequential engine.
     #[test]
     fn structured_code_faults_are_bit_identical_across_quantized_engines() {
         let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(221));
@@ -2134,27 +1752,37 @@ mod tests {
         for fault in structured_fault_models() {
             let mut net = quantized_net(222);
             let xc = x.clone();
-            let sequential = engine
-                .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
+            let sequential = run_codes(&engine, &mut net, fault, |n| {
+                Ok(n.forward(&xc, Mode::Eval)?.sum())
+            })
+            .unwrap();
             for threads in [1usize, 4] {
-                for batch in [1usize, 3] {
-                    let summary = engine
-                        .run_planned_quantized(
+                for (engine_kind, batch) in [
+                    (EngineKind::Planned, 1usize),
+                    (EngineKind::Planned, 3),
+                    (EngineKind::Parallel, 1),
+                ] {
+                    let sweep = Sweep {
+                        domain: SweepDomain::Codes,
+                        batch,
+                        threads,
+                        ..Sweep::new(
                             || quantized_net(222),
                             fault,
                             &x,
-                            |out| Ok(out.sum()),
-                            batch,
-                            threads,
+                            |out: &Tensor| Ok(out.sum()),
                         )
-                        .unwrap();
+                    };
+                    let summary = sweep_on(&engine, engine_kind, &sweep).unwrap();
                     let identical = sequential
                         .per_run
                         .iter()
                         .zip(summary.per_run.iter())
                         .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(identical, "{fault:?} batch={batch} threads={threads}");
+                    assert!(
+                        identical,
+                        "{fault:?} {engine_kind} batch={batch} threads={threads}"
+                    );
                 }
             }
         }
@@ -2224,16 +1852,12 @@ mod tests {
             let per_inference = FaultSpec::per_inference(fault);
             for threads in [1usize, 4] {
                 let run = |spec: FaultSpec, batch: usize| {
-                    engine
-                        .run_planned(
-                            || mlp_with_norm(242),
-                            spec,
-                            &x,
-                            |o| Ok(o.sum()),
-                            batch,
-                            threads,
-                        )
-                        .unwrap()
+                    let sweep = Sweep {
+                        batch,
+                        threads,
+                        ..Sweep::new(|| mlp_with_norm(242), spec, &x, |o: &Tensor| Ok(o.sum()))
+                    };
+                    sweep_on(&engine, EngineKind::Planned, &sweep).unwrap()
                 };
                 let (st, pi) = (run(fault.into(), 1), run(per_inference, 1));
                 let (st_b, pi_b) = (run(fault.into(), 3), run(per_inference, 3));
@@ -2255,7 +1879,7 @@ mod tests {
 
     /// The direct engines have no fault-lifetime model: a per-inference
     /// spec is rejected loudly with a typed `FaultUnsupported`, naming the
-    /// engine entry point.
+    /// engine.
     #[test]
     fn direct_engines_reject_per_inference_lifetime() {
         let engine = MonteCarloEngine::new(4, 9);
@@ -2276,26 +1900,30 @@ mod tests {
             "MonteCarloEngine::run does not support per-inference fault lifetime"
         );
 
-        let xc = x.clone();
-        let err = engine
-            .run_parallel(
-                || mlp_with_norm(252),
-                spec,
-                |m: &mut Sequential| Ok(m.forward(&xc, Mode::Eval)?.sum()),
-                2,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("MonteCarloEngine::run_parallel"), "{err}");
+        let sweep = Sweep {
+            threads: 2,
+            ..Sweep::new(|| mlp_with_norm(252), spec, &x, |o: &Tensor| Ok(o.sum()))
+        };
+        let err = sweep_on(&engine, EngineKind::Parallel, &sweep).unwrap_err();
+        assert!(
+            matches!(err, NnError::FaultUnsupported { .. }),
+            "unexpected error: {err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "the parallel engine does not support per-inference fault lifetime"
+        );
 
         let xq = Tensor::randn(&[3, 12], 0.0, 1.0, &mut Rng::seed_from(253));
         let mut qnet = quantized_net(254);
-        let xc = xq.clone();
-        let err = engine
-            .run_quantized(&mut qnet, spec, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("MonteCarloEngine::run_quantized"), "{err}");
+        let err = run_codes(&engine, &mut qnet, spec, |n| {
+            Ok(n.forward(&xq, Mode::Eval)?.sum())
+        })
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MonteCarloEngine::run does not support per-inference fault lifetime"
+        );
     }
 
     /// The ladder on a fully-capable network: the fastest engine wins, no
@@ -2334,7 +1962,7 @@ mod tests {
         }
     }
 
-    /// An unplannable layer (Lstm) degrades to `run_parallel` under the
+    /// An unplannable layer (Lstm) degrades to the parallel engine under the
     /// graceful policy, with one typed reason for the skipped planned rung —
     /// and still reproduces the sequential reference.
     #[test]
@@ -2427,11 +2055,9 @@ mod tests {
         assert!(matches!(err, NnError::FaultUnsupported { .. }));
         let msg = err.to_string();
         for part in [
-            "MonteCarloEngine::run_auto",
-            "run_planned",
-            "run_parallel",
-            "Lstm",
-            "no per-inference fault lifetime model",
+            "MonteCarloEngine::execute",
+            "planned (layer Lstm does not support compiled plans)",
+            "parallel (no per-inference fault lifetime model)",
         ] {
             assert!(msg.contains(part), "missing {part:?} in: {msg}");
         }

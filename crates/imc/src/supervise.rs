@@ -379,10 +379,11 @@ impl SweepCheckpoint {
     }
 }
 
-/// Everything a supervised engine call can be given beyond the sweep itself:
-/// an interrupt budget and an optional checkpoint to resume from. The
-/// default control is unbounded and starts from scratch, making the
-/// supervised entry points drop-in supersets of the legacy ones.
+/// Everything an engine call can be given beyond the sweep itself: an
+/// interrupt budget and an optional checkpoint to resume from. The default
+/// control is unbounded and starts from scratch — what
+/// [`crate::MonteCarloEngine::run`] and [`crate::MonteCarloEngine::run_auto`]
+/// pass.
 #[derive(Debug, Clone, Default)]
 pub struct SweepControl {
     /// Deadline / cancellation bounds.
@@ -466,11 +467,53 @@ impl SweepOutcome {
             SweepOutcome::Interrupted { checkpoint, .. } => Some(checkpoint),
         }
     }
+
+    /// Maps the outcome onto the plain-summary contract of
+    /// [`crate::MonteCarloEngine::run`] and
+    /// [`crate::MonteCarloEngine::run_auto`]: a complete sweep with nothing
+    /// quarantined returns its summary.
+    ///
+    /// # Errors
+    ///
+    /// The lowest quarantined run becomes the error (`"evaluation returned a
+    /// non-finite metric (…) on run N"` or `"evaluation panicked (…) on run
+    /// N"`), and an interrupted sweep returns an error naming its cause.
+    pub fn into_summary(self) -> Result<MonteCarloSummary> {
+        match self {
+            SweepOutcome::Complete {
+                summary,
+                quarantined,
+            } => match quarantined.first() {
+                None => Ok(summary),
+                Some(q) => Err(NnError::Config(match &q.cause {
+                    QuarantineCause::NonFinite { value } => format!(
+                        "evaluation returned a non-finite metric ({value}) on run {}",
+                        q.run
+                    ),
+                    QuarantineCause::Panic { message } => {
+                        format!("evaluation panicked ({message}) on run {}", q.run)
+                    }
+                })),
+            },
+            SweepOutcome::Interrupted {
+                cause, checkpoint, ..
+            } => Err(NnError::Config(format!(
+                "sweep interrupted ({cause}) with {} of {} runs left",
+                checkpoint.remaining_runs(),
+                checkpoint.runs
+            ))),
+        }
+    }
 }
 
-/// Per-run bookkeeping shared by every supervised engine body. Records land
-/// on the main thread only (workers hand their results back exactly like the
-/// legacy engines), so the ledger itself needs no synchronization.
+/// What one attempt at a chip instance (or at one fused batch of them)
+/// produced: `Err(payload)` when the evaluation panicked, its result
+/// otherwise.
+pub(crate) type Attempt<T> = std::thread::Result<Result<T>>;
+
+/// Per-run bookkeeping shared by every engine body. Records land on the main
+/// thread only (workers hand their results back after they join), so the
+/// ledger itself needs no synchronization.
 #[derive(Debug, Clone)]
 enum Slot {
     Pending,
@@ -567,6 +610,37 @@ impl RunLedger {
         self.slots[run] = Slot::Quarantined(QuarantineCause::Panic { message });
     }
 
+    /// Records one attempt at runs `start..start + len`: its metrics in run
+    /// order, or — when it panicked — a quarantine of every run it covered
+    /// (a fused forward is one failure domain).
+    ///
+    /// # Errors
+    ///
+    /// Returns the attempt's genuine error; callers record in run order, so
+    /// the lowest-indexed failing attempt is the one reported.
+    pub(crate) fn record_attempt(
+        &mut self,
+        start: usize,
+        len: usize,
+        attempt: Attempt<impl IntoIterator<Item = f32>>,
+    ) -> Result<()> {
+        match attempt {
+            Ok(Ok(metrics)) => {
+                for (run, metric) in (start..).zip(metrics) {
+                    self.record(run, metric);
+                }
+            }
+            Ok(Err(e)) => return Err(e),
+            Err(payload) => {
+                let message = panic_message(payload);
+                for run in start..start + len {
+                    self.record_panic(run, message.clone());
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Closes the sweep: aggregates the finished runs, finalizes telemetry,
     /// and — when instances are still pending — packages a resume checkpoint
     /// under the budget's interrupt cause.
@@ -624,7 +698,7 @@ impl RunLedger {
 }
 
 /// Renders a panic payload for quarantine diagnostics.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

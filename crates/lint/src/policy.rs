@@ -20,7 +20,7 @@ pub const UNSAFE_DIRS: &[&str] = &["crates/tensor/"];
 /// Files that may contain `#[target_feature]` functions (rule R5).
 ///
 /// The runtime dispatcher (`invnorm_tensor::dispatch`) resolves a
-/// [`KernelTier`] once and every `#[target_feature]` trampoline is reached
+/// `KernelTier` once and every `#[target_feature]` trampoline is reached
 /// only through that tier check, so feature-gated code must stay in the
 /// modules the dispatcher routes: the GEMM/qgemm microkernels and the
 /// vecmath elementwise bodies.

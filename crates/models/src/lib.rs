@@ -6,10 +6,10 @@
 //!
 //! | Topology | Paper dataset | Stand-in dataset | W/A bits | Module |
 //! |---|---|---|---|---|
-//! | ResNet-18 → [`resnet::MicroResNet`] | CIFAR-10 | synthetic images | 1/1 | [`resnet`] |
-//! | M5 → [`m5::M5Net`] | Speech Commands | synthetic audio | 8/8 | [`m5`] |
+//! | ResNet-18 → [`MicroResNet`](resnet::MicroResNetConfig) | CIFAR-10 | synthetic images | 1/1 | [`resnet`] |
+//! | M5 → [`M5Net`](m5::M5NetConfig) | Speech Commands | synthetic audio | 8/8 | [`m5`] |
 //! | U-Net → [`unet::MicroUNet`] | DRIVE | synthetic vessels | 1/4 | [`unet`] |
-//! | 2×LSTM → [`lstm::LstmForecaster`] | Mauna Loa CO₂ | synthetic CO₂ | 8/8 | [`lstm`] |
+//! | 2×LSTM → [`LstmForecaster`](lstm::LstmForecasterConfig) | Mauna Loa CO₂ | synthetic CO₂ | 8/8 | [`lstm`] |
 //!
 //! The [`variant::NormVariant`] enum selects between:
 //!

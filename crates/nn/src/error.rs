@@ -35,7 +35,8 @@ pub enum NnError {
     /// a capability gap — fall down the engine ladder — from a genuine
     /// failure that must propagate.
     FaultUnsupported {
-        /// The engine entry point that rejected the configuration.
+        /// The engine (or engine entry point) that rejected the
+        /// configuration.
         engine: &'static str,
         /// What about the fault configuration is unsupported.
         reason: String,
@@ -216,13 +217,10 @@ mod tests {
             .contains("Linear"));
         let e = NnError::unsupported("Lstm", "compiled plans");
         assert_eq!(e.to_string(), "layer Lstm does not support compiled plans");
-        let e = NnError::fault_unsupported(
-            "MonteCarloEngine::run_parallel",
-            "per-inference fault lifetime",
-        );
+        let e = NnError::fault_unsupported("the parallel engine", "per-inference fault lifetime");
         assert_eq!(
             e.to_string(),
-            "MonteCarloEngine::run_parallel does not support per-inference fault lifetime"
+            "the parallel engine does not support per-inference fault lifetime"
         );
     }
 

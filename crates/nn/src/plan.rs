@@ -22,8 +22,8 @@
 //!
 //! The planned forward is **bit-identical** to the direct eval path: the
 //! same kernels run in the same blocking order over the same packed values,
-//! so `MonteCarloEngine::run_planned` reproduces `run`/`run_parallel`
-//! metrics exactly (tested for all eight fault models).
+//! so the planned Monte-Carlo engine reproduces the sequential and parallel
+//! engines' metrics exactly (tested for all eight fault models).
 //!
 //! Layers participate through the plan protocol on [`Layer`]
 //! ([`Layer::plan_compile`], [`Layer::plan_forward`],

@@ -51,7 +51,7 @@ impl QuantizedTensor {
     /// Quantizes a tensor to `bits` bits (2 ≤ bits ≤ 16) using a symmetric
     /// per-tensor scale derived from the maximum absolute value.
     ///
-    /// For 1-bit (binary) parameters use [`crate::binary::binarize`] instead,
+    /// For 1-bit (binary) parameters use [`crate::binary::BinaryTensor::binarize`] instead,
     /// which follows the sign/scaling convention of binary networks.
     ///
     /// # Errors

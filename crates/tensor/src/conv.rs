@@ -471,7 +471,7 @@ fn relayout_nchw(
     out
 }
 
-/// [`relayout_nchw`] into a caller-provided slice of exactly `N*OC*OH*OW`
+/// `relayout_nchw` into a caller-provided slice of exactly `N*OC*OH*OW`
 /// elements (every element is overwritten), adding the per-channel bias on
 /// the way. Public so compiled plans can re-layout GEMM results straight
 /// into arena buffers.

@@ -8,7 +8,7 @@
 //!
 //! All three matrix-product entry points route into the cache-blocked,
 //! register-tiled [`gemm`] kernel (see [`crate::gemm`]); the original naive
-//! triple loops are retained verbatim in [`reference`] as the correctness
+//! triple loops are retained verbatim in [`mod@reference`] as the correctness
 //! oracle for tests and the baseline for the `layer_throughput` benchmark.
 
 use crate::error::TensorError;

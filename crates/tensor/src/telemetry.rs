@@ -129,8 +129,8 @@ pub enum Counter {
     /// Fused wide-GEMM invocations (`[N, B·out]` product over the stacked
     /// realization operand of a frozen layer).
     WideGemms = 5,
-    /// Engine-ladder rungs skipped by `run_auto` (one per recorded
-    /// `FallbackStep`).
+    /// Engine-ladder rungs skipped by `MonteCarloEngine::execute` (one per
+    /// recorded `FallbackStep`).
     LadderFallbacks = 6,
     /// Batched-plan recompilations triggered by a tail batch smaller than
     /// the steady-state stack.

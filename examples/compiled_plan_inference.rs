@@ -10,10 +10,11 @@
 //! Run with `cargo run --release --example compiled_plan_inference`.
 
 use invnorm_imc::fault::FaultModel;
-use invnorm_imc::montecarlo::MonteCarloEngine;
+use invnorm_imc::montecarlo::{EngineKind, MonteCarloEngine, Sweep};
+use invnorm_imc::{SweepControl, SweepOutcome};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::conv::Conv2d;
-use invnorm_nn::layer::Mode;
+use invnorm_nn::layer::{Layer, Mode};
 use invnorm_nn::linear::Linear;
 use invnorm_nn::pool::MaxPool2d;
 use invnorm_nn::reshape::Flatten;
@@ -68,9 +69,15 @@ where
         // with one or sixteen realizations fused into each forward.
         let mut t_planned = [0.0f64; 2];
         for (slot, batch) in [1usize, 16].into_iter().enumerate() {
+            let sweep = Sweep {
+                batch,
+                threads: 4,
+                ..Sweep::new(factory, fault, input, |out: &Tensor| Ok(out.abs().mean()))
+            };
             let t0 = Instant::now();
-            let planned =
-                engine.run_planned(factory, fault, input, |out| Ok(out.abs().mean()), batch, 4)?;
+            let planned = engine
+                .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+                .and_then(SweepOutcome::into_summary)?;
             t_planned[slot] = t0.elapsed().as_secs_f64() * 1e3;
 
             // Bit-identity is the whole point: assert it, loudly.

@@ -99,9 +99,15 @@ fn main() -> Result<(), NnError> {
         let float_summary = engine.run(&mut net, fault, |network| {
             accuracy(network, inputs_ref, labels_ref)
         })?;
-        let quant_summary = engine.run_quantized(&mut qnet, fault, |network| {
-            accuracy(network, inputs_ref, labels_ref)
-        })?;
+        let quant_summary = engine
+            .run_supervised(
+                SweepDomain::Codes,
+                &mut qnet,
+                fault,
+                |network| accuracy(network, inputs_ref, labels_ref),
+                &SweepControl::new(),
+            )?
+            .into_summary()?;
         println!(
             "  rate {:>4.1}%  f32-path {:.2}% ± {:.2}%   code-domain {:.2}% ± {:.2}%",
             100.0 * rate,

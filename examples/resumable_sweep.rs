@@ -1,8 +1,8 @@
 //! Hardened Monte-Carlo sweeps: deadlines, cancellation and bit-identical
 //! checkpoint/resume.
 //!
-//! A production fault-robustness sweep can run for hours, so the supervised
-//! engine entry points accept a [`SweepControl`] carrying a [`RunBudget`]
+//! A production fault-robustness sweep can run for hours, so every engine
+//! entry point accepts a [`SweepControl`] carrying a [`RunBudget`]
 //! (wall-clock deadline and/or cooperative [`CancelToken`]). When the budget
 //! expires the sweep stops at the next chip-instance boundary and returns a
 //! serializable [`SweepCheckpoint`]; resuming from it replays only the
@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use invnorm_imc::montecarlo::MonteCarloEngine;
+use invnorm_imc::montecarlo::{EngineKind, MonteCarloEngine, Sweep};
 use invnorm_imc::{
     CancelToken, FaultModel, InterruptCause, LineOrientation, RunBudget, SweepCheckpoint,
     SweepControl, SweepOutcome, TileShape,
@@ -44,17 +44,14 @@ fn main() -> Result<(), NnError> {
         tile: TileShape { rows: 8, cols: 8 },
     };
     let metric = |out: &Tensor| Ok(out.abs().mean());
+    let sweep = Sweep {
+        batch: 8,
+        threads: 4,
+        ..Sweep::new(|| build_mlp(7), fault, &x, metric)
+    };
 
-    // Ground truth: one uninterrupted supervised sweep.
-    let outcome = engine.run_planned_supervised(
-        || build_mlp(7),
-        fault,
-        &x,
-        metric,
-        8,
-        4,
-        &SweepControl::new(),
-    )?;
+    // Ground truth: one uninterrupted sweep on the planned engine.
+    let outcome = engine.execute_on(EngineKind::Planned, &sweep, &SweepControl::new())?;
     assert!(outcome.is_complete());
     let baseline = outcome.summary().clone();
     println!(
@@ -68,20 +65,22 @@ fn main() -> Result<(), NnError> {
     let token = CancelToken::new();
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
     let calls = AtomicUsize::new(0);
-    let outcome = engine.run_planned_supervised(
-        || build_mlp(7),
-        fault,
-        &x,
-        |out: &Tensor| {
-            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= 6 {
-                token.cancel();
-            }
-            metric(out)
-        },
-        8,
-        4,
-        &control,
-    )?;
+    let cancelling = Sweep {
+        batch: 8,
+        threads: 4,
+        ..Sweep::new(
+            || build_mlp(7),
+            fault,
+            &x,
+            |out: &Tensor| {
+                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= 6 {
+                    token.cancel();
+                }
+                metric(out)
+            },
+        )
+    };
+    let outcome = engine.execute_on(EngineKind::Planned, &cancelling, &control)?;
     let SweepOutcome::Interrupted {
         partial,
         cause,
@@ -122,13 +121,9 @@ fn main() -> Result<(), NnError> {
 
     // Resume: only the missing instances run, and the merged summary is
     // bit-identical to the uninterrupted sweep.
-    let outcome = engine.run_planned_supervised(
-        || build_mlp(7),
-        fault,
-        &x,
-        metric,
-        8,
-        4,
+    let outcome = engine.execute_on(
+        EngineKind::Planned,
+        &sweep,
         &SweepControl::new().with_resume(restored),
     )?;
     assert!(outcome.is_complete());
@@ -149,20 +144,15 @@ fn main() -> Result<(), NnError> {
     // checkpoints before the first instance, and resuming finishes the job.
     let control = SweepControl::new()
         .with_budget(RunBudget::unbounded().with_deadline(std::time::Duration::ZERO));
-    let outcome =
-        engine.run_planned_supervised(|| build_mlp(7), fault, &x, metric, 8, 4, &control)?;
+    let outcome = engine.execute_on(EngineKind::Planned, &sweep, &control)?;
     let checkpoint = outcome
         .checkpoint()
         .expect("an expired deadline yields a checkpoint")
         .clone();
     assert_eq!(checkpoint.remaining_runs(), runs);
-    let outcome = engine.run_planned_supervised(
-        || build_mlp(7),
-        fault,
-        &x,
-        metric,
-        8,
-        4,
+    let outcome = engine.execute_on(
+        EngineKind::Planned,
+        &sweep,
         &SweepControl::new().with_resume(checkpoint),
     )?;
     assert!(outcome.is_complete());

@@ -7,15 +7,15 @@
 //! [`FaultLifetime`]) — and runs them through
 //! `MonteCarloEngine::run_auto`, which picks the fastest engine that
 //! supports each configuration and degrades down the ladder
-//! `run_planned → run_parallel` with a typed reason per skipped rung.
+//! planned → parallel with a typed reason per skipped rung.
 //! Every claim printed below is asserted.
 //!
 //! Run with `cargo run --release --example structured_faults`.
 
-use invnorm_imc::montecarlo::MonteCarloEngine;
+use invnorm_imc::montecarlo::{MonteCarloEngine, Sweep};
 use invnorm_imc::{
     DegradationPolicy, EngineKind, FallbackReason, FaultLifetime, FaultModel, FaultSpec,
-    LineOrientation, TileShape,
+    LineOrientation, SweepControl, TileShape,
 };
 use invnorm_nn::activation::Relu;
 use invnorm_nn::layer::{Layer, Mode};
@@ -65,7 +65,7 @@ fn main() -> Result<(), NnError> {
         "structured fault sweep, {} chip instances per point",
         engine.runs()
     );
-    println!("{:<26} {:>16} {:>28}", "fault", "mean ± std", "engine");
+    println!("{:<26} {:>16} {:>10}", "fault", "mean ± std", "engine");
     for fault in structured {
         // The ladder picks the fastest engine; a fully plan-capable MLP
         // never needs to degrade.
@@ -93,7 +93,7 @@ fn main() -> Result<(), NnError> {
             "{fault:?} diverged from the sequential engine"
         );
         println!(
-            "{:<26} {:>8.4} ± {:>5.4} {:>28}",
+            "{:<26} {:>8.4} ± {:>5.4} {:>10}",
             fault.label(),
             outcome.summary.mean,
             outcome.summary.std,
@@ -108,13 +108,17 @@ fn main() -> Result<(), NnError> {
         FaultModel::AdditiveVariation { sigma: 0.1 },
         FaultLifetime::PerInference,
     );
-    let err = engine
-        .run_parallel(
+    let direct = Sweep {
+        threads: 4,
+        ..Sweep::new(
             || build_mlp(7),
             read_noise,
-            |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.abs().mean()),
-            4,
+            &x,
+            |out: &Tensor| Ok(out.abs().mean()),
         )
+    };
+    let err = engine
+        .execute_on(EngineKind::Parallel, &direct, &SweepControl::new())
         .unwrap_err();
     assert!(matches!(err, NnError::FaultUnsupported { .. }));
     println!("\ndirect engine on per-inference read noise: {err}");
@@ -150,8 +154,8 @@ fn main() -> Result<(), NnError> {
     );
 
     // An Lstm does not support compiled plans: the ladder records one typed
-    // reason for the skipped planned rung and lands on run_parallel, which
-    // supports every layer.
+    // reason for the skipped planned rung and lands on the parallel engine,
+    // which supports every layer.
     let build_lstm = || -> Sequential {
         let mut rng = Rng::seed_from(21);
         Sequential::new().with(Box::new(Lstm::new(6, 8, false, &mut rng)))
@@ -174,7 +178,7 @@ fn main() -> Result<(), NnError> {
             step.reason,
             FallbackReason::Unsupported { layer: "Lstm", .. }
         ));
-        println!("  skipped {:<38} ({})", step.engine.name(), step.reason);
+        println!("  skipped {:<10} ({})", step.engine.name(), step.reason);
     }
 
     // Strict mode keeps the pre-ladder behavior: the planned engine's

@@ -91,7 +91,7 @@ pub mod collection {
         VecStrategy { elem, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -77,7 +77,8 @@ pub mod prelude {
     pub use invnorm_imc::{
         CancelToken, CodeFaultInjector, DegradationPolicy, EngineKind, FallbackStep, FaultModel,
         LadderOutcome, MonteCarloEngine, MonteCarloSummary, NoiseHandle, RunBudget,
-        SupervisedLadderOutcome, SweepCheckpoint, SweepControl, SweepOutcome, WeightFaultInjector,
+        SupervisedLadderOutcome, Sweep, SweepCheckpoint, SweepControl, SweepDomain, SweepOutcome,
+        WeightFaultInjector,
     };
     pub use invnorm_models::{BuiltModel, NormVariant};
     pub use invnorm_nn::layer::{Layer, Mode, Param};

@@ -80,7 +80,7 @@ fn model_faults() -> [FaultModel; 4] {
     ]
 }
 
-/// Asserts `run_planned` reproduces the sequential engine bit-for-bit on a
+/// Asserts the planned engine reproduces the sequential engine bit-for-bit on a
 /// deterministic model factory, across fault models, batch sizes and thread
 /// counts.
 fn assert_planned_matches_run<F>(factory: F, x: &Tensor)
@@ -99,15 +99,14 @@ where
         // Batch 1 is one realization per forward; batch 3 leaves a tail
         // batch of 2 (per-worker recompilation); batch 8 is one full stack.
         for (batch, threads) in [(1usize, 1usize), (1, 4), (3, 2), (8, 1)] {
+            let sweep = Sweep {
+                batch,
+                threads,
+                ..Sweep::new(&factory, fault, x, |out: &Tensor| Ok(out.abs().mean()))
+            };
             let planned = engine
-                .run_planned(
-                    &factory,
-                    fault,
-                    x,
-                    |out| Ok(out.abs().mean()),
-                    batch,
-                    threads,
-                )
+                .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+                .and_then(SweepOutcome::into_summary)
                 .unwrap();
             assert_eq!(planned.runs(), sequential.runs());
             let identical = sequential
@@ -158,15 +157,18 @@ fn lstm_model_is_rejected_as_unsupported() {
         lstm::build(&LstmForecasterConfig::tiny(), NormVariant::Conventional).expect("build lstm")
     };
     let x = Tensor::randn(&[2, 6, 1], 0.0, 1.0, &mut Rng::seed_from(4));
-    let err = MonteCarloEngine::new(4, 1)
-        .run_planned(
+    let sweep = Sweep {
+        batch: 2,
+        threads: 2,
+        ..Sweep::new(
             factory,
             FaultModel::AdditiveVariation { sigma: 0.1 },
             &x,
-            |out| Ok(out.sum()),
-            2,
-            2,
+            |out: &Tensor| Ok(out.sum()),
         )
+    };
+    let err = MonteCarloEngine::new(4, 1)
+        .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
         .unwrap_err();
     assert!(
         matches!(
@@ -195,25 +197,31 @@ fn quantized_cnn(seed: u64) -> Sequential {
 }
 
 #[test]
-fn quantized_cnn_planned_is_bit_identical_to_run_quantized() {
+fn quantized_cnn_planned_is_bit_identical_to_sequential_codes() {
     let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(5));
     let engine = MonteCarloEngine::new(8, 0xFEED);
     for fault in model_faults() {
         let mut net = quantized_cnn(6);
-        let xc = x.clone();
         let sequential = engine
-            .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
+            .run_supervised(
+                SweepDomain::Codes,
+                &mut net,
+                fault,
+                |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
+                &SweepControl::new(),
+            )
+            .and_then(SweepOutcome::into_summary)
             .unwrap();
         for (batch, threads) in [(1usize, 1usize), (1, 4), (3, 2), (8, 1)] {
+            let sweep = Sweep {
+                domain: SweepDomain::Codes,
+                batch,
+                threads,
+                ..Sweep::new(|| quantized_cnn(6), fault, &x, |out: &Tensor| Ok(out.sum()))
+            };
             let planned = engine
-                .run_planned_quantized(
-                    || quantized_cnn(6),
-                    fault,
-                    &x,
-                    |out| Ok(out.sum()),
-                    batch,
-                    threads,
-                )
+                .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+                .and_then(SweepOutcome::into_summary)
                 .unwrap();
             let identical = sequential
                 .per_run

@@ -57,6 +57,21 @@ fn code_fault() -> FaultModel {
     }
 }
 
+/// A sum metric that cancels `token` on its `k`-th call.
+fn cancelling_sum<'a>(
+    calls: &'a AtomicUsize,
+    token: &'a CancelToken,
+    k: usize,
+) -> impl Fn(&Tensor) -> invnorm_nn::Result<f32> + Sync + 'a {
+    move |out| {
+        let v = out.sum();
+        if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
+            token.cancel();
+        }
+        Ok(v)
+    }
+}
+
 fn assert_bits_equal(baseline: &[f32], resumed: &[f32], what: &str) {
     assert_eq!(baseline.len(), resumed.len(), "{what}: run count");
     let identical = baseline
@@ -126,7 +141,7 @@ fn resume_is_bit_identical_on_every_weight_domain_engine() {
     let engine = MonteCarloEngine::new(RUNS, 0xBEEF);
     let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(40));
     let fault = structured_fault();
-    // Ground truth: the legacy sequential engine, uninterrupted.
+    // Ground truth: the sequential oracle, uninterrupted.
     let mut net = mlp(7);
     let xc = x.clone();
     let baseline = engine
@@ -136,70 +151,36 @@ fn resume_is_bit_identical_on_every_weight_domain_engine() {
 
     interrupt_resume_bit_identity("run_supervised", &baseline, |control, token, k| {
         let calls = AtomicUsize::new(0);
+        let metric = cancelling_sum(&calls, token, k);
         let mut net = mlp(7);
-        let xc = x.clone();
         engine
             .run_supervised(
+                SweepDomain::Weights,
                 &mut net,
                 fault,
-                |n: &mut dyn Layer| {
-                    let out = n.forward(&xc, Mode::Eval)?;
-                    if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                        token.cancel();
-                    }
-                    Ok(out.sum())
-                },
+                |n| metric(&n.forward(&x, Mode::Eval)?),
                 control,
             )
             .unwrap()
     });
 
     for threads in [1usize, 4] {
-        interrupt_resume_bit_identity(
-            &format!("run_parallel_supervised threads={threads}"),
-            &baseline,
-            |control, token, k| {
-                let calls = AtomicUsize::new(0);
-                engine
-                    .run_parallel_supervised(
-                        || mlp(7),
-                        fault,
-                        |m: &mut Sequential| {
-                            let out = m.forward(&x, Mode::Eval)?;
-                            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                token.cancel();
-                            }
-                            Ok(out.sum())
-                        },
-                        threads,
-                        control,
-                    )
-                    .unwrap()
-            },
-        );
-        for batch in [1usize, 5] {
+        for (engine_kind, batch) in [
+            (EngineKind::Parallel, 1usize),
+            (EngineKind::Planned, 1),
+            (EngineKind::Planned, 5),
+        ] {
             interrupt_resume_bit_identity(
-                &format!("run_planned_supervised batch={batch} threads={threads}"),
+                &format!("{engine_kind} batch={batch} threads={threads}"),
                 &baseline,
                 |control, token, k| {
                     let calls = AtomicUsize::new(0);
-                    engine
-                        .run_planned_supervised(
-                            || mlp(7),
-                            fault,
-                            &x,
-                            |out: &Tensor| {
-                                let v = out.sum();
-                                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                    token.cancel();
-                                }
-                                Ok(v)
-                            },
-                            batch,
-                            threads,
-                            control,
-                        )
-                        .unwrap()
+                    let sweep = Sweep {
+                        batch,
+                        threads,
+                        ..Sweep::new(|| mlp(7), fault, &x, cancelling_sum(&calls, token, k))
+                    };
+                    engine.execute_on(engine_kind, &sweep, control).unwrap()
                 },
             );
         }
@@ -212,60 +193,57 @@ fn resume_is_bit_identical_on_every_code_domain_engine() {
     let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(41));
     let fault = code_fault();
     let mut net = quantized_net(9);
-    let xc = x.clone();
+    // Ground truth: the code-domain sequential engine, uninterrupted.
     let baseline = engine
-        .run_quantized(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
+        .run_supervised(
+            SweepDomain::Codes,
+            &mut net,
+            fault,
+            |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
+            &SweepControl::new(),
+        )
+        .and_then(SweepOutcome::into_summary)
         .unwrap()
         .per_run;
 
-    interrupt_resume_bit_identity(
-        "run_quantized_supervised",
-        &baseline,
-        |control, token, k| {
-            let calls = AtomicUsize::new(0);
-            let mut net = quantized_net(9);
-            let xc = x.clone();
-            engine
-                .run_quantized_supervised(
-                    &mut net,
-                    fault,
-                    |n: &mut dyn Layer| {
-                        let out = n.forward(&xc, Mode::Eval)?;
-                        if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                            token.cancel();
-                        }
-                        Ok(out.sum())
-                    },
-                    control,
-                )
-                .unwrap()
-        },
-    );
+    interrupt_resume_bit_identity("codes run_supervised", &baseline, |control, token, k| {
+        let calls = AtomicUsize::new(0);
+        let metric = cancelling_sum(&calls, token, k);
+        let mut net = quantized_net(9);
+        engine
+            .run_supervised(
+                SweepDomain::Codes,
+                &mut net,
+                fault,
+                |n| metric(&n.forward(&x, Mode::Eval)?),
+                control,
+            )
+            .unwrap()
+    });
 
     for threads in [1usize, 4] {
-        for batch in [1usize, 5] {
+        for (engine_kind, batch) in [
+            (EngineKind::Parallel, 1usize),
+            (EngineKind::Planned, 1),
+            (EngineKind::Planned, 5),
+        ] {
             interrupt_resume_bit_identity(
-                &format!("run_planned_quantized_supervised batch={batch} threads={threads}"),
+                &format!("codes {engine_kind} batch={batch} threads={threads}"),
                 &baseline,
                 |control, token, k| {
                     let calls = AtomicUsize::new(0);
-                    engine
-                        .run_planned_quantized_supervised(
+                    let sweep = Sweep {
+                        domain: SweepDomain::Codes,
+                        batch,
+                        threads,
+                        ..Sweep::new(
                             || quantized_net(9),
                             fault,
                             &x,
-                            |out: &Tensor| {
-                                let v = out.sum();
-                                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= k {
-                                    token.cancel();
-                                }
-                                Ok(v)
-                            },
-                            batch,
-                            threads,
-                            control,
+                            cancelling_sum(&calls, token, k),
                         )
-                        .unwrap()
+                    };
+                    engine.execute_on(engine_kind, &sweep, control).unwrap()
                 },
             );
         }
@@ -277,16 +255,21 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
     let engine = MonteCarloEngine::new(RUNS, 0x0DD1);
     let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(42));
     let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
-    let metric = |out: &Tensor| Ok(out.sum());
+    let sweep = Sweep {
+        batch: 5,
+        threads: 4,
+        ..Sweep::new(|| mlp(11), fault, &x, |out: &Tensor| Ok(out.sum()))
+    };
     let baseline = engine
-        .run_planned(|| mlp(11), fault, &x, metric, 5, 4)
+        .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+        .and_then(SweepOutcome::into_summary)
         .unwrap()
         .per_run;
 
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
     let outcome = engine
-        .run_planned_supervised(|| mlp(11), fault, &x, metric, 5, 4, &control)
+        .execute_on(EngineKind::Planned, &sweep, &control)
         .unwrap();
     let SweepOutcome::Interrupted {
         cause,
@@ -304,7 +287,7 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
     let restored = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
     let control = SweepControl::new().with_resume(restored);
     let outcome = engine
-        .run_planned_supervised(|| mlp(11), fault, &x, metric, 5, 4, &control)
+        .execute_on(EngineKind::Planned, &sweep, &control)
         .unwrap();
     assert!(outcome.is_complete());
     assert_bits_equal(
@@ -315,7 +298,7 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
 }
 
 #[test]
-fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
+fn execute_resumes_on_the_checkpointed_engine() {
     let engine = MonteCarloEngine::new(RUNS, 0xA070);
     let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(43));
     let fault = structured_fault();
@@ -333,25 +316,19 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
         .unwrap();
     assert_eq!(baseline.engine, EngineKind::Planned);
 
-    // Uninterrupted supervised ladder matches the legacy ladder bit for bit.
-    let complete = engine
-        .run_auto_supervised(
-            || mlp(13),
-            fault,
-            &x,
-            metric,
-            5,
-            4,
-            DegradationPolicy::Graceful,
-            &SweepControl::new(),
-        )
-        .unwrap();
+    // The ladder under a default control matches run_auto bit for bit.
+    let sweep = Sweep {
+        batch: 5,
+        threads: 4,
+        ..Sweep::new(|| mlp(13), fault, &x, metric)
+    };
+    let complete = engine.execute(&sweep, &SweepControl::new()).unwrap();
     assert_eq!(complete.engine, EngineKind::Planned);
     assert!(complete.fallbacks.is_empty());
     assert_bits_equal(
         &baseline.summary.per_run,
         &complete.outcome.summary().per_run,
-        "run_auto_supervised uninterrupted",
+        "execute uninterrupted",
     );
 
     // Cancel mid-sweep, then resume through the ladder entry point: the
@@ -359,24 +336,17 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
     let token = CancelToken::new();
     let calls = AtomicUsize::new(0);
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
-    let interrupted = engine
-        .run_auto_supervised(
+    let cancelling = Sweep {
+        batch: 5,
+        threads: 4,
+        ..Sweep::new(
             || mlp(13),
             fault,
             &x,
-            |out: &Tensor| {
-                let v = out.sum();
-                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= CANCEL_AFTER {
-                    token.cancel();
-                }
-                Ok(v)
-            },
-            5,
-            4,
-            DegradationPolicy::Graceful,
-            &control,
+            cancelling_sum(&calls, &token, CANCEL_AFTER),
         )
-        .unwrap();
+    };
+    let interrupted = engine.execute(&cancelling, &control).unwrap();
     let checkpoint = interrupted
         .outcome
         .checkpoint()
@@ -386,16 +356,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
 
     let restored = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
     let resumed = engine
-        .run_auto_supervised(
-            || mlp(13),
-            fault,
-            &x,
-            metric,
-            5,
-            4,
-            DegradationPolicy::Graceful,
-            &SweepControl::new().with_resume(restored),
-        )
+        .execute(&sweep, &SweepControl::new().with_resume(restored))
         .unwrap();
     assert_eq!(resumed.engine, EngineKind::Planned);
     assert!(resumed.fallbacks.is_empty(), "resume pins the engine");
@@ -403,7 +364,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
     assert_bits_equal(
         &baseline.summary.per_run,
         &resumed.outcome.summary().per_run,
-        "run_auto_supervised resume",
+        "execute resume",
     );
 
     // A checkpoint from a sequential entry point is a caller bug: the ladder
@@ -411,16 +372,7 @@ fn run_auto_supervised_resumes_on_the_checkpointed_engine() {
     let mut sequential_cp = checkpoint;
     sequential_cp.engine = EngineKind::Sequential;
     let err = engine
-        .run_auto_supervised(
-            || mlp(13),
-            fault,
-            &x,
-            metric,
-            5,
-            4,
-            DegradationPolicy::Graceful,
-            &SweepControl::new().with_resume(sequential_cp),
-        )
+        .execute(&sweep, &SweepControl::new().with_resume(sequential_cp))
         .unwrap_err();
     assert!(
         matches!(
@@ -440,22 +392,26 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
     let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(44));
     let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
     let metric = |out: &Tensor| Ok(out.sum());
+    let sweep = Sweep {
+        threads: 2,
+        ..Sweep::new(|| mlp(17), fault, &x, metric)
+    };
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
     let outcome = engine
-        .run_planned_supervised(|| mlp(17), fault, &x, metric, 1, 2, &control)
+        .execute_on(EngineKind::Planned, &sweep, &control)
         .unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
 
     // Wrong fault model → fault-label mismatch.
+    let stuck = Sweep {
+        threads: 2,
+        ..Sweep::new(|| mlp(17), FaultModel::StuckAt { rate: 0.1 }, &x, metric)
+    };
     let err = engine
-        .run_planned_supervised(
-            || mlp(17),
-            FaultModel::StuckAt { rate: 0.1 },
-            &x,
-            metric,
-            1,
-            2,
+        .execute_on(
+            EngineKind::Planned,
+            &stuck,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
         .unwrap_err();
@@ -472,11 +428,9 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
 
     // Wrong engine → engine mismatch.
     let err = engine
-        .run_parallel_supervised(
-            || mlp(17),
-            fault,
-            |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.sum()),
-            2,
+        .execute_on(
+            EngineKind::Parallel,
+            &sweep,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
         .unwrap_err();
@@ -493,13 +447,9 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
 
     // Wrong seed → seed mismatch.
     let err = MonteCarloEngine::new(RUNS, 0xBAD)
-        .run_planned_supervised(
-            || mlp(17),
-            fault,
-            &x,
-            metric,
-            1,
-            2,
+        .execute_on(
+            EngineKind::Planned,
+            &sweep,
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
         .unwrap_err();
@@ -507,6 +457,41 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
         matches!(
             err,
             NnError::Checkpoint(invnorm_nn::CheckpointFault::Mismatch { field: "seed", .. })
+        ),
+        "{err}"
+    );
+
+    // A code-domain checkpoint resumed through the ladder on an f32 sweep →
+    // fault-domain mismatch: the sweep's domain is authoritative, so the
+    // resume cannot silently adopt the checkpoint's.
+    let xq = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(48));
+    let codes = Sweep {
+        domain: SweepDomain::Codes,
+        threads: 2,
+        ..Sweep::new(|| quantized_net(17), fault, &xq, metric)
+    };
+    let codes_cp = engine
+        .execute_on(EngineKind::Planned, &codes, &control)
+        .unwrap()
+        .checkpoint()
+        .unwrap()
+        .clone();
+    assert_eq!(codes_cp.domain, SweepDomain::Codes);
+    assert_eq!(codes_cp.remaining_runs(), RUNS);
+    let weights = Sweep {
+        domain: SweepDomain::Weights,
+        ..codes
+    };
+    let err = engine
+        .execute(&weights, &SweepControl::new().with_resume(codes_cp))
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            NnError::Checkpoint(invnorm_nn::CheckpointFault::Mismatch {
+                field: "fault domain",
+                ..
+            })
         ),
         "{err}"
     );
@@ -572,20 +557,14 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
     // σ = 1 around w₀ = 1 pushes some (but not all) realizations past the
     // |w| > 2 tripwire.
     let fault = FaultModel::AdditiveVariation { sigma: 1.0 };
-    let evaluate = |m: &mut Tripwire| {
-        let out = m.forward(&x, Mode::Eval)?;
-        Ok(out.sum())
-    };
 
     let sweep = |threads: usize| {
+        let sweep = Sweep {
+            threads,
+            ..Sweep::new(Tripwire::new, fault, &x, |out: &Tensor| Ok(out.sum()))
+        };
         let outcome = engine
-            .run_parallel_supervised(
-                Tripwire::new,
-                fault,
-                evaluate,
-                threads,
-                &SweepControl::new(),
-            )
+            .execute_on(EngineKind::Parallel, &sweep, &SweepControl::new())
             .unwrap();
         let SweepOutcome::Complete {
             summary,
@@ -612,7 +591,7 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
         // Diagnostics render the run, engine and fault label.
         let line = q.to_string();
         assert!(
-            line.contains("run_parallel") && line.contains("additive"),
+            line.starts_with(&format!("run {} quarantined on parallel [additive", q.run)),
             "{line}"
         );
     }
@@ -630,18 +609,86 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
         "quarantine thread invariance",
     );
 
-    // The pool survived the panics: legacy sweeps on the same process keep
-    // working, and a panic on the legacy path still propagates (its
-    // pre-supervision contract).
-    let healthy = engine
-        .run_parallel(
+    // The pool survived the panics: later sweeps on the same process keep
+    // working.
+    let ones = Tensor::ones(&[2, 8]);
+    let healthy = Sweep {
+        threads: 4,
+        ..Sweep::new(
             || mlp(19),
             FaultModel::AdditiveVariation { sigma: 0.1 },
-            |m: &mut Sequential| Ok(m.forward(&Tensor::ones(&[2, 8]), Mode::Eval)?.sum()),
-            4,
+            &ones,
+            |out: &Tensor| Ok(out.sum()),
         )
+    };
+    let healthy = engine
+        .execute_on(EngineKind::Parallel, &healthy, &SweepControl::new())
+        .and_then(SweepOutcome::into_summary)
         .unwrap();
     assert_eq!(healthy.per_run.len(), 32);
+}
+
+/// `run` and `run_auto` keep no quarantine: the lowest panicking run fails
+/// the sweep with an error instead of unwinding through the caller, and
+/// `run` restores the clean weight first. Plans reject `Tripwire`, so the
+/// ladder lands on the parallel engine.
+#[test]
+fn run_and_run_auto_report_the_lowest_panicking_run() {
+    let engine = MonteCarloEngine::new(32, 0x7219);
+    let x = Tensor::randn(&[2, 2], 0.0, 1.0, &mut Rng::seed_from(45));
+    let fault = FaultModel::AdditiveVariation { sigma: 1.0 };
+    let metric = |out: &Tensor| Ok(out.sum());
+    let sweep = Sweep {
+        threads: 4,
+        ..Sweep::new(Tripwire::new, fault, &x, metric)
+    };
+    let ladder = engine.execute(&sweep, &SweepControl::new()).unwrap();
+    assert_eq!(ladder.engine, EngineKind::Parallel);
+    assert!(
+        matches!(
+            ladder.fallbacks.as_slice(),
+            [FallbackStep {
+                engine: EngineKind::Planned,
+                reason: invnorm_imc::FallbackReason::Unsupported {
+                    layer: "Tripwire",
+                    ..
+                },
+            }]
+        ),
+        "{:?}",
+        ladder.fallbacks
+    );
+    let lowest = ladder.outcome.quarantined()[0].run;
+    let expected = |err: &str| {
+        err.contains("evaluation panicked (tripwire crossed")
+            && err.ends_with(&format!(") on run {lowest}"))
+    };
+
+    let mut net = Tripwire::new();
+    let err = engine
+        .run(&mut net, fault, |n| metric(&n.forward(&x, Mode::Eval)?))
+        .unwrap_err()
+        .to_string();
+    assert!(expected(&err), "run: {err}");
+    assert_eq!(
+        net.weight.value.data(),
+        &[1.0],
+        "run must restore the weight"
+    );
+
+    let err = engine
+        .run_auto(
+            Tripwire::new,
+            fault,
+            &x,
+            metric,
+            1,
+            4,
+            DegradationPolicy::Graceful,
+        )
+        .unwrap_err()
+        .to_string();
+    assert!(expected(&err), "run_auto: {err}");
 }
 
 #[test]
@@ -652,9 +699,10 @@ fn sequential_supervised_quarantines_panics_too() {
     let mut net = Tripwire::new();
     let outcome = engine
         .run_supervised(
+            SweepDomain::Weights,
             &mut net,
             fault,
-            |n: &mut dyn Layer| Ok(n.forward(&x, Mode::Eval)?.sum()),
+            |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
             &SweepControl::new(),
         )
         .unwrap();
@@ -670,17 +718,12 @@ fn sequential_supervised_quarantines_panics_too() {
     // The panic unwound through the injector bracket, but the engine still
     // restored the clean weight before the next instance: the surviving
     // runs match the parallel engine bit for bit.
+    let sweep = Sweep {
+        threads: 2,
+        ..Sweep::new(Tripwire::new, fault, &x, |out: &Tensor| Ok(out.sum()))
+    };
     let parallel = engine
-        .run_parallel_supervised(
-            Tripwire::new,
-            fault,
-            |m: &mut Tripwire| {
-                let out = m.forward(&x, Mode::Eval)?;
-                Ok(out.sum())
-            },
-            2,
-            &SweepControl::new(),
-        )
+        .execute_on(EngineKind::Parallel, &sweep, &SweepControl::new())
         .unwrap();
     assert_bits_equal(
         &summary.per_run,
@@ -740,17 +783,13 @@ fn non_finite_metrics_under_drift_are_quarantined_at_record_time() {
         sigma_nu: 1.0,
         tile: TileShape { rows: 4, cols: 4 },
     };
+    let metric = |out: &Tensor| Ok(out.sum());
+    let sweep = Sweep {
+        threads: 4,
+        ..Sweep::new(InfUnderDrift::new, fault, &x, metric)
+    };
     let outcome = engine
-        .run_parallel_supervised(
-            InfUnderDrift::new,
-            fault,
-            |m: &mut InfUnderDrift| {
-                let out = m.forward(&x, Mode::Eval)?;
-                Ok(out.sum())
-            },
-            4,
-            &SweepControl::new(),
-        )
+        .execute_on(EngineKind::Parallel, &sweep, &SweepControl::new())
         .unwrap();
     let SweepOutcome::Complete {
         summary,
@@ -778,24 +817,24 @@ fn non_finite_metrics_under_drift_are_quarantined_at_record_time() {
     assert!(summary.per_run.iter().all(|m| m.is_finite()));
     assert!(summary.mean.is_finite());
 
-    // The legacy entry point keeps its historical contract: the lowest
-    // saturated run aborts the sweep with the pre-supervision message.
+    // `run_auto` keeps the plain-summary contract: the lowest saturated run
+    // aborts the sweep with the historical message.
     let lowest = quarantined[0].run;
     let err = engine
-        .run_parallel(
+        .run_auto(
             InfUnderDrift::new,
             fault,
-            |m: &mut InfUnderDrift| {
-                let out = m.forward(&x, Mode::Eval)?;
-                Ok(out.sum())
-            },
+            &x,
+            metric,
+            1,
             4,
+            DegradationPolicy::Graceful,
         )
         .unwrap_err()
         .to_string();
     assert!(
         err.contains("non-finite metric") && err.contains(&format!("on run {lowest}")),
-        "unexpected legacy error: {err}"
+        "unexpected run_auto error: {err}"
     );
 }
 
@@ -809,26 +848,33 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(47));
     let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
     let metric = |out: &Tensor| Ok(out.sum());
+    let sweep = Sweep {
+        batch: 5,
+        threads: 2,
+        ..Sweep::new(|| mlp(23), fault, &x, metric)
+    };
 
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
     let outcome = engine
-        .run_planned_supervised(|| mlp(23), fault, &x, metric, 5, 2, &control)
+        .execute_on(EngineKind::Planned, &sweep, &control)
         .unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
     assert!(Telemetry::counter(Counter::CancelledRuns) >= RUNS as u64);
 
     let control = SweepControl::new().with_resume(checkpoint);
     let resumed = engine
-        .run_planned_supervised(|| mlp(23), fault, &x, metric, 5, 2, &control)
+        .execute_on(EngineKind::Planned, &sweep, &control)
         .unwrap();
     assert!(resumed.is_complete());
     // Nothing was accounted before the zero deadline, so resume skips are
     // whatever other concurrent tests contributed — only quarantine needs a
     // dedicated probe.
     let quarantine_before = Telemetry::counter(Counter::QuarantinedRuns);
-    let outcome = engine
-        .run_parallel_supervised(
+    let ones = Tensor::ones(&[2, 2]);
+    let drifting = Sweep {
+        threads: 2,
+        ..Sweep::new(
             InfUnderDrift::new,
             FaultModel::CorrelatedDrift {
                 nu: 0.05,
@@ -836,13 +882,12 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
                 sigma_nu: 1.0,
                 tile: TileShape { rows: 4, cols: 4 },
             },
-            |m: &mut InfUnderDrift| {
-                let out = m.forward(&Tensor::ones(&[2, 2]), Mode::Eval)?;
-                Ok(out.sum())
-            },
-            2,
-            &SweepControl::new(),
+            &ones,
+            metric,
         )
+    };
+    let outcome = engine
+        .execute_on(EngineKind::Parallel, &drifting, &SweepControl::new())
         .unwrap();
     let expected = outcome.quarantined().len() as u64;
     assert!(expected > 0);
@@ -852,35 +897,27 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     let token = CancelToken::new();
     let calls = AtomicUsize::new(0);
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
-    let outcome = engine
-        .run_planned_supervised(
+    let cancelling = Sweep {
+        batch: 5,
+        threads: 2,
+        ..Sweep::new(
             || mlp(23),
             fault,
             &x,
-            |out: &Tensor| {
-                let v = out.sum();
-                if calls.fetch_add(1, Ordering::Relaxed) + 1 >= CANCEL_AFTER {
-                    token.cancel();
-                }
-                Ok(v)
-            },
-            5,
-            2,
-            &control,
+            cancelling_sum(&calls, &token, CANCEL_AFTER),
         )
+    };
+    let outcome = engine
+        .execute_on(EngineKind::Planned, &cancelling, &control)
         .unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
     let accounted = checkpoint.accounted_runs() as u64;
     assert!(accounted > 0);
     let skips_before = Telemetry::counter(Counter::ResumeSkips);
     let resumed = engine
-        .run_planned_supervised(
-            || mlp(23),
-            fault,
-            &x,
-            metric,
-            5,
-            2,
+        .execute_on(
+            EngineKind::Planned,
+            &sweep,
             &SweepControl::new().with_resume(checkpoint),
         )
         .unwrap();

@@ -253,26 +253,26 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
                 Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
             })
             .unwrap();
-        let parallel = engine
-            .run_parallel(
-                || cnn(23),
-                fault,
-                |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.abs().mean()),
-                3,
-            )
-            .unwrap();
-        let planned = engine
-            .run_planned(|| cnn(23), fault, &x, metric, 1, 2)
-            .unwrap();
-        let fused = engine
-            .run_planned(|| cnn(23), fault, &x, metric, 2, 2)
-            .unwrap();
+        let on = |engine_kind, batch, threads| {
+            let sweep = Sweep {
+                batch,
+                threads,
+                ..Sweep::new(|| cnn(23), fault, &x, metric)
+            };
+            engine
+                .execute_on(engine_kind, &sweep, &SweepControl::new())
+                .and_then(SweepOutcome::into_summary)
+                .unwrap()
+        };
+        let parallel = on(EngineKind::Parallel, 1, 3);
+        let planned = on(EngineKind::Planned, 1, 2);
+        let fused = on(EngineKind::Planned, 2, 2);
         // Every summary records the forced tier as its provenance.
         for (name, s) in [
             ("run", &sequential),
-            ("run_parallel", &parallel),
-            ("run_planned batch=1", &planned),
-            ("run_planned batch=2", &fused),
+            ("parallel", &parallel),
+            ("planned batch=1", &planned),
+            ("planned batch=2", &fused),
         ] {
             assert_eq!(
                 s.kernel_tier,
@@ -284,9 +284,9 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
         // Within the tier, every engine (different batch sizes and thread
         // counts included) produces bit-identical per-run metrics.
         for (name, s) in [
-            ("run_parallel", &parallel),
-            ("run_planned batch=1", &planned),
-            ("run_planned batch=2", &fused),
+            ("parallel", &parallel),
+            ("planned batch=1", &planned),
+            ("planned batch=2", &fused),
         ] {
             let same = sequential
                 .per_run

@@ -159,20 +159,20 @@ fn telemetry_is_bit_invisible_on_every_engine() {
                     Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
                 })
                 .unwrap();
-            let parallel = engine
-                .run_parallel(
-                    || cnn(23),
-                    fault,
-                    |m: &mut Sequential| Ok(m.forward(&x, Mode::Eval)?.abs().mean()),
-                    2,
-                )
-                .unwrap();
-            let planned = engine
-                .run_planned(|| cnn(23), fault, &x, metric, 1, 2)
-                .unwrap();
-            let fused = engine
-                .run_planned(|| cnn(23), fault, &x, metric, 4, 2)
-                .unwrap();
+            let on = |engine_kind, batch| {
+                let sweep = Sweep {
+                    batch,
+                    threads: 2,
+                    ..Sweep::new(|| cnn(23), fault, &x, metric)
+                };
+                engine
+                    .execute_on(engine_kind, &sweep, &SweepControl::new())
+                    .and_then(SweepOutcome::into_summary)
+                    .unwrap()
+            };
+            let parallel = on(EngineKind::Parallel, 1);
+            let planned = on(EngineKind::Planned, 1);
+            let fused = on(EngineKind::Planned, 4);
             assert_eq!(sequential.telemetry.is_some(), enabled);
             assert_eq!(fused.telemetry.is_some(), enabled);
             results[slot] = Some([
@@ -187,14 +187,9 @@ fn telemetry_is_bit_invisible_on_every_engine() {
         }
         let [baseline, instrumented] = results;
         let (baseline, instrumented) = (baseline.unwrap(), instrumented.unwrap());
-        for (i, name) in [
-            "run",
-            "run_parallel",
-            "run_planned batch=1",
-            "run_planned batch=4",
-        ]
-        .iter()
-        .enumerate()
+        for (i, name) in ["run", "parallel", "planned batch=1", "planned batch=4"]
+            .iter()
+            .enumerate()
         {
             assert_bits_equal(&baseline[i], &instrumented[i], &format!("{name} {fault:?}"));
         }
@@ -257,16 +252,18 @@ fn chrome_trace_export_is_well_formed_and_balanced() {
     Telemetry::reset();
     Telemetry::enable();
     let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(31));
-    let engine = MonteCarloEngine::new(6, 0xACE);
-    let summary = engine
-        .run_planned(
+    let sweep = Sweep {
+        batch: 4,
+        ..Sweep::new(
             || cnn(29),
             FaultModel::AdditiveVariation { sigma: 0.2 },
             &x,
-            |out| Ok(out.abs().mean()),
-            4,
-            1,
+            |out: &Tensor| Ok(out.abs().mean()),
         )
+    };
+    let summary = MonteCarloEngine::new(6, 0xACE)
+        .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+        .and_then(SweepOutcome::into_summary)
         .unwrap();
     Telemetry::disable();
     let trace = Telemetry::chrome_trace();
@@ -327,14 +324,15 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
     Telemetry::disable();
     assert_eq!(outcome.engine, EngineKind::Planned);
     let rendered = outcome.to_string();
-    assert!(rendered.contains("run_planned"), "{rendered}");
-    assert!(rendered.contains("4 runs"), "{rendered}");
+    assert!(rendered.contains(" [planned]: 4 runs"), "{rendered}");
     // And a synthetic fallback renders with its reason.
     let step = FallbackStep {
         engine: EngineKind::Parallel,
         reason: invnorm_imc::FallbackReason::Lifetime,
     };
     let line = step.to_string();
-    assert!(line.contains("run_parallel"), "{line}");
-    assert!(line.contains("lifetime"), "{line}");
+    assert_eq!(
+        line,
+        "skipped parallel: no per-inference fault lifetime model"
+    );
 }
