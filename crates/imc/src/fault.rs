@@ -356,140 +356,40 @@ impl FaultModel {
     /// Noise magnitudes for the variation models are interpreted relative to
     /// the tensor's own scale (its maximum absolute value), matching how the
     /// paper sweeps a dimensionless σ from 0 to 1 across models with very
-    /// different weight magnitudes.
+    /// different weight magnitudes. This is [`FaultModel::perturb_into`]
+    /// over the tensor's crossbar shape into a fresh tensor (every arm
+    /// writes every element), so the two realization paths cannot diverge.
     ///
     /// # Errors
     ///
     /// Returns an error when the model parameters are invalid.
     pub fn perturb(&self, weights: &Tensor, rng: &mut Rng) -> Result<Tensor> {
-        self.validate()?;
-        if !self.is_active() {
-            return Ok(weights.clone());
-        }
-        match *self {
-            FaultModel::AdditiveVariation { sigma } => {
-                let scale = weights.abs().max().max(1e-12);
-                let noise = Tensor::randn(weights.dims(), 0.0, sigma * scale, rng);
-                Ok(weights.add(&noise)?)
-            }
-            FaultModel::MultiplicativeVariation { sigma } => {
-                let factor = Tensor::randn(weights.dims(), 1.0, sigma, rng);
-                Ok(weights.mul(&factor)?)
-            }
-            FaultModel::UniformNoise { strength } => {
-                let scale = weights.abs().max().max(1e-12);
-                let noise =
-                    Tensor::rand_uniform(weights.dims(), -strength * scale, strength * scale, rng);
-                Ok(weights.add(&noise)?)
-            }
-            FaultModel::BitFlip { rate, bits } => {
-                let mut q = QuantizedTensor::quantize(weights, bits)?;
-                flip_bits(&mut q, rate, rng);
-                Ok(q.dequantize())
-            }
-            FaultModel::BinaryBitFlip { rate } => {
-                let mut b = BinaryTensor::binarize(weights);
-                for s in b.signs_mut() {
-                    if rng.bernoulli(rate) {
-                        *s = !*s;
-                    }
-                }
-                Ok(b.dequantize())
-            }
-            FaultModel::StuckAt { rate } => {
-                let lo = weights.min();
-                let hi = weights.max();
-                let mut out = weights.clone();
-                for v in out.data_mut() {
-                    if rng.bernoulli(rate) {
-                        *v = if rng.bernoulli(0.5) { lo } else { hi };
-                    }
-                }
-                Ok(out)
-            }
-            FaultModel::Drift { nu, time_ratio } => {
-                let factor = time_ratio.powf(-nu);
-                Ok(weights.scale(factor))
-            }
-            FaultModel::LineDefect {
-                orientation,
-                rate,
-                tile,
-            } => {
-                let (rows, cols) = matrix_dims(weights);
-                let (lo, hi) = stuck_levels(weights.data());
-                let mut out = weights.clone();
-                let data = out.data_mut();
-                for_each_fired_line(
-                    rows,
-                    cols,
-                    orientation,
-                    rate,
-                    tile,
-                    rng,
-                    |rr, cc, pick_lo| {
-                        let level = if pick_lo { lo } else { hi };
-                        for r in rr {
-                            for c in cc.clone() {
-                                data[r * cols + c] = level;
-                            }
-                        }
-                    },
-                );
-                Ok(out)
-            }
-            FaultModel::CorrelatedDrift {
-                nu,
-                time_ratio,
-                sigma_nu,
-                tile,
-            } => {
-                let (rows, cols) = matrix_dims(weights);
-                let mut out = weights.clone();
-                let data = out.data_mut();
-                for_each_drift_tile(
-                    rows,
-                    cols,
-                    nu,
-                    time_ratio,
-                    sigma_nu,
-                    tile,
-                    rng,
-                    |rr, cc, factor| {
-                        for r in rr {
-                            for c in cc.clone() {
-                                data[r * cols + c] *= factor;
-                            }
-                        }
-                    },
-                );
-                Ok(out)
-            }
-            FaultModel::None => Ok(weights.clone()),
-        }
+        let mut out = Tensor::zeros(weights.dims());
+        self.perturb_into(weights.data(), matrix_dims(weights), out.data_mut(), rng)?;
+        Ok(out)
     }
 
-    /// Applies the fault model to a weight tensor, writing the perturbed
-    /// values into a caller-provided buffer instead of allocating a fresh
-    /// tensor — the zero-alloc realization step of the batched Monte-Carlo
-    /// path, where B perturbed copies of each parameter land in a stacked
-    /// buffer.
-    ///
-    /// Draws **exactly** the same random variates in the same order as
-    /// [`FaultModel::perturb`], so for the same `rng` state the realization
-    /// is bit-identical to the allocating path (the bit-flip models, which
-    /// route through the quantizer, fall back to it internally).
+    /// Applies the fault model to a clean weight slice with crossbar shape
+    /// `(rows, cols)` (see [`FaultModel::perturb`]), writing into `dst` — the
+    /// realization step of the planned engine, where B perturbed copies of
+    /// each parameter land in a stacked buffer. Only the structured models
+    /// use the shape; the bit-flip models quantize a copy of the slice.
     ///
     /// # Errors
     ///
-    /// Returns an error when the model parameters are invalid or `dst` does
-    /// not match the tensor's element count.
-    pub fn perturb_into(&self, weights: &Tensor, dst: &mut [f32], rng: &mut Rng) -> Result<()> {
+    /// Returns an error when the model parameters are invalid, `dst` does
+    /// not match `src`, or `rows · cols` does not cover `src`.
+    pub fn perturb_into(
+        &self,
+        src: &[f32],
+        (rows, cols): (usize, usize),
+        dst: &mut [f32],
+        rng: &mut Rng,
+    ) -> Result<()> {
         self.validate()?;
-        let src = weights.data();
-        if dst.len() != src.len() {
+        if dst.len() != src.len() || rows * cols != src.len() {
             return Err(NnError::Config(format!(
-                "perturb_into destination holds {} elements, parameter has {}",
+                "perturb_into destination holds {} elements, a [{rows}, {cols}] parameter has {}",
                 dst.len(),
                 src.len()
             )));
@@ -500,7 +400,6 @@ impl FaultModel {
         }
         match *self {
             FaultModel::AdditiveVariation { sigma } => {
-                // Same scale fold and per-element draw order as `perturb`.
                 let scale = src
                     .iter()
                     .fold(f32::NEG_INFINITY, |m, &x| m.max(x.abs()))
@@ -550,9 +449,6 @@ impl FaultModel {
                 rate,
                 tile,
             } => {
-                // Same line iteration and draw order as `perturb`, applied
-                // in place over a clean copy.
-                let (rows, cols) = matrix_dims(weights);
                 let (lo, hi) = stuck_levels(src);
                 dst.copy_from_slice(src);
                 for_each_fired_line(
@@ -578,7 +474,6 @@ impl FaultModel {
                 sigma_nu,
                 tile,
             } => {
-                let (rows, cols) = matrix_dims(weights);
                 dst.copy_from_slice(src);
                 for_each_drift_tile(
                     rows,
@@ -597,12 +492,21 @@ impl FaultModel {
                     },
                 );
             }
-            FaultModel::BitFlip { .. } | FaultModel::BinaryBitFlip { .. } => {
-                // These route through the quantizer representations; reuse
-                // the allocating path verbatim so the realization stays
-                // bit-identical.
-                let perturbed = self.perturb(weights, rng)?;
-                dst.copy_from_slice(perturbed.data());
+            // Both quantize per tensor (`abs`, `mean`, `max` are flat
+            // folds), so a flat copy of the slice stands in for the tensor.
+            FaultModel::BitFlip { rate, bits } => {
+                let mut q = QuantizedTensor::quantize(&Tensor::from_slice(src), bits)?;
+                flip_bits(&mut q, rate, rng);
+                dst.copy_from_slice(q.dequantize().data());
+            }
+            FaultModel::BinaryBitFlip { rate } => {
+                let mut b = BinaryTensor::binarize(&Tensor::from_slice(src));
+                for s in b.signs_mut() {
+                    if rng.bernoulli(rate) {
+                        *s = !*s;
+                    }
+                }
+                dst.copy_from_slice(b.dequantize().data());
             }
             FaultModel::None => unreachable!("inactive models handled above"),
         }
@@ -1200,7 +1104,9 @@ mod tests {
             let mut rng_b = Rng::seed_from(777);
             let allocated = model.perturb(&w, &mut rng_a).unwrap();
             let mut dst = vec![0.0f32; w.numel()];
-            model.perturb_into(&w, &mut dst, &mut rng_b).unwrap();
+            model
+                .perturb_into(w.data(), matrix_dims(&w), &mut dst, &mut rng_b)
+                .unwrap();
             let identical = allocated
                 .data()
                 .iter()
@@ -1214,7 +1120,12 @@ mod tests {
         // Length mismatch is rejected.
         let mut short = vec![0.0f32; 3];
         assert!(FaultModel::None
-            .perturb_into(&w, &mut short, &mut Rng::seed_from(1))
+            .perturb_into(
+                w.data(),
+                matrix_dims(&w),
+                &mut short,
+                &mut Rng::seed_from(1)
+            )
             .is_err());
     }
 
@@ -1246,7 +1157,9 @@ mod tests {
             let mut rng_b = Rng::seed_from(99);
             let allocated = model.perturb(&w, &mut rng_a).unwrap();
             let mut dst = vec![0.0f32; w.numel()];
-            model.perturb_into(&w, &mut dst, &mut rng_b).unwrap();
+            model
+                .perturb_into(w.data(), matrix_dims(&w), &mut dst, &mut rng_b)
+                .unwrap();
             let identical = allocated
                 .data()
                 .iter()
@@ -1302,7 +1215,9 @@ mod tests {
             let p = model.perturb(&w, &mut rng_a).unwrap();
             assert_eq!(p.numel(), 0, "{model:?}");
             let mut dst: Vec<f32> = Vec::new();
-            model.perturb_into(&w, &mut dst, &mut rng_b).unwrap();
+            model
+                .perturb_into(w.data(), matrix_dims(&w), &mut dst, &mut rng_b)
+                .unwrap();
             assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{model:?} rng state");
         }
         let (lo, hi) = stuck_levels(&[]);

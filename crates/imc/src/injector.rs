@@ -12,13 +12,18 @@
 //!   this layer at that point and experiments turn it on through the shared
 //!   [`NoiseHandle`].
 
+use crate::crossbar::TileShape;
 use crate::fault::{
     flip_code_bits, for_each_drift_tile, for_each_fired_line, stuck_levels, FaultModel,
+    LineOrientation,
 };
 use crate::Result;
 use invnorm_nn::layer::{Layer, Mode, Param};
-use invnorm_nn::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
+use invnorm_nn::plan::{
+    Plan, PlanArenas, PlanCtx, PlanShape, PlanView, PlannedOperand, SparseCells,
+};
 use invnorm_nn::NnError;
+use invnorm_tensor::gemm::PackedOperand;
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{DirtyRows, Rng, Tensor};
 use std::sync::{Arc, RwLock};
@@ -104,7 +109,7 @@ impl WeightFaultInjector {
     }
 
     fn targets(&self, p: &Param) -> bool {
-        p.value.rank() >= 2 || self.include_vectors
+        p.is_fault_target() || self.include_vectors
     }
 
     /// Perturbs the network weights in place, remembering the clean values.
@@ -134,7 +139,7 @@ impl WeightFaultInjector {
         let mut snapshot: Vec<Tensor> = Vec::new();
         let mut targeted: Vec<bool> = Vec::new();
         network.visit_params(&mut |p| {
-            targeted.push(p.value.rank() >= 2 || include_vectors);
+            targeted.push(p.is_fault_target() || include_vectors);
             snapshot.push(p.value.clone());
         });
         // One independent child stream per targeted parameter, forked in a
@@ -242,18 +247,18 @@ impl WeightFaultInjector {
         self.targets(p)
     }
 
-    /// Materializes one fault realization **per entry of `rngs`** into a
-    /// compiled plan's stacked faulty weight buffers (installed by
-    /// `Layer::plan_compile`; `Plan::compile_batched` stacks one slot per
-    /// stream), leaving the clean parameters untouched, and **reports the
-    /// touched row blocks** of every realization through the plan's dirty
-    /// set so only dirty panels are re-packed — the planned engine's
-    /// counterpart of [`WeightFaultInjector::inject`] + restore.
+    /// Materializes one fault realization **per entry of `rngs`** into the
+    /// plan's stacked f32 weight operands ([`Plan::weights_mut`]), leaving
+    /// the clean parameters untouched, and **reports the touched rows or
+    /// cells** of every realization so only dirty panels are refreshed —
+    /// the planned engine's counterpart of [`WeightFaultInjector::inject`] +
+    /// restore.
     ///
     /// Realization `b` of parameter `i` draws from the stream
-    /// `rngs[b].fork(i)` in `visit_params` order — exactly the stream the
-    /// sequential injector forks on chip instance `b` — so every stacked
-    /// realization is **bit-identical** to what
+    /// `rngs[b].fork(i)`, `i` being the parameter's `visit_params` position
+    /// the plan fixed at compile — exactly the stream the sequential
+    /// injector forks on chip instance `b` — so every stacked realization is
+    /// **bit-identical** to what
     /// [`MonteCarloEngine::run`](crate::MonteCarloEngine::run) would have
     /// programmed.
     ///
@@ -261,99 +266,90 @@ impl WeightFaultInjector {
     /// every element) mark every row dirty; the sparse stuck-at and
     /// line-defect models mark only rows whose values actually changed and
     /// hand their exact cells to the plan, and retention drift requests the
-    /// layers' uniform-scale fast path — which is what removes the per-run
+    /// uniform-scale fast path — which is what removes the per-run
     /// weight-pack cost.
     ///
     /// # Errors
     ///
     /// Returns an error when the fault model is invalid, the injector was
     /// configured with [`WeightFaultInjector::including_vectors`] (plans
-    /// target the default rank ≥ 2 parameter set only), `rngs` is empty, or
-    /// a staged buffer does not match the batch size.
-    pub fn realize_plan_batch<L: Layer + ?Sized>(
-        &self,
-        network: &mut L,
-        rngs: &mut [Rng],
-    ) -> Result<()> {
-        let _span = telemetry::span(telemetry::Phase::Inject);
+    /// target the default rank ≥ 2 parameter set only), or `rngs` does not
+    /// hold exactly one stream per stacked realization.
+    pub fn realize_plan_batch(&self, plan: &mut Plan, rngs: &mut [Rng]) -> Result<()> {
         if self.include_vectors {
             return Err(NnError::Config(
                 "compiled plans support the default (rank >= 2) fault targets only".into(),
             ));
         }
-        self.model.validate()?;
         let model = self.model;
-        let batch = rngs.len();
-        if batch == 0 {
-            return Err(NnError::Config(
-                "realize_plan_batch needs at least one RNG stream".into(),
-            ));
-        }
-        let check_staged = |view: &PlanParamView<'_>| -> Result<()> {
-            let numel = view.clean.numel();
-            if view.faulty.len() != batch * numel || !view.dirty.rows().is_multiple_of(batch) {
-                return Err(NnError::Config(format!(
-                    "plan staged {} faulty elements / {} dirty rows for a parameter of {} \
-                     elements, expected batch {batch}",
-                    view.faulty.len(),
-                    view.dirty.rows(),
-                    numel
-                )));
-            }
-            Ok(())
-        };
-        if let Some(factor) = model.uniform_scale() {
-            // Drift's factor is deterministic, so every realization of the
-            // stack shares it: one scale request covers all panels. The
-            // forks still run to keep every per-instance stream aligned
-            // with the sequential injector, and the staged-buffer check
-            // still runs so a batch mismatch is as loud as on every other
-            // model.
-            let mut result: Result<()> = Ok(());
-            network.visit_plan_params(&mut |view| {
-                if result.is_err() {
-                    return;
-                }
-                if let Err(e) = check_staged(&view) {
-                    result = Err(e);
-                    return;
-                }
-                for parent in rngs.iter_mut() {
-                    let _ = parent.fork(view.index as u64);
-                }
-                *view.scale = Some(factor);
-            });
-            return result;
-        }
-        let mut result: Result<()> = Ok(());
-        network.visit_plan_params(&mut |mut view| {
-            if result.is_err() {
-                return;
-            }
-            if let Err(e) = check_staged(&view) {
-                result = Err(e);
-                return;
-            }
-            let rows = view.dirty.rows() / batch;
-            let levels = matches!(
-                model,
-                FaultModel::StuckAt { .. } | FaultModel::LineDefect { .. }
-            )
-            .then(|| stuck_levels(view.clean.data()));
-            for (b, parent) in rngs.iter_mut().enumerate() {
-                let mut stream = parent.fork(view.index as u64);
-                if let Err(e) = realize_one_f32(&mut view, model, b, rows, levels, &mut stream) {
-                    result = Err(e);
-                    return;
-                }
-            }
-        });
-        result
+        let stuck = matches!(
+            model,
+            FaultModel::StuckAt { .. } | FaultModel::LineDefect { .. }
+        );
+        realize_plan(
+            model,
+            plan.batch(),
+            plan.weights_mut(),
+            rngs,
+            // The stuck levels depend only on the clean weights: computed
+            // once per parameter, not once per realization.
+            |view, _| stuck.then(|| stuck_levels(view.clean)),
+            |view, &levels, b, stream| realize_one_f32(view, model, b, levels, stream),
+        )
     }
 }
 
-/// Materializes realization `b` of one parameter into its slice of the
-/// plan-owned faulty buffer, with per-realization dirty-row reporting.
+/// The planned realization loop of both fault domains: validates the
+/// model and the stream count, then per operand takes the drift fast path
+/// (one uniform-scale request for every stacked realization) or hands
+/// realization `b`'s stream `rngs[b].fork(index)` to the domain's `step`,
+/// with what `per_operand` derived once. Both paths fork every stream
+/// exactly as the sequential injector does.
+// lint: no_alloc
+fn realize_plan<P: PackedOperand, C>(
+    model: FaultModel,
+    batch: usize,
+    operands: &mut [PlannedOperand<P>],
+    rngs: &mut [Rng],
+    per_operand: impl Fn(&PlanView<'_, P::Elem>, u8) -> C,
+    step: impl Fn(&mut PlanView<'_, P::Elem>, &C, usize, &mut Rng) -> Result<()>,
+) -> Result<()> {
+    let _span = telemetry::span(telemetry::Phase::Inject);
+    model.validate()?;
+    if rngs.len() != batch {
+        return Err(stream_count_mismatch(rngs.len(), batch));
+    }
+    let scale = model.uniform_scale();
+    for operand in operands {
+        let bits = operand.bits();
+        let mut view = operand.view();
+        if scale.is_some() {
+            for parent in rngs.iter_mut() {
+                let _ = parent.fork(view.index as u64);
+            }
+            *view.scale = scale;
+            continue;
+        }
+        let ctx = per_operand(&view, bits);
+        for (b, parent) in rngs.iter_mut().enumerate() {
+            let mut stream = parent.fork(view.index as u64);
+            step(&mut view, &ctx, b, &mut stream)?;
+        }
+    }
+    Ok(())
+}
+
+// lint: alloc_ok(error path)
+#[cold]
+#[inline(never)]
+fn stream_count_mismatch(streams: usize, batch: usize) -> NnError {
+    NnError::Config(format!(
+        "realize_plan_batch got {streams} RNG streams for a plan stacking {batch} realizations"
+    ))
+}
+
+/// Materializes realization `b` of one weight operand into its slice of
+/// the stacked faulty buffer, with per-realization dirty-row reporting.
 ///
 /// Stuck-at and line defects take the **sparse packed-domain path**: the
 /// previous realization's cells are reverted through the exact cell list
@@ -365,142 +361,120 @@ impl WeightFaultInjector {
 /// the sequential injector, in the same order. Every other model realizes
 /// densely via [`FaultModel::perturb_into`].
 fn realize_one_f32(
-    view: &mut PlanParamView<'_>,
+    view: &mut PlanView<'_, f32>,
     model: FaultModel,
     b: usize,
-    rows: usize,
     levels: Option<(f32, f32)>,
     stream: &mut Rng,
 ) -> Result<()> {
-    let numel = view.clean.numel();
-    let base = b * rows;
-    let faulty_b = &mut view.faulty[b * numel..][..numel];
-    if let FaultModel::StuckAt { rate } = model {
-        if rate > 0.0 && rows > 0 && numel > 0 {
-            let clean = view.clean.data();
-            // Revert the previous realization's cells (exact when known,
-            // full copy otherwise), then record this realization exactly.
-            match view.cells.faulty_cells(b) {
-                Some(cells) => {
-                    for &i in cells {
-                        faulty_b[i as usize] = clean[i as usize];
-                    }
-                }
-                None => faulty_b.copy_from_slice(clean),
-            }
-            view.cells.reset_faulty(b);
+    let (rows, numel) = (view.rows, view.clean.len());
+    let sparse = rows > 0 && numel > 0;
+    match model {
+        FaultModel::StuckAt { rate } if rate > 0.0 && sparse => {
+            let (lo, hi) = levels.unwrap_or_else(|| stuck_levels(view.clean));
             let cols = numel / rows;
-            // The stuck levels depend only on the clean weights; the caller
-            // computes them once per parameter, not once per realization.
-            let (lo, hi) = levels.unwrap_or_else(|| stuck_levels(clean));
+            let faulty_b = revert_cells(view.faulty, view.clean, view.cells, b);
             for (idx, cell) in faulty_b.iter_mut().enumerate() {
                 if stream.bernoulli(rate) {
                     *cell = if stream.bernoulli(0.5) { lo } else { hi };
-                    view.dirty.mark(base + idx / cols);
+                    view.dirty.mark(b * rows + idx / cols);
                     view.cells.push_faulty(b, idx);
                 }
             }
             view.cells.mark_pending(b);
-            return Ok(());
         }
-        // rate == 0.0 falls through to the dense (inactive → copy) path so
-        // the realization protocol stays uniform.
-    }
-    if let FaultModel::LineDefect {
-        orientation,
-        rate,
-        tile,
-    } = model
-    {
-        if rate > 0.0 && rows > 0 && numel > 0 {
-            let clean = view.clean.data();
-            match view.cells.faulty_cells(b) {
-                Some(cells) => {
-                    for &i in cells {
-                        faulty_b[i as usize] = clean[i as usize];
-                    }
-                }
-                None => faulty_b.copy_from_slice(clean),
+        FaultModel::LineDefect {
+            orientation,
+            rate,
+            tile,
+        } if rate > 0.0 && sparse => {
+            let levels = levels.unwrap_or_else(|| stuck_levels(view.clean));
+            realize_lines(view, b, orientation, rate, tile, levels, stream);
+        }
+        // Everything else realizes densely. An inactive model (rate 0.0
+        // included) copies the clean weights, leaving nothing to re-pack;
+        // an active one rewrites every element, so every row is dirty.
+        _ => {
+            let faulty_b = &mut view.faulty[b * numel..][..numel];
+            let cols = numel.checked_div(rows).unwrap_or(0);
+            model.perturb_into(view.clean, (rows, cols), faulty_b, stream)?;
+            view.cells.invalidate_faulty(b);
+            if model.is_active() && numel > 0 {
+                view.dirty.mark_range(b * rows, (b + 1) * rows);
             }
-            view.cells.reset_faulty(b);
-            let cols = numel / rows;
-            let (lo, hi) = levels.unwrap_or_else(|| stuck_levels(clean));
-            let (dirty, cells) = (&mut *view.dirty, &mut *view.cells);
-            for_each_fired_line(
-                rows,
-                cols,
-                orientation,
-                rate,
-                tile,
-                stream,
-                |rr, cc, pick_lo| {
-                    let level = if pick_lo { lo } else { hi };
-                    for r in rr {
-                        dirty.mark(base + r);
-                        for c in cc.clone() {
-                            let idx = r * cols + c;
-                            faulty_b[idx] = level;
-                            cells.push_faulty(b, idx);
-                        }
-                    }
-                },
-            );
-            cells.mark_pending(b);
-            return Ok(());
         }
     }
-    model.perturb_into(view.clean, faulty_b, stream)?;
-    view.cells.invalidate_faulty(b);
-    mark_dirty_f32(model, view.clean.data(), faulty_b, view.dirty, base, rows);
     Ok(())
 }
 
-/// Reports which rows of a `[rows, cols]` parameter a realization touched,
-/// marking into `[base, base + rows)` of a (possibly stacked) dirty set.
-/// Inactive models left the weights bit-identical to clean (nothing to
-/// re-pack); sparse models diff faulty vs clean bits; dense models mark
-/// everything (they rewrite every element, so a diff would find everything
-/// anyway).
-fn mark_dirty_f32(
-    model: FaultModel,
-    clean: &[f32],
-    faulty: &[f32],
-    dirty: &mut DirtyRows,
-    base: usize,
-    rows: usize,
-) {
-    if !model.is_active() {
-        return;
-    }
-    match model {
-        FaultModel::None => {}
-        FaultModel::StuckAt { .. } | FaultModel::LineDefect { .. } => {
-            diff_rows(clean, faulty, dirty, base, rows, |a, b| {
-                a.to_bits() != b.to_bits()
-            })
+/// Reverts realization `b`'s previously fired cells to clean (exactly when
+/// the cell list is known, by a full clean copy otherwise), begins a fresh
+/// exact recording, and returns realization `b`'s faulty slice.
+fn revert_cells<'f, T: Copy>(
+    faulty: &'f mut [T],
+    clean: &[T],
+    cells: &mut SparseCells,
+    b: usize,
+) -> &'f mut [T] {
+    let faulty_b = &mut faulty[b * clean.len()..][..clean.len()];
+    match cells.faulty_cells(b) {
+        Some(fired) => {
+            for &i in fired {
+                faulty_b[i as usize] = clean[i as usize];
+            }
         }
-        _ => dirty.mark_range(base, base + rows),
+        None => faulty_b.copy_from_slice(clean),
     }
+    cells.reset_faulty(b);
+    faulty_b
 }
 
-/// Marks every row of `[rows, cols]` buffers where any element differs,
-/// into `[base, base + rows)` of the dirty set.
-fn diff_rows<T: Copy>(
-    clean: &[T],
-    faulty: &[T],
-    dirty: &mut DirtyRows,
-    base: usize,
-    rows: usize,
-    differs: impl Fn(T, T) -> bool,
+/// The sparse line-defect realization of both domains: reverts realization
+/// `b`'s previous cells, sticks every line the canonical
+/// [`for_each_fired_line`] iteration fires at `lo` (on `pick_lo`) or `hi`,
+/// and records the fired rows and exact cells for the plan's packed-domain
+/// scatter.
+fn realize_lines<T: Copy>(
+    view: &mut PlanView<'_, T>,
+    b: usize,
+    orientation: LineOrientation,
+    rate: f32,
+    tile: TileShape,
+    (lo, hi): (T, T),
+    stream: &mut Rng,
 ) {
-    if rows == 0 {
-        return;
-    }
-    let cols = clean.len() / rows;
+    let (rows, cols) = (view.rows, view.clean.len() / view.rows);
+    let base = b * rows;
+    let faulty_b = revert_cells(view.faulty, view.clean, view.cells, b);
+    let (dirty, cells) = (&mut *view.dirty, &mut *view.cells);
+    for_each_fired_line(
+        rows,
+        cols,
+        orientation,
+        rate,
+        tile,
+        stream,
+        |rr, cc, pick_lo| {
+            let level = if pick_lo { lo } else { hi };
+            for r in rr {
+                dirty.mark(base + r);
+                for c in cc.clone() {
+                    let idx = r * cols + c;
+                    faulty_b[idx] = level;
+                    cells.push_faulty(b, idx);
+                }
+            }
+        },
+    );
+    cells.mark_pending(b);
+}
+
+/// Marks every row of `[rows, cols]` code buffers where any code differs,
+/// into `[base, base + rows)` of the dirty set.
+fn diff_rows(clean: &[i8], faulty: &[i8], dirty: &mut DirtyRows, base: usize, rows: usize) {
+    let cols = clean.len().checked_div(rows).unwrap_or(0);
     for row in 0..rows {
-        let start = row * cols;
-        let changed = (0..cols).any(|i| differs(clean[start + i], faulty[start + i]));
-        if changed {
+        if clean[row * cols..][..cols] != faulty[row * cols..][..cols] {
             dirty.mark(base + row);
         }
     }
@@ -642,139 +616,78 @@ impl CodeFaultInjector {
     }
 
     /// Materializes one code-domain fault realization **per entry of
-    /// `rngs`** into a compiled plan's stacked faulty code buffers,
+    /// `rngs`** into the plan's stacked code operands ([`Plan::codes_mut`]),
     /// reporting per-realization dirty rows — the code-domain counterpart
     /// of [`WeightFaultInjector::realize_plan_batch`], with the same
     /// bit-identity guarantee against [`CodeFaultInjector::inject`]:
     /// realization `b` of quantized parameter `i` uses the stream
     /// `rngs[b].fork(i)` in `visit_codes` order.
     ///
-    /// In the code domain every dense model is diffed against the clean
-    /// codes (rounding frequently leaves codes unchanged even under dense
-    /// noise), so only rows with actually-changed codes trigger a panel
-    /// re-pack; line defects additionally record their exact fired cells so
-    /// the plan scatters them straight into the packed panels.
+    /// Dense models are diffed against the clean codes (rounding often
+    /// leaves codes unchanged), so only changed rows are re-packed; line
+    /// defects hand their exact cells to the plan; retention drift takes the
+    /// uniform-scale fast path, `round(c · factor)` per packed code
+    /// ([`QPackedB::scale_from`]) — with `factor ≤ 1`, exactly the
+    /// sequential drift arm, whose clamp never binds.
     ///
     /// # Errors
     ///
-    /// Returns an error when the fault model is invalid, `rngs` is empty, or
-    /// a staged buffer does not match the batch size.
-    pub fn realize_plan_batch<L: Layer + ?Sized>(
-        &self,
-        network: &mut L,
-        rngs: &mut [Rng],
-    ) -> Result<()> {
-        let _span = telemetry::span(telemetry::Phase::Inject);
-        self.model.validate()?;
+    /// Returns an error when the fault model is invalid or `rngs` does not
+    /// hold exactly one stream per stacked realization.
+    ///
+    /// [`QPackedB::scale_from`]: invnorm_tensor::qgemm::QPackedB::scale_from
+    pub fn realize_plan_batch(&self, plan: &mut Plan, rngs: &mut [Rng]) -> Result<()> {
         let model = self.model;
-        let batch = rngs.len();
-        if batch == 0 {
-            return Err(NnError::Config(
-                "realize_plan_batch needs at least one RNG stream".into(),
-            ));
-        }
-        let mut result: Result<()> = Ok(());
-        network.visit_plan_codes(&mut |mut view| {
-            if result.is_err() {
-                return;
-            }
-            let numel = view.clean.len();
-            if view.faulty.len() != batch * numel || !view.dirty.rows().is_multiple_of(batch) {
-                result = Err(NnError::Config(format!(
-                    "plan staged {} faulty codes / {} dirty rows for a parameter of {} codes, \
-                     expected batch {batch}",
-                    view.faulty.len(),
-                    view.dirty.rows(),
-                    numel
-                )));
-                return;
-            }
-            let rows = view.dirty.rows() / batch;
-            for (b, parent) in rngs.iter_mut().enumerate() {
-                let mut stream = parent.fork(view.index as u64);
-                realize_one_codes(&mut view, model, b, rows, &mut stream);
-            }
-        });
-        result
+        realize_plan(
+            model,
+            plan.batch(),
+            plan.codes_mut(),
+            rngs,
+            |_, bits| bits,
+            |view, &bits, b, stream| {
+                realize_one_codes(view, model, b, bits, stream);
+                Ok(())
+            },
+        )
     }
 }
 
 /// Materializes realization `b` of one quantized parameter's codes into its
 /// slice of the plan-owned faulty buffer — the code-domain counterpart of
 /// [`realize_one_f32`]. Line defects take the sparse packed-domain path
-/// (revert previous cells, fire whole tile lines, record the exact cell
-/// list for the plan's [`QPackedB::write_cell`] scatter); every other model
-/// realizes densely through [`perturb_codes`] and is diffed row by row.
-/// Both routes draw exactly the variates of [`CodeFaultInjector::inject`],
-/// in the same order.
+/// ([`realize_lines`], scattered through [`QPackedB::write_cell`]); every
+/// other model realizes densely through [`perturb_codes`] and is diffed row
+/// by row. Both routes draw exactly the variates of
+/// [`CodeFaultInjector::inject`], in the same order.
 ///
 /// [`QPackedB::write_cell`]: invnorm_tensor::QPackedB::write_cell
 fn realize_one_codes(
-    view: &mut PlanCodeView<'_>,
+    view: &mut PlanView<'_, i8>,
     model: FaultModel,
     b: usize,
-    rows: usize,
+    bits: u8,
     stream: &mut Rng,
 ) {
-    let numel = view.clean.len();
-    let base = b * rows;
-    let faulty_b = &mut view.faulty[b * numel..][..numel];
-    if let FaultModel::LineDefect {
-        orientation,
-        rate,
-        tile,
-    } = model
-    {
-        if rate > 0.0 && rows > 0 && numel > 0 {
-            let clean = view.clean;
-            match view.cells.faulty_cells(b) {
-                Some(cells) => {
-                    for &i in cells {
-                        faulty_b[i as usize] = clean[i as usize];
-                    }
-                }
-                None => faulty_b.copy_from_slice(clean),
-            }
-            view.cells.reset_faulty(b);
-            let cols = numel / rows;
+    let (rows, numel) = (view.rows, view.clean.len());
+    match model {
+        FaultModel::LineDefect {
+            orientation,
+            rate,
+            tile,
+        } if rate > 0.0 && rows > 0 && numel > 0 => {
             // Same stuck-level convention as the dense code arm: a failed
             // line saturates at ±qmax, low on `pick_lo`.
-            let qmax = (((1i32 << (view.bits - 1)) - 1).min(127)) as i8;
-            let (dirty, cells) = (&mut *view.dirty, &mut *view.cells);
-            for_each_fired_line(
-                rows,
-                cols,
-                orientation,
-                rate,
-                tile,
-                stream,
-                |rr, cc, pick_lo| {
-                    let level = if pick_lo { -qmax } else { qmax };
-                    for r in rr {
-                        dirty.mark(base + r);
-                        for c in cc.clone() {
-                            let idx = r * cols + c;
-                            faulty_b[idx] = level;
-                            cells.push_faulty(b, idx);
-                        }
-                    }
-                },
-            );
-            cells.mark_pending(b);
-            return;
+            let qmax = (((1i32 << (bits - 1)) - 1).min(127)) as i8;
+            realize_lines(view, b, orientation, rate, tile, (-qmax, qmax), stream);
+        }
+        _ => {
+            let faulty_b = &mut view.faulty[b * numel..][..numel];
+            faulty_b.copy_from_slice(view.clean);
+            perturb_codes(faulty_b, bits, rows, model, stream);
+            view.cells.invalidate_faulty(b);
+            diff_rows(view.clean, faulty_b, view.dirty, b * rows, rows);
         }
     }
-    faulty_b.copy_from_slice(view.clean);
-    perturb_codes(faulty_b, view.bits, rows, model, stream);
-    view.cells.invalidate_faulty(b);
-    diff_rows(
-        view.clean,
-        faulty_b,
-        view.dirty,
-        base,
-        rows,
-        |a: i8, b: i8| a != b,
-    );
 }
 
 /// Applies a fault model to one slice of `bits`-bit codes, in place.
@@ -1157,13 +1070,15 @@ mod tests {
             });
             injector.restore(&mut net).unwrap();
             // Planned realization from the same stream.
-            let _plan = Plan::compile(&mut net, &x).unwrap();
+            let mut plan = Plan::compile(&mut net, &x).unwrap();
             WeightFaultInjector::new(fault)
                 .unwrap()
-                .realize_plan_batch(&mut net, &mut [Rng::seed_from(7000)])
+                .realize_plan_batch(&mut plan, &mut [Rng::seed_from(7000)])
                 .unwrap();
             let mut got = Vec::new();
-            net.visit_plan_params(&mut |view| got.extend_from_slice(view.faulty));
+            for operand in plan.weights_mut() {
+                got.extend_from_slice(operand.view().faulty);
+            }
             net.plan_end();
             let identical = expected
                 .iter()
@@ -1222,7 +1137,7 @@ mod tests {
                 injector.restore(&mut net).unwrap();
                 expected.push(faulty);
             }
-            let _plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+            let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
             // Two realization rounds (different streams first) so the sparse
             // stuck-at path exercises its revert-previous-cells bookkeeping.
             for base_seed in [8100u64, 8000] {
@@ -1231,16 +1146,17 @@ mod tests {
                     .collect();
                 WeightFaultInjector::new(fault)
                     .unwrap()
-                    .realize_plan_batch(&mut net, &mut rngs)
+                    .realize_plan_batch(&mut plan, &mut rngs)
                     .unwrap();
             }
             let mut got: Vec<Vec<f32>> = vec![Vec::new(); batch];
-            net.visit_plan_params(&mut |view| {
-                let numel = view.clean.numel();
+            for operand in plan.weights_mut() {
+                let view = operand.view();
+                let numel = view.clean.len();
                 for (b, dst) in got.iter_mut().enumerate() {
                     dst.extend_from_slice(&view.faulty[b * numel..][..numel]);
                 }
-            });
+            }
             net.plan_end();
             for b in 0..batch {
                 let identical = expected[b]
@@ -1254,12 +1170,12 @@ mod tests {
             }
         }
         // including_vectors stays unsupported on the planned paths.
-        let _plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+        let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
         let mut rngs: Vec<Rng> = (0..batch).map(|b| Rng::seed_from(b as u64)).collect();
         assert!(WeightFaultInjector::new(FaultModel::StuckAt { rate: 0.1 })
             .unwrap()
             .including_vectors()
-            .realize_plan_batch(&mut net, &mut rngs)
+            .realize_plan_batch(&mut plan, &mut rngs)
             .is_err());
         // Batch mismatch between the plan and the stream count is loud —
         // including on the drift fast path, which skips materialization but
@@ -1267,14 +1183,14 @@ mod tests {
         let mut rngs: Vec<Rng> = (0..batch + 1).map(|b| Rng::seed_from(b as u64)).collect();
         assert!(WeightFaultInjector::new(FaultModel::StuckAt { rate: 0.1 })
             .unwrap()
-            .realize_plan_batch(&mut net, &mut rngs)
+            .realize_plan_batch(&mut plan, &mut rngs)
             .is_err());
         assert!(WeightFaultInjector::new(FaultModel::Drift {
             nu: 0.05,
             time_ratio: 100.0
         })
         .unwrap()
-        .realize_plan_batch(&mut net, &mut rngs)
+        .realize_plan_batch(&mut plan, &mut rngs)
         .is_err());
         net.plan_end();
     }
@@ -1313,7 +1229,7 @@ mod tests {
                 expected.push(codes_of(&mut net));
                 injector.restore(&mut net).unwrap();
             }
-            let _plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+            let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
             // Two realization rounds (different streams first) so the sparse
             // line-defect path exercises its revert-previous-cells
             // bookkeeping.
@@ -1323,16 +1239,17 @@ mod tests {
                     .collect();
                 CodeFaultInjector::new(fault)
                     .unwrap()
-                    .realize_plan_batch(&mut net, &mut rngs)
+                    .realize_plan_batch(&mut plan, &mut rngs)
                     .unwrap();
             }
             let mut got: Vec<Vec<i8>> = vec![Vec::new(); batch];
-            net.visit_plan_codes(&mut |view| {
+            for operand in plan.codes_mut() {
+                let view = operand.view();
                 let numel = view.clean.len();
                 for (b, dst) in got.iter_mut().enumerate() {
                     dst.extend_from_slice(&view.faulty[b * numel..][..numel]);
                 }
-            });
+            }
             net.plan_end();
             for b in 0..batch {
                 assert_eq!(

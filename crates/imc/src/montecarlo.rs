@@ -335,14 +335,10 @@ impl AnyInjector {
         }
     }
 
-    fn realize_plan_batch<L: Layer + ?Sized>(
-        &mut self,
-        network: &mut L,
-        rngs: &mut [Rng],
-    ) -> Result<()> {
+    fn realize_plan_batch(&mut self, plan: &mut Plan, rngs: &mut [Rng]) -> Result<()> {
         match self {
-            AnyInjector::Weights(i) => i.realize_plan_batch(network, rngs),
-            AnyInjector::Codes(i) => i.realize_plan_batch(network, rngs),
+            AnyInjector::Weights(i) => i.realize_plan_batch(plan, rngs),
+            AnyInjector::Codes(i) => i.realize_plan_batch(plan, rngs),
         }
     }
 }
@@ -534,17 +530,20 @@ impl MonteCarloEngine {
     /// - [`EngineKind::Planned`]: each worker builds its model once and
     ///   compiles it into a plan for the shape of `input`
     ///   (`Plan::compile_batched`): one-shot shape inference, arena-backed
-    ///   buffers, and — per weighted layer — `batch` stacked faulty buffers
-    ///   with per-realization cached packed panels, all reserved at compile
-    ///   time. Per batch of chip instances, the injector materializes the
-    ///   realizations from the per-instance RNG streams straight into the
-    ///   stacked buffers ([`WeightFaultInjector::realize_plan_batch`] /
+    ///   buffers, and — per registered weight or code operand — `batch`
+    ///   stacked faulty buffers with per-realization cached packed panels,
+    ///   all reserved at compile time, where each operand's RNG fork index
+    ///   is also fixed. Per batch of chip instances, the injector
+    ///   materializes the realizations from the per-instance RNG streams
+    ///   straight into the plan's operands
+    ///   ([`WeightFaultInjector::realize_plan_batch`] /
     ///   [`CodeFaultInjector::realize_plan_batch`]; the clean weights are
-    ///   never touched) — sparse stuck-at realizations land in the packed
-    ///   panels cell by cell, drift scales the whole panel stack in place,
-    ///   dense models re-pack only dirty rows — and ONE planned forward
-    ///   evaluates the whole stack, with the cached activation panels
-    ///   streamed against every realization's weight panel. `metric` then
+    ///   never touched) — sparse stuck-at and line-defect realizations land
+    ///   in the packed panels cell by cell, drift scales the whole panel
+    ///   stack in place in both domains, dense models re-pack only dirty
+    ///   rows — and ONE planned forward evaluates the whole stack, with the
+    ///   cached activation panels streamed against every realization's
+    ///   weight panel. `metric` then
     ///   scores each realization's rows of the stacked output. The stack is
     ///   capped so every worker gets at least one batch, and a smaller tail
     ///   batch recompiles the worker's plan. Both fault lifetimes are
@@ -554,9 +553,11 @@ impl MonteCarloEngine {
     ///   per-run metrics equal the static lifetime's. The network must be
     ///   built from plan-capable layers; a layer with fault-targetable
     ///   weights but no plan support — today only `Lstm` — is rejected with
-    ///   [`NnError::Unsupported`]. A panic quarantines its whole batch (one
-    ///   fused forward is one failure domain), and the worker rebuilds its
-    ///   model and recompiles.
+    ///   [`NnError::Unsupported`], and one that plans itself without
+    ///   registering its operand fails the compile with [`NnError::Config`]
+    ///   (a bug the ladder does not degrade past). A panic quarantines its
+    ///   whole batch (one fused forward is one failure domain), and the
+    ///   worker rebuilds its model and recompiles.
     /// - [`EngineKind::Parallel`]: every worker claims chip instances in
     ///   chunks of [`MonteCarloEngine::CHUNK`] from a shared atomic counter
     ///   (work stealing) and evaluates `metric(&model.forward(input,
@@ -766,8 +767,9 @@ impl MonteCarloEngine {
                         }
                         if plan.as_ref().is_none_or(|p| p.batch() != bsize) {
                             // The first compile is unavoidable; only a
-                            // size-mismatched tail batch counts as a recompile.
-                            if plan.is_some() {
+                            // size-mismatched tail batch counts as a recompile
+                            // (its old plan's operands are released first).
+                            if plan.take().is_some() {
                                 telemetry::count(telemetry::Counter::TailRecompiles, 1);
                             }
                             model.plan_end();
@@ -841,7 +843,7 @@ impl MonteCarloEngine {
         metric: &impl Fn(&Tensor) -> Result<f32>,
     ) -> Result<Vec<f32>> {
         let bsize = rngs.len();
-        AnyInjector::new(domain, fault).realize_plan_batch(model, rngs)?;
+        AnyInjector::new(domain, fault).realize_plan_batch(plan, rngs)?;
         let out = {
             let _span = telemetry::span(telemetry::Phase::Forward);
             plan.forward(model)?
@@ -1393,8 +1395,8 @@ mod tests {
 
     /// An MLP with a normalization layer in the middle: the norm's rank-1
     /// affine parameters shift the global parameter indices, exercising the
-    /// index re-basing that keeps the plan's RNG streams aligned with the
-    /// sequential injector.
+    /// compile-time fork indices that keep the plan's RNG streams aligned
+    /// with the sequential injector.
     fn mlp_with_norm(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::norm::GroupNorm;
@@ -1804,11 +1806,11 @@ mod tests {
         assert_eq!(plan.fault_lifetime(), FaultLifetime::PerInference);
         let mut rng = Rng::seed_from(7);
         WeightFaultInjector::new_unchecked(fault)
-            .realize_plan_batch(&mut net, std::slice::from_mut(&mut rng))
+            .realize_plan_batch(&mut plan, std::slice::from_mut(&mut rng))
             .unwrap();
         let out1 = plan.forward(&mut net).unwrap().clone();
         WeightFaultInjector::new_unchecked(fault)
-            .realize_plan_batch(&mut net, std::slice::from_mut(&mut rng))
+            .realize_plan_batch(&mut plan, std::slice::from_mut(&mut rng))
             .unwrap();
         let out2 = plan.forward(&mut net).unwrap().clone();
         net.plan_end();
@@ -1822,7 +1824,7 @@ mod tests {
         assert_eq!(plan.fault_lifetime(), FaultLifetime::Static);
         let mut rng = Rng::seed_from(7);
         WeightFaultInjector::new_unchecked(fault)
-            .realize_plan_batch(&mut net, std::slice::from_mut(&mut rng))
+            .realize_plan_batch(&mut plan, std::slice::from_mut(&mut rng))
             .unwrap();
         let a = plan.forward(&mut net).unwrap().clone();
         let b = plan.forward(&mut net).unwrap().clone();

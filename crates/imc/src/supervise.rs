@@ -1186,4 +1186,131 @@ mod tests {
             other => panic!("expected Interrupted, got {other:?}"),
         }
     }
+
+    /// A sweep checkpoint of `records` completed and up to two quarantined
+    /// runs drawn from `seed`, plus the payload offsets of its u32 count and
+    /// length fields: run count, label length, both record counts and every
+    /// panic message length.
+    fn random_sweep_checkpoint(seed: u64, records: usize) -> (SweepCheckpoint, Vec<usize>) {
+        let mut rng = invnorm_tensor::Rng::seed_from(seed);
+        let fault_label = "σ".repeat((rng.next_u64() % 4) as usize);
+        let completed: Vec<(usize, f32)> = (0..records).map(|run| (run, rng.uniform())).collect();
+        let mut fields = vec![8, 14, 18 + fault_label.len()];
+        let mut pos = fields[2] + 4 + 8 * records;
+        fields.push(pos);
+        pos += 4;
+        let quarantined = (0..rng.next_u64() % 3)
+            .map(|i| {
+                let message = "!".repeat((rng.next_u64() % 6) as usize);
+                fields.push(pos + 5);
+                pos += 9 + message.len();
+                QuarantinedRun {
+                    run: records + i as usize,
+                    engine: EngineKind::Parallel,
+                    fault_label: fault_label.clone(),
+                    cause: QuarantineCause::Panic { message },
+                }
+            })
+            .collect();
+        let checkpoint = SweepCheckpoint {
+            engine: EngineKind::Parallel,
+            domain: SweepDomain::Weights,
+            seed,
+            runs: records + 3,
+            fault_label,
+            completed,
+            quarantined,
+        };
+        (checkpoint, fields)
+    }
+
+    /// A serialized model checkpoint of `layers` random `Linear` layers drawn
+    /// from `seed`, plus the payload offsets of its u64 count and length
+    /// fields: the entry count, then per entry its rank, dims and length.
+    fn random_model_checkpoint(seed: u64, layers: usize) -> (Vec<u8>, Vec<usize>) {
+        let mut rng = invnorm_tensor::Rng::seed_from(seed);
+        let mut net = invnorm_nn::Sequential::new();
+        for _ in 0..layers {
+            let (fin, fout) = (1 + rng.next_u64() % 3, 1 + rng.next_u64() % 3);
+            let linear = invnorm_nn::linear::Linear::new(fin as usize, fout as usize, &mut rng);
+            net.push(Box::new(linear));
+        }
+        let (mut fields, mut pos) = (vec![0], 8);
+        invnorm_nn::layer::Layer::visit_params(&mut net, &mut |p| {
+            fields.extend((0..p.value.rank() + 2).map(|i| pos + 8 * i));
+            pos += 8 * (p.value.rank() + 2) + 4 * p.numel();
+        });
+        (invnorm_nn::checkpoint::save(&mut net).to_bytes(), fields)
+    }
+
+    /// Damages one valid checkpoint `framed` and checks its decoder: every
+    /// truncation and single-bit flip of the frame is a typed checkpoint
+    /// fault, and the payload truncated (`op` 0), with one byte overwritten
+    /// (1), or with one of its `width`-byte count or length `fields`
+    /// rewritten (2), then re-framed so its checksum passes, decodes or
+    /// fails with a typed fault — the decoder never panics.
+    fn check_decoder(
+        decode: impl Fn(&[u8]) -> Result<()>,
+        framed: &[u8],
+        fields: &[usize],
+        width: usize,
+        (op, at, pick, value): (usize, usize, usize, u64),
+    ) -> std::result::Result<(), String> {
+        let typed = |r: Result<()>| matches!(r, Err(NnError::Checkpoint(_)));
+        if decode(framed).is_err() {
+            return Err("the valid frame was rejected".into());
+        }
+        for len in 0..framed.len() {
+            if !typed(decode(&framed[..len])) {
+                return Err(format!("truncation to {len} bytes"));
+            }
+        }
+        for bit in 0..framed.len() * 8 {
+            let mut flipped = framed.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if !typed(decode(&flipped)) {
+                return Err(format!("flip of bit {bit}"));
+            }
+        }
+        let mut payload = framed[16..].to_vec();
+        let n = payload.len();
+        match op {
+            0 => payload.truncate(at % (n + 1)),
+            1 => payload[at % n] = value as u8,
+            _ => {
+                let field = &mut payload[fields[at % fields.len()]..][..width];
+                let mut old = [0u8; 8];
+                old[..width].copy_from_slice(field);
+                let (old, max) = (u64::from_le_bytes(old), u64::MAX >> (64 - 8 * width));
+                let new = [0, old.wrapping_add(1), old.wrapping_sub(1), max, value][pick] & max;
+                field.copy_from_slice(&new.to_le_bytes()[..width]);
+            }
+        }
+        let magic = framed[..4].try_into().expect("4-byte magic");
+        let version = u32::from_le_bytes(framed[4..8].try_into().expect("4-byte version"));
+        match decode(&frame(payload, magic, version)) {
+            Ok(()) | Err(NnError::Checkpoint(_)) => Ok(()),
+            Err(e) => Err(format!("op {op} gave an untyped error: {e}")),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_checkpoint_decoders_type_every_damage_and_never_panic(
+            seed in 0u32..1_000_000,
+            records in 0usize..5,
+            op in 0usize..3,
+            at in 0usize..1 << 20,
+            pick in 0usize..5,
+            value in 0u32..u32::MAX,
+        ) {
+            let damage = (op, at, pick, u64::from(value));
+            let (sweep, fields) = random_sweep_checkpoint(u64::from(seed), records);
+            let decode = |b: &[u8]| SweepCheckpoint::from_bytes(b).map(drop);
+            check_decoder(decode, &sweep.to_bytes(), &fields, 4, damage)?;
+            let (model, fields) = random_model_checkpoint(u64::from(seed), records);
+            let decode = |b: &[u8]| invnorm_nn::checkpoint::Checkpoint::from_bytes(b).map(drop);
+            check_decoder(decode, &model, &fields, 8, damage)?;
+        }
+    }
 }

@@ -26,7 +26,7 @@ use invnorm_imc::injector::{ActivationNoise, NoiseHandle};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::conv::Conv2d;
 use invnorm_nn::layer::{Layer, Mode, Param};
-use invnorm_nn::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
+use invnorm_nn::plan::{PlanArenas, PlanCtx, PlanShape};
 use invnorm_nn::pool::MaxPool2d;
 use invnorm_nn::upsample::Upsample2d;
 use invnorm_nn::NnError;
@@ -312,44 +312,6 @@ impl Layer for MicroUNet {
         self.up.plan_end();
         self.reduce.plan_end();
         self.fuse.plan_end();
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        // Stage order and index re-basing mirror `visit_params` (the pool
-        // and upsample stages hold no parameters).
-        let mut base = 0usize;
-        let stage =
-            |layer: &mut Sequential, base: &mut usize, v: &mut dyn FnMut(PlanParamView<'_>)| {
-                layer.visit_plan_params(&mut |mut view| {
-                    view.index += *base;
-                    v(view);
-                });
-                let mut params = 0usize;
-                layer.visit_params(&mut |_| params += 1);
-                *base += params;
-            };
-        stage(&mut self.enc1, &mut base, visitor);
-        stage(&mut self.enc2, &mut base, visitor);
-        stage(&mut self.reduce, &mut base, visitor);
-        stage(&mut self.fuse, &mut base, visitor);
-    }
-
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        let mut base = 0usize;
-        let stage =
-            |layer: &mut Sequential, base: &mut usize, v: &mut dyn FnMut(PlanCodeView<'_>)| {
-                layer.visit_plan_codes(&mut |mut view| {
-                    view.index += *base;
-                    v(view);
-                });
-                let mut codes = 0usize;
-                layer.visit_codes(&mut |_| codes += 1);
-                *base += codes;
-            };
-        stage(&mut self.enc1, &mut base, visitor);
-        stage(&mut self.enc2, &mut base, visitor);
-        stage(&mut self.reduce, &mut base, visitor);
-        stage(&mut self.fuse, &mut base, visitor);
     }
 
     fn name(&self) -> &'static str {

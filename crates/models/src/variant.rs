@@ -8,7 +8,7 @@ use invnorm_nn::activation::{Relu, SignSte};
 use invnorm_nn::dropout::{Dropout, SpatialDropout};
 use invnorm_nn::layer::{BoxedLayer, CodeView, Layer, Mode, Param};
 use invnorm_nn::norm::BatchNorm;
-use invnorm_nn::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
+use invnorm_nn::plan::{PlanArenas, PlanCtx, PlanShape};
 use invnorm_quant::QuantConfig;
 use invnorm_tensor::{Rng, Tensor};
 use serde::{Deserialize, Serialize};
@@ -194,14 +194,6 @@ impl Layer for BuiltModel {
 
     fn plan_end(&mut self) {
         self.network.plan_end();
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        self.network.visit_plan_params(visitor);
-    }
-
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        self.network.visit_plan_codes(visitor);
     }
 
     fn name(&self) -> &'static str {

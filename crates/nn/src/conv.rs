@@ -3,7 +3,7 @@
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
-use crate::plan::{PlanArenas, PlanCtx, PlanParamView, PlanShape, PlannedWeight};
+use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
 use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
@@ -33,19 +33,17 @@ pub struct Conv2d {
 }
 
 /// Compiled-plan state: arena slots for the im2col patch matrix and the
-/// GEMM staging buffer, the cached packed kernel operand with realization
-/// bookkeeping (one panel per stacked realization for batched plans), and
-/// the cached packed patch panel for frozen (run-invariant) inputs.
+/// GEMM staging buffer, the id of the plan-owned kernel operand (one packed
+/// panel per stacked realization for batched plans), and the cached packed
+/// patch panel for frozen (run-invariant) inputs.
 #[derive(Debug)]
 struct Conv2dPlan {
     cols: ArenaSlot,
     om: ArenaSlot,
-    weight: PlannedWeight,
+    weight: OperandId,
     packed_a: PackedA,
     a_gen: u64,
     plan_scratch: Scratch,
-    /// Stacked realizations per forward (1 for ordinary plans).
-    batch: usize,
     /// Dims of one realization's tile of the stacked input edge (frozen
     /// inputs unfold only the first tile — every tile is identical).
     tile_dims: Vec<usize>,
@@ -227,11 +225,12 @@ impl Layer for Conv2d {
             // product of a frozen layer; the per-realization path reuses
             // its `[rows/B, oc]` prefix across the stack.
             om: arenas.f.reserve(shape.rows / batch * oc * batch),
-            weight: PlannedWeight::pack_batched(self.weight.value.data(), shape.patch, oc, batch),
+            weight: arenas
+                .weights
+                .register(self.weight.value.data(), shape.patch, oc)?,
             packed_a: PackedA::new(),
             a_gen: 0,
             plan_scratch: Scratch::new(),
-            batch,
             tile_dims,
         });
         Ok(PlanShape {
@@ -252,139 +251,80 @@ impl Layer for Conv2d {
         })?;
         let shape = conv_out_shape(&input.dims, &self.spec)?;
         let oc = self.out_channels;
-        let batch = state.batch;
+        let batch = arenas.batch();
         let n_per = shape.n / batch;
         let rows_per = shape.rows / batch;
         let per_out = n_per * oc * shape.oh * shape.ow;
-        if ctx.frozen && batch > 1 {
-            // Fused wide product for the frozen first layer: the stacked
-            // input tiles are identical, so ONE cached patch panel meets the
-            // wide stacked kernel operand in a single `[rows, B·oc]` GEMM;
-            // the strided columns are then re-laid out per realization.
-            let wide_w = state.weight.refresh_wide();
-            let [x, cols, om, out] =
-                arenas
-                    .f
-                    .many_mut([input.slot, state.cols, state.om, output.slot]);
+        let bias = self.bias.as_ref().map(|bias| &bias.value);
+        let weight = &mut arenas.weights[state.weight];
+        let [x, cols, om, out] = arenas
+            .f
+            .many_mut([input.slot, state.cols, state.om, output.slot]);
+        if ctx.frozen {
+            // Frozen plan input: the stacked tiles are identical, so the
+            // first tile is unfolded and its patch panel packed once per
+            // `load_input`, then reused for every realization.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                conv::im2col_slice_into(
-                    &x[..state.tile_dims.iter().product()],
-                    &state.tile_dims,
-                    &self.spec,
-                    &mut cols[..rows_per * shape.patch],
-                )?;
-                state.packed_a.pack(
-                    false,
-                    &cols[..rows_per * shape.patch],
-                    rows_per,
-                    shape.patch,
-                );
+                let tile = &x[..state.tile_dims.iter().product()];
+                let patches = &mut cols[..rows_per * shape.patch];
+                conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, patches)?;
+                state.packed_a.pack(false, patches, rows_per, shape.patch);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
+        }
+        if ctx.frozen && batch > 1 {
+            // Fused wide product for the frozen first layer: ONE cached
+            // patch panel meets the wide stacked kernel operand in a single
+            // `[rows, B·oc]` GEMM; the strided columns are then re-laid out
+            // per realization.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, wide_w, 1.0, 0.0, om);
+            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), 1.0, 0.0, om);
             for b in 0..batch {
+                let out_b = &mut out[b * per_out..][..per_out];
                 conv::relayout_nchw_strided(
                     om,
                     batch * oc,
                     b * oc,
-                    self.bias.as_ref().map(|bias| &bias.value),
+                    bias,
                     n_per,
                     oc,
                     shape.oh,
                     shape.ow,
-                    &mut out[b * per_out..][..per_out],
+                    out_b,
                 );
             }
             return Ok(());
         }
         // Bring the cached packed operands up to date with this realization
         // batch (cell scatter / dirty-row re-packing / uniform-scale).
-        state.weight.refresh_all();
-        let [x, cols, om, out] = arenas
-            .f
-            .many_mut([input.slot, state.cols, state.om, output.slot]);
-        if ctx.frozen {
-            // Frozen plan input: unfold + pack the patch panel once per
-            // `load_input`, then reuse it for every realization.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                conv::im2col_slice_into(
-                    &x[..state.tile_dims.iter().product()],
-                    &state.tile_dims,
-                    &self.spec,
-                    &mut cols[..rows_per * shape.patch],
-                )?;
-                state.packed_a.pack(
-                    false,
-                    &cols[..rows_per * shape.patch],
-                    rows_per,
-                    shape.patch,
-                );
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            for b in 0..batch {
-                gemm_prepacked_ab(
-                    &state.packed_a,
-                    state.weight.panel(b),
-                    1.0,
-                    0.0,
-                    &mut om[..rows_per * oc],
-                );
-                conv::relayout_nchw_into(
-                    &om[..rows_per * oc],
-                    self.bias.as_ref().map(|bias| &bias.value),
-                    n_per,
-                    oc,
-                    shape.oh,
-                    shape.ow,
-                    &mut out[b * per_out..][..per_out],
-                );
-            }
-        } else {
+        weight.refresh_all();
+        if !ctx.frozen {
             // Per-realization inputs: one unfold of the whole stacked batch
             // (im2col is per-sample, so this equals per-realization
-            // unfolds), then each realization multiplies its own row block
-            // against its own cached panel.
+            // unfolds); each realization then multiplies its own row block.
             conv::im2col_slice_into(x, &input.dims, &self.spec, cols)?;
-            for b in 0..batch {
-                gemm_prepacked_b(
-                    false,
-                    rows_per,
-                    1.0,
-                    &cols[b * rows_per * shape.patch..][..rows_per * shape.patch],
-                    state.weight.panel(b),
-                    0.0,
-                    &mut om[..rows_per * oc],
-                    &mut state.plan_scratch,
-                );
-                conv::relayout_nchw_into(
-                    &om[..rows_per * oc],
-                    self.bias.as_ref().map(|bias| &bias.value),
-                    n_per,
-                    oc,
-                    shape.oh,
-                    shape.ow,
-                    &mut out[b * per_out..][..per_out],
-                );
+        }
+        for b in 0..batch {
+            let om_b = &mut om[..rows_per * oc];
+            if ctx.frozen {
+                gemm_prepacked_ab(&state.packed_a, weight.panel(b), 1.0, 0.0, om_b);
+            } else {
+                let cols_b = &cols[b * rows_per * shape.patch..][..rows_per * shape.patch];
+                let panel = weight.panel(b);
+                let scratch = &mut state.plan_scratch;
+                gemm_prepacked_b(false, rows_per, 1.0, cols_b, panel, 0.0, om_b, scratch);
             }
+            let out_b = &mut out[b * per_out..][..per_out];
+            conv::relayout_nchw_into(om_b, bias, n_per, oc, shape.oh, shape.ow, out_b);
         }
         Ok(())
     }
 
     fn plan_end(&mut self) {
         self.plan = None;
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        if let Some(state) = &mut self.plan {
-            visitor(state.weight.view(0, &self.weight.value));
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -589,10 +529,6 @@ impl Layer for Conv1d {
     fn plan_end(&mut self) {
         self.plan = None;
         self.inner.plan_end();
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        self.inner.visit_plan_params(visitor);
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,6 @@
 //! The [`Layer`] trait, learnable [`Param`] storage and execution [`Mode`].
 
-use crate::plan::{self, PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
+use crate::plan::{self, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::Tensor;
 
@@ -72,6 +72,14 @@ impl Param {
     pub fn numel(&self) -> usize {
         self.value.numel()
     }
+
+    /// Whether the parameter is a default fault target: rank ≥ 2
+    /// (convolution kernels, linear and recurrent weight matrices), the
+    /// values programmed into crossbar cells. Biases and normalization
+    /// affines are computed digitally outside the crossbar.
+    pub fn is_fault_target(&self) -> bool {
+        self.value.rank() >= 2
+    }
 }
 
 /// A mutable view of one quantized parameter's integer codes, handed to
@@ -130,21 +138,27 @@ pub trait Layer {
     }
 
     /// Compiles this layer into an inference plan for a concrete input
-    /// shape: records shapes, reserves arena buffers, and packs weights into
-    /// cached panels. Returns the output edge (see [`crate::plan`]).
+    /// shape: records shapes and reserves arena buffers. Returns the output
+    /// edge (see [`crate::plan`]).
+    ///
+    /// A layer with fault-targetable state overrides this and registers
+    /// each such matrix, in visit order, as a plan-owned operand
+    /// ([`crate::plan::Operands::register`] on `arenas.weights` or
+    /// `arenas.codes`), reading it back by id in [`Layer::plan_forward`];
+    /// `Plan::compile` fails with [`crate::NnError::Config`] if one is left
+    /// unregistered. Containers compile children in `visit_params` order.
     ///
     /// The default implementation is the *fallback* protocol for layers
     /// without fault-targetable state: it discovers the output shape by
     /// forwarding zeros once and reserves an output slot;
-    /// [`Layer::plan_forward`]'s default then routes through `forward`.
-    /// Layers with rank ≥ 2 parameters or quantization codes must override
-    /// the protocol — the default rejects them with
+    /// [`Layer::plan_forward`]'s default then routes through `forward`. It
+    /// rejects layers with rank ≥ 2 parameters or quantization codes with
     /// [`crate::NnError::Unsupported`].
     ///
     /// # Errors
     ///
-    /// Returns an error when the layer cannot be planned or the input shape
-    /// is incompatible.
+    /// Returns an error when the layer cannot be planned, an operand does
+    /// not match its parameter, or the input shape is incompatible.
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
         plan::fallback_compile(self, input, arenas)
     }
@@ -173,19 +187,6 @@ pub trait Layer {
     /// Releases any state installed by [`Layer::plan_compile`]. Containers
     /// recurse.
     fn plan_end(&mut self) {}
-
-    /// Visits every fault-targetable (rank ≥ 2) parameter's plan state
-    /// (clean value, faulty buffer, dirty-row set). Only meaningful between
-    /// [`Layer::plan_compile`] and [`Layer::plan_end`].
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        let _ = visitor;
-    }
-
-    /// Visits every quantized parameter's plan state — the code-domain
-    /// analogue of [`Layer::visit_plan_params`].
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        let _ = visitor;
-    }
 
     /// Human-readable layer name for diagnostics.
     fn name(&self) -> &'static str;

@@ -2,7 +2,7 @@
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
-use crate::plan::{PlanArenas, PlanCtx, PlanParamView, PlanShape, PlannedWeight};
+use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
@@ -40,17 +40,15 @@ pub struct Linear {
     plan: Option<LinearPlan>,
 }
 
-/// Compiled-plan state: the cached packed weight operand with realization
-/// bookkeeping (one panel per stacked realization for batched plans), and
-/// the cached packed activation panel for frozen (run-invariant) inputs.
+/// Compiled-plan state: the id of the plan-owned weight operand (one packed
+/// panel per stacked realization for batched plans), and the cached packed
+/// activation panel for frozen (run-invariant) inputs.
 #[derive(Debug)]
 struct LinearPlan {
-    weight: PlannedWeight,
+    weight: OperandId,
     packed_a: PackedA,
     a_gen: u64,
     scratch: Scratch,
-    /// Stacked realizations per forward (1 for ordinary plans).
-    batch: usize,
     /// Staging for the fused wide `[N, B·out]` product of frozen batched
     /// layers, re-strided into per-realization stacking afterwards. Whether
     /// a layer runs frozen is only known at forward time, so every batched
@@ -188,11 +186,12 @@ impl Layer for Linear {
         let n = input.dims[0];
         let (fin, fout) = (self.in_features, self.out_features);
         self.plan = Some(LinearPlan {
-            weight: PlannedWeight::pack_batched(self.weight.value.data(), fin, fout, batch),
+            weight: arenas
+                .weights
+                .register(self.weight.value.data(), fin, fout)?,
             packed_a: PackedA::new(),
             a_gen: 0,
             scratch: Scratch::new(),
-            batch,
             wide_stage: arenas.f.reserve(if batch > 1 { n * fout } else { 0 }),
         });
         Ok(PlanShape {
@@ -212,20 +211,17 @@ impl Layer for Linear {
             NnError::Config("Linear::plan_forward called without plan_compile".into())
         })?;
         let (fin, fout) = (self.in_features, self.out_features);
-        let batch = state.batch;
+        let batch = arenas.batch();
         // Realization b owns rows [b·n, (b+1)·n) of the stacked edges.
         let n = input.dims[0] / batch;
-        if ctx.frozen && batch > 1 {
-            // Fused wide product: the plan input is constant across runs —
-            // and its stacked realizations are tiles of the same activation
-            // — so ONE packed panel of the first tile meets the wide stacked
-            // weight operand in a single `[N, B·out]` GEMM (full microkernel
-            // width, the activation panel streamed once), then the columns
-            // are re-strided into per-realization stacking.
-            let wide_w = state.weight.refresh_wide();
-            let [x, stage, out] = arenas
-                .f
-                .many_mut([input.slot, state.wide_stage, output.slot]);
+        let weight = &mut arenas.weights[state.weight];
+        let [x, stage, out] = arenas
+            .f
+            .many_mut([input.slot, state.wide_stage, output.slot]);
+        if ctx.frozen {
+            // The plan input is constant across runs — and its stacked
+            // realizations are tiles of the same activation — so the first
+            // tile is packed once per `load_input`.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
                 state.packed_a.pack(false, &x[..n * fin], n, fin);
@@ -233,8 +229,14 @@ impl Layer for Linear {
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
+        }
+        if ctx.frozen && batch > 1 {
+            // Fused wide product: the cached activation panel meets the wide
+            // stacked weight operand in a single `[N, B·out]` GEMM (full
+            // microkernel width, the activation panel streamed once), then
+            // the columns are re-strided into per-realization stacking.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, wide_w, 1.0, 0.0, stage);
+            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), 1.0, 0.0, stage);
             let ld = batch * fout;
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
@@ -243,51 +245,20 @@ impl Layer for Linear {
                         .copy_from_slice(&stage[i * ld + b * fout..][..fout]);
                 }
             }
-            if let Some(bias) = &self.bias {
-                let bd = bias.value.data();
-                for row in out.chunks_exact_mut(fout) {
-                    for (o, &bv) in row.iter_mut().zip(bd) {
-                        *o += bv;
-                    }
-                }
-            }
-            return Ok(());
-        }
-        // Bring the cached packed operands up to date with this realization
-        // batch (cell scatter / dirty-row re-packing / uniform-scale).
-        state.weight.refresh_all();
-        let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
-        if ctx.frozen {
-            // Single-realization frozen plan: one cached activation panel,
-            // one cached weight panel.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.packed_a.pack(false, &x[..n * fin], n, fin);
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            for b in 0..batch {
-                gemm_prepacked_ab(
-                    &state.packed_a,
-                    state.weight.panel(b),
-                    1.0,
-                    0.0,
-                    &mut out[b * n * fout..][..n * fout],
-                );
-            }
         } else {
+            // Bring the cached packed operands up to date with this
+            // realization batch (cell scatter / dirty-row re-packing /
+            // uniform-scale).
+            weight.refresh_all();
             for b in 0..batch {
-                gemm_prepacked_b(
-                    false,
-                    n,
-                    1.0,
-                    &x[b * n * fin..][..n * fin],
-                    state.weight.panel(b),
-                    0.0,
-                    &mut out[b * n * fout..][..n * fout],
-                    &mut state.scratch,
-                );
+                let out_b = &mut out[b * n * fout..][..n * fout];
+                if ctx.frozen {
+                    gemm_prepacked_ab(&state.packed_a, weight.panel(b), 1.0, 0.0, out_b);
+                } else {
+                    let x_b = &x[b * n * fin..][..n * fin];
+                    let scratch = &mut state.scratch;
+                    gemm_prepacked_b(false, n, 1.0, x_b, weight.panel(b), 0.0, out_b, scratch);
+                }
             }
         }
         if let Some(bias) = &self.bias {
@@ -303,12 +274,6 @@ impl Layer for Linear {
 
     fn plan_end(&mut self) {
         self.plan = None;
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        if let Some(state) = &mut self.plan {
-            visitor(state.weight.view(0, &self.weight.value));
-        }
     }
 
     fn name(&self) -> &'static str {

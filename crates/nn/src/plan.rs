@@ -1,5 +1,5 @@
 //! Compiled inference plans: one-shot shape inference, arena-backed buffers
-//! and cached packed-weight panels.
+//! and plan-owned fault operands.
 //!
 //! The Monte-Carlo evaluation protocol re-executes the same network
 //! thousands of times with only sparse weight perturbations between runs,
@@ -10,35 +10,38 @@
 //! 1. **Compile once** ([`Plan::compile`]): the model is walked once for a
 //!    concrete input shape. Every layer records its input/output shapes,
 //!    reserves its activation and scratch buffers from a shared bump
-//!    [`Arena`] (one allocation per element type), and packs its weight
-//!    matrix into a cached panel ([`invnorm_tensor::gemm::PackedB`] /
+//!    [`Arena`] (one allocation per element type), and registers its weight
+//!    matrix as a plan-owned [`PlannedOperand`], packed once into a cached
+//!    panel ([`invnorm_tensor::gemm::PackedB`] /
 //!    [`invnorm_tensor::qgemm::QPackedB`]).
 //! 2. **Run many** ([`Plan::forward`]): steady-state forwards perform zero
-//!    heap allocations and zero weight packing. Fault injectors perturb each
-//!    layer's plan-owned *faulty* weight buffer (the clean parameters are
-//!    never touched — no snapshot/restore) and report which weight rows they
-//!    dirtied; only the packed panels covering dirty rows are re-packed
-//!    before the next forward.
+//!    heap allocations and zero weight packing. Fault injectors write each
+//!    operand's *faulty* buffer ([`Plan::weights_mut`], [`Plan::codes_mut`];
+//!    the clean parameters are never touched — no snapshot/restore) and
+//!    report the rows or cells they dirtied; only the packed panels covering
+//!    those are refreshed before the next forward.
 //!
 //! The planned forward is **bit-identical** to the direct eval path: the
 //! same kernels run in the same blocking order over the same packed values,
 //! so the planned Monte-Carlo engine reproduces the sequential and parallel
 //! engines' metrics exactly (tested for all eight fault models).
 //!
-//! Layers participate through the plan protocol on [`Layer`]
-//! ([`Layer::plan_compile`], [`Layer::plan_forward`],
-//! [`Layer::visit_plan_params`], [`Layer::visit_plan_codes`],
-//! [`Layer::plan_end`]). Layers without fault-targetable state get a default
-//! *fallback* implementation that routes through their ordinary `forward`
-//! (correct, but allocating); layers with rank ≥ 2 weights or quantization
-//! codes must implement the protocol or are rejected with
-//! [`NnError::Unsupported`] at compile time — a loud failure instead of
-//! silently evaluating clean weights.
+//! Layers participate through three methods on [`Layer`]
+//! ([`Layer::plan_compile`], [`Layer::plan_forward`], [`Layer::plan_end`])
+//! plus operand registration ([`Operands::register`]): [`Plan::compile`]
+//! walks [`Layer::visit_params`] and [`Layer::visit_codes`] once, so the
+//! k-th registered operand of a domain takes the injector RNG fork index of
+//! the k-th fault-targetable parameter, and a weighted layer that does not
+//! register fails the compile with [`NnError::Config`]. Layers without
+//! fault-targetable state get a default *fallback* that routes through
+//! their ordinary `forward` (correct, but allocating); it rejects rank ≥ 2
+//! weights and quantization codes with [`NnError::Unsupported`] — a loud
+//! failure instead of silently evaluating clean weights.
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
 use crate::Result;
-use invnorm_tensor::gemm::PackedB;
+use invnorm_tensor::gemm::{PackedB, PackedOperand};
 use invnorm_tensor::qgemm::QPackedB;
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Tensor};
@@ -71,7 +74,8 @@ pub enum FaultLifetime {
 }
 
 /// The per-plan buffer arenas, one per element type so f32 activations, i8
-/// quantization codes and i32 accumulators each live in a single allocation.
+/// quantization codes and i32 accumulators each live in a single allocation,
+/// plus one registry of plan-owned fault operands per fault domain.
 #[derive(Debug)]
 pub struct PlanArenas {
     /// f32 activations, im2col patch matrices and GEMM staging.
@@ -80,30 +84,15 @@ pub struct PlanArenas {
     pub q: Arena<i8>,
     /// i32 integer-GEMM accumulators.
     pub acc: Arena<i32>,
+    /// The f32 weight operands, one per rank ≥ 2 parameter.
+    pub weights: Operands<PackedB>,
+    /// The i8 code operands, one per quantized code matrix.
+    pub codes: Operands<QPackedB>,
     /// Fault realizations fused per forward pass (see [`Plan::compile_batched`]).
-    /// Weighted layers consult this during `plan_compile` to size their
-    /// stacked faulty buffers and per-realization packed panels; `1` for
-    /// ordinary plans.
     batch: usize,
 }
 
-impl Default for PlanArenas {
-    fn default() -> Self {
-        Self {
-            f: Arena::new(),
-            q: Arena::new(),
-            acc: Arena::new(),
-            batch: 1,
-        }
-    }
-}
-
 impl PlanArenas {
-    /// Creates empty arenas in the build phase.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fault realizations fused per forward pass (1 for ordinary plans).
     pub fn batch(&self) -> usize {
         self.batch
@@ -168,80 +157,47 @@ impl PlanCtx {
     }
 }
 
-/// One fault-targetable (rank ≥ 2) parameter's plan-owned state, handed to
-/// [`Layer::visit_plan_params`] visitors: the clean value, the faulty buffer
-/// the next forward will consume, and the dirty-row set driving panel
-/// re-packing.
-///
-/// For a **batched** plan ([`Plan::compile_batched`]) the faulty buffer
-/// stacks `batch` realizations (`faulty[b·numel..(b+1)·numel]` is
-/// realization `b`) and `dirty` tracks `batch · rows` rows, realization `b`
-/// owning rows `[b·rows, (b+1)·rows)`.
+/// The injector-facing view of one [`PlannedOperand`]. The faulty buffer
+/// stacks the plan's `batch` realizations (`faulty[b·numel..(b+1)·numel]`
+/// is realization `b`) and `dirty` tracks `batch · rows` rows, realization
+/// `b` owning rows `[b·rows, (b+1)·rows)`.
 #[derive(Debug)]
-pub struct PlanParamView<'a> {
-    /// Index of this parameter in [`Layer::visit_params`] order — the fault
-    /// injector's RNG fork index, exactly as in the sequential engine.
+pub struct PlanView<'a, T> {
+    /// The injector's RNG fork index, fixed at compile: the parameter's
+    /// position in [`Layer::visit_params`] (f32) or [`Layer::visit_codes`]
+    /// (codes) order, exactly as in the sequential engine.
     pub index: usize,
-    /// The clean parameter value (never touched by planned injection).
-    pub clean: &'a Tensor,
-    /// The faulty weight buffer the plan's packed panels are refreshed from
-    /// (stacked per realization for batched plans).
-    pub faulty: &'a mut [f32],
-    /// Rows (leading-dimension indices) the injector perturbed; the plan
+    /// The clean matrix (never touched by planned injection).
+    pub clean: &'a [T],
+    /// Leading (output) dimension of one realization's matrix — the row
+    /// count structured tile topologies map crossbar lines onto.
+    pub rows: usize,
+    /// The stacked faulty buffer the packed panels are refreshed from.
+    pub faulty: &'a mut [T],
+    /// Rows (leading-dimension indices) the injector perturbed; the refresh
     /// re-packs only the panels covering these rows.
     pub dirty: &'a mut DirtyRows,
-    /// Uniform-scale fast path: an injector whose realization is exactly
-    /// `clean · factor` for one constant factor (retention drift) sets this
-    /// instead of writing `faulty` — the layer then scales its cached packed
-    /// panels directly (bit-identical to re-packing scaled weights) and
-    /// skips the realization entirely once the factor is already applied.
-    /// Batched plans apply the factor to every realization's panel (drift
-    /// draws no randomness, so all realizations share the factor).
+    /// Uniform-scale fast path: an injector whose realization is the clean
+    /// matrix times one factor shared by every stacked realization
+    /// (retention drift) sets this instead of writing `faulty`; the refresh
+    /// then scales the cached packed panels from the clean operand.
     pub scale: &'a mut Option<f32>,
-    /// Sparse packed-domain realization bookkeeping: injectors whose
-    /// realization touches few cells (stuck-at) record the exact touched
-    /// cells here, and the refresh writes those cells straight into the
-    /// packed panels instead of re-packing every dirty row.
-    pub cells: &'a mut SparseCells,
-}
-
-/// The code-domain analogue of [`PlanParamView`], handed to
-/// [`Layer::visit_plan_codes`] visitors.
-#[derive(Debug)]
-pub struct PlanCodeView<'a> {
-    /// Index of this parameter in [`Layer::visit_codes`] order (the fork
-    /// index of the sequential code injector).
-    pub index: usize,
-    /// The clean codes (never touched by planned injection).
-    pub clean: &'a [i8],
-    /// Bit width of the quantized representation (≤ 8).
-    pub bits: u8,
-    /// Leading (output) dimension of one realization's code matrix — the
-    /// row count structured tile topologies map crossbar lines onto.
-    pub rows: usize,
-    /// The faulty code buffer the packed panels are refreshed from.
-    pub faulty: &'a mut [i8],
-    /// Rows the injector perturbed.
-    pub dirty: &'a mut DirtyRows,
-    /// Sparse packed-domain realization bookkeeping (see
-    /// [`PlanParamView::cells`]): injectors recording exact fired cells let
-    /// the refresh scatter them through [`QPackedB::write_cell`] instead of
-    /// re-packing whole dirty rows.
+    /// Sparse packed-domain bookkeeping: injectors touching few cells record
+    /// them here, and the refresh writes them straight into the panels.
     pub cells: &'a mut SparseCells,
 }
 
 /// Exact-cell realization bookkeeping for sparse packed-domain injection.
 ///
-/// Per realization, two cell lists are tracked against the clean weight:
+/// Per realization, two cell lists are tracked against the clean matrix:
 /// the cells where the **faulty buffer** differs (written by the sparse
 /// injector) and the cells where the **live packed panel** differs
-/// (maintained by [`PlannedWeight`]'s refresh). While both lists are exact,
+/// (maintained by [`PlannedOperand`]'s refresh). While both lists are exact,
 /// a refresh reverts the panel's previous cells and scatters the new ones
-/// through `PackedB::write_cell` — O(cells) instead of re-packing every
-/// dirty row's full k extent. A list overflowing its capacity (a dense
-/// realization) degrades to "unknown", and the refresh falls back to the
-/// row-granular re-pack; exactness is re-established by the next sparse
-/// realization.
+/// through `write_cell` — O(cells) instead of re-packing every dirty row's
+/// full k extent. A list overflowing its capacity (a dense realization)
+/// degrades to "unknown", and the refresh falls back to the row-granular
+/// re-pack; exactness is re-established by the next sparse realization.
 #[derive(Debug)]
 pub struct SparseCells {
     faulty: Vec<CellList>,
@@ -286,16 +242,6 @@ impl SparseCells {
         }
     }
 
-    /// Number of realizations tracked.
-    pub fn batch(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Exact-cell capacity per realization.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// The exact faulty-vs-clean cell list of realization `b`, when known.
     pub fn faulty_cells(&self, b: usize) -> Option<&[u32]> {
         self.faulty[b].exact.then(|| self.faulty[b].idx.as_slice())
@@ -334,44 +280,51 @@ impl SparseCells {
     }
 }
 
-/// Cached packed f32 weight operand with per-realization bookkeeping — the
-/// shared plan state of the dense layers (`Linear`, `Conv2d`).
+/// One plan-owned fault operand: a weighted layer's clean matrix, packed
+/// once, plus the per-realization state injectors write and the refresh
+/// consumes — generic over the packing, so f32 weights ([`PackedB`]) and i8
+/// codes ([`QPackedB`]) share one implementation.
 ///
-/// An ordinary plan tracks one realization; a **batched** plan
-/// ([`Plan::compile_batched`]) stacks `batch` of them: the faulty buffer
-/// holds `batch` copies of the weight, the dirty/stale sets track
-/// `batch · rows` rows, and each realization owns its own cached packed
-/// panel, so B fused forward passes share one clean reference pack.
+/// A plan stacks `batch` realizations ([`Plan::compile_batched`]; 1 for
+/// ordinary plans): the faulty buffer holds `batch` copies of the matrix,
+/// the dirty/stale sets track `batch · rows` rows, and each realization owns
+/// its own cached packed panel, so B fused forward passes share one clean
+/// reference pack.
 ///
 /// Four realization regimes are tracked per panel:
 ///
-/// * **Sparse rows** ([`PlanParamView::dirty`]): the injector rewrote the
+/// * **Sparse rows** ([`PlanView::dirty`]): the injector rewrote the
 ///   realization's faulty slice and marked the touched rows; only panels
 ///   covering the union of those rows and the previous realization's rows
 ///   are re-packed.
-/// * **Sparse cells** ([`PlanParamView::cells`]): the injector recorded the
+/// * **Sparse cells** ([`PlanView::cells`]): the injector recorded the
 ///   exact touched cells; they are written straight into the packed panel
 ///   (packed-domain injection, O(cells)).
-/// * **Uniform scale** ([`PlanParamView::scale`]): the realization is
-///   `clean · factor` (retention drift); every packed panel is scaled from
-///   the clean operand directly — and skipped entirely when the factor is
-///   already applied.
+/// * **Uniform scale** ([`PlanView::scale`]): the realization is the clean
+///   matrix times one factor (retention drift); every packed panel is scaled
+///   from the clean operand directly — and skipped entirely when the factor
+///   is already applied.
 /// * **Clean**: nothing marked; the packed operands are already exact.
+///
+/// Code-domain i.i.d. stuck-at keeps the row path: cell writes into the
+/// quad-interleaved i8 packing do not pay for i.i.d. scatter, while line
+/// defects fire whole tile lines, far below the row re-pack cost.
 #[derive(Debug)]
-pub struct PlannedWeight {
-    packed_clean: PackedB,
-    panels: Vec<PackedB>,
-    clean: Vec<f32>,
-    /// The stacked faulty weight buffer sparse realizations write
-    /// (`batch × numel`).
-    pub faulty: Vec<f32>,
+pub struct PlannedOperand<P: PackedOperand> {
+    index: usize,
+    bits: u8,
+    packed_clean: P,
+    panels: Vec<P>,
+    clean: Vec<P::Elem>,
+    /// The stacked faulty buffer sparse realizations write (`batch × numel`).
+    faulty: Vec<P::Elem>,
     /// Rows the current realization batch touched (`batch · rows` rows).
-    pub dirty: DirtyRows,
+    dirty: DirtyRows,
     /// Rows where the panels still differ from the clean operand (from the
     /// previous realization batch).
     stale: DirtyRows,
     /// Pending uniform-scale request for the next refresh.
-    pub scale_req: Option<f32>,
+    scale_req: Option<f32>,
     applied_scale: Option<f32>,
     cells: SparseCells,
     batch: usize,
@@ -383,66 +336,78 @@ pub struct PlannedWeight {
     /// width, the cached activation panel streamed once). Materialized
     /// lazily on first use — a layer consistently uses either the wide or
     /// the per-realization representation, never both.
-    wide: PackedB,
-    wide_clean: PackedB,
+    wide: P,
+    wide_clean: P,
     wide_stale: DirtyRows,
     wide_applied: Option<f32>,
 }
 
-impl PlannedWeight {
-    /// Packs the clean `[n, k]` (row-major, `trans_b`) weight matrix for a
-    /// single-realization plan.
-    pub fn pack(weight: &[f32], k: usize, n: usize) -> Self {
-        Self::pack_batched(weight, k, n, 1)
-    }
-
-    /// Packs the clean `[n, k]` weight matrix once as the immutable clean
-    /// reference and stages the stacked faulty buffer with `batch` clean
-    /// copies. The live packed operands (per-realization panels or the wide
-    /// stacked operand) are materialized lazily on first refresh.
-    pub fn pack_batched(weight: &[f32], k: usize, n: usize, batch: usize) -> Self {
-        let batch = batch.max(1);
-        let mut packed_clean = PackedB::new();
-        packed_clean.pack(true, weight, k, n);
-        let mut faulty = Vec::with_capacity(batch * weight.len());
-        for _ in 0..batch {
-            faulty.extend_from_slice(weight);
-        }
+impl<P: PackedOperand> PlannedOperand<P> {
+    /// Packs the clean `[n, k]` matrix once as the immutable clean reference
+    /// and stages the stacked faulty buffer with `batch` clean copies.
+    fn new(target: Target, clean: &[P::Elem], k: usize, n: usize, batch: usize) -> Self {
+        let mut packed_clean = P::default();
+        packed_clean.pack(true, clean, k, n);
         Self {
+            index: target.index,
+            bits: target.bits,
             packed_clean,
             panels: Vec::new(),
-            clean: weight.to_vec(),
-            faulty,
+            clean: clean.to_vec(),
+            faulty: clean.repeat(batch),
             dirty: DirtyRows::new(batch * n),
             stale: DirtyRows::new(batch * n),
             scale_req: None,
             applied_scale: None,
-            cells: SparseCells::new(batch, weight.len()),
+            cells: SparseCells::new(batch, clean.len()),
             batch,
             rows: n,
             cols: k,
-            wide: PackedB::new(),
-            wide_clean: PackedB::new(),
+            wide: P::default(),
+            wide_clean: P::default(),
             wide_stale: DirtyRows::new(batch * n),
             wide_applied: None,
         }
     }
 
-    /// Number of stacked realizations.
-    pub fn batch(&self) -> usize {
-        self.batch
+    /// Element bit width: the quantized width (≤ 8) for codes, 32 for f32.
+    pub fn bits(&self) -> u8 {
+        self.bits
     }
 
     /// Realization `b`'s live packed operand (call
-    /// [`PlannedWeight::refresh_all`] first).
-    pub fn panel(&self, b: usize) -> &PackedB {
+    /// [`PlannedOperand::refresh_all`] first).
+    pub fn panel(&self, b: usize) -> &P {
         &self.panels[b]
     }
 
-    /// Single-realization convenience: refreshes and returns panel 0.
-    pub fn refresh(&mut self) -> &PackedB {
-        self.refresh_all();
-        &self.panels[0]
+    /// The injector-facing view of this operand's realization state.
+    pub fn view(&mut self) -> PlanView<'_, P::Elem> {
+        PlanView {
+            index: self.index,
+            clean: &self.clean,
+            rows: self.rows,
+            faulty: &mut self.faulty,
+            dirty: &mut self.dirty,
+            scale: &mut self.scale_req,
+            cells: &mut self.cells,
+        }
+    }
+
+    /// Materializes the live packed operands (per-realization panels or the
+    /// wide operand over the tiled clean stack) as clean packs.
+    // lint: alloc_ok(first forward materializes the live panels)
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, wide: bool) {
+        if wide {
+            let tiled = self.clean.repeat(self.batch);
+            self.wide_clean
+                .pack(true, &tiled, self.cols, self.batch * self.rows);
+            self.wide = self.wide_clean.clone();
+        } else {
+            self.panels = vec![self.packed_clean.clone(); self.batch];
+        }
     }
 
     /// Brings the **wide stacked operand** (`[batch · rows, cols]`, one
@@ -452,18 +417,11 @@ impl PlannedWeight {
     /// dirty-row, uniform-scale and sparse-cell bookkeeping apply
     /// unchanged, with realization `b` owning rows `[b·rows, (b+1)·rows)`.
     /// Allocation-free once materialized.
-    pub fn refresh_wide(&mut self) -> &PackedB {
-        let nw = self.batch * self.rows;
+    // lint: no_alloc
+    pub fn refresh_wide(&mut self) -> &P {
         let numel = self.rows * self.cols;
-        if self.wide_clean.n() != nw {
-            // Lazy materialization (first forward of a frozen layer): pack
-            // the tiled clean stack once.
-            let mut tiled = Vec::with_capacity(self.batch * numel);
-            for _ in 0..self.batch {
-                tiled.extend_from_slice(&self.clean);
-            }
-            self.wide_clean.pack(true, &tiled, self.cols, nw);
-            self.wide = self.wide_clean.clone();
+        if self.wide_clean.n() != self.batch * self.rows {
+            self.materialize(true);
         }
         if let Some(factor) = self.scale_req.take() {
             if self.wide_applied != Some(factor) || self.dirty.any() {
@@ -534,13 +492,11 @@ impl PlannedWeight {
     /// realization the injector recorded (sparse cells, dirty rows, uniform
     /// scale, or nothing), ready for the per-realization GEMMs.
     /// Allocation-free once materialized.
+    // lint: no_alloc
     pub fn refresh_all(&mut self) {
         let numel = self.rows * self.cols;
         if self.panels.is_empty() {
-            // Lazy materialization (first forward): every panel starts as
-            // the clean operand; the bookkeeping below applies the pending
-            // realization on top.
-            self.panels = vec![self.packed_clean.clone(); self.batch];
+            self.materialize(false);
         }
         if let Some(factor) = self.scale_req.take() {
             // Uniform-scale regime: `panel = packed_clean · factor`,
@@ -615,227 +571,115 @@ impl PlannedWeight {
             }
         }
     }
-
-    /// The injector-facing view of this weight's plan state.
-    pub fn view<'a>(&'a mut self, index: usize, clean: &'a Tensor) -> PlanParamView<'a> {
-        PlanParamView {
-            index,
-            clean,
-            faulty: &mut self.faulty,
-            dirty: &mut self.dirty,
-            scale: &mut self.scale_req,
-            cells: &mut self.cells,
-        }
-    }
 }
 
-/// Cached packed i8 code operand with per-realization bookkeeping — the
-/// quantized layers' counterpart of [`PlannedWeight`], likewise stacking
-/// `batch` realizations for batched plans. There is no uniform-scale regime
-/// in the code domain (drift rounds per code), so three regimes are tracked:
-/// sparse dirty rows, exact sparse cells and clean, with the same
-/// merge → repack → swap contract per realization range. The cell regime
-/// scatters through [`QPackedB::write_cell`] — per-cell writes into the
-/// quad-interleaved packing are unprofitable for i.i.d. scatter, but
-/// structured line defects fire whole tile lines whose exact cell lists stay
-/// far below the row-granular re-pack cost.
+/// One fault-targetable parameter found by the compile-time walk.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    index: usize,
+    numel: usize,
+    bits: u8,
+}
+
+/// Handle to a registered [`PlannedOperand`], kept in a layer's plan state
+/// and resolved by indexing [`PlanArenas::weights`] or [`PlanArenas::codes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OperandId(usize);
+
+/// The plan-owned operands of one fault domain, in registration order,
+/// matched one-to-one against the fault-targetable parameters the
+/// compile-time walk found.
 #[derive(Debug)]
-pub struct PlannedCodes {
-    packed_clean: QPackedB,
-    panels: Vec<QPackedB>,
-    clean: Vec<i8>,
-    /// The stacked faulty code buffer realizations write (`batch × numel`).
-    pub faulty: Vec<i8>,
-    /// Rows the current realization batch touched (`batch · rows` rows).
-    pub dirty: DirtyRows,
-    /// Rows where the panels still differ from the clean operand.
-    stale: DirtyRows,
-    cells: SparseCells,
+pub struct Operands<P: PackedOperand> {
+    domain: &'static str,
     batch: usize,
-    rows: usize,
-    /// Wide representation over the whole stacked `[batch · rows, k]` code
-    /// matrix (see [`PlannedWeight`]); lazily materialized for frozen
-    /// layers.
-    wide: QPackedB,
-    wide_stale: DirtyRows,
+    targets: Vec<Target>,
+    list: Vec<PlannedOperand<P>>,
 }
 
-impl PlannedCodes {
-    /// Packs the clean `[n, k]` (row-major, `trans_b`) code matrix for a
-    /// single-realization plan.
-    pub fn pack(codes: &[i8], k: usize, n: usize) -> Self {
-        Self::pack_batched(codes, k, n, 1)
-    }
-
-    /// Packs the clean `[n, k]` code matrix once as the clean reference and
-    /// stages the stacked faulty buffer; live panels are materialized
-    /// lazily.
-    pub fn pack_batched(codes: &[i8], k: usize, n: usize, batch: usize) -> Self {
-        let batch = batch.max(1);
-        let mut packed = QPackedB::new();
-        packed.pack(true, codes, k, n);
-        let mut faulty = Vec::with_capacity(batch * codes.len());
-        for _ in 0..batch {
-            faulty.extend_from_slice(codes);
-        }
+impl<P: PackedOperand> Operands<P> {
+    fn new(domain: &'static str, batch: usize, targets: Vec<Target>) -> Self {
+        let list = Vec::with_capacity(targets.len());
         Self {
-            packed_clean: packed,
-            panels: Vec::new(),
-            clean: codes.to_vec(),
-            faulty,
-            dirty: DirtyRows::new(batch * n),
-            stale: DirtyRows::new(batch * n),
-            cells: SparseCells::new(batch, codes.len()),
+            domain,
             batch,
-            rows: n,
-            wide: QPackedB::new(),
-            wide_stale: DirtyRows::new(batch * n),
+            targets,
+            list,
         }
     }
 
-    /// Number of stacked realizations.
-    pub fn batch(&self) -> usize {
-        self.batch
+    /// Registers a weighted layer's clean row-major `[n, k]` matrix as the
+    /// domain's next operand (packed once, staged as the plan's batch of
+    /// faulty copies) and returns the id [`Layer::plan_forward`] reads it
+    /// back by (`arenas.weights[id]`). Layers register in
+    /// [`Layer::plan_compile`], in [`Layer::visit_params`] order of their
+    /// rank ≥ 2 parameters (f32) or [`Layer::visit_codes`] order (codes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Config`] when the model exposes no further
+    /// parameter of this domain, or the next one holds a different element
+    /// count.
+    pub fn register(&mut self, clean: &[P::Elem], k: usize, n: usize) -> Result<OperandId> {
+        let id = self.list.len();
+        let Some(&target) = self.targets.get(id) else {
+            return Err(operand_count_mismatch(
+                self.domain,
+                self.targets.len(),
+                id + 1,
+            ));
+        };
+        if clean.len() != target.numel || clean.len() != k * n {
+            return Err(NnError::Config(format!(
+                "{} operand #{id} registers {} elements as [{n}, {k}], but its parameter holds {}",
+                self.domain,
+                clean.len(),
+                target.numel
+            )));
+        }
+        let operand = PlannedOperand::new(target, clean, k, n, self.batch);
+        self.list.push(operand);
+        Ok(OperandId(id))
     }
 
-    /// Realization `b`'s live packed operand (call
-    /// [`PlannedCodes::refresh_all`] first).
-    pub fn panel(&self, b: usize) -> &QPackedB {
-        &self.panels[b]
+    fn check_complete(&self) -> Result<()> {
+        if self.list.len() == self.targets.len() {
+            return Ok(());
+        }
+        Err(operand_count_mismatch(
+            self.domain,
+            self.targets.len(),
+            self.list.len(),
+        ))
     }
+}
 
-    /// Single-realization convenience: refreshes and returns panel 0.
-    pub fn refresh(&mut self) -> &QPackedB {
-        self.refresh_all();
-        &self.panels[0]
+fn operand_count_mismatch(domain: &str, expected: usize, registered: usize) -> NnError {
+    NnError::Config(format!(
+        "plan {domain} operands: expected {expected} (one per fault-targetable parameter), \
+         registered {registered}; every weighted layer must register its operand in plan_compile"
+    ))
+}
+
+impl<P: PackedOperand> std::ops::Index<OperandId> for Operands<P> {
+    type Output = PlannedOperand<P>;
+    fn index(&self, id: OperandId) -> &PlannedOperand<P> {
+        &self.list[id.0]
     }
+}
 
-    /// Brings the wide stacked operand up to date and returns it ready for
-    /// the fused `[N, B·out]` integer GEMM (see
-    /// [`PlannedWeight::refresh_wide`]; the code domain has no
-    /// uniform-scale regime).
-    pub fn refresh_wide(&mut self) -> &QPackedB {
-        let nw = self.batch * self.rows;
-        let k = self.clean.len().checked_div(self.rows).unwrap_or(0);
-        let numel = self.clean.len();
-        if self.wide.n() != nw {
-            let mut tiled = Vec::with_capacity(self.batch * self.clean.len());
-            for _ in 0..self.batch {
-                tiled.extend_from_slice(&self.clean);
-            }
-            self.wide.pack(true, &tiled, k, nw);
-        }
-        let all_sparse = (0..self.batch).all(|b| {
-            self.cells.pending[b] && self.cells.panel[b].exact && self.cells.faulty[b].exact
-        });
-        if all_sparse {
-            // Packed-domain cell update over the stacked operand (see
-            // [`PlannedWeight::refresh_wide`]): revert every realization's
-            // previous cells, scatter the new ones.
-            for b in 0..self.batch {
-                let row0 = b * self.rows;
-                let fb = &self.faulty[b * numel..][..numel];
-                for &i in &self.cells.panel[b].idx {
-                    let i = i as usize;
-                    self.wide.write_cell(row0 + i / k, i % k, self.clean[i]);
-                }
-                for &i in &self.cells.faulty[b].idx {
-                    let i = i as usize;
-                    self.wide.write_cell(row0 + i / k, i % k, fb[i]);
-                }
-                let SparseCells { faulty, panel, .. } = &mut self.cells;
-                panel[b].idx.clone_from(&faulty[b].idx);
-                panel[b].exact = true;
-            }
-            std::mem::swap(&mut self.wide_stale, &mut self.dirty);
-            self.dirty.clear();
-        } else if self.dirty.any() || self.wide_stale.any() {
-            self.wide_stale.merge(&self.dirty);
-            self.wide.repack_rows(&self.faulty, &self.wide_stale, 0);
-            std::mem::swap(&mut self.wide_stale, &mut self.dirty);
-            self.dirty.clear();
-            for b in 0..self.batch {
-                if self.cells.pending[b] {
-                    let SparseCells { faulty, panel, .. } = &mut self.cells;
-                    panel[b].idx.clone_from(&faulty[b].idx);
-                    panel[b].exact = faulty[b].exact;
-                } else {
-                    self.cells.panel[b].set_unknown();
-                    self.cells.faulty[b].set_unknown();
-                }
-            }
-        }
-        self.cells.pending.fill(false);
-        &self.wide
-    }
-
-    /// Brings every live packed panel up to date with the realization the
-    /// injector recorded (see [`PlannedWeight::refresh_all`]).
-    pub fn refresh_all(&mut self) {
-        if self.panels.is_empty() {
-            self.panels = vec![self.packed_clean.clone(); self.batch];
-        }
-        let numel = self.faulty.len() / self.batch;
-        let k = numel.checked_div(self.rows).unwrap_or(0);
-        for b in 0..self.batch {
-            let (lo, hi) = (b * self.rows, (b + 1) * self.rows);
-            let faulty_b = &self.faulty[b * numel..][..numel];
-            let panel = &mut self.panels[b];
-            let pending = std::mem::replace(&mut self.cells.pending[b], false);
-            if pending && self.cells.panel[b].exact && self.cells.faulty[b].exact {
-                // Packed-domain cell update (see
-                // [`PlannedWeight::refresh_all`]): revert the previous
-                // realization's cells to clean, scatter this realization's.
-                for &i in &self.cells.panel[b].idx {
-                    let i = i as usize;
-                    panel.write_cell(i / k, i % k, self.clean[i]);
-                }
-                for &i in &self.cells.faulty[b].idx {
-                    let i = i as usize;
-                    panel.write_cell(i / k, i % k, faulty_b[i]);
-                }
-                let (panel_list, faulty_list) = (&mut self.cells.panel[b], &self.cells.faulty[b]);
-                panel_list.idx.clone_from(&faulty_list.idx);
-                panel_list.exact = true;
-                self.stale.copy_range(&self.dirty, lo, hi);
-                self.dirty.clear_range(lo, hi);
-            } else if self.dirty.any_in(lo, hi) || self.stale.any_in(lo, hi) {
-                self.stale.merge_range(&self.dirty, lo, hi);
-                panel.repack_rows(faulty_b, &self.stale, lo);
-                self.stale.copy_range(&self.dirty, lo, hi);
-                self.dirty.clear_range(lo, hi);
-                if pending {
-                    let SparseCells { faulty, panel, .. } = &mut self.cells;
-                    panel[b].idx.clone_from(&faulty[b].idx);
-                    panel[b].exact = faulty[b].exact;
-                } else {
-                    self.cells.panel[b].set_unknown();
-                    self.cells.faulty[b].set_unknown();
-                }
-            }
-        }
-    }
-
-    /// The injector-facing view of this code operand's plan state.
-    pub fn view<'a>(&'a mut self, index: usize, clean: &'a [i8], bits: u8) -> PlanCodeView<'a> {
-        PlanCodeView {
-            index,
-            clean,
-            bits,
-            rows: self.rows,
-            faulty: &mut self.faulty,
-            dirty: &mut self.dirty,
-            cells: &mut self.cells,
-        }
+impl<P: PackedOperand> std::ops::IndexMut<OperandId> for Operands<P> {
+    fn index_mut(&mut self, id: OperandId) -> &mut PlannedOperand<P> {
+        &mut self.list[id.0]
     }
 }
 
 /// A compiled inference plan for one model and one input shape.
 ///
-/// The plan owns the arenas and the input/output edges; per-layer state
-/// (cached packed panels, faulty buffers, scratch slots) lives inside the
-/// layers themselves, installed by [`Layer::plan_compile`] and released by
-/// [`Layer::plan_end`].
+/// The plan owns the arenas, the input/output edges and every registered
+/// fault operand; the remaining per-layer state (operand ids, cached
+/// activation panels) lives in the layers, installed by
+/// [`Layer::plan_compile`] and released by [`Layer::plan_end`].
 #[derive(Debug)]
 pub struct Plan {
     arenas: PlanArenas,
@@ -843,9 +687,8 @@ pub struct Plan {
     output: PlanShape,
     out_tensor: Tensor,
     gen: u64,
-    batch: usize,
     /// Per-realization input dims (`input.dims` with the leading dimension
-    /// divided by `batch`) — the shape [`Plan::load_input`] accepts.
+    /// divided by the batch) — the shape [`Plan::load_input`] accepts.
     per_dims: Vec<usize>,
     lifetime: FaultLifetime,
 }
@@ -856,9 +699,7 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// Returns an error when a layer with fault-targetable state does not
-    /// implement the plan protocol ([`NnError::Unsupported`]) or a shape is
-    /// inconsistent.
+    /// See [`Plan::compile_batched`].
     pub fn compile<M: Layer + ?Sized>(model: &mut M, example: &Tensor) -> Result<Self> {
         Self::compile_batched(model, example, 1)
     }
@@ -870,8 +711,8 @@ impl Plan {
     /// leading dimension: the input edge holds `batch` tiled copies of the
     /// example (written once per [`Plan::load_input`], so frozen-input
     /// caches — packed activation panels, unfolded patches, quantized codes
-    /// — are still computed once per input), and every weighted layer owns
-    /// `batch` stacked faulty buffers plus per-realization cached packed
+    /// — are still computed once per input), and every registered operand
+    /// stacks `batch` faulty buffers plus per-realization cached packed
     /// panels. One [`Plan::forward`] then evaluates every realization, with
     /// realization `b` owning rows `[b·N, (b+1)·N)` of the output's leading
     /// dimension — each bit-identical to a single-realization planned (and
@@ -879,9 +720,10 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// Returns an error when a layer with fault-targetable state does not
-    /// implement the plan protocol, the example has no leading batch
-    /// dimension, or a shape is inconsistent.
+    /// Returns [`NnError::Unsupported`] when a layer with fault-targetable
+    /// state does not implement the plan protocol, and [`NnError::Config`]
+    /// when the example has no leading batch dimension, a shape is
+    /// inconsistent, or a fault-targetable parameter has no operand.
     pub fn compile_batched<M: Layer + ?Sized>(
         model: &mut M,
         example: &Tensor,
@@ -894,8 +736,34 @@ impl Plan {
                 "plan input must have a leading batch dimension".into(),
             ));
         }
-        let mut arenas = PlanArenas::new();
-        arenas.batch = batch;
+        // Fix every operand's fork index once: the k-th f32 (code) operand
+        // stands for the k-th rank >= 2 parameter (code matrix).
+        let (mut weights, mut codes, mut index) = (Vec::new(), Vec::new(), 0);
+        model.visit_params(&mut |p| {
+            if p.is_fault_target() {
+                weights.push(Target {
+                    index,
+                    numel: p.numel(),
+                    bits: 32,
+                });
+            }
+            index += 1;
+        });
+        model.visit_codes(&mut |view| {
+            codes.push(Target {
+                index: codes.len(),
+                numel: view.codes.len(),
+                bits: view.bits,
+            });
+        });
+        let mut arenas = PlanArenas {
+            f: Arena::new(),
+            q: Arena::new(),
+            acc: Arena::new(),
+            weights: Operands::new("f32 weight", batch, weights),
+            codes: Operands::new("code", batch, codes),
+            batch,
+        };
         let per_dims = example.dims().to_vec();
         let mut dims = per_dims.clone();
         dims[0] *= batch;
@@ -904,6 +772,8 @@ impl Plan {
             dims,
         };
         let output = model.plan_compile(&input, &mut arenas)?;
+        arenas.weights.check_complete()?;
+        arenas.codes.check_complete()?;
         arenas.seal();
         let out_tensor = Tensor::zeros(&output.dims);
         let mut plan = Self {
@@ -912,7 +782,6 @@ impl Plan {
             output,
             out_tensor,
             gen: 0,
-            batch,
             per_dims,
             lifetime: FaultLifetime::Static,
         };
@@ -938,7 +807,7 @@ impl Plan {
         }
         let slot = self.arenas.f.slot_mut(self.input.slot);
         let per = input.numel();
-        for b in 0..self.batch {
+        for b in 0..self.arenas.batch {
             slot[b * per..(b + 1) * per].copy_from_slice(input.data());
         }
         self.gen += 1;
@@ -947,7 +816,19 @@ impl Plan {
 
     /// Fault realizations fused per forward pass (1 for ordinary plans).
     pub fn batch(&self) -> usize {
-        self.batch
+        self.arenas.batch
+    }
+
+    /// The plan's f32 weight operands, one per rank ≥ 2 parameter in
+    /// [`Layer::visit_params`] order (where weight faults are realized).
+    pub fn weights_mut(&mut self) -> &mut [PlannedOperand<PackedB>] {
+        &mut self.arenas.weights.list
+    }
+
+    /// The plan's i8 code operands, one per [`Layer::visit_codes`] entry in
+    /// that order (where code faults are realized).
+    pub fn codes_mut(&mut self) -> &mut [PlannedOperand<QPackedB>] {
+        &mut self.arenas.codes.list
     }
 
     /// Declares the fault lifetime subsequent forwards run under (see
@@ -966,8 +847,8 @@ impl Plan {
     }
 
     /// Runs one planned forward pass over the loaded input, consuming each
-    /// layer's faulty weight buffers (re-packing dirty panels on the way),
-    /// and returns the output. Steady-state calls perform zero heap
+    /// operand's faulty buffers (refreshing dirty panels on the way), and
+    /// returns the output. Steady-state calls perform zero heap
     /// allocations.
     ///
     /// # Errors
@@ -999,15 +880,6 @@ impl Plan {
     pub fn output_dims(&self) -> &[usize] {
         &self.output.dims
     }
-
-    /// Total f32/i8/i32 elements reserved across the arenas (diagnostics).
-    pub fn arena_elements(&self) -> (usize, usize, usize) {
-        (
-            self.arenas.f.reserved(),
-            self.arenas.q.reserved(),
-            self.arenas.acc.reserved(),
-        )
-    }
 }
 
 /// Shared implementation of the default (fallback) [`Layer::plan_compile`]:
@@ -1019,7 +891,7 @@ pub(crate) fn fallback_compile<L: Layer + ?Sized>(
     arenas: &mut PlanArenas,
 ) -> Result<PlanShape> {
     let mut targetable = false;
-    layer.visit_params(&mut |p| targetable |= p.value.rank() >= 2);
+    layer.visit_params(&mut |p| targetable |= p.is_fault_target());
     layer.visit_codes(&mut |_| targetable = true);
     if targetable {
         return Err(NnError::unsupported(layer.name(), "compiled plans"));
@@ -1059,6 +931,7 @@ pub(crate) fn fallback_forward<L: Layer + ?Sized>(
 mod tests {
     use super::*;
     use crate::activation::Relu;
+    use crate::layer::{CodeView, Param};
     use crate::linear::Linear;
     use crate::lstm::Lstm;
     use crate::Sequential;
@@ -1096,21 +969,19 @@ mod tests {
         let clean = net.forward(&x, Mode::Eval).unwrap();
         let mut plan = Plan::compile(&mut net, &x).unwrap();
         // Perturb row 2 of the weight through the plan view.
-        net.visit_plan_params(&mut |view| {
-            assert_eq!(view.index, 0);
-            for v in &mut view.faulty[2 * 5..3 * 5] {
-                *v += 1.0;
-            }
-            view.dirty.mark(2);
-        });
+        let view = plan.weights_mut()[0].view();
+        assert_eq!(view.index, 0);
+        for v in &mut view.faulty[2 * 5..3 * 5] {
+            *v += 1.0;
+        }
+        view.dirty.mark(2);
         let faulty_out = plan.forward(&mut net).unwrap().clone();
         assert!(!faulty_out.approx_eq(&clean, 1e-6));
         // Next realization: nothing perturbed → the faulty buffer must be
         // reset by the caller (the injector's contract); simulate it.
-        net.visit_plan_params(&mut |view| {
-            view.faulty.copy_from_slice(view.clean.data());
-            view.dirty.mark(2); // row reverted → caller marks it again
-        });
+        let view = plan.weights_mut()[0].view();
+        view.faulty.copy_from_slice(view.clean);
+        view.dirty.mark(2); // row reverted → caller marks it again
         let restored = plan.forward(&mut net).unwrap();
         let identical = restored
             .data()
@@ -1138,6 +1009,72 @@ mod tests {
             "unexpected error: {err}"
         );
         assert!(err.to_string().contains("compiled plans"));
+    }
+
+    #[test]
+    fn weighted_layers_that_skip_registration_fail_compile() {
+        // A weighted layer planning itself without registering its operand
+        // would evaluate clean weights under every fault; the compile-time
+        // count check names both counts instead, in either domain.
+        let mut rng = Rng::seed_from(5);
+        let x = Tensor::randn(&[2, 4], 0.0, 1.0, &mut rng);
+        for (codes, domain) in [(false, "f32 weight"), (true, "code")] {
+            let mut net = Sequential::new()
+                .with(Box::new(Linear::new(4, 4, &mut rng)))
+                .with(Box::new(Unregistered {
+                    weight: Param::new(Tensor::ones(&[4, 4])),
+                    codes: if codes { vec![1; 16] } else { Vec::new() },
+                }));
+            let (expected, registered) = if codes { (1, 0) } else { (2, 1) };
+            let err = Plan::compile(&mut net, &x).unwrap_err();
+            assert!(
+                matches!(&err, NnError::Config(msg) if msg.contains(domain)
+                    && msg.contains(&format!("expected {expected}"))
+                    && msg.contains(&format!("registered {registered}"))),
+                "unexpected error: {err}"
+            );
+        }
+    }
+
+    /// A weighted layer that plans itself as an identity (its own
+    /// `plan_compile`, the fallback `plan_forward`) and never registers its
+    /// rank-2 weight or, when `codes` is non-empty, its code matrix instead.
+    struct Unregistered {
+        weight: Param,
+        codes: Vec<i8>,
+    }
+
+    impl Layer for Unregistered {
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+            Ok(grad_output.clone())
+        }
+        fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+            if self.codes.is_empty() {
+                visitor(&mut self.weight);
+            }
+        }
+        fn visit_codes(&mut self, visitor: &mut dyn FnMut(CodeView<'_>)) {
+            if !self.codes.is_empty() {
+                visitor(CodeView {
+                    codes: &mut self.codes,
+                    bits: 8,
+                    rows: 4,
+                });
+            }
+        }
+        fn plan_compile(
+            &mut self,
+            input: &PlanShape,
+            arenas: &mut PlanArenas,
+        ) -> Result<PlanShape> {
+            Ok(arenas.reserve_like(input))
+        }
+        fn name(&self) -> &'static str {
+            "Unregistered"
+        }
     }
 
     #[test]
@@ -1199,15 +1136,13 @@ mod tests {
         }
         // Perturb realization 1's first weight only; realizations 0 and 2
         // must stay clean.
-        net.visit_plan_params(&mut |view| {
-            if view.index == 0 {
-                let numel = view.clean.numel();
-                for v in &mut view.faulty[numel..][..5] {
-                    *v += 1.0;
-                }
-                view.dirty.mark(7); // realization 1, row 0 (7 rows each)
-            }
-        });
+        let view = plan.weights_mut()[0].view();
+        assert_eq!(view.index, 0);
+        let numel = view.clean.len();
+        for v in &mut view.faulty[numel..][..5] {
+            *v += 1.0;
+        }
+        view.dirty.mark(7); // realization 1, row 0 (7 rows each)
         let out = plan.forward(&mut net).unwrap().clone();
         for b in [0usize, 2] {
             let rows = &out.data()[b * direct.numel()..][..direct.numel()];

@@ -27,7 +27,7 @@
 
 use crate::error::NnError;
 use crate::layer::{CodeView, Layer, Mode};
-use crate::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanShape, PlannedCodes};
+use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{conv_out_shape, im2col_codes_into, im2col_slice_into, Conv2dSpec};
 use invnorm_tensor::qgemm::{qgemm_prepacked_ab, qgemm_prepacked_b, QPackedA};
@@ -124,23 +124,21 @@ pub struct QuantizedLinear {
 }
 
 /// Compiled-plan state shared by both quantized layers: arena slots for the
-/// activation codes / patch matrix / i32 accumulators, the cached packed
-/// code operand with realization bookkeeping (one panel per stacked
-/// realization for batched plans), and the cached packed activation panel
-/// (plus its quantization scale) for frozen inputs.
+/// activation codes / patch matrix / i32 accumulators, the id of the
+/// plan-owned code operand (one packed panel per stacked realization for
+/// batched plans), and the cached packed activation panel (plus its
+/// quantization scale) for frozen inputs.
 #[derive(Debug)]
 struct QuantizedPlan {
     qin: ArenaSlot,
     /// Patch matrix of unfolded codes (conv only; empty slot for linear).
     cols: ArenaSlot,
     acc: ArenaSlot,
-    codes: PlannedCodes,
+    codes: OperandId,
     packed_a: QPackedA,
     a_gen: u64,
     a_scale: f32,
     plan_scratch: Scratch,
-    /// Stacked realizations per forward (1 for ordinary plans).
-    batch: usize,
     /// Dims of one realization's tile of the stacked input edge (conv only).
     tile_dims: Vec<usize>,
     /// Per-realization dynamic activation scales of the current forward
@@ -322,12 +320,11 @@ impl Layer for QuantizedLinear {
             qin: arenas.q.reserve(n_per * fin),
             cols: arenas.q.reserve(0),
             acc: arenas.acc.reserve(n_per * fout * batch),
-            codes: PlannedCodes::pack_batched(&self.codes, fin, fout, batch),
+            codes: arenas.codes.register(&self.codes, fin, fout)?,
             packed_a: QPackedA::new(),
             a_gen: 0,
             a_scale: 1.0,
             plan_scratch: Scratch::new(),
-            batch,
             tile_dims: Vec::new(),
             sx_buf: Vec::new(),
         });
@@ -348,18 +345,29 @@ impl Layer for QuantizedLinear {
             NnError::Config("QuantizedLinear::plan_forward called without plan_compile".into())
         })?;
         let (fin, fout) = (self.in_features, self.out_features);
-        let batch = state.batch;
+        let batch = arenas.batch();
         let n = input.dims[0] / batch;
         let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
         let qin = arenas.q.slot_mut(state.qin);
         let acc = arenas.acc.slot_mut(state.acc);
+        let codes = &mut arenas.codes[state.codes];
         let bias = self.bias.as_ref().map(Tensor::data);
-        if ctx.frozen && batch > 1 {
-            // Fused wide product: one cached panel of the first tile's
-            // quantized codes meets the wide stacked code operand in a
-            // single `[N, B·out]` integer GEMM; realization b dequantizes
-            // its own column block.
-            let wide_w = state.codes.refresh_wide();
+        // Dequantizes realization b's `[n, fout]` block of accumulators
+        // (leading dimension `ld`, first column `col0`); bias is digital f32.
+        let dequantize = |acc: &[i32], ld: usize, col0: usize, sx: f32, out_b: &mut [f32]| {
+            for i in 0..n {
+                for j in 0..fout {
+                    let mut v = acc[i * ld + col0 + j] as f32 * sx * self.scales[j];
+                    if let Some(bd) = bias {
+                        v += bd[j];
+                    }
+                    out_b[i * fout + j] = v;
+                }
+            }
+        };
+        if ctx.frozen {
+            // Frozen plan input: quantize + pack the first tile's codes once
+            // per `load_input` and reuse the panel.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
                 state.a_scale = quantize_activations(&x[..n * fin], self.act_scale, qin);
@@ -368,42 +376,27 @@ impl Layer for QuantizedLinear {
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
+        }
+        if ctx.frozen && batch > 1 {
+            // Fused wide product: the cached activation panel meets the wide
+            // stacked code operand in a single `[N, B·out]` integer GEMM;
+            // realization b dequantizes its own column block.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            qgemm_prepacked_ab(&state.packed_a, wide_w, false, acc);
-            let sx = state.a_scale;
-            let ld = batch * fout;
+            qgemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
-                for i in 0..n {
-                    for j in 0..fout {
-                        let mut v = acc[i * ld + b * fout + j] as f32 * sx * self.scales[j];
-                        if let Some(bd) = bias {
-                            v += bd[j];
-                        }
-                        out_b[i * fout + j] = v;
-                    }
-                }
+                dequantize(acc, batch * fout, b * fout, state.a_scale, out_b);
             }
             return Ok(());
         }
         // Bring the cached packed operands up to date with this realization
-        // batch (dirty-row re-packing).
-        state.codes.refresh_all();
+        // batch (cell scatter / dirty-row re-packing / uniform-scale).
+        codes.refresh_all();
         for b in 0..batch {
             let out_b = &mut out[b * n * fout..][..n * fout];
             let acc = &mut acc[..n * fout];
             let sx = if ctx.frozen {
-                // Single-realization frozen plan: quantize + pack the codes
-                // once per `load_input` and reuse the panel.
-                if state.a_gen != ctx.input_gen {
-                    telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                    state.a_scale = quantize_activations(&x[..n * fin], self.act_scale, qin);
-                    state.packed_a.pack(false, qin, n, fin);
-                    state.a_gen = ctx.input_gen;
-                } else {
-                    telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-                }
-                qgemm_prepacked_ab(&state.packed_a, state.codes.panel(b), false, acc);
+                qgemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
                 state.a_scale
             } else {
                 let sx = quantize_activations(&x[b * n * fin..][..n * fin], self.act_scale, qin);
@@ -411,34 +404,20 @@ impl Layer for QuantizedLinear {
                     false,
                     n,
                     qin,
-                    state.codes.panel(b),
+                    codes.panel(b),
                     false,
                     acc,
                     &mut state.plan_scratch,
                 );
                 sx
             };
-            for i in 0..n {
-                for j in 0..fout {
-                    let mut v = acc[i * fout + j] as f32 * sx * self.scales[j];
-                    if let Some(bd) = bias {
-                        v += bd[j];
-                    }
-                    out_b[i * fout + j] = v;
-                }
-            }
+            dequantize(acc, fout, 0, sx, out_b);
         }
         Ok(())
     }
 
     fn plan_end(&mut self) {
         self.plan = None;
-    }
-
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        if let Some(state) = &mut self.plan {
-            visitor(state.codes.view(0, &self.codes, self.bits));
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -645,12 +624,11 @@ impl Layer for QuantizedConv2d {
             qin: arenas.q.reserve(input.numel()),
             cols: arenas.q.reserve(shape.rows * shape.patch),
             acc: arenas.acc.reserve(shape.rows / batch * oc * batch),
-            codes: PlannedCodes::pack_batched(&self.codes, shape.patch, oc, batch),
+            codes: arenas.codes.register(&self.codes, shape.patch, oc)?,
             packed_a: QPackedA::new(),
             a_gen: 0,
             a_scale: 1.0,
             plan_scratch: Scratch::new(),
-            batch,
             tile_dims,
             sx_buf: Vec::with_capacity(batch),
         });
@@ -672,7 +650,7 @@ impl Layer for QuantizedConv2d {
         })?;
         let shape = conv_out_shape(&input.dims, &self.spec)?;
         let oc = self.out_channels;
-        let batch = state.batch;
+        let batch = arenas.batch();
         let n_per = shape.n / batch;
         let rows_per = shape.rows / batch;
         let per_in = input.numel() / batch;
@@ -680,85 +658,59 @@ impl Layer for QuantizedConv2d {
         let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
         let [qin, cols] = arenas.q.many_mut([state.qin, state.cols]);
         let acc = arenas.acc.slot_mut(state.acc);
-        if ctx.frozen && batch > 1 {
-            // Fused wide product: one cached patch panel of the first
-            // tile's codes meets the wide stacked kernel operand in a
-            // single `[rows, B·oc]` integer GEMM; realization b
-            // dequantizes its strided column block during the NCHW
-            // re-layout.
-            let wide_w = state.codes.refresh_wide();
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.a_scale =
-                    quantize_activations(&x[..per_in], self.act_scale, &mut qin[..per_in]);
-                im2col_slice_into(
-                    &qin[..per_in],
-                    &state.tile_dims,
-                    &self.spec,
-                    &mut cols[..rows_per * shape.patch],
-                )?;
-                state.packed_a.pack(
-                    false,
-                    &cols[..rows_per * shape.patch],
-                    rows_per,
-                    shape.patch,
-                );
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            telemetry::count(telemetry::Counter::WideGemms, 1);
-            qgemm_prepacked_ab(&state.packed_a, wide_w, false, acc);
-            let sx = state.a_scale;
-            let ld = batch * oc;
-            let bias = self.bias.as_ref().map(Tensor::data);
-            for b in 0..batch {
-                let out_b = &mut out[b * per_out..][..per_out];
-                for ni in 0..n_per {
-                    for oy in 0..shape.oh {
-                        for ox in 0..shape.ow {
-                            let row = (ni * shape.oh + oy) * shape.ow + ox;
-                            for co in 0..oc {
-                                let mut v =
-                                    acc[row * ld + b * oc + co] as f32 * sx * self.scales[co];
-                                if let Some(bd) = bias {
-                                    v += bd[co];
-                                }
-                                out_b[((ni * oc + co) * shape.oh + oy) * shape.ow + ox] = v;
+        let codes = &mut arenas.codes[state.codes];
+        let bias = self.bias.as_ref().map(Tensor::data);
+        // Dequantizes realization b's accumulators (leading dimension `ld`,
+        // first column `col0`) during the NCHW re-layout; bias is digital
+        // f32 — the exact loop of the direct forward.
+        let dequantize = |acc: &[i32], ld: usize, col0: usize, sx: f32, out_b: &mut [f32]| {
+            for ni in 0..n_per {
+                for oy in 0..shape.oh {
+                    for ox in 0..shape.ow {
+                        let row = (ni * shape.oh + oy) * shape.ow + ox;
+                        for co in 0..oc {
+                            let mut v = acc[row * ld + col0 + co] as f32 * sx * self.scales[co];
+                            if let Some(bd) = bias {
+                                v += bd[co];
                             }
+                            out_b[((ni * oc + co) * shape.oh + oy) * shape.ow + ox] = v;
                         }
                     }
                 }
             }
-            return Ok(());
-        }
-        // Bring the cached packed operands up to date with this realization
-        // batch (dirty-row re-packing).
-        state.codes.refresh_all();
+        };
         if ctx.frozen {
-            // Single-realization frozen plan: quantize + unfold + pack the
+            // Frozen plan input: quantize + unfold + pack the first tile's
             // patch panel once per `load_input`.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
                 state.a_scale =
                     quantize_activations(&x[..per_in], self.act_scale, &mut qin[..per_in]);
-                im2col_slice_into(
-                    &qin[..per_in],
-                    &state.tile_dims,
-                    &self.spec,
-                    &mut cols[..rows_per * shape.patch],
-                )?;
-                state.packed_a.pack(
-                    false,
-                    &cols[..rows_per * shape.patch],
-                    rows_per,
-                    shape.patch,
-                );
+                let patches = &mut cols[..rows_per * shape.patch];
+                im2col_slice_into(&qin[..per_in], &state.tile_dims, &self.spec, patches)?;
+                state.packed_a.pack(false, patches, rows_per, shape.patch);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
-        } else {
+        }
+        if ctx.frozen && batch > 1 {
+            // Fused wide product: the cached patch panel meets the wide
+            // stacked kernel operand in a single `[rows, B·oc]` integer
+            // GEMM; realization b dequantizes its strided column block
+            // during the NCHW re-layout.
+            telemetry::count(telemetry::Counter::WideGemms, 1);
+            qgemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
+            for b in 0..batch {
+                let out_b = &mut out[b * per_out..][..per_out];
+                dequantize(acc, batch * oc, b * oc, state.a_scale, out_b);
+            }
+            return Ok(());
+        }
+        // Bring the cached packed operands up to date with this realization
+        // batch (cell scatter / dirty-row re-packing / uniform-scale).
+        codes.refresh_all();
+        if !ctx.frozen {
             // Per-realization inputs: quantize each realization's tile over
             // its own slice (the sequential per-instance scale semantics),
             // then unfold the whole stacked batch of codes in one call.
@@ -772,53 +724,30 @@ impl Layer for QuantizedConv2d {
             }
             im2col_slice_into(qin, &input.dims, &self.spec, cols)?;
         }
-        let bias = self.bias.as_ref().map(Tensor::data);
         for b in 0..batch {
             let acc = &mut acc[..rows_per * oc];
             let sx = if ctx.frozen {
-                qgemm_prepacked_ab(&state.packed_a, state.codes.panel(b), false, acc);
+                qgemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
                 state.a_scale
             } else {
                 qgemm_prepacked_b(
                     false,
                     rows_per,
                     &cols[b * rows_per * shape.patch..][..rows_per * shape.patch],
-                    state.codes.panel(b),
+                    codes.panel(b),
                     false,
                     acc,
                     &mut state.plan_scratch,
                 );
                 state.sx_buf[b]
             };
-            // Dequantize during the NCHW re-layout; bias is digital f32 —
-            // the exact loop of the direct forward, per realization.
-            let out_b = &mut out[b * per_out..][..per_out];
-            for ni in 0..n_per {
-                for oy in 0..shape.oh {
-                    for ox in 0..shape.ow {
-                        let row = (ni * shape.oh + oy) * shape.ow + ox;
-                        for co in 0..oc {
-                            let mut v = acc[row * oc + co] as f32 * sx * self.scales[co];
-                            if let Some(bd) = bias {
-                                v += bd[co];
-                            }
-                            out_b[((ni * oc + co) * shape.oh + oy) * shape.ow + ox] = v;
-                        }
-                    }
-                }
-            }
+            dequantize(acc, oc, 0, sx, &mut out[b * per_out..][..per_out]);
         }
         Ok(())
     }
 
     fn plan_end(&mut self) {
         self.plan = None;
-    }
-
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        if let Some(state) = &mut self.plan {
-            visitor(state.codes.view(0, &self.codes, self.bits));
-        }
     }
 
     fn name(&self) -> &'static str {

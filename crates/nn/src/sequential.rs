@@ -3,7 +3,7 @@
 
 use crate::error::NnError;
 use crate::layer::{BoxedLayer, CodeView, Layer, Mode, Param};
-use crate::plan::{PlanArenas, PlanCodeView, PlanCtx, PlanParamView, PlanShape};
+use crate::plan::{PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::Tensor;
 
@@ -154,35 +154,6 @@ impl Layer for Sequential {
         self.plan = None;
         for layer in &mut self.layers {
             layer.plan_end();
-        }
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        // Re-base each layer's local parameter indices onto the container's
-        // global `visit_params` order, so the injector's RNG stream forking
-        // matches the sequential engine.
-        let mut base = 0usize;
-        for layer in &mut self.layers {
-            layer.visit_plan_params(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut params = 0usize;
-            layer.visit_params(&mut |_| params += 1);
-            base += params;
-        }
-    }
-
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        let mut base = 0usize;
-        for layer in &mut self.layers {
-            layer.visit_plan_codes(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut codes = 0usize;
-            layer.visit_codes(&mut |_| codes += 1);
-            base += codes;
         }
     }
 
@@ -387,59 +358,6 @@ impl Layer for Residual {
         }
         if let Some(post) = &mut self.post {
             post.plan_end();
-        }
-    }
-
-    fn visit_plan_params(&mut self, visitor: &mut dyn FnMut(PlanParamView<'_>)) {
-        // Branch order and index re-basing mirror `visit_params`.
-        let mut base = 0usize;
-        self.main.visit_plan_params(&mut |mut view| {
-            view.index += base;
-            visitor(view);
-        });
-        let mut params = 0usize;
-        self.main.visit_params(&mut |_| params += 1);
-        base += params;
-        if let Some(shortcut) = &mut self.shortcut {
-            shortcut.visit_plan_params(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut params = 0usize;
-            shortcut.visit_params(&mut |_| params += 1);
-            base += params;
-        }
-        if let Some(post) = &mut self.post {
-            post.visit_plan_params(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-        }
-    }
-
-    fn visit_plan_codes(&mut self, visitor: &mut dyn FnMut(PlanCodeView<'_>)) {
-        let mut base = 0usize;
-        self.main.visit_plan_codes(&mut |mut view| {
-            view.index += base;
-            visitor(view);
-        });
-        let mut codes = 0usize;
-        self.main.visit_codes(&mut |_| codes += 1);
-        base += codes;
-        if let Some(shortcut) = &mut self.shortcut {
-            shortcut.visit_plan_codes(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
-            let mut codes = 0usize;
-            shortcut.visit_codes(&mut |_| codes += 1);
-            base += codes;
-        }
-        if let Some(post) = &mut self.post {
-            post.visit_plan_codes(&mut |mut view| {
-                view.index += base;
-                visitor(view);
-            });
         }
     }
 

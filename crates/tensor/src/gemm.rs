@@ -40,6 +40,7 @@
 
 use crate::arena::DirtyRows;
 use crate::dispatch::{self, KernelTier};
+use crate::qgemm::QPackedB;
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
 use std::cell::RefCell;
@@ -640,6 +641,55 @@ impl PackedB {
         self.buf[pos] = value;
     }
 }
+
+/// A packed GEMM `B` operand cached across fault realizations ([`PackedB`]
+/// for f32 weights, [`QPackedB`] for i8 codes), so compiled plans hold one
+/// operand type for both fault domains. Each method is the inherent one.
+pub trait PackedOperand: Clone + Default + std::fmt::Debug {
+    /// Element type of the unpacked matrix.
+    type Elem: Copy + std::fmt::Debug;
+    /// See [`PackedB::pack`].
+    fn pack(&mut self, trans_b: bool, b: &[Self::Elem], k: usize, n: usize);
+    /// See [`PackedB::repack_rows`].
+    fn repack_rows(&mut self, b: &[Self::Elem], dirty: &DirtyRows, base: usize);
+    /// See [`PackedB::write_cell`].
+    fn write_cell(&mut self, row: usize, kidx: usize, value: Self::Elem);
+    /// See [`PackedB::copy_from`].
+    fn copy_from(&mut self, src: &Self);
+    /// See [`PackedB::scale_from`] and [`QPackedB::scale_from`].
+    fn scale_from(&mut self, src: &Self, factor: f32);
+    /// See [`PackedB::n`].
+    fn n(&self) -> usize;
+}
+
+macro_rules! packed_operand {
+    ($packed:ident, $elem:ty) => {
+        impl PackedOperand for $packed {
+            type Elem = $elem;
+            fn pack(&mut self, trans_b: bool, b: &[$elem], k: usize, n: usize) {
+                $packed::pack(self, trans_b, b, k, n);
+            }
+            fn repack_rows(&mut self, b: &[$elem], dirty: &DirtyRows, base: usize) {
+                $packed::repack_rows(self, b, dirty, base);
+            }
+            fn write_cell(&mut self, row: usize, kidx: usize, value: $elem) {
+                $packed::write_cell(self, row, kidx, value);
+            }
+            fn copy_from(&mut self, src: &Self) {
+                $packed::copy_from(self, src);
+            }
+            fn scale_from(&mut self, src: &Self, factor: f32) {
+                $packed::scale_from(self, src, factor);
+            }
+            fn n(&self) -> usize {
+                $packed::n(self)
+            }
+        }
+    };
+}
+
+packed_operand!(PackedB, f32);
+packed_operand!(QPackedB, i8);
 
 /// GEMM with a cached pre-packed B operand (see [`PackedB`]):
 /// `C ← α · op(A) · op(B) + β · C` where only A is packed per call, blockwise

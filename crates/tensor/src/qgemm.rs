@@ -487,6 +487,49 @@ impl QPackedB {
         &self.buf[(ji * self.k_panels + pi) * self.slot..][..self.slot]
     }
 
+    /// Overwrites this operand with `round(c · factor)` of every packed code
+    /// `c` of `src` — the code-domain retention-drift realization, applied
+    /// without re-packing. With `0 ≤ factor ≤ 1`, `|round(c · factor)| ≤
+    /// |c|`, so codes stay in range and zero padding stays zero: the result
+    /// is bit-identical to packing the per-code drifted matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `factor` lies outside `[0, 1]`, or the operands disagree
+    /// on shape or kernel tier.
+    pub fn scale_from(&mut self, src: &QPackedB, factor: f32) {
+        let _span = telemetry::span(telemetry::Phase::Repack);
+        telemetry::count(telemetry::Counter::UniformScales, 1);
+        assert!(
+            (0.0..=1.0).contains(&factor),
+            "code scale {factor} outside [0, 1]"
+        );
+        let len = self.same_layout_len(src);
+        for (d, &s) in self.buf[..len].iter_mut().zip(&src.buf[..len]) {
+            *d = (f32::from(s) * factor).round() as i8;
+        }
+    }
+
+    /// Overwrites this operand with a copy of `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the operands disagree on shape or kernel tier.
+    pub fn copy_from(&mut self, src: &QPackedB) {
+        let len = self.same_layout_len(src);
+        self.buf[..len].copy_from_slice(&src.buf[..len]);
+    }
+
+    /// Packed codes covering the dimensions both operands must share.
+    fn same_layout_len(&self, src: &QPackedB) -> usize {
+        assert_eq!(
+            (self.k, self.n, self.trans_b, self.tier),
+            (src.k, src.n, src.trans_b, src.tier),
+            "packed operands disagree on shape or kernel tier"
+        );
+        self.n.div_ceil(QNC).max(1) * self.k_panels * self.slot
+    }
+
     /// Re-packs only the qnr-strips covering rows marked in `dirty` from the
     /// updated code matrix `b` (see [`crate::gemm::PackedB::repack_rows`] for
     /// the contract — every column changed since the last pack must be
@@ -1266,6 +1309,30 @@ mod tests {
             let mut got = vec![0i32; m * n];
             qgemm_prepacked_b(false, m, &a, &packed, false, &mut got, &mut scratch);
             assert_eq!(got, expected, "write_cell scatter m={m} n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn scale_from_is_bit_identical_to_packing_drifted_codes() {
+        // Padding included; `copy_from` restores the clean operand exactly.
+        let mut rng = Rng::seed_from(34);
+        let qnr = q_kernel(dispatch::active()).qnr;
+        for &(n, k) in &[(1usize, 1usize), (qnr + 3, KQ * 5 + 2), (QNC + 5, QKC + 7)] {
+            let b = random_codes(k * n, &mut rng);
+            let (mut clean, mut expected) = (QPackedB::new(), QPackedB::new());
+            clean.pack(true, &b, k, n);
+            for factor in [1.0f32, 0.83, 0.5, 0.0] {
+                let drifted: Vec<i8> = b
+                    .iter()
+                    .map(|&c| (f32::from(c) * factor).round() as i8)
+                    .collect();
+                expected.pack(true, &drifted, k, n);
+                let mut scaled = clean.clone();
+                scaled.scale_from(&clean, factor);
+                assert_eq!(scaled.buf, expected.buf, "n={n} k={k} factor={factor}");
+                scaled.copy_from(&clean);
+                assert_eq!(scaled.buf, clean.buf, "copy_from n={n} k={k}");
+            }
         }
     }
 

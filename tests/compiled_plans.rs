@@ -200,7 +200,13 @@ fn quantized_cnn(seed: u64) -> Sequential {
 fn quantized_cnn_planned_is_bit_identical_to_sequential_codes() {
     let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(5));
     let engine = MonteCarloEngine::new(8, 0xFEED);
-    for fault in model_faults() {
+    // Drift takes the code-domain uniform-scale regime, through the frozen
+    // wide path of the first layer at batch 3 and 8.
+    let drift = FaultModel::Drift {
+        nu: 0.1,
+        time_ratio: 1000.0,
+    };
+    for fault in model_faults().into_iter().chain([drift]) {
         let mut net = quantized_cnn(6);
         let sequential = engine
             .run_supervised(
@@ -264,7 +270,7 @@ fn steady_state_planned_batched_forward_allocates_nothing() {
         for (b, slot) in rngs.iter_mut().enumerate() {
             *slot = Rng::seed_from(100 * round + b as u64);
         }
-        injector.realize_plan_batch(&mut net, &mut rngs).unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rngs).unwrap();
         plan.forward(&mut net).unwrap();
     }
 
@@ -274,7 +280,7 @@ fn steady_state_planned_batched_forward_allocates_nothing() {
         for (b, slot) in rngs.iter_mut().enumerate() {
             *slot = Rng::seed_from(100 * round + b as u64);
         }
-        injector.realize_plan_batch(&mut net, &mut rngs).unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rngs).unwrap();
         plan.forward(&mut net).unwrap();
     }
     let allocations = thread_allocations() - before;
@@ -285,13 +291,13 @@ fn steady_state_planned_batched_forward_allocates_nothing() {
 
     // Reverting every realization to clean restores the direct output in
     // every stacked slot.
-    net.visit_plan_params(&mut |view| {
-        let numel = view.clean.numel();
-        for b in 0..batch {
-            view.faulty[b * numel..][..numel].copy_from_slice(view.clean.data());
+    for operand in plan.weights_mut() {
+        let view = operand.view();
+        for faulty in view.faulty.chunks_exact_mut(view.clean.len()) {
+            faulty.copy_from_slice(view.clean);
         }
         view.dirty.mark_all();
-    });
+    }
     let out = plan.forward(&mut net).unwrap();
     let per = direct.numel();
     for b in 0..batch {
@@ -324,7 +330,7 @@ fn steady_state_planned_forward_allocates_nothing() {
     let mut rng = [Rng::seed_from(0)];
     for seed in 0..3u64 {
         rng[0] = Rng::seed_from(seed);
-        injector.realize_plan_batch(&mut net, &mut rng).unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         plan.forward(&mut net).unwrap();
     }
 
@@ -333,7 +339,7 @@ fn steady_state_planned_forward_allocates_nothing() {
     let before = thread_allocations();
     for seed in 3..6u64 {
         rng[0] = Rng::seed_from(seed);
-        injector.realize_plan_batch(&mut net, &mut rng).unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         plan.forward(&mut net).unwrap();
     }
     let allocations = thread_allocations() - before;
@@ -344,11 +350,12 @@ fn steady_state_planned_forward_allocates_nothing() {
 
     // And the outputs still track the direct path for the clean realization.
     rng[0] = Rng::seed_from(999);
-    injector.realize_plan_batch(&mut net, &mut rng).unwrap();
-    net.visit_plan_params(&mut |view| {
-        view.faulty.copy_from_slice(view.clean.data());
+    injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
+    for operand in plan.weights_mut() {
+        let view = operand.view();
+        view.faulty.copy_from_slice(view.clean);
         view.dirty.mark_all();
-    });
+    }
     let out = plan.forward(&mut net).unwrap();
     let identical = out
         .data()

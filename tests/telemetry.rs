@@ -125,6 +125,19 @@ fn cnn(seed: u64) -> Sequential {
         .with(Box::new(Linear::new(4 * 4 * 4, 3, &mut rng)))
 }
 
+/// The code-domain twin of [`cnn`]: the same topology on i8 codes.
+fn quantized_cnn(seed: u64) -> Sequential {
+    let mut rng = Rng::seed_from(seed);
+    let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
+    let head = Linear::new(4 * 4 * 4, 3, &mut rng);
+    Sequential::new()
+        .with(Box::new(QuantizedConv2d::from_conv2d(&conv, 8).unwrap()))
+        .with(Box::new(Relu::new()))
+        .with(Box::new(MaxPool2d::new(2)))
+        .with(Box::new(Flatten::new()))
+        .with(Box::new(QuantizedLinear::from_linear(&head, 8).unwrap()))
+}
+
 fn assert_bits_equal(baseline: &[f32], instrumented: &[f32], what: &str) {
     assert_eq!(baseline.len(), instrumented.len(), "{what}: run count");
     let identical = baseline
@@ -216,7 +229,7 @@ fn enabled_telemetry_is_allocation_free_in_steady_state() {
         for (b, slot) in rngs.iter_mut().enumerate() {
             *slot = Rng::seed_from(100 * round + b as u64);
         }
-        injector.realize_plan_batch(&mut net, &mut rngs).unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rngs).unwrap();
         plan.forward(&mut net).unwrap();
     }
 
@@ -228,7 +241,7 @@ fn enabled_telemetry_is_allocation_free_in_steady_state() {
         for (b, slot) in rngs.iter_mut().enumerate() {
             *slot = Rng::seed_from(100 * round + b as u64);
         }
-        injector.realize_plan_batch(&mut net, &mut rngs).unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rngs).unwrap();
         plan.forward(&mut net).unwrap();
     }
     let allocations = thread_allocations() - before;
@@ -243,6 +256,50 @@ fn enabled_telemetry_is_allocation_free_in_steady_state() {
     assert!(Telemetry::phase_ns(Phase::Inject) > 0);
     assert!(Telemetry::counter(Counter::CellScatters) > 0);
     net.plan_end();
+}
+
+#[test]
+fn planned_drift_scales_panels_and_never_repacks_in_either_domain() {
+    // Retention drift is one factor per realization: the planned engine
+    // scales the cached panels of f32 weights and i8 codes alike (the frozen
+    // first layer's wide operand at batch 3) and re-packs no row.
+    let _guard = telemetry_lock();
+    let _restore = DisableOnDrop;
+    let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(41));
+    let drift = FaultModel::Drift {
+        nu: 0.05,
+        time_ratio: 100.0,
+    };
+    for (domain, batch) in [(SweepDomain::Weights, 1), (SweepDomain::Weights, 3)]
+        .into_iter()
+        .chain([(SweepDomain::Codes, 1), (SweepDomain::Codes, 3)])
+    {
+        let factory = || match domain {
+            SweepDomain::Weights => cnn(43),
+            SweepDomain::Codes => quantized_cnn(43),
+        };
+        let sweep = Sweep {
+            domain,
+            batch,
+            threads: 1,
+            ..Sweep::new(factory, drift, &x, |out: &Tensor| Ok(out.sum()))
+        };
+        Telemetry::reset();
+        Telemetry::enable();
+        MonteCarloEngine::new(6, 0xD81F)
+            .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+            .and_then(SweepOutcome::into_summary)
+            .unwrap();
+        Telemetry::disable();
+        let (scales, repacked) = (
+            Telemetry::counter(Counter::UniformScales),
+            Telemetry::counter(Counter::RowsRepacked),
+        );
+        assert!(
+            scales > 0 && repacked == 0,
+            "{domain:?} batch={batch}: {scales} scales, {repacked} rows re-packed"
+        );
+    }
 }
 
 #[test]
