@@ -1,29 +1,28 @@
 //! Monte-Carlo engine throughput: the sequential engine
-//! ([`MonteCarloEngine::run_supervised`]) vs the instance-parallel and
-//! planned engines ([`MonteCarloEngine::execute_on`]) at B = 1 and B = 16
-//! fault realizations per forward pass.
+//! ([`MonteCarloEngine::run_supervised`]) vs the planned engine
+//! ([`MonteCarloEngine::execute`]) at B = 1 and B = 16 fault realizations
+//! per forward pass.
 //!
 //! The workload is the paper's actual evaluation shape: a **small** model
 //! (the 64×512→256 linear probe and a compact CNN) evaluated over ~tens of
 //! Monte-Carlo chip instances. At these sizes a single instance cannot
-//! saturate the blocked GEMM, so the parallel engine only scales by
-//! instance-level work stealing and still pays per-instance snapshot/restore
-//! clones, packing and allocator traffic; the planned engine compiles each
-//! worker's model once and re-packs only dirty weight panels, and at B > 1
-//! also shares each forward's input-derived work across the stacked
-//! realizations. Results are written to `BENCH_monte_carlo.json`; the
-//! `*_planned_*` / `*_parallel_*` pairs are the tracked speedup. The B = 1
-//! points keep the name `*_planned_t4` and the B = 16 points
-//! `*_planned_batched_b16_t4`, so `bench_gate` compares them against the
-//! committed baseline rows.
+//! saturate the blocked GEMM, so the sequential engine pays per-instance
+//! snapshot/restore clones, packing and allocator traffic; the planned
+//! engine compiles each worker's model once and re-packs only dirty weight
+//! panels, and at B > 1 also shares each forward's input-derived work
+//! across the stacked realizations. Results are written to
+//! `BENCH_monte_carlo.json`; the `*_planned_*` / `*_sequential` pairs are
+//! the tracked speedup. The B = 1 points keep the name `*_planned_t4` and
+//! the B = 16 points `*_planned_batched_b16_t4`, so `bench_gate` compares
+//! them against the committed baseline rows.
 //!
-//! The three engines produce bit-identical per-run metrics (tested in
+//! Both engines produce bit-identical per-run metrics (tested in
 //! `invnorm-imc`), so these benchmarks compare equal work, not
 //! approximations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use invnorm_imc::fault::{FaultModel, LineOrientation};
-use invnorm_imc::montecarlo::{EngineKind, MonteCarloEngine, MonteCarloSummary, Sweep};
+use invnorm_imc::montecarlo::{MonteCarloEngine, MonteCarloSummary, Sweep};
 use invnorm_imc::telemetry::Telemetry;
 use invnorm_imc::{SweepControl, SweepDomain, TileShape};
 use invnorm_nn::activation::Relu;
@@ -41,7 +40,7 @@ use invnorm_tensor::{Rng, Tensor};
 const RUNS: usize = 32;
 /// Fault realizations fused per planned forward pass.
 const BATCH: usize = 16;
-/// Worker threads for the parallel and planned engines.
+/// Worker threads for the planned engine.
 const THREADS: usize = 4;
 
 /// The paper's linear probe shape: one 512→256 dense layer on a 64-row
@@ -117,10 +116,9 @@ fn sweep_faults() -> [FaultModel; 5] {
     ]
 }
 
-/// One engine invocation of `THREADS` workers and `batch` realizations per
-/// planned forward, summing each realization's output.
+/// One planned-engine invocation of `THREADS` workers and `batch`
+/// realizations per forward, summing each realization's output.
 fn sweep<F>(
-    engine: EngineKind,
     factory: F,
     fault: FaultModel,
     domain: SweepDomain,
@@ -137,7 +135,7 @@ where
         ..Sweep::new(factory, fault, input, |out: &Tensor| Ok(out.sum()))
     };
     MonteCarloEngine::new(RUNS, 0xC0FFEE)
-        .execute_on(engine, &sweep, &SweepControl::new())
+        .execute(&sweep, &SweepControl::new())
         .and_then(|outcome| outcome.into_summary())
         .unwrap()
 }
@@ -184,12 +182,6 @@ fn bench_model<F>(
                     .mean
             })
         });
-        // Instance-parallel engine (f32 weight domain only).
-        if !quantized {
-            group.bench_function(format!("{name}_{tag}_parallel_t{THREADS}"), |b| {
-                b.iter(|| sweep(EngineKind::Parallel, factory, fault, domain, input, 1).mean)
-            });
-        }
         // Compiled-plan engine: per-worker plans amortize shape inference,
         // buffer allocation and weight packing across the whole simulation;
         // only dirty panels are re-packed between realizations. B = 1 runs
@@ -204,7 +196,7 @@ fn bench_model<F>(
             ),
         ] {
             group.bench_function(id, |b| {
-                b.iter(|| sweep(EngineKind::Planned, factory, fault, domain, input, batch).mean)
+                b.iter(|| sweep(factory, fault, domain, input, batch).mean)
             });
         }
     }
@@ -264,22 +256,8 @@ fn emit_telemetry_artifacts() {
     let domain = SweepDomain::Weights;
     Telemetry::reset();
     Telemetry::enable();
-    let cnn = sweep(
-        EngineKind::Planned,
-        || cnn_model(2),
-        fault,
-        domain,
-        &cnn_input(),
-        BATCH,
-    );
-    let linear = sweep(
-        EngineKind::Planned,
-        || linear_model(1),
-        fault,
-        domain,
-        &linear_input(),
-        BATCH,
-    );
+    let cnn = sweep(|| cnn_model(2), fault, domain, &cnn_input(), BATCH);
+    let linear = sweep(|| linear_model(1), fault, domain, &linear_input(), BATCH);
     Telemetry::disable();
 
     let dir = json_dir();

@@ -16,8 +16,8 @@
 //! Each binary prints the regenerated rows/series in plain text and also
 //! writes a CSV next to it under `results/` (see [`report`]). Absolute
 //! numbers differ from the paper (synthetic data, scaled-down models); the
-//! reproduction target is the *shape* of each result — see DESIGN.md and
-//! EXPERIMENTS.md.
+//! reproduction target is the *shape* of each result — see the README's
+//! "Experiments" section.
 //!
 //! The same experiment entry points are reused by the Criterion benches in
 //! `benches/` (at reduced scale) so `cargo bench` exercises every pipeline.

@@ -364,6 +364,95 @@ mod tests {
         assert_eq!(degen[0].side, "baseline");
     }
 
+    /// A committed report of this workspace: the shape the gate trusts.
+    const REPORT: &str = include_str!("../../../BENCH_elementwise.json");
+
+    /// Every `(name, mean_ns)` entry of `REPORT`, read line by line without
+    /// the scanner under test.
+    fn report_entries() -> Vec<(String, f64)> {
+        REPORT
+            .lines()
+            .filter_map(|line| {
+                let name = line.split("\"name\": \"").nth(1)?.split('"').next()?;
+                let mean = line.split("\"mean_ns\": ").nth(1)?.split(',').next()?;
+                Some((name.to_string(), mean.parse().ok()?))
+            })
+            .collect()
+    }
+
+    /// Byte range of the `k`-th (mod count) `"name": "…", ` key-value pair.
+    fn name_pair(k: usize) -> std::ops::Range<usize> {
+        let starts: Vec<usize> = REPORT.match_indices("\"name\":").map(|(i, _)| i).collect();
+        let start = starts[k % starts.len()];
+        let end = start
+            + REPORT[start..]
+                .find("\"mean_ns\"")
+                .expect("entry has a mean");
+        start..end
+    }
+
+    fn assert_means_exact(means: &BenchMeans, expected: &[(String, f64)]) {
+        assert_eq!(means.len(), expected.len(), "{means:?}");
+        for (name, mean) in expected {
+            assert_eq!(means[name].to_bits(), mean.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
+    fn real_report_parses_exactly_and_survives_every_truncation() {
+        let expected = report_entries();
+        assert!(expected.len() >= 5, "{expected:?}");
+        assert_means_exact(&parse_bench_means(REPORT), &expected);
+        for (end, _) in REPORT.char_indices() {
+            parse_bench_means(&REPORT[..end]);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_bench_scan_never_panics(
+            bytes in proptest::collection::vec(0u16..256, 0..400),
+            op in 0usize..4,
+            at in 0usize..1 << 20,
+            value in 0u16..256,
+        ) {
+            // Arbitrary bytes, read as lossy UTF-8.
+            let raw: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            parse_bench_means(&String::from_utf8_lossy(&raw));
+            // One mutation of a real report.
+            let expected = report_entries();
+            let k = at % expected.len();
+            match op {
+                0 => {
+                    let mut end = at % (REPORT.len() + 1);
+                    while !REPORT.is_char_boundary(end) {
+                        end -= 1;
+                    }
+                    parse_bench_means(&REPORT[..end]);
+                }
+                1 => {
+                    let mut damaged = REPORT.as_bytes().to_vec();
+                    damaged[at % REPORT.len()] = value as u8;
+                    parse_bench_means(&String::from_utf8_lossy(&damaged));
+                }
+                2 => {
+                    // A duplicated name key still leaves every mean exact.
+                    let pair = name_pair(k);
+                    let duplicated = [&REPORT[..pair.end], &REPORT[pair.clone()], &REPORT[pair.end..]];
+                    assert_means_exact(&parse_bench_means(&duplicated.concat()), &expected);
+                }
+                _ => {
+                    // A deleted name key drops exactly that entry.
+                    let pair = name_pair(k);
+                    let deleted = [&REPORT[..pair.start], &REPORT[pair.end..]].concat();
+                    let mut rest = expected.clone();
+                    rest.remove(k);
+                    assert_means_exact(&parse_bench_means(&deleted), &rest);
+                }
+            }
+        }
+    }
+
     #[test]
     fn gate_dirs_end_to_end() {
         let root = std::env::temp_dir().join(format!("bench_gate_test_{}", std::process::id()));

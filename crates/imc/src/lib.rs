@@ -29,9 +29,9 @@
 //!   a metric over `N` simulated chip instances and reports mean ± std, the
 //!   protocol behind every robustness figure in the paper
 //!   ([`montecarlo::Sweep`] requests carry the fault domain — f32 weights or
-//!   i8 codes; [`montecarlo::MonteCarloEngine::execute`] picks the fastest
-//!   engine that supports the configuration and degrades gracefully down
-//!   the engine ladder with typed reasons).
+//!   i8 codes; [`montecarlo::MonteCarloEngine::execute`] runs them on
+//!   compiled plans, bit-identical to the sequential oracle
+//!   [`montecarlo::MonteCarloEngine::run`]).
 //! * [`crossbar`] — a differential-pair crossbar model with DAC/ADC
 //!   quantization and conductance variation, demonstrating the full
 //!   weight-programming / analog-MVM path (`program_codes` programs a tile
@@ -87,8 +87,7 @@ pub use fault::{FaultLifetime, FaultModel, FaultSpec, LineOrientation};
 pub use injector::{ActivationNoise, CodeFaultInjector, NoiseHandle, WeightFaultInjector};
 pub use invnorm_tensor::telemetry;
 pub use montecarlo::{
-    DegradationPolicy, EngineKind, FallbackReason, FallbackStep, LadderOutcome, MonteCarloEngine,
-    MonteCarloSummary, SupervisedLadderOutcome, Sweep,
+    DegradationPolicy, EngineKind, LadderOutcome, MonteCarloEngine, MonteCarloSummary, Sweep,
 };
 pub use supervise::{
     CancelToken, InterruptCause, QuarantineCause, QuarantinedRun, RunBudget, SweepCheckpoint,

@@ -10,22 +10,19 @@
 //! Every instance derives its RNG stream from the base seed and its own
 //! index alone, so the per-run metrics — and therefore the aggregate
 //! statistics — are **bit-identical** across engines, batch sizes, thread
-//! counts and scheduling orders. Five entry points:
+//! counts and scheduling orders. Two engines behind four entry points:
 //!
 //! - [`MonteCarloEngine::run`] — the sequential oracle on one network, which
 //!   every bit-identity test compares against.
 //! - [`MonteCarloEngine::run_supervised`] — the same loop in either
 //!   [`SweepDomain`] (f32 weights or i8 codes) under a [`SweepControl`].
-//! - [`MonteCarloEngine::execute_on`] — runs a [`Sweep`] request (model
-//!   factory, fault, domain, input, metric, batch, threads) on one engine:
-//!   [`EngineKind::Planned`] compiles each worker's model into an
-//!   `invnorm_nn::plan::Plan` holding `batch ≥ 1` stacked realizations and
-//!   evaluates each stack in one planned forward; [`EngineKind::Parallel`]
-//!   injects and restores per instance on the direct eval path, and runs
-//!   every layer, including the `Lstm` that plans cannot run.
-//! - [`MonteCarloEngine::execute`] — the ladder: planned first, parallel when
-//!   a layer rejects plans, with a typed reason per skipped rung.
-//! - [`MonteCarloEngine::run_auto`] — the ladder, returning a plain summary.
+//! - [`MonteCarloEngine::execute`] — the planned engine: runs a [`Sweep`]
+//!   request (model factory, fault, domain, input, metric, batch, threads)
+//!   by compiling each worker's model into an `invnorm_nn::plan::Plan`
+//!   holding `batch ≥ 1` stacked realizations and evaluating each stack in
+//!   one planned forward.
+//! - [`MonteCarloEngine::run_auto`] — `execute` on an f32 sweep, returning a
+//!   plain summary.
 //!
 //! Every engine body is supervised (see [`crate::supervise`]): it honors a
 //! budget, quarantines panicking and non-finite runs, and resumes from a
@@ -36,9 +33,9 @@ use crate::fault::{FaultLifetime, FaultModel, FaultSpec};
 use crate::injector::{CodeFaultInjector, WeightFaultInjector};
 use crate::supervise::{Attempt, RunLedger, SweepControl, SweepDomain, SweepOutcome};
 use crate::Result;
-use invnorm_nn::layer::{Layer, Mode};
+use invnorm_nn::layer::Layer;
 use invnorm_nn::plan::Plan;
-use invnorm_nn::{CheckpointFault, NnError};
+use invnorm_nn::NnError;
 use invnorm_tensor::stats::RunningStats;
 use invnorm_tensor::telemetry::{self, RunScope, RunTelemetry};
 use invnorm_tensor::{Rng, Tensor};
@@ -99,21 +96,17 @@ impl MonteCarloSummary {
     }
 }
 
-/// One engine of the Monte-Carlo ladder, fastest first. Reported by
-/// [`MonteCarloEngine::execute`] and [`MonteCarloEngine::run_auto`] (which
-/// engine produced a summary, which rungs were skipped) and recorded in
-/// sweep checkpoints.
+/// The engine that produced a sweep, reported by
+/// [`MonteCarloEngine::run_auto`] and recorded in sweep checkpoints (a
+/// resume must run on the engine that took the checkpoint: the two engines
+/// quarantine at different granularity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// Compiled plans with B ≥ 1 fused fault realizations per forward.
+    /// Compiled plans with B ≥ 1 fused fault realizations per forward
+    /// ([`MonteCarloEngine::execute`]).
     Planned,
-    /// Per-instance inject/restore on the direct eval path over a worker
-    /// pool — supports every layer, including the `Lstm` that compiled
-    /// plans cannot run.
-    Parallel,
     /// The single-threaded loop of [`MonteCarloEngine::run`] and
-    /// [`MonteCarloEngine::run_supervised`]. Never chosen by the ladder;
-    /// appears in checkpoints taken from those entry points.
+    /// [`MonteCarloEngine::run_supervised`].
     Sequential,
 }
 
@@ -122,7 +115,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Planned => "planned",
-            EngineKind::Parallel => "parallel",
             EngineKind::Sequential => "sequential",
         }
     }
@@ -134,77 +126,26 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// How [`MonteCarloEngine::run_auto`] reacts when a fault configuration and
-/// an engine do not fit together.
+/// The policy argument of [`MonteCarloEngine::run_auto`], kept for existing
+/// callers: there is one engine to run, so there is nothing to degrade to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradationPolicy {
-    /// Fall down the engine ladder ([`MonteCarloEngine::execute`]: planned →
-    /// parallel), recording a typed reason per skipped rung. Per-run metrics
-    /// are bit-identical across rungs wherever both engines support the
-    /// configuration, so degrading never changes the statistics — only the
-    /// throughput.
+    /// The only value: run the planned engine and propagate its error.
     #[default]
     Graceful,
-    /// No fallback: run the planned engine
-    /// ([`MonteCarloEngine::execute_on`] with [`EngineKind::Planned`]) and
-    /// propagate its error loudly.
-    Strict,
 }
 
-/// Why [`MonteCarloEngine::execute`] stepped past an engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FallbackReason {
-    /// The engine has no fault-lifetime model: its realizations outlive a
-    /// single forward pass (snapshot/restore brackets), so it cannot honor a
-    /// per-inference fault lifetime.
-    Lifetime,
-    /// A layer rejected the engine's evaluation protocol
-    /// (from [`NnError::Unsupported`]).
-    Unsupported {
-        /// The offending layer's name.
-        layer: &'static str,
-        /// The operation the layer does not support.
-        op: &'static str,
-    },
-}
-
-impl std::fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FallbackReason::Lifetime => f.write_str("no per-inference fault lifetime model"),
-            FallbackReason::Unsupported { layer, op } => {
-                write!(f, "layer {layer} does not support {op}")
-            }
-        }
-    }
-}
-
-/// One skipped rung of the ladder: which engine was bypassed and why.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FallbackStep {
-    /// The engine that was skipped.
-    pub engine: EngineKind,
-    /// Why it could not run this configuration.
-    pub reason: FallbackReason,
-}
-
-impl std::fmt::Display for FallbackStep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "skipped {}: {}", self.engine, self.reason)
-    }
-}
-
-/// Result of [`MonteCarloEngine::run_auto`]: the summary plus a report of
-/// which engine produced it and every rung skipped on the way down.
+/// Result of [`MonteCarloEngine::run_auto`]: the summary plus the engine
+/// that produced it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LadderOutcome {
     /// The aggregated Monte-Carlo summary.
     pub summary: MonteCarloSummary,
-    /// The engine that produced the summary.
+    /// The engine that produced the summary (always
+    /// [`EngineKind::Planned`]).
     pub engine: EngineKind,
-    /// The rungs skipped before `engine`, in ladder order (empty when the
-    /// fastest engine ran).
-    pub fallbacks: Vec<FallbackStep>,
+    /// Always empty; kept for existing callers, which report its length.
+    pub fallbacks: Vec<EngineKind>,
 }
 
 impl std::fmt::Display for LadderOutcome {
@@ -219,29 +160,12 @@ impl std::fmt::Display for LadderOutcome {
             self.summary.std,
             self.summary.min,
             self.summary.max,
-        )?;
-        for step in &self.fallbacks {
-            write!(f, "\n  {step}")?;
-        }
-        Ok(())
+        )
     }
 }
 
-/// Result of [`MonteCarloEngine::execute`]: the supervised sweep outcome
-/// plus the ladder report.
-#[derive(Debug, Clone)]
-pub struct SupervisedLadderOutcome {
-    /// The (complete or interrupted) sweep outcome.
-    pub outcome: SweepOutcome,
-    /// The engine that produced it.
-    pub engine: EngineKind,
-    /// The rungs skipped before `engine`, in ladder order (always empty when
-    /// resuming from a checkpoint — resume pins the engine).
-    pub fallbacks: Vec<FallbackStep>,
-}
-
-/// One Monte-Carlo sweep for the factory-driven engines
-/// ([`MonteCarloEngine::execute`] and [`MonteCarloEngine::execute_on`]).
+/// One Monte-Carlo sweep for the factory-driven planned engine
+/// ([`MonteCarloEngine::execute`]).
 ///
 /// Each worker builds its own model copy with `factory` (trained networks
 /// are not `Clone`; factories must reproduce identical weights, e.g. by
@@ -268,8 +192,8 @@ pub struct SupervisedLadderOutcome {
 ///         |out: &Tensor| Ok(out.sum()),
 ///     )
 /// };
-/// let ladder = MonteCarloEngine::new(8, 3).execute(&sweep, &SweepControl::new())?;
-/// assert_eq!(ladder.outcome.summary().runs(), 8);
+/// let outcome = MonteCarloEngine::new(8, 3).execute(&sweep, &SweepControl::new())?;
+/// assert_eq!(outcome.summary().runs(), 8);
 /// # Ok::<(), invnorm_nn::NnError>(())
 /// ```
 pub struct Sweep<'a, F, E> {
@@ -283,8 +207,7 @@ pub struct Sweep<'a, F, E> {
     pub input: &'a Tensor,
     /// Scores one realization's output.
     pub metric: E,
-    /// Fault realizations stacked per planned forward (`≥ 1`); the parallel
-    /// engine evaluates one at a time.
+    /// Fault realizations stacked per planned forward (`≥ 1`).
     pub batch: usize,
     /// Rayon worker threads.
     pub threads: usize,
@@ -371,30 +294,10 @@ impl MonteCarloEngine {
         self.runs
     }
 
-    /// Number of chip instances a parallel worker claims per steal. Small
-    /// enough to balance heterogeneous evaluation times, large enough to
-    /// amortize the atomic increment.
-    pub const CHUNK: usize = 4;
-
     /// Independent RNG stream for chip instance `run`, identical regardless of
     /// which thread (or call order) simulates it.
     fn run_rng(seed: u64, run: usize) -> Rng {
         Rng::seed_from(seed ^ (run as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Validates the model of `spec` and rejects a per-inference lifetime on
-    /// behalf of an engine whose realizations outlive a single forward pass
-    /// (snapshot/restore brackets). Returns the bare model for engines that
-    /// realize once per run.
-    fn require_static(spec: FaultSpec, engine: &'static str) -> Result<FaultModel> {
-        spec.model.validate()?;
-        if spec.lifetime == FaultLifetime::PerInference {
-            return Err(NnError::fault_unsupported(
-                engine,
-                "per-inference fault lifetime",
-            ));
-        }
-        Ok(spec.model)
     }
 
     /// Runs the simulation on a single network, injecting and restoring
@@ -470,7 +373,17 @@ impl MonteCarloEngine {
         L: Layer + ?Sized,
         F: FnMut(&mut L) -> Result<f32>,
     {
-        let fault = Self::require_static(fault.into(), "MonteCarloEngine::run")?;
+        let spec = fault.into();
+        spec.model.validate()?;
+        // The snapshot/restore bracket outlives every forward inside
+        // `evaluate`, so it cannot redraw noise per inference.
+        if spec.lifetime == FaultLifetime::PerInference {
+            return Err(NnError::fault_unsupported(
+                "MonteCarloEngine::run",
+                "per-inference fault lifetime",
+            ));
+        }
+        let fault = spec.model;
         let scope = RunScope::begin();
         let mut ledger = RunLedger::new(
             EngineKind::Sequential,
@@ -494,7 +407,7 @@ impl MonteCarloEngine {
     }
 
     /// Injects, evaluates and restores a single chip instance — the inner
-    /// step of the sequential and parallel engines. A panic in `evaluate` is
+    /// step of the sequential engine. A panic in `evaluate` is
     /// caught and the clean weights are still restored; a genuine
     /// evaluation error takes precedence over a restore failure. Depends
     /// only on `(seed, run)`, not on which thread executes it.
@@ -525,172 +438,59 @@ impl MonteCarloEngine {
         }
     }
 
-    /// Runs `sweep` on one engine, without the ladder.
+    /// The planned engine: runs `sweep` on compiled plans.
     ///
-    /// - [`EngineKind::Planned`]: each worker builds its model once and
-    ///   compiles it into a plan for the shape of `input`
-    ///   (`Plan::compile_batched`): one-shot shape inference, arena-backed
-    ///   buffers, and — per registered weight or code operand — `batch`
-    ///   stacked faulty buffers with per-realization cached packed panels,
-    ///   all reserved at compile time, where each operand's RNG fork index
-    ///   is also fixed. Per batch of chip instances, the injector
-    ///   materializes the realizations from the per-instance RNG streams
-    ///   straight into the plan's operands
-    ///   ([`WeightFaultInjector::realize_plan_batch`] /
-    ///   [`CodeFaultInjector::realize_plan_batch`]; the clean weights are
-    ///   never touched) — sparse stuck-at and line-defect realizations land
-    ///   in the packed panels cell by cell, drift scales the whole panel
-    ///   stack in place in both domains, dense models re-pack only dirty
-    ///   rows — and ONE planned forward evaluates the whole stack, with the
-    ///   cached activation panels streamed against every realization's
-    ///   weight panel. `metric` then
-    ///   scores each realization's rows of the stacked output. The stack is
-    ///   capped so every worker gets at least one batch, and a smaller tail
-    ///   batch recompiles the worker's plan. Both fault lifetimes are
-    ///   supported: under [`FaultLifetime::PerInference`] the plan
-    ///   re-realizes before every forward and disables its frozen-input
-    ///   caching; since the engine runs one forward per chip instance, the
-    ///   per-run metrics equal the static lifetime's. The network must be
-    ///   built from plan-capable layers; a layer with fault-targetable
-    ///   weights but no plan support — today only `Lstm` — is rejected with
-    ///   [`NnError::Unsupported`], and one that plans itself without
-    ///   registering its operand fails the compile with [`NnError::Config`]
-    ///   (a bug the ladder does not degrade past). A panic quarantines its
-    ///   whole batch (one fused forward is one failure domain), and the
-    ///   worker rebuilds its model and recompiles.
-    /// - [`EngineKind::Parallel`]: every worker claims chip instances in
-    ///   chunks of [`MonteCarloEngine::CHUNK`] from a shared atomic counter
-    ///   (work stealing) and evaluates `metric(&model.forward(input,
-    ///   Mode::Eval)?)` between an inject and a restore — the sequential
-    ///   step on its own model copy, so it runs every layer. A panic
-    ///   quarantines its run and the worker rebuilds its model. It has no
-    ///   fault-lifetime model and rejects a per-inference lifetime with
-    ///   [`NnError::FaultUnsupported`].
-    /// - [`EngineKind::Sequential`] needs a network, not a factory: it is
-    ///   rejected with [`NnError::FaultUnsupported`]; call
-    ///   [`MonteCarloEngine::run_supervised`].
+    /// Each worker builds its model once and compiles it into a plan for the
+    /// shape of `input` (`Plan::compile_batched`): one-shot shape inference,
+    /// arena-backed buffers, and — per registered weight or code operand —
+    /// `batch` stacked faulty buffers with per-realization cached packed
+    /// panels, all reserved at compile time, where each operand's RNG fork
+    /// index is also fixed. Per batch of chip instances, the injector
+    /// materializes the realizations from the per-instance RNG streams
+    /// straight into the plan's operands
+    /// ([`WeightFaultInjector::realize_plan_batch`] /
+    /// [`CodeFaultInjector::realize_plan_batch`]; the clean weights are never
+    /// touched) — sparse stuck-at and line-defect realizations land in the
+    /// packed panels cell by cell, drift scales the whole panel stack in
+    /// place in both domains, dense models re-pack only dirty rows — and ONE
+    /// planned forward evaluates the whole stack, with the cached activation
+    /// panels streamed against every realization's weight panel. `metric`
+    /// then scores each realization's rows of the stacked output. The stack
+    /// is capped so every worker gets at least one batch, and a smaller tail
+    /// batch recompiles the worker's plan.
     ///
-    /// Both engines use the `(seed, i)` stream of instance `i` and write its
-    /// metric slot, so their per-run metrics are **bit-identical** to
+    /// Both fault lifetimes are supported: under
+    /// [`FaultLifetime::PerInference`] the plan re-realizes before every
+    /// forward and disables its frozen-input caching; since the engine runs
+    /// one forward per chip instance, the per-run metrics equal the static
+    /// lifetime's. The network must be built from plan-capable layers (every
+    /// weighted layer in this workspace, the `Lstm` included): a layer with
+    /// fault-targetable weights but no plan is rejected with
+    /// [`NnError::Unsupported`] — [`MonteCarloEngine::run_supervised`] still
+    /// runs it — and one that plans itself without registering its operand
+    /// fails the compile with [`NnError::Config`].
+    ///
+    /// Instance `i` uses the `(seed, i)` stream and writes its metric slot,
+    /// so the per-run metrics are **bit-identical** to
     /// [`MonteCarloEngine::run_supervised`] evaluating
     /// `metric(network.forward(input))` in the same domain, for every batch
-    /// size and thread count. Networks that are stochastic at evaluation time
-    /// are not reproducible across engines. Budgets, quarantine and resume
-    /// follow `control` (see [`crate::supervise`]); a resumed batch re-runs
-    /// whole and the ledger ignores its re-records.
+    /// size and thread count. Networks that are stochastic at evaluation
+    /// time are not reproducible across engines. Budgets, quarantine and
+    /// resume follow `control` (see [`crate::supervise`]): a panic
+    /// quarantines its whole batch (one fused forward is one failure domain)
+    /// and the worker rebuilds its model and recompiles; a resumed batch
+    /// re-runs whole and the ledger ignores its re-records. A checkpoint
+    /// taken on the sequential engine is rejected with a typed
+    /// [`NnError::Checkpoint`] mismatch on its `engine` field, since the two
+    /// engines quarantine different runs.
     ///
     /// # Errors
     ///
-    /// Returns an error when the fault configuration is invalid or
-    /// unsupported, when a resume checkpoint does not match this sweep and
-    /// engine, or when compilation, injection, evaluation or the metric
-    /// fails with a genuine error; with several, the lowest-indexed failing
-    /// instance (or batch) is reported.
-    pub fn execute_on<M, F, E>(
-        &self,
-        engine: EngineKind,
-        sweep: &Sweep<'_, F, E>,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        match engine {
-            EngineKind::Planned => self.planned_body(sweep, control),
-            EngineKind::Parallel => self.parallel_body(sweep, control),
-            EngineKind::Sequential => Err(NnError::fault_unsupported(
-                "the sequential engine",
-                "a factory-driven sweep (it runs one network: call \
-                 MonteCarloEngine::run_supervised)",
-            )),
-        }
-    }
-
-    /// The parallel engine body (see [`MonteCarloEngine::execute_on`]).
-    fn parallel_body<M, F, E>(
-        &self,
-        sweep: &Sweep<'_, F, E>,
-        control: &SweepControl,
-    ) -> Result<SweepOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        let fault = Self::require_static(sweep.fault, "the parallel engine")?;
-        let scope = RunScope::begin();
-        let mut ledger = RunLedger::new(
-            EngineKind::Parallel,
-            sweep.domain,
-            self.seed,
-            self.runs,
-            fault.label(),
-            control.resume.as_ref(),
-        )?;
-        let done = ledger.done_mask();
-        let budget = &control.budget;
-        let (seed, runs, domain, input) = (self.seed, self.runs, sweep.domain, sweep.input);
-        let threads = sweep.threads.clamp(1, runs);
-        let n_chunks = runs.div_ceil(Self::CHUNK);
-        let next_chunk = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Attempt<f32>)>> = Mutex::new(Vec::with_capacity(runs));
-        rayon::scope(|s| {
-            for _ in 0..threads {
-                let next_chunk = &next_chunk;
-                let collected = &collected;
-                let factory = &sweep.factory;
-                let metric = &sweep.metric;
-                let done = &done;
-                s.spawn(move || {
-                    let mut model = factory();
-                    let mut local: Vec<(usize, Attempt<f32>)> = Vec::new();
-                    'steal: loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= n_chunks {
-                            break;
-                        }
-                        let start = chunk * Self::CHUNK;
-                        let end = (start + Self::CHUNK).min(runs);
-                        for run in start..end {
-                            if done[run] {
-                                continue;
-                            }
-                            if budget.interrupted().is_some() {
-                                break 'steal;
-                            }
-                            let attempt =
-                                Self::simulate_one(&mut model, domain, fault, seed, run, |m| {
-                                    metric(&m.forward(input, Mode::Eval)?)
-                                });
-                            if attempt.is_err() {
-                                // The panic left the model in an unknown
-                                // state; rebuild it.
-                                model = factory();
-                            }
-                            local.push((run, attempt));
-                        }
-                    }
-                    collected
-                        .lock()
-                        .expect("monte-carlo result lock poisoned")
-                        .append(&mut local);
-                });
-            }
-        });
-        let mut collected = collected
-            .into_inner()
-            .expect("monte-carlo result lock poisoned");
-        collected.sort_by_key(|(run, _)| *run);
-        for (run, attempt) in collected {
-            ledger.record_attempt(run, 1, attempt.map(|r| r.map(iter::once)))?;
-        }
-        Ok(ledger.finish(scope, budget))
-    }
-
-    /// The planned engine body (see [`MonteCarloEngine::execute_on`]).
-    fn planned_body<M, F, E>(
+    /// Returns an error when the fault configuration is invalid, when a
+    /// resume checkpoint does not match this sweep and engine, or when
+    /// compilation, injection, evaluation or the metric fails with a genuine
+    /// error; with several, the lowest-indexed failing batch is reported.
+    pub fn execute<M, F, E>(
         &self,
         sweep: &Sweep<'_, F, E>,
         control: &SweepControl,
@@ -874,125 +674,15 @@ impl MonteCarloEngine {
         Ok(metrics)
     }
 
-    /// Runs `sweep` on the fastest engine that supports its fault
-    /// configuration and network, degrading down the ladder planned →
-    /// parallel and reporting every skipped rung with a typed reason.
-    ///
-    /// Two kinds of capability gaps trigger a fallback:
-    ///
-    /// - **Lifetime**: a per-inference fault lifetime is only honored by the
-    ///   planned engine; the parallel rung is skipped pre-flight with
-    ///   [`FallbackReason::Lifetime`].
-    /// - **Layer support**: a layer that rejects compiled plans (today only
-    ///   `Lstm`) surfaces as [`NnError::Unsupported`], recorded as
-    ///   [`FallbackReason::Unsupported`]; the ladder continues downward. The
-    ///   parallel rung at the bottom supports every layer.
-    ///
-    /// Per-run metrics are **bit-identical** across both rungs for every
-    /// configuration both engines support, so degrading never changes the
-    /// reported statistics — only throughput.
-    ///
-    /// When `control.resume` carries a checkpoint, the ladder is **not**
-    /// consulted: the checkpoint pins the engine that produced it (resuming
-    /// on a different rung would be answering a different question about
-    /// which engine's failure domains quarantined which runs), so the sweep
-    /// resumes directly on `checkpoint.engine` with an empty fallback
-    /// report, and the engine's ledger rejects a checkpoint whose domain,
-    /// seed, run count or fault label differ from `sweep`. A checkpoint
-    /// taken from the sequential engine is rejected with
-    /// [`CheckpointFault::Mismatch`] — the ladder never produces one, so
-    /// being handed one is a caller bug.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first non-capability error immediately, and returns
-    /// [`NnError::FaultUnsupported`] listing every rung's reason when the
-    /// whole ladder is exhausted (e.g. an unplannable layer combined with a
-    /// per-inference lifetime). Fails with a typed [`NnError::Checkpoint`]
-    /// when the resume checkpoint does not match the sweep.
-    pub fn execute<M, F, E>(
-        &self,
-        sweep: &Sweep<'_, F, E>,
-        control: &SweepControl,
-    ) -> Result<SupervisedLadderOutcome>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        if let Some(checkpoint) = control.resume.as_ref() {
-            let engine = checkpoint.engine;
-            if engine == EngineKind::Sequential {
-                return Err(NnError::Checkpoint(CheckpointFault::Mismatch {
-                    field: "engine",
-                    expected: "a ladder engine (the ladder never runs the sequential engine)"
-                        .into(),
-                    got: engine.name().into(),
-                }));
-            }
-            return Ok(SupervisedLadderOutcome {
-                outcome: self.execute_on(engine, sweep, control)?,
-                engine,
-                fallbacks: Vec::new(),
-            });
-        }
-        let mut fallbacks: Vec<FallbackStep> = Vec::new();
-        for engine in [EngineKind::Planned, EngineKind::Parallel] {
-            // Pre-flight: the parallel engine has no fault-lifetime model
-            // (its realizations outlive a forward pass), so a per-inference
-            // lifetime cannot reach it.
-            if sweep.fault.lifetime == FaultLifetime::PerInference && engine == EngineKind::Parallel
-            {
-                telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                fallbacks.push(FallbackStep {
-                    engine,
-                    reason: FallbackReason::Lifetime,
-                });
-                continue;
-            }
-            match self.execute_on(engine, sweep, control) {
-                Ok(outcome) => {
-                    return Ok(SupervisedLadderOutcome {
-                        outcome,
-                        engine,
-                        fallbacks,
-                    })
-                }
-                // A capability gap, not a failure: record it and degrade.
-                Err(NnError::Unsupported { layer, op }) => {
-                    telemetry::count(telemetry::Counter::LadderFallbacks, 1);
-                    fallbacks.push(FallbackStep {
-                        engine,
-                        reason: FallbackReason::Unsupported { layer, op },
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let reasons = fallbacks
-            .iter()
-            .map(|step| format!("{} ({})", step.engine.name(), step.reason))
-            .collect::<Vec<_>>()
-            .join(", ");
-        Err(NnError::fault_unsupported(
-            "MonteCarloEngine::execute",
-            format!("the fault configuration on any engine: {reasons}"),
-        ))
-    }
-
     /// [`MonteCarloEngine::execute`] on an f32-weight sweep of `batch`
     /// stacked realizations over `threads` workers, returning a plain
-    /// summary: [`DegradationPolicy::Graceful`] walks the ladder,
-    /// [`DegradationPolicy::Strict`] runs
-    /// [`MonteCarloEngine::execute_on`] with [`EngineKind::Planned`] and
-    /// propagates its error loudly. The outcome maps through
-    /// [`SweepOutcome::into_summary`].
+    /// summary through [`SweepOutcome::into_summary`]. `policy` has one
+    /// value and changes nothing; the outcome always reports
+    /// [`EngineKind::Planned`] and no fallbacks.
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloEngine::execute`] and
-    /// [`SweepOutcome::into_summary`]; under `Strict`, returns the planned
-    /// engine's error.
+    /// See [`MonteCarloEngine::execute`] and [`SweepOutcome::into_summary`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_auto<M, F, E>(
         &self,
@@ -1009,24 +699,16 @@ impl MonteCarloEngine {
         F: Fn() -> M + Sync,
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
+        let DegradationPolicy::Graceful = policy;
         let sweep = Sweep {
             batch,
             threads,
             ..Sweep::new(factory, fault, input, metric)
         };
-        let control = SweepControl::new();
-        let ladder = match policy {
-            DegradationPolicy::Graceful => self.execute(&sweep, &control)?,
-            DegradationPolicy::Strict => SupervisedLadderOutcome {
-                outcome: self.execute_on(EngineKind::Planned, &sweep, &control)?,
-                engine: EngineKind::Planned,
-                fallbacks: Vec::new(),
-            },
-        };
         Ok(LadderOutcome {
-            summary: ladder.outcome.into_summary()?,
-            engine: ladder.engine,
-            fallbacks: ladder.fallbacks,
+            summary: self.execute(&sweep, &SweepControl::new())?.into_summary()?,
+            engine: EngineKind::Planned,
+            fallbacks: Vec::new(),
         })
     }
 }
@@ -1040,10 +722,12 @@ impl Default for MonteCarloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invnorm_nn::layer::Mode;
+    use invnorm_nn::layer::{Mode, Param};
     use invnorm_nn::linear::Linear;
     use invnorm_nn::Sequential;
     use invnorm_tensor::Tensor;
+
+    const W: SweepDomain = SweepDomain::Weights;
 
     fn simple_net(seed: u64) -> Sequential {
         let mut rng = Rng::seed_from(seed);
@@ -1053,24 +737,15 @@ mod tests {
         net
     }
 
-    /// `sweep` on one engine under a default control, as a plain summary.
-    fn sweep_on<M, F, E>(
-        mc: &MonteCarloEngine,
-        engine: EngineKind,
-        sweep: &Sweep<'_, F, E>,
-    ) -> Result<MonteCarloSummary>
-    where
-        M: Layer + Send,
-        F: Fn() -> M + Sync,
-        E: Fn(&Tensor) -> Result<f32> + Sync,
-    {
-        mc.execute_on(engine, sweep, &SweepControl::new())?
-            .into_summary()
+    /// The metric of most engine tests: the sum of the output.
+    fn sum(out: &Tensor) -> Result<f32> {
+        Ok(out.sum())
     }
 
-    /// The sequential engine on the i8 codes, as a plain summary.
-    fn run_codes<F>(
+    /// The sequential engine in `domain`, as a plain summary.
+    fn run_in<F>(
         mc: &MonteCarloEngine,
+        domain: SweepDomain,
         network: &mut Sequential,
         fault: impl Into<FaultSpec>,
         evaluate: F,
@@ -1078,26 +753,97 @@ mod tests {
     where
         F: FnMut(&mut Sequential) -> Result<f32>,
     {
-        mc.run_supervised(
-            SweepDomain::Codes,
-            network,
-            fault,
-            evaluate,
-            &SweepControl::new(),
-        )?
-        .into_summary()
+        mc.run_supervised(domain, network, fault, evaluate, &SweepControl::new())?
+            .into_summary()
+    }
+
+    /// The sequential oracle scoring the `sum` of `network`'s output on `x`.
+    fn oracle(
+        mc: &MonteCarloEngine,
+        domain: SweepDomain,
+        network: &mut Sequential,
+        fault: impl Into<FaultSpec>,
+        x: &Tensor,
+    ) -> Result<MonteCarloSummary> {
+        run_in(mc, domain, network, fault, |n| {
+            sum(&n.forward(x, Mode::Eval)?)
+        })
+    }
+
+    /// `sweep` on the planned engine under a default control, as a plain
+    /// summary.
+    fn sweep_on<M, F, E>(
+        mc: &MonteCarloEngine,
+        sweep: &Sweep<'_, F, E>,
+    ) -> Result<MonteCarloSummary>
+    where
+        M: Layer + Send,
+        F: Fn() -> M + Sync,
+        E: Fn(&Tensor) -> Result<f32> + Sync,
+    {
+        mc.execute(sweep, &SweepControl::new())?.into_summary()
+    }
+
+    /// The planned engine scoring the `sum` of `build()`'s output on `x`,
+    /// with `(batch, threads)`.
+    fn planned(
+        mc: &MonteCarloEngine,
+        domain: SweepDomain,
+        build: impl Fn() -> Sequential + Sync,
+        fault: impl Into<FaultSpec>,
+        x: &Tensor,
+        (batch, threads): (usize, usize),
+    ) -> Result<MonteCarloSummary> {
+        let sweep = Sweep {
+            domain,
+            batch,
+            threads,
+            ..Sweep::new(build, fault, x, sum)
+        };
+        sweep_on(mc, &sweep)
+    }
+
+    /// Asserts `b` reproduces `a`'s per-run metrics bit for bit.
+    fn assert_same_runs(a: &MonteCarloSummary, b: &MonteCarloSummary, what: &str) {
+        let same = a.per_run.len() == b.per_run.len()
+            && a.per_run
+                .iter()
+                .zip(&b.per_run)
+                .all(|(p, q)| p.to_bits() == q.to_bits());
+        assert!(same, "{what}: {:?} vs {:?}", a.per_run, b.per_run);
+    }
+
+    /// Asserts the planned engine reproduces the sequential oracle on
+    /// `build()` in `domain`, for every fault and `(batch, threads)` shape.
+    fn assert_planned_matches_oracle(
+        mc: &MonteCarloEngine,
+        domain: SweepDomain,
+        build: impl Fn() -> Sequential + Sync + Copy,
+        faults: impl IntoIterator<Item = FaultModel>,
+        x: &Tensor,
+        shapes: &[(usize, usize)],
+    ) {
+        for fault in faults {
+            let reference = oracle(mc, domain, &mut build(), fault, x).unwrap();
+            for &shape in shapes {
+                let fused = planned(mc, domain, build, fault, x, shape).unwrap();
+                assert_same_runs(&reference, &fused, &format!("{fault:?} {shape:?}"));
+            }
+        }
     }
 
     #[test]
     fn fault_free_simulation_has_zero_variance() {
         let mut net = simple_net(1);
         let x = Tensor::randn(&[8, 4], 0.0, 1.0, &mut Rng::seed_from(2));
-        let engine = MonteCarloEngine::new(10, 42);
-        let summary = engine
-            .run(&mut net, FaultModel::None, |n| {
-                Ok(n.forward(&x, Mode::Eval)?.sum())
-            })
-            .unwrap();
+        let summary = oracle(
+            &MonteCarloEngine::new(10, 42),
+            W,
+            &mut net,
+            FaultModel::None,
+            &x,
+        )
+        .unwrap();
         assert_eq!(summary.runs(), 10);
         assert!(summary.std < 1e-6);
         assert_eq!(summary.min, summary.max);
@@ -1109,14 +855,8 @@ mod tests {
         let mut net = simple_net(3);
         let x = Tensor::randn(&[8, 4], 0.0, 1.0, &mut Rng::seed_from(4));
         let clean_out = net.forward(&x, Mode::Eval).unwrap();
-        let engine = MonteCarloEngine::new(20, 7);
-        let summary = engine
-            .run(
-                &mut net,
-                FaultModel::AdditiveVariation { sigma: 0.3 },
-                |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
-            )
-            .unwrap();
+        let fault = FaultModel::AdditiveVariation { sigma: 0.3 };
+        let summary = oracle(&MonteCarloEngine::new(20, 7), W, &mut net, fault, &x).unwrap();
         assert!(summary.std > 0.0, "fault runs should differ");
         // Clean weights restored.
         let after = net.forward(&x, Mode::Eval).unwrap();
@@ -1145,17 +885,13 @@ mod tests {
     #[test]
     fn deterministic_for_same_seed() {
         let x = Tensor::randn(&[8, 4], 0.0, 1.0, &mut Rng::seed_from(10));
+        let fault = FaultModel::BitFlip {
+            rate: 0.05,
+            bits: 8,
+        };
         let run = |seed: u64| {
-            let mut net = simple_net(11);
-            MonteCarloEngine::new(5, seed)
-                .run(
-                    &mut net,
-                    FaultModel::BitFlip {
-                        rate: 0.05,
-                        bits: 8,
-                    },
-                    |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
-                )
+            let mc = MonteCarloEngine::new(5, seed);
+            oracle(&mc, W, &mut simple_net(11), fault, &x)
                 .unwrap()
                 .per_run
         };
@@ -1163,29 +899,16 @@ mod tests {
         assert_ne!(run(123), run(456));
     }
 
+    /// The planned engine on four workers reproduces the sequential engine
+    /// in run order, whichever worker ran each chip instance.
     #[test]
     fn parallel_matches_sequential_statistics() {
         let x = Tensor::randn(&[16, 4], 0.0, 1.0, &mut Rng::seed_from(14));
-        let engine = MonteCarloEngine::new(16, 77);
+        let mc = MonteCarloEngine::new(16, 77);
         let fault = FaultModel::AdditiveVariation { sigma: 0.3 };
-        let mut net = simple_net(15);
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&x, Mode::Eval)?.sum()))
-            .unwrap();
-        let parallel = sweep_on(
-            &engine,
-            EngineKind::Parallel,
-            &Sweep {
-                threads: 4,
-                ..Sweep::new(|| simple_net(15), fault, &x, |out: &Tensor| Ok(out.sum()))
-            },
-        )
-        .unwrap();
-        assert_eq!(parallel.runs(), sequential.runs());
-        // Same seeds and same model weights → per-run metrics bit-identical
-        // to the sequential engine, in run order, regardless of which thread
-        // executed each chip instance.
-        assert_eq!(parallel.per_run, sequential.per_run);
+        let sequential = oracle(&mc, W, &mut simple_net(15), fault, &x).unwrap();
+        let parallel = planned(&mc, W, || simple_net(15), fault, &x, (1, 4)).unwrap();
+        assert_same_runs(&sequential, &parallel, "threads=4");
         assert_eq!(parallel.mean.to_bits(), sequential.mean.to_bits());
         assert_eq!(parallel.std.to_bits(), sequential.std.to_bits());
     }
@@ -1193,28 +916,19 @@ mod tests {
     #[test]
     fn parallel_is_bit_identical_for_every_thread_count() {
         let x = Tensor::randn(&[8, 4], 0.0, 1.0, &mut Rng::seed_from(21));
-        let engine = MonteCarloEngine::new(13, 99);
+        let mc = MonteCarloEngine::new(13, 99);
         let fault = FaultModel::BitFlip {
             rate: 0.08,
             bits: 8,
         };
-        let run_with = |threads: usize| {
-            let sweep = Sweep {
-                threads,
-                ..Sweep::new(|| simple_net(22), fault, &x, |out: &Tensor| Ok(out.sum()))
-            };
-            sweep_on(&engine, EngineKind::Parallel, &sweep)
-                .unwrap()
-                .per_run
-        };
-        let reference = run_with(1);
+        let run_with = |threads| planned(&mc, W, || simple_net(22), fault, &x, (1, threads));
+        let reference = run_with(1).unwrap();
         for threads in [2, 3, 7, 13] {
-            let got = run_with(threads);
-            let same = reference
-                .iter()
-                .zip(got.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same && got.len() == reference.len(), "threads={threads}");
+            assert_same_runs(
+                &reference,
+                &run_with(threads).unwrap(),
+                &format!("{threads}"),
+            );
         }
     }
 
@@ -1222,37 +936,20 @@ mod tests {
     fn parallel_error_reports_lowest_failing_run() {
         let engine = MonteCarloEngine::new(8, 5);
         let x = Tensor::ones(&[2, 4]);
-        let result = sweep_on(
-            &engine,
-            EngineKind::Parallel,
-            &Sweep {
-                threads: 4,
-                ..Sweep::new(
-                    || simple_net(23),
-                    FaultModel::None,
-                    &x,
-                    |_out: &Tensor| Err(NnError::Config("boom".into())),
-                )
-            },
-        );
-        assert!(result.is_err());
+        let sweep = |fault: FaultModel, metric: fn(&Tensor) -> Result<f32>| Sweep {
+            threads: 4,
+            ..Sweep::new(|| simple_net(23), fault, &x, metric)
+        };
+        let boom = sweep(FaultModel::None, |_| Err(NnError::Config("boom".into())));
+        assert!(sweep_on(&engine, &boom).is_err());
         // Every instance yields a non-finite metric; the reported error must
-        // name the lowest-indexed instance (run 0) no matter which worker
-        // finished first — the documented error-ordering contract.
-        let result = sweep_on(
-            &engine,
-            EngineKind::Parallel,
-            &Sweep {
-                threads: 4,
-                ..Sweep::new(
-                    || simple_net(23),
-                    FaultModel::AdditiveVariation { sigma: 0.1 },
-                    &x,
-                    |_out: &Tensor| Ok(f32::NAN),
-                )
-            },
-        );
-        let err = result.unwrap_err().to_string();
+        // name the lowest-indexed instance (run 0) no matter which of the
+        // four workers finished first — the documented error-ordering
+        // contract.
+        let nan = sweep(FaultModel::AdditiveVariation { sigma: 0.1 }, |_| {
+            Ok(f32::NAN)
+        });
+        let err = sweep_on(&engine, &nan).unwrap_err().to_string();
         assert!(err.contains("on run 0"), "unexpected error: {err}");
     }
 
@@ -1292,12 +989,8 @@ mod tests {
         let l2 = Linear::new(12, 4, &mut rng);
         let q1 = QuantizedLinear::from_linear(&l1, 8).unwrap();
         let q2 = QuantizedLinear::from_linear(&l2, 8).unwrap();
-        let mut fnet = Sequential::new();
-        fnet.push(Box::new(l1));
-        fnet.push(Box::new(l2));
-        let mut qnet = Sequential::new();
-        qnet.push(Box::new(q1));
-        qnet.push(Box::new(q2));
+        let fnet = Sequential::new().with(Box::new(l1)).with(Box::new(l2));
+        let qnet = Sequential::new().with(Box::new(q1)).with(Box::new(q2));
         (fnet, qnet)
     }
 
@@ -1323,25 +1016,20 @@ mod tests {
             rate: 0.03,
             bits: 8,
         };
-        let cf = clean_f.clone();
-        let float_summary = engine
-            .run(&mut fnet, fault, |n| {
-                Ok(n.forward(&x, Mode::Eval)?.sub(&cf)?.abs().mean())
+        let deviation = |domain, net: &mut Sequential, clean: &Tensor| {
+            run_in(&engine, domain, net, fault, |n| {
+                Ok(n.forward(&x, Mode::Eval)?.sub(clean)?.abs().mean())
             })
-            .unwrap();
-        let cq = clean_q.clone();
-        let quant_summary = run_codes(&engine, &mut qnet, fault, |n| {
-            Ok(n.forward(&x, Mode::Eval)?.sub(&cq)?.abs().mean())
-        })
-        .unwrap();
-        assert!(float_summary.mean > 0.0 && quant_summary.mean > 0.0);
-        let diff = (float_summary.mean - quant_summary.mean).abs();
-        let scale = float_summary.mean.max(quant_summary.mean);
+            .unwrap()
+            .mean
+        };
+        let float_mean = deviation(W, &mut fnet, &clean_f);
+        let quant_mean = deviation(SweepDomain::Codes, &mut qnet, &clean_q);
+        assert!(float_mean > 0.0 && quant_mean > 0.0);
+        let diff = (float_mean - quant_mean).abs();
         assert!(
-            diff <= 0.5 * scale,
-            "float-path mean {} vs quantized-path mean {} (diff {diff})",
-            float_summary.mean,
-            quant_summary.mean
+            diff <= 0.5 * float_mean.max(quant_mean),
+            "float-path mean {float_mean} vs quantized-path mean {quant_mean} (diff {diff})"
         );
         // The quantized engine restored the clean codes.
         let after = qnet.forward(&x, Mode::Eval).unwrap();
@@ -1350,25 +1038,22 @@ mod tests {
 
     #[test]
     fn quantized_run_is_deterministic_and_rejects_non_finite() {
+        let x = Tensor::randn(&[4, 16], 0.0, 1.0, &mut Rng::seed_from(43));
         let run_means = |seed: u64| {
             let (_, mut qnet) = paired_float_and_quantized_nets(42);
-            let x = Tensor::randn(&[4, 16], 0.0, 1.0, &mut Rng::seed_from(43));
-            let engine = MonteCarloEngine::new(6, seed);
-            run_codes(&engine, &mut qnet, FaultModel::StuckAt { rate: 0.2 }, |n| {
-                Ok(n.forward(&x, Mode::Eval)?.sum())
-            })
-            .unwrap()
-            .per_run
+            let mc = MonteCarloEngine::new(6, seed);
+            let fault = FaultModel::StuckAt { rate: 0.2 };
+            oracle(&mc, SweepDomain::Codes, &mut qnet, fault, &x)
+                .unwrap()
+                .per_run
         };
         assert_eq!(run_means(9), run_means(9));
         assert_ne!(run_means(9), run_means(10));
         let (_, mut qnet) = paired_float_and_quantized_nets(42);
-        let result = run_codes(
-            &MonteCarloEngine::new(2, 1),
-            &mut qnet,
-            FaultModel::None,
-            |_n| Ok(f32::NAN),
-        );
+        let mc = MonteCarloEngine::new(2, 1);
+        let result = run_in(&mc, SweepDomain::Codes, &mut qnet, FaultModel::None, |_n| {
+            Ok(f32::NAN)
+        });
         assert!(result.is_err());
     }
 
@@ -1424,6 +1109,22 @@ mod tests {
             .with(Box::new(Linear::new(6 * 4 * 4, 3, &mut rng)))
     }
 
+    /// A residual block (identity skip + post activation) under a dense
+    /// head.
+    fn residual_net(seed: u64) -> Sequential {
+        use invnorm_nn::activation::Relu;
+        use invnorm_nn::Residual;
+        let mut rng = Rng::seed_from(seed);
+        let main = Sequential::new()
+            .with(Box::new(Linear::new(6, 6, &mut rng)))
+            .with(Box::new(Relu::new()));
+        Sequential::new()
+            .with(Box::new(
+                Residual::new(main).with_post(Box::new(Relu::new())),
+            ))
+            .with(Box::new(Linear::new(6, 2, &mut rng)))
+    }
+
     fn quantized_net(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::quantized::QuantizedLinear;
@@ -1436,195 +1137,107 @@ mod tests {
             .with(Box::new(QuantizedLinear::from_linear(&l2, 6).unwrap()))
     }
 
+    /// Batch 1 is one realization per forward, 3 leaves a tail batch of 1
+    /// (per-worker plan recompilation) and 10 (= runs) is one stack; each
+    /// on one and four workers.
+    const SHAPES: [(usize, usize); 6] = [(1, 1), (1, 4), (3, 1), (3, 4), (10, 1), (10, 4)];
+
     #[test]
     fn planned_batched_is_bit_identical_to_sequential_for_all_fault_models() {
         let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(250));
-        let engine = MonteCarloEngine::new(10, 1234);
-        for fault in all_fault_models() {
-            let mut net = mlp_with_norm(251);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                .unwrap();
-            // batch = runs exercises the single-batch case; 3 leaves a tail
-            // batch of 1 (per-worker plan recompilation); 1 evaluates one
-            // realization per forward.
-            for batch in [1usize, 3, 10] {
-                for threads in [1usize, 4] {
-                    let sweep = Sweep {
-                        batch,
-                        threads,
-                        ..Sweep::new(
-                            || mlp_with_norm(251),
-                            fault,
-                            &x,
-                            |out: &Tensor| Ok(out.sum()),
-                        )
-                    };
-                    let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
-                    assert_eq!(fused.runs(), sequential.runs());
-                    let identical = sequential
-                        .per_run
-                        .iter()
-                        .zip(fused.per_run.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(
-                        identical,
-                        "{fault:?} batch={batch} threads={threads}: {:?} vs {:?}",
-                        sequential.per_run, fused.per_run
-                    );
-                    assert_eq!(fused.mean.to_bits(), sequential.mean.to_bits());
-                    assert_eq!(fused.std.to_bits(), sequential.std.to_bits());
-                }
-            }
-        }
+        let mc = MonteCarloEngine::new(10, 1234);
+        let build = || mlp_with_norm(251);
+        assert_planned_matches_oracle(&mc, W, build, all_fault_models(), &x, &SHAPES);
     }
 
     #[test]
     fn planned_batched_cnn_and_residual_are_bit_identical_to_sequential() {
         let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(260));
-        let engine = MonteCarloEngine::new(9, 77);
-        for fault in [
+        let faults = [
             FaultModel::AdditiveVariation { sigma: 0.2 },
             FaultModel::StuckAt { rate: 0.1 },
             FaultModel::Drift {
                 nu: 0.05,
                 time_ratio: 100.0,
             },
-        ] {
-            let mut net = small_cnn(261);
-            let xc = x.clone();
-            let sequential = engine
-                .run(&mut net, fault, |n| {
-                    Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
-                })
-                .unwrap();
-            for (batch, threads) in [(1usize, 1usize), (1, 4), (4, 1), (3, 4), (9, 2)] {
-                let sweep = Sweep {
-                    batch,
-                    threads,
-                    ..Sweep::new(
-                        || small_cnn(261),
-                        fault,
-                        &x,
-                        |out: &Tensor| Ok(out.abs().mean()),
-                    )
-                };
-                let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
-                let identical = sequential
-                    .per_run
-                    .iter()
-                    .zip(fused.per_run.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(identical, "{fault:?} batch={batch} threads={threads}");
-            }
-        }
+        ];
+        let shapes = [(1, 1), (1, 4), (4, 1), (3, 4), (9, 2)];
+        let mc = MonteCarloEngine::new(9, 77);
+        assert_planned_matches_oracle(&mc, W, || small_cnn(261), faults, &x, &shapes);
 
-        // Residual block (identity skip + post activation) on the stacked
-        // edges.
-        use invnorm_nn::activation::Relu;
-        use invnorm_nn::Residual;
-        let build = |seed: u64| -> Sequential {
-            let mut rng = Rng::seed_from(seed);
-            let main = Sequential::new()
-                .with(Box::new(Linear::new(6, 6, &mut rng)))
-                .with(Box::new(Relu::new()));
-            Sequential::new()
-                .with(Box::new(
-                    Residual::new(main).with_post(Box::new(Relu::new())),
-                ))
-                .with(Box::new(Linear::new(6, 2, &mut rng)))
-        };
+        // The residual block runs on the stacked edges.
         let x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut Rng::seed_from(262));
-        let fault = FaultModel::AdditiveVariation { sigma: 0.25 };
-        let engine = MonteCarloEngine::new(8, 99);
-        let mut net = build(263);
-        let xc = x.clone();
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap();
-        for batch in [1usize, 3] {
-            let sweep = Sweep {
-                batch,
-                threads: 2,
-                ..Sweep::new(|| build(263), fault, &x, |out: &Tensor| Ok(out.sum()))
-            };
-            let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
-            let identical = sequential
-                .per_run
-                .iter()
-                .zip(fused.per_run.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(identical, "residual planned batch={batch} diverged");
-        }
+        let fault = [FaultModel::AdditiveVariation { sigma: 0.25 }];
+        let mc = MonteCarloEngine::new(8, 99);
+        assert_planned_matches_oracle(&mc, W, || residual_net(263), fault, &x, &[(1, 2), (3, 2)]);
     }
 
+    /// Same streams, same integer GEMM, same dequantization expression: the
+    /// quantized planned path is not merely within quantization tolerance —
+    /// it is bit-identical.
     #[test]
     fn planned_batched_quantized_is_bit_identical_to_sequential_for_all_fault_models() {
         let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(270));
-        let engine = MonteCarloEngine::new(10, 4321);
-        for fault in all_fault_models() {
-            let mut net = quantized_net(271);
-            let xc = x.clone();
-            let sequential = run_codes(&engine, &mut net, fault, |n| {
-                Ok(n.forward(&xc, Mode::Eval)?.sum())
-            })
-            .unwrap();
-            for batch in [1usize, 3, 10] {
-                for threads in [1usize, 4] {
-                    let sweep = Sweep {
-                        domain: SweepDomain::Codes,
-                        batch,
-                        threads,
-                        ..Sweep::new(
-                            || quantized_net(271),
-                            fault,
-                            &x,
-                            |out: &Tensor| Ok(out.sum()),
-                        )
-                    };
-                    let fused = sweep_on(&engine, EngineKind::Planned, &sweep).unwrap();
-                    // Same streams, same integer GEMM, same dequantization
-                    // expression: the quantized planned path is not merely
-                    // within quantization tolerance — it is bit-identical.
-                    let identical = sequential
-                        .per_run
-                        .iter()
-                        .zip(fused.per_run.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(identical, "{fault:?} batch={batch} threads={threads}");
-                }
-            }
+        let mc = MonteCarloEngine::new(10, 4321);
+        let build = || quantized_net(271);
+        let codes = SweepDomain::Codes;
+        assert_planned_matches_oracle(&mc, codes, build, all_fault_models(), &x, &SHAPES);
+    }
+
+    /// A user layer with a rank-2 weight and no plan: it scales its input
+    /// by the weight's first element.
+    struct Unplannable {
+        weight: Param,
+    }
+
+    impl Unplannable {
+        fn net() -> Sequential {
+            let weight = Param::new(Tensor::ones(&[2, 2]));
+            Sequential::new().with(Box::new(Unplannable { weight }))
         }
     }
 
+    impl Layer for Unplannable {
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+            Ok(input.scale(self.weight.value.data()[0]))
+        }
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+            Ok(grad_output.clone())
+        }
+        fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+            visitor(&mut self.weight);
+        }
+        fn name(&self) -> &'static str {
+            "Unplannable"
+        }
+    }
+
+    /// A weighted layer without a plan fails the planned engine and
+    /// `run_auto` loudly with a typed `Unsupported`, instead of evaluating
+    /// clean weights; the sequential oracle still runs it.
     #[test]
     fn planned_rejects_unsupported_layers_loudly() {
-        use invnorm_nn::lstm::Lstm;
-        let build = || -> Sequential {
-            let mut rng = Rng::seed_from(180);
-            Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)))
-        };
-        let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(181));
-        let engine = MonteCarloEngine::new(4, 7);
-        for batch in [1usize, 2] {
-            let sweep = Sweep {
-                batch,
-                ..Sweep::new(
-                    build,
-                    FaultModel::AdditiveVariation { sigma: 0.1 },
-                    &x,
-                    |out: &Tensor| Ok(out.sum()),
-                )
-            };
-            let err = sweep_on(&engine, EngineKind::Planned, &sweep)
-                .unwrap_err()
-                .to_string();
-            assert!(
-                err.contains("compiled plans") && err.contains("Lstm"),
-                "batch={batch}: {err}"
+        let x = Tensor::randn(&[2, 4], 0.0, 1.0, &mut Rng::seed_from(181));
+        let mc = MonteCarloEngine::new(4, 7);
+        let fault = FaultModel::AdditiveVariation { sigma: 0.1 };
+        let unsupported = |err: NnError| {
+            let expected = matches!(
+                err,
+                NnError::Unsupported {
+                    layer: "Unplannable",
+                    op: "compiled plans"
+                }
             );
+            assert!(expected, "unexpected error: {err}");
+        };
+        for batch in [1usize, 2] {
+            unsupported(planned(&mc, W, Unplannable::net, fault, &x, (batch, 1)).unwrap_err());
+            let policy = DegradationPolicy::Graceful;
+            let auto = mc.run_auto(Unplannable::net, fault, &x, sum, batch, 1, policy);
+            unsupported(auto.unwrap_err());
         }
+        let sequential = oracle(&mc, W, &mut Unplannable::net(), fault, &x).unwrap();
+        assert_eq!(sequential.runs(), 4);
     }
 
     #[test]
@@ -1632,31 +1245,18 @@ mod tests {
         let engine = MonteCarloEngine::new(6, 5);
         let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(190));
         for batch in [1usize, 2] {
-            let sweep = Sweep {
+            let sweep = |fault: FaultModel, metric: fn(&Tensor) -> Result<f32>| Sweep {
                 batch,
                 threads: 2,
-                ..Sweep::new(
-                    || mlp_with_norm(191),
-                    FaultModel::None,
-                    &x,
-                    |_out: &Tensor| Err(NnError::Config("boom".into())),
-                )
+                ..Sweep::new(|| mlp_with_norm(191), fault, &x, metric)
             };
-            assert!(sweep_on(&engine, EngineKind::Planned, &sweep).is_err());
+            let boom = sweep(FaultModel::None, |_| Err(NnError::Config("boom".into())));
+            assert!(sweep_on(&engine, &boom).is_err());
             // A non-finite metric names the lowest failing run.
-            let sweep = Sweep {
-                batch,
-                threads: 2,
-                ..Sweep::new(
-                    || mlp_with_norm(191),
-                    FaultModel::AdditiveVariation { sigma: 0.1 },
-                    &x,
-                    |_out: &Tensor| Ok(f32::NAN),
-                )
-            };
-            let err = sweep_on(&engine, EngineKind::Planned, &sweep)
-                .unwrap_err()
-                .to_string();
+            let nan = sweep(FaultModel::AdditiveVariation { sigma: 0.1 }, |_| {
+                Ok(f32::NAN)
+            });
+            let err = sweep_on(&engine, &nan).unwrap_err().to_string();
             assert!(err.contains("on run 0"), "batch={batch}: {err}");
         }
     }
@@ -1691,103 +1291,36 @@ mod tests {
         ]
     }
 
-    /// The tentpole guarantee: structured topologies (whole stuck lines,
-    /// per-tile correlated drift) run on every engine of the ladder with
-    /// per-run metrics bit-identical to the sequential reference, for every
-    /// thread count — on a norm-bearing MLP and a CNN.
+    /// Structured topologies (whole stuck lines, per-tile correlated drift)
+    /// run on the planned engine with per-run metrics bit-identical to the
+    /// sequential reference, for every batch size and thread count — on a
+    /// norm-bearing MLP and a CNN.
     #[test]
     fn structured_faults_are_bit_identical_across_all_engines() {
         type NetCase = (fn(u64) -> Sequential, u64, &'static [usize]);
-        let engine = MonteCarloEngine::new(8, 2024);
+        let mc = MonteCarloEngine::new(8, 2024);
         let nets: [NetCase; 2] = [
             (mlp_with_norm, 211, &[5, 8]),
             (small_cnn, 212, &[2, 2, 8, 8]),
         ];
+        let shapes = [(1, 1), (1, 4), (3, 1), (3, 4)];
         for (build, seed, dims) in nets {
             let x = Tensor::randn(dims, 0.0, 1.0, &mut Rng::seed_from(seed ^ 0xF00D));
-            for fault in structured_fault_models() {
-                let mut net = build(seed);
-                let xc = x.clone();
-                let sequential = engine
-                    .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-                    .unwrap();
-                for threads in [1usize, 4] {
-                    let on = |engine_kind, batch| {
-                        let sweep = Sweep {
-                            batch,
-                            threads,
-                            ..Sweep::new(|| build(seed), fault, &x, |out: &Tensor| Ok(out.sum()))
-                        };
-                        sweep_on(&engine, engine_kind, &sweep).unwrap()
-                    };
-                    let parallel = on(EngineKind::Parallel, 1);
-                    let planned = on(EngineKind::Planned, 1);
-                    let planned_b3 = on(EngineKind::Planned, 3);
-                    for (name, summary) in [
-                        ("parallel", &parallel),
-                        ("planned batch=1", &planned),
-                        ("planned batch=3", &planned_b3),
-                    ] {
-                        let identical = sequential
-                            .per_run
-                            .iter()
-                            .zip(summary.per_run.iter())
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(
-                            identical,
-                            "{fault:?} {name} threads={threads}: {:?} vs {:?}",
-                            sequential.per_run, summary.per_run
-                        );
-                    }
-                }
-            }
+            let faults = structured_fault_models();
+            assert_planned_matches_oracle(&mc, W, || build(seed), faults, &x, &shapes);
         }
     }
 
     /// Code-domain counterpart: structured faults land on the i8 codes and
-    /// the planned and parallel engines stay bit-identical to the
-    /// code-domain sequential engine.
+    /// the planned engine stays bit-identical to the code-domain sequential
+    /// engine.
     #[test]
     fn structured_code_faults_are_bit_identical_across_quantized_engines() {
         let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(221));
-        let engine = MonteCarloEngine::new(8, 4025);
-        for fault in structured_fault_models() {
-            let mut net = quantized_net(222);
-            let xc = x.clone();
-            let sequential = run_codes(&engine, &mut net, fault, |n| {
-                Ok(n.forward(&xc, Mode::Eval)?.sum())
-            })
-            .unwrap();
-            for threads in [1usize, 4] {
-                for (engine_kind, batch) in [
-                    (EngineKind::Planned, 1usize),
-                    (EngineKind::Planned, 3),
-                    (EngineKind::Parallel, 1),
-                ] {
-                    let sweep = Sweep {
-                        domain: SweepDomain::Codes,
-                        batch,
-                        threads,
-                        ..Sweep::new(
-                            || quantized_net(222),
-                            fault,
-                            &x,
-                            |out: &Tensor| Ok(out.sum()),
-                        )
-                    };
-                    let summary = sweep_on(&engine, engine_kind, &sweep).unwrap();
-                    let identical = sequential
-                        .per_run
-                        .iter()
-                        .zip(summary.per_run.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(
-                        identical,
-                        "{fault:?} {engine_kind} batch={batch} threads={threads}"
-                    );
-                }
-            }
-        }
+        let mc = MonteCarloEngine::new(8, 4025);
+        let (codes, faults) = (SweepDomain::Codes, structured_fault_models());
+        let shapes = [(1, 1), (1, 4), (3, 1), (3, 4)];
+        assert_planned_matches_oracle(&mc, codes, || quantized_net(222), faults, &x, &shapes);
     }
 
     /// The lifetime protocol at the plan level: under `PerInference` the
@@ -1797,21 +1330,18 @@ mod tests {
     /// bit-identical.
     #[test]
     fn per_inference_lifetime_redraws_noise_between_forwards() {
-        let fault = FaultModel::AdditiveVariation { sigma: 0.2 };
+        let injector =
+            WeightFaultInjector::new_unchecked(FaultModel::AdditiveVariation { sigma: 0.2 });
         let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(231));
+        let mut rng = [Rng::seed_from(7)];
 
         let mut net = mlp_with_norm(232);
         let mut plan = Plan::compile(&mut net, &x).unwrap();
         plan.set_fault_lifetime(FaultLifetime::PerInference);
         assert_eq!(plan.fault_lifetime(), FaultLifetime::PerInference);
-        let mut rng = Rng::seed_from(7);
-        WeightFaultInjector::new_unchecked(fault)
-            .realize_plan_batch(&mut plan, std::slice::from_mut(&mut rng))
-            .unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         let out1 = plan.forward(&mut net).unwrap().clone();
-        WeightFaultInjector::new_unchecked(fault)
-            .realize_plan_batch(&mut plan, std::slice::from_mut(&mut rng))
-            .unwrap();
+        injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         let out2 = plan.forward(&mut net).unwrap().clone();
         net.plan_end();
         assert!(
@@ -1822,263 +1352,110 @@ mod tests {
         let mut net = mlp_with_norm(232);
         let mut plan = Plan::compile(&mut net, &x).unwrap();
         assert_eq!(plan.fault_lifetime(), FaultLifetime::Static);
-        let mut rng = Rng::seed_from(7);
-        WeightFaultInjector::new_unchecked(fault)
-            .realize_plan_batch(&mut plan, std::slice::from_mut(&mut rng))
-            .unwrap();
+        rng[0] = Rng::seed_from(7);
+        injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         let a = plan.forward(&mut net).unwrap().clone();
         let b = plan.forward(&mut net).unwrap().clone();
         net.plan_end();
-        let identical = a
-            .data()
-            .iter()
-            .zip(b.data().iter())
-            .all(|(p, q)| p.to_bits() == q.to_bits());
-        assert!(identical, "static realizations must repeat bit-identically");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b), "static realizations must repeat");
+    }
+
+    /// A sequence-returning `Lstm` feeding one that is not, under a dense
+    /// head: the recurrent stack of the paper's forecaster.
+    fn lstm_stack(seed: u64) -> Sequential {
+        use invnorm_nn::lstm::Lstm;
+        let mut rng = Rng::seed_from(seed);
+        Sequential::new()
+            .with(Box::new(Lstm::new(3, 6, true, &mut rng)))
+            .with(Box::new(Lstm::new(6, 6, false, &mut rng)))
+            .with(Box::new(Linear::new(6, 1, &mut rng)))
     }
 
     /// The documented reproducibility boundary: the Monte-Carlo engines run
     /// exactly one forward per chip instance, so a per-inference lifetime
     /// yields per-run metrics bit-identical to the static lifetime on the
     /// planned engine at every batch size — and the non-frozen execution
-    /// path it switches on is bit-identical to the frozen one.
+    /// path it switches on is bit-identical to the frozen one. Checked on a
+    /// norm-bearing MLP and on the `Lstm` stack.
     #[test]
     fn per_inference_matches_static_for_single_forward_metrics() {
-        let x = Tensor::randn(&[6, 8], 0.0, 1.0, &mut Rng::seed_from(241));
-        let engine = MonteCarloEngine::new(8, 3003);
-        for fault in [
-            FaultModel::AdditiveVariation { sigma: 0.3 },
-            structured_fault_models()[0],
-            structured_fault_models()[2],
-        ] {
-            let per_inference = FaultSpec::per_inference(fault);
-            for threads in [1usize, 4] {
-                let run = |spec: FaultSpec, batch: usize| {
-                    let sweep = Sweep {
-                        batch,
-                        threads,
-                        ..Sweep::new(|| mlp_with_norm(242), spec, &x, |o: &Tensor| Ok(o.sum()))
+        type NetCase = (fn(u64) -> Sequential, u64, &'static [usize]);
+        let mc = MonteCarloEngine::new(8, 3003);
+        let nets: [NetCase; 2] = [(mlp_with_norm, 242, &[6, 8]), (lstm_stack, 243, &[2, 5, 3])];
+        let [line, _, drift] = structured_fault_models();
+        for (build, seed, dims) in nets {
+            let x = Tensor::randn(dims, 0.0, 1.0, &mut Rng::seed_from(241));
+            for fault in [FaultModel::AdditiveVariation { sigma: 0.3 }, line, drift] {
+                for threads in [1usize, 4] {
+                    let run = |spec: FaultSpec, batch| {
+                        planned(&mc, W, || build(seed), spec, &x, (batch, threads)).unwrap()
                     };
-                    sweep_on(&engine, EngineKind::Planned, &sweep).unwrap()
-                };
-                let (st, pi) = (run(fault.into(), 1), run(per_inference, 1));
-                let (st_b, pi_b) = (run(fault.into(), 3), run(per_inference, 3));
-                for (name, a, b) in [
-                    ("batch=1", &st, &pi),
-                    ("batch=3", &st_b, &pi_b),
-                    ("static batch=1 vs batch=3", &st, &st_b),
-                ] {
-                    let identical = a
-                        .per_run
-                        .iter()
-                        .zip(b.per_run.iter())
-                        .all(|(p, q)| p.to_bits() == q.to_bits());
-                    assert!(identical, "{fault:?} {name} threads={threads}");
+                    let per_inference = FaultSpec::per_inference(fault);
+                    let (st, pi) = (run(fault.into(), 1), run(per_inference, 1));
+                    let (st_b, pi_b) = (run(fault.into(), 3), run(per_inference, 3));
+                    for (name, a, b) in [
+                        ("batch=1", &st, &pi),
+                        ("batch=3", &st_b, &pi_b),
+                        ("static batch=1 vs batch=3", &st, &st_b),
+                    ] {
+                        let what = format!("{dims:?} {fault:?} {name} threads={threads}");
+                        assert_same_runs(a, b, &what);
+                    }
                 }
             }
         }
     }
 
-    /// The direct engines have no fault-lifetime model: a per-inference
+    /// The sequential engine has no fault-lifetime model: a per-inference
     /// spec is rejected loudly with a typed `FaultUnsupported`, naming the
-    /// engine.
+    /// entry point, in both fault domains.
     #[test]
     fn direct_engines_reject_per_inference_lifetime() {
-        let engine = MonteCarloEngine::new(4, 9);
+        let mc = MonteCarloEngine::new(4, 9);
         let spec = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
         let x = Tensor::randn(&[3, 8], 0.0, 1.0, &mut Rng::seed_from(251));
-
-        let mut net = mlp_with_norm(252);
-        let xc = x.clone();
-        let err = engine
-            .run(&mut net, spec, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap_err();
-        assert!(
-            matches!(err, NnError::FaultUnsupported { .. }),
-            "unexpected error: {err}"
-        );
-        assert_eq!(
-            err.to_string(),
-            "MonteCarloEngine::run does not support per-inference fault lifetime"
-        );
-
-        let sweep = Sweep {
-            threads: 2,
-            ..Sweep::new(|| mlp_with_norm(252), spec, &x, |o: &Tensor| Ok(o.sum()))
-        };
-        let err = sweep_on(&engine, EngineKind::Parallel, &sweep).unwrap_err();
-        assert!(
-            matches!(err, NnError::FaultUnsupported { .. }),
-            "unexpected error: {err}"
-        );
-        assert_eq!(
-            err.to_string(),
-            "the parallel engine does not support per-inference fault lifetime"
-        );
-
         let xq = Tensor::randn(&[3, 12], 0.0, 1.0, &mut Rng::seed_from(253));
-        let mut qnet = quantized_net(254);
-        let err = run_codes(&engine, &mut qnet, spec, |n| {
-            Ok(n.forward(&xq, Mode::Eval)?.sum())
-        })
-        .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "MonteCarloEngine::run does not support per-inference fault lifetime"
-        );
-    }
-
-    /// The ladder on a fully-capable network: the fastest engine wins, no
-    /// fallbacks are recorded, and the outcome matches the sequential
-    /// reference bit for bit.
-    #[test]
-    fn run_auto_uses_fastest_engine_when_supported() {
-        let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut Rng::seed_from(261));
-        let engine = MonteCarloEngine::new(8, 777);
-        let fault = structured_fault_models()[0];
-        let mut net = mlp_with_norm(262);
-        let xc = x.clone();
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap();
-        for policy in [DegradationPolicy::Graceful, DegradationPolicy::Strict] {
-            let outcome = engine
-                .run_auto(
-                    || mlp_with_norm(262),
-                    fault,
-                    &x,
-                    |o| Ok(o.sum()),
-                    3,
-                    2,
-                    policy,
-                )
-                .unwrap();
-            assert_eq!(outcome.engine, EngineKind::Planned);
-            assert!(outcome.fallbacks.is_empty());
-            let identical = sequential
-                .per_run
-                .iter()
-                .zip(outcome.summary.per_run.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(identical, "{policy:?}");
-        }
-    }
-
-    /// An unplannable layer (Lstm) degrades to the parallel engine under the
-    /// graceful policy, with one typed reason for the skipped planned rung —
-    /// and still reproduces the sequential reference.
-    #[test]
-    fn run_auto_degrades_to_parallel_for_unsupported_layers() {
-        use invnorm_nn::lstm::Lstm;
-        let build = || -> Sequential {
-            let mut rng = Rng::seed_from(271);
-            Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)))
-        };
-        let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(272));
-        let engine = MonteCarloEngine::new(5, 31);
-        let fault = FaultModel::AdditiveVariation { sigma: 0.1 };
-        let mut net = build();
-        let xc = x.clone();
-        let sequential = engine
-            .run(&mut net, fault, |n| Ok(n.forward(&xc, Mode::Eval)?.sum()))
-            .unwrap();
-        let outcome = engine
-            .run_auto(
-                build,
-                fault,
-                &x,
-                |o| Ok(o.sum()),
-                2,
-                1,
-                DegradationPolicy::Graceful,
-            )
-            .unwrap();
-        assert_eq!(outcome.engine, EngineKind::Parallel);
-        assert_eq!(
-            outcome.fallbacks,
-            vec![FallbackStep {
-                engine: EngineKind::Planned,
-                reason: FallbackReason::Unsupported {
-                    layer: "Lstm",
-                    op: "compiled plans",
-                },
-            }]
-        );
-        let identical = sequential
-            .per_run
-            .iter()
-            .zip(outcome.summary.per_run.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical);
-
-        // Strict mode keeps today's loud failure instead of degrading.
-        let err = engine
-            .run_auto(
-                build,
-                fault,
-                &x,
-                |o| Ok(o.sum()),
-                2,
-                1,
-                DegradationPolicy::Strict,
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("compiled plans") && err.contains("Lstm"),
-            "unexpected error: {err}"
-        );
-    }
-
-    /// A per-inference lifetime rules out the direct engine pre-flight; an
-    /// unplannable layer rules out the planned one. Together they exhaust
-    /// the ladder, and the error lists every rung's reason.
-    #[test]
-    fn run_auto_reports_exhausted_ladder() {
-        use invnorm_nn::lstm::Lstm;
-        let build = || -> Sequential {
-            let mut rng = Rng::seed_from(281);
-            Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)))
-        };
-        let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut Rng::seed_from(282));
-        let engine = MonteCarloEngine::new(4, 13);
-        let spec = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
-        let err = engine
-            .run_auto(
-                build,
-                spec,
-                &x,
-                |o| Ok(o.sum()),
-                2,
-                1,
-                DegradationPolicy::Graceful,
-            )
-            .unwrap_err();
-        assert!(matches!(err, NnError::FaultUnsupported { .. }));
-        let msg = err.to_string();
-        for part in [
-            "MonteCarloEngine::execute",
-            "planned (layer Lstm does not support compiled plans)",
-            "parallel (no per-inference fault lifetime model)",
+        for (domain, mut net, x) in [
+            (W, mlp_with_norm(252), x),
+            (SweepDomain::Codes, quantized_net(254), xq),
         ] {
-            assert!(msg.contains(part), "missing {part:?} in: {msg}");
+            let err = oracle(&mc, domain, &mut net, spec, &x).unwrap_err();
+            assert!(matches!(err, NnError::FaultUnsupported { .. }), "{err}");
+            assert_eq!(
+                err.to_string(),
+                "MonteCarloEngine::run does not support per-inference fault lifetime"
+            );
         }
+    }
 
-        // A per-inference lifetime alone (plannable network) still runs —
-        // on the fastest rung, with no fallbacks.
-        let x = Tensor::randn(&[4, 8], 0.0, 1.0, &mut Rng::seed_from(283));
-        let outcome = engine
-            .run_auto(
-                || mlp_with_norm(284),
-                spec,
-                &x,
-                |o| Ok(o.sum()),
-                2,
-                1,
-                DegradationPolicy::Graceful,
-            )
+    /// `run_auto` reports the planned engine and no fallbacks, and matches
+    /// the sequential reference bit for bit: on a plannable MLP, and on the
+    /// `Lstm` stack under a per-inference lifetime, whose single-forward
+    /// metrics equal the static oracle's.
+    fn assert_run_auto_matches_oracle(build: fn(u64) -> Sequential, fault: FaultSpec, x: &Tensor) {
+        let mc = MonteCarloEngine::new(8, 777);
+        let static_fault = fault.model;
+        let sequential = oracle(&mc, W, &mut build(262), static_fault, x).unwrap();
+        let policy = DegradationPolicy::Graceful;
+        let outcome = mc
+            .run_auto(|| build(262), fault, x, sum, 3, 2, policy)
             .unwrap();
         assert_eq!(outcome.engine, EngineKind::Planned);
         assert!(outcome.fallbacks.is_empty());
+        assert_same_runs(&sequential, &outcome.summary, &format!("{fault:?}"));
+    }
+
+    #[test]
+    fn run_auto_uses_fastest_engine_when_supported() {
+        let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut Rng::seed_from(261));
+        assert_run_auto_matches_oracle(mlp_with_norm, structured_fault_models()[0].into(), &x);
+    }
+
+    #[test]
+    fn run_auto_runs_lstm_under_per_inference_lifetime() {
+        let x = Tensor::randn(&[2, 5, 3], 0.0, 1.0, &mut Rng::seed_from(282));
+        let fault = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
+        assert_run_auto_matches_oracle(lstm_stack, fault, &x);
     }
 }

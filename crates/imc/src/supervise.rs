@@ -5,8 +5,8 @@
 //! The paper's robustness numbers come from long Monte-Carlo fault sweeps,
 //! and a sweep that is only useful when it runs to completion cannot back a
 //! service: a caller hangs up, a deadline expires at run 900 of 1000, a
-//! worker panics on a pathological realization. This module gives every
-//! engine in the ladder the machinery to survive all three:
+//! worker panics on a pathological realization. This module gives both
+//! engines the machinery to survive all three:
 //!
 //! * [`RunBudget`] — a wall-clock deadline and/or a cooperative
 //!   [`CancelToken`], checked by the workers **between** chip instances (a
@@ -268,8 +268,10 @@ impl SweepCheckpoint {
     /// Format magic for serialized sweep checkpoints.
     pub const MAGIC: [u8; 4] = *b"INSW";
     /// Current sweep-checkpoint format version. Version 2 renumbered the
-    /// engine tags when the ladder shrank to planned → parallel; a version 1
-    /// checkpoint is rejected with [`CheckpointFault::VersionSkew`].
+    /// engine tags (0 planned, 2 sequential; tag 1 named the retired
+    /// parallel engine and is rejected with [`CheckpointFault::Mismatch`]);
+    /// a version 1 checkpoint is rejected with
+    /// [`CheckpointFault::VersionSkew`].
     pub const VERSION: u32 = 2;
 
     /// Instances already accounted for (finished or quarantined).
@@ -714,10 +716,12 @@ const COMPLETED_RECORD_BYTES: usize = 8;
 /// least a 4-byte string length or metric.
 const MIN_QUARANTINED_RECORD_BYTES: usize = 9;
 
+/// Engine tags of format version 2. Tag 1 named the retired parallel
+/// engine; it is rejected like any unknown tag, and 0 and 2 keep their
+/// meaning, so the version did not change.
 fn engine_tag(engine: EngineKind) -> u8 {
     match engine {
         EngineKind::Planned => 0,
-        EngineKind::Parallel => 1,
         EngineKind::Sequential => 2,
     }
 }
@@ -725,9 +729,8 @@ fn engine_tag(engine: EngineKind) -> u8 {
 fn engine_from_tag(tag: u8) -> Result<EngineKind> {
     Ok(match tag {
         0 => EngineKind::Planned,
-        1 => EngineKind::Parallel,
         2 => EngineKind::Sequential,
-        other => return Err(mismatch("engine tag", "0..=2", other)),
+        other => return Err(mismatch("engine tag", "0 or 2", other)),
     })
 }
 
@@ -924,7 +927,7 @@ mod tests {
     #[test]
     fn checkpoint_rejects_v1_frames_and_unknown_engine_tags() {
         // A version 1 frame is skew, whatever its payload: tag 1 meant
-        // `Planned` then and means `Parallel` now.
+        // `Planned` then and names the retired parallel engine now.
         let mut p = payload_head(1, 4);
         push_u32(&mut p, 0);
         push_u32(&mut p, 0);
@@ -936,27 +939,30 @@ mod tests {
                 got: 1
             }))
         ));
-        assert_eq!(
-            SweepCheckpoint::from_bytes(&framed(p)).unwrap().engine,
-            EngineKind::Parallel
-        );
-        for (tag, engine) in [
-            (0u8, EngineKind::Planned),
-            (1, EngineKind::Parallel),
-            (2, EngineKind::Sequential),
-        ] {
+        for (tag, engine) in [(0u8, EngineKind::Planned), (2, EngineKind::Sequential)] {
             assert_eq!(engine_tag(engine), tag);
+            let mut p = payload_head(tag, 4);
+            push_u32(&mut p, 0);
+            push_u32(&mut p, 0);
+            assert_eq!(
+                SweepCheckpoint::from_bytes(&framed(p)).unwrap().engine,
+                engine
+            );
         }
-        let mut p = payload_head(3, 4);
-        push_u32(&mut p, 0);
-        push_u32(&mut p, 0);
-        assert!(matches!(
-            SweepCheckpoint::from_bytes(&framed(p)),
-            Err(NnError::Checkpoint(CheckpointFault::Mismatch {
-                field: "engine tag",
-                ..
-            }))
-        ));
+        // A v2 checkpoint tagged parallel, or with an unknown tag, is a
+        // typed mismatch.
+        for tag in [1u8, 3] {
+            let mut p = payload_head(tag, 4);
+            push_u32(&mut p, 0);
+            push_u32(&mut p, 0);
+            assert!(matches!(
+                SweepCheckpoint::from_bytes(&framed(p)),
+                Err(NnError::Checkpoint(CheckpointFault::Mismatch {
+                    field: "engine tag",
+                    ..
+                }))
+            ));
+        }
     }
 
     #[test]
@@ -1037,7 +1043,7 @@ mod tests {
         // Each identity field is pinned.
         for (engine, domain, seed, runs, label) in [
             (
-                EngineKind::Parallel,
+                EngineKind::Sequential,
                 SweepDomain::Codes,
                 0xDEAD_BEEFu64,
                 12usize,
@@ -1148,7 +1154,7 @@ mod tests {
         token.cancel();
         let budget = RunBudget::unbounded().with_token(&token);
         let mut ledger = RunLedger::new(
-            EngineKind::Parallel,
+            EngineKind::Sequential,
             SweepDomain::Weights,
             9,
             5,
@@ -1173,7 +1179,7 @@ mod tests {
                 // Round-trip through bytes and reload into a fresh ledger.
                 let back = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
                 let resumed = RunLedger::new(
-                    EngineKind::Parallel,
+                    EngineKind::Sequential,
                     SweepDomain::Weights,
                     9,
                     5,
@@ -1206,14 +1212,14 @@ mod tests {
                 pos += 9 + message.len();
                 QuarantinedRun {
                     run: records + i as usize,
-                    engine: EngineKind::Parallel,
+                    engine: EngineKind::Sequential,
                     fault_label: fault_label.clone(),
                     cause: QuarantineCause::Panic { message },
                 }
             })
             .collect();
         let checkpoint = SweepCheckpoint {
-            engine: EngineKind::Parallel,
+            engine: EngineKind::Sequential,
             domain: SweepDomain::Weights,
             seed,
             runs: records + 3,

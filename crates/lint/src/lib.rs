@@ -41,7 +41,7 @@ pub use allow::AllowEntry;
 pub use rules::{lint_file, Rule, Violation};
 
 /// Directories under the workspace root that the linter walks.
-pub const LINT_DIRS: &[&str] = &["crates", "src", "tests", "examples"];
+pub const LINT_DIRS: &[&str] = &["crates", "src", "tests", "examples", "shims"];
 
 /// Result of linting the whole workspace.
 #[derive(Debug, Default)]
@@ -82,10 +82,12 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Recursively collects every `.rs` file under `root/{crates,src,tests,examples}`,
-/// sorted for deterministic output. `target/` and hidden directories are
-/// skipped; `shims/` is deliberately not walked — the shims stand in for
-/// external crates.io dependencies and are vendored code, not product code.
+/// Recursively collects every `.rs` file under
+/// `root/{crates,src,tests,examples,shims}`, sorted for deterministic output.
+/// `target/` and hidden directories are skipped. The in-tree `shims/` stand
+/// in for crates.io dependencies, but they run in every build — the rayon
+/// shim schedules every planned worker and GEMM row block — so they are held
+/// to the same rules.
 pub fn collect_files(root: &Path) -> Result<Vec<PathBuf>, LintError> {
     let mut files = Vec::new();
     for dir in LINT_DIRS {

@@ -57,8 +57,13 @@ pub const PUB_TARGET_FEATURE_FILES: &[&str] = &["crates/tensor/src/dispatch.rs"]
 /// * `imc/supervise.rs` — `CancelToken` is an advisory flag polled between
 ///   chip instances; missing one poll delays cancellation by one instance
 ///   and transfers no data, so `Relaxed` only.
-/// * `imc/montecarlo.rs` — same work-stealing chunk/batch counters as the
-///   GEMM modules.
+/// * `imc/montecarlo.rs` — the planned engine's work-stealing batch counter
+///   only needs atomicity of `fetch_add`; the rayon scope join provides the
+///   happens-before edge for the collected results.
+/// * `shims/rayon` — the `spawned` worker tally (read by its tests) and the
+///   test-module counters only need atomic increments; task hand-off and
+///   scope completion synchronize through the queue and latch mutexes, not
+///   through atomics.
 /// * `tests/*` — counting-allocator tallies and panic tripwires need the
 ///   increment to be atomic, nothing more.
 pub const ATOMIC_POLICY: &[(&str, &[&str])] = &[
@@ -68,6 +73,7 @@ pub const ATOMIC_POLICY: &[(&str, &[&str])] = &[
     ("crates/tensor/src/qgemm.rs", &["Relaxed"]),
     ("crates/imc/src/supervise.rs", &["Relaxed"]),
     ("crates/imc/src/montecarlo.rs", &["Relaxed"]),
+    ("shims/rayon/src/lib.rs", &["Relaxed"]),
     ("tests/compiled_plans.rs", &["Relaxed"]),
     ("tests/telemetry.rs", &["Relaxed"]),
     ("tests/hardened_sweeps.rs", &["Relaxed"]),
@@ -80,8 +86,9 @@ pub const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel
 
 /// Crate roots exempt from the `#![forbid(unsafe_code)]` requirement and
 /// instead required to carry `#![deny(unsafe_op_in_unsafe_fn)]` (rule R2):
-/// the one crate that holds the workspace's `unsafe`.
-pub const UNSAFE_CRATE_ROOTS: &[&str] = &["crates/tensor/src/lib.rs"];
+/// the kernel crate that holds the product code's `unsafe`, and the rayon
+/// shim, whose one `unsafe` is a reviewed `lint_allow.toml` entry.
+pub const UNSAFE_CRATE_ROOTS: &[&str] = &["crates/tensor/src/lib.rs", "shims/rayon/src/lib.rs"];
 
 /// Method names whose receiver-call allocates (rule R3).
 pub const ALLOC_METHODS: &[&str] = &[

@@ -3,7 +3,7 @@
 //! | ID | Name | Invariant |
 //! |----|------|-----------|
 //! | R1 | `safety-comment` | every `unsafe` is immediately preceded by a `// SAFETY:` comment (or `# Safety` doc section) stating the proof obligation |
-//! | R2 | `unsafe-confinement` | `unsafe` only under `crates/tensor`; every other crate root carries `#![forbid(unsafe_code)]`, the tensor root carries `#![deny(unsafe_op_in_unsafe_fn)]` |
+//! | R2 | `unsafe-confinement` | `unsafe` only under `crates/tensor` (or behind a reviewed allowlist entry); every other crate root under `crates/` and `shims/` carries `#![forbid(unsafe_code)]`, the unsafe-bearing roots carry `#![deny(unsafe_op_in_unsafe_fn)]` |
 //! | R3 | `hot-path-alloc` | no allocating calls in `//! lint: no_alloc` modules / `// lint: no_alloc` functions, outside `// lint: alloc_ok` setup functions |
 //! | R4 | `atomic-ordering` | every `Ordering::X` matches the per-module policy table; every `static` atomic carries an ordering-contract comment |
 //! | R5 | `target-feature-confinement` | `#[target_feature]` functions are `unsafe`, non-`pub`, and live only in the dispatch-routed kernel modules |
@@ -453,7 +453,8 @@ fn rule_unsafe_confinement(ctx: &FileContext, out: &mut Vec<Violation>) {
         }
     }
     // Crate-root attribute obligations.
-    let is_crate_root = ctx.path.starts_with("crates/") && ctx.path.ends_with("/src/lib.rs");
+    let is_crate_root = (ctx.path.starts_with("crates/") || ctx.path.starts_with("shims/"))
+        && ctx.path.ends_with("/src/lib.rs");
     let is_workspace_root_lib = ctx.path == "src/lib.rs";
     if is_crate_root || is_workspace_root_lib {
         if policy::UNSAFE_CRATE_ROOTS.contains(&ctx.path) {

@@ -114,6 +114,9 @@ fn r2_requires_forbid_on_unsafe_free_crate_root() {
     let dirty = "pub fn f() {}\n";
     assert!(fire("crates/nn/src/lib.rs", clean).is_empty());
     assert_eq!(fire("crates/nn/src/lib.rs", dirty), ["R2:1"]);
+    // The in-tree shims are crate roots too.
+    assert!(fire("shims/serde/src/lib.rs", clean).is_empty());
+    assert_eq!(fire("shims/serde/src/lib.rs", dirty), ["R2:1"]);
 }
 
 #[test]

@@ -31,9 +31,8 @@ pub enum NnError {
     },
     /// An execution engine cannot honor the requested fault configuration
     /// (e.g. a per-inference fault lifetime on a path that realizes faults
-    /// once per run). Typed so graceful-degradation policies can distinguish
-    /// a capability gap — fall down the engine ladder — from a genuine
-    /// failure that must propagate.
+    /// once per run). Typed so callers can tell a capability gap of the
+    /// chosen engine from a genuine failure.
     FaultUnsupported {
         /// The engine (or engine entry point) that rejected the
         /// configuration.
@@ -217,10 +216,10 @@ mod tests {
             .contains("Linear"));
         let e = NnError::unsupported("Lstm", "compiled plans");
         assert_eq!(e.to_string(), "layer Lstm does not support compiled plans");
-        let e = NnError::fault_unsupported("the parallel engine", "per-inference fault lifetime");
+        let e = NnError::fault_unsupported("MonteCarloEngine::run", "per-inference fault lifetime");
         assert_eq!(
             e.to_string(),
-            "the parallel engine does not support per-inference fault lifetime"
+            "MonteCarloEngine::run does not support per-inference fault lifetime"
         );
     }
 

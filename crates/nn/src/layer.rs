@@ -153,7 +153,10 @@ pub trait Layer {
     /// forwarding zeros once and reserves an output slot;
     /// [`Layer::plan_forward`]'s default then routes through `forward`. It
     /// rejects layers with rank ≥ 2 parameters or quantization codes with
-    /// [`crate::NnError::Unsupported`].
+    /// [`crate::NnError::Unsupported`]. Every weighted layer of this crate
+    /// (the `Lstm` included) overrides it, so only a user layer can hit the
+    /// rejection; the planned Monte-Carlo engine then fails with it, while
+    /// the sequential engine still runs such a layer on its direct path.
     ///
     /// # Errors
     ///

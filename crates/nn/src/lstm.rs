@@ -3,9 +3,11 @@
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
+use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
+use invnorm_tensor::gemm::gemm_prepacked_b;
 use invnorm_tensor::scratch::uninit_slice;
-use invnorm_tensor::{ops, vecmath, Rng, Scratch, Tensor};
+use invnorm_tensor::{ops, vecmath, ArenaSlot, Rng, Scratch, Tensor};
 
 /// Gate activations cached for one timestep.
 #[derive(Debug, Clone)]
@@ -49,7 +51,9 @@ impl StepCache {
 /// input slice and gate pre-activations live in a [`Scratch`] and the gate
 /// math updates the recurrent state in place, so the Monte-Carlo hot loop
 /// performs no per-timestep allocations. Training-mode forwards retain the
-/// per-step caches needed by backpropagation through time.
+/// per-step caches needed by backpropagation through time. A compiled plan
+/// runs the same recurrence on arena slots against the plan-owned faulty
+/// `w_ih` and `w_hh` panels.
 #[derive(Debug)]
 pub struct Lstm {
     input_size: usize,
@@ -59,6 +63,22 @@ pub struct Lstm {
     w_hh: Param, // [4H, H]
     bias: Param, // [4H]
     cache: Option<Vec<StepCache>>,
+    scratch: Scratch,
+    plan: Option<LstmPlan>,
+}
+
+/// Compiled-plan state: the ids of the two plan-owned weight operands, the
+/// arena slots of one realization's recurrence (the staged input step, the
+/// gate pre-activations and the `(h, c)` state) and the GEMM packing
+/// workspace.
+#[derive(Debug)]
+struct LstmPlan {
+    w_ih: OperandId,
+    w_hh: OperandId,
+    x_t: ArenaSlot,
+    z: ArenaSlot,
+    h: ArenaSlot,
+    c: ArenaSlot,
     scratch: Scratch,
 }
 
@@ -90,6 +110,7 @@ impl Lstm {
             bias: Param::new(Tensor::rand_uniform(&[4 * hidden_size], -bound, bound, rng)),
             cache: None,
             scratch: Scratch::new(),
+            plan: None,
         }
     }
 
@@ -121,49 +142,74 @@ impl Lstm {
         let d = input.dims();
         let (n, t, feat) = (d[0], d[1], d[2]);
         let h = self.hidden_size;
-        let mut h_prev = vec![0.0f32; n * h];
-        let mut c_prev = vec![0.0f32; n * h];
-        let mut hidden_seq = if self.return_sequences {
-            vec![0.0f32; n * t * h]
+        let mut h_state = vec![0.0f32; n * h];
+        let mut c_state = vec![0.0f32; n * h];
+        let mut hidden_seq = vec![0.0f32; if self.return_sequences { n * t * h } else { 0 }];
+        let (w_ih, w_hh) = (self.w_ih.value.data(), self.w_hh.value.data());
+        Self::recur(
+            input.data(),
+            (n, t, feat),
+            self.bias.value.data(),
+            uninit_slice(&mut self.scratch.step, n * feat),
+            uninit_slice(&mut self.scratch.out_mat, n * 4 * h),
+            (&mut h_state, &mut c_state),
+            self.return_sequences.then_some(hidden_seq.as_mut_slice()),
+            |x_t, h_prev, z| {
+                ops::gemm(false, true, n, 4 * h, feat, 1.0, x_t, w_ih, 0.0, z);
+                ops::gemm(false, true, n, 4 * h, h, 1.0, h_prev, w_hh, 1.0, z);
+            },
+        );
+        if self.return_sequences {
+            Ok(Tensor::from_vec(hidden_seq, &[n, t, h])?)
         } else {
-            Vec::new()
-        };
-        let id = input.data();
-        let w_ih = self.w_ih.value.data();
-        let w_hh = self.w_hh.value.data();
-        let bd = self.bias.value.data();
-        let x_t = uninit_slice(&mut self.scratch.step, n * feat);
-        let z = uninit_slice(&mut self.scratch.out_mat, n * 4 * h);
+            Ok(Tensor::from_vec(h_state, &[n, h])?)
+        }
+    }
+
+    /// The eval recurrence over `n` sequences of `t` steps of `feat`
+    /// features, shared by the direct path and the planned node, which
+    /// differ only in `project`. Per timestep it stages `x_t`, lets
+    /// `project(x_t, h, z)` write the gate pre-activations
+    /// `z = x_t W_ihᵀ + h W_hhᵀ` (`[n, 4H]`, the recurrent term fused with
+    /// β = 1), then adds the bias, applies the gates and updates the `(h, c)`
+    /// state in place (zeroed by the caller). With `seq`, every step's hidden
+    /// state also lands in its `[n, t, H]` slot.
+    // lint: no_alloc
+    #[allow(clippy::too_many_arguments)]
+    fn recur(
+        input: &[f32],
+        (n, t, feat): (usize, usize, usize),
+        bias: &[f32],
+        x_t: &mut [f32],
+        z: &mut [f32],
+        (h_state, c_state): (&mut [f32], &mut [f32]),
+        mut seq: Option<&mut [f32]>,
+        mut project: impl FnMut(&[f32], &[f32], &mut [f32]),
+    ) {
+        let h = bias.len() / 4;
         for ti in 0..t {
             for ni in 0..n {
                 let src = (ni * t + ti) * feat;
-                x_t[ni * feat..(ni + 1) * feat].copy_from_slice(&id[src..src + feat]);
+                x_t[ni * feat..(ni + 1) * feat].copy_from_slice(&input[src..src + feat]);
             }
-            // z = x W_ihᵀ + h_prev W_hhᵀ : [N, 4H], fused with β = 1.
-            ops::gemm(false, true, n, 4 * h, feat, 1.0, x_t, w_ih, 0.0, z);
-            ops::gemm(false, true, n, 4 * h, h, 1.0, &h_prev, w_hh, 1.0, z);
+            project(x_t, h_state, z);
             for ni in 0..n {
                 let zrow = &mut z[ni * 4 * h..(ni + 1) * 4 * h];
-                for (zv, bv) in zrow.iter_mut().zip(bd.iter()) {
+                for (zv, bv) in zrow.iter_mut().zip(bias) {
                     *zv += bv;
                 }
                 Self::activate_gates(zrow, h);
                 for hi in 0..h {
                     let (i, f, g, o) = (zrow[hi], zrow[h + hi], zrow[2 * h + hi], zrow[3 * h + hi]);
-                    let c = f * c_prev[ni * h + hi] + i * g;
-                    c_prev[ni * h + hi] = c;
-                    h_prev[ni * h + hi] = o * vecmath::tanh_scalar(c);
+                    let c = f * c_state[ni * h + hi] + i * g;
+                    c_state[ni * h + hi] = c;
+                    h_state[ni * h + hi] = o * vecmath::tanh_scalar(c);
                 }
-                if self.return_sequences {
+                if let Some(seq) = seq.as_deref_mut() {
                     let dst = (ni * t + ti) * h;
-                    hidden_seq[dst..dst + h].copy_from_slice(&h_prev[ni * h..(ni + 1) * h]);
+                    seq[dst..dst + h].copy_from_slice(&h_state[ni * h..(ni + 1) * h]);
                 }
             }
-        }
-        if self.return_sequences {
-            Ok(Tensor::from_vec(hidden_seq, &[n, t, h])?)
-        } else {
-            Ok(Tensor::from_vec(h_prev, &[n, h])?)
         }
     }
 }
@@ -424,9 +470,104 @@ impl Layer for Lstm {
         visitor(&mut self.bias);
     }
 
+    fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
+        let batch = arenas.batch();
+        let d = &input.dims;
+        if d.len() != 3 || d[2] != self.input_size || !d[0].is_multiple_of(batch) {
+            return Err(NnError::Config(format!(
+                "Lstm expects input [N, T, {}] (N divisible by the plan batch {batch}), got {d:?}",
+                self.input_size
+            )));
+        }
+        let (rows, t, feat) = (d[0], d[1], d[2]);
+        let (n, h) = (rows / batch, self.hidden_size);
+        let weights = &mut arenas.weights;
+        self.plan = Some(LstmPlan {
+            w_ih: weights.register(self.w_ih.value.data(), feat, 4 * h)?,
+            w_hh: weights.register(self.w_hh.value.data(), h, 4 * h)?,
+            x_t: arenas.f.reserve(n * feat),
+            z: arenas.f.reserve(n * 4 * h),
+            h: arenas.f.reserve(n * h),
+            c: arenas.f.reserve(n * h),
+            scratch: Scratch::new(),
+        });
+        let dims = if self.return_sequences {
+            vec![rows, t, h]
+        } else {
+            vec![rows, h]
+        };
+        Ok(PlanShape {
+            slot: arenas.f.reserve(dims.iter().product()),
+            dims,
+        })
+    }
+
+    // lint: no_alloc
+    fn plan_forward(
+        &mut self,
+        input: &PlanShape,
+        output: &PlanShape,
+        _ctx: PlanCtx,
+        arenas: &mut PlanArenas,
+    ) -> Result<()> {
+        let Some(state) = self.plan.as_mut() else {
+            return Err(not_compiled());
+        };
+        let batch = arenas.batch();
+        let (t, feat) = (input.dims[1], input.dims[2]);
+        // Realization b owns rows [b·n, (b+1)·n) of the stacked edges.
+        let n = input.dims[0] / batch;
+        arenas.weights[state.w_ih].refresh_all();
+        arenas.weights[state.w_hh].refresh_all();
+        let (w_ih, w_hh) = (&arenas.weights[state.w_ih], &arenas.weights[state.w_hh]);
+        let [x, x_t, z, h_state, c_state, out] = arenas.f.many_mut([
+            input.slot,
+            state.x_t,
+            state.z,
+            state.h,
+            state.c,
+            output.slot,
+        ]);
+        let out_len = output.numel() / batch;
+        let scratch = &mut state.scratch;
+        for b in 0..batch {
+            h_state.fill(0.0);
+            c_state.fill(0.0);
+            let out_b = &mut out[b * out_len..][..out_len];
+            Self::recur(
+                &x[b * n * t * feat..][..n * t * feat],
+                (n, t, feat),
+                self.bias.value.data(),
+                x_t,
+                z,
+                (h_state, c_state),
+                self.return_sequences.then_some(&mut *out_b),
+                |x_t, h_prev, z| {
+                    gemm_prepacked_b(false, n, 1.0, x_t, w_ih.panel(b), 0.0, z, scratch);
+                    gemm_prepacked_b(false, n, 1.0, h_prev, w_hh.panel(b), 1.0, z, scratch);
+                },
+            );
+            if !self.return_sequences {
+                out_b.copy_from_slice(h_state);
+            }
+        }
+        Ok(())
+    }
+
+    fn plan_end(&mut self) {
+        self.plan = None;
+    }
+
     fn name(&self) -> &'static str {
         "Lstm"
     }
+}
+
+// lint: alloc_ok(error path)
+#[cold]
+#[inline(never)]
+fn not_compiled() -> NnError {
+    NnError::Config("Lstm::plan_forward called without plan_compile".into())
 }
 
 #[cfg(test)]
@@ -589,6 +730,36 @@ mod tests {
         let y2 = lstm.forward(&x2, Mode::Train).unwrap();
         assert_eq!(y2.dims(), &[2, 4, 5]);
         lstm.backward(&Tensor::ones(y2.dims())).unwrap();
+    }
+
+    #[test]
+    fn planned_forward_is_bit_identical_to_eval_forward() {
+        use crate::plan::Plan;
+        let mut rng = Rng::seed_from(10);
+        for return_sequences in [false, true] {
+            let mut lstm = Lstm::new(3, 5, return_sequences, &mut rng);
+            let x = Tensor::randn(&[2, 4, 3], 0.0, 1.0, &mut rng);
+            let direct = lstm.forward(&x, Mode::Eval).unwrap();
+            for batch in [1usize, 3] {
+                let mut plan = Plan::compile_batched(&mut lstm, &x, batch).unwrap();
+                let mut dims = direct.dims().to_vec();
+                dims[0] *= batch;
+                assert_eq!(plan.output_dims(), dims.as_slice());
+                // Both recurrent matrices are operands, in visit order.
+                assert_eq!(plan.weights_mut().len(), 2);
+                let out = plan.forward(&mut lstm).unwrap();
+                for rows in out.data().chunks_exact(direct.numel()) {
+                    let identical = rows
+                        .iter()
+                        .zip(direct.data())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(identical, "seq={return_sequences} batch={batch}");
+                }
+                lstm.plan_end();
+            }
+            // A wrong feature count is rejected at compile time.
+            assert!(Plan::compile(&mut lstm, &Tensor::zeros(&[2, 4, 2])).is_err());
+        }
     }
 
     #[test]

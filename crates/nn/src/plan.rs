@@ -23,8 +23,8 @@
 //!
 //! The planned forward is **bit-identical** to the direct eval path: the
 //! same kernels run in the same blocking order over the same packed values,
-//! so the planned Monte-Carlo engine reproduces the sequential and parallel
-//! engines' metrics exactly (tested for all eight fault models).
+//! so the planned Monte-Carlo engine reproduces the sequential oracle's
+//! metrics exactly (tested for all eight fault models).
 //!
 //! Layers participate through three methods on [`Layer`]
 //! ([`Layer::plan_compile`], [`Layer::plan_forward`], [`Layer::plan_end`])
@@ -933,7 +933,6 @@ mod tests {
     use crate::activation::Relu;
     use crate::layer::{CodeView, Param};
     use crate::linear::Linear;
-    use crate::lstm::Lstm;
     use crate::Sequential;
     use invnorm_tensor::Rng;
 
@@ -995,20 +994,45 @@ mod tests {
     #[test]
     fn weighted_layers_without_plan_support_are_rejected_loudly() {
         let mut rng = Rng::seed_from(3);
-        let mut net = Sequential::new().with(Box::new(Lstm::new(4, 6, false, &mut rng)));
-        let x = Tensor::randn(&[2, 5, 4], 0.0, 1.0, &mut rng);
+        let mut net = Sequential::new()
+            .with(Box::new(Linear::new(4, 4, &mut rng)))
+            .with(Box::new(Unplanned {
+                weight: Param::new(Tensor::ones(&[4, 4])),
+            }));
+        let x = Tensor::randn(&[2, 4], 0.0, 1.0, &mut rng);
         let err = Plan::compile(&mut net, &x).unwrap_err();
         assert!(
             matches!(
                 err,
                 NnError::Unsupported {
+                    layer: "Unplanned",
                     op: "compiled plans",
-                    ..
                 }
             ),
             "unexpected error: {err}"
         );
         assert!(err.to_string().contains("compiled plans"));
+    }
+
+    /// A weighted identity layer with no plan of its own: the default
+    /// fallback must reject its rank-2 weight.
+    struct Unplanned {
+        weight: Param,
+    }
+
+    impl Layer for Unplanned {
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+        fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+            Ok(grad_output.clone())
+        }
+        fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+            visitor(&mut self.weight);
+        }
+        fn name(&self) -> &'static str {
+            "Unplanned"
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Zero-allocation runtime telemetry: phase spans, engine counters and
 //! chrome-trace export.
 //!
-//! The Monte-Carlo engine ladder's performance hinges on internals that are
+//! The Monte-Carlo engines' performance hinges on internals that are
 //! invisible from the outside — frozen-input cache hits, dirty-row repacks
-//! vs uniform-scale vs sparse cell scatters, wide-GEMM batching, ladder
-//! fallbacks. This module makes those internals observable without touching
+//! vs uniform-scale vs sparse cell scatters, wide-GEMM batching, tail-batch
+//! recompiles. This module makes those internals observable without touching
 //! the arithmetic or the allocation story:
 //!
 //! * **Span layer** — [`span`] returns an RAII guard over a fixed [`Phase`]
@@ -129,25 +129,22 @@ pub enum Counter {
     /// Fused wide-GEMM invocations (`[N, B·out]` product over the stacked
     /// realization operand of a frozen layer).
     WideGemms = 5,
-    /// Engine-ladder rungs skipped by `MonteCarloEngine::execute` (one per
-    /// recorded `FallbackStep`).
-    LadderFallbacks = 6,
     /// Batched-plan recompilations triggered by a tail batch smaller than
     /// the steady-state stack.
-    TailRecompiles = 7,
+    TailRecompiles = 6,
     /// Chip instances left unexecuted when a sweep was interrupted by its
     /// `RunBudget` (deadline expiry or cooperative cancellation).
-    CancelledRuns = 8,
+    CancelledRuns = 7,
     /// Chip instances quarantined out of the aggregate (panicking worker or
     /// non-finite per-run metric).
-    QuarantinedRuns = 9,
+    QuarantinedRuns = 8,
     /// Chip instances skipped on resume because a `SweepCheckpoint` already
     /// carried their metric.
-    ResumeSkips = 10,
+    ResumeSkips = 9,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 11;
+pub const COUNTER_COUNT: usize = 10;
 
 /// Every counter, in `repr` order.
 pub const COUNTERS: [Counter; COUNTER_COUNT] = [
@@ -157,7 +154,6 @@ pub const COUNTERS: [Counter; COUNTER_COUNT] = [
     Counter::UniformScales,
     Counter::CellScatters,
     Counter::WideGemms,
-    Counter::LadderFallbacks,
     Counter::TailRecompiles,
     Counter::CancelledRuns,
     Counter::QuarantinedRuns,
@@ -174,7 +170,6 @@ impl Counter {
             Counter::UniformScales => "uniform_scales",
             Counter::CellScatters => "cell_scatters",
             Counter::WideGemms => "wide_gemms",
-            Counter::LadderFallbacks => "ladder_fallbacks",
             Counter::TailRecompiles => "tail_recompiles",
             Counter::CancelledRuns => "cancelled_runs",
             Counter::QuarantinedRuns => "quarantined_runs",
@@ -773,7 +768,7 @@ mod tests {
     /// in this binary (gemm/pack/conv) may record spans concurrently — so
     /// exact-count assertions below only use phases and counters that are
     /// wired up in downstream crates (`Compile`/`Inject`/`Forward`/`Metric`,
-    /// `WideGemms`/`LadderFallbacks`/`TailRecompiles`), which nothing in
+    /// `WideGemms`/`TailRecompiles`), which nothing in
     /// `invnorm_tensor` itself can bump.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -877,11 +872,11 @@ mod tests {
         {
             let _s = span(Phase::Inject);
         }
-        count(Counter::LadderFallbacks, 7);
+        count(Counter::TailRecompiles, 7);
         let report = scope.finish(&[1.0, 2.0, 3.0, 4.0]).expect("enabled");
         Telemetry::disable();
         assert_eq!(report.phase_count(Phase::Inject), 1);
-        assert_eq!(report.counter(Counter::LadderFallbacks), 7);
+        assert_eq!(report.counter(Counter::TailRecompiles), 7);
         assert_eq!(report.convergence.len(), 4);
         let last = report.convergence.last().unwrap();
         assert_eq!(last.runs, 4);
@@ -889,7 +884,7 @@ mod tests {
         assert!(last.std > 0.0 && last.half_width95 > 0.0);
         // Both renderings mention every phase and counter they carry.
         let text = report.to_string();
-        assert!(text.contains("inject") && text.contains("ladder_fallbacks"));
+        assert!(text.contains("inject") && text.contains("tail_recompiles"));
         let json = report.to_json();
         assert!(json.contains("\"wall_ns\"") && json.contains("\"half_width95\""));
     }

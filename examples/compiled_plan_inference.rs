@@ -10,7 +10,7 @@
 //! Run with `cargo run --release --example compiled_plan_inference`.
 
 use invnorm_imc::fault::FaultModel;
-use invnorm_imc::montecarlo::{EngineKind, MonteCarloEngine, Sweep};
+use invnorm_imc::montecarlo::{MonteCarloEngine, Sweep};
 use invnorm_imc::{SweepControl, SweepOutcome};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::conv::Conv2d;
@@ -76,7 +76,7 @@ where
             };
             let t0 = Instant::now();
             let planned = engine
-                .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+                .execute(&sweep, &SweepControl::new())
                 .and_then(SweepOutcome::into_summary)?;
             t_planned[slot] = t0.elapsed().as_secs_f64() * 1e3;
 

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use invnorm_imc::montecarlo::{EngineKind, MonteCarloEngine, Sweep};
+use invnorm_imc::montecarlo::{MonteCarloEngine, Sweep};
 use invnorm_imc::{
     CancelToken, FaultModel, InterruptCause, LineOrientation, RunBudget, SweepCheckpoint,
     SweepControl, SweepOutcome, TileShape,
@@ -51,7 +51,7 @@ fn main() -> Result<(), NnError> {
     };
 
     // Ground truth: one uninterrupted sweep on the planned engine.
-    let outcome = engine.execute_on(EngineKind::Planned, &sweep, &SweepControl::new())?;
+    let outcome = engine.execute(&sweep, &SweepControl::new())?;
     assert!(outcome.is_complete());
     let baseline = outcome.summary().clone();
     println!(
@@ -80,7 +80,7 @@ fn main() -> Result<(), NnError> {
             },
         )
     };
-    let outcome = engine.execute_on(EngineKind::Planned, &cancelling, &control)?;
+    let outcome = engine.execute(&cancelling, &control)?;
     let SweepOutcome::Interrupted {
         partial,
         cause,
@@ -121,11 +121,7 @@ fn main() -> Result<(), NnError> {
 
     // Resume: only the missing instances run, and the merged summary is
     // bit-identical to the uninterrupted sweep.
-    let outcome = engine.execute_on(
-        EngineKind::Planned,
-        &sweep,
-        &SweepControl::new().with_resume(restored),
-    )?;
+    let outcome = engine.execute(&sweep, &SweepControl::new().with_resume(restored))?;
     assert!(outcome.is_complete());
     let resumed = outcome.summary();
     assert_eq!(resumed.per_run.len(), runs);
@@ -144,17 +140,13 @@ fn main() -> Result<(), NnError> {
     // checkpoints before the first instance, and resuming finishes the job.
     let control = SweepControl::new()
         .with_budget(RunBudget::unbounded().with_deadline(std::time::Duration::ZERO));
-    let outcome = engine.execute_on(EngineKind::Planned, &sweep, &control)?;
+    let outcome = engine.execute(&sweep, &control)?;
     let checkpoint = outcome
         .checkpoint()
         .expect("an expired deadline yields a checkpoint")
         .clone();
     assert_eq!(checkpoint.remaining_runs(), runs);
-    let outcome = engine.execute_on(
-        EngineKind::Planned,
-        &sweep,
-        &SweepControl::new().with_resume(checkpoint),
-    )?;
+    let outcome = engine.execute(&sweep, &SweepControl::new().with_resume(checkpoint))?;
     assert!(outcome.is_complete());
     assert_eq!(
         outcome.summary().per_run,

@@ -1,21 +1,19 @@
-//! Structured fault topologies and the graceful-degradation engine ladder.
+//! Structured fault topologies and fault lifetimes on the planned engine.
 //!
 //! Demonstrates the three structured additions to the fault catalogue —
 //! whole stuck crossbar lines ([`FaultModel::LineDefect`]), per-tile
 //! correlated retention drift ([`FaultModel::CorrelatedDrift`]) and
 //! transient read noise (any model carried with a per-inference
-//! [`FaultLifetime`]) — and runs them through
-//! `MonteCarloEngine::run_auto`, which picks the fastest engine that
-//! supports each configuration and degrades down the ladder
-//! planned → parallel with a typed reason per skipped rung.
+//! [`FaultLifetime`]) — and runs them through `MonteCarloEngine::run_auto`,
+//! the planned engine, checking each against the sequential oracle
+//! `MonteCarloEngine::run`. A recurrent `Lstm` network runs planned too.
 //! Every claim printed below is asserted.
 //!
 //! Run with `cargo run --release --example structured_faults`.
 
-use invnorm_imc::montecarlo::{MonteCarloEngine, Sweep};
+use invnorm_imc::montecarlo::MonteCarloEngine;
 use invnorm_imc::{
-    DegradationPolicy, EngineKind, FallbackReason, FaultLifetime, FaultModel, FaultSpec,
-    LineOrientation, SweepControl, TileShape,
+    DegradationPolicy, EngineKind, FaultLifetime, FaultModel, FaultSpec, LineOrientation, TileShape,
 };
 use invnorm_nn::activation::Relu;
 use invnorm_nn::layer::{Layer, Mode};
@@ -67,8 +65,6 @@ fn main() -> Result<(), NnError> {
     );
     println!("{:<26} {:>16} {:>10}", "fault", "mean ± std", "engine");
     for fault in structured {
-        // The ladder picks the fastest engine; a fully plan-capable MLP
-        // never needs to degrade.
         let outcome = engine.run_auto(
             || build_mlp(7),
             fault,
@@ -81,8 +77,8 @@ fn main() -> Result<(), NnError> {
         assert_eq!(outcome.engine, EngineKind::Planned);
         assert!(outcome.fallbacks.is_empty());
 
-        // Bit-identity down the ladder: the sequential reference engine
-        // reproduces the auto-selected engine's metrics exactly.
+        // Bit-identity: the sequential oracle reproduces the planned
+        // engine's metrics exactly.
         let mut net = build_mlp(7);
         let xs = x.clone();
         let sequential = engine.run(&mut net, fault, |n| {
@@ -102,29 +98,25 @@ fn main() -> Result<(), NnError> {
     }
 
     // Transient read noise: the same Gaussian model, but re-drawn on every
-    // inference. Only the planned engine models fault lifetime, so the
-    // direct engine rejects the spec loudly...
+    // inference. The oracle's snapshot/restore bracket holds one
+    // realization across its whole evaluation, so `run` rejects the spec
+    // loudly...
     let read_noise = FaultSpec::new(
         FaultModel::AdditiveVariation { sigma: 0.1 },
         FaultLifetime::PerInference,
     );
-    let direct = Sweep {
-        threads: 4,
-        ..Sweep::new(
-            || build_mlp(7),
-            read_noise,
-            &x,
-            |out: &Tensor| Ok(out.abs().mean()),
-        )
-    };
+    let mut net = build_mlp(7);
     let err = engine
-        .execute_on(EngineKind::Parallel, &direct, &SweepControl::new())
+        .run(&mut net, read_noise, |n| {
+            Ok(n.forward(&x, Mode::Eval)?.abs().mean())
+        })
         .unwrap_err();
     assert!(matches!(err, NnError::FaultUnsupported { .. }));
-    println!("\ndirect engine on per-inference read noise: {err}");
+    println!("\nsequential engine on per-inference read noise: {err}");
 
-    // ...while the ladder keeps the run on the planned rung, and — because
-    // each chip instance runs exactly one forward — the per-run metrics
+    // ...while the planned engine re-realizes before every forward, and —
+    // because each chip instance runs exactly one forward — the per-run
+    // metrics
     // stay bit-identical to the static lifetime (the documented
     // reproducibility boundary).
     let outcome = engine.run_auto(
@@ -153,48 +145,44 @@ fn main() -> Result<(), NnError> {
         outcome.summary.mean
     );
 
-    // An Lstm does not support compiled plans: the ladder records one typed
-    // reason for the skipped planned rung and lands on the parallel engine,
-    // which supports every layer.
+    // The paper's recurrent forecaster stack — a sequence-returning Lstm
+    // feeding one that is not, under a dense head — plans like every other
+    // weighted layer: both recurrent weight matrices are plan operands, and
+    // the planned sweep is bit-identical to the oracle.
     let build_lstm = || -> Sequential {
         let mut rng = Rng::seed_from(21);
-        Sequential::new().with(Box::new(Lstm::new(6, 8, false, &mut rng)))
+        Sequential::new()
+            .with(Box::new(Lstm::new(6, 8, true, &mut rng)))
+            .with(Box::new(Lstm::new(8, 8, false, &mut rng)))
+            .with(Box::new(Linear::new(8, 1, &mut rng)))
     };
     let xs = Tensor::randn(&[2, 5, 6], 0.0, 1.0, &mut Rng::seed_from(22));
+    let fault = FaultModel::AdditiveVariation { sigma: 0.05 };
     let outcome = engine.run_auto(
         build_lstm,
-        FaultModel::AdditiveVariation { sigma: 0.05 },
+        fault,
         &xs,
         |out| Ok(out.abs().mean()),
         8,
         2,
         DegradationPolicy::Graceful,
     )?;
-    assert_eq!(outcome.engine, EngineKind::Parallel);
-    assert_eq!(outcome.fallbacks.len(), 1);
-    println!("\nLstm network degraded to {}:", outcome.engine.name());
-    for step in &outcome.fallbacks {
-        assert!(matches!(
-            step.reason,
-            FallbackReason::Unsupported { layer: "Lstm", .. }
-        ));
-        println!("  skipped {:<10} ({})", step.engine.name(), step.reason);
-    }
-
-    // Strict mode keeps the pre-ladder behavior: the planned engine's
-    // rejection propagates loudly instead of degrading.
-    let strict = engine.run_auto(
-        build_lstm,
-        FaultModel::AdditiveVariation { sigma: 0.05 },
-        &xs,
-        |out| Ok(out.abs().mean()),
-        8,
-        2,
-        DegradationPolicy::Strict,
+    assert_eq!(outcome.engine, EngineKind::Planned);
+    assert!(outcome.fallbacks.is_empty());
+    let mut net = build_lstm();
+    let sequential = engine.run(&mut net, fault, |n| {
+        Ok(n.forward(&xs, Mode::Eval)?.abs().mean())
+    })?;
+    assert_eq!(
+        sequential.per_run, outcome.summary.per_run,
+        "the Lstm stack diverged from the sequential engine"
     );
-    let err = strict.expect_err("strict mode must not degrade");
-    println!("\nstrict policy on the same network: {err}");
+    println!(
+        "\nLstm stack on {}: mean {:.4} (bit-identical to the sequential engine)",
+        outcome.engine.name(),
+        outcome.summary.mean
+    );
 
-    println!("\nall structured-fault and ladder claims verified");
+    println!("\nall structured-fault, lifetime and Lstm claims verified");
     Ok(())
 }

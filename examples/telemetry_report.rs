@@ -1,7 +1,7 @@
 //! End-to-end observability: run the same Monte-Carlo fault sweep with
 //! telemetry off and on, verify the per-run metrics are bit-identical (the
-//! instrumentation is observation-only), then print the run report — engine
-//! ladder outcome, per-phase wall-time table, engine counters and the
+//! instrumentation is observation-only), then print the run report — the
+//! engine outcome, per-phase wall-time table, engine counters and the
 //! Welford convergence stream — and export a chrome://tracing trace.
 //!
 //! Run with `cargo run --release --example telemetry_report`, then load the

@@ -16,6 +16,7 @@
 //!   (default 50); long-running benchmarks always run at least one iteration
 //!   per sample.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::fmt::Write as _;

@@ -7,6 +7,7 @@
 //! deterministic per-test stream (seeded by the test name), so failures are
 //! reproducible; shrinking is not implemented.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::ops::Range;

@@ -21,6 +21,7 @@
 //! workspace (new nested scopes are fine).
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -213,8 +214,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         // borrow outlives every use; erasing the lifetime to queue it on the
         // 'static pool is therefore sound (same argument as rayon's own
         // scope implementation).
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task) };
+        let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(task) };
         let p = pool();
         ensure_workers(p);
         push_job(p, job);

@@ -6,6 +6,7 @@
 //! traits only need to exist, not to describe a data model. The derive macros
 //! re-exported here emit empty marker impls.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 /// Marker trait standing in for `serde::Serialize`.

@@ -6,6 +6,8 @@
 //! attributes and doc comments; generic items are rejected with a clear error
 //! (no current derive target in the workspace is generic).
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{TokenStream, TokenTree};
 
 fn item_name(input: TokenStream) -> String {

@@ -75,10 +75,9 @@ pub mod prelude {
         AffineDropout, AffineInit, DropGranularity, InvNormConfig, InvertedNorm, OodDetector,
     };
     pub use invnorm_imc::{
-        CancelToken, CodeFaultInjector, DegradationPolicy, EngineKind, FallbackStep, FaultModel,
-        LadderOutcome, MonteCarloEngine, MonteCarloSummary, NoiseHandle, RunBudget,
-        SupervisedLadderOutcome, Sweep, SweepCheckpoint, SweepControl, SweepDomain, SweepOutcome,
-        WeightFaultInjector,
+        CancelToken, CodeFaultInjector, DegradationPolicy, EngineKind, FaultModel, LadderOutcome,
+        MonteCarloEngine, MonteCarloSummary, NoiseHandle, RunBudget, Sweep, SweepCheckpoint,
+        SweepControl, SweepDomain, SweepOutcome, WeightFaultInjector,
     };
     pub use invnorm_models::{BuiltModel, NormVariant};
     pub use invnorm_nn::layer::{Layer, Mode, Param};

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests of the compiled inference-plan subsystem:
-//! plan-vs-direct bit-identity for every model topology (f32 and quantized),
-//! loud rejection of unsupported layers, and the zero-allocation guarantee
-//! of steady-state planned forwards (verified with a counting global
+//! plan-vs-direct bit-identity for every model topology (f32 and quantized,
+//! the recurrent forecaster included), and the zero-allocation guarantee of
+//! steady-state planned forwards (verified with a counting global
 //! allocator).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,6 +15,7 @@ use invnorm_models::unet::MicroUNetConfig;
 use invnorm_models::{lstm, m5, resnet, unet};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::conv::Conv2d;
+use invnorm_nn::lstm::Lstm;
 use invnorm_nn::pool::MaxPool2d;
 use invnorm_nn::reshape::Flatten;
 
@@ -80,40 +81,46 @@ fn model_faults() -> [FaultModel; 4] {
     ]
 }
 
-/// Asserts the planned engine reproduces the sequential engine bit-for-bit on a
-/// deterministic model factory, across fault models, batch sizes and thread
-/// counts.
-fn assert_planned_matches_run<F>(factory: F, x: &Tensor)
-where
-    F: Fn() -> BuiltModel + Sync,
+/// Asserts the planned engine reproduces the sequential engine bit for bit
+/// on a deterministic model factory in `domain`, for every fault, at batch 1
+/// (one realization per forward), batch 3 (a tail batch of 2: per-worker
+/// recompilation) and batch 8 (one full stack), on one to four threads.
+fn assert_planned_matches_run<M, F>(
+    domain: SweepDomain,
+    factory: F,
+    faults: impl IntoIterator<Item = FaultModel>,
+    x: &Tensor,
+) where
+    M: Layer + Send,
+    F: Fn() -> M + Sync,
 {
     let engine = MonteCarloEngine::new(8, 0xBEEF);
-    for fault in model_faults() {
-        let mut net = factory();
-        let xc = x.clone();
+    let metric = |out: &Tensor| Ok(out.abs().mean());
+    for fault in faults {
         let sequential = engine
-            .run(&mut net, fault, |n| {
-                Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
-            })
+            .run_supervised(
+                domain,
+                &mut factory(),
+                fault,
+                |n| metric(&n.forward(x, Mode::Eval)?),
+                &SweepControl::new(),
+            )
+            .and_then(SweepOutcome::into_summary)
             .unwrap();
-        // Batch 1 is one realization per forward; batch 3 leaves a tail
-        // batch of 2 (per-worker recompilation); batch 8 is one full stack.
         for (batch, threads) in [(1usize, 1usize), (1, 4), (3, 2), (8, 1)] {
             let sweep = Sweep {
+                domain,
                 batch,
                 threads,
-                ..Sweep::new(&factory, fault, x, |out: &Tensor| Ok(out.abs().mean()))
+                ..Sweep::new(&factory, fault, x, metric)
             };
             let planned = engine
-                .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+                .execute(&sweep, &SweepControl::new())
                 .and_then(SweepOutcome::into_summary)
                 .unwrap();
-            assert_eq!(planned.runs(), sequential.runs());
-            let identical = sequential
-                .per_run
-                .iter()
-                .zip(planned.per_run.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+            let identical = planned.runs() == sequential.runs()
+                && (sequential.per_run.iter().zip(&planned.per_run))
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(
                 identical,
                 "{} {fault:?} batch={batch} threads={threads}: {:?} vs {:?}",
@@ -131,7 +138,7 @@ fn resnet_planned_is_bit_identical_to_run() {
         resnet::build(&MicroResNetConfig::tiny(4), NormVariant::Conventional).expect("build resnet")
     };
     let x = Tensor::randn(&[2, 3, 16, 16], 0.0, 1.0, &mut Rng::seed_from(1));
-    assert_planned_matches_run(factory, &x);
+    assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 #[test]
@@ -139,47 +146,25 @@ fn unet_planned_is_bit_identical_to_run() {
     let factory =
         || unet::build(&MicroUNetConfig::tiny(), NormVariant::Conventional).expect("build unet");
     let x = Tensor::randn(&[1, 1, 16, 16], 0.0, 1.0, &mut Rng::seed_from(2));
-    assert_planned_matches_run(factory, &x);
+    assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 #[test]
 fn m5_planned_is_bit_identical_to_run() {
     let factory = || m5::build(&M5NetConfig::tiny(4), NormVariant::Conventional).expect("build m5");
     let x = Tensor::randn(&[2, 1, 128], 0.0, 1.0, &mut Rng::seed_from(3));
-    assert_planned_matches_run(factory, &x);
+    assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 #[test]
-fn lstm_model_is_rejected_as_unsupported() {
-    // The recurrent forecaster has no planned execution path; the plan
-    // compiler must reject it loudly instead of evaluating clean weights.
+fn lstm_planned_is_bit_identical_to_run() {
+    // The recurrent forecaster: a sequence-returning Lstm feeding one that
+    // is not, then the norm and the dense head.
     let factory = || {
         lstm::build(&LstmForecasterConfig::tiny(), NormVariant::Conventional).expect("build lstm")
     };
     let x = Tensor::randn(&[2, 6, 1], 0.0, 1.0, &mut Rng::seed_from(4));
-    let sweep = Sweep {
-        batch: 2,
-        threads: 2,
-        ..Sweep::new(
-            factory,
-            FaultModel::AdditiveVariation { sigma: 0.1 },
-            &x,
-            |out: &Tensor| Ok(out.sum()),
-        )
-    };
-    let err = MonteCarloEngine::new(4, 1)
-        .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            NnError::Unsupported {
-                op: "compiled plans",
-                ..
-            }
-        ),
-        "unexpected error: {err}"
-    );
+    assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 /// A quantized CNN mixing both integer layer types with planned stateless
@@ -199,64 +184,51 @@ fn quantized_cnn(seed: u64) -> Sequential {
 #[test]
 fn quantized_cnn_planned_is_bit_identical_to_sequential_codes() {
     let x = Tensor::randn(&[3, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(5));
-    let engine = MonteCarloEngine::new(8, 0xFEED);
     // Drift takes the code-domain uniform-scale regime, through the frozen
     // wide path of the first layer at batch 3 and 8.
     let drift = FaultModel::Drift {
         nu: 0.1,
         time_ratio: 1000.0,
     };
-    for fault in model_faults().into_iter().chain([drift]) {
-        let mut net = quantized_cnn(6);
-        let sequential = engine
-            .run_supervised(
-                SweepDomain::Codes,
-                &mut net,
-                fault,
-                |n| Ok(n.forward(&x, Mode::Eval)?.sum()),
-                &SweepControl::new(),
-            )
-            .and_then(SweepOutcome::into_summary)
-            .unwrap();
-        for (batch, threads) in [(1usize, 1usize), (1, 4), (3, 2), (8, 1)] {
-            let sweep = Sweep {
-                domain: SweepDomain::Codes,
-                batch,
-                threads,
-                ..Sweep::new(|| quantized_cnn(6), fault, &x, |out: &Tensor| Ok(out.sum()))
-            };
-            let planned = engine
-                .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
-                .and_then(SweepOutcome::into_summary)
-                .unwrap();
-            let identical = sequential
-                .per_run
-                .iter()
-                .zip(planned.per_run.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(identical, "{fault:?} batch={batch} threads={threads}");
-        }
-    }
+    let faults = model_faults().into_iter().chain([drift]);
+    assert_planned_matches_run(SweepDomain::Codes, || quantized_cnn(6), faults, &x);
 }
 
-#[test]
-fn steady_state_planned_batched_forward_allocates_nothing() {
-    // The batched-plan acceptance criterion: realizing B stacked fault
-    // realizations into the plan-owned buffers and running the fused
-    // forward must not touch the heap once warm — stacked faulty buffers,
-    // per-realization packed panels, sparse cell lists and dirty sets are
-    // all reserved at compile time.
+/// The two networks of the steady-state allocation checks: a small CNN, and
+/// a sequence-returning `Lstm` feeding one that is not, under a dense head.
+fn steady_state_cases() -> [(&'static str, Sequential, Tensor); 2] {
     let mut rng = Rng::seed_from(17);
-    let mut net = Sequential::new()
+    let cnn = Sequential::new()
         .with(Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)))
         .with(Box::new(Relu::new()))
         .with(Box::new(MaxPool2d::new(2)))
         .with(Box::new(Flatten::new()))
         .with(Box::new(Linear::new(4 * 4 * 4, 3, &mut rng)));
-    let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut rng);
-    let direct = net.forward(&x, Mode::Eval).unwrap();
+    let x_cnn = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut rng);
+    let lstm = Sequential::new()
+        .with(Box::new(Lstm::new(3, 6, true, &mut rng)))
+        .with(Box::new(Lstm::new(6, 6, false, &mut rng)))
+        .with(Box::new(Linear::new(6, 1, &mut rng)));
+    let x_lstm = Tensor::randn(&[2, 5, 3], 0.0, 1.0, &mut rng);
+    [("cnn", cnn, x_cnn), ("lstm", lstm, x_lstm)]
+}
+
+#[test]
+fn steady_state_planned_batched_forward_allocates_nothing() {
+    for (label, net, x) in steady_state_cases() {
+        assert_batched_steady_state_allocates_nothing(label, net, &x);
+    }
+}
+
+/// The batched-plan acceptance criterion: realizing B stacked fault
+/// realizations into the plan-owned buffers and running the fused forward
+/// must not touch the heap once warm — stacked faulty buffers,
+/// per-realization packed panels, sparse cell lists and dirty sets are all
+/// reserved at compile time.
+fn assert_batched_steady_state_allocates_nothing(label: &str, mut net: Sequential, x: &Tensor) {
+    let direct = net.forward(x, Mode::Eval).unwrap();
     let batch = 4usize;
-    let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+    let mut plan = Plan::compile_batched(&mut net, x, batch).unwrap();
     assert_eq!(plan.batch(), batch);
 
     // Pre-seeded per-realization RNG streams, refilled in place so the
@@ -286,7 +258,7 @@ fn steady_state_planned_batched_forward_allocates_nothing() {
     let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
-        "steady-state planned-batched forwards must perform zero heap allocations"
+        "{label}: steady-state planned-batched forwards must perform zero heap allocations"
     );
 
     // Reverting every realization to clean restores the direct output in
@@ -306,23 +278,24 @@ fn steady_state_planned_batched_forward_allocates_nothing() {
             .iter()
             .zip(direct.data().iter())
             .all(|(a, c)| a.to_bits() == c.to_bits());
-        assert!(identical, "clean stacked realization {b} diverged");
+        assert!(identical, "{label}: clean stacked realization {b} diverged");
     }
     net.plan_end();
 }
 
 #[test]
 fn steady_state_planned_forward_allocates_nothing() {
-    let mut rng = Rng::seed_from(7);
-    let mut net = Sequential::new()
-        .with(Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)))
-        .with(Box::new(Relu::new()))
-        .with(Box::new(MaxPool2d::new(2)))
-        .with(Box::new(Flatten::new()))
-        .with(Box::new(Linear::new(4 * 4 * 4, 3, &mut rng)));
-    let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut rng);
-    let direct = net.forward(&x, Mode::Eval).unwrap();
-    let mut plan = Plan::compile(&mut net, &x).unwrap();
+    for (label, net, x) in steady_state_cases() {
+        assert_steady_state_allocates_nothing(label, net, &x);
+    }
+}
+
+/// Steady-state injection + forward on a single-realization plan must not
+/// touch the heap at all (the acceptance criterion of the compiled-plan
+/// subsystem), and the clean realization still tracks the direct path.
+fn assert_steady_state_allocates_nothing(label: &str, mut net: Sequential, x: &Tensor) {
+    let direct = net.forward(x, Mode::Eval).unwrap();
+    let mut plan = Plan::compile(&mut net, x).unwrap();
 
     // Warm up: a couple of realizations exercise injection, dirty re-packing
     // and the frozen-input caches.
@@ -334,8 +307,6 @@ fn steady_state_planned_forward_allocates_nothing() {
         plan.forward(&mut net).unwrap();
     }
 
-    // Steady state: injection + forward must not touch the heap at all
-    // (the acceptance criterion of the compiled-plan subsystem).
     let before = thread_allocations();
     for seed in 3..6u64 {
         rng[0] = Rng::seed_from(seed);
@@ -345,10 +316,9 @@ fn steady_state_planned_forward_allocates_nothing() {
     let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
-        "steady-state planned forwards must perform zero heap allocations"
+        "{label}: steady-state planned forwards must perform zero heap allocations"
     );
 
-    // And the outputs still track the direct path for the clean realization.
     rng[0] = Rng::seed_from(999);
     injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
     for operand in plan.weights_mut() {
@@ -362,6 +332,9 @@ fn steady_state_planned_forward_allocates_nothing() {
         .iter()
         .zip(direct.data().iter())
         .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(identical, "clean planned forward diverged from direct eval");
+    assert!(
+        identical,
+        "{label}: clean planned forward diverged from direct eval"
+    );
     net.plan_end();
 }

@@ -240,7 +240,7 @@ fn conventional_and_proposed_variants_reach_similar_clean_accuracy() {
     // "Comparable" at this tiny training budget: clearly above chance (0.25)
     // and within a broad band of the conventional baseline. The quantitative
     // comparison at realistic training budgets lives in the Table I
-    // experiment (crates/bench, EXPERIMENTS.md).
+    // experiment (crates/bench, README "Experiments").
     assert!(
         proposed > 0.4,
         "proposed variant should clearly beat chance, got {proposed}"

@@ -1,15 +1,16 @@
 //! Cross-crate integration tests of the hardened-sweep supervision layer:
 //! cancellation and deadlines interrupt sweeps into resumable checkpoints,
 //! resume replays only the missing chip instances and finishes bit-identical
-//! to an uninterrupted sweep on every engine, panicking runs are quarantined
-//! without killing the worker pool, and non-finite metrics are excluded from
-//! the aggregate with typed diagnostics.
+//! to an uninterrupted sweep on both engines, panicking runs are quarantined
+//! (per run or per fused batch) without killing the worker pool, and
+//! non-finite metrics are excluded from the aggregate with typed
+//! diagnostics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use invnorm::prelude::*;
-use invnorm_imc::{InterruptCause, LineOrientation, QuarantineCause, TileShape};
+use invnorm_imc::{InterruptCause, LineOrientation, QuarantineCause, QuarantinedRun, TileShape};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::norm::GroupNorm;
 
@@ -19,7 +20,7 @@ const RUNS: usize = 24;
 /// The counting metrics cancel the sweep's token on this call.
 const CANCEL_AFTER: usize = 4;
 
-/// An f32 network supported by every engine rung (dense, norm, activation).
+/// An f32 network supported by both engines (dense, norm, activation).
 fn mlp(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
     Sequential::new()
@@ -165,13 +166,9 @@ fn resume_is_bit_identical_on_every_weight_domain_engine() {
     });
 
     for threads in [1usize, 4] {
-        for (engine_kind, batch) in [
-            (EngineKind::Parallel, 1usize),
-            (EngineKind::Planned, 1),
-            (EngineKind::Planned, 5),
-        ] {
+        for batch in [1usize, 5] {
             interrupt_resume_bit_identity(
-                &format!("{engine_kind} batch={batch} threads={threads}"),
+                &format!("planned batch={batch} threads={threads}"),
                 &baseline,
                 |control, token, k| {
                     let calls = AtomicUsize::new(0);
@@ -180,7 +177,7 @@ fn resume_is_bit_identical_on_every_weight_domain_engine() {
                         threads,
                         ..Sweep::new(|| mlp(7), fault, &x, cancelling_sum(&calls, token, k))
                     };
-                    engine.execute_on(engine_kind, &sweep, control).unwrap()
+                    engine.execute(&sweep, control).unwrap()
                 },
             );
         }
@@ -222,13 +219,9 @@ fn resume_is_bit_identical_on_every_code_domain_engine() {
     });
 
     for threads in [1usize, 4] {
-        for (engine_kind, batch) in [
-            (EngineKind::Parallel, 1usize),
-            (EngineKind::Planned, 1),
-            (EngineKind::Planned, 5),
-        ] {
+        for batch in [1usize, 5] {
             interrupt_resume_bit_identity(
-                &format!("codes {engine_kind} batch={batch} threads={threads}"),
+                &format!("codes planned batch={batch} threads={threads}"),
                 &baseline,
                 |control, token, k| {
                     let calls = AtomicUsize::new(0);
@@ -243,7 +236,7 @@ fn resume_is_bit_identical_on_every_code_domain_engine() {
                             cancelling_sum(&calls, token, k),
                         )
                     };
-                    engine.execute_on(engine_kind, &sweep, control).unwrap()
+                    engine.execute(&sweep, control).unwrap()
                 },
             );
         }
@@ -261,16 +254,14 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
         ..Sweep::new(|| mlp(11), fault, &x, |out: &Tensor| Ok(out.sum()))
     };
     let baseline = engine
-        .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+        .execute(&sweep, &SweepControl::new())
         .and_then(SweepOutcome::into_summary)
         .unwrap()
         .per_run;
 
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
-    let outcome = engine
-        .execute_on(EngineKind::Planned, &sweep, &control)
-        .unwrap();
+    let outcome = engine.execute(&sweep, &control).unwrap();
     let SweepOutcome::Interrupted {
         cause,
         checkpoint,
@@ -286,9 +277,7 @@ fn expired_deadline_interrupts_before_any_run_and_resume_completes() {
 
     let restored = SweepCheckpoint::from_bytes(&checkpoint.to_bytes()).unwrap();
     let control = SweepControl::new().with_resume(restored);
-    let outcome = engine
-        .execute_on(EngineKind::Planned, &sweep, &control)
-        .unwrap();
+    let outcome = engine.execute(&sweep, &control).unwrap();
     assert!(outcome.is_complete());
     assert_bits_equal(
         &baseline,
@@ -316,23 +305,21 @@ fn execute_resumes_on_the_checkpointed_engine() {
         .unwrap();
     assert_eq!(baseline.engine, EngineKind::Planned);
 
-    // The ladder under a default control matches run_auto bit for bit.
+    // `execute` under a default control matches run_auto bit for bit.
     let sweep = Sweep {
         batch: 5,
         threads: 4,
         ..Sweep::new(|| mlp(13), fault, &x, metric)
     };
     let complete = engine.execute(&sweep, &SweepControl::new()).unwrap();
-    assert_eq!(complete.engine, EngineKind::Planned);
-    assert!(complete.fallbacks.is_empty());
     assert_bits_equal(
         &baseline.summary.per_run,
-        &complete.outcome.summary().per_run,
+        &complete.summary().per_run,
         "execute uninterrupted",
     );
 
-    // Cancel mid-sweep, then resume through the ladder entry point: the
-    // checkpoint pins the engine and the final summary is bit-identical.
+    // Cancel mid-sweep, then resume: the checkpoint records the planned
+    // engine and the final summary is bit-identical.
     let token = CancelToken::new();
     let calls = AtomicUsize::new(0);
     let control = SweepControl::new().with_budget(RunBudget::unbounded().with_token(&token));
@@ -348,9 +335,8 @@ fn execute_resumes_on_the_checkpointed_engine() {
     };
     let interrupted = engine.execute(&cancelling, &control).unwrap();
     let checkpoint = interrupted
-        .outcome
         .checkpoint()
-        .expect("cancelled ladder sweep must be resumable")
+        .expect("cancelled sweep must be resumable")
         .clone();
     assert_eq!(checkpoint.engine, EngineKind::Planned);
 
@@ -358,17 +344,15 @@ fn execute_resumes_on_the_checkpointed_engine() {
     let resumed = engine
         .execute(&sweep, &SweepControl::new().with_resume(restored))
         .unwrap();
-    assert_eq!(resumed.engine, EngineKind::Planned);
-    assert!(resumed.fallbacks.is_empty(), "resume pins the engine");
-    assert!(resumed.outcome.is_complete());
+    assert!(resumed.is_complete());
     assert_bits_equal(
         &baseline.summary.per_run,
-        &resumed.outcome.summary().per_run,
+        &resumed.summary().per_run,
         "execute resume",
     );
 
-    // A checkpoint from a sequential entry point is a caller bug: the ladder
-    // never produces one, so it is rejected with a typed mismatch.
+    // A checkpoint from the sequential engine quarantined single runs, not
+    // batches, so the planned engine rejects it with a typed mismatch.
     let mut sequential_cp = checkpoint;
     sequential_cp.engine = EngineKind::Sequential;
     let err = engine
@@ -398,9 +382,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
     };
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
-    let outcome = engine
-        .execute_on(EngineKind::Planned, &sweep, &control)
-        .unwrap();
+    let outcome = engine.execute(&sweep, &control).unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
 
     // Wrong fault model → fault-label mismatch.
@@ -409,11 +391,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
         ..Sweep::new(|| mlp(17), FaultModel::StuckAt { rate: 0.1 }, &x, metric)
     };
     let err = engine
-        .execute_on(
-            EngineKind::Planned,
-            &stuck,
-            &SweepControl::new().with_resume(checkpoint.clone()),
-        )
+        .execute(&stuck, &SweepControl::new().with_resume(checkpoint.clone()))
         .unwrap_err();
     assert!(
         matches!(
@@ -426,11 +404,15 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
         "{err}"
     );
 
-    // Wrong engine → engine mismatch.
+    // Wrong engine → engine mismatch: a planned checkpoint cannot resume on
+    // the sequential engine.
+    let mut net = mlp(17);
     let err = engine
-        .execute_on(
-            EngineKind::Parallel,
-            &sweep,
+        .run_supervised(
+            SweepDomain::Weights,
+            &mut net,
+            fault,
+            |n| metric(&n.forward(&x, Mode::Eval)?),
             &SweepControl::new().with_resume(checkpoint.clone()),
         )
         .unwrap_err();
@@ -447,11 +429,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
 
     // Wrong seed → seed mismatch.
     let err = MonteCarloEngine::new(RUNS, 0xBAD)
-        .execute_on(
-            EngineKind::Planned,
-            &sweep,
-            &SweepControl::new().with_resume(checkpoint.clone()),
-        )
+        .execute(&sweep, &SweepControl::new().with_resume(checkpoint.clone()))
         .unwrap_err();
     assert!(
         matches!(
@@ -461,7 +439,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
         "{err}"
     );
 
-    // A code-domain checkpoint resumed through the ladder on an f32 sweep →
+    // A code-domain checkpoint resumed on an f32 sweep →
     // fault-domain mismatch: the sweep's domain is authoritative, so the
     // resume cannot silently adopt the checkpoint's.
     let xq = Tensor::randn(&[5, 12], 0.0, 1.0, &mut Rng::seed_from(48));
@@ -471,7 +449,7 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
         ..Sweep::new(|| quantized_net(17), fault, &xq, metric)
     };
     let codes_cp = engine
-        .execute_on(EngineKind::Planned, &codes, &control)
+        .execute(&codes, &control)
         .unwrap()
         .checkpoint()
         .unwrap()
@@ -509,40 +487,51 @@ fn mismatched_checkpoints_are_rejected_with_typed_faults() {
     ));
 }
 
-/// A single-weight layer that panics when a fault realization pushes its
-/// weight past a threshold — deterministic per `(seed, run)`, so the same
-/// chip instances trip on every sweep, engine and thread count.
-struct Tripwire {
-    weight: Param,
+/// `Linear(1→1)` without bias and with weight 1, followed by the weightless
+/// `check`: the fault draw is the single rank-2 weight at fork index 0, and
+/// on a ones input every output row equals the realized weight, so `check`
+/// fires on the same chip instances on every sweep, engine, batch size and
+/// thread count.
+fn unit_probe(check: impl Layer + Send + 'static) -> Sequential {
+    let mut linear = Linear::with_bias(1, 1, false, &mut Rng::seed_from(0));
+    linear.visit_params(&mut |p| p.value.data_mut()[0] = 1.0);
+    Sequential::new()
+        .with(Box::new(linear))
+        .with(Box::new(check))
 }
+
+/// The probe input: two rows of one feature, all ones, so every output row
+/// is the realized weight.
+fn probe_input() -> Tensor {
+    Tensor::ones(&[2, 1])
+}
+
+/// A weightless check that panics once a fault realization pushes the
+/// probe's output past a threshold.
+struct Tripwire;
 
 impl Tripwire {
     const TRIP: f32 = 2.0;
 
-    fn new() -> Self {
-        Tripwire {
-            weight: Param::new(Tensor::from_vec(vec![1.0], &[1, 1]).unwrap()),
-        }
+    fn net() -> Sequential {
+        unit_probe(Tripwire)
     }
 }
 
 impl Layer for Tripwire {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> invnorm_nn::Result<Tensor> {
-        let w = self.weight.value.data()[0];
-        assert!(
-            w.abs() <= Self::TRIP,
-            "tripwire crossed: |{w}| > {}",
-            Self::TRIP
-        );
-        Ok(input.scale(w))
+        for &y in input.data() {
+            assert!(
+                y.abs() <= Self::TRIP,
+                "tripwire crossed: |{y}| > {}",
+                Self::TRIP
+            );
+        }
+        Ok(input.clone())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> invnorm_nn::Result<Tensor> {
         Ok(grad_output.clone())
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        visitor(&mut self.weight);
     }
 
     fn name(&self) -> &'static str {
@@ -553,19 +542,18 @@ impl Layer for Tripwire {
 #[test]
 fn panicking_runs_are_quarantined_and_the_pool_survives() {
     let engine = MonteCarloEngine::new(32, 0x7219);
-    let x = Tensor::randn(&[2, 2], 0.0, 1.0, &mut Rng::seed_from(45));
+    let x = probe_input();
     // σ = 1 around w₀ = 1 pushes some (but not all) realizations past the
-    // |w| > 2 tripwire.
+    // |y| > 2 tripwire.
     let fault = FaultModel::AdditiveVariation { sigma: 1.0 };
 
-    let sweep = |threads: usize| {
+    let sweep = |batch: usize, threads: usize| {
         let sweep = Sweep {
+            batch,
             threads,
-            ..Sweep::new(Tripwire::new, fault, &x, |out: &Tensor| Ok(out.sum()))
+            ..Sweep::new(Tripwire::net, fault, &x, |out: &Tensor| Ok(out.sum()))
         };
-        let outcome = engine
-            .execute_on(EngineKind::Parallel, &sweep, &SweepControl::new())
-            .unwrap();
+        let outcome = engine.execute(&sweep, &SweepControl::new()).unwrap();
         let SweepOutcome::Complete {
             summary,
             quarantined,
@@ -575,15 +563,16 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
         };
         (summary, quarantined)
     };
+    let runs_of = |q: &[QuarantinedRun]| q.iter().map(|q| q.run).collect::<Vec<_>>();
 
-    let (summary, quarantined) = sweep(4);
+    let (summary, quarantined) = sweep(1, 4);
     assert!(
         !quarantined.is_empty(),
         "σ=1 must push some realizations past the tripwire"
     );
     assert_eq!(summary.per_run.len() + quarantined.len(), 32);
     for q in &quarantined {
-        assert_eq!(q.engine, EngineKind::Parallel);
+        assert_eq!(q.engine, EngineKind::Planned);
         assert!(
             matches!(&q.cause, QuarantineCause::Panic { message } if message.contains("tripwire")),
             "{q}"
@@ -591,23 +580,41 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
         // Diagnostics render the run, engine and fault label.
         let line = q.to_string();
         assert!(
-            line.starts_with(&format!("run {} quarantined on parallel [additive", q.run)),
+            line.starts_with(&format!("run {} quarantined on planned [additive", q.run)),
             "{line}"
         );
     }
 
     // Quarantine is deterministic: same runs trip on one worker thread, and
     // the surviving metrics are bit-identical.
-    let (summary_1t, quarantined_1t) = sweep(1);
-    assert_eq!(
-        quarantined.iter().map(|q| q.run).collect::<Vec<_>>(),
-        quarantined_1t.iter().map(|q| q.run).collect::<Vec<_>>(),
-    );
+    let (summary_1t, quarantined_1t) = sweep(1, 1);
+    assert_eq!(runs_of(&quarantined), runs_of(&quarantined_1t));
     assert_bits_equal(
         &summary.per_run,
         &summary_1t.per_run,
         "quarantine thread invariance",
     );
+
+    // One fused forward is one failure domain: at B = 3, every run of a
+    // batch holding a tripped run is quarantined with that batch's one
+    // message, and every other run keeps its B = 1 metric.
+    let tripped = runs_of(&quarantined);
+    let expected: Vec<usize> = (0..32)
+        .filter(|r| tripped.iter().any(|t| t / 3 == r / 3))
+        .collect();
+    assert!(expected.len() > tripped.len(), "some batch must mix runs");
+    let (summary_b3, quarantined_b3) = sweep(3, 4);
+    assert_eq!(runs_of(&quarantined_b3), expected);
+    for batch in quarantined_b3.chunk_by(|a, b| a.run / 3 == b.run / 3) {
+        assert!(batch.iter().all(|q| q.cause == batch[0].cause), "{batch:?}");
+    }
+    let survivors: Vec<f32> = (0..32)
+        .filter(|r| !tripped.contains(r))
+        .zip(&summary.per_run)
+        .filter(|(r, _)| !expected.contains(r))
+        .map(|(_, m)| *m)
+        .collect();
+    assert_bits_equal(&survivors, &summary_b3.per_run, "batch quarantine");
 
     // The pool survived the panics: later sweeps on the same process keep
     // working.
@@ -622,7 +629,7 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
         )
     };
     let healthy = engine
-        .execute_on(EngineKind::Parallel, &healthy, &SweepControl::new())
+        .execute(&healthy, &SweepControl::new())
         .and_then(SweepOutcome::into_summary)
         .unwrap();
     assert_eq!(healthy.per_run.len(), 32);
@@ -630,55 +637,37 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
 
 /// `run` and `run_auto` keep no quarantine: the lowest panicking run fails
 /// the sweep with an error instead of unwinding through the caller, and
-/// `run` restores the clean weight first. Plans reject `Tripwire`, so the
-/// ladder lands on the parallel engine.
+/// `run` restores the clean weight first.
 #[test]
 fn run_and_run_auto_report_the_lowest_panicking_run() {
     let engine = MonteCarloEngine::new(32, 0x7219);
-    let x = Tensor::randn(&[2, 2], 0.0, 1.0, &mut Rng::seed_from(45));
+    let x = probe_input();
     let fault = FaultModel::AdditiveVariation { sigma: 1.0 };
     let metric = |out: &Tensor| Ok(out.sum());
     let sweep = Sweep {
         threads: 4,
-        ..Sweep::new(Tripwire::new, fault, &x, metric)
+        ..Sweep::new(Tripwire::net, fault, &x, metric)
     };
-    let ladder = engine.execute(&sweep, &SweepControl::new()).unwrap();
-    assert_eq!(ladder.engine, EngineKind::Parallel);
-    assert!(
-        matches!(
-            ladder.fallbacks.as_slice(),
-            [FallbackStep {
-                engine: EngineKind::Planned,
-                reason: invnorm_imc::FallbackReason::Unsupported {
-                    layer: "Tripwire",
-                    ..
-                },
-            }]
-        ),
-        "{:?}",
-        ladder.fallbacks
-    );
-    let lowest = ladder.outcome.quarantined()[0].run;
+    let outcome = engine.execute(&sweep, &SweepControl::new()).unwrap();
+    let lowest = outcome.quarantined()[0].run;
     let expected = |err: &str| {
         err.contains("evaluation panicked (tripwire crossed")
             && err.ends_with(&format!(") on run {lowest}"))
     };
 
-    let mut net = Tripwire::new();
+    let mut net = Tripwire::net();
     let err = engine
         .run(&mut net, fault, |n| metric(&n.forward(&x, Mode::Eval)?))
         .unwrap_err()
         .to_string();
     assert!(expected(&err), "run: {err}");
-    assert_eq!(
-        net.weight.value.data(),
-        &[1.0],
-        "run must restore the weight"
-    );
+    let mut weights = Vec::new();
+    net.visit_params(&mut |p| weights.extend_from_slice(p.value.data()));
+    assert_eq!(weights, [1.0], "run must restore the weight");
 
     let err = engine
         .run_auto(
-            Tripwire::new,
+            Tripwire::net,
             fault,
             &x,
             metric,
@@ -694,9 +683,9 @@ fn run_and_run_auto_report_the_lowest_panicking_run() {
 #[test]
 fn sequential_supervised_quarantines_panics_too() {
     let engine = MonteCarloEngine::new(16, 0x7219);
-    let x = Tensor::randn(&[2, 2], 0.0, 1.0, &mut Rng::seed_from(46));
+    let x = probe_input();
     let fault = FaultModel::AdditiveVariation { sigma: 1.0 };
-    let mut net = Tripwire::new();
+    let mut net = Tripwire::net();
     let outcome = engine
         .run_supervised(
             SweepDomain::Weights,
@@ -717,52 +706,38 @@ fn sequential_supervised_quarantines_panics_too() {
     assert_eq!(summary.per_run.len() + quarantined.len(), 16);
     // The panic unwound through the injector bracket, but the engine still
     // restored the clean weight before the next instance: the surviving
-    // runs match the parallel engine bit for bit.
+    // runs match the planned engine bit for bit.
     let sweep = Sweep {
         threads: 2,
-        ..Sweep::new(Tripwire::new, fault, &x, |out: &Tensor| Ok(out.sum()))
+        ..Sweep::new(Tripwire::net, fault, &x, |out: &Tensor| Ok(out.sum()))
     };
-    let parallel = engine
-        .execute_on(EngineKind::Parallel, &sweep, &SweepControl::new())
-        .unwrap();
+    let planned = engine.execute(&sweep, &SweepControl::new()).unwrap();
     assert_bits_equal(
         &summary.per_run,
-        &parallel.summary().per_run,
-        "sequential vs parallel quarantine",
+        &planned.summary().per_run,
+        "sequential vs planned quarantine",
     );
 }
 
-/// A layer whose output blows up to +∞ once retention drift shrinks its
-/// weight below a threshold — the regression case for non-finite metrics
-/// being detected at record time instead of poisoning the aggregate.
-struct InfUnderDrift {
-    weight: Param,
-}
+/// A weightless analog readout that saturates to +∞ once retention drift
+/// shrinks the probe's output below a threshold — the regression case for
+/// non-finite metrics being detected at record time instead of poisoning
+/// the aggregate.
+struct InfUnderDrift;
 
 impl InfUnderDrift {
-    fn new() -> Self {
-        InfUnderDrift {
-            weight: Param::new(Tensor::from_vec(vec![1.0], &[1, 1]).unwrap()),
-        }
+    fn net() -> Sequential {
+        unit_probe(InfUnderDrift)
     }
 }
 
 impl Layer for InfUnderDrift {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> invnorm_nn::Result<Tensor> {
-        let w = self.weight.value.data()[0];
-        if w < 0.85 {
-            // Drifted too far: the (synthetic) analog readout saturates.
-            return Ok(input.scale(f32::INFINITY));
-        }
-        Ok(input.scale(w))
+        Ok(input.map(|y| if y < 0.85 { f32::INFINITY } else { y }))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> invnorm_nn::Result<Tensor> {
         Ok(grad_output.clone())
-    }
-
-    fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
-        visitor(&mut self.weight);
     }
 
     fn name(&self) -> &'static str {
@@ -773,7 +748,7 @@ impl Layer for InfUnderDrift {
 #[test]
 fn non_finite_metrics_under_drift_are_quarantined_at_record_time() {
     let engine = MonteCarloEngine::new(24, 0x1F);
-    let x = Tensor::ones(&[2, 2]);
+    let x = probe_input();
     // Correlated drift draws a per-run drift exponent, so some chip
     // instances shrink the weight past the saturation threshold and some do
     // not.
@@ -786,11 +761,9 @@ fn non_finite_metrics_under_drift_are_quarantined_at_record_time() {
     let metric = |out: &Tensor| Ok(out.sum());
     let sweep = Sweep {
         threads: 4,
-        ..Sweep::new(InfUnderDrift::new, fault, &x, metric)
+        ..Sweep::new(InfUnderDrift::net, fault, &x, metric)
     };
-    let outcome = engine
-        .execute_on(EngineKind::Parallel, &sweep, &SweepControl::new())
-        .unwrap();
+    let outcome = engine.execute(&sweep, &SweepControl::new()).unwrap();
     let SweepOutcome::Complete {
         summary,
         quarantined,
@@ -822,7 +795,7 @@ fn non_finite_metrics_under_drift_are_quarantined_at_record_time() {
     let lowest = quarantined[0].run;
     let err = engine
         .run_auto(
-            InfUnderDrift::new,
+            InfUnderDrift::net,
             fault,
             &x,
             metric,
@@ -856,26 +829,22 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
 
     let control =
         SweepControl::new().with_budget(RunBudget::unbounded().with_deadline(Duration::ZERO));
-    let outcome = engine
-        .execute_on(EngineKind::Planned, &sweep, &control)
-        .unwrap();
+    let outcome = engine.execute(&sweep, &control).unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
     assert!(Telemetry::counter(Counter::CancelledRuns) >= RUNS as u64);
 
     let control = SweepControl::new().with_resume(checkpoint);
-    let resumed = engine
-        .execute_on(EngineKind::Planned, &sweep, &control)
-        .unwrap();
+    let resumed = engine.execute(&sweep, &control).unwrap();
     assert!(resumed.is_complete());
     // Nothing was accounted before the zero deadline, so resume skips are
     // whatever other concurrent tests contributed — only quarantine needs a
     // dedicated probe.
     let quarantine_before = Telemetry::counter(Counter::QuarantinedRuns);
-    let ones = Tensor::ones(&[2, 2]);
+    let ones = probe_input();
     let drifting = Sweep {
         threads: 2,
         ..Sweep::new(
-            InfUnderDrift::new,
+            InfUnderDrift::net,
             FaultModel::CorrelatedDrift {
                 nu: 0.05,
                 time_ratio: 10.0,
@@ -886,9 +855,7 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
             metric,
         )
     };
-    let outcome = engine
-        .execute_on(EngineKind::Parallel, &drifting, &SweepControl::new())
-        .unwrap();
+    let outcome = engine.execute(&drifting, &SweepControl::new()).unwrap();
     let expected = outcome.quarantined().len() as u64;
     assert!(expected > 0);
     assert!(Telemetry::counter(Counter::QuarantinedRuns) >= quarantine_before + expected);
@@ -907,19 +874,13 @@ fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
             cancelling_sum(&calls, &token, CANCEL_AFTER),
         )
     };
-    let outcome = engine
-        .execute_on(EngineKind::Planned, &cancelling, &control)
-        .unwrap();
+    let outcome = engine.execute(&cancelling, &control).unwrap();
     let checkpoint = outcome.checkpoint().unwrap().clone();
     let accounted = checkpoint.accounted_runs() as u64;
     assert!(accounted > 0);
     let skips_before = Telemetry::counter(Counter::ResumeSkips);
     let resumed = engine
-        .execute_on(
-            EngineKind::Planned,
-            &sweep,
-            &SweepControl::new().with_resume(checkpoint),
-        )
+        .execute(&sweep, &SweepControl::new().with_resume(checkpoint))
         .unwrap();
     assert!(resumed.is_complete());
     assert!(Telemetry::counter(Counter::ResumeSkips) >= skips_before + accounted);

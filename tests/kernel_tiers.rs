@@ -11,9 +11,9 @@
 //!   across **all** tiers.
 //! * The `vecmath` elementwise kernels are per-lane and bit-identical across
 //!   all tiers.
-//! * A Monte-Carlo engine-ladder sweep under `force(Portable)` and
-//!   `force(Avx2)` is internally bit-identical across every engine, and each
-//!   summary records the tier it executed under.
+//! * A Monte-Carlo sweep under `force(Portable)` and `force(Avx2)` is
+//!   internally bit-identical across both engines, batch sizes and thread
+//!   counts, and each summary records the tier it executed under.
 //!
 //! The AVX-512 column of the matrix runs when the host supports it and is
 //! skipped **loudly** (a stderr note) otherwise.
@@ -236,6 +236,9 @@ fn cnn(seed: u64) -> Sequential {
         .with(Box::new(Sigmoid::new()))
 }
 
+/// Under each forced tier, the sequential oracle and the planned engine at
+/// several batch sizes and thread counts agree bit for bit, and every
+/// summary records the tier.
 #[test]
 fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
     let _guard = tier_lock();
@@ -253,24 +256,24 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
                 Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
             })
             .unwrap();
-        let on = |engine_kind, batch, threads| {
+        let on = |batch, threads| {
             let sweep = Sweep {
                 batch,
                 threads,
                 ..Sweep::new(|| cnn(23), fault, &x, metric)
             };
             engine
-                .execute_on(engine_kind, &sweep, &SweepControl::new())
+                .execute(&sweep, &SweepControl::new())
                 .and_then(SweepOutcome::into_summary)
                 .unwrap()
         };
-        let parallel = on(EngineKind::Parallel, 1, 3);
-        let planned = on(EngineKind::Planned, 1, 2);
-        let fused = on(EngineKind::Planned, 2, 2);
+        let planned_t3 = on(1, 3);
+        let planned = on(1, 2);
+        let fused = on(2, 2);
         // Every summary records the forced tier as its provenance.
         for (name, s) in [
             ("run", &sequential),
-            ("parallel", &parallel),
+            ("planned batch=1 threads=3", &planned_t3),
             ("planned batch=1", &planned),
             ("planned batch=2", &fused),
         ] {
@@ -281,10 +284,10 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
             );
             assert_eq!(s.per_run.len(), 4, "{name} run count");
         }
-        // Within the tier, every engine (different batch sizes and thread
-        // counts included) produces bit-identical per-run metrics.
+        // Within the tier, both engines (different batch sizes and thread
+        // counts included) produce bit-identical per-run metrics.
         for (name, s) in [
-            ("parallel", &parallel),
+            ("planned batch=1 threads=3", &planned_t3),
             ("planned batch=1", &planned),
             ("planned batch=2", &fused),
         ] {

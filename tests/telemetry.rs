@@ -157,7 +157,7 @@ fn telemetry_is_bit_invisible_on_every_engine() {
     for fault in all_faults() {
         // One pass per engine with telemetry disabled, then the exact same
         // simulation instrumented; per-run metrics must match bit for bit.
-        let mut results: [Option<[Vec<f32>; 4]>; 2] = [None, None];
+        let mut results: [Option<[Vec<f32>; 3]>; 2] = [None, None];
         for (slot, enabled) in [(0usize, false), (1usize, true)] {
             if enabled {
                 Telemetry::reset();
@@ -172,35 +172,29 @@ fn telemetry_is_bit_invisible_on_every_engine() {
                     Ok(n.forward(&xc, Mode::Eval)?.abs().mean())
                 })
                 .unwrap();
-            let on = |engine_kind, batch| {
+            let on = |batch| {
                 let sweep = Sweep {
                     batch,
                     threads: 2,
                     ..Sweep::new(|| cnn(23), fault, &x, metric)
                 };
                 engine
-                    .execute_on(engine_kind, &sweep, &SweepControl::new())
+                    .execute(&sweep, &SweepControl::new())
                     .and_then(SweepOutcome::into_summary)
                     .unwrap()
             };
-            let parallel = on(EngineKind::Parallel, 1);
-            let planned = on(EngineKind::Planned, 1);
-            let fused = on(EngineKind::Planned, 4);
+            let planned = on(1);
+            let fused = on(4);
             assert_eq!(sequential.telemetry.is_some(), enabled);
             assert_eq!(fused.telemetry.is_some(), enabled);
-            results[slot] = Some([
-                sequential.per_run,
-                parallel.per_run,
-                planned.per_run,
-                fused.per_run,
-            ]);
+            results[slot] = Some([sequential.per_run, planned.per_run, fused.per_run]);
             if enabled {
                 Telemetry::disable();
             }
         }
         let [baseline, instrumented] = results;
         let (baseline, instrumented) = (baseline.unwrap(), instrumented.unwrap());
-        for (i, name) in ["run", "parallel", "planned batch=1", "planned batch=4"]
+        for (i, name) in ["run", "planned batch=1", "planned batch=4"]
             .iter()
             .enumerate()
         {
@@ -287,7 +281,7 @@ fn planned_drift_scales_panels_and_never_repacks_in_either_domain() {
         Telemetry::reset();
         Telemetry::enable();
         MonteCarloEngine::new(6, 0xD81F)
-            .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+            .execute(&sweep, &SweepControl::new())
             .and_then(SweepOutcome::into_summary)
             .unwrap();
         Telemetry::disable();
@@ -319,7 +313,7 @@ fn chrome_trace_export_is_well_formed_and_balanced() {
         )
     };
     let summary = MonteCarloEngine::new(6, 0xACE)
-        .execute_on(EngineKind::Planned, &sweep, &SweepControl::new())
+        .execute(&sweep, &SweepControl::new())
         .and_then(SweepOutcome::into_summary)
         .unwrap();
     Telemetry::disable();
@@ -366,7 +360,7 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
     Telemetry::reset();
     Telemetry::enable();
     let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(41));
-    // A plannable CNN runs on the planned rung and no fallback fires.
+    // `run_auto` reports the planned engine and no fallbacks.
     let outcome = MonteCarloEngine::new(4, 7)
         .run_auto(
             || cnn(37),
@@ -380,16 +374,9 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
         .unwrap();
     Telemetry::disable();
     assert_eq!(outcome.engine, EngineKind::Planned);
+    assert!(outcome.fallbacks.is_empty());
+    // One line: the engine and the statistics, with no fallback to list.
     let rendered = outcome.to_string();
     assert!(rendered.contains(" [planned]: 4 runs"), "{rendered}");
-    // And a synthetic fallback renders with its reason.
-    let step = FallbackStep {
-        engine: EngineKind::Parallel,
-        reason: invnorm_imc::FallbackReason::Lifetime,
-    };
-    let line = step.to_string();
-    assert_eq!(
-        line,
-        "skipped parallel: no per-inference fault lifetime model"
-    );
+    assert!(!rendered.contains('\n'), "{rendered}");
 }
