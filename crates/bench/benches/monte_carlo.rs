@@ -14,7 +14,11 @@
 //! `BENCH_monte_carlo.json`; the `*_planned_*` / `*_sequential` pairs are
 //! the tracked speedup. The B = 1 points keep the name `*_planned_t4` and
 //! the B = 16 points `*_planned_batched_b16_t4`, so `bench_gate` compares
-//! them against the committed baseline rows.
+//! them against the committed baseline rows. The `*_b16_*` rows pass 16 as
+//! the cap ([`Sweep::batch`]): the engine stacks what fills one microkernel
+//! tile on the frozen first layer, at most 16 — e.g. 4 on the CNN (8 output
+//! channels) and 1 on the linear probe (256 outputs) with AVX-512 — so they
+//! no longer time a fixed stack of 16.
 //!
 //! Both engines produce bit-identical per-run metrics (tested in
 //! `invnorm-imc`), so these benchmarks compare equal work, not
@@ -38,7 +42,7 @@ use invnorm_tensor::{Rng, Tensor};
 /// Chip instances per engine run (kept below the paper's 100 so every
 /// benchmark iteration is one full engine invocation).
 const RUNS: usize = 32;
-/// Fault realizations fused per planned forward pass.
+/// The cap on fault realizations fused per planned forward pass.
 const BATCH: usize = 16;
 /// Worker threads for the planned engine.
 const THREADS: usize = 4;

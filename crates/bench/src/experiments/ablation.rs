@@ -1,4 +1,5 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over the design choices the README's "Experiments" section
+//! lists:
 //!
 //! * **Initialization spread** (paper Sec. IV-F): larger σγ/σβ trades a
 //!   little clean accuracy for robustness.
@@ -181,8 +182,9 @@ pub fn run_dropout(scale: &ExperimentScale) -> Result<Vec<Table>> {
 
 /// Monte-Carlo pass-count ablation: how the number of stochastic forward
 /// passes `T` affects the Bayesian prediction quality, clean and under 10 %
-/// bit flips. (A design choice DESIGN.md calls out: more passes stabilize
-/// the averaged prediction at linearly higher inference cost.)
+/// bit flips. (A design choice the README's "Experiments" section lists:
+/// more passes stabilize the averaged prediction at linearly higher
+/// inference cost.)
 ///
 /// # Errors
 ///

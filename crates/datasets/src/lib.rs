@@ -12,7 +12,7 @@
 //! `invnorm-bench` trains and evaluates in seconds. The robustness
 //! comparisons of the paper are relative (inverted-norm vs conventional vs
 //! Dropout BayNN on the *same* data), so they survive this substitution; see
-//! DESIGN.md for the full substitution rationale.
+//! the README's "Experiments" section for the substitution rationale.
 //!
 //! * [`images`] — multi-class image classification (CIFAR-10 stand-in).
 //! * [`audio`] — keyword-like 1-D audio classification (Speech-Commands

@@ -17,10 +17,11 @@
 //! - [`MonteCarloEngine::run_supervised`] — the same loop in either
 //!   [`SweepDomain`] (f32 weights or i8 codes) under a [`SweepControl`].
 //! - [`MonteCarloEngine::execute`] — the planned engine: runs a [`Sweep`]
-//!   request (model factory, fault, domain, input, metric, batch, threads)
-//!   by compiling each worker's model into an `invnorm_nn::plan::Plan`
-//!   holding `batch ≥ 1` stacked realizations and evaluating each stack in
-//!   one planned forward.
+//!   request (model factory, fault, domain, input, metric, batch cap,
+//!   threads) by compiling each worker's model into an
+//!   `invnorm_nn::plan::Plan` holding a stack of realizations — as many as
+//!   fill one microkernel tile on the plan's frozen layer, at most `batch`
+//!   — and evaluating each stack in one planned forward.
 //! - [`MonteCarloEngine::run_auto`] — `execute` on an f32 sweep, returning a
 //!   plain summary.
 //!
@@ -34,16 +35,16 @@ use crate::injector::{CodeFaultInjector, WeightFaultInjector};
 use crate::supervise::{Attempt, RunLedger, SweepControl, SweepDomain, SweepOutcome};
 use crate::Result;
 use invnorm_nn::layer::Layer;
-use invnorm_nn::plan::Plan;
+use invnorm_nn::plan::{FrozenWidth, Plan};
 use invnorm_nn::NnError;
 use invnorm_tensor::stats::RunningStats;
-use invnorm_tensor::telemetry::{self, RunScope, RunTelemetry};
+use invnorm_tensor::telemetry::{self, PlanFootprint, RunScope, RunTelemetry};
 use invnorm_tensor::{Rng, Tensor};
 use serde::{Deserialize, Serialize};
 use std::iter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Aggregated result of a Monte-Carlo fault simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -207,15 +208,20 @@ pub struct Sweep<'a, F, E> {
     pub input: &'a Tensor,
     /// Scores one realization's output.
     pub metric: E,
-    /// Fault realizations stacked per planned forward (`≥ 1`).
+    /// The cap on the fault realizations one planned forward stacks
+    /// (`≥ 1`). The engine stacks `min(batch, ceil(runs / threads),
+    /// ceil(NR / w))`: no more than fill one microkernel tile (NR columns)
+    /// on the plan's narrowest frozen layer (w output columns per
+    /// realization), and 1 without a frozen layer or under a per-inference
+    /// fault lifetime (see [`MonteCarloEngine::execute`]).
     pub batch: usize,
     /// Rayon worker threads.
     pub threads: usize,
 }
 
 impl<'a, F, E> Sweep<'a, F, E> {
-    /// A sweep on the f32 weights, one realization per forward, on one
-    /// thread.
+    /// A sweep on the f32 weights, capped at one realization per forward,
+    /// on one thread.
     pub fn new(factory: F, fault: impl Into<FaultSpec>, input: &'a Tensor, metric: E) -> Self {
         Self {
             factory,
@@ -443,9 +449,22 @@ impl MonteCarloEngine {
     /// Each worker builds its model once and compiles it into a plan for the
     /// shape of `input` (`Plan::compile_batched`): one-shot shape inference,
     /// arena-backed buffers, and — per registered weight or code operand —
-    /// `batch` stacked faulty buffers with per-realization cached packed
-    /// panels, all reserved at compile time, where each operand's RNG fork
-    /// index is also fixed. Per batch of chip instances, the injector
+    /// one stacked faulty buffer per realization with per-realization cached
+    /// packed panels, all reserved at compile time, where each operand's RNG
+    /// fork index is also fixed.
+    ///
+    /// How many realizations a plan stacks follows one rule. The worker
+    /// first compiles at B = 1 and reads the plan's narrowest frozen layer
+    /// (`Plan::frozen_width`: output width w, microkernel width NR). It then
+    /// recompiles once at `min(sweep.batch, ceil(runs / threads),
+    /// ceil(NR / w))` when that is more than 1: stacking pays only through a
+    /// frozen layer's fused wide GEMM, and only until the stack fills one
+    /// register tile. Without a frozen weighted layer, or under
+    /// [`FaultLifetime::PerInference`], the stack is 1. With telemetry on,
+    /// the run's `RunTelemetry::plan` reports the stack and the plan's
+    /// arena bytes.
+    ///
+    /// Per batch of chip instances, the injector
     /// materializes the realizations from the per-instance RNG streams
     /// straight into the plan's operands
     /// ([`WeightFaultInjector::realize_plan_batch`] /
@@ -455,9 +474,8 @@ impl MonteCarloEngine {
     /// place in both domains, dense models re-pack only dirty rows — and ONE
     /// planned forward evaluates the whole stack, with the cached activation
     /// panels streamed against every realization's weight panel. `metric`
-    /// then scores each realization's rows of the stacked output. The stack
-    /// is capped so every worker gets at least one batch, and a smaller tail
-    /// batch recompiles the worker's plan.
+    /// then scores each realization's rows of the stacked output. A smaller
+    /// tail batch recompiles the worker's plan.
     ///
     /// Both fault lifetimes are supported: under
     /// [`FaultLifetime::PerInference`] the plan re-realizes before every
@@ -501,7 +519,7 @@ impl MonteCarloEngine {
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
         sweep.fault.model.validate()?;
-        let scope = RunScope::begin();
+        let mut scope = RunScope::begin();
         let (fault, lifetime) = (sweep.fault.model, sweep.fault.lifetime);
         let (seed, runs, domain, input) = (self.seed, self.runs, sweep.domain, sweep.input);
         let mut ledger = RunLedger::new(
@@ -514,70 +532,80 @@ impl MonteCarloEngine {
         )?;
         let done = ledger.done_mask();
         let budget = &control.budget;
-        // Cap the stack size so every worker gets at least one batch:
-        // per-run metrics depend only on `(seed, run)`, so regrouping runs
-        // into smaller stacks is bit-identical — but leaving workers idle
-        // is pure wall-clock loss.
-        let batch = sweep
-            .batch
-            .clamp(1, runs)
-            .min(runs.div_ceil(sweep.threads.max(1)))
-            .max(1);
-        let n_batches = runs.div_ceil(batch);
-        let threads = sweep.threads.clamp(1, n_batches);
-        let next_batch = AtomicUsize::new(0);
+        let cap = stack_cap(sweep.batch, runs, sweep.threads);
+        let threads = sweep.threads.clamp(1, runs.div_ceil(cap));
+        let next_run = AtomicUsize::new(0);
         type BatchEntry = (usize, usize, Attempt<Vec<f32>>);
-        let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::with_capacity(n_batches));
+        let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::new());
+        // Every worker builds the same model, so they all reach the same
+        // stack and steady-state plan; the first to compile it records it.
+        let footprint: OnceLock<PlanFootprint> = OnceLock::new();
         rayon::scope(|s| {
             for _ in 0..threads {
-                let next_batch = &next_batch;
-                let collected = &collected;
+                let (next_run, collected, footprint) = (&next_run, &collected, &footprint);
                 let factory = &sweep.factory;
                 let metric = &sweep.metric;
                 let done = &done;
                 s.spawn(move || {
+                    let compile = |model: &mut M, b: usize| -> Result<Plan> {
+                        // Release the previous plan's operands first.
+                        model.plan_end();
+                        let mut plan = Plan::compile_batched(model, input, b)?;
+                        plan.set_fault_lifetime(lifetime);
+                        Ok(plan)
+                    };
                     let mut model = factory();
-                    // Compiled lazily on the first claimed batch so a
-                    // compilation failure is attributed to a concrete run;
-                    // recompiled (at most once per worker in practice) when
-                    // a tail batch arrives with a smaller size.
                     let mut plan: Option<Plan> = None;
-                    let mut rngs: Vec<Rng> = Vec::with_capacity(batch);
+                    // Fixed by the first compile, at B = 1: the stack rule
+                    // needs the plan's frozen width. The plan is recompiled
+                    // once when the rule stacks more, and for a smaller tail
+                    // batch.
+                    let mut known_stack: Option<usize> = None;
+                    let mut rngs: Vec<Rng> = Vec::with_capacity(cap);
                     // Reusable per-worker staging for one realization's
                     // slice of the stacked output, so scoring metrics does
                     // not allocate per run.
                     let mut realization: Option<Tensor> = None;
                     let mut local: Vec<BatchEntry> = Vec::new();
-                    loop {
-                        let bi = next_batch.fetch_add(1, Ordering::Relaxed);
-                        if bi >= n_batches {
+                    while budget.interrupted().is_none() {
+                        let stack = match known_stack {
+                            Some(stack) => stack,
+                            None => match compile(&mut model, 1) {
+                                Ok(p) => {
+                                    let stack = stack_size(cap, p.frozen_width(), lifetime);
+                                    plan = Some(p);
+                                    known_stack = Some(stack);
+                                    stack
+                                }
+                                Err(e) => {
+                                    // Pin the failure on the next unclaimed run.
+                                    let start = next_run.fetch_add(1, Ordering::Relaxed);
+                                    if start < runs {
+                                        local.push((start, 1, Ok(Err(e))));
+                                    }
+                                    break;
+                                }
+                            },
+                        };
+                        let start = next_run.fetch_add(stack, Ordering::Relaxed);
+                        if start >= runs {
                             break;
                         }
-                        let start = bi * batch;
-                        let bsize = batch.min(runs - start);
-                        // Skip fully-accounted batches (resume) before any
-                        // compile work; a partially-done batch re-runs whole
-                        // — the replayed values are identical and the ledger
-                        // ignores re-records.
+                        let bsize = stack.min(runs - start);
+                        // Skip fully-accounted batches (resume); a
+                        // partially-done batch re-runs whole — the replayed
+                        // values are identical and the ledger ignores
+                        // re-records.
                         if done[start..start + bsize].iter().all(|d| *d) {
                             continue;
                         }
-                        if budget.interrupted().is_some() {
-                            break;
-                        }
                         if plan.as_ref().is_none_or(|p| p.batch() != bsize) {
-                            // The first compile is unavoidable; only a
-                            // size-mismatched tail batch counts as a recompile
-                            // (its old plan's operands are released first).
-                            if plan.take().is_some() {
+                            if bsize < stack {
                                 telemetry::count(telemetry::Counter::TailRecompiles, 1);
                             }
-                            model.plan_end();
-                            match Plan::compile_batched(&mut model, input, bsize) {
-                                Ok(mut p) => {
-                                    p.set_fault_lifetime(lifetime);
-                                    plan = Some(p);
-                                }
+                            drop(plan.take());
+                            match compile(&mut model, bsize) {
+                                Ok(p) => plan = Some(p),
                                 Err(e) => {
                                     local.push((start, bsize, Ok(Err(e))));
                                     break;
@@ -585,6 +613,9 @@ impl MonteCarloEngine {
                             }
                         }
                         let plan_ref = plan.as_mut().expect("plan compiled above");
+                        if bsize == stack {
+                            footprint.get_or_init(|| plan_ref.footprint());
+                        }
                         rngs.clear();
                         rngs.extend((0..bsize).map(|i| Self::run_rng(seed, start + i)));
                         let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -602,7 +633,7 @@ impl MonteCarloEngine {
                             // The panic left the model, its plan and the
                             // staging tensor in an unknown state; rebuild
                             // everything (the next claimed batch recompiles
-                            // lazily).
+                            // at the known stack).
                             plan = None;
                             model = factory();
                             realization = None;
@@ -617,6 +648,9 @@ impl MonteCarloEngine {
                 });
             }
         });
+        if let Some(&footprint) = footprint.get() {
+            scope.record_plan(footprint);
+        }
         let mut collected = collected
             .into_inner()
             .expect("monte-carlo result lock poisoned");
@@ -674,9 +708,10 @@ impl MonteCarloEngine {
         Ok(metrics)
     }
 
-    /// [`MonteCarloEngine::execute`] on an f32-weight sweep of `batch`
-    /// stacked realizations over `threads` workers, returning a plain
-    /// summary through [`SweepOutcome::into_summary`]. `policy` has one
+    /// [`MonteCarloEngine::execute`] on an f32-weight sweep over `threads`
+    /// workers with `batch` as the stack cap ([`Sweep::batch`]; the engine
+    /// stacks what fills one microkernel tile, at most `batch`), returning a
+    /// plain summary through [`SweepOutcome::into_summary`]. `policy` has one
     /// value and changes nothing; the outcome always reports
     /// [`EngineKind::Planned`] and no fallbacks.
     ///
@@ -716,6 +751,33 @@ impl MonteCarloEngine {
 impl Default for MonteCarloEngine {
     fn default() -> Self {
         Self::paper_default()
+    }
+}
+
+/// The upper bound of the planned engine's stack: [`Sweep::batch`], and at
+/// least one stack per worker (`ceil(runs / threads)`). Per-run metrics
+/// depend only on `(seed, run)`, so regrouping runs into smaller stacks is
+/// bit-identical — but leaving workers idle is pure wall-clock loss.
+fn stack_cap(batch: usize, runs: usize, threads: usize) -> usize {
+    batch.clamp(1, runs).min(runs.div_ceil(threads.max(1)))
+}
+
+/// The planned engine's stack rule: how many fault realizations one planned
+/// forward stacks, below `cap` ([`stack_cap`]).
+///
+/// Stacking pays through one GEMM only: a frozen layer's fused
+/// `[rows, B·w]` product over all realizations. That product reaches the
+/// microkernel's full width once `B·w ≥ NR`; beyond one register tile,
+/// further realizations only push the working set out of L2 (Goto & van de
+/// Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
+/// 2008). So the stack is `min(cap, ceil(NR / w))` for the plan's narrowest
+/// frozen layer ([`FrozenWidth::fill`]), and 1 when no weighted layer reads
+/// the plan input or faults are re-drawn per inference (no frozen path
+/// runs then).
+fn stack_size(cap: usize, frozen: Option<FrozenWidth>, lifetime: FaultLifetime) -> usize {
+    match (frozen, lifetime) {
+        (Some(w), FaultLifetime::Static) => cap.min(w.fill()),
+        _ => 1,
     }
 }
 
@@ -785,7 +847,8 @@ mod tests {
     }
 
     /// The planned engine scoring the `sum` of `build()`'s output on `x`,
-    /// with `(batch, threads)`.
+    /// with `(batch, threads)`. Asserts, through the run's telemetry, that
+    /// the engine ran the stack its rule picks for `build()`'s frozen width.
     fn planned(
         mc: &MonteCarloEngine,
         domain: SweepDomain,
@@ -794,13 +857,48 @@ mod tests {
         x: &Tensor,
         (batch, threads): (usize, usize),
     ) -> Result<MonteCarloSummary> {
+        let spec = fault.into();
+        // Telemetry is bit-invisible; no test of this crate needs it off.
+        telemetry::Telemetry::enable();
         let sweep = Sweep {
             domain,
             batch,
             threads,
-            ..Sweep::new(build, fault, x, sum)
+            ..Sweep::new(&build, spec, x, sum)
         };
-        sweep_on(mc, &sweep)
+        let summary = sweep_on(mc, &sweep)?;
+        let ran = summary.telemetry.as_ref().and_then(|t| t.plan);
+        let expected = expected_stack(mc, build, x, spec.lifetime, (batch, threads));
+        assert_eq!(
+            ran.map(|p| p.stack),
+            Some(expected),
+            "{spec:?} {batch} {threads}"
+        );
+        Ok(summary)
+    }
+
+    /// The stack the rule must pick for `build()` on `x`: on a static
+    /// sweep with a frozen layer `min(cap, ceil(NR / w))`, else one. Every
+    /// net a test stacks keeps its frozen layer at most 2 wide
+    /// ([`NARROW`]), so a static sweep asking for B > 1 stacks at least
+    /// `min(cap, 4)` realizations on every tier (NR ≥ 8): none silently
+    /// falls to B = 1.
+    fn expected_stack(
+        mc: &MonteCarloEngine,
+        build: impl Fn() -> Sequential,
+        x: &Tensor,
+        lifetime: FaultLifetime,
+        (batch, threads): (usize, usize),
+    ) -> usize {
+        let cap = batch.min(mc.runs().div_ceil(threads));
+        let frozen = Plan::compile(&mut build(), x).unwrap().frozen_width();
+        match (frozen, lifetime) {
+            (Some(w), FaultLifetime::Static) => {
+                assert!(batch == 1 || w.width <= NARROW, "{w:?} is too wide");
+                cap.min(w.nr.div_ceil(w.width))
+            }
+            _ => 1,
+        }
     }
 
     /// Asserts `b` reproduces `a`'s per-run metrics bit for bit.
@@ -1078,6 +1176,10 @@ mod tests {
         ]
     }
 
+    /// Output width of every test net's plan-input layer: narrow enough
+    /// that the stack rule stacks on every tier.
+    const NARROW: usize = 2;
+
     /// An MLP with a normalization layer in the middle: the norm's rank-1
     /// affine parameters shift the global parameter indices, exercising the
     /// compile-time fork indices that keep the plan's RNG streams aligned
@@ -1087,12 +1189,15 @@ mod tests {
         use invnorm_nn::norm::GroupNorm;
         let mut rng = Rng::seed_from(seed);
         Sequential::new()
-            .with(Box::new(Linear::new(8, 16, &mut rng)))
+            .with(Box::new(Linear::new(8, NARROW, &mut rng)))
+            .with(Box::new(Linear::new(NARROW, 16, &mut rng)))
             .with(Box::new(GroupNorm::layer_norm(16)))
             .with(Box::new(Relu::new()))
             .with(Box::new(Linear::new(16, 4, &mut rng)))
     }
 
+    /// Two convolutions: the frozen first one takes the fused wide path, the
+    /// second unfolds each stacked realization's tile in turn.
     fn small_cnn(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::conv::Conv2d;
@@ -1100,41 +1205,44 @@ mod tests {
         use invnorm_nn::reshape::Flatten;
         let mut rng = Rng::seed_from(seed);
         Sequential::new()
-            .with(Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)))
+            .with(Box::new(Conv2d::new(2, NARROW, 3, 1, 1, &mut rng)))
             .with(Box::new(Relu::new()))
             .with(Box::new(MaxPool2d::new(2)))
-            .with(Box::new(Conv2d::new(4, 6, 3, 1, 1, &mut rng)))
+            .with(Box::new(Conv2d::new(NARROW, 6, 3, 1, 1, &mut rng)))
             .with(Box::new(Relu::new()))
             .with(Box::new(Flatten::new()))
             .with(Box::new(Linear::new(6 * 4 * 4, 3, &mut rng)))
     }
 
-    /// A residual block (identity skip + post activation) under a dense
-    /// head.
+    /// A residual block reading the plan input (projection shortcut + post
+    /// activation) under a dense head: both branches run frozen.
     fn residual_net(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::Residual;
         let mut rng = Rng::seed_from(seed);
         let main = Sequential::new()
-            .with(Box::new(Linear::new(6, 6, &mut rng)))
+            .with(Box::new(Linear::new(6, NARROW, &mut rng)))
             .with(Box::new(Relu::new()));
+        let shortcut = Sequential::new().with(Box::new(Linear::new(6, NARROW, &mut rng)));
         Sequential::new()
             .with(Box::new(
-                Residual::new(main).with_post(Box::new(Relu::new())),
+                Residual::with_shortcut(main, shortcut).with_post(Box::new(Relu::new())),
             ))
-            .with(Box::new(Linear::new(6, 2, &mut rng)))
+            .with(Box::new(Linear::new(NARROW, 2, &mut rng)))
     }
 
     fn quantized_net(seed: u64) -> Sequential {
         use invnorm_nn::activation::Relu;
         use invnorm_nn::quantized::QuantizedLinear;
         let mut rng = Rng::seed_from(seed);
-        let l1 = Linear::new(12, 10, &mut rng);
-        let l2 = Linear::new(10, 4, &mut rng);
+        let l1 = Linear::new(12, NARROW, &mut rng);
+        let l2 = Linear::new(NARROW, 10, &mut rng);
+        let l3 = Linear::new(10, 4, &mut rng);
         Sequential::new()
             .with(Box::new(QuantizedLinear::from_linear(&l1, 8).unwrap()))
+            .with(Box::new(QuantizedLinear::from_linear(&l2, 8).unwrap()))
             .with(Box::new(Relu::new()))
-            .with(Box::new(QuantizedLinear::from_linear(&l2, 6).unwrap()))
+            .with(Box::new(QuantizedLinear::from_linear(&l3, 6).unwrap()))
     }
 
     /// Batch 1 is one realization per forward, 3 leaves a tail batch of 1
@@ -1259,6 +1367,49 @@ mod tests {
             let err = sweep_on(&engine, &nan).unwrap_err().to_string();
             assert!(err.contains("on run 0"), "batch={batch}: {err}");
         }
+    }
+
+    /// The stack rule as a pure function: the smallest stack that fills one
+    /// microkernel tile on the narrowest frozen layer, under both caps.
+    #[test]
+    fn stack_rule_fills_one_microkernel_tile() {
+        use invnorm_tensor::dispatch::KernelTier::{self, Avx2, Avx512, Portable};
+        use invnorm_tensor::{gemm, qgemm};
+        use FaultLifetime::{PerInference, Static};
+        let f32_layer = |width, tier| {
+            Some(FrozenWidth {
+                width,
+                nr: gemm::nr(tier),
+            })
+        };
+        let rule = |frozen| stack_size(stack_cap(16, 32, 1), frozen, Static);
+        assert_eq!(rule(f32_layer(8, Portable)), 1);
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(rule(f32_layer(8, Avx512)), 4);
+            assert_eq!(rule(f32_layer(8, Avx2)), 2);
+            // The integer kernels are 32 and 16 columns wide.
+            let q_layer = |width, tier: KernelTier| {
+                Some(FrozenWidth {
+                    width,
+                    nr: qgemm::nr(tier),
+                })
+            };
+            assert_eq!(rule(q_layer(8, Avx512)), 4);
+            assert_eq!(rule(q_layer(8, Avx2)), 2);
+        }
+        for tier in [Portable, Avx2, Avx512] {
+            assert_eq!(rule(f32_layer(256, tier)), 1);
+        }
+        // Both caps: `Sweep::batch`, then one stack per worker at least.
+        let narrow = f32_layer(1, Portable);
+        assert_eq!(stack_size(stack_cap(3, 32, 1), narrow, Static), 3);
+        assert_eq!(stack_size(stack_cap(16, 10, 4), narrow, Static), 3);
+        assert_eq!(stack_size(stack_cap(16, 2, 1), narrow, Static), 2);
+        assert_eq!(stack_size(stack_cap(16, 32, 1), narrow, Static), 8);
+        // No frozen layer, or no frozen path: one realization per forward.
+        assert_eq!(stack_size(16, None, Static), 1);
+        assert_eq!(stack_size(16, narrow, PerInference), 1);
     }
 
     #[test]
@@ -1438,12 +1589,16 @@ mod tests {
         let static_fault = fault.model;
         let sequential = oracle(&mc, W, &mut build(262), static_fault, x).unwrap();
         let policy = DegradationPolicy::Graceful;
+        telemetry::Telemetry::enable();
         let outcome = mc
             .run_auto(|| build(262), fault, x, sum, 3, 2, policy)
             .unwrap();
         assert_eq!(outcome.engine, EngineKind::Planned);
         assert!(outcome.fallbacks.is_empty());
         assert_same_runs(&sequential, &outcome.summary, &format!("{fault:?}"));
+        let ran = outcome.summary.telemetry.and_then(|t| t.plan);
+        let expected = expected_stack(&mc, || build(262), x, fault.lifetime, (3, 2));
+        assert_eq!(ran.map(|p| p.stack), Some(expected));
     }
 
     #[test]

@@ -278,16 +278,15 @@ impl Layer for MicroUNet {
             NnError::Config("MicroUNet::plan_forward called without plan_compile".into())
         })?;
         let mut run = || -> Result<()> {
-            self.enc1
-                .plan_forward(input, &state.e1, ctx.child(true), arenas)?;
+            self.enc1.plan_forward(input, &state.e1, ctx, arenas)?;
             self.pool
-                .plan_forward(&state.e1, &state.pooled, ctx.child(false), arenas)?;
+                .plan_forward(&state.e1, &state.pooled, ctx, arenas)?;
             self.enc2
-                .plan_forward(&state.pooled, &state.e2, ctx.child(false), arenas)?;
+                .plan_forward(&state.pooled, &state.e2, ctx, arenas)?;
             self.up
-                .plan_forward(&state.e2, &state.upsampled, ctx.child(false), arenas)?;
+                .plan_forward(&state.e2, &state.upsampled, ctx, arenas)?;
             self.reduce
-                .plan_forward(&state.upsampled, &state.decoded, ctx.child(false), arenas)?;
+                .plan_forward(&state.upsampled, &state.decoded, ctx, arenas)?;
             // Additive skip fusion in `Tensor::add` order.
             let [a, b, s] =
                 arenas
@@ -297,7 +296,7 @@ impl Layer for MicroUNet {
                 *d = x + y;
             }
             self.fuse
-                .plan_forward(&state.fused, &state.out, ctx.child(false), arenas)
+                .plan_forward(&state.fused, &state.out, ctx, arenas)
         };
         let result = run();
         self.plan = Some(state);

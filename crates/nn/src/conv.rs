@@ -6,7 +6,8 @@ use crate::layer::{Layer, Mode, Param};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
-use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::dispatch;
+use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
 
@@ -32,20 +33,23 @@ pub struct Conv2d {
     plan: Option<Conv2dPlan>,
 }
 
-/// Compiled-plan state: arena slots for the im2col patch matrix and the
-/// GEMM staging buffer, the id of the plan-owned kernel operand (one packed
-/// panel per stacked realization for batched plans), and the cached packed
-/// patch panel for frozen (run-invariant) inputs.
+/// Compiled-plan state: arena slots for one realization's im2col patch
+/// matrix and the GEMM staging buffer, the id of the plan-owned kernel
+/// operand (one packed panel per stacked realization for batched plans), and
+/// the cached packed patch panel for frozen (run-invariant) inputs.
 #[derive(Debug)]
 struct Conv2dPlan {
     cols: ArenaSlot,
     om: ArenaSlot,
     weight: OperandId,
+    /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
+    frozen: bool,
     packed_a: PackedA,
     a_gen: u64,
     plan_scratch: Scratch,
-    /// Dims of one realization's tile of the stacked input edge (frozen
-    /// inputs unfold only the first tile — every tile is identical).
+    /// Dims of one realization's tile of the stacked input edge: the unit
+    /// every unfold works on (frozen inputs unfold only the first tile —
+    /// every tile is identical).
     tile_dims: Vec<usize>,
 }
 
@@ -217,17 +221,23 @@ impl Layer for Conv2d {
         }
         let shape = conv_out_shape(&input.dims, &self.spec)?;
         let oc = self.out_channels;
+        let rows_per = shape.rows / batch;
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
+        let frozen = arenas.gemm_layer(input, oc, gemm::nr(dispatch::active()));
+        let wide = if frozen { batch } else { 1 };
         self.plan = Some(Conv2dPlan {
-            cols: arenas.f.reserve(shape.rows * shape.patch),
-            // GEMM staging: sized for the fused wide `[rows/B, B·oc]`
-            // product of a frozen layer; the per-realization path reuses
-            // its `[rows/B, oc]` prefix across the stack.
-            om: arenas.f.reserve(shape.rows / batch * oc * batch),
+            // One realization's patches: every path unfolds one tile at a
+            // time, so compile cost does not grow with the stack.
+            cols: arenas.f.reserve(rows_per * shape.patch),
+            // GEMM staging: the fused wide `[rows/B, B·oc]` product of a
+            // frozen layer; the per-realization path reuses its
+            // `[rows/B, oc]` prefix across the stack.
+            om: arenas.f.reserve(rows_per * oc * wide),
             weight: arenas
                 .weights
                 .register(self.weight.value.data(), shape.patch, oc)?,
+            frozen,
             packed_a: PackedA::new(),
             a_gen: 0,
             plan_scratch: Scratch::new(),
@@ -254,28 +264,28 @@ impl Layer for Conv2d {
         let batch = arenas.batch();
         let n_per = shape.n / batch;
         let rows_per = shape.rows / batch;
+        let per_in = input.numel() / batch;
         let per_out = n_per * oc * shape.oh * shape.ow;
+        let frozen = state.frozen && ctx.static_faults;
         let bias = self.bias.as_ref().map(|bias| &bias.value);
         let weight = &mut arenas.weights[state.weight];
         let [x, cols, om, out] = arenas
             .f
             .many_mut([input.slot, state.cols, state.om, output.slot]);
-        if ctx.frozen {
+        if frozen {
             // Frozen plan input: the stacked tiles are identical, so the
             // first tile is unfolded and its patch panel packed once per
             // `load_input`, then reused for every realization.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                let tile = &x[..state.tile_dims.iter().product()];
-                let patches = &mut cols[..rows_per * shape.patch];
-                conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, patches)?;
-                state.packed_a.pack(false, patches, rows_per, shape.patch);
+                conv::im2col_slice_into(&x[..per_in], &state.tile_dims, &self.spec, cols)?;
+                state.packed_a.pack(false, cols, rows_per, shape.patch);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
         }
-        if ctx.frozen && batch > 1 {
+        if frozen && batch > 1 {
             // Fused wide product for the frozen first layer: ONE cached
             // patch panel meets the wide stacked kernel operand in a single
             // `[rows, B·oc]` GEMM; the strided columns are then re-laid out
@@ -301,21 +311,19 @@ impl Layer for Conv2d {
         // Bring the cached packed operands up to date with this realization
         // batch (cell scatter / dirty-row re-packing / uniform-scale).
         weight.refresh_all();
-        if !ctx.frozen {
-            // Per-realization inputs: one unfold of the whole stacked batch
-            // (im2col is per-sample, so this equals per-realization
-            // unfolds); each realization then multiplies its own row block.
-            conv::im2col_slice_into(x, &input.dims, &self.spec, cols)?;
-        }
         for b in 0..batch {
             let om_b = &mut om[..rows_per * oc];
-            if ctx.frozen {
+            if frozen {
                 gemm_prepacked_ab(&state.packed_a, weight.panel(b), 1.0, 0.0, om_b);
             } else {
-                let cols_b = &cols[b * rows_per * shape.patch..][..rows_per * shape.patch];
+                // Per-realization inputs: unfold realization b's tile into
+                // the one-tile patch slot (im2col is per-sample, so this
+                // equals its rows of a whole-stack unfold) and multiply it.
+                let tile = &x[b * per_in..][..per_in];
+                conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, cols)?;
                 let panel = weight.panel(b);
                 let scratch = &mut state.plan_scratch;
-                gemm_prepacked_b(false, rows_per, 1.0, cols_b, panel, 0.0, om_b, scratch);
+                gemm_prepacked_b(false, rows_per, 1.0, cols, panel, 0.0, om_b, scratch);
             }
             let out_b = &mut out[b * per_out..][..per_out];
             conv::relayout_nchw_into(om_b, bias, n_per, oc, shape.oh, shape.ow, out_b);
@@ -491,6 +499,7 @@ impl Layer for Conv1d {
             slot: arenas.f.reserve(n * c * padded_l),
             dims: vec![n, c, 1, padded_l],
         };
+        arenas.copy_edge(input, &padded);
         let inner_out = self.inner.plan_compile(&padded, arenas)?;
         let d = inner_out.dims.clone();
         let squeezed = PlanShape {
@@ -520,8 +529,8 @@ impl Layer for Conv1d {
                     .copy_from_slice(&x[nc * l..(nc + 1) * l]);
             }
         }
-        // The padded edge is a pure copy of the plan input, so the frozen
-        // property carries through to the inner convolution's caches.
+        // The padded edge is a pure copy of the input (declared at compile),
+        // so a frozen input keeps the inner convolution's caches valid.
         self.inner
             .plan_forward(&state.padded, &state.inner_out, ctx, arenas)
     }
@@ -634,6 +643,18 @@ mod tests {
                 "conv1d input grad mismatch at {idx}"
             );
         }
+    }
+
+    /// A Conv1d's padded edge is a pure copy of its input, so the inner
+    /// convolution of a plan-input Conv1d stays frozen.
+    #[test]
+    fn conv1d_plan_keeps_its_padded_input_frozen() {
+        let mut rng = Rng::seed_from(8);
+        let mut conv = Conv1d::new(2, 3, 5, 1, 2, &mut rng);
+        let x = Tensor::randn(&[2, 2, 16], 0.0, 1.0, &mut rng);
+        let plan = crate::plan::Plan::compile(&mut conv, &x).unwrap();
+        assert_eq!(plan.frozen_width().map(|w| w.width), Some(3));
+        conv.plan_end();
     }
 
     #[test]

@@ -147,6 +147,11 @@ pub trait Layer {
     /// `arenas.codes`), reading it back by id in [`Layer::plan_forward`];
     /// `Plan::compile` fails with [`crate::NnError::Config`] if one is left
     /// unregistered. Containers compile children in `visit_params` order.
+    /// A GEMM layer reports its product's output width through
+    /// [`crate::plan::PlanArenas::gemm_layer`], which also tells it whether
+    /// its input edge is frozen; a layer that copies its input unchanged
+    /// into a new edge declares it with
+    /// [`crate::plan::PlanArenas::copy_edge`].
     ///
     /// The default implementation is the *fallback* protocol for layers
     /// without fault-targetable state: it discovers the output shape by

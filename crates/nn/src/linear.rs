@@ -4,7 +4,8 @@ use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
-use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::dispatch;
+use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ops, ArenaSlot, Rng, Scratch, Tensor};
 
@@ -46,14 +47,14 @@ pub struct Linear {
 #[derive(Debug)]
 struct LinearPlan {
     weight: OperandId,
+    /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
+    frozen: bool,
     packed_a: PackedA,
     a_gen: u64,
     scratch: Scratch,
-    /// Staging for the fused wide `[N, B·out]` product of frozen batched
-    /// layers, re-strided into per-realization stacking afterwards. Whether
-    /// a layer runs frozen is only known at forward time, so every batched
-    /// Linear reserves this one output-edge-sized slot even though only a
-    /// frozen first layer uses it.
+    /// Staging for the fused wide `[N, B·out]` product of a frozen batched
+    /// layer, re-strided into per-realization stacking afterwards (empty
+    /// otherwise).
     wide_stage: ArenaSlot,
 }
 
@@ -185,14 +186,18 @@ impl Layer for Linear {
         }
         let n = input.dims[0];
         let (fin, fout) = (self.in_features, self.out_features);
+        let frozen = arenas.gemm_layer(input, fout, gemm::nr(dispatch::active()));
         self.plan = Some(LinearPlan {
             weight: arenas
                 .weights
                 .register(self.weight.value.data(), fin, fout)?,
+            frozen,
             packed_a: PackedA::new(),
             a_gen: 0,
             scratch: Scratch::new(),
-            wide_stage: arenas.f.reserve(if batch > 1 { n * fout } else { 0 }),
+            wide_stage: arenas
+                .f
+                .reserve(if frozen && batch > 1 { n * fout } else { 0 }),
         });
         Ok(PlanShape {
             slot: arenas.f.reserve(n * fout),
@@ -214,11 +219,12 @@ impl Layer for Linear {
         let batch = arenas.batch();
         // Realization b owns rows [b·n, (b+1)·n) of the stacked edges.
         let n = input.dims[0] / batch;
+        let frozen = state.frozen && ctx.static_faults;
         let weight = &mut arenas.weights[state.weight];
         let [x, stage, out] = arenas
             .f
             .many_mut([input.slot, state.wide_stage, output.slot]);
-        if ctx.frozen {
+        if frozen {
             // The plan input is constant across runs — and its stacked
             // realizations are tiles of the same activation — so the first
             // tile is packed once per `load_input`.
@@ -230,7 +236,7 @@ impl Layer for Linear {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
         }
-        if ctx.frozen && batch > 1 {
+        if frozen && batch > 1 {
             // Fused wide product: the cached activation panel meets the wide
             // stacked weight operand in a single `[N, B·out]` GEMM (full
             // microkernel width, the activation panel streamed once), then
@@ -252,7 +258,7 @@ impl Layer for Linear {
             weight.refresh_all();
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
-                if ctx.frozen {
+                if frozen {
                     gemm_prepacked_ab(&state.packed_a, weight.panel(b), 1.0, 0.0, out_b);
                 } else {
                     let x_b = &x[b * n * fin..][..n * fin];

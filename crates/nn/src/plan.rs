@@ -43,7 +43,7 @@ use crate::layer::{Layer, Mode};
 use crate::Result;
 use invnorm_tensor::gemm::{PackedB, PackedOperand};
 use invnorm_tensor::qgemm::QPackedB;
-use invnorm_tensor::telemetry;
+use invnorm_tensor::telemetry::{self, PlanFootprint};
 use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +75,8 @@ pub enum FaultLifetime {
 
 /// The per-plan buffer arenas, one per element type so f32 activations, i8
 /// quantization codes and i32 accumulators each live in a single allocation,
-/// plus one registry of plan-owned fault operands per fault domain.
+/// plus one registry of plan-owned fault operands per fault domain and the
+/// compile-time record of which edges are frozen.
 #[derive(Debug)]
 pub struct PlanArenas {
     /// f32 activations, im2col patch matrices and GEMM staging.
@@ -90,6 +91,11 @@ pub struct PlanArenas {
     pub codes: Operands<QPackedB>,
     /// Fault realizations fused per forward pass (see [`Plan::compile_batched`]).
     batch: usize,
+    /// Slots holding the plan input or a pure copy of it.
+    frozen_edges: Vec<ArenaSlot>,
+    /// The frozen GEMM layer that needs the most stacked realizations to
+    /// fill a microkernel tile (see [`Plan::frozen_width`]).
+    frozen_width: Option<FrozenWidth>,
 }
 
 impl PlanArenas {
@@ -112,6 +118,62 @@ impl PlanArenas {
             slot: self.f.reserve(shape.numel()),
             dims: shape.dims.clone(),
         }
+    }
+
+    /// Whether `edge` holds the plan input or a pure copy of it: the same
+    /// activation in every run (and in every stacked tile), so a layer
+    /// reading it may cache what it derives from it until the next
+    /// [`Plan::load_input`]. Such a layer is *frozen*.
+    pub fn is_frozen(&self, edge: &PlanShape) -> bool {
+        self.frozen_edges.contains(&edge.slot)
+    }
+
+    /// Declares `copy` a pure copy of `edge` (e.g. a padded re-layout of the
+    /// same values), so it is frozen exactly when `edge` is.
+    pub fn copy_edge(&mut self, edge: &PlanShape, copy: &PlanShape) {
+        if self.is_frozen(edge) {
+            self.frozen_edges.push(copy.slot);
+        }
+    }
+
+    /// Registers a GEMM layer reading `input` whose product has `width`
+    /// output columns per realization on a microkernel `nr` columns wide.
+    /// Returns whether the layer is frozen; a frozen layer's widths feed
+    /// [`Plan::frozen_width`].
+    pub fn gemm_layer(&mut self, input: &PlanShape, width: usize, nr: usize) -> bool {
+        let frozen = self.is_frozen(input);
+        if frozen {
+            let layer = FrozenWidth { width, nr };
+            if self.frozen_width.is_none_or(|w| layer.fill() > w.fill()) {
+                self.frozen_width = Some(layer);
+            }
+        }
+        frozen
+    }
+}
+
+/// The output width of a plan's narrowest frozen GEMM layer and the width of
+/// the microkernel its product runs on, both recorded at compile time.
+///
+/// A frozen layer of a batched plan multiplies its cached input panel by all
+/// stacked realizations in one `[rows, B·width]` GEMM. That GEMM reaches the
+/// microkernel's full register width once `B·width ≥ nr`; beyond one tile,
+/// more stacked realizations only grow the working set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrozenWidth {
+    /// Output columns one realization contributes (out features or output
+    /// channels).
+    pub width: usize,
+    /// Columns of one microkernel tile on the tier the plan was packed for
+    /// (`invnorm_tensor::gemm::nr` or `invnorm_tensor::qgemm::nr`).
+    pub nr: usize,
+}
+
+impl FrozenWidth {
+    /// The smallest stack whose wide product fills one microkernel tile:
+    /// `ceil(nr / width)`.
+    pub fn fill(self) -> usize {
+        self.nr.div_ceil(self.width.max(1))
     }
 }
 
@@ -136,25 +198,15 @@ impl PlanShape {
 #[derive(Debug, Clone, Copy)]
 pub struct PlanCtx {
     /// Generation counter of the plan's input buffer; bumped by
-    /// [`Plan::load_input`]. Layers seeing a frozen input cache packed
-    /// activation panels keyed by this generation.
+    /// [`Plan::load_input`]. Frozen layers cache packed activation panels
+    /// keyed by this generation.
     pub input_gen: u64,
-    /// Whether this layer's input is the plan input itself (constant across
-    /// Monte-Carlo runs), making input-derived caches (packed activation
-    /// panels, unfolded patches, quantized codes) valid until the next
-    /// [`Plan::load_input`].
-    pub frozen: bool,
-}
-
-impl PlanCtx {
-    /// Context for a child layer; only the first child of a chain keeps the
-    /// frozen-input property.
-    pub fn child(self, first: bool) -> PlanCtx {
-        PlanCtx {
-            frozen: self.frozen && first,
-            ..self
-        }
-    }
+    /// Whether this pass runs under [`FaultLifetime::Static`]. A layer runs
+    /// its frozen path — input-derived caches (packed activation panels,
+    /// unfolded patches, quantized codes) and the fused wide GEMM — only
+    /// when this holds and its input edge was frozen at compile
+    /// ([`PlanArenas::is_frozen`]).
+    pub static_faults: bool,
 }
 
 /// The injector-facing view of one [`PlannedOperand`]. The faulty buffer
@@ -763,6 +815,8 @@ impl Plan {
             weights: Operands::new("f32 weight", batch, weights),
             codes: Operands::new("code", batch, codes),
             batch,
+            frozen_edges: Vec::new(),
+            frozen_width: None,
         };
         let per_dims = example.dims().to_vec();
         let mut dims = per_dims.clone();
@@ -771,6 +825,7 @@ impl Plan {
             slot: arenas.f.reserve(example.numel() * batch),
             dims,
         };
+        arenas.frozen_edges.push(input.slot);
         let output = model.plan_compile(&input, &mut arenas)?;
         arenas.weights.check_complete()?;
         arenas.codes.check_complete()?;
@@ -819,6 +874,23 @@ impl Plan {
         self.arenas.batch
     }
 
+    /// The narrowest frozen GEMM layer, recorded at compile: the smallest
+    /// stack that fills its microkernel tile is [`FrozenWidth::fill`].
+    /// `None` when no weighted layer reads the plan input.
+    pub fn frozen_width(&self) -> Option<FrozenWidth> {
+        self.arenas.frozen_width
+    }
+
+    /// The plan's stack and the bytes of its f32, i8 and i32 arenas.
+    pub fn footprint(&self) -> PlanFootprint {
+        PlanFootprint {
+            stack: self.arenas.batch,
+            f32_bytes: self.arenas.f.reserved() * std::mem::size_of::<f32>(),
+            i8_bytes: self.arenas.q.reserved(),
+            i32_bytes: self.arenas.acc.reserved() * std::mem::size_of::<i32>(),
+        }
+    }
+
     /// The plan's f32 weight operands, one per rank ≥ 2 parameter in
     /// [`Layer::visit_params`] order (where weight faults are realized).
     pub fn weights_mut(&mut self) -> &mut [PlannedOperand<PackedB>] {
@@ -862,7 +934,7 @@ impl Plan {
             // A per-inference fault lifetime voids the frozen-input
             // property: caches keyed on a run-invariant input edge must not
             // serve this pass.
-            frozen: self.lifetime == FaultLifetime::Static,
+            static_faults: self.lifetime == FaultLifetime::Static,
         };
         model.plan_forward(&self.input, &self.output, ctx, &mut self.arenas)?;
         self.out_tensor
@@ -1179,6 +1251,92 @@ mod tests {
         let mid = &out.data()[direct.numel()..][..direct.numel()];
         assert!(mid.iter().zip(direct.data().iter()).any(|(a, c)| a != c));
         net.plan_end();
+    }
+
+    /// The bench CNN: conv 3→8 5×5, ReLU, 2×2 max-pool, flatten, linear
+    /// 2048→10, with its first conv (and head) optionally quantized.
+    fn bench_cnn(quantized: bool) -> Sequential {
+        use crate::conv::Conv2d;
+        use crate::pool::MaxPool2d;
+        use crate::quantized::{QuantizedConv2d, QuantizedLinear};
+        use crate::reshape::Flatten;
+        let mut rng = Rng::seed_from(12);
+        let conv = Conv2d::new(3, 8, 5, 1, 2, &mut rng);
+        let head = Linear::new(8 * 16 * 16, 10, &mut rng);
+        let (conv, head): (crate::layer::BoxedLayer, crate::layer::BoxedLayer) = if quantized {
+            (
+                Box::new(QuantizedConv2d::from_conv2d(&conv, 8).unwrap()),
+                Box::new(QuantizedLinear::from_linear(&head, 8).unwrap()),
+            )
+        } else {
+            (Box::new(conv), Box::new(head))
+        };
+        Sequential::new()
+            .with(conv)
+            .with(Box::new(Relu::new()))
+            .with(Box::new(MaxPool2d::new(2)))
+            .with(Box::new(Flatten::new()))
+            .with(head)
+    }
+
+    /// A stacked conv plan stages one tile of patches, not one per
+    /// realization: compiled at B = 16, the bench CNN reserves at most 16 ×
+    /// what one realization owns (its B = 1 arena without the patch tile)
+    /// plus that one tile — 0.61 M patch floats instead of 9.8 M — in the
+    /// f32 arena. Its quantized twin's i8 arena holds only one tile of input
+    /// codes and patches, so it does not grow with the stack at all.
+    #[test]
+    fn batched_conv_plans_stage_one_tile_of_patches() {
+        let x = Tensor::randn(&[8, 3, 32, 32], 0.0, 1.0, &mut Rng::seed_from(13));
+        let footprints = |quantized| {
+            let mut net = bench_cnn(quantized);
+            let one = Plan::compile(&mut net, &x).unwrap().footprint();
+            let stacked = Plan::compile_batched(&mut net, &x, 16).unwrap().footprint();
+            net.plan_end();
+            (one, stacked)
+        };
+        // [8·32·32, 3·5·5] patches of one realization.
+        let tile_bytes = 8 * 32 * 32 * 3 * 5 * 5 * std::mem::size_of::<f32>();
+        let (one, stacked) = footprints(false);
+        assert!(one.f32_bytes > tile_bytes, "{one:?}");
+        let bound = 16 * (one.f32_bytes - tile_bytes) + tile_bytes;
+        assert!(stacked.f32_bytes <= bound, "{stacked:?}, bound {bound}");
+        let (one, stacked) = footprints(true);
+        assert!(one.i8_bytes > 8 * 32 * 32 * 3 * 5 * 5, "{one:?}");
+        assert_eq!(stacked.i8_bytes, one.i8_bytes);
+    }
+
+    /// Both conv paths of a stacked plan reuse the one-tile slots: the
+    /// frozen path (static faults) and the per-realization path (faults
+    /// re-drawn per inference) each reproduce the B = 1 output in every
+    /// stacked realization, bit for bit, for f32 and quantized convs.
+    #[test]
+    fn batched_conv_plans_match_single_realization_on_both_paths() {
+        let x = Tensor::randn(&[2, 3, 32, 32], 0.0, 1.0, &mut Rng::seed_from(14));
+        for quantized in [false, true] {
+            let mut net = bench_cnn(quantized);
+            let single = Plan::compile(&mut net, &x)
+                .unwrap()
+                .forward(&mut net)
+                .unwrap()
+                .clone();
+            let batch = 3;
+            let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+            for lifetime in [FaultLifetime::Static, FaultLifetime::PerInference] {
+                plan.set_fault_lifetime(lifetime);
+                let out = plan.forward(&mut net).unwrap();
+                for b in 0..batch {
+                    let rows = &out.data()[b * single.numel()..][..single.numel()];
+                    let identical =
+                        (rows.iter().zip(single.data())).all(|(a, c)| a.to_bits() == c.to_bits());
+                    assert!(
+                        identical,
+                        "quantized={quantized} {lifetime:?} realization {b}"
+                    );
+                }
+            }
+            net.plan_end();
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use invnorm_tensor::conv::{conv_out_shape, im2col_codes_into, im2col_slice_into,
 use invnorm_tensor::qgemm::{qgemm_prepacked_ab, qgemm_prepacked_b, QPackedA};
 use invnorm_tensor::scratch::uninit_slice_of;
 use invnorm_tensor::telemetry;
-use invnorm_tensor::{qgemm, ArenaSlot, Scratch, Tensor};
+use invnorm_tensor::{dispatch, qgemm, ArenaSlot, Scratch, Tensor};
 
 /// Largest i8 code magnitude; also the fixed bit-width ceiling of the packed
 /// storage.
@@ -123,28 +123,27 @@ pub struct QuantizedLinear {
     plan: Option<QuantizedPlan>,
 }
 
-/// Compiled-plan state shared by both quantized layers: arena slots for the
-/// activation codes / patch matrix / i32 accumulators, the id of the
-/// plan-owned code operand (one packed panel per stacked realization for
-/// batched plans), and the cached packed activation panel (plus its
-/// quantization scale) for frozen inputs.
+/// Compiled-plan state shared by both quantized layers: arena slots for one
+/// realization's activation codes / patch matrix and the i32 accumulators,
+/// the id of the plan-owned code operand (one packed panel per stacked
+/// realization for batched plans), and the cached packed activation panel
+/// (plus its quantization scale) for frozen inputs.
 #[derive(Debug)]
 struct QuantizedPlan {
     qin: ArenaSlot,
-    /// Patch matrix of unfolded codes (conv only; empty slot for linear).
+    /// One realization's patch matrix of unfolded codes (conv only; empty
+    /// slot for linear).
     cols: ArenaSlot,
     acc: ArenaSlot,
     codes: OperandId,
+    /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
+    frozen: bool,
     packed_a: QPackedA,
     a_gen: u64,
     a_scale: f32,
     plan_scratch: Scratch,
     /// Dims of one realization's tile of the stacked input edge (conv only).
     tile_dims: Vec<usize>,
-    /// Per-realization dynamic activation scales of the current forward
-    /// (conv only; capacity reserved at compile so steady state allocates
-    /// nothing).
-    sx_buf: Vec<f32>,
 }
 
 impl QuantizedLinear {
@@ -312,21 +311,23 @@ impl Layer for QuantizedLinear {
         let n = input.dims[0];
         let n_per = n / batch;
         let (fin, fout) = (self.in_features, self.out_features);
+        let frozen = arenas.gemm_layer(input, fout, qgemm::nr(dispatch::active()));
+        let wide = if frozen { batch } else { 1 };
         self.plan = Some(QuantizedPlan {
             // One realization's activation codes, reused across the stack;
-            // the accumulators are sized for the fused wide `[N, B·out]`
-            // product of a frozen layer (the per-realization path reuses
-            // the `[N, out]` prefix).
+            // the accumulators hold the fused wide `[N, B·out]` product of a
+            // frozen layer (the per-realization path reuses the `[N, out]`
+            // prefix).
             qin: arenas.q.reserve(n_per * fin),
             cols: arenas.q.reserve(0),
-            acc: arenas.acc.reserve(n_per * fout * batch),
+            acc: arenas.acc.reserve(n_per * fout * wide),
             codes: arenas.codes.register(&self.codes, fin, fout)?,
+            frozen,
             packed_a: QPackedA::new(),
             a_gen: 0,
             a_scale: 1.0,
             plan_scratch: Scratch::new(),
             tile_dims: Vec::new(),
-            sx_buf: Vec::new(),
         });
         Ok(PlanShape {
             slot: arenas.f.reserve(n * fout),
@@ -347,6 +348,7 @@ impl Layer for QuantizedLinear {
         let (fin, fout) = (self.in_features, self.out_features);
         let batch = arenas.batch();
         let n = input.dims[0] / batch;
+        let frozen = state.frozen && ctx.static_faults;
         let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
         let qin = arenas.q.slot_mut(state.qin);
         let acc = arenas.acc.slot_mut(state.acc);
@@ -365,7 +367,7 @@ impl Layer for QuantizedLinear {
                 }
             }
         };
-        if ctx.frozen {
+        if frozen {
             // Frozen plan input: quantize + pack the first tile's codes once
             // per `load_input` and reuse the panel.
             if state.a_gen != ctx.input_gen {
@@ -377,7 +379,7 @@ impl Layer for QuantizedLinear {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
         }
-        if ctx.frozen && batch > 1 {
+        if frozen && batch > 1 {
             // Fused wide product: the cached activation panel meets the wide
             // stacked code operand in a single `[N, B·out]` integer GEMM;
             // realization b dequantizes its own column block.
@@ -395,7 +397,7 @@ impl Layer for QuantizedLinear {
         for b in 0..batch {
             let out_b = &mut out[b * n * fout..][..n * fout];
             let acc = &mut acc[..n * fout];
-            let sx = if ctx.frozen {
+            let sx = if frozen {
                 qgemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
                 state.a_scale
             } else {
@@ -613,24 +615,27 @@ impl Layer for QuantizedConv2d {
         }
         let shape = conv_out_shape(&input.dims, &self.spec)?;
         let oc = self.out_channels;
+        let rows_per = shape.rows / batch;
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
+        let frozen = arenas.gemm_layer(input, oc, qgemm::nr(dispatch::active()));
+        let wide = if frozen { batch } else { 1 };
         self.plan = Some(QuantizedPlan {
-            // The whole stacked batch of codes is quantized/unfolded (each
-            // realization's tile with its own dynamic scale); the i32
-            // accumulators are sized for the fused wide `[rows/B, B·oc]`
+            // One realization's codes and patches: every path quantizes and
+            // unfolds one tile at a time (each with its own dynamic scale).
+            // The i32 accumulators hold the fused wide `[rows/B, B·oc]`
             // product of a frozen layer (the per-realization path reuses
             // the `[rows/B, oc]` prefix).
-            qin: arenas.q.reserve(input.numel()),
-            cols: arenas.q.reserve(shape.rows * shape.patch),
-            acc: arenas.acc.reserve(shape.rows / batch * oc * batch),
+            qin: arenas.q.reserve(input.numel() / batch),
+            cols: arenas.q.reserve(rows_per * shape.patch),
+            acc: arenas.acc.reserve(rows_per * oc * wide),
             codes: arenas.codes.register(&self.codes, shape.patch, oc)?,
+            frozen,
             packed_a: QPackedA::new(),
             a_gen: 0,
             a_scale: 1.0,
             plan_scratch: Scratch::new(),
             tile_dims,
-            sx_buf: Vec::with_capacity(batch),
         });
         Ok(PlanShape {
             slot: arenas.f.reserve(shape.output_dims(oc).iter().product()),
@@ -655,6 +660,7 @@ impl Layer for QuantizedConv2d {
         let rows_per = shape.rows / batch;
         let per_in = input.numel() / batch;
         let per_out = n_per * oc * shape.oh * shape.ow;
+        let frozen = state.frozen && ctx.static_faults;
         let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
         let [qin, cols] = arenas.q.many_mut([state.qin, state.cols]);
         let acc = arenas.acc.slot_mut(state.acc);
@@ -679,22 +685,20 @@ impl Layer for QuantizedConv2d {
                 }
             }
         };
-        if ctx.frozen {
+        if frozen {
             // Frozen plan input: quantize + unfold + pack the first tile's
             // patch panel once per `load_input`.
             if state.a_gen != ctx.input_gen {
                 telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.a_scale =
-                    quantize_activations(&x[..per_in], self.act_scale, &mut qin[..per_in]);
-                let patches = &mut cols[..rows_per * shape.patch];
-                im2col_slice_into(&qin[..per_in], &state.tile_dims, &self.spec, patches)?;
-                state.packed_a.pack(false, patches, rows_per, shape.patch);
+                state.a_scale = quantize_activations(&x[..per_in], self.act_scale, qin);
+                im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
+                state.packed_a.pack(false, cols, rows_per, shape.patch);
                 state.a_gen = ctx.input_gen;
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
         }
-        if ctx.frozen && batch > 1 {
+        if frozen && batch > 1 {
             // Fused wide product: the cached patch panel meets the wide
             // stacked kernel operand in a single `[rows, B·oc]` integer
             // GEMM; realization b dequantizes its strided column block
@@ -710,36 +714,28 @@ impl Layer for QuantizedConv2d {
         // Bring the cached packed operands up to date with this realization
         // batch (cell scatter / dirty-row re-packing / uniform-scale).
         codes.refresh_all();
-        if !ctx.frozen {
-            // Per-realization inputs: quantize each realization's tile over
-            // its own slice (the sequential per-instance scale semantics),
-            // then unfold the whole stacked batch of codes in one call.
-            state.sx_buf.clear();
-            for b in 0..batch {
-                state.sx_buf.push(quantize_activations(
-                    &x[b * per_in..][..per_in],
-                    self.act_scale,
-                    &mut qin[b * per_in..][..per_in],
-                ));
-            }
-            im2col_slice_into(qin, &input.dims, &self.spec, cols)?;
-        }
         for b in 0..batch {
             let acc = &mut acc[..rows_per * oc];
-            let sx = if ctx.frozen {
+            let sx = if frozen {
                 qgemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
                 state.a_scale
             } else {
+                // Per-realization inputs: quantize realization b's tile with
+                // its own dynamic scale (the sequential per-instance scale
+                // semantics), unfold it into the one-tile patch slot, and
+                // multiply it.
+                let sx = quantize_activations(&x[b * per_in..][..per_in], self.act_scale, qin);
+                im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
                 qgemm_prepacked_b(
                     false,
                     rows_per,
-                    &cols[b * rows_per * shape.patch..][..rows_per * shape.patch],
+                    cols,
                     codes.panel(b),
                     false,
                     acc,
                     &mut state.plan_scratch,
                 );
-                state.sx_buf[b]
+                sx
             };
             dequantize(acc, oc, 0, sx, &mut out[b * per_out..][..per_out]);
         }

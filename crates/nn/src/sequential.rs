@@ -139,8 +139,8 @@ impl Layer for Sequential {
         })?;
         let mut prev = input;
         let mut result = Ok(());
-        for (i, (layer, shape)) in self.layers.iter_mut().zip(&state.shapes).enumerate() {
-            result = layer.plan_forward(prev, shape, ctx.child(i == 0), arenas);
+        for (layer, shape) in self.layers.iter_mut().zip(&state.shapes) {
+            result = layer.plan_forward(prev, shape, ctx, arenas);
             if result.is_err() {
                 break;
             }
@@ -319,9 +319,9 @@ impl Layer for Residual {
         })?;
         let mut run = || -> Result<()> {
             self.main
-                .plan_forward(input, &state.main_out, ctx.child(true), arenas)?;
+                .plan_forward(input, &state.main_out, ctx, arenas)?;
             if let Some(shortcut) = &mut self.shortcut {
-                shortcut.plan_forward(input, &state.skip_out, ctx.child(true), arenas)?;
+                shortcut.plan_forward(input, &state.skip_out, ctx, arenas)?;
             }
             // Elementwise sum in `Tensor::add` order, into the sum edge. An
             // empty main chain would alias both branch slots to the input;
@@ -341,7 +341,7 @@ impl Layer for Residual {
                 }
             }
             if let (Some(post), Some(post_out)) = (&mut self.post, &state.post_out) {
-                post.plan_forward(&state.sum, post_out, ctx.child(false), arenas)?;
+                post.plan_forward(&state.sum, post_out, ctx, arenas)?;
             }
             Ok(())
         };

@@ -122,6 +122,12 @@ pub(crate) fn f32_kernel(tier: KernelTier) -> F32Kernel {
     }
 }
 
+/// Columns of C one f32 microkernel tile computes on `tier` (32, 16 or 8):
+/// the narrowest GEMM that runs at the kernel's full register width.
+pub fn nr(tier: KernelTier) -> usize {
+    f32_kernel(tier).nr
+}
+
 thread_local! {
     static LOCAL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }

@@ -126,6 +126,13 @@ pub(crate) fn q_kernel(tier: KernelTier) -> QKernel {
     }
 }
 
+/// Columns of C one quantized microkernel tile computes on `tier` (32 or
+/// 16): the narrowest integer GEMM that runs at the kernel's full register
+/// width.
+pub fn nr(tier: KernelTier) -> usize {
+    q_kernel(tier).qnr
+}
+
 thread_local! {
     static LOCAL_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }

@@ -568,10 +568,25 @@ pub fn convergence_stream(per_run: &[f32]) -> Vec<ConvergencePoint> {
     points
 }
 
+/// The compiled plan a planned Monte-Carlo run executed on: how many fault
+/// realizations it stacked per forward, and the bytes of its three arenas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PlanFootprint {
+    /// Fault realizations stacked per planned forward (the engine's stack).
+    pub stack: usize,
+    /// Bytes of the f32 arena (activations, patch matrices, GEMM staging).
+    pub f32_bytes: usize,
+    /// Bytes of the i8 arena (activation codes, code patch matrices).
+    pub i8_bytes: usize,
+    /// Bytes of the i32 arena (integer-GEMM accumulators).
+    pub i32_bytes: usize,
+}
+
 /// The telemetry delta of one Monte-Carlo run: wall time, per-phase
-/// breakdown, counter deltas and the metric convergence stream. Attached to
-/// every engine summary when telemetry is enabled; render it with `Display`
-/// (aligned table) or [`RunTelemetry::to_json`].
+/// breakdown, counter deltas, the plan the run stacked realizations on, and
+/// the metric convergence stream. Attached to every engine summary when
+/// telemetry is enabled; render it with `Display` (aligned table) or
+/// [`RunTelemetry::to_json`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunTelemetry {
     /// Wall-clock duration of the run in nanoseconds.
@@ -582,6 +597,9 @@ pub struct RunTelemetry {
     /// The SIMD kernel tier ([`crate::dispatch::active`]) the run executed
     /// under — the reproducibility boundary of the f32 results.
     pub kernel_tier: &'static str,
+    /// The steady-state plan of a planned run: its stack and arena bytes.
+    /// `None` for the sequential engine, which compiles no plan.
+    pub plan: Option<PlanFootprint>,
     /// Per-run Welford convergence stream over the metric vector.
     pub convergence: Vec<ConvergencePoint>,
 }
@@ -627,6 +645,16 @@ impl RunTelemetry {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"wall_ns\": {},", self.wall_ns);
         let _ = writeln!(out, "  \"kernel_tier\": \"{}\",", self.kernel_tier);
+        match &self.plan {
+            Some(p) => {
+                let _ = writeln!(
+                    out,
+                    "  \"plan\": {{\"stack\": {}, \"arena_bytes\": {{\"f32\": {}, \"i8\": {}, \"i32\": {}}}}},",
+                    p.stack, p.f32_bytes, p.i8_bytes, p.i32_bytes
+                );
+            }
+            None => out.push_str("  \"plan\": null,\n"),
+        }
         out.push_str("  \"phases\": [\n");
         for (i, p) in self.phases().enumerate() {
             let _ = write!(
@@ -700,6 +728,13 @@ impl std::fmt::Display for RunTelemetry {
                 p.count
             )?;
         }
+        if let Some(p) = &self.plan {
+            writeln!(
+                f,
+                "  plan: stack {}, arena bytes f32 {} / i8 {} / i32 {}",
+                p.stack, p.f32_bytes, p.i8_bytes, p.i32_bytes
+            )?;
+        }
         writeln!(f, "  {:<22} {:>12}", "counter", "delta")?;
         for c in self.counters() {
             writeln!(f, "  {:<22} {:>12}", c.counter.name(), c.value)?;
@@ -721,6 +756,7 @@ impl std::fmt::Display for RunTelemetry {
 #[derive(Debug)]
 pub struct RunScope {
     start: Option<(TelemetrySnapshot, Instant)>,
+    plan: Option<PlanFootprint>,
 }
 
 impl RunScope {
@@ -728,7 +764,14 @@ impl RunScope {
     pub fn begin() -> Self {
         Self {
             start: Telemetry::enabled().then(|| (Telemetry::snapshot(), Instant::now())),
+            plan: None,
         }
+    }
+
+    /// Records the plan the run stacked its realizations on (reported as
+    /// [`RunTelemetry::plan`]).
+    pub fn record_plan(&mut self, plan: PlanFootprint) {
+        self.plan = Some(plan);
     }
 
     /// Computes the per-run delta and the convergence stream over `per_run`.
@@ -752,6 +795,7 @@ impl RunScope {
             phase_hits,
             counters,
             kernel_tier: crate::dispatch::active().name(),
+            plan: self.plan,
             convergence: convergence_stream(per_run),
         })
     }

@@ -54,7 +54,8 @@ fn mc_accuracy(
 }
 
 fn main() -> Result<(), NnError> {
-    // Synthetic CIFAR-like dataset (see DESIGN.md for the substitution).
+    // Synthetic CIFAR-like dataset (see README "Experiments" for the
+    // substitution).
     let split = images::generate(&ImageDatasetConfig {
         classes: 6,
         size: 16,

@@ -7,6 +7,7 @@
 //! diagnostics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use invnorm::prelude::*;
@@ -20,25 +21,39 @@ const RUNS: usize = 24;
 /// The counting metrics cancel the sweep's token on this call.
 const CANCEL_AFTER: usize = 4;
 
-/// An f32 network supported by both engines (dense, norm, activation).
+/// An f32 network supported by both engines (dense, norm, activation). Its
+/// plan-input layer is 2 wide, so the planned engine's stack rule
+/// (`ceil(NR / 2)`, NR ≥ 8) stacks at least 4 realizations on every tier.
 fn mlp(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
     Sequential::new()
-        .with(Box::new(Linear::new(8, 16, &mut rng)))
+        .with(Box::new(Linear::new(8, 2, &mut rng)))
+        .with(Box::new(Linear::new(2, 16, &mut rng)))
         .with(Box::new(GroupNorm::layer_norm(16)))
         .with(Box::new(Relu::new()))
         .with(Box::new(Linear::new(16, 4, &mut rng)))
 }
 
-/// An integer-inference network for the code-domain engines.
+/// An integer-inference network for the code-domain engines, with a 2-wide
+/// plan-input layer like [`mlp`].
 fn quantized_net(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
-    let l1 = Linear::new(12, 10, &mut rng);
-    let l2 = Linear::new(10, 4, &mut rng);
+    let l1 = Linear::new(12, 2, &mut rng);
+    let l2 = Linear::new(2, 10, &mut rng);
+    let l3 = Linear::new(10, 4, &mut rng);
     Sequential::new()
         .with(Box::new(QuantizedLinear::from_linear(&l1, 8).unwrap()))
+        .with(Box::new(QuantizedLinear::from_linear(&l2, 8).unwrap()))
         .with(Box::new(Relu::new()))
-        .with(Box::new(QuantizedLinear::from_linear(&l2, 6).unwrap()))
+        .with(Box::new(QuantizedLinear::from_linear(&l3, 6).unwrap()))
+}
+
+/// Serializes the tests that enable telemetry: the switch is process-global
+/// and one test's `disable` must not land inside another's sweep.
+static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY_LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// A structured fault topology (whole stuck word lines) for the f32 sweeps.
@@ -597,13 +612,22 @@ fn panicking_runs_are_quarantined_and_the_pool_survives() {
 
     // One fused forward is one failure domain: at B = 3, every run of a
     // batch holding a tripped run is quarantined with that batch's one
-    // message, and every other run keeps its B = 1 metric.
+    // message, and every other run keeps its B = 1 metric. The probe's
+    // 1-wide plan-input layer makes the engine stack all 3 on every tier.
     let tripped = runs_of(&quarantined);
     let expected: Vec<usize> = (0..32)
         .filter(|r| tripped.iter().any(|t| t / 3 == r / 3))
         .collect();
     assert!(expected.len() > tripped.len(), "some batch must mix runs");
-    let (summary_b3, quarantined_b3) = sweep(3, 4);
+    let (summary_b3, quarantined_b3) = {
+        let _lock = telemetry_lock();
+        Telemetry::enable();
+        let outcome = sweep(3, 4);
+        Telemetry::disable();
+        outcome
+    };
+    let plan = summary_b3.telemetry.as_ref().and_then(|t| t.plan);
+    assert_eq!(plan.map(|p| p.stack), Some(3));
     assert_eq!(runs_of(&quarantined_b3), expected);
     for batch in quarantined_b3.chunk_by(|a, b| a.run / 3 == b.run / 3) {
         assert!(batch.iter().all(|q| q.cause == batch[0].cause), "{batch:?}");
@@ -815,6 +839,7 @@ fn non_finite_metrics_under_drift_are_quarantined_at_record_time() {
 fn telemetry_counts_cancelled_quarantined_and_resumed_runs() {
     // Telemetry state is process-global and other tests in this binary run
     // concurrently, so only >= assertions are sound here.
+    let _lock = telemetry_lock();
     Telemetry::reset();
     Telemetry::enable();
     let engine = MonteCarloEngine::new(RUNS, 0x7E1E);

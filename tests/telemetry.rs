@@ -118,24 +118,30 @@ fn all_faults() -> [FaultModel; 8] {
 fn cnn(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
     Sequential::new()
-        .with(Box::new(Conv2d::new(2, 4, 3, 1, 1, &mut rng)))
+        .with(Box::new(Conv2d::new(2, 2, 3, 1, 1, &mut rng)))
         .with(Box::new(Relu::new()))
         .with(Box::new(MaxPool2d::new(2)))
         .with(Box::new(Flatten::new()))
-        .with(Box::new(Linear::new(4 * 4 * 4, 3, &mut rng)))
+        .with(Box::new(Linear::new(2 * 4 * 4, 3, &mut rng)))
 }
 
 /// The code-domain twin of [`cnn`]: the same topology on i8 codes.
 fn quantized_cnn(seed: u64) -> Sequential {
     let mut rng = Rng::seed_from(seed);
-    let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
-    let head = Linear::new(4 * 4 * 4, 3, &mut rng);
+    let conv = Conv2d::new(2, 2, 3, 1, 1, &mut rng);
+    let head = Linear::new(2 * 4 * 4, 3, &mut rng);
     Sequential::new()
         .with(Box::new(QuantizedConv2d::from_conv2d(&conv, 8).unwrap()))
         .with(Box::new(Relu::new()))
         .with(Box::new(MaxPool2d::new(2)))
         .with(Box::new(Flatten::new()))
         .with(Box::new(QuantizedLinear::from_linear(&head, 8).unwrap()))
+}
+
+/// The stack the planned engine reported running `summary` at (`None` for
+/// the sequential engine, or with telemetry off).
+fn stack_of(summary: &MonteCarloSummary) -> Option<usize> {
+    summary.telemetry.as_ref()?.plan.map(|p| p.stack)
 }
 
 fn assert_bits_equal(baseline: &[f32], instrumented: &[f32], what: &str) {
@@ -187,6 +193,12 @@ fn telemetry_is_bit_invisible_on_every_engine() {
             let fused = on(4);
             assert_eq!(sequential.telemetry.is_some(), enabled);
             assert_eq!(fused.telemetry.is_some(), enabled);
+            if enabled {
+                // Six runs on two workers cap the stack at 3.
+                assert_eq!(stack_of(&sequential), None);
+                assert_eq!(stack_of(&planned), Some(1));
+                assert_eq!(stack_of(&fused), Some(3));
+            }
             results[slot] = Some([sequential.per_run, planned.per_run, fused.per_run]);
             if enabled {
                 Telemetry::disable();
@@ -280,11 +292,12 @@ fn planned_drift_scales_panels_and_never_repacks_in_either_domain() {
         };
         Telemetry::reset();
         Telemetry::enable();
-        MonteCarloEngine::new(6, 0xD81F)
+        let summary = MonteCarloEngine::new(6, 0xD81F)
             .execute(&sweep, &SweepControl::new())
             .and_then(SweepOutcome::into_summary)
             .unwrap();
         Telemetry::disable();
+        assert_eq!(stack_of(&summary), Some(batch), "{domain:?}");
         let (scales, repacked) = (
             Telemetry::counter(Counter::UniformScales),
             Telemetry::counter(Counter::RowsRepacked),
@@ -351,6 +364,18 @@ fn chrome_trace_export_is_well_formed_and_balanced() {
         assert!(table.contains(phase.name()), "table missing {phase}");
         assert!(json.contains(phase.name()), "json missing {phase}");
     }
+    // The stack the engine ran and the plan's arena bytes, in both.
+    let plan = report.plan.expect("planned run must report its plan");
+    assert_eq!(plan.stack, 4);
+    assert!(plan.f32_bytes > 0 && plan.i8_bytes == 0 && plan.i32_bytes == 0);
+    assert!(table.contains(&format!(
+        "plan: stack 4, arena bytes f32 {}",
+        plan.f32_bytes
+    )));
+    assert!(json.contains(&format!(
+        "\"plan\": {{\"stack\": 4, \"arena_bytes\": {{\"f32\": {}, \"i8\": 0, \"i32\": 0}}}}",
+        plan.f32_bytes
+    )));
 }
 
 #[test]
@@ -375,6 +400,7 @@ fn ladder_outcome_display_reports_engine_and_fallbacks() {
     Telemetry::disable();
     assert_eq!(outcome.engine, EngineKind::Planned);
     assert!(outcome.fallbacks.is_empty());
+    assert_eq!(stack_of(&outcome.summary), Some(2));
     // One line: the engine and the statistics, with no fallback to list.
     let rendered = outcome.to_string();
     assert!(rendered.contains(" [planned]: 4 runs"), "{rendered}");
