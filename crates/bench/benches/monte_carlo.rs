@@ -18,7 +18,10 @@
 //! the cap ([`Sweep::batch`]): the engine stacks what fills one microkernel
 //! tile on the frozen first layer, at most 16 — e.g. 4 on the CNN (8 output
 //! channels) and 1 on the linear probe (256 outputs) with AVX-512 — so they
-//! no longer time a fixed stack of 16.
+//! no longer time a fixed stack of 16. The committed baseline rows of
+//! `BENCH_monte_carlo.json` were recorded with a fixed stack of 16, so until
+//! that file is re-recorded `bench_gate` compares each `*_b16_*` point
+//! against a baseline that ran a different stack.
 //!
 //! Both engines produce bit-identical per-run metrics (tested in
 //! `invnorm-imc`), so these benchmarks compare equal work, not

@@ -35,16 +35,16 @@ use crate::injector::{CodeFaultInjector, WeightFaultInjector};
 use crate::supervise::{Attempt, RunLedger, SweepControl, SweepDomain, SweepOutcome};
 use crate::Result;
 use invnorm_nn::layer::Layer;
-use invnorm_nn::plan::{FrozenWidth, Plan};
+use invnorm_nn::plan::Plan;
 use invnorm_nn::NnError;
 use invnorm_tensor::stats::RunningStats;
-use invnorm_tensor::telemetry::{self, PlanFootprint, RunScope, RunTelemetry};
+use invnorm_tensor::telemetry::{self, RunScope, RunTelemetry};
 use invnorm_tensor::{Rng, Tensor};
 use serde::{Deserialize, Serialize};
 use std::iter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Aggregated result of a Monte-Carlo fault simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -446,23 +446,26 @@ impl MonteCarloEngine {
 
     /// The planned engine: runs `sweep` on compiled plans.
     ///
-    /// Each worker builds its model once and compiles it into a plan for the
-    /// shape of `input` (`Plan::compile_batched`): one-shot shape inference,
+    /// Each worker holds one model, compiled into a plan for the shape of
+    /// `input` (`Plan::compile_batched`): one-shot shape inference,
     /// arena-backed buffers, and — per registered weight or code operand —
     /// one stacked faulty buffer per realization with per-realization cached
     /// packed panels, all reserved at compile time, where each operand's RNG
     /// fork index is also fixed.
     ///
-    /// How many realizations a plan stacks follows one rule. The worker
-    /// first compiles at B = 1 and reads the plan's narrowest frozen layer
-    /// (`Plan::frozen_width`: output width w, microkernel width NR). It then
-    /// recompiles once at `min(sweep.batch, ceil(runs / threads),
-    /// ceil(NR / w))` when that is more than 1: stacking pays only through a
-    /// frozen layer's fused wide GEMM, and only until the stack fills one
-    /// register tile. Without a frozen weighted layer, or under
-    /// [`FaultLifetime::PerInference`], the stack is 1. With telemetry on,
-    /// the run's `RunTelemetry::plan` reports the stack and the plan's
-    /// arena bytes.
+    /// How many realizations a plan stacks follows one rule, applied once
+    /// per sweep before any worker starts. The engine builds one model,
+    /// compiles it at B = 1 and reads the plan's frozen fill
+    /// (`Plan::frozen_fill`: `ceil(NR / w)` for the narrowest frozen layer,
+    /// w output columns on a microkernel NR columns wide). The stack is
+    /// `min(sweep.batch, ceil(runs / threads), ceil(NR / w))`: stacking pays
+    /// only through a frozen layer's fused wide GEMM, and only until the
+    /// stack fills one register tile. Without a frozen weighted layer, or
+    /// under [`FaultLifetime::PerInference`], the stack is 1. When the rule
+    /// stacks more, that plan is recompiled once at the stack; the first
+    /// worker runs on it, the others compile at the stack directly, and
+    /// batch `i` is runs `i·stack..`. With telemetry on, the run's
+    /// `RunTelemetry::plan` reports the stack and that plan's arena bytes.
     ///
     /// Per batch of chip instances, the injector
     /// materializes the realizations from the per-instance RNG streams
@@ -532,72 +535,66 @@ impl MonteCarloEngine {
         )?;
         let done = ledger.done_mask();
         let budget = &control.budget;
+        let compile = |model: &mut M, b: usize| -> Result<Plan> {
+            // Release the previous plan's operands first.
+            model.plan_end();
+            let mut plan = Plan::compile_batched(model, input, b)?;
+            plan.set_fault_lifetime(lifetime);
+            Ok(plan)
+        };
+        // One model and plan, built here, fix the stack for every worker:
+        // the rule reads the frozen fill off a B = 1 compile, which is
+        // recompiled once when the rule stacks more. The first worker runs
+        // on that plan; a compile failure fails the sweep at run 0.
+        let mut model = (sweep.factory)();
+        let mut plan = compile(&mut model, 1)?;
         let cap = stack_cap(sweep.batch, runs, sweep.threads);
-        let threads = sweep.threads.clamp(1, runs.div_ceil(cap));
-        let next_run = AtomicUsize::new(0);
+        let stack = stack_size(cap, plan.frozen_fill(), lifetime);
+        if stack > 1 {
+            drop(plan);
+            plan = compile(&mut model, stack)?;
+        }
+        scope.record_plan(plan.footprint());
+        let mut seeded = Some((model, plan));
+        let n_batches = runs.div_ceil(stack);
+        let threads = sweep.threads.clamp(1, n_batches);
+        let next_batch = AtomicUsize::new(0);
         type BatchEntry = (usize, usize, Attempt<Vec<f32>>);
-        let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::new());
-        // Every worker builds the same model, so they all reach the same
-        // stack and steady-state plan; the first to compile it records it.
-        let footprint: OnceLock<PlanFootprint> = OnceLock::new();
+        let collected: Mutex<Vec<BatchEntry>> = Mutex::new(Vec::with_capacity(n_batches));
         rayon::scope(|s| {
             for _ in 0..threads {
-                let (next_run, collected, footprint) = (&next_run, &collected, &footprint);
+                let seeded = seeded.take();
+                let (next_batch, collected, compile) = (&next_batch, &collected, &compile);
                 let factory = &sweep.factory;
                 let metric = &sweep.metric;
                 let done = &done;
                 s.spawn(move || {
-                    let compile = |model: &mut M, b: usize| -> Result<Plan> {
-                        // Release the previous plan's operands first.
-                        model.plan_end();
-                        let mut plan = Plan::compile_batched(model, input, b)?;
-                        plan.set_fault_lifetime(lifetime);
-                        Ok(plan)
+                    let (mut model, mut plan) = match seeded {
+                        Some((model, plan)) => (model, Some(plan)),
+                        None => (factory(), None),
                     };
-                    let mut model = factory();
-                    let mut plan: Option<Plan> = None;
-                    // Fixed by the first compile, at B = 1: the stack rule
-                    // needs the plan's frozen width. The plan is recompiled
-                    // once when the rule stacks more, and for a smaller tail
-                    // batch.
-                    let mut known_stack: Option<usize> = None;
-                    let mut rngs: Vec<Rng> = Vec::with_capacity(cap);
+                    let mut rngs: Vec<Rng> = Vec::with_capacity(stack);
                     // Reusable per-worker staging for one realization's
                     // slice of the stacked output, so scoring metrics does
                     // not allocate per run.
                     let mut realization: Option<Tensor> = None;
                     let mut local: Vec<BatchEntry> = Vec::new();
-                    while budget.interrupted().is_none() {
-                        let stack = match known_stack {
-                            Some(stack) => stack,
-                            None => match compile(&mut model, 1) {
-                                Ok(p) => {
-                                    let stack = stack_size(cap, p.frozen_width(), lifetime);
-                                    plan = Some(p);
-                                    known_stack = Some(stack);
-                                    stack
-                                }
-                                Err(e) => {
-                                    // Pin the failure on the next unclaimed run.
-                                    let start = next_run.fetch_add(1, Ordering::Relaxed);
-                                    if start < runs {
-                                        local.push((start, 1, Ok(Err(e))));
-                                    }
-                                    break;
-                                }
-                            },
-                        };
-                        let start = next_run.fetch_add(stack, Ordering::Relaxed);
-                        if start >= runs {
+                    loop {
+                        let bi = next_batch.fetch_add(1, Ordering::Relaxed);
+                        if bi >= n_batches {
                             break;
                         }
+                        let start = bi * stack;
                         let bsize = stack.min(runs - start);
-                        // Skip fully-accounted batches (resume); a
-                        // partially-done batch re-runs whole — the replayed
-                        // values are identical and the ledger ignores
-                        // re-records.
+                        // Skip fully-accounted batches (resume) before any
+                        // compile work; a partially-done batch re-runs whole
+                        // — the replayed values are identical and the ledger
+                        // ignores re-records.
                         if done[start..start + bsize].iter().all(|d| *d) {
                             continue;
+                        }
+                        if budget.interrupted().is_some() {
+                            break;
                         }
                         if plan.as_ref().is_none_or(|p| p.batch() != bsize) {
                             if bsize < stack {
@@ -613,9 +610,6 @@ impl MonteCarloEngine {
                             }
                         }
                         let plan_ref = plan.as_mut().expect("plan compiled above");
-                        if bsize == stack {
-                            footprint.get_or_init(|| plan_ref.footprint());
-                        }
                         rngs.clear();
                         rngs.extend((0..bsize).map(|i| Self::run_rng(seed, start + i)));
                         let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -633,7 +627,7 @@ impl MonteCarloEngine {
                             // The panic left the model, its plan and the
                             // staging tensor in an unknown state; rebuild
                             // everything (the next claimed batch recompiles
-                            // at the known stack).
+                            // at the stack).
                             plan = None;
                             model = factory();
                             realization = None;
@@ -648,9 +642,6 @@ impl MonteCarloEngine {
                 });
             }
         });
-        if let Some(&footprint) = footprint.get() {
-            scope.record_plan(footprint);
-        }
         let mut collected = collected
             .into_inner()
             .expect("monte-carlo result lock poisoned");
@@ -770,13 +761,13 @@ fn stack_cap(batch: usize, runs: usize, threads: usize) -> usize {
 /// microkernel's full width once `B·w ≥ NR`; beyond one register tile,
 /// further realizations only push the working set out of L2 (Goto & van de
 /// Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
-/// 2008). So the stack is `min(cap, ceil(NR / w))` for the plan's narrowest
-/// frozen layer ([`FrozenWidth::fill`]), and 1 when no weighted layer reads
-/// the plan input or faults are re-drawn per inference (no frozen path
-/// runs then).
-fn stack_size(cap: usize, frozen: Option<FrozenWidth>, lifetime: FaultLifetime) -> usize {
-    match (frozen, lifetime) {
-        (Some(w), FaultLifetime::Static) => cap.min(w.fill()),
+/// 2008). So the stack is `min(cap, fill)`, with `fill = ceil(NR / w)` for
+/// the plan's narrowest frozen layer ([`Plan::frozen_fill`]), and 1 when no
+/// weighted layer reads the plan input or faults are re-drawn per inference
+/// (no frozen path runs then).
+fn stack_size(cap: usize, fill: Option<usize>, lifetime: FaultLifetime) -> usize {
+    match (fill, lifetime) {
+        (Some(fill), FaultLifetime::Static) => cap.min(fill),
         _ => 1,
     }
 }
@@ -878,11 +869,10 @@ mod tests {
     }
 
     /// The stack the rule must pick for `build()` on `x`: on a static
-    /// sweep with a frozen layer `min(cap, ceil(NR / w))`, else one. Every
-    /// net a test stacks keeps its frozen layer at most 2 wide
-    /// ([`NARROW`]), so a static sweep asking for B > 1 stacks at least
-    /// `min(cap, 4)` realizations on every tier (NR ≥ 8): none silently
-    /// falls to B = 1.
+    /// sweep `min(cap, fill)` for the plan's frozen fill, else one. Every
+    /// net a static test stacks has a frozen layer at most [`NARROW`] wide,
+    /// so its fill is at least `ceil(8 / 2) = 4` on every tier (NR ≥ 8): no
+    /// test asking for B > 1 silently falls to B = 1.
     fn expected_stack(
         mc: &MonteCarloEngine,
         build: impl Fn() -> Sequential,
@@ -891,14 +881,16 @@ mod tests {
         (batch, threads): (usize, usize),
     ) -> usize {
         let cap = batch.min(mc.runs().div_ceil(threads));
-        let frozen = Plan::compile(&mut build(), x).unwrap().frozen_width();
-        match (frozen, lifetime) {
-            (Some(w), FaultLifetime::Static) => {
-                assert!(batch == 1 || w.width <= NARROW, "{w:?} is too wide");
-                cap.min(w.nr.div_ceil(w.width))
-            }
-            _ => 1,
+        if cap == 1 || lifetime == FaultLifetime::PerInference {
+            return 1;
         }
+        let fill = Plan::compile(&mut build(), x).unwrap().frozen_fill();
+        let fill = fill.expect("a stacked test net has a frozen layer");
+        assert!(
+            fill >= 4,
+            "fill {fill}: the frozen layer is wider than {NARROW}"
+        );
+        cap.min(fill)
     }
 
     /// Asserts `b` reproduces `a`'s per-run metrics bit for bit.
@@ -1373,36 +1365,27 @@ mod tests {
     /// microkernel tile on the narrowest frozen layer, under both caps.
     #[test]
     fn stack_rule_fills_one_microkernel_tile() {
-        use invnorm_tensor::dispatch::KernelTier::{self, Avx2, Avx512, Portable};
+        use invnorm_tensor::dispatch::KernelTier::{Avx2, Avx512, Portable};
         use invnorm_tensor::{gemm, qgemm};
         use FaultLifetime::{PerInference, Static};
-        let f32_layer = |width, tier| {
-            Some(FrozenWidth {
-                width,
-                nr: gemm::nr(tier),
-            })
-        };
-        let rule = |frozen| stack_size(stack_cap(16, 32, 1), frozen, Static);
-        assert_eq!(rule(f32_layer(8, Portable)), 1);
+        // A frozen layer `w` columns wide on a kernel `nr` columns wide.
+        let frozen = |nr: usize, w: usize| Some(nr.div_ceil(w));
+        let rule = |fill| stack_size(stack_cap(16, 32, 1), fill, Static);
+        assert_eq!(rule(frozen(gemm::nr(Portable), 8)), 1);
         #[cfg(target_arch = "x86_64")]
         {
-            assert_eq!(rule(f32_layer(8, Avx512)), 4);
-            assert_eq!(rule(f32_layer(8, Avx2)), 2);
+            assert_eq!(rule(frozen(gemm::nr(Avx512), 8)), 4);
+            assert_eq!(rule(frozen(gemm::nr(Avx2), 8)), 2);
             // The integer kernels are 32 and 16 columns wide.
-            let q_layer = |width, tier: KernelTier| {
-                Some(FrozenWidth {
-                    width,
-                    nr: qgemm::nr(tier),
-                })
-            };
-            assert_eq!(rule(q_layer(8, Avx512)), 4);
-            assert_eq!(rule(q_layer(8, Avx2)), 2);
+            assert_eq!(rule(frozen(qgemm::nr(Avx512), 8)), 4);
+            assert_eq!(rule(frozen(qgemm::nr(Avx2), 8)), 2);
         }
         for tier in [Portable, Avx2, Avx512] {
-            assert_eq!(rule(f32_layer(256, tier)), 1);
+            assert_eq!(rule(frozen(gemm::nr(tier), 256)), 1);
+            assert_eq!(rule(frozen(qgemm::nr(tier), 256)), 1);
         }
         // Both caps: `Sweep::batch`, then one stack per worker at least.
-        let narrow = f32_layer(1, Portable);
+        let narrow = frozen(gemm::nr(Portable), 1);
         assert_eq!(stack_size(stack_cap(3, 32, 1), narrow, Static), 3);
         assert_eq!(stack_size(stack_cap(16, 10, 4), narrow, Static), 3);
         assert_eq!(stack_size(stack_cap(16, 2, 1), narrow, Static), 2);
@@ -1512,13 +1495,20 @@ mod tests {
         assert_eq!(bits(&a), bits(&b), "static realizations must repeat");
     }
 
-    /// A sequence-returning `Lstm` feeding one that is not, under a dense
-    /// head: the recurrent stack of the paper's forecaster.
+    /// The recurrent stack of the paper's forecaster behind a frozen
+    /// `NARROW`-wide front: a `Conv1d` over `[N, 1, 6]` whose `[N, 2, 6]`
+    /// output is read as a 6-step sequence of 2 features (a reshape, not a
+    /// transpose), then a sequence-returning `Lstm` feeding one that is not,
+    /// under a dense head. The front lets the engine stack the `Lstm`s.
     fn lstm_stack(seed: u64) -> Sequential {
+        use invnorm_nn::conv::Conv1d;
         use invnorm_nn::lstm::Lstm;
+        use invnorm_nn::reshape::Reshape;
         let mut rng = Rng::seed_from(seed);
         Sequential::new()
-            .with(Box::new(Lstm::new(3, 6, true, &mut rng)))
+            .with(Box::new(Conv1d::new(1, NARROW, 3, 1, 1, &mut rng)))
+            .with(Box::new(Reshape::new(&[6, NARROW])))
+            .with(Box::new(Lstm::new(NARROW, 6, true, &mut rng)))
             .with(Box::new(Lstm::new(6, 6, false, &mut rng)))
             .with(Box::new(Linear::new(6, 1, &mut rng)))
     }
@@ -1533,7 +1523,7 @@ mod tests {
     fn per_inference_matches_static_for_single_forward_metrics() {
         type NetCase = (fn(u64) -> Sequential, u64, &'static [usize]);
         let mc = MonteCarloEngine::new(8, 3003);
-        let nets: [NetCase; 2] = [(mlp_with_norm, 242, &[6, 8]), (lstm_stack, 243, &[2, 5, 3])];
+        let nets: [NetCase; 2] = [(mlp_with_norm, 242, &[6, 8]), (lstm_stack, 243, &[2, 1, 6])];
         let [line, _, drift] = structured_fault_models();
         for (build, seed, dims) in nets {
             let x = Tensor::randn(dims, 0.0, 1.0, &mut Rng::seed_from(241));
@@ -1609,7 +1599,7 @@ mod tests {
 
     #[test]
     fn run_auto_runs_lstm_under_per_inference_lifetime() {
-        let x = Tensor::randn(&[2, 5, 3], 0.0, 1.0, &mut Rng::seed_from(282));
+        let x = Tensor::randn(&[2, 1, 6], 0.0, 1.0, &mut Rng::seed_from(282));
         let fault = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
         assert_run_auto_matches_oracle(lstm_stack, fault, &x);
     }

@@ -6,7 +6,6 @@ use crate::layer::{Layer, Mode, Param};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
-use invnorm_tensor::dispatch;
 use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
@@ -224,7 +223,7 @@ impl Layer for Conv2d {
         let rows_per = shape.rows / batch;
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
-        let frozen = arenas.gemm_layer(input, oc, gemm::nr(dispatch::active()));
+        let frozen = arenas.gemm_layer::<gemm::PackedB>(input, oc);
         let wide = if frozen { batch } else { 1 };
         self.plan = Some(Conv2dPlan {
             // One realization's patches: every path unfolds one tile at a
@@ -653,7 +652,8 @@ mod tests {
         let mut conv = Conv1d::new(2, 3, 5, 1, 2, &mut rng);
         let x = Tensor::randn(&[2, 2, 16], 0.0, 1.0, &mut rng);
         let plan = crate::plan::Plan::compile(&mut conv, &x).unwrap();
-        assert_eq!(plan.frozen_width().map(|w| w.width), Some(3));
+        let nr = gemm::nr(invnorm_tensor::dispatch::active());
+        assert_eq!(plan.frozen_fill(), Some(nr.div_ceil(3)));
         conv.plan_end();
     }
 

@@ -4,7 +4,6 @@ use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
-use invnorm_tensor::dispatch;
 use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ops, ArenaSlot, Rng, Scratch, Tensor};
@@ -186,7 +185,7 @@ impl Layer for Linear {
         }
         let n = input.dims[0];
         let (fin, fout) = (self.in_features, self.out_features);
-        let frozen = arenas.gemm_layer(input, fout, gemm::nr(dispatch::active()));
+        let frozen = arenas.gemm_layer::<gemm::PackedB>(input, fout);
         self.plan = Some(LinearPlan {
             weight: arenas
                 .weights

@@ -93,9 +93,9 @@ pub struct PlanArenas {
     batch: usize,
     /// Slots holding the plan input or a pure copy of it.
     frozen_edges: Vec<ArenaSlot>,
-    /// The frozen GEMM layer that needs the most stacked realizations to
-    /// fill a microkernel tile (see [`Plan::frozen_width`]).
-    frozen_width: Option<FrozenWidth>,
+    /// The most stacked realizations any frozen GEMM layer needs to fill
+    /// one microkernel tile (see [`Plan::frozen_fill`]).
+    frozen_fill: Option<usize>,
 }
 
 impl PlanArenas {
@@ -137,43 +137,19 @@ impl PlanArenas {
     }
 
     /// Registers a GEMM layer reading `input` whose product has `width`
-    /// output columns per realization on a microkernel `nr` columns wide.
-    /// Returns whether the layer is frozen; a frozen layer's widths feed
-    /// [`Plan::frozen_width`].
-    pub fn gemm_layer(&mut self, input: &PlanShape, width: usize, nr: usize) -> bool {
+    /// output columns per realization and runs on `P`'s microkernel.
+    /// Returns whether the layer is frozen. A frozen layer of a batched plan
+    /// multiplies its cached input panel by all stacked realizations in one
+    /// `[rows, B·width]` GEMM, which reaches the microkernel's full register
+    /// width once `B ≥ ceil(NR / width)`: that fill feeds
+    /// [`Plan::frozen_fill`].
+    pub fn gemm_layer<P: PackedOperand>(&mut self, input: &PlanShape, width: usize) -> bool {
         let frozen = self.is_frozen(input);
         if frozen {
-            let layer = FrozenWidth { width, nr };
-            if self.frozen_width.is_none_or(|w| layer.fill() > w.fill()) {
-                self.frozen_width = Some(layer);
-            }
+            let fill = P::nr().div_ceil(width.max(1));
+            self.frozen_fill = self.frozen_fill.max(Some(fill));
         }
         frozen
-    }
-}
-
-/// The output width of a plan's narrowest frozen GEMM layer and the width of
-/// the microkernel its product runs on, both recorded at compile time.
-///
-/// A frozen layer of a batched plan multiplies its cached input panel by all
-/// stacked realizations in one `[rows, B·width]` GEMM. That GEMM reaches the
-/// microkernel's full register width once `B·width ≥ nr`; beyond one tile,
-/// more stacked realizations only grow the working set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrozenWidth {
-    /// Output columns one realization contributes (out features or output
-    /// channels).
-    pub width: usize,
-    /// Columns of one microkernel tile on the tier the plan was packed for
-    /// (`invnorm_tensor::gemm::nr` or `invnorm_tensor::qgemm::nr`).
-    pub nr: usize,
-}
-
-impl FrozenWidth {
-    /// The smallest stack whose wide product fills one microkernel tile:
-    /// `ceil(nr / width)`.
-    pub fn fill(self) -> usize {
-        self.nr.div_ceil(self.width.max(1))
     }
 }
 
@@ -816,7 +792,7 @@ impl Plan {
             codes: Operands::new("code", batch, codes),
             batch,
             frozen_edges: Vec::new(),
-            frozen_width: None,
+            frozen_fill: None,
         };
         let per_dims = example.dims().to_vec();
         let mut dims = per_dims.clone();
@@ -874,11 +850,13 @@ impl Plan {
         self.arenas.batch
     }
 
-    /// The narrowest frozen GEMM layer, recorded at compile: the smallest
-    /// stack that fills its microkernel tile is [`FrozenWidth::fill`].
-    /// `None` when no weighted layer reads the plan input.
-    pub fn frozen_width(&self) -> Option<FrozenWidth> {
-        self.arenas.frozen_width
+    /// The smallest stack whose fused wide GEMM fills one microkernel tile
+    /// on every frozen layer: the largest `ceil(NR / w)` among them (w
+    /// output columns on a kernel NR columns wide), recorded at compile by
+    /// [`PlanArenas::gemm_layer`]. `None` when no weighted layer reads the
+    /// plan input.
+    pub fn frozen_fill(&self) -> Option<usize> {
+        self.arenas.frozen_fill
     }
 
     /// The plan's stack and the bytes of its f32, i8 and i32 arenas.
@@ -1337,6 +1315,46 @@ mod tests {
             }
             net.plan_end();
         }
+    }
+
+    /// A plan records `ceil(NR / w)` for its narrowest frozen GEMM layer:
+    /// only layers reading the plan input count, and f32 and integer layers
+    /// each use their own kernel's NR.
+    #[test]
+    fn frozen_fill_reads_the_narrowest_frozen_layer() {
+        use crate::quantized::QuantizedLinear;
+        use crate::Residual;
+        use invnorm_tensor::{dispatch, gemm, qgemm};
+        let (f32_nr, i8_nr) = (gemm::nr(dispatch::active()), qgemm::nr(dispatch::active()));
+        let mut rng = Rng::seed_from(15);
+        let x = Tensor::randn(&[2, 6], 0.0, 1.0, &mut rng);
+        let fill = |mut net: Sequential| {
+            let fill = Plan::compile(&mut net, &x).unwrap().frozen_fill();
+            net.plan_end();
+            fill
+        };
+        // The 8-wide first layer is frozen; the 2-wide one after it is not.
+        let mlp = Sequential::new()
+            .with(Box::new(Linear::new(6, 8, &mut rng)))
+            .with(Box::new(Linear::new(8, 2, &mut rng)));
+        assert_eq!(fill(mlp), Some(f32_nr.div_ceil(8)));
+        // Two branches read the input, 3 and 5 wide: the narrower decides.
+        let main = Sequential::new()
+            .with(Box::new(Linear::new(6, 3, &mut rng)))
+            .with(Box::new(Linear::new(3, 5, &mut rng)));
+        let shortcut = Sequential::new().with(Box::new(Linear::new(6, 5, &mut rng)));
+        let residual = Sequential::new().with(Box::new(Residual::with_shortcut(main, shortcut)));
+        assert_eq!(fill(residual), Some(f32_nr.div_ceil(3)));
+        let quantized = QuantizedLinear::from_linear(&Linear::new(6, 8, &mut rng), 8).unwrap();
+        assert_eq!(
+            fill(Sequential::new().with(Box::new(quantized))),
+            Some(i8_nr.div_ceil(8))
+        );
+        // No weighted layer reads the plan input.
+        let behind_relu = Sequential::new()
+            .with(Box::new(Relu::new()))
+            .with(Box::new(Linear::new(6, 2, &mut rng)));
+        assert_eq!(fill(behind_relu), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use invnorm_tensor::conv::{conv_out_shape, im2col_codes_into, im2col_slice_into,
 use invnorm_tensor::qgemm::{qgemm_prepacked_ab, qgemm_prepacked_b, QPackedA};
 use invnorm_tensor::scratch::uninit_slice_of;
 use invnorm_tensor::telemetry;
-use invnorm_tensor::{dispatch, qgemm, ArenaSlot, Scratch, Tensor};
+use invnorm_tensor::{qgemm, ArenaSlot, Scratch, Tensor};
 
 /// Largest i8 code magnitude; also the fixed bit-width ceiling of the packed
 /// storage.
@@ -311,7 +311,7 @@ impl Layer for QuantizedLinear {
         let n = input.dims[0];
         let n_per = n / batch;
         let (fin, fout) = (self.in_features, self.out_features);
-        let frozen = arenas.gemm_layer(input, fout, qgemm::nr(dispatch::active()));
+        let frozen = arenas.gemm_layer::<qgemm::QPackedB>(input, fout);
         let wide = if frozen { batch } else { 1 };
         self.plan = Some(QuantizedPlan {
             // One realization's activation codes, reused across the stack;
@@ -618,7 +618,7 @@ impl Layer for QuantizedConv2d {
         let rows_per = shape.rows / batch;
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
-        let frozen = arenas.gemm_layer(input, oc, qgemm::nr(dispatch::active()));
+        let frozen = arenas.gemm_layer::<qgemm::QPackedB>(input, oc);
         let wide = if frozen { batch } else { 1 };
         self.plan = Some(QuantizedPlan {
             // One realization's codes and patches: every path quantizes and

@@ -666,10 +666,13 @@ pub trait PackedOperand: Clone + Default + std::fmt::Debug {
     fn scale_from(&mut self, src: &Self, factor: f32);
     /// See [`PackedB::n`].
     fn n(&self) -> usize;
+    /// Columns of C one microkernel tile computes on the active tier
+    /// ([`nr`] or [`crate::qgemm::nr`]).
+    fn nr() -> usize;
 }
 
 macro_rules! packed_operand {
-    ($packed:ident, $elem:ty) => {
+    ($packed:ident, $elem:ty, $nr:path) => {
         impl PackedOperand for $packed {
             type Elem = $elem;
             fn pack(&mut self, trans_b: bool, b: &[$elem], k: usize, n: usize) {
@@ -690,12 +693,15 @@ macro_rules! packed_operand {
             fn n(&self) -> usize {
                 $packed::n(self)
             }
+            fn nr() -> usize {
+                $nr(dispatch::active())
+            }
         }
     };
 }
 
-packed_operand!(PackedB, f32);
-packed_operand!(QPackedB, i8);
+packed_operand!(PackedB, f32, nr);
+packed_operand!(QPackedB, i8, crate::qgemm::nr);
 
 /// GEMM with a cached pre-packed B operand (see [`PackedB`]):
 /// `C ← α · op(A) · op(B) + β · C` where only A is packed per call, blockwise

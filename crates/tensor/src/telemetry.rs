@@ -597,8 +597,9 @@ pub struct RunTelemetry {
     /// The SIMD kernel tier ([`crate::dispatch::active`]) the run executed
     /// under — the reproducibility boundary of the f32 results.
     pub kernel_tier: &'static str,
-    /// The steady-state plan of a planned run: its stack and arena bytes.
-    /// `None` for the sequential engine, which compiles no plan.
+    /// The plan a planned run compiled at its stack before any batch ran:
+    /// the stack and that plan's arena bytes. `None` for the sequential
+    /// engine, which compiles no plan.
     pub plan: Option<PlanFootprint>,
     /// Per-run Welford convergence stream over the metric vector.
     pub convergence: Vec<ConvergencePoint>,

@@ -14,10 +14,10 @@ use invnorm_models::resnet::MicroResNetConfig;
 use invnorm_models::unet::MicroUNetConfig;
 use invnorm_models::{lstm, m5, resnet, unet};
 use invnorm_nn::activation::Relu;
-use invnorm_nn::conv::Conv2d;
+use invnorm_nn::conv::{Conv1d, Conv2d};
 use invnorm_nn::lstm::Lstm;
 use invnorm_nn::pool::MaxPool2d;
-use invnorm_nn::reshape::Flatten;
+use invnorm_nn::reshape::{Flatten, Reshape};
 
 /// A pass-through allocator counting this thread's allocations, so the
 /// steady-state zero-allocation claim of planned forwards is enforced by the
@@ -84,7 +84,13 @@ fn model_faults() -> [FaultModel; 4] {
 /// Asserts the planned engine reproduces the sequential engine bit for bit
 /// on a deterministic model factory in `domain`, for every fault, at batch 1
 /// (one realization per forward), batch 3 (a tail batch of 2: per-worker
-/// recompilation) and batch 8 (one full stack), on one to four threads.
+/// recompilation) and batch 8, on one to four threads. Through telemetry it
+/// also asserts each sweep ran the stack the rule picks, `min(batch,
+/// ceil(runs / threads), fill)` for the plan's frozen fill `ceil(NR / w)`.
+/// Every model here reads its input with a layer 2 wide on an f32 kernel
+/// (NR ≥ 8) or 4 wide on an integer one (NR ≥ 16), so its fill is at least
+/// 4 on every tier: batches 3 and 8 never silently fall to one realization
+/// per forward.
 fn assert_planned_matches_run<M, F>(
     domain: SweepDomain,
     factory: F,
@@ -94,8 +100,16 @@ fn assert_planned_matches_run<M, F>(
     M: Layer + Send,
     F: Fn() -> M + Sync,
 {
-    let engine = MonteCarloEngine::new(8, 0xBEEF);
+    let runs = 8;
+    let engine = MonteCarloEngine::new(runs, 0xBEEF);
     let metric = |out: &Tensor| Ok(out.abs().mean());
+    let mut model = factory();
+    let fill = Plan::compile(&mut model, x).unwrap().frozen_fill();
+    model.plan_end();
+    let fill = fill.expect("every model here reads its input with a weighted layer");
+    assert!(fill >= 4, "{}: fill {fill}", model.name());
+    // Telemetry is bit-invisible; no test of this file needs it off.
+    Telemetry::enable();
     for fault in faults {
         let sequential = engine
             .run_supervised(
@@ -118,15 +132,21 @@ fn assert_planned_matches_run<M, F>(
                 .execute(&sweep, &SweepControl::new())
                 .and_then(SweepOutcome::into_summary)
                 .unwrap();
+            let what = format!("{} {fault:?} batch={batch} threads={threads}", model.name());
+            let stack = planned
+                .telemetry
+                .as_ref()
+                .and_then(|t| t.plan)
+                .map(|p| p.stack);
+            let expected = batch.min(runs.div_ceil(threads)).min(fill);
+            assert_eq!(stack, Some(expected), "{what}");
             let identical = planned.runs() == sequential.runs()
                 && (sequential.per_run.iter().zip(&planned.per_run))
                     .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(
                 identical,
-                "{} {fault:?} batch={batch} threads={threads}: {:?} vs {:?}",
-                factory().name(),
-                sequential.per_run,
-                planned.per_run
+                "{what}: {:?} vs {:?}",
+                sequential.per_run, planned.per_run
             );
         }
     }
@@ -134,36 +154,58 @@ fn assert_planned_matches_run<M, F>(
 
 #[test]
 fn resnet_planned_is_bit_identical_to_run() {
-    let factory = || {
-        resnet::build(&MicroResNetConfig::tiny(4), NormVariant::Conventional).expect("build resnet")
+    // A 2-wide stem, so the engine stacks on every tier.
+    let config = MicroResNetConfig {
+        base_channels: 2,
+        ..MicroResNetConfig::tiny(4)
     };
+    let factory = || resnet::build(&config, NormVariant::Conventional).expect("build resnet");
     let x = Tensor::randn(&[2, 3, 16, 16], 0.0, 1.0, &mut Rng::seed_from(1));
     assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 #[test]
 fn unet_planned_is_bit_identical_to_run() {
-    let factory =
-        || unet::build(&MicroUNetConfig::tiny(), NormVariant::Conventional).expect("build unet");
+    let config = MicroUNetConfig {
+        base_channels: 2,
+        ..MicroUNetConfig::tiny()
+    };
+    let factory = || unet::build(&config, NormVariant::Conventional).expect("build unet");
     let x = Tensor::randn(&[1, 1, 16, 16], 0.0, 1.0, &mut Rng::seed_from(2));
     assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 #[test]
 fn m5_planned_is_bit_identical_to_run() {
-    let factory = || m5::build(&M5NetConfig::tiny(4), NormVariant::Conventional).expect("build m5");
+    let config = M5NetConfig {
+        base_channels: 2,
+        ..M5NetConfig::tiny(4)
+    };
+    let factory = || m5::build(&config, NormVariant::Conventional).expect("build m5");
     let x = Tensor::randn(&[2, 1, 128], 0.0, 1.0, &mut Rng::seed_from(3));
     assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 
 #[test]
 fn lstm_planned_is_bit_identical_to_run() {
-    // The recurrent forecaster: a sequence-returning Lstm feeding one that
-    // is not, then the norm and the dense head.
-    let factory = || {
-        lstm::build(&LstmForecasterConfig::tiny(), NormVariant::Conventional).expect("build lstm")
+    // The recurrent forecaster (a sequence-returning Lstm feeding one that
+    // is not, then the norm and the dense head) has no frozen layer of its
+    // own. A frozen 2-wide Conv1d front, whose [N, 2, 6] output is read as
+    // a 6-step sequence of 2 features (a reshape, not a transpose), lets the
+    // engine stack the faulty recurrence.
+    let config = LstmForecasterConfig {
+        input_features: 2,
+        ..LstmForecasterConfig::tiny()
     };
-    let x = Tensor::randn(&[2, 6, 1], 0.0, 1.0, &mut Rng::seed_from(4));
+    let factory = || {
+        let mut rng = Rng::seed_from(4);
+        let forecaster = lstm::build(&config, NormVariant::Conventional).expect("build lstm");
+        Sequential::new()
+            .with(Box::new(Conv1d::new(1, 2, 3, 1, 1, &mut rng)))
+            .with(Box::new(Reshape::new(&[6, 2])))
+            .with(forecaster.network)
+    };
+    let x = Tensor::randn(&[2, 1, 6], 0.0, 1.0, &mut Rng::seed_from(4));
     assert_planned_matches_run(SweepDomain::Weights, factory, model_faults(), &x);
 }
 

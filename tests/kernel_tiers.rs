@@ -238,11 +238,13 @@ fn cnn(seed: u64) -> Sequential {
 
 /// Under each forced tier, the sequential oracle and the planned engine at
 /// several batch sizes and thread counts agree bit for bit, and every
-/// summary records the tier.
+/// summary records the tier. The stacked sweeps stack what the rule picks
+/// from that tier's microkernel width (the first conv is 4 wide).
 #[test]
 fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
     let _guard = tier_lock();
     let _restore = ResetOnDrop;
+    Telemetry::enable();
     let x = Tensor::randn(&[2, 2, 8, 8], 0.0, 1.0, &mut Rng::seed_from(11));
     let engine = MonteCarloEngine::new(4, 0x5EED);
     let fault = FaultModel::AdditiveVariation { sigma: 0.3 };
@@ -270,12 +272,20 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
         let planned_t3 = on(1, 3);
         let planned = on(1, 2);
         let fused = on(2, 2);
+        let wide = on(4, 1);
+        // `min(batch, ceil(runs / threads), ceil(NR / 4))`: 2, then 4, 4
+        // and 2 on AVX-512, AVX2 and portable.
+        for (s, expected) in [(&fused, 2), (&wide, gemm::nr(tier).div_ceil(4).min(4))] {
+            let stack = s.telemetry.as_ref().and_then(|t| t.plan).map(|p| p.stack);
+            assert_eq!(stack, Some(expected), "{} tier", tier.name());
+        }
         // Every summary records the forced tier as its provenance.
         for (name, s) in [
             ("run", &sequential),
             ("planned batch=1 threads=3", &planned_t3),
             ("planned batch=1", &planned),
             ("planned batch=2", &fused),
+            ("planned batch=4", &wide),
         ] {
             assert_eq!(
                 s.kernel_tier,
@@ -290,6 +300,7 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
             ("planned batch=1 threads=3", &planned_t3),
             ("planned batch=1", &planned),
             ("planned batch=2", &fused),
+            ("planned batch=4", &wide),
         ] {
             let same = sequential
                 .per_run
