@@ -105,8 +105,10 @@ fn bench_gemm(c: &mut Criterion) {
         bch.iter(|| ops::reference::matmul_a_bt(&x, &w).unwrap().sum())
     });
 
-    // Conv forward: the zero-alloc Eval path (scratch-reusing im2col + blocked
-    // GEMM) against an im2col + naive-matmul composition.
+    // Conv forward: the zero-alloc Eval path (a per-image unfold and one
+    // blocked GEMM straight into NCHW) against an im2col + naive-matmul
+    // composition, then at MicroResNet's block conv on its 24-image test
+    // batch (8→8 channels, 3×3, 16×16, no bias).
     let conv_input = Tensor::randn(&[4, 16, 32, 32], 0.0, 1.0, &mut rng);
     let mut conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng);
     group.bench_function("conv2d_forward_eval_16to32_32x32", |bch| {
@@ -122,6 +124,11 @@ fn bench_gemm(c: &mut Criterion) {
                 .unwrap()
                 .sum()
         })
+    });
+    let block_input = Tensor::randn(&[24, 8, 16, 16], 0.0, 1.0, &mut rng);
+    let mut block_conv = Conv2d::with_bias(8, 8, 3, 1, 1, false, &mut rng);
+    group.bench_function("conv2d_forward_eval_8to8_16x16_n24", |bch| {
+        bch.iter(|| block_conv.forward(&block_input, Mode::Eval).unwrap().sum())
     });
 
     // Quantized conv forward: i8 im2col + i8 GEMM + one dequantization,

@@ -15,10 +15,12 @@ use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
 /// Kaiming-uniform initialization, square kernels, symmetric padding.
 ///
 /// Evaluation-mode forwards run through the zero-alloc scratch path
-/// ([`conv::conv2d_forward_with_scratch`]): the im2col patch matrix and GEMM
-/// staging buffers are reused across calls, which is what the Monte-Carlo
-/// fault-simulation hot loop repeatedly exercises. Training-mode forwards
-/// retain the patch matrix for the backward pass as before.
+/// ([`conv::conv2d_forward_with_scratch`]): each image is unfolded into a
+/// reused `[C·KH·KW, OH·OW]` buffer and multiplied as `W · cols` straight
+/// into the NCHW output, which is what the Monte-Carlo fault-simulation hot
+/// loop repeatedly exercises. Training-mode forwards build the whole
+/// batch's `[N·OH·OW, C·KH·KW]` im2col matrix and retain it, because the
+/// backward pass consumes it.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,

@@ -1,4 +1,5 @@
-//! Convolution kernels (1-D and 2-D) based on im2col/col2im.
+//! Convolution kernels (1-D and 2-D): image-at-a-time `W · cols` for
+//! inference, im2col/col2im for training.
 //!
 //! Layouts follow the deep-learning convention used throughout the paper:
 //! 2-D activations are `[N, C, H, W]`, 1-D activations are `[N, C, L]`,
@@ -139,7 +140,7 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
 
 /// [`im2col`] into a caller-provided buffer of exactly
 /// `N*OH*OW × C*KH*KW` elements (every element is overwritten), so repeated
-/// forward passes can reuse one allocation — see [`conv2d_forward_with_scratch`].
+/// calls can reuse one allocation.
 ///
 /// # Errors
 ///
@@ -397,12 +398,19 @@ pub fn conv2d_forward(
     })
 }
 
-/// 2-D convolution forward pass for inference hot loops: identical math to
-/// [`conv2d_forward`], but the im2col patch matrix and the GEMM staging
-/// buffer live in the caller's [`Scratch`] (and the GEMM packing buffers in
-/// a thread-local one), so steady-state calls only allocate the returned
-/// output tensor. No patch matrix is retained — use [`conv2d_forward`] when
-/// a backward pass will follow.
+/// 2-D convolution forward pass for inference hot loops: the same
+/// per-output FMA chain as [`conv2d_forward`], computed one image at a time.
+/// Each `[C, H, W]` image is unfolded into a `[C·KH·KW, OH·OW]` matrix in
+/// the caller's [`Scratch`], and one GEMM `W · cols` writes that image's
+/// `[OC, OH·OW]` block of the NCHW output directly; the bias is added per
+/// channel row afterwards. Every output keeps its k order, KC panels and
+/// bias-last addition, with only each product's two factors swapped, so the
+/// result is bit-identical to [`conv2d_forward`] on every kernel tier.
+///
+/// The GEMM packing buffers come from a thread-local [`Scratch`], so
+/// steady-state calls only allocate the returned output tensor. No patch
+/// matrix is retained — use [`conv2d_forward`] when a backward pass will
+/// follow.
 ///
 /// # Errors
 ///
@@ -414,7 +422,7 @@ pub fn conv2d_forward_with_scratch(
     spec: &Conv2dSpec,
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
-    let (n, c, _, _) = as_nchw(input)?;
+    let (n, c, h, w) = as_nchw(input)?;
     let wd = weight.dims();
     if wd.len() != 4 {
         return Err(TensorError::RankMismatch {
@@ -429,31 +437,123 @@ pub fn conv2d_forward_with_scratch(
             spec.kh, spec.kw
         )));
     }
-    let ConvShape {
-        oh,
-        ow,
-        patch,
-        rows,
-        ..
-    } = conv_out_shape(input.dims(), spec)?;
-    let cols = uninit_slice(&mut scratch.cols, rows * patch);
-    im2col_into(input, spec, cols)?;
-    // [rows, patch] @ [oc, patch]ᵀ -> [rows, oc]
-    let out_mat = uninit_slice(&mut scratch.out_mat, rows * oc);
-    ops::gemm(
-        false,
-        true,
-        rows,
-        oc,
-        patch,
-        1.0,
-        cols,
-        weight.data(),
-        0.0,
-        out_mat,
-    );
-    let out = relayout_nchw(out_mat, bias, n, oc, oh, ow);
+    if let Some(b) = bias {
+        if b.numel() != oc {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![oc],
+                rhs: b.dims().to_vec(),
+            });
+        }
+    }
+    let ConvShape { oh, ow, patch, .. } = conv_out_shape(input.dims(), spec)?;
+    let pixels = oh * ow;
+    let image_len = c * h * w;
+    let cols = uninit_slice(&mut scratch.cols, patch * pixels);
+    let mut out = vec![0.0f32; n * oc * pixels];
+    for ni in 0..n {
+        let image = &input.data()[ni * image_len..][..image_len];
+        let out_image = &mut out[ni * oc * pixels..][..oc * pixels];
+        unfold_image(image, c, h, w, spec, oh, ow, cols);
+        // [oc, patch] · [patch, oh·ow] -> [oc, oh·ow], this image's NCHW block
+        ops::gemm(
+            false,
+            false,
+            oc,
+            pixels,
+            patch,
+            1.0,
+            weight.data(),
+            cols,
+            0.0,
+            out_image,
+        );
+        if let Some(b) = bias {
+            for (row, &bv) in out_image.chunks_exact_mut(pixels).zip(b.data()) {
+                for v in row {
+                    *v += bv;
+                }
+            }
+        }
+    }
     Tensor::from_vec(out, &[n, oc, oh, ow])
+}
+
+/// Unfolds one `[C, H, W]` image into the `[C·KH·KW, OH·OW]` matrix `cols`
+/// (the transpose of that image's [`im2col`] rows): row `(ci, ky, kx)` holds
+/// the input plane `ci` shifted by `(ky, kx)` and sampled at the stride,
+/// with zero runs where the shifted window leaves the image.
+#[allow(clippy::too_many_arguments)]
+fn unfold_image(
+    image: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    oh: usize,
+    ow: usize,
+    cols: &mut [f32],
+) {
+    let _span = telemetry::span(telemetry::Phase::Im2col);
+    let (stride, pad) = (spec.stride, spec.pad);
+    let mut rows = cols.chunks_exact_mut(oh * ow);
+    for ci in 0..c {
+        let plane = &image[ci * h * w..][..h * w];
+        for ky in 0..spec.kh {
+            let (oy_lo, oy_hi) = inside(ky, pad, stride, h, oh);
+            for kx in 0..spec.kw {
+                let row = rows.next().expect("cols holds C·KH·KW rows");
+                let (ox_lo, ox_hi) = inside(kx, pad, stride, w, ow);
+                let (top, rest) = row.split_at_mut(oy_lo * ow);
+                let (band, bottom) = rest.split_at_mut((oy_hi - oy_lo) * ow);
+                top.fill(0.0);
+                bottom.fill(0.0);
+                if band.is_empty() || ox_lo == ox_hi {
+                    band.fill(0.0);
+                    continue;
+                }
+                let iy0 = oy_lo * stride + ky - pad;
+                let ix0 = ox_lo * stride + kx - pad;
+                if stride == 1 && ow == w {
+                    // Output and input rows have the same width, so the
+                    // band is the plane shifted by one offset: one copy,
+                    // then zero the columns that wrapped in from a
+                    // neighbouring row.
+                    let end = band.len() - (w - ox_hi);
+                    band[ox_lo..end].copy_from_slice(&plane[iy0 * w + ix0..][..end - ox_lo]);
+                    for seg in band.chunks_exact_mut(w) {
+                        seg[..ox_lo].fill(0.0);
+                        seg[ox_hi..].fill(0.0);
+                    }
+                    continue;
+                }
+                if ox_lo > 0 || ox_hi < ow {
+                    band.fill(0.0);
+                }
+                for (seg, iy) in band.chunks_exact_mut(ow).zip((iy0..).step_by(stride)) {
+                    let body = &mut seg[ox_lo..ox_hi];
+                    let src = &plane[iy * w + ix0..];
+                    if stride == 1 {
+                        body.copy_from_slice(&src[..body.len()]);
+                    } else {
+                        for (d, &v) in body.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The output positions `[lo, hi)` of `out_len` along one axis whose input
+/// position `o·stride + k − pad` lies inside `[0, extent)`.
+fn inside(k: usize, pad: usize, stride: usize, extent: usize, out_len: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k).div_ceil(stride).min(out_len);
+    let hi = (extent + pad)
+        .saturating_sub(k)
+        .div_ceil(stride)
+        .clamp(lo, out_len);
+    (lo, hi)
 }
 
 /// Re-layouts a `[N*OH*OW, OC]` GEMM result into `[N, OC, OH, OW]`, adding
@@ -923,21 +1023,88 @@ mod tests {
 
     #[test]
     fn scratch_forward_matches_allocating_forward() {
+        let square = Conv2dSpec::new;
+        // (n, c, h, w, oc, spec)
+        let cases = [
+            // MicroResNet's convs on the 24-image test batch: the 3→8 stem,
+            // the 8→8 block conv, the stride-2 8→16 conv and its 1×1
+            // stride-2 shortcut, then the 16→16 conv on one image.
+            (24, 3, 16, 16, 8, square(3, 1, 1)),
+            (24, 8, 16, 16, 8, square(3, 1, 1)),
+            (24, 8, 16, 16, 16, square(3, 2, 1)),
+            (24, 8, 16, 16, 16, square(1, 2, 0)),
+            (1, 16, 8, 8, 16, square(3, 1, 1)),
+            // 5×5 with pad 2, no padding, odd sizes, stride 3 with pad 2,
+            // 1×1 without and with padding, a one-column image.
+            (2, 3, 7, 7, 5, square(5, 1, 2)),
+            (2, 3, 7, 7, 5, square(3, 1, 0)),
+            (2, 3, 7, 9, 5, square(3, 2, 1)),
+            (1, 2, 5, 6, 3, square(2, 3, 2)),
+            (2, 6, 5, 5, 4, square(1, 1, 0)),
+            (2, 6, 5, 5, 4, square(1, 1, 1)),
+            (1, 2, 3, 1, 3, square(3, 1, 1)),
+            // C·KH·KW = 288 > KC: the product takes two k-panels.
+            (2, 32, 6, 6, 6, square(3, 1, 1)),
+            // OC = 1, and OC wider than every tier's MR.
+            (3, 4, 8, 8, 1, square(3, 1, 1)),
+            (1, 4, 8, 8, 20, square(3, 1, 1)),
+            // The kh = 1 lift a Conv1d runs (it pads the length itself).
+            (
+                2,
+                4,
+                1,
+                40,
+                6,
+                Conv2dSpec {
+                    kh: 1,
+                    kw: 5,
+                    stride: 2,
+                    pad: 0,
+                },
+            ),
+        ];
         let mut rng = Rng::seed_from(10);
         let mut scratch = Scratch::new();
-        for &(stride, pad) in &[(1usize, 0usize), (1, 1), (2, 1)] {
-            let spec = Conv2dSpec::new(3, stride, pad);
-            let input = Tensor::randn(&[2, 3, 7, 7], 0.0, 1.0, &mut rng);
-            let weight = Tensor::randn(&[5, 3, 3, 3], 0.0, 0.5, &mut rng);
-            let bias = Tensor::randn(&[5], 0.0, 0.5, &mut rng);
-            let reference = conv2d_forward(&input, &weight, Some(&bias), &spec)
-                .unwrap()
-                .output;
-            let got =
-                conv2d_forward_with_scratch(&input, &weight, Some(&bias), &spec, &mut scratch)
-                    .unwrap();
-            assert!(got.approx_eq(&reference, 1e-5), "stride {stride} pad {pad}");
+        for (n, c, h, w, oc, spec) in cases {
+            for with_bias in [false, true] {
+                let input = Tensor::randn(&[n, c, h, w], 0.0, 1.0, &mut rng);
+                let weight = Tensor::randn(&[oc, c, spec.kh, spec.kw], 0.0, 0.5, &mut rng);
+                let bias = with_bias.then(|| Tensor::randn(&[oc], 0.0, 0.5, &mut rng));
+                let reference = conv2d_forward(&input, &weight, bias.as_ref(), &spec)
+                    .unwrap()
+                    .output;
+                let got = conv2d_forward_with_scratch(
+                    &input,
+                    &weight,
+                    bias.as_ref(),
+                    &spec,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_eq!(got.dims(), reference.dims());
+                let identical = got
+                    .data()
+                    .iter()
+                    .zip(reference.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    identical,
+                    "n={n} c={c} {h}x{w} oc={oc} {spec:?} bias={with_bias}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn scratch_forward_rejects_a_bias_of_the_wrong_length() {
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let input = Tensor::zeros(&[1, 2, 5, 5]);
+        let weight = Tensor::zeros(&[4, 2, 3, 3]);
+        let bias = Tensor::zeros(&[3]);
+        let mut scratch = Scratch::new();
+        assert!(
+            conv2d_forward_with_scratch(&input, &weight, Some(&bias), &spec, &mut scratch).is_err()
+        );
     }
 
     #[test]

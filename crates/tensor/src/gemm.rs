@@ -825,7 +825,8 @@ fn scale_in_place(c: &mut [f32], beta: f32) {
 
 /// Packs the `mc × kc` block of `op(A)` starting at `(ic, pc)` into mr-row
 /// strips laid out p-major (`packed[strip][p][r]`), zero-padding the ragged
-/// final strip so the microkernel always reads full tiles.
+/// final strip so the microkernel always reads full tiles. Transposed A is
+/// stored in the strip's own order, so each of its k-steps is one copy.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     mr: usize,
@@ -839,32 +840,29 @@ fn pack_a(
     kc: usize,
     packed: &mut [f32],
 ) {
-    let at = |i: usize, p: usize| -> f32 {
-        if trans_a {
-            a[p * m + i]
-        } else {
-            a[i * k + p]
-        }
-    };
-    let mut dst = 0;
+    let mut steps = packed.chunks_exact_mut(mr);
     for ir in (0..mc).step_by(mr) {
+        let i0 = ic + ir;
         let rows = mr.min(mc - ir);
-        for p in 0..kc {
-            for r in 0..mr {
-                packed[dst] = if r < rows {
-                    at(ic + ir + r, pc + p)
-                } else {
-                    0.0
-                };
-                dst += 1;
+        for p in pc..pc + kc {
+            let dst = steps.next().expect("packed buffer holds every strip");
+            let (body, tail) = dst.split_at_mut(rows);
+            if trans_a {
+                body.copy_from_slice(&a[p * m + i0..][..rows]);
+            } else {
+                for (r, d) in body.iter_mut().enumerate() {
+                    *d = a[(i0 + r) * k + p];
+                }
             }
+            tail.fill(0.0);
         }
     }
 }
 
 /// Packs the `kc × nc` block of `op(B)` starting at `(pc, jc)` into nr-column
 /// strips laid out p-major (`packed[strip][p][j]`), zero-padded like
-/// [`pack_a`].
+/// [`pack_a`]. Untransposed B is row-major in the strip's own order, so each
+/// k-step of a strip is one contiguous copy.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     nr: usize,
@@ -878,25 +876,21 @@ fn pack_b(
     nc: usize,
     packed: &mut [f32],
 ) {
-    let bt = |p: usize, j: usize| -> f32 {
-        if trans_b {
-            b[j * k + p]
-        } else {
-            b[p * n + j]
-        }
-    };
-    let mut dst = 0;
+    let mut steps = packed.chunks_exact_mut(nr);
     for jr in (0..nc).step_by(nr) {
+        let j0 = jc + jr;
         let cols = nr.min(nc - jr);
-        for p in 0..kc {
-            for j in 0..nr {
-                packed[dst] = if j < cols {
-                    bt(pc + p, jc + jr + j)
-                } else {
-                    0.0
-                };
-                dst += 1;
+        for p in pc..pc + kc {
+            let dst = steps.next().expect("packed buffer holds every strip");
+            let (body, tail) = dst.split_at_mut(cols);
+            if trans_b {
+                for (j, d) in body.iter_mut().enumerate() {
+                    *d = b[(j0 + j) * k + p];
+                }
+            } else {
+                body.copy_from_slice(&b[p * n + j0..][..cols]);
             }
+            tail.fill(0.0);
         }
     }
 }
@@ -1202,6 +1196,49 @@ mod tests {
         let mut c = [f32::NAN; 1];
         gemm(false, false, 1, 1, 2, 1.0, &a, &b, 0.0, &mut c);
         assert_eq!(c[0], 11.0);
+    }
+
+    #[test]
+    fn packing_copies_match_the_transposed_gather() {
+        // An operand stored in strip order (transposed A, untransposed B)
+        // packs by contiguous copies; the other storage of the same operand
+        // packs element by element. Both must lay out the same panel,
+        // padding included, for every tier's strip width, across block
+        // edges.
+        let mut rng = Rng::seed_from(16);
+        let (rows, cols) = (KC + 9, NC + 21);
+        let x = random_vec(rows * cols, &mut rng);
+        let xt: Vec<f32> = (0..cols * rows)
+            .map(|i| x[(i % rows) * cols + i / rows])
+            .collect();
+        let identical = |p: &[f32], q: &[f32]| {
+            p.iter().all(|v| !v.is_nan())
+                && p.iter().zip(q).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        for width in [4, 6, 8, 14, 16, 32] {
+            for (p0, j0) in [(0, 0), (0, NC), (KC, 0), (KC, NC)] {
+                let (pn, jn) = (KC.min(rows - p0), NC.min(cols - j0));
+                let len = pn * jn.next_multiple_of(width);
+                // B = x is [k = rows, n = cols]; stored [n, k] it is xt.
+                let mut copied = vec![f32::NAN; len];
+                let mut gathered = vec![f32::NAN; len];
+                pack_b(width, false, &x, rows, cols, p0, pn, j0, jn, &mut copied);
+                pack_b(width, true, &xt, rows, cols, p0, pn, j0, jn, &mut gathered);
+                assert!(
+                    identical(&copied, &gathered),
+                    "B nr={width} pc={p0} jc={j0}"
+                );
+                // A = xt is [m = cols, k = rows]; stored [k, m] it is x.
+                let mut copied = vec![f32::NAN; len];
+                let mut gathered = vec![f32::NAN; len];
+                pack_a(width, true, &x, cols, rows, j0, jn, p0, pn, &mut copied);
+                pack_a(width, false, &xt, cols, rows, j0, jn, p0, pn, &mut gathered);
+                assert!(
+                    identical(&copied, &gathered),
+                    "A mr={width} ic={j0} pc={p0}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,12 @@ pub struct Scratch {
     pub packed_a: Vec<f32>,
     /// Packed B-panel storage for the blocked GEMM (NR-strip layout).
     pub packed_b: Vec<f32>,
-    /// im2col patch matrix (`[N*OH*OW, C*KH*KW]`, row-major).
+    /// Patch staging for the conv kernels: one image's `[C·KH·KW, OH·OW]`
+    /// unfold in the inference forward, the `[N·OH·OW, C·KH·KW]`
+    /// patch-gradient matrix in the training backward.
     pub cols: Vec<f32>,
-    /// GEMM output staging in matrix layout before NCHW re-layout.
+    /// GEMM operand staging in matrix layout: the conv backward's
+    /// `[N·OH·OW, OC]` output gradient, the LSTM's gate pre-activations.
     pub out_mat: Vec<f32>,
     /// Per-timestep input slice / gate staging (LSTM).
     pub step: Vec<f32>,

@@ -32,18 +32,23 @@ use std::time::Duration;
 /// Number of worker threads a parallel region should use.
 ///
 /// Honors the `RAYON_NUM_THREADS` environment variable (like real rayon),
-/// falling back to [`std::thread::available_parallelism`].
+/// falling back to [`std::thread::available_parallelism`]. Both are read
+/// once, on the first call, and cached: the pool sizes itself from that
+/// value, and upstream rayon likewise reports its fixed pool size. Later
+/// calls are one load (the GEMM asks on every product).
 pub fn current_num_threads() -> usize {
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// Runs both closures and returns their results.
