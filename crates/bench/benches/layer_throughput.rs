@@ -64,7 +64,7 @@ fn bench_gemm(c: &mut Criterion) {
         let mut qc = vec![0i32; size * size];
         group.bench_function(format!("qgemm_{size}x{size}x{size}"), |bch| {
             bch.iter(|| {
-                ops::qgemm(false, false, size, size, size, &qa, &qb, false, &mut qc);
+                ops::gemm(false, false, size, size, size, &qa, &qb, false, &mut qc);
                 qc[0]
             })
         });

@@ -23,7 +23,7 @@ use invnorm_nn::plan::{
     Plan, PlanArenas, PlanCtx, PlanShape, PlanView, PlannedOperand, SparseCells,
 };
 use invnorm_nn::NnError;
-use invnorm_tensor::gemm::PackedOperand;
+use invnorm_tensor::gemm::Element;
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{DirtyRows, Rng, Tensor};
 use std::sync::{Arc, RwLock};
@@ -306,13 +306,13 @@ impl WeightFaultInjector {
 /// with what `per_operand` derived once. Both paths fork every stream
 /// exactly as the sequential injector does.
 // lint: no_alloc
-fn realize_plan<P: PackedOperand, C>(
+fn realize_plan<T: Element, C>(
     model: FaultModel,
     batch: usize,
-    operands: &mut [PlannedOperand<P>],
+    operands: &mut [PlannedOperand<T>],
     rngs: &mut [Rng],
-    per_operand: impl Fn(&PlanView<'_, P::Elem>, u8) -> C,
-    step: impl Fn(&mut PlanView<'_, P::Elem>, &C, usize, &mut Rng) -> Result<()>,
+    per_operand: impl Fn(&PlanView<'_, T>, u8) -> C,
+    step: impl Fn(&mut PlanView<'_, T>, &C, usize, &mut Rng) -> Result<()>,
 ) -> Result<()> {
     let _span = telemetry::span(telemetry::Phase::Inject);
     model.validate()?;
@@ -627,7 +627,7 @@ impl CodeFaultInjector {
     /// leaves codes unchanged), so only changed rows are re-packed; line
     /// defects hand their exact cells to the plan; retention drift takes the
     /// uniform-scale fast path, `round(c · factor)` per packed code
-    /// ([`QPackedB::scale_from`]) — with `factor ≤ 1`, exactly the
+    /// ([`PackedB::scale_from`]) — with `factor ≤ 1`, exactly the
     /// sequential drift arm, whose clamp never binds.
     ///
     /// # Errors
@@ -635,7 +635,7 @@ impl CodeFaultInjector {
     /// Returns an error when the fault model is invalid or `rngs` does not
     /// hold exactly one stream per stacked realization.
     ///
-    /// [`QPackedB::scale_from`]: invnorm_tensor::qgemm::QPackedB::scale_from
+    /// [`PackedB::scale_from`]: invnorm_tensor::gemm::PackedB::scale_from
     pub fn realize_plan_batch(&self, plan: &mut Plan, rngs: &mut [Rng]) -> Result<()> {
         let model = self.model;
         realize_plan(
@@ -655,12 +655,12 @@ impl CodeFaultInjector {
 /// Materializes realization `b` of one quantized parameter's codes into its
 /// slice of the plan-owned faulty buffer — the code-domain counterpart of
 /// [`realize_one_f32`]. Line defects take the sparse packed-domain path
-/// ([`realize_lines`], scattered through [`QPackedB::write_cell`]); every
+/// ([`realize_lines`], scattered through [`PackedB::write_cell`]); every
 /// other model realizes densely through [`perturb_codes`] and is diffed row
 /// by row. Both routes draw exactly the variates of
 /// [`CodeFaultInjector::inject`], in the same order.
 ///
-/// [`QPackedB::write_cell`]: invnorm_tensor::QPackedB::write_cell
+/// [`PackedB::write_cell`]: invnorm_tensor::gemm::PackedB::write_cell
 fn realize_one_codes(
     view: &mut PlanView<'_, i8>,
     model: FaultModel,

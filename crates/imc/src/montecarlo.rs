@@ -1366,26 +1366,26 @@ mod tests {
     #[test]
     fn stack_rule_fills_one_microkernel_tile() {
         use invnorm_tensor::dispatch::KernelTier::{Avx2, Avx512, Portable};
-        use invnorm_tensor::{gemm, qgemm};
+        use invnorm_tensor::gemm;
         use FaultLifetime::{PerInference, Static};
         // A frozen layer `w` columns wide on a kernel `nr` columns wide.
         let frozen = |nr: usize, w: usize| Some(nr.div_ceil(w));
         let rule = |fill| stack_size(stack_cap(16, 32, 1), fill, Static);
-        assert_eq!(rule(frozen(gemm::nr(Portable), 8)), 1);
+        assert_eq!(rule(frozen(gemm::nr::<f32>(Portable), 8)), 1);
         #[cfg(target_arch = "x86_64")]
         {
-            assert_eq!(rule(frozen(gemm::nr(Avx512), 8)), 4);
-            assert_eq!(rule(frozen(gemm::nr(Avx2), 8)), 2);
+            assert_eq!(rule(frozen(gemm::nr::<f32>(Avx512), 8)), 4);
+            assert_eq!(rule(frozen(gemm::nr::<f32>(Avx2), 8)), 2);
             // The integer kernels are 32 and 16 columns wide.
-            assert_eq!(rule(frozen(qgemm::nr(Avx512), 8)), 4);
-            assert_eq!(rule(frozen(qgemm::nr(Avx2), 8)), 2);
+            assert_eq!(rule(frozen(gemm::nr::<i8>(Avx512), 8)), 4);
+            assert_eq!(rule(frozen(gemm::nr::<i8>(Avx2), 8)), 2);
         }
         for tier in [Portable, Avx2, Avx512] {
-            assert_eq!(rule(frozen(gemm::nr(tier), 256)), 1);
-            assert_eq!(rule(frozen(qgemm::nr(tier), 256)), 1);
+            assert_eq!(rule(frozen(gemm::nr::<f32>(tier), 256)), 1);
+            assert_eq!(rule(frozen(gemm::nr::<i8>(tier), 256)), 1);
         }
         // Both caps: `Sweep::batch`, then one stack per worker at least.
-        let narrow = frozen(gemm::nr(Portable), 1);
+        let narrow = frozen(gemm::nr::<f32>(Portable), 1);
         assert_eq!(stack_size(stack_cap(3, 32, 1), narrow, Static), 3);
         assert_eq!(stack_size(stack_cap(16, 10, 4), narrow, Static), 3);
         assert_eq!(stack_size(stack_cap(16, 2, 1), narrow, Static), 2);

@@ -134,7 +134,8 @@ pub fn lint_workspace(root: &Path, allowlist: &[AllowEntry]) -> Result<Report, L
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(file).map_err(|e| LintError::Io(file.clone(), e))?;
-        for violation in rules::lint_file(&rel, &src) {
+        let stale_row = rules::stale_atomic_row(&rel, &src);
+        for violation in rules::lint_file(&rel, &src).into_iter().chain(stale_row) {
             let mut suppressed = false;
             for (i, entry) in allowlist.iter().enumerate() {
                 if entry.matches(violation.rule.id(), &violation.path, &violation.line_text) {

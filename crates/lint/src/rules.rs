@@ -5,7 +5,7 @@
 //! | R1 | `safety-comment` | every `unsafe` is immediately preceded by a `// SAFETY:` comment (or `# Safety` doc section) stating the proof obligation |
 //! | R2 | `unsafe-confinement` | `unsafe` only under `crates/tensor` (or behind a reviewed allowlist entry); every other crate root under `crates/` and `shims/` carries `#![forbid(unsafe_code)]`, the unsafe-bearing roots carry `#![deny(unsafe_op_in_unsafe_fn)]` |
 //! | R3 | `hot-path-alloc` | no allocating calls in `//! lint: no_alloc` modules / `// lint: no_alloc` functions, outside `// lint: alloc_ok` setup functions |
-//! | R4 | `atomic-ordering` | every `Ordering::X` matches the per-module policy table; every `static` atomic carries an ordering-contract comment |
+//! | R4 | `atomic-ordering` | every `Ordering::X` matches the per-module policy table, and every module the table lists uses atomics; every `static` atomic carries an ordering-contract comment |
 //! | R5 | `target-feature-confinement` | `#[target_feature]` functions are `unsafe`, non-`pub`, and live only in the dispatch-routed kernel modules |
 //!
 //! All rules work on the comment-and-string-aware token stream from
@@ -618,6 +618,45 @@ fn const_initializer_spans(toks: &[lexer::Token]) -> Vec<(usize, usize)> {
     spans
 }
 
+/// The atomic ordering named by `Ordering::<variant>` at token `i`, if any
+/// (`cmp::Ordering::{Less,Equal,Greater}` and other paths are not atomic).
+fn atomic_ordering_at(toks: &[lexer::Token], i: usize) -> Option<&str> {
+    let named = toks[i].is_ident("Ordering")
+        && toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
+        && toks.get(i + 2).is_some_and(|x| x.is_punct(':'));
+    let variant = toks.get(i + 3).and_then(|x| x.ident()).filter(|_| named)?;
+    policy::ATOMIC_ORDERINGS
+        .contains(&variant)
+        .then_some(variant)
+}
+
+/// R4's stale-row check, which [`crate::lint_workspace`] runs on every file:
+/// a module [`policy::ATOMIC_POLICY`] lists must still name an atomic type
+/// or ordering, or its row would pre-approve the next atomic there without
+/// review — the policy-table counterpart of a stale allowlist entry. (It
+/// stays out of [`lint_file`], whose fixtures use listed paths as stand-ins
+/// for any module of the confined crate.)
+pub fn stale_atomic_row(path: &str, src: &str) -> Option<Violation> {
+    if !policy::ATOMIC_POLICY.iter().any(|(p, _)| *p == path) {
+        return None;
+    }
+    let ctx = FileContext::new(path, src);
+    let toks = &ctx.lexed.tokens;
+    let names_atomics = (0..toks.len()).any(|i| {
+        atomic_ordering_at(toks, i).is_some()
+            || toks[i].ident().is_some_and(|id| id.starts_with("Atomic"))
+    });
+    (!names_atomics).then(|| {
+        ctx.violation(
+            Rule::AtomicOrdering,
+            1,
+            "listed in `policy::ATOMIC_POLICY` but names no atomic type or ordering; delete \
+             its stale row"
+                .to_string(),
+        )
+    })
+}
+
 /// R4: atomic-ordering policy conformance plus ordering-contract comments on
 /// static atomics.
 fn rule_atomic_ordering(ctx: &FileContext, out: &mut Vec<Violation>) {
@@ -628,20 +667,9 @@ fn rule_atomic_ordering(ctx: &FileContext, out: &mut Vec<Violation>) {
         .map(|(_, o)| *o);
     // Ordering uses.
     for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("Ordering") {
-            continue;
-        }
-        if !(toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|x| x.is_punct(':')))
-        {
-            continue;
-        }
-        let Some(variant) = toks.get(i + 3).and_then(|x| x.ident()) else {
+        let Some(variant) = atomic_ordering_at(toks, i) else {
             continue;
         };
-        if !policy::ATOMIC_ORDERINGS.contains(&variant) {
-            continue; // `cmp::Ordering::{Less,Equal,Greater}` etc.
-        }
         match module_policy {
             None => out.push(ctx.violation(
                 Rule::AtomicOrdering,

@@ -6,7 +6,7 @@
 //! Fixtures are written as raw strings so their `unsafe` tokens lex as
 //! opaque literals here and cannot trip the linter on this file itself.
 
-use invnorm_lint::rules::lint_file;
+use invnorm_lint::rules::{lint_file, stale_atomic_row};
 
 /// Rule IDs of every violation `src` produces when linted at `path`.
 fn fire(path: &str, src: &str) -> Vec<String> {
@@ -297,6 +297,34 @@ fn r4_non_atomic_static_needs_no_contract() {
 static NAMES: [&str; 2] = ["a", "b"];
 "#;
     assert!(fire("crates/tensor/src/dispatch.rs", src).is_empty());
+}
+
+#[test]
+fn r4_fires_on_listed_module_without_atomics() {
+    // A policy row whose module no longer uses atomics is stale: it would
+    // pre-approve the next atomic there without review.
+    let stale = |path: &str, src: &str| {
+        stale_atomic_row(path, src).map(|v| format!("{}:{}", v.rule.id(), v.line))
+    };
+    let cmp_only = r#"
+use std::cmp::Ordering;
+fn f(a: u32, b: u32) -> bool {
+    a.cmp(&b) == Ordering::Less
+}
+"#;
+    let atomic = r#"
+use std::sync::atomic::{AtomicUsize, Ordering};
+fn f(c: &AtomicUsize) {
+    c.fetch_add(1, Ordering::Relaxed);
+}
+"#;
+    assert_eq!(
+        stale("crates/tensor/src/telemetry.rs", cmp_only).as_deref(),
+        Some("R4:1")
+    );
+    assert_eq!(stale("crates/tensor/src/telemetry.rs", atomic), None);
+    // Unlisted modules have no row to go stale.
+    assert_eq!(stale("crates/nn/src/x.rs", cmp_only), None);
 }
 
 // ---------------------------------------------------------------- R5

@@ -6,7 +6,7 @@ use crate::layer::{Layer, Mode, Param};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
-use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
 
@@ -45,7 +45,7 @@ struct Conv2dPlan {
     weight: OperandId,
     /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
     frozen: bool,
-    packed_a: PackedA,
+    packed_a: PackedA<f32>,
     a_gen: u64,
     plan_scratch: Scratch,
     /// Dims of one realization's tile of the stacked input edge: the unit
@@ -225,7 +225,7 @@ impl Layer for Conv2d {
         let rows_per = shape.rows / batch;
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
-        let frozen = arenas.gemm_layer::<gemm::PackedB>(input, oc);
+        let frozen = arenas.gemm_layer::<f32>(input, oc);
         let wide = if frozen { batch } else { 1 };
         self.plan = Some(Conv2dPlan {
             // One realization's patches: every path unfolds one tile at a
@@ -292,7 +292,7 @@ impl Layer for Conv2d {
             // `[rows, B·oc]` GEMM; the strided columns are then re-laid out
             // per realization.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), 1.0, 0.0, om);
+            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), false, om);
             for b in 0..batch {
                 let out_b = &mut out[b * per_out..][..per_out];
                 conv::relayout_nchw_strided(
@@ -315,7 +315,7 @@ impl Layer for Conv2d {
         for b in 0..batch {
             let om_b = &mut om[..rows_per * oc];
             if frozen {
-                gemm_prepacked_ab(&state.packed_a, weight.panel(b), 1.0, 0.0, om_b);
+                gemm_prepacked_ab(&state.packed_a, weight.panel(b), false, om_b);
             } else {
                 // Per-realization inputs: unfold realization b's tile into
                 // the one-tile patch slot (im2col is per-sample, so this
@@ -324,7 +324,7 @@ impl Layer for Conv2d {
                 conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, cols)?;
                 let panel = weight.panel(b);
                 let scratch = &mut state.plan_scratch;
-                gemm_prepacked_b(false, rows_per, 1.0, cols, panel, 0.0, om_b, scratch);
+                gemm_prepacked_b(false, rows_per, cols, panel, false, om_b, scratch);
             }
             let out_b = &mut out[b * per_out..][..per_out];
             conv::relayout_nchw_into(om_b, bias, n_per, oc, shape.oh, shape.ow, out_b);
@@ -654,7 +654,7 @@ mod tests {
         let mut conv = Conv1d::new(2, 3, 5, 1, 2, &mut rng);
         let x = Tensor::randn(&[2, 2, 16], 0.0, 1.0, &mut rng);
         let plan = crate::plan::Plan::compile(&mut conv, &x).unwrap();
-        let nr = gemm::nr(invnorm_tensor::dispatch::active());
+        let nr = invnorm_tensor::gemm::nr::<f32>(invnorm_tensor::dispatch::active());
         assert_eq!(plan.frozen_fill(), Some(nr.div_ceil(3)));
         conv.plan_end();
     }

@@ -4,7 +4,7 @@ use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
-use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, PackedA};
+use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
 use invnorm_tensor::telemetry;
 use invnorm_tensor::{ops, ArenaSlot, Rng, Scratch, Tensor};
 
@@ -48,7 +48,7 @@ struct LinearPlan {
     weight: OperandId,
     /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
     frozen: bool,
-    packed_a: PackedA,
+    packed_a: PackedA<f32>,
     a_gen: u64,
     scratch: Scratch,
     /// Staging for the fused wide `[N, B·out]` product of a frozen batched
@@ -146,17 +146,9 @@ impl Layer for Linear {
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward("Linear"))?;
-        // dW += gradᵀ @ x : [out, in] — fused into the gradient tensor with
-        // β = 1, avoiding the former temporary + add pass.
-        ops::gemm_into(
-            true,
-            false,
-            1.0,
-            grad_output,
-            input,
-            1.0,
-            &mut self.weight.grad,
-        )?;
+        // dW += gradᵀ @ x : [out, in] — accumulated into the gradient
+        // tensor, avoiding the former temporary + add pass.
+        ops::gemm_into(true, false, grad_output, input, true, &mut self.weight.grad)?;
         if let Some(bias) = &mut self.bias {
             let grad_b = ops::sum_axis(grad_output, 0)?;
             bias.grad.add_assign(&grad_b)?;
@@ -185,7 +177,7 @@ impl Layer for Linear {
         }
         let n = input.dims[0];
         let (fin, fout) = (self.in_features, self.out_features);
-        let frozen = arenas.gemm_layer::<gemm::PackedB>(input, fout);
+        let frozen = arenas.gemm_layer::<f32>(input, fout);
         self.plan = Some(LinearPlan {
             weight: arenas
                 .weights
@@ -241,7 +233,7 @@ impl Layer for Linear {
             // microkernel width, the activation panel streamed once), then
             // the columns are re-strided into per-realization stacking.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), 1.0, 0.0, stage);
+            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), false, stage);
             let ld = batch * fout;
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
@@ -258,11 +250,11 @@ impl Layer for Linear {
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
                 if frozen {
-                    gemm_prepacked_ab(&state.packed_a, weight.panel(b), 1.0, 0.0, out_b);
+                    gemm_prepacked_ab(&state.packed_a, weight.panel(b), false, out_b);
                 } else {
                     let x_b = &x[b * n * fin..][..n * fin];
                     let scratch = &mut state.scratch;
-                    gemm_prepacked_b(false, n, 1.0, x_b, weight.panel(b), 0.0, out_b, scratch);
+                    gemm_prepacked_b(false, n, x_b, weight.panel(b), false, out_b, scratch);
                 }
             }
         }

@@ -155,8 +155,8 @@ impl Lstm {
             (&mut h_state, &mut c_state),
             self.return_sequences.then_some(hidden_seq.as_mut_slice()),
             |x_t, h_prev, z| {
-                ops::gemm(false, true, n, 4 * h, feat, 1.0, x_t, w_ih, 0.0, z);
-                ops::gemm(false, true, n, 4 * h, h, 1.0, h_prev, w_hh, 1.0, z);
+                ops::gemm(false, true, n, 4 * h, feat, x_t, w_ih, false, z);
+                ops::gemm(false, true, n, 4 * h, h, h_prev, w_hh, true, z);
             },
         );
         if self.return_sequences {
@@ -170,10 +170,10 @@ impl Lstm {
     /// features, shared by the direct path and the planned node, which
     /// differ only in `project`. Per timestep it stages `x_t`, lets
     /// `project(x_t, h, z)` write the gate pre-activations
-    /// `z = x_t W_ihᵀ + h W_hhᵀ` (`[n, 4H]`, the recurrent term fused with
-    /// β = 1), then adds the bias, applies the gates and updates the `(h, c)`
-    /// state in place (zeroed by the caller). With `seq`, every step's hidden
-    /// state also lands in its `[n, t, H]` slot.
+    /// `z = x_t W_ihᵀ + h W_hhᵀ` (`[n, 4H]`, the recurrent term accumulated
+    /// into `z`), then adds the bias, applies the gates and updates the
+    /// `(h, c)` state in place (zeroed by the caller). With `seq`, every
+    /// step's hidden state also lands in its `[n, t, H]` slot.
     // lint: no_alloc
     #[allow(clippy::too_many_arguments)]
     fn recur(
@@ -278,10 +278,10 @@ impl Layer for Lstm {
             }
             h_prev.data_mut().copy_from_slice(&h_state);
             c_prev.data_mut().copy_from_slice(&c_state);
-            // z = x W_ihᵀ + h_prev W_hhᵀ : [N, 4H], recurrent term fused with
-            // β = 1 — the same two GEMMs as the eval fast path.
-            ops::gemm(false, true, n, 4 * h, feat, 1.0, xd, w_ih, 0.0, z);
-            ops::gemm(false, true, n, 4 * h, h, 1.0, &h_state, w_hh, 1.0, z);
+            // z = x W_ihᵀ + h_prev W_hhᵀ : [N, 4H], recurrent term accumulated
+            // into z — the same two GEMMs as the eval fast path.
+            ops::gemm(false, true, n, 4 * h, feat, xd, w_ih, false, z);
+            ops::gemm(false, true, n, 4 * h, h, &h_state, w_hh, true, z);
             let (idata, fdata, gdata, odata, tdata) = (
                 i.data_mut(),
                 f.data_mut(),
@@ -391,17 +391,16 @@ impl Layer for Lstm {
                 dz[base + 3 * h + hi] = do_ * od[e] * (1.0 - od[e]);
             }
 
-            // Parameter gradients, accumulated in place with β = 1.
+            // Parameter gradients, accumulated in place.
             ops::gemm(
                 true,
                 false,
                 4 * h,
                 feat,
                 n,
-                1.0,
                 dz,
                 cache.x.data(),
-                1.0,
+                true,
                 self.w_ih.grad.data_mut(),
             );
             ops::gemm(
@@ -410,10 +409,9 @@ impl Layer for Lstm {
                 4 * h,
                 h,
                 n,
-                1.0,
                 dz,
                 cache.h_prev.data(),
-                1.0,
+                true,
                 self.w_hh.grad.data_mut(),
             );
             bias_sums.fill(0.0);
@@ -433,10 +431,9 @@ impl Layer for Lstm {
                 n,
                 feat,
                 4 * h,
-                1.0,
                 dz,
                 self.w_ih.value.data(),
-                0.0,
+                false,
                 dx,
             );
             ops::gemm(
@@ -445,10 +442,9 @@ impl Layer for Lstm {
                 n,
                 h,
                 4 * h,
-                1.0,
                 dz,
                 self.w_hh.value.data(),
-                0.0,
+                false,
                 &mut dh_next,
             );
 
@@ -543,8 +539,8 @@ impl Layer for Lstm {
                 (h_state, c_state),
                 self.return_sequences.then_some(&mut *out_b),
                 |x_t, h_prev, z| {
-                    gemm_prepacked_b(false, n, 1.0, x_t, w_ih.panel(b), 0.0, z, scratch);
-                    gemm_prepacked_b(false, n, 1.0, h_prev, w_hh.panel(b), 1.0, z, scratch);
+                    gemm_prepacked_b(false, n, x_t, w_ih.panel(b), false, z, scratch);
+                    gemm_prepacked_b(false, n, h_prev, w_hh.panel(b), true, z, scratch);
                 },
             );
             if !self.return_sequences {

@@ -12,8 +12,8 @@
 //!    reserves its activation and scratch buffers from a shared bump
 //!    [`Arena`] (one allocation per element type), and registers its weight
 //!    matrix as a plan-owned [`PlannedOperand`], packed once into a cached
-//!    panel ([`invnorm_tensor::gemm::PackedB`] /
-//!    [`invnorm_tensor::qgemm::QPackedB`]).
+//!    panel ([`invnorm_tensor::gemm::PackedB`], over f32 weights or i8
+//!    codes).
 //! 2. **Run many** ([`Plan::forward`]): steady-state forwards perform zero
 //!    heap allocations and zero weight packing. Fault injectors write each
 //!    operand's *faulty* buffer ([`Plan::weights_mut`], [`Plan::codes_mut`];
@@ -41,8 +41,8 @@
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
 use crate::Result;
-use invnorm_tensor::gemm::{PackedB, PackedOperand};
-use invnorm_tensor::qgemm::QPackedB;
+use invnorm_tensor::dispatch;
+use invnorm_tensor::gemm::{self, Element, PackedB};
 use invnorm_tensor::telemetry::{self, PlanFootprint};
 use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Tensor};
 use serde::{Deserialize, Serialize};
@@ -86,9 +86,9 @@ pub struct PlanArenas {
     /// i32 integer-GEMM accumulators.
     pub acc: Arena<i32>,
     /// The f32 weight operands, one per rank ≥ 2 parameter.
-    pub weights: Operands<PackedB>,
+    pub weights: Operands<f32>,
     /// The i8 code operands, one per quantized code matrix.
-    pub codes: Operands<QPackedB>,
+    pub codes: Operands<i8>,
     /// Fault realizations fused per forward pass (see [`Plan::compile_batched`]).
     batch: usize,
     /// Slots holding the plan input or a pure copy of it.
@@ -137,16 +137,16 @@ impl PlanArenas {
     }
 
     /// Registers a GEMM layer reading `input` whose product has `width`
-    /// output columns per realization and runs on `P`'s microkernel.
+    /// output columns per realization and runs on `T`'s microkernel.
     /// Returns whether the layer is frozen. A frozen layer of a batched plan
     /// multiplies its cached input panel by all stacked realizations in one
     /// `[rows, B·width]` GEMM, which reaches the microkernel's full register
     /// width once `B ≥ ceil(NR / width)`: that fill feeds
     /// [`Plan::frozen_fill`].
-    pub fn gemm_layer<P: PackedOperand>(&mut self, input: &PlanShape, width: usize) -> bool {
+    pub fn gemm_layer<T: Element>(&mut self, input: &PlanShape, width: usize) -> bool {
         let frozen = self.is_frozen(input);
         if frozen {
-            let fill = P::nr().div_ceil(width.max(1));
+            let fill = gemm::nr::<T>(dispatch::active()).div_ceil(width.max(1));
             self.frozen_fill = self.frozen_fill.max(Some(fill));
         }
         frozen
@@ -310,8 +310,8 @@ impl SparseCells {
 
 /// One plan-owned fault operand: a weighted layer's clean matrix, packed
 /// once, plus the per-realization state injectors write and the refresh
-/// consumes — generic over the packing, so f32 weights ([`PackedB`]) and i8
-/// codes ([`QPackedB`]) share one implementation.
+/// consumes — generic over the element type, so f32 weights and i8 codes
+/// (each packed as a [`PackedB`]) share one implementation.
 ///
 /// A plan stacks `batch` realizations ([`Plan::compile_batched`]; 1 for
 /// ordinary plans): the faulty buffer holds `batch` copies of the matrix,
@@ -338,14 +338,14 @@ impl SparseCells {
 /// quad-interleaved i8 packing do not pay for i.i.d. scatter, while line
 /// defects fire whole tile lines, far below the row re-pack cost.
 #[derive(Debug)]
-pub struct PlannedOperand<P: PackedOperand> {
+pub struct PlannedOperand<T: Element> {
     index: usize,
     bits: u8,
-    packed_clean: P,
-    panels: Vec<P>,
-    clean: Vec<P::Elem>,
+    packed_clean: PackedB<T>,
+    panels: Vec<PackedB<T>>,
+    clean: Vec<T>,
     /// The stacked faulty buffer sparse realizations write (`batch × numel`).
-    faulty: Vec<P::Elem>,
+    faulty: Vec<T>,
     /// Rows the current realization batch touched (`batch · rows` rows).
     dirty: DirtyRows,
     /// Rows where the panels still differ from the clean operand (from the
@@ -364,17 +364,17 @@ pub struct PlannedOperand<P: PackedOperand> {
     /// width, the cached activation panel streamed once). Materialized
     /// lazily on first use — a layer consistently uses either the wide or
     /// the per-realization representation, never both.
-    wide: P,
-    wide_clean: P,
+    wide: PackedB<T>,
+    wide_clean: PackedB<T>,
     wide_stale: DirtyRows,
     wide_applied: Option<f32>,
 }
 
-impl<P: PackedOperand> PlannedOperand<P> {
+impl<T: Element> PlannedOperand<T> {
     /// Packs the clean `[n, k]` matrix once as the immutable clean reference
     /// and stages the stacked faulty buffer with `batch` clean copies.
-    fn new(target: Target, clean: &[P::Elem], k: usize, n: usize, batch: usize) -> Self {
-        let mut packed_clean = P::default();
+    fn new(target: Target, clean: &[T], k: usize, n: usize, batch: usize) -> Self {
+        let mut packed_clean = PackedB::new();
         packed_clean.pack(true, clean, k, n);
         Self {
             index: target.index,
@@ -391,8 +391,8 @@ impl<P: PackedOperand> PlannedOperand<P> {
             batch,
             rows: n,
             cols: k,
-            wide: P::default(),
-            wide_clean: P::default(),
+            wide: PackedB::new(),
+            wide_clean: PackedB::new(),
             wide_stale: DirtyRows::new(batch * n),
             wide_applied: None,
         }
@@ -405,12 +405,12 @@ impl<P: PackedOperand> PlannedOperand<P> {
 
     /// Realization `b`'s live packed operand (call
     /// [`PlannedOperand::refresh_all`] first).
-    pub fn panel(&self, b: usize) -> &P {
+    pub fn panel(&self, b: usize) -> &PackedB<T> {
         &self.panels[b]
     }
 
     /// The injector-facing view of this operand's realization state.
-    pub fn view(&mut self) -> PlanView<'_, P::Elem> {
+    pub fn view(&mut self) -> PlanView<'_, T> {
         PlanView {
             index: self.index,
             clean: &self.clean,
@@ -446,7 +446,7 @@ impl<P: PackedOperand> PlannedOperand<P> {
     /// unchanged, with realization `b` owning rows `[b·rows, (b+1)·rows)`.
     /// Allocation-free once materialized.
     // lint: no_alloc
-    pub fn refresh_wide(&mut self) -> &P {
+    pub fn refresh_wide(&mut self) -> &PackedB<T> {
         let numel = self.rows * self.cols;
         if self.wide_clean.n() != self.batch * self.rows {
             self.materialize(true);
@@ -618,14 +618,14 @@ pub struct OperandId(usize);
 /// matched one-to-one against the fault-targetable parameters the
 /// compile-time walk found.
 #[derive(Debug)]
-pub struct Operands<P: PackedOperand> {
+pub struct Operands<T: Element> {
     domain: &'static str,
     batch: usize,
     targets: Vec<Target>,
-    list: Vec<PlannedOperand<P>>,
+    list: Vec<PlannedOperand<T>>,
 }
 
-impl<P: PackedOperand> Operands<P> {
+impl<T: Element> Operands<T> {
     fn new(domain: &'static str, batch: usize, targets: Vec<Target>) -> Self {
         let list = Vec::with_capacity(targets.len());
         Self {
@@ -648,7 +648,7 @@ impl<P: PackedOperand> Operands<P> {
     /// Returns [`NnError::Config`] when the model exposes no further
     /// parameter of this domain, or the next one holds a different element
     /// count.
-    pub fn register(&mut self, clean: &[P::Elem], k: usize, n: usize) -> Result<OperandId> {
+    pub fn register(&mut self, clean: &[T], k: usize, n: usize) -> Result<OperandId> {
         let id = self.list.len();
         let Some(&target) = self.targets.get(id) else {
             return Err(operand_count_mismatch(
@@ -689,15 +689,15 @@ fn operand_count_mismatch(domain: &str, expected: usize, registered: usize) -> N
     ))
 }
 
-impl<P: PackedOperand> std::ops::Index<OperandId> for Operands<P> {
-    type Output = PlannedOperand<P>;
-    fn index(&self, id: OperandId) -> &PlannedOperand<P> {
+impl<T: Element> std::ops::Index<OperandId> for Operands<T> {
+    type Output = PlannedOperand<T>;
+    fn index(&self, id: OperandId) -> &PlannedOperand<T> {
         &self.list[id.0]
     }
 }
 
-impl<P: PackedOperand> std::ops::IndexMut<OperandId> for Operands<P> {
-    fn index_mut(&mut self, id: OperandId) -> &mut PlannedOperand<P> {
+impl<T: Element> std::ops::IndexMut<OperandId> for Operands<T> {
+    fn index_mut(&mut self, id: OperandId) -> &mut PlannedOperand<T> {
         &mut self.list[id.0]
     }
 }
@@ -871,13 +871,13 @@ impl Plan {
 
     /// The plan's f32 weight operands, one per rank ≥ 2 parameter in
     /// [`Layer::visit_params`] order (where weight faults are realized).
-    pub fn weights_mut(&mut self) -> &mut [PlannedOperand<PackedB>] {
+    pub fn weights_mut(&mut self) -> &mut [PlannedOperand<f32>] {
         &mut self.arenas.weights.list
     }
 
     /// The plan's i8 code operands, one per [`Layer::visit_codes`] entry in
     /// that order (where code faults are realized).
-    pub fn codes_mut(&mut self) -> &mut [PlannedOperand<QPackedB>] {
+    pub fn codes_mut(&mut self) -> &mut [PlannedOperand<i8>] {
         &mut self.arenas.codes.list
     }
 
@@ -1324,8 +1324,10 @@ mod tests {
     fn frozen_fill_reads_the_narrowest_frozen_layer() {
         use crate::quantized::QuantizedLinear;
         use crate::Residual;
-        use invnorm_tensor::{dispatch, gemm, qgemm};
-        let (f32_nr, i8_nr) = (gemm::nr(dispatch::active()), qgemm::nr(dispatch::active()));
+        let (f32_nr, i8_nr) = (
+            gemm::nr::<f32>(dispatch::active()),
+            gemm::nr::<i8>(dispatch::active()),
+        );
         let mut rng = Rng::seed_from(15);
         let x = Tensor::randn(&[2, 6], 0.0, 1.0, &mut rng);
         let fill = |mut net: Sequential| {

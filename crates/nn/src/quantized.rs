@@ -5,8 +5,9 @@
 //! [`crate::conv::Conv2d`] for crossbar-mapped deployment: weights live as
 //! packed i8 quantization codes with one symmetric scale per output channel,
 //! activations are dynamically quantized to i8 at the layer boundary, and
-//! the matrix product runs through the blocked i8×i8→i32 GEMM
-//! ([`invnorm_tensor::qgemm`]) — the forward pass stays in the integer
+//! the matrix product runs through the blocked GEMM over i8 codes into i32
+//! accumulators ([`invnorm_tensor::gemm`], whose integer microkernels live
+//! in [`invnorm_tensor::qgemm`]) — the forward pass stays in the integer
 //! domain from the input codes to the i32 accumulators and only
 //! requantizes/dequantizes once, at the layer output:
 //!
@@ -29,11 +30,11 @@ use crate::error::NnError;
 use crate::layer::{CodeView, Layer, Mode};
 use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
-use invnorm_tensor::conv::{conv_out_shape, im2col_codes_into, im2col_slice_into, Conv2dSpec};
-use invnorm_tensor::qgemm::{qgemm_prepacked_ab, qgemm_prepacked_b, QPackedA};
-use invnorm_tensor::scratch::uninit_slice_of;
+use invnorm_tensor::conv::{conv_out_shape, im2col_slice_into, Conv2dSpec};
+use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, gemm_with_scratch, PackedA};
+use invnorm_tensor::scratch::uninit_slice;
 use invnorm_tensor::telemetry;
-use invnorm_tensor::{qgemm, ArenaSlot, Scratch, Tensor};
+use invnorm_tensor::{ArenaSlot, Scratch, Tensor};
 
 /// Largest i8 code magnitude; also the fixed bit-width ceiling of the packed
 /// storage.
@@ -138,7 +139,7 @@ struct QuantizedPlan {
     codes: OperandId,
     /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
     frozen: bool,
-    packed_a: QPackedA,
+    packed_a: PackedA<i8>,
     a_gen: u64,
     a_scale: f32,
     plan_scratch: Scratch,
@@ -253,10 +254,10 @@ impl Layer for QuantizedLinear {
             )));
         }
         let n = input.dims()[0];
-        let qin = uninit_slice_of(&mut self.qin, n * self.in_features);
+        let qin = uninit_slice(&mut self.qin, n * self.in_features);
         let sx = quantize_activations(input.data(), self.act_scale, qin);
-        let acc = uninit_slice_of(&mut self.acc, n * self.out_features);
-        qgemm::qgemm_with_scratch(
+        let acc = uninit_slice(&mut self.acc, n * self.out_features);
+        gemm_with_scratch(
             false,
             true,
             n,
@@ -311,7 +312,7 @@ impl Layer for QuantizedLinear {
         let n = input.dims[0];
         let n_per = n / batch;
         let (fin, fout) = (self.in_features, self.out_features);
-        let frozen = arenas.gemm_layer::<qgemm::QPackedB>(input, fout);
+        let frozen = arenas.gemm_layer::<i8>(input, fout);
         let wide = if frozen { batch } else { 1 };
         self.plan = Some(QuantizedPlan {
             // One realization's activation codes, reused across the stack;
@@ -323,7 +324,7 @@ impl Layer for QuantizedLinear {
             acc: arenas.acc.reserve(n_per * fout * wide),
             codes: arenas.codes.register(&self.codes, fin, fout)?,
             frozen,
-            packed_a: QPackedA::new(),
+            packed_a: PackedA::new(),
             a_gen: 0,
             a_scale: 1.0,
             plan_scratch: Scratch::new(),
@@ -384,7 +385,7 @@ impl Layer for QuantizedLinear {
             // stacked code operand in a single `[N, B·out]` integer GEMM;
             // realization b dequantizes its own column block.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            qgemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
+            gemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
                 dequantize(acc, batch * fout, b * fout, state.a_scale, out_b);
@@ -398,11 +399,11 @@ impl Layer for QuantizedLinear {
             let out_b = &mut out[b * n * fout..][..n * fout];
             let acc = &mut acc[..n * fout];
             let sx = if frozen {
-                qgemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
+                gemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
                 state.a_scale
             } else {
                 let sx = quantize_activations(&x[b * n * fin..][..n * fin], self.act_scale, qin);
-                qgemm_prepacked_b(
+                gemm_prepacked_b(
                     false,
                     n,
                     qin,
@@ -547,14 +548,14 @@ impl Layer for QuantizedConv2d {
         let oc = self.out_channels;
 
         // Quantize the input once, then unfold the codes.
-        let qin = uninit_slice_of(&mut self.qin, input.numel());
+        let qin = uninit_slice(&mut self.qin, input.numel());
         let sx = quantize_activations(input.data(), self.act_scale, qin);
-        let cols = uninit_slice_of(&mut self.cols, rows * patch);
-        im2col_codes_into(qin, &d, &self.spec, cols)?;
+        let cols = uninit_slice(&mut self.cols, rows * patch);
+        im2col_slice_into(qin, &d, &self.spec, cols)?;
 
         // [rows, patch] @ [oc, patch]ᵀ → [rows, oc], exact i32.
-        let acc = uninit_slice_of(&mut self.acc, rows * oc);
-        qgemm::qgemm_with_scratch(
+        let acc = uninit_slice(&mut self.acc, rows * oc);
+        gemm_with_scratch(
             false,
             true,
             rows,
@@ -618,7 +619,7 @@ impl Layer for QuantizedConv2d {
         let rows_per = shape.rows / batch;
         let mut tile_dims = input.dims.clone();
         tile_dims[0] /= batch;
-        let frozen = arenas.gemm_layer::<qgemm::QPackedB>(input, oc);
+        let frozen = arenas.gemm_layer::<i8>(input, oc);
         let wide = if frozen { batch } else { 1 };
         self.plan = Some(QuantizedPlan {
             // One realization's codes and patches: every path quantizes and
@@ -631,7 +632,7 @@ impl Layer for QuantizedConv2d {
             acc: arenas.acc.reserve(rows_per * oc * wide),
             codes: arenas.codes.register(&self.codes, shape.patch, oc)?,
             frozen,
-            packed_a: QPackedA::new(),
+            packed_a: PackedA::new(),
             a_gen: 0,
             a_scale: 1.0,
             plan_scratch: Scratch::new(),
@@ -704,7 +705,7 @@ impl Layer for QuantizedConv2d {
             // GEMM; realization b dequantizes its strided column block
             // during the NCHW re-layout.
             telemetry::count(telemetry::Counter::WideGemms, 1);
-            qgemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
+            gemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
             for b in 0..batch {
                 let out_b = &mut out[b * per_out..][..per_out];
                 dequantize(acc, batch * oc, b * oc, state.a_scale, out_b);
@@ -717,7 +718,7 @@ impl Layer for QuantizedConv2d {
         for b in 0..batch {
             let acc = &mut acc[..rows_per * oc];
             let sx = if frozen {
-                qgemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
+                gemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
                 state.a_scale
             } else {
                 // Per-realization inputs: quantize realization b's tile with
@@ -726,7 +727,7 @@ impl Layer for QuantizedConv2d {
                 // multiply it.
                 let sx = quantize_activations(&x[b * per_in..][..per_in], self.act_scale, qin);
                 im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
-                qgemm_prepacked_b(
+                gemm_prepacked_b(
                     false,
                     rows_per,
                     cols,

@@ -5,7 +5,7 @@
 //! output channel, the standard choice for weight matrices), or an
 //! asymmetric per-tensor scale/zero-point pair. The codes are stored
 //! **packed**: one `i8` per code for widths up to 8 bits (the representation
-//! the i8 GEMM in `invnorm_tensor::qgemm` consumes directly), one `i16` per
+//! the i8 GEMM in `invnorm_tensor::gemm` consumes directly), one `i16` per
 //! code for the wider DAC/ADC-style widths — a 4× / 2× shrink over the
 //! historical `Vec<i32>` storage.
 
@@ -591,7 +591,7 @@ mod tests {
             let qa = QuantizedTensor::quantize(&a, 8).unwrap();
             let qb = QuantizedTensor::quantize(&b, 8).unwrap();
             let mut acc = vec![0i32; m * n];
-            ops::qgemm(
+            ops::gemm(
                 false,
                 false,
                 m,

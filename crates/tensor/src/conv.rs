@@ -151,41 +151,13 @@ pub fn im2col_into(input: &Tensor, spec: &Conv2dSpec, cols: &mut [f32]) -> Resul
     im2col_generic(input.data(), n, c, h, w, spec, cols)
 }
 
-/// [`im2col_into`] over raw **i8 quantization codes** in NCHW layout, for the
-/// quantized conv path: the patch matrix stays in the integer code domain so
-/// it can feed the i8 GEMM directly. Zero padding inserts code `0`, which is
-/// exact for the symmetric quantizers used throughout the workspace
-/// (`0.0` maps to code `0`).
-///
-/// # Errors
-///
-/// Returns an error when `dims` is not rank-4, the geometry is invalid or a
-/// buffer length is wrong.
-pub fn im2col_codes_into(
-    codes: &[i8],
-    dims: &[usize],
-    spec: &Conv2dSpec,
-    cols: &mut [i8],
-) -> Result<()> {
-    if dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: dims.len(),
-        });
-    }
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    if codes.len() != n * c * h * w {
-        return Err(TensorError::ShapeMismatch {
-            lhs: dims.to_vec(),
-            rhs: vec![codes.len()],
-        });
-    }
-    im2col_generic(codes, n, c, h, w, spec, cols)
-}
-
 /// [`im2col_into`] over a raw element slice in NCHW layout — the entry point
 /// compiled plans use to unfold activations living in arena buffers without
-/// materializing a tensor. Element-type generic (f32 activations, i8 codes).
+/// materializing a tensor. Element-type generic: f32 activations, or i8
+/// quantization codes, whose patch matrix stays in the integer code domain
+/// so it can feed the i8 GEMM directly (zero padding inserts code `0`,
+/// which is exact for the symmetric quantizers used throughout the
+/// workspace: `0.0` maps to code `0`).
 ///
 /// # Errors
 ///
@@ -461,10 +433,9 @@ pub fn conv2d_forward_with_scratch(
             oc,
             pixels,
             patch,
-            1.0,
             weight.data(),
             cols,
-            0.0,
+            false,
             out_image,
         );
         if let Some(b) = bias {
@@ -739,17 +710,16 @@ pub fn conv2d_backward_into(
             }
         }
     }
-    // grad_weight += go_matᵀ @ cols : [OC, patch], fused with β = 1.
+    // grad_weight += go_matᵀ @ cols : [OC, patch], fused by accumulating.
     crate::gemm::gemm(
         true,
         false,
         oc,
         patch,
         rows,
-        1.0,
         go_mat,
         cols.data(),
-        1.0,
+        true,
         grad_weight.data_mut(),
     );
     if let Some(gb) = grad_bias {
@@ -780,10 +750,9 @@ pub fn conv2d_backward_into(
         rows,
         patch,
         oc,
-        1.0,
         go_mat,
         weight.data(),
-        0.0,
+        false,
         grad_cols,
     );
     let mut grad_input = vec![0.0f32; input_dims.iter().product()];
@@ -1208,7 +1177,7 @@ mod tests {
             let input = Tensor::from_vec(as_f32, &dims).unwrap();
             let expected = im2col(&input, &spec).unwrap();
             let mut cols = vec![0i8; expected.numel()];
-            im2col_codes_into(&codes, &dims, &spec, &mut cols).unwrap();
+            im2col_slice_into(&codes, &dims, &spec, &mut cols).unwrap();
             for (got, want) in cols.iter().zip(expected.data().iter()) {
                 assert_eq!(f32::from(*got), *want, "stride {stride} pad {pad}");
             }
@@ -1216,8 +1185,8 @@ mod tests {
         // Error paths: wrong rank, wrong code count, wrong buffer length.
         let spec = Conv2dSpec::new(3, 1, 1);
         let mut cols = vec![0i8; 8];
-        assert!(im2col_codes_into(&[0i8; 4], &[2, 2], &spec, &mut cols).is_err());
-        assert!(im2col_codes_into(&[0i8; 4], &[1, 2, 5, 5], &spec, &mut cols).is_err());
-        assert!(im2col_codes_into(&[0i8; 50], &[1, 2, 5, 5], &spec, &mut cols).is_err());
+        assert!(im2col_slice_into(&[0i8; 4], &[2, 2], &spec, &mut cols).is_err());
+        assert!(im2col_slice_into(&[0i8; 4], &[1, 2, 5, 5], &spec, &mut cols).is_err());
+        assert!(im2col_slice_into(&[0i8; 50], &[1, 2, 5, 5], &spec, &mut cols).is_err());
     }
 }

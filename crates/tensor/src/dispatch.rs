@@ -1,6 +1,6 @@
 //! Runtime SIMD kernel dispatch.
 //!
-//! The GEMM/qgemm microkernels and the vectorized elementwise paths
+//! The GEMM microkernels (f32 and i8) and the vectorized elementwise paths
 //! ([`crate::vecmath`]) are selected at **runtime** from a ladder of kernel
 //! tiers rather than at compile time. A binary built for a generic `x86-64`
 //! target therefore still runs the AVX2 or AVX-512 kernels when the host
@@ -20,13 +20,13 @@
 //!
 //! Within a tier every engine, fault model, batch size, and thread count is
 //! bit-identical — the tier is the *only* reproducibility boundary, and only
-//! for f32 GEMM: the integer qgemm kernels are exact and bit-identical across
-//! **all** tiers, the elementwise [`crate::vecmath`] ops are defined by
-//! per-lane scalar semantics and bit-identical across all tiers, and the AVX2
-//! and AVX-512 f32 GEMM kernels share the same per-element FMA accumulation
-//! order and are bit-identical to each other. The only divergent pair is
-//! portable f32 GEMM (separate multiply + add rounding steps) vs the FMA
-//! tiers. The active tier is surfaced on every
+//! for f32 GEMM: the integer i8 GEMM kernels are exact and bit-identical
+//! across **all** tiers, the elementwise [`crate::vecmath`] ops are defined
+//! by per-lane scalar semantics and bit-identical across all tiers, and the
+//! AVX2 and AVX-512 f32 GEMM kernels share the same per-element FMA
+//! accumulation order and are bit-identical to each other. The only
+//! divergent pair is portable f32 GEMM (separate multiply + add rounding
+//! steps) vs the FMA tiers. The active tier is surfaced on every
 //! [`RunTelemetry`](crate::telemetry::RunTelemetry) so results carry their
 //! kernel provenance.
 
@@ -43,9 +43,11 @@ pub enum KernelTier {
     /// GEMM rounds multiply and add separately (no FMA).
     #[default]
     Portable = 0,
-    /// AVX2 + FMA: 6×16 f32 GEMM tiles, `maddubs` sign-split i8 qgemm.
+    /// AVX2 + FMA: 6×16 f32 GEMM tiles, 4×16 `maddubs` sign-split i8 GEMM
+    /// tiles.
     Avx2 = 1,
-    /// AVX-512F/BW/VNNI: 14×32 f32 GEMM tiles, `vpdpbusd` i8 qgemm.
+    /// AVX-512F/BW/VNNI: 14×32 f32 GEMM tiles, 8×32 `vpdpbusd` i8 GEMM
+    /// tiles.
     Avx512 = 2,
 }
 

@@ -14,20 +14,23 @@
 //!   vectors, and reductions.
 //! * [`ops`] — matrix multiplication, transposition, softmax, argmax and
 //!   axis reductions used by the layer implementations.
-//! * [`gemm`] — the cache-blocked, register-tiled, parallel f32 GEMM with
-//!   `alpha`/`beta` accumulation that all matrix products route through.
-//! * [`qgemm`] — the i8×i8→i32 sibling of [`gemm`] for the quantized
-//!   inference path (bit-exact vs. the integer oracle in `ops::reference`).
+//! * [`gemm`] — the cache-blocked, register-tiled, parallel GEMM that all
+//!   matrix products route through: one blocked driver and one pair of
+//!   packed operands, generic over f32 weights and i8 quantization codes.
+//! * [`qgemm`] — the i8×i8→i32 element of [`gemm`] for the quantized
+//!   inference path: its k-quad layout and integer microkernels, bit-exact
+//!   on every kernel tier.
 //! * [`dispatch`] — runtime SIMD kernel-tier selection (portable / AVX2 /
-//!   AVX-512) shared by [`gemm`], [`qgemm`] and [`vecmath`], with an env/
-//!   programmatic override for pinning a tier.
+//!   AVX-512) shared by both GEMM element types and [`vecmath`], with an
+//!   env/programmatic override for pinning a tier.
 //! * [`vecmath`] — tier-dispatched vectorized elementwise math (activations,
 //!   exp/softmax passes, normalization) with bit-identical per-lane
 //!   semantics across all tiers.
 //! * [`scratch`] — reusable workspace buffers so hot-path kernels allocate
 //!   nothing in steady state.
-//! * [`conv`] — im2col/col2im based 1-D and 2-D convolution kernels (forward
-//!   and the gradient products needed for backward passes).
+//! * [`conv`] — 1-D and 2-D convolution kernels: image-at-a-time `W · cols`
+//!   products for inference, im2col/col2im for training (forward and the
+//!   gradient products needed for backward passes).
 //! * [`pool`] — max/average pooling kernels with argmax bookkeeping.
 //! * [`rng`] — seeded random number utilities (uniform, Gaussian via
 //!   Box–Muller, Bernoulli masks) so every experiment is reproducible.

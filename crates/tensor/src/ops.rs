@@ -16,7 +16,6 @@ use crate::tensor::Tensor;
 use crate::Result;
 
 pub use crate::gemm::{gemm, gemm_with_scratch};
-pub use crate::qgemm::{qgemm, qgemm_with_scratch};
 
 /// Matrix product `a @ b` for `a: [m, k]` and `b: [k, n]`.
 ///
@@ -46,18 +45,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; m * n];
-    gemm(
-        false,
-        false,
-        m,
-        n,
-        k,
-        1.0,
-        a.data(),
-        b.data(),
-        0.0,
-        &mut out,
-    );
+    gemm(false, false, m, n, k, a.data(), b.data(), false, &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -78,7 +66,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; m * n];
-    gemm(true, false, m, n, k, 1.0, a.data(), b.data(), 0.0, &mut out);
+    gemm(true, false, m, n, k, a.data(), b.data(), false, &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -99,16 +87,16 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = vec![0.0f32; m * n];
-    gemm(false, true, m, n, k, 1.0, a.data(), b.data(), 0.0, &mut out);
+    gemm(false, true, m, n, k, a.data(), b.data(), false, &mut out);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Shape-checked tensor wrapper over [`gemm`]:
-/// `c ← α · op(a) · op(b) + β · c`.
+/// Shape-checked tensor wrapper over [`gemm`]: `c ← op(a) · op(b)`, or
+/// `c += op(a) · op(b)` when `accumulate`.
 ///
-/// Backward passes use `beta == 1.0` to accumulate weight gradients directly
-/// into the gradient tensor, fusing the former `matmul + add_assign` pair
-/// into one pass with no temporary allocation.
+/// Backward passes accumulate weight gradients directly into the gradient
+/// tensor, fusing the former `matmul + add_assign` pair into one pass with
+/// no temporary allocation.
 ///
 /// # Errors
 ///
@@ -117,10 +105,9 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 pub fn gemm_into(
     trans_a: bool,
     trans_b: bool,
-    alpha: f32,
     a: &Tensor,
     b: &Tensor,
-    beta: f32,
+    accumulate: bool,
     c: &mut Tensor,
 ) -> Result<()> {
     let (ar, ac) = as_matrix_dims(a)?;
@@ -146,10 +133,9 @@ pub fn gemm_into(
         m,
         n,
         k,
-        alpha,
         a.data(),
         b.data(),
-        beta,
+        accumulate,
         c.data_mut(),
     );
     Ok(())
@@ -232,40 +218,6 @@ pub mod reference {
             }
         }
         Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Naive integer oracle for the blocked i8 GEMM in [`crate::qgemm`]:
-    /// `op(A) · op(B)` over i8 codes with exact i32 accumulation, in the
-    /// textbook ijk order. The blocked kernel must match this **bit-exactly**
-    /// (integer arithmetic is exact, so any summation order agrees).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length disagrees with the given dimensions.
-    pub fn qmatmul_i8(
-        trans_a: bool,
-        trans_b: bool,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[i8],
-        b: &[i8],
-    ) -> Vec<i32> {
-        assert_eq!(a.len(), m * k, "A must hold m*k codes");
-        assert_eq!(b.len(), k * n, "B must hold k*n codes");
-        let mut out = vec![0i32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut dot = 0i32;
-                for p in 0..k {
-                    let av = if trans_a { a[p * m + i] } else { a[i * k + p] };
-                    let bv = if trans_b { b[j * k + p] } else { b[p * n + j] };
-                    dot += i32::from(av) * i32::from(bv);
-                }
-                out[i * n + j] = dot;
-            }
-        }
-        out
     }
 
     /// Naive `a @ bᵀ` for `a: [m, k]`, `b: [n, k]`.
@@ -583,23 +535,23 @@ mod tests {
         let a = Tensor::randn(&[5, 3], 0.0, 1.0, &mut rng);
         let b = Tensor::randn(&[3, 4], 0.0, 1.0, &mut rng);
         let product = matmul(&a, &b).unwrap();
-        // beta = 1 accumulates into existing contents.
+        // `accumulate` adds to the existing contents.
         let mut c = Tensor::ones(&[5, 4]);
-        gemm_into(false, false, 1.0, &a, &b, 1.0, &mut c).unwrap();
+        gemm_into(false, false, &a, &b, true, &mut c).unwrap();
         let expected = product.add(&Tensor::ones(&[5, 4])).unwrap();
         assert!(c.approx_eq(&expected, 1e-5));
         // Transposed variants agree with the matmul helpers.
         let at = transpose2d(&a).unwrap();
         let mut c = Tensor::zeros(&[5, 4]);
-        gemm_into(true, false, 1.0, &at, &b, 0.0, &mut c).unwrap();
+        gemm_into(true, false, &at, &b, false, &mut c).unwrap();
         assert!(c.approx_eq(&product, 1e-5));
         // Mismatched output shape is rejected.
         let mut wrong = Tensor::zeros(&[4, 5]);
-        assert!(gemm_into(false, false, 1.0, &a, &b, 0.0, &mut wrong).is_err());
+        assert!(gemm_into(false, false, &a, &b, false, &mut wrong).is_err());
         // Mismatched inner dimension is rejected.
         let bad = Tensor::zeros(&[2, 4]);
         let mut c = Tensor::zeros(&[5, 4]);
-        assert!(gemm_into(false, false, 1.0, &a, &bad, 0.0, &mut c).is_err());
+        assert!(gemm_into(false, false, &a, &bad, false, &mut c).is_err());
     }
 
     #[test]

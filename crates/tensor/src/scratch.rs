@@ -18,9 +18,9 @@
 /// borrow several of them mutably at once.
 #[derive(Debug, Default, Clone)]
 pub struct Scratch {
-    /// Packed A-panel storage for the blocked GEMM (MR-strip layout).
+    /// Packed A-panel storage for the blocked f32 GEMM (MR-strip layout).
     pub packed_a: Vec<f32>,
-    /// Packed B-panel storage for the blocked GEMM (NR-strip layout).
+    /// Packed B-panel storage for the blocked f32 GEMM (NR-strip layout).
     pub packed_b: Vec<f32>,
     /// Patch staging for the conv kernels: one image's `[C·KH·KW, OH·OW]`
     /// unfold in the inference forward, the `[N·OH·OW, C·KH·KW]`
@@ -31,11 +31,11 @@ pub struct Scratch {
     pub out_mat: Vec<f32>,
     /// Per-timestep input slice / gate staging (LSTM).
     pub step: Vec<f32>,
-    /// Packed A-panel storage for the quantized i8 GEMM (k-quad layout).
+    /// Packed A-panel storage for the blocked i8 GEMM (k-quad layout).
     /// (The quantized layers' activation/patch/accumulator buffers live in
     /// the layers themselves; `Scratch` only hosts the GEMM packing panels.)
     pub packed_a_i8: Vec<i8>,
-    /// Packed B-panel storage for the quantized i8 GEMM (k-quad layout).
+    /// Packed B-panel storage for the blocked i8 GEMM (k-quad layout).
     pub packed_b_i8: Vec<i8>,
 }
 
@@ -60,14 +60,9 @@ impl Scratch {
 /// Returns the first `len` elements of `buf`, growing it if needed (capacity
 /// is monotone; no shrinking, and — crucially — no per-call `memset` when the
 /// buffer is already large enough). Contents are unspecified — callers must
-/// overwrite every element they read.
-pub fn uninit_slice(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    uninit_slice_of(buf, len)
-}
-
-/// Element-type-generic [`uninit_slice`], shared by the f32 and the quantized
-/// (i8 / i32) kernel paths.
-pub fn uninit_slice_of<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+/// overwrite every element they read. Element-type generic: f32 activations,
+/// i8 codes, i32 accumulators.
+pub fn uninit_slice<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
         buf.resize(len, T::default());
     }
@@ -90,7 +85,7 @@ mod tests {
 
     #[test]
     fn uninit_slice_has_requested_length() {
-        let mut buf = Vec::new();
+        let mut buf: Vec<f32> = Vec::new();
         assert_eq!(uninit_slice(&mut buf, 7).len(), 7);
         assert_eq!(uninit_slice(&mut buf, 0).len(), 0);
     }

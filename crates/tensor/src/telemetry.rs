@@ -53,7 +53,8 @@ use std::time::Instant;
 pub enum Phase {
     /// Plan compilation (`Plan::compile` / `Plan::compile_batched`).
     Compile = 0,
-    /// Initial operand packing (`PackedA/B::pack`, `QPackedA/B::pack`).
+    /// Initial operand packing (`PackedA::pack`, `PackedB::pack`, for f32
+    /// weights and i8 codes alike).
     Pack = 1,
     /// Panel refresh between realizations (`repack_rows`, `scale_from`).
     Repack = 2,

@@ -30,7 +30,7 @@ use invnorm_nn::norm::GroupNorm;
 use invnorm_nn::pool::MaxPool2d;
 use invnorm_nn::reshape::Flatten;
 use invnorm_tensor::dispatch::{self, KernelTier};
-use invnorm_tensor::{gemm, qgemm, vecmath};
+use invnorm_tensor::{gemm, vecmath};
 
 /// Serializes all tests in this binary: the forced tier is process-global.
 static TIER_LOCK: Mutex<()> = Mutex::new(());
@@ -81,7 +81,7 @@ fn matmul_oracle(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32>
     out
 }
 
-/// Naive integer qgemm oracle.
+/// Naive integer GEMM oracle.
 fn qmatmul_oracle(m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
     let mut out = vec![0i32; m * n];
     for i in 0..m {
@@ -115,7 +115,7 @@ fn f32_gemm_matches_oracle_on_every_tier_and_fma_tiers_agree_bitwise() {
         for tier in testable_tiers() {
             dispatch::force(tier);
             let mut c = vec![0.0f32; m * n];
-            gemm::gemm(false, false, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+            gemm::gemm(false, false, m, n, k, &a, &b, false, &mut c);
             for (i, (&got, &want)) in c.iter().zip(oracle.iter()).enumerate() {
                 assert!(
                     (got - want).abs() <= 1e-3 * want.abs().max(1.0),
@@ -162,8 +162,8 @@ fn qgemm_is_bit_exact_across_all_tiers() {
         for tier in testable_tiers() {
             dispatch::force(tier);
             let mut c = vec![0i32; m * n];
-            qgemm::qgemm(false, false, m, n, k, &a, &b, false, &mut c);
-            assert_eq!(c, oracle, "{} qgemm {m}x{n}x{k}", tier.name());
+            gemm::gemm(false, false, m, n, k, &a, &b, false, &mut c);
+            assert_eq!(c, oracle, "{} i8 gemm {m}x{n}x{k}", tier.name());
         }
     }
 }
@@ -275,7 +275,10 @@ fn engine_ladder_is_internally_bit_identical_under_each_forced_tier() {
         let wide = on(4, 1);
         // `min(batch, ceil(runs / threads), ceil(NR / 4))`: 2, then 4, 4
         // and 2 on AVX-512, AVX2 and portable.
-        for (s, expected) in [(&fused, 2), (&wide, gemm::nr(tier).div_ceil(4).min(4))] {
+        for (s, expected) in [
+            (&fused, 2),
+            (&wide, gemm::nr::<f32>(tier).div_ceil(4).min(4)),
+        ] {
             let stack = s.telemetry.as_ref().and_then(|t| t.plan).map(|p| p.stack);
             assert_eq!(stack, Some(expected), "{} tier", tier.name());
         }
