@@ -20,10 +20,9 @@
 //!   [`crate::crossbar::CrossbarConfig`] tile geometry instead of striking
 //!   cells i.i.d.
 //!
-//! Orthogonal to *what* strikes is *when* it is drawn: a [`FaultSpec`] pairs
-//! a model with a [`FaultLifetime`] — `Static` programming-time defects are
-//! realized once per simulated chip instance, `PerInference` read noise is
-//! re-drawn before every forward pass.
+//! The Monte-Carlo engine draws one weight realization per simulated chip
+//! instance, as in the paper; it holds for every forward pass of that
+//! instance.
 
 use crate::crossbar::{CrossbarConfig, TileShape};
 use crate::Result;
@@ -32,8 +31,6 @@ use invnorm_quant::binary::BinaryTensor;
 use invnorm_quant::uniform::QuantizedTensor;
 use invnorm_tensor::{Rng, Tensor};
 use serde::{Deserialize, Serialize};
-
-pub use invnorm_nn::plan::FaultLifetime;
 
 /// Which crossbar lines a [`FaultModel::LineDefect`] takes out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,42 +41,6 @@ pub enum LineOrientation {
     /// Bit lines: one defect sticks a whole weight-matrix column segment
     /// within a tile (`tile.rows × 1` cells).
     Col,
-}
-
-/// A complete fault specification: *what* perturbation strikes
-/// ([`FaultModel`]) and *when* its realization is drawn ([`FaultLifetime`]).
-///
-/// `FaultSpec` converts from a bare [`FaultModel`] (static lifetime), so
-/// engine entry points accepting `impl Into<FaultSpec>` keep working with
-/// plain models.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// The perturbation model.
-    pub model: FaultModel,
-    /// When realizations are drawn relative to the inference stream.
-    pub lifetime: FaultLifetime,
-}
-
-impl FaultSpec {
-    /// A spec with an explicit lifetime.
-    pub fn new(model: FaultModel, lifetime: FaultLifetime) -> Self {
-        Self { model, lifetime }
-    }
-
-    /// Convenience: `model` as transient read noise, re-drawn before every
-    /// forward pass.
-    pub fn per_inference(model: FaultModel) -> Self {
-        Self::new(model, FaultLifetime::PerInference)
-    }
-}
-
-impl From<FaultModel> for FaultSpec {
-    fn from(model: FaultModel) -> Self {
-        Self {
-            model,
-            lifetime: FaultLifetime::Static,
-        }
-    }
 }
 
 /// A parameterized NVM non-ideality model.
@@ -725,17 +686,6 @@ mod tests {
             }
             other => panic!("unexpected model {other:?}"),
         }
-    }
-
-    #[test]
-    fn fault_spec_defaults_to_static_lifetime() {
-        let spec: FaultSpec = FaultModel::StuckAt { rate: 0.1 }.into();
-        assert_eq!(spec.lifetime, FaultLifetime::Static);
-        assert_eq!(spec.model, FaultModel::StuckAt { rate: 0.1 });
-        let spec = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
-        assert_eq!(spec.lifetime, FaultLifetime::PerInference);
-        assert_eq!(FaultSpec::default().model, FaultModel::None);
-        assert_eq!(FaultSpec::default().lifetime, FaultLifetime::Static);
     }
 
     #[test]

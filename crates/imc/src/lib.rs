@@ -13,9 +13,7 @@
 //!   multiplicative conductance variation, uniform noise, bit flips on
 //!   quantized or binary weights, stuck-at faults, retention drift, and the
 //!   structured topologies: whole stuck crossbar lines and per-tile
-//!   correlated drift), plus [`fault::FaultSpec`] pairing a model with a
-//!   [`fault::FaultLifetime`] (static per chip instance vs. re-drawn per
-//!   inference).
+//!   correlated drift).
 //! * [`injector`] — [`injector::WeightFaultInjector`]: applies a fault model
 //!   to every weight of a network (with save/restore so Monte-Carlo runs are
 //!   independent); [`injector::CodeFaultInjector`]: the code-domain variant
@@ -83,7 +81,7 @@ pub mod montecarlo;
 pub mod supervise;
 
 pub use crossbar::TileShape;
-pub use fault::{FaultLifetime, FaultModel, FaultSpec, LineOrientation};
+pub use fault::{FaultModel, LineOrientation};
 pub use injector::{ActivationNoise, CodeFaultInjector, NoiseHandle, WeightFaultInjector};
 pub use invnorm_tensor::telemetry;
 pub use montecarlo::{

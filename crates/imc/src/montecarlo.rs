@@ -30,7 +30,7 @@
 //! checkpoint. `run` and `run_auto` map the outcome back to a summary with
 //! [`SweepOutcome::into_summary`].
 
-use crate::fault::{FaultLifetime, FaultModel, FaultSpec};
+use crate::fault::FaultModel;
 use crate::injector::{CodeFaultInjector, WeightFaultInjector};
 use crate::supervise::{Attempt, RunLedger, SweepControl, SweepDomain, SweepOutcome};
 use crate::Result;
@@ -200,8 +200,8 @@ impl std::fmt::Display for LadderOutcome {
 pub struct Sweep<'a, F, E> {
     /// Builds one model copy per worker (again after a quarantined panic).
     pub factory: F,
-    /// The fault model and its lifetime.
-    pub fault: FaultSpec,
+    /// The fault model, drawn once per chip instance.
+    pub fault: FaultModel,
     /// Whether faults land on the f32 weights or on the i8 codes.
     pub domain: SweepDomain,
     /// The input of every evaluation forward.
@@ -212,8 +212,8 @@ pub struct Sweep<'a, F, E> {
     /// (`≥ 1`). The engine stacks `min(batch, ceil(runs / threads),
     /// ceil(NR / w))`: no more than fill one microkernel tile (NR columns)
     /// on the plan's narrowest frozen layer (w output columns per
-    /// realization), and 1 without a frozen layer or under a per-inference
-    /// fault lifetime (see [`MonteCarloEngine::execute`]).
+    /// realization), and 1 without a frozen layer (see
+    /// [`MonteCarloEngine::execute`]).
     pub batch: usize,
     /// Rayon worker threads.
     pub threads: usize,
@@ -222,10 +222,10 @@ pub struct Sweep<'a, F, E> {
 impl<'a, F, E> Sweep<'a, F, E> {
     /// A sweep on the f32 weights, capped at one realization per forward,
     /// on one thread.
-    pub fn new(factory: F, fault: impl Into<FaultSpec>, input: &'a Tensor, metric: E) -> Self {
+    pub fn new(factory: F, fault: FaultModel, input: &'a Tensor, metric: E) -> Self {
         Self {
             factory,
-            fault: fault.into(),
+            fault,
             domain: SweepDomain::Weights,
             input,
             metric,
@@ -311,25 +311,21 @@ impl MonteCarloEngine {
     /// engine is checked against bit for bit.
     ///
     /// `evaluate` receives the faulty network and returns the metric of
-    /// interest (accuracy, mIoU, RMSE, NLL, ...).
-    ///
-    /// Accepts a [`FaultModel`] or a [`FaultSpec`]; the snapshot/restore
-    /// bracket holds each realization fixed across the whole `evaluate`
-    /// call, so a per-inference fault lifetime is rejected with
-    /// [`NnError::FaultUnsupported`] — use the planned engine for that.
+    /// interest (accuracy, mIoU, RMSE, NLL, ...); each realization holds
+    /// for the whole `evaluate` call.
     ///
     /// # Errors
     ///
-    /// Returns an error when the fault configuration is invalid or
-    /// unsupported, or when injection, evaluation or restoration fails; the
-    /// network is restored to its clean weights before the error is returned
-    /// whenever possible. A non-finite metric or a panicking evaluation
-    /// fails the sweep with the lowest such run (see
+    /// Returns an error when the fault configuration is invalid, or when
+    /// injection, evaluation or restoration fails; the network is restored
+    /// to its clean weights before the error is returned whenever possible.
+    /// A non-finite metric or a panicking evaluation fails the sweep with
+    /// the lowest such run (see
     /// [`SweepOutcome::into_summary`]).
     pub fn run<L, F>(
         &self,
         network: &mut L,
-        fault: impl Into<FaultSpec>,
+        fault: FaultModel,
         evaluate: F,
     ) -> Result<MonteCarloSummary>
     where
@@ -362,16 +358,16 @@ impl MonteCarloEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error when the fault configuration is invalid or
-    /// unsupported, when a resume checkpoint does not match this sweep, or
-    /// when injection, evaluation or restoration fails *with a genuine
-    /// error* (an `Err` from `evaluate` still propagates — only panics and
-    /// non-finite metrics are quarantined).
+    /// Returns an error when the fault configuration is invalid, when a
+    /// resume checkpoint does not match this sweep, or when injection,
+    /// evaluation or restoration fails *with a genuine error* (an `Err`
+    /// from `evaluate` still propagates — only panics and non-finite
+    /// metrics are quarantined).
     pub fn run_supervised<L, F>(
         &self,
         domain: SweepDomain,
         network: &mut L,
-        fault: impl Into<FaultSpec>,
+        fault: FaultModel,
         mut evaluate: F,
         control: &SweepControl,
     ) -> Result<SweepOutcome>
@@ -379,17 +375,7 @@ impl MonteCarloEngine {
         L: Layer + ?Sized,
         F: FnMut(&mut L) -> Result<f32>,
     {
-        let spec = fault.into();
-        spec.model.validate()?;
-        // The snapshot/restore bracket outlives every forward inside
-        // `evaluate`, so it cannot redraw noise per inference.
-        if spec.lifetime == FaultLifetime::PerInference {
-            return Err(NnError::fault_unsupported(
-                "MonteCarloEngine::run",
-                "per-inference fault lifetime",
-            ));
-        }
-        let fault = spec.model;
+        fault.validate()?;
         let scope = RunScope::begin();
         let mut ledger = RunLedger::new(
             EngineKind::Sequential,
@@ -449,9 +435,10 @@ impl MonteCarloEngine {
     /// Each worker holds one model, compiled into a plan for the shape of
     /// `input` (`Plan::compile_batched`): one-shot shape inference,
     /// arena-backed buffers, and — per registered weight or code operand —
-    /// one stacked faulty buffer per realization with per-realization cached
-    /// packed panels, all reserved at compile time, where each operand's RNG
-    /// fork index is also fixed.
+    /// one stacked faulty buffer per realization with its cached packs (one
+    /// over the whole stack for a frozen layer, one per realization
+    /// otherwise), all built at compile time, where each operand's RNG fork
+    /// index is also fixed.
     ///
     /// How many realizations a plan stacks follows one rule, applied once
     /// per sweep before any worker starts. The engine builds one model,
@@ -460,12 +447,12 @@ impl MonteCarloEngine {
     /// w output columns on a microkernel NR columns wide). The stack is
     /// `min(sweep.batch, ceil(runs / threads), ceil(NR / w))`: stacking pays
     /// only through a frozen layer's fused wide GEMM, and only until the
-    /// stack fills one register tile. Without a frozen weighted layer, or
-    /// under [`FaultLifetime::PerInference`], the stack is 1. When the rule
-    /// stacks more, that plan is recompiled once at the stack; the first
-    /// worker runs on it, the others compile at the stack directly, and
-    /// batch `i` is runs `i·stack..`. With telemetry on, the run's
-    /// `RunTelemetry::plan` reports the stack and that plan's arena bytes.
+    /// stack fills one register tile. Without a frozen weighted layer the
+    /// stack is 1. When the rule stacks more, that plan is recompiled once
+    /// at the stack; the first worker runs on it, the others compile at the
+    /// stack directly, and batch `i` is runs `i·stack..`. With telemetry on,
+    /// the run's `RunTelemetry::plan` reports the stack and that plan's
+    /// arena bytes.
     ///
     /// Per batch of chip instances, the injector
     /// materializes the realizations from the per-instance RNG streams
@@ -475,17 +462,15 @@ impl MonteCarloEngine {
     /// touched) — sparse stuck-at and line-defect realizations land in the
     /// packed panels cell by cell, drift scales the whole panel stack in
     /// place in both domains, dense models re-pack only dirty rows — and ONE
-    /// planned forward evaluates the whole stack, with the cached activation
-    /// panels streamed against every realization's weight panel. `metric`
-    /// then scores each realization's rows of the stacked output. A smaller
-    /// tail batch recompiles the worker's plan.
+    /// planned forward evaluates the whole stack, with each frozen layer's
+    /// cached activation panel streamed once against the stacked weight
+    /// pack. `metric` then scores each realization's rows of the stacked
+    /// output. A smaller tail batch recompiles the worker's plan. Each chip
+    /// instance runs one forward on one realization, which is the paper's
+    /// protocol.
     ///
-    /// Both fault lifetimes are supported: under
-    /// [`FaultLifetime::PerInference`] the plan re-realizes before every
-    /// forward and disables its frozen-input caching; since the engine runs
-    /// one forward per chip instance, the per-run metrics equal the static
-    /// lifetime's. The network must be built from plan-capable layers (every
-    /// weighted layer in this workspace, the `Lstm` included): a layer with
+    /// The network must be built from plan-capable layers (every weighted
+    /// layer in this workspace, the `Lstm` included): a layer with
     /// fault-targetable weights but no plan is rejected with
     /// [`NnError::Unsupported`] — [`MonteCarloEngine::run_supervised`] still
     /// runs it — and one that plans itself without registering its operand
@@ -521,9 +506,9 @@ impl MonteCarloEngine {
         F: Fn() -> M + Sync,
         E: Fn(&Tensor) -> Result<f32> + Sync,
     {
-        sweep.fault.model.validate()?;
+        sweep.fault.validate()?;
         let mut scope = RunScope::begin();
-        let (fault, lifetime) = (sweep.fault.model, sweep.fault.lifetime);
+        let fault = sweep.fault;
         let (seed, runs, domain, input) = (self.seed, self.runs, sweep.domain, sweep.input);
         let mut ledger = RunLedger::new(
             EngineKind::Planned,
@@ -538,9 +523,7 @@ impl MonteCarloEngine {
         let compile = |model: &mut M, b: usize| -> Result<Plan> {
             // Release the previous plan's operands first.
             model.plan_end();
-            let mut plan = Plan::compile_batched(model, input, b)?;
-            plan.set_fault_lifetime(lifetime);
-            Ok(plan)
+            Plan::compile_batched(model, input, b)
         };
         // One model and plan, built here, fix the stack for every worker:
         // the rule reads the frozen fill off a B = 1 compile, which is
@@ -549,7 +532,7 @@ impl MonteCarloEngine {
         let mut model = (sweep.factory)();
         let mut plan = compile(&mut model, 1)?;
         let cap = stack_cap(sweep.batch, runs, sweep.threads);
-        let stack = stack_size(cap, plan.frozen_fill(), lifetime);
+        let stack = stack_size(cap, plan.frozen_fill());
         if stack > 1 {
             drop(plan);
             plan = compile(&mut model, stack)?;
@@ -713,7 +696,7 @@ impl MonteCarloEngine {
     pub fn run_auto<M, F, E>(
         &self,
         factory: F,
-        fault: impl Into<FaultSpec>,
+        fault: FaultModel,
         input: &Tensor,
         metric: E,
         batch: usize,
@@ -763,13 +746,9 @@ fn stack_cap(batch: usize, runs: usize, threads: usize) -> usize {
 /// Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
 /// 2008). So the stack is `min(cap, fill)`, with `fill = ceil(NR / w)` for
 /// the plan's narrowest frozen layer ([`Plan::frozen_fill`]), and 1 when no
-/// weighted layer reads the plan input or faults are re-drawn per inference
-/// (no frozen path runs then).
-fn stack_size(cap: usize, fill: Option<usize>, lifetime: FaultLifetime) -> usize {
-    match (fill, lifetime) {
-        (Some(fill), FaultLifetime::Static) => cap.min(fill),
-        _ => 1,
-    }
+/// weighted layer reads the plan input.
+fn stack_size(cap: usize, fill: Option<usize>) -> usize {
+    fill.map_or(1, |fill| cap.min(fill))
 }
 
 #[cfg(test)]
@@ -800,7 +779,7 @@ mod tests {
         mc: &MonteCarloEngine,
         domain: SweepDomain,
         network: &mut Sequential,
-        fault: impl Into<FaultSpec>,
+        fault: FaultModel,
         evaluate: F,
     ) -> Result<MonteCarloSummary>
     where
@@ -815,7 +794,7 @@ mod tests {
         mc: &MonteCarloEngine,
         domain: SweepDomain,
         network: &mut Sequential,
-        fault: impl Into<FaultSpec>,
+        fault: FaultModel,
         x: &Tensor,
     ) -> Result<MonteCarloSummary> {
         run_in(mc, domain, network, fault, |n| {
@@ -844,44 +823,42 @@ mod tests {
         mc: &MonteCarloEngine,
         domain: SweepDomain,
         build: impl Fn() -> Sequential + Sync,
-        fault: impl Into<FaultSpec>,
+        fault: FaultModel,
         x: &Tensor,
         (batch, threads): (usize, usize),
     ) -> Result<MonteCarloSummary> {
-        let spec = fault.into();
         // Telemetry is bit-invisible; no test of this crate needs it off.
         telemetry::Telemetry::enable();
         let sweep = Sweep {
             domain,
             batch,
             threads,
-            ..Sweep::new(&build, spec, x, sum)
+            ..Sweep::new(&build, fault, x, sum)
         };
         let summary = sweep_on(mc, &sweep)?;
         let ran = summary.telemetry.as_ref().and_then(|t| t.plan);
-        let expected = expected_stack(mc, build, x, spec.lifetime, (batch, threads));
+        let expected = expected_stack(mc, build, x, (batch, threads));
         assert_eq!(
             ran.map(|p| p.stack),
             Some(expected),
-            "{spec:?} {batch} {threads}"
+            "{fault:?} {batch} {threads}"
         );
         Ok(summary)
     }
 
-    /// The stack the rule must pick for `build()` on `x`: on a static
-    /// sweep `min(cap, fill)` for the plan's frozen fill, else one. Every
-    /// net a static test stacks has a frozen layer at most [`NARROW`] wide,
-    /// so its fill is at least `ceil(8 / 2) = 4` on every tier (NR ≥ 8): no
-    /// test asking for B > 1 silently falls to B = 1.
+    /// The stack the rule must pick for `build()` on `x`: `min(cap, fill)`
+    /// for the plan's frozen fill. Every net a test stacks has a frozen
+    /// layer at most [`NARROW`] wide, so its fill is at least
+    /// `ceil(8 / 2) = 4` on every tier (NR ≥ 8): no test asking for B > 1
+    /// silently falls to B = 1.
     fn expected_stack(
         mc: &MonteCarloEngine,
         build: impl Fn() -> Sequential,
         x: &Tensor,
-        lifetime: FaultLifetime,
         (batch, threads): (usize, usize),
     ) -> usize {
         let cap = batch.min(mc.runs().div_ceil(threads));
-        if cap == 1 || lifetime == FaultLifetime::PerInference {
+        if cap == 1 {
             return 1;
         }
         let fill = Plan::compile(&mut build(), x).unwrap().frozen_fill();
@@ -1367,10 +1344,9 @@ mod tests {
     fn stack_rule_fills_one_microkernel_tile() {
         use invnorm_tensor::dispatch::KernelTier::{Avx2, Avx512, Portable};
         use invnorm_tensor::gemm;
-        use FaultLifetime::{PerInference, Static};
         // A frozen layer `w` columns wide on a kernel `nr` columns wide.
         let frozen = |nr: usize, w: usize| Some(nr.div_ceil(w));
-        let rule = |fill| stack_size(stack_cap(16, 32, 1), fill, Static);
+        let rule = |fill| stack_size(stack_cap(16, 32, 1), fill);
         assert_eq!(rule(frozen(gemm::nr::<f32>(Portable), 8)), 1);
         #[cfg(target_arch = "x86_64")]
         {
@@ -1386,13 +1362,12 @@ mod tests {
         }
         // Both caps: `Sweep::batch`, then one stack per worker at least.
         let narrow = frozen(gemm::nr::<f32>(Portable), 1);
-        assert_eq!(stack_size(stack_cap(3, 32, 1), narrow, Static), 3);
-        assert_eq!(stack_size(stack_cap(16, 10, 4), narrow, Static), 3);
-        assert_eq!(stack_size(stack_cap(16, 2, 1), narrow, Static), 2);
-        assert_eq!(stack_size(stack_cap(16, 32, 1), narrow, Static), 8);
-        // No frozen layer, or no frozen path: one realization per forward.
-        assert_eq!(stack_size(16, None, Static), 1);
-        assert_eq!(stack_size(16, narrow, PerInference), 1);
+        assert_eq!(stack_size(stack_cap(3, 32, 1), narrow), 3);
+        assert_eq!(stack_size(stack_cap(16, 10, 4), narrow), 3);
+        assert_eq!(stack_size(stack_cap(16, 2, 1), narrow), 2);
+        assert_eq!(stack_size(stack_cap(16, 32, 1), narrow), 8);
+        // No frozen layer: one realization per forward.
+        assert_eq!(stack_size(16, None), 1);
     }
 
     #[test]
@@ -1457,11 +1432,11 @@ mod tests {
         assert_planned_matches_oracle(&mc, codes, || quantized_net(222), faults, &x, &shapes);
     }
 
-    /// The lifetime protocol at the plan level: under `PerInference` the
-    /// harness re-realizes before every forward from one continuing stream,
-    /// so consecutive forwards of the same chip instance differ; under
-    /// `Static` one realization is evaluated repeatedly and every forward is
-    /// bit-identical.
+    /// A plan evaluates whatever the injector last realized: a harness
+    /// that re-realizes before every forward from one continuing stream
+    /// (per-inference read noise) gets a different output from each
+    /// forward, while one realization evaluated repeatedly (the engine's
+    /// per-instance protocol) gives bit-identical forwards.
     #[test]
     fn per_inference_lifetime_redraws_noise_between_forwards() {
         let injector =
@@ -1471,8 +1446,6 @@ mod tests {
 
         let mut net = mlp_with_norm(232);
         let mut plan = Plan::compile(&mut net, &x).unwrap();
-        plan.set_fault_lifetime(FaultLifetime::PerInference);
-        assert_eq!(plan.fault_lifetime(), FaultLifetime::PerInference);
         injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         let out1 = plan.forward(&mut net).unwrap().clone();
         injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
@@ -1485,7 +1458,6 @@ mod tests {
 
         let mut net = mlp_with_norm(232);
         let mut plan = Plan::compile(&mut net, &x).unwrap();
-        assert_eq!(plan.fault_lifetime(), FaultLifetime::Static);
         rng[0] = Rng::seed_from(7);
         injector.realize_plan_batch(&mut plan, &mut rng).unwrap();
         let a = plan.forward(&mut net).unwrap().clone();
@@ -1513,14 +1485,11 @@ mod tests {
             .with(Box::new(Linear::new(6, 1, &mut rng)))
     }
 
-    /// The documented reproducibility boundary: the Monte-Carlo engines run
-    /// exactly one forward per chip instance, so a per-inference lifetime
-    /// yields per-run metrics bit-identical to the static lifetime on the
-    /// planned engine at every batch size — and the non-frozen execution
-    /// path it switches on is bit-identical to the frozen one. Checked on a
-    /// norm-bearing MLP and on the `Lstm` stack.
+    /// Stacking regroups runs without changing one bit: the planned
+    /// engine's per-run metrics at a stack cap of 3 equal those at 1, on
+    /// one and four workers, on a norm-bearing MLP and on the `Lstm` stack.
     #[test]
-    fn per_inference_matches_static_for_single_forward_metrics() {
+    fn stacked_sweeps_match_one_realization_sweeps() {
         type NetCase = (fn(u64) -> Sequential, u64, &'static [usize]);
         let mc = MonteCarloEngine::new(8, 3003);
         let nets: [NetCase; 2] = [(mlp_with_norm, 242, &[6, 8]), (lstm_stack, 243, &[2, 1, 6])];
@@ -1529,55 +1498,22 @@ mod tests {
             let x = Tensor::randn(dims, 0.0, 1.0, &mut Rng::seed_from(241));
             for fault in [FaultModel::AdditiveVariation { sigma: 0.3 }, line, drift] {
                 for threads in [1usize, 4] {
-                    let run = |spec: FaultSpec, batch| {
-                        planned(&mc, W, || build(seed), spec, &x, (batch, threads)).unwrap()
+                    let run = |batch| {
+                        planned(&mc, W, || build(seed), fault, &x, (batch, threads)).unwrap()
                     };
-                    let per_inference = FaultSpec::per_inference(fault);
-                    let (st, pi) = (run(fault.into(), 1), run(per_inference, 1));
-                    let (st_b, pi_b) = (run(fault.into(), 3), run(per_inference, 3));
-                    for (name, a, b) in [
-                        ("batch=1", &st, &pi),
-                        ("batch=3", &st_b, &pi_b),
-                        ("static batch=1 vs batch=3", &st, &st_b),
-                    ] {
-                        let what = format!("{dims:?} {fault:?} {name} threads={threads}");
-                        assert_same_runs(a, b, &what);
-                    }
+                    let what = format!("{dims:?} {fault:?} batch=1 vs batch=3 threads={threads}");
+                    assert_same_runs(&run(1), &run(3), &what);
                 }
             }
         }
     }
 
-    /// The sequential engine has no fault-lifetime model: a per-inference
-    /// spec is rejected loudly with a typed `FaultUnsupported`, naming the
-    /// entry point, in both fault domains.
-    #[test]
-    fn direct_engines_reject_per_inference_lifetime() {
-        let mc = MonteCarloEngine::new(4, 9);
-        let spec = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
-        let x = Tensor::randn(&[3, 8], 0.0, 1.0, &mut Rng::seed_from(251));
-        let xq = Tensor::randn(&[3, 12], 0.0, 1.0, &mut Rng::seed_from(253));
-        for (domain, mut net, x) in [
-            (W, mlp_with_norm(252), x),
-            (SweepDomain::Codes, quantized_net(254), xq),
-        ] {
-            let err = oracle(&mc, domain, &mut net, spec, &x).unwrap_err();
-            assert!(matches!(err, NnError::FaultUnsupported { .. }), "{err}");
-            assert_eq!(
-                err.to_string(),
-                "MonteCarloEngine::run does not support per-inference fault lifetime"
-            );
-        }
-    }
-
-    /// `run_auto` reports the planned engine and no fallbacks, and matches
-    /// the sequential reference bit for bit: on a plannable MLP, and on the
-    /// `Lstm` stack under a per-inference lifetime, whose single-forward
-    /// metrics equal the static oracle's.
-    fn assert_run_auto_matches_oracle(build: fn(u64) -> Sequential, fault: FaultSpec, x: &Tensor) {
+    /// `run_auto` reports the planned engine and no fallbacks, matches the
+    /// sequential reference bit for bit, and runs the stack its rule picks:
+    /// on a plannable MLP, and on the `Lstm` stack.
+    fn assert_run_auto_matches_oracle(build: fn(u64) -> Sequential, fault: FaultModel, x: &Tensor) {
         let mc = MonteCarloEngine::new(8, 777);
-        let static_fault = fault.model;
-        let sequential = oracle(&mc, W, &mut build(262), static_fault, x).unwrap();
+        let sequential = oracle(&mc, W, &mut build(262), fault, x).unwrap();
         let policy = DegradationPolicy::Graceful;
         telemetry::Telemetry::enable();
         let outcome = mc
@@ -1587,20 +1523,20 @@ mod tests {
         assert!(outcome.fallbacks.is_empty());
         assert_same_runs(&sequential, &outcome.summary, &format!("{fault:?}"));
         let ran = outcome.summary.telemetry.and_then(|t| t.plan);
-        let expected = expected_stack(&mc, || build(262), x, fault.lifetime, (3, 2));
+        let expected = expected_stack(&mc, || build(262), x, (3, 2));
         assert_eq!(ran.map(|p| p.stack), Some(expected));
     }
 
     #[test]
     fn run_auto_uses_fastest_engine_when_supported() {
         let x = Tensor::randn(&[5, 8], 0.0, 1.0, &mut Rng::seed_from(261));
-        assert_run_auto_matches_oracle(mlp_with_norm, structured_fault_models()[0].into(), &x);
+        assert_run_auto_matches_oracle(mlp_with_norm, structured_fault_models()[0], &x);
     }
 
     #[test]
-    fn run_auto_runs_lstm_under_per_inference_lifetime() {
+    fn run_auto_runs_the_lstm_stack() {
         let x = Tensor::randn(&[2, 1, 6], 0.0, 1.0, &mut Rng::seed_from(282));
-        let fault = FaultSpec::per_inference(FaultModel::AdditiveVariation { sigma: 0.1 });
+        let fault = FaultModel::AdditiveVariation { sigma: 0.1 };
         assert_run_auto_matches_oracle(lstm_stack, fault, &x);
     }
 }

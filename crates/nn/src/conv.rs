@@ -36,8 +36,8 @@ pub struct Conv2d {
 
 /// Compiled-plan state: arena slots for one realization's im2col patch
 /// matrix and the GEMM staging buffer, the id of the plan-owned kernel
-/// operand (one packed panel per stacked realization for batched plans), and
-/// the cached packed patch panel for frozen (run-invariant) inputs.
+/// operand, and the cached packed patch panel for frozen (run-invariant)
+/// inputs.
 #[derive(Debug)]
 struct Conv2dPlan {
     cols: ArenaSlot,
@@ -232,12 +232,12 @@ impl Layer for Conv2d {
             // time, so compile cost does not grow with the stack.
             cols: arenas.f.reserve(rows_per * shape.patch),
             // GEMM staging: the fused wide `[rows/B, B·oc]` product of a
-            // frozen layer; the per-realization path reuses its
-            // `[rows/B, oc]` prefix across the stack.
+            // frozen layer; the per-realization path reuses one
+            // `[rows/B, oc]` product across the stack.
             om: arenas.f.reserve(rows_per * oc * wide),
             weight: arenas
                 .weights
-                .register(self.weight.value.data(), shape.patch, oc)?,
+                .register(self.weight.value.data(), shape.patch, oc, frozen)?,
             frozen,
             packed_a: PackedA::new(),
             a_gen: 0,
@@ -250,6 +250,7 @@ impl Layer for Conv2d {
         })
     }
 
+    // lint: no_alloc
     fn plan_forward(
         &mut self,
         input: &PlanShape,
@@ -267,13 +268,15 @@ impl Layer for Conv2d {
         let rows_per = shape.rows / batch;
         let per_in = input.numel() / batch;
         let per_out = n_per * oc * shape.oh * shape.ow;
-        let frozen = state.frozen && ctx.static_faults;
         let bias = self.bias.as_ref().map(|bias| &bias.value);
+        // Bring the cached packs up to date with this realization batch
+        // (cell scatter / dirty-row re-packing / uniform-scale).
         let weight = &mut arenas.weights[state.weight];
+        weight.refresh();
         let [x, cols, om, out] = arenas
             .f
             .many_mut([input.slot, state.cols, state.om, output.slot]);
-        if frozen {
+        if state.frozen {
             // Frozen plan input: the stacked tiles are identical, so the
             // first tile is unfolded and its patch panel packed once per
             // `load_input`, then reused for every realization.
@@ -285,14 +288,13 @@ impl Layer for Conv2d {
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
-        }
-        if frozen && batch > 1 {
-            // Fused wide product for the frozen first layer: ONE cached
-            // patch panel meets the wide stacked kernel operand in a single
-            // `[rows, B·oc]` GEMM; the strided columns are then re-laid out
-            // per realization.
-            telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), false, om);
+            // Fused wide product: ONE cached patch panel meets the stacked
+            // kernel pack in a single `[rows, B·oc]` GEMM; realization b's
+            // strided columns are then re-laid out into its NCHW block.
+            if batch > 1 {
+                telemetry::count(telemetry::Counter::WideGemms, 1);
+            }
+            gemm_prepacked_ab(&state.packed_a, weight.pack(0), false, om);
             for b in 0..batch {
                 let out_b = &mut out[b * per_out..][..per_out];
                 conv::relayout_nchw_strided(
@@ -309,25 +311,16 @@ impl Layer for Conv2d {
             }
             return Ok(());
         }
-        // Bring the cached packed operands up to date with this realization
-        // batch (cell scatter / dirty-row re-packing / uniform-scale).
-        weight.refresh_all();
         for b in 0..batch {
-            let om_b = &mut om[..rows_per * oc];
-            if frozen {
-                gemm_prepacked_ab(&state.packed_a, weight.panel(b), false, om_b);
-            } else {
-                // Per-realization inputs: unfold realization b's tile into
-                // the one-tile patch slot (im2col is per-sample, so this
-                // equals its rows of a whole-stack unfold) and multiply it.
-                let tile = &x[b * per_in..][..per_in];
-                conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, cols)?;
-                let panel = weight.panel(b);
-                let scratch = &mut state.plan_scratch;
-                gemm_prepacked_b(false, rows_per, cols, panel, false, om_b, scratch);
-            }
+            // Per-realization inputs: unfold realization b's tile into the
+            // one-tile patch slot (im2col is per-sample, so this equals its
+            // rows of a whole-stack unfold) and multiply it.
+            let tile = &x[b * per_in..][..per_in];
+            conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, cols)?;
+            let scratch = &mut state.plan_scratch;
+            gemm_prepacked_b(false, rows_per, cols, weight.pack(b), false, om, scratch);
             let out_b = &mut out[b * per_out..][..per_out];
-            conv::relayout_nchw_into(om_b, bias, n_per, oc, shape.oh, shape.ow, out_b);
+            conv::relayout_nchw_into(om, bias, n_per, oc, shape.oh, shape.ow, out_b);
         }
         Ok(())
     }

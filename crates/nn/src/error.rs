@@ -29,17 +29,6 @@ pub enum NnError {
         /// The unsupported operation, e.g. `"compiled plans"`.
         op: &'static str,
     },
-    /// An execution engine cannot honor the requested fault configuration
-    /// (e.g. a per-inference fault lifetime on a path that realizes faults
-    /// once per run). Typed so callers can tell a capability gap of the
-    /// chosen engine from a genuine failure.
-    FaultUnsupported {
-        /// The engine (or engine entry point) that rejected the
-        /// configuration.
-        engine: &'static str,
-        /// What about the fault configuration is unsupported.
-        reason: String,
-    },
     /// A serialized checkpoint (model parameters or Monte-Carlo sweep state)
     /// failed validation before any of its payload was trusted. Typed so
     /// callers can distinguish a stale format (re-export), a corrupted blob
@@ -134,14 +123,6 @@ impl NnError {
         NnError::Unsupported { layer, op }
     }
 
-    /// Convenience constructor for [`NnError::FaultUnsupported`].
-    pub fn fault_unsupported(engine: &'static str, reason: impl Into<String>) -> Self {
-        NnError::FaultUnsupported {
-            engine,
-            reason: reason.into(),
-        }
-    }
-
     /// Convenience constructor for [`NnError::ShapeMismatch`].
     pub fn shape_mismatch(context: &'static str, expected: &[usize], got: &[usize]) -> Self {
         NnError::ShapeMismatch {
@@ -169,9 +150,6 @@ impl fmt::Display for NnError {
             ),
             NnError::Unsupported { layer, op } => {
                 write!(f, "layer {layer} does not support {op}")
-            }
-            NnError::FaultUnsupported { engine, reason } => {
-                write!(f, "{engine} does not support {reason}")
             }
             NnError::Checkpoint(fault) => write!(f, "invalid checkpoint: {fault}"),
             NnError::ShapeMismatch {
@@ -216,11 +194,6 @@ mod tests {
             .contains("Linear"));
         let e = NnError::unsupported("Lstm", "compiled plans");
         assert_eq!(e.to_string(), "layer Lstm does not support compiled plans");
-        let e = NnError::fault_unsupported("MonteCarloEngine::run", "per-inference fault lifetime");
-        assert_eq!(
-            e.to_string(),
-            "MonteCarloEngine::run does not support per-inference fault lifetime"
-        );
     }
 
     #[test]

@@ -149,7 +149,8 @@ pub trait Layer {
     /// unregistered. Containers compile children in `visit_params` order.
     /// A GEMM layer reports its product's output width through
     /// [`crate::plan::PlanArenas::gemm_layer`], which also tells it whether
-    /// its input edge is frozen; a layer that copies its input unchanged
+    /// its input edge is frozen, and passes that answer to `register`; a
+    /// layer that copies its input unchanged
     /// into a new edge declares it with
     /// [`crate::plan::PlanArenas::copy_edge`].
     ///

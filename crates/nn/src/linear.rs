@@ -40,9 +40,9 @@ pub struct Linear {
     plan: Option<LinearPlan>,
 }
 
-/// Compiled-plan state: the id of the plan-owned weight operand (one packed
-/// panel per stacked realization for batched plans), and the cached packed
-/// activation panel for frozen (run-invariant) inputs.
+/// Compiled-plan state: the id of the plan-owned weight operand, and for a
+/// frozen layer the cached packed activation panel and the staging of its
+/// fused wide product.
 #[derive(Debug)]
 struct LinearPlan {
     weight: OperandId,
@@ -51,9 +51,8 @@ struct LinearPlan {
     packed_a: PackedA<f32>,
     a_gen: u64,
     scratch: Scratch,
-    /// Staging for the fused wide `[N, B·out]` product of a frozen batched
-    /// layer, re-strided into per-realization stacking afterwards (empty
-    /// otherwise).
+    /// Staging for a frozen layer's fused wide `[N, B·out]` product, copied
+    /// into per-realization stacking afterwards (empty otherwise).
     wide_stage: ArenaSlot,
 }
 
@@ -178,17 +177,14 @@ impl Layer for Linear {
         let n = input.dims[0];
         let (fin, fout) = (self.in_features, self.out_features);
         let frozen = arenas.gemm_layer::<f32>(input, fout);
+        let weights = &mut arenas.weights;
         self.plan = Some(LinearPlan {
-            weight: arenas
-                .weights
-                .register(self.weight.value.data(), fin, fout)?,
+            weight: weights.register(self.weight.value.data(), fin, fout, frozen)?,
             frozen,
             packed_a: PackedA::new(),
             a_gen: 0,
             scratch: Scratch::new(),
-            wide_stage: arenas
-                .f
-                .reserve(if frozen && batch > 1 { n * fout } else { 0 }),
+            wide_stage: arenas.f.reserve(if frozen { n * fout } else { 0 }),
         });
         Ok(PlanShape {
             slot: arenas.f.reserve(n * fout),
@@ -196,6 +192,7 @@ impl Layer for Linear {
         })
     }
 
+    // lint: no_alloc
     fn plan_forward(
         &mut self,
         input: &PlanShape,
@@ -210,12 +207,14 @@ impl Layer for Linear {
         let batch = arenas.batch();
         // Realization b owns rows [b·n, (b+1)·n) of the stacked edges.
         let n = input.dims[0] / batch;
-        let frozen = state.frozen && ctx.static_faults;
+        // Bring the cached packs up to date with this realization batch
+        // (cell scatter / dirty-row re-packing / uniform-scale).
         let weight = &mut arenas.weights[state.weight];
+        weight.refresh();
         let [x, stage, out] = arenas
             .f
             .many_mut([input.slot, state.wide_stage, output.slot]);
-        if frozen {
+        if state.frozen {
             // The plan input is constant across runs — and its stacked
             // realizations are tiles of the same activation — so the first
             // tile is packed once per `load_input`.
@@ -226,14 +225,14 @@ impl Layer for Linear {
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
-        }
-        if frozen && batch > 1 {
-            // Fused wide product: the cached activation panel meets the wide
-            // stacked weight operand in a single `[N, B·out]` GEMM (full
+            // Fused wide product: the cached activation panel meets the
+            // stacked weight pack in a single `[N, B·out]` GEMM (full
             // microkernel width, the activation panel streamed once), then
-            // the columns are re-strided into per-realization stacking.
-            telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, weight.refresh_wide(), false, stage);
+            // each realization's columns are copied into its rows.
+            if batch > 1 {
+                telemetry::count(telemetry::Counter::WideGemms, 1);
+            }
+            gemm_prepacked_ab(&state.packed_a, weight.pack(0), false, stage);
             let ld = batch * fout;
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
@@ -243,19 +242,11 @@ impl Layer for Linear {
                 }
             }
         } else {
-            // Bring the cached packed operands up to date with this
-            // realization batch (cell scatter / dirty-row re-packing /
-            // uniform-scale).
-            weight.refresh_all();
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
-                if frozen {
-                    gemm_prepacked_ab(&state.packed_a, weight.panel(b), false, out_b);
-                } else {
-                    let x_b = &x[b * n * fin..][..n * fin];
-                    let scratch = &mut state.scratch;
-                    gemm_prepacked_b(false, n, x_b, weight.panel(b), false, out_b, scratch);
-                }
+                let x_b = &x[b * n * fin..][..n * fin];
+                let scratch = &mut state.scratch;
+                gemm_prepacked_b(false, n, x_b, weight.pack(b), false, out_b, scratch);
             }
         }
         if let Some(bias) = &self.bias {

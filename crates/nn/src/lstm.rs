@@ -479,8 +479,8 @@ impl Layer for Lstm {
         let (n, h) = (rows / batch, self.hidden_size);
         let weights = &mut arenas.weights;
         self.plan = Some(LstmPlan {
-            w_ih: weights.register(self.w_ih.value.data(), feat, 4 * h)?,
-            w_hh: weights.register(self.w_hh.value.data(), h, 4 * h)?,
+            w_ih: weights.register(self.w_ih.value.data(), feat, 4 * h, false)?,
+            w_hh: weights.register(self.w_hh.value.data(), h, 4 * h, false)?,
             x_t: arenas.f.reserve(n * feat),
             z: arenas.f.reserve(n * 4 * h),
             h: arenas.f.reserve(n * h),
@@ -513,8 +513,8 @@ impl Layer for Lstm {
         let (t, feat) = (input.dims[1], input.dims[2]);
         // Realization b owns rows [b·n, (b+1)·n) of the stacked edges.
         let n = input.dims[0] / batch;
-        arenas.weights[state.w_ih].refresh_all();
-        arenas.weights[state.w_hh].refresh_all();
+        arenas.weights[state.w_ih].refresh();
+        arenas.weights[state.w_hh].refresh();
         let (w_ih, w_hh) = (&arenas.weights[state.w_ih], &arenas.weights[state.w_hh]);
         let [x, x_t, z, h_state, c_state, out] = arenas.f.many_mut([
             input.slot,
@@ -539,8 +539,8 @@ impl Layer for Lstm {
                 (h_state, c_state),
                 self.return_sequences.then_some(&mut *out_b),
                 |x_t, h_prev, z| {
-                    gemm_prepacked_b(false, n, x_t, w_ih.panel(b), false, z, scratch);
-                    gemm_prepacked_b(false, n, h_prev, w_hh.panel(b), true, z, scratch);
+                    gemm_prepacked_b(false, n, x_t, w_ih.pack(b), false, z, scratch);
+                    gemm_prepacked_b(false, n, h_prev, w_hh.pack(b), true, z, scratch);
                 },
             );
             if !self.return_sequences {

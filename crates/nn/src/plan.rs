@@ -11,15 +11,19 @@
 //!    concrete input shape. Every layer records its input/output shapes,
 //!    reserves its activation and scratch buffers from a shared bump
 //!    [`Arena`] (one allocation per element type), and registers its weight
-//!    matrix as a plan-owned [`PlannedOperand`], packed once into a cached
-//!    panel ([`invnorm_tensor::gemm::PackedB`], over f32 weights or i8
-//!    codes).
+//!    matrix as a plan-owned [`PlannedOperand`], packed once
+//!    ([`invnorm_tensor::gemm::PackedB`], over f32 weights or i8 codes).
+//!    Whether a GEMM layer is *frozen* — it reads the plan input, so it
+//!    caches its packed input and multiplies all stacked realizations in
+//!    one wide GEMM — is decided here too ([`PlanArenas::gemm_layer`]), and
+//!    fixes the one form its operand is packed in.
 //! 2. **Run many** ([`Plan::forward`]): steady-state forwards perform zero
 //!    heap allocations and zero weight packing. Fault injectors write each
 //!    operand's *faulty* buffer ([`Plan::weights_mut`], [`Plan::codes_mut`];
 //!    the clean parameters are never touched — no snapshot/restore) and
-//!    report the rows or cells they dirtied; only the packed panels covering
-//!    those are refreshed before the next forward.
+//!    report the rows or cells they dirtied; only the packed strips covering
+//!    those are refreshed before the next forward
+//!    ([`PlannedOperand::refresh`]).
 //!
 //! The planned forward is **bit-identical** to the direct eval path: the
 //! same kernels run in the same blocking order over the same packed values,
@@ -45,33 +49,6 @@ use invnorm_tensor::dispatch;
 use invnorm_tensor::gemm::{self, Element, PackedB};
 use invnorm_tensor::telemetry::{self, PlanFootprint};
 use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Tensor};
-use serde::{Deserialize, Serialize};
-
-/// When a fault realization is drawn relative to the inference stream — the
-/// **lifetime** axis of a fault specification.
-///
-/// `Static` faults are programming-time defects: one realization per chip
-/// instance, persisting across every forward pass of that instance. To honor
-/// `PerInference` faults — transient read noise, re-drawn before every
-/// forward pass — the caller re-realizes before each [`Plan::forward`], and
-/// the plan must not reuse realization-coupled state between passes. A
-/// [`Plan`] models the lifetime explicitly ([`Plan::set_fault_lifetime`]):
-/// under `PerInference` it stops asserting the frozen-input property, so
-/// first-layer caches keyed on a run-invariant input edge (packed activation
-/// panels, the fused wide-GEMM path) are bypassed and every pass re-derives
-/// its input-side operands. The frozen and non-frozen execution paths are
-/// bit-identical for the same realization (the caching is a pure
-/// optimization), so the lifetime controls *when noise is drawn*, never the
-/// arithmetic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultLifetime {
-    /// Drawn once per chip instance; the realization persists across every
-    /// forward pass of that instance's run.
-    #[default]
-    Static,
-    /// Re-drawn before every forward pass (transient read noise).
-    PerInference,
-}
 
 /// The per-plan buffer arenas, one per element type so f32 activations, i8
 /// quantization codes and i32 accumulators each live in a single allocation,
@@ -138,11 +115,11 @@ impl PlanArenas {
 
     /// Registers a GEMM layer reading `input` whose product has `width`
     /// output columns per realization and runs on `T`'s microkernel.
-    /// Returns whether the layer is frozen. A frozen layer of a batched plan
-    /// multiplies its cached input panel by all stacked realizations in one
-    /// `[rows, B·width]` GEMM, which reaches the microkernel's full register
-    /// width once `B ≥ ceil(NR / width)`: that fill feeds
-    /// [`Plan::frozen_fill`].
+    /// Returns whether the layer is frozen; the layer passes that on to
+    /// [`Operands::register`]. A frozen layer multiplies its cached input
+    /// panel by all B ≥ 1 stacked realizations in one `[rows, B·width]`
+    /// GEMM, which reaches the microkernel's full register width once
+    /// `B ≥ ceil(NR / width)`: that fill feeds [`Plan::frozen_fill`].
     pub fn gemm_layer<T: Element>(&mut self, input: &PlanShape, width: usize) -> bool {
         let frozen = self.is_frozen(input);
         if frozen {
@@ -174,15 +151,10 @@ impl PlanShape {
 #[derive(Debug, Clone, Copy)]
 pub struct PlanCtx {
     /// Generation counter of the plan's input buffer; bumped by
-    /// [`Plan::load_input`]. Frozen layers cache packed activation panels
-    /// keyed by this generation.
+    /// [`Plan::load_input`]. Frozen layers ([`PlanArenas::is_frozen`])
+    /// cache what they derive from their input — packed activation panels,
+    /// unfolded patches, quantized codes — keyed by this generation.
     pub input_gen: u64,
-    /// Whether this pass runs under [`FaultLifetime::Static`]. A layer runs
-    /// its frozen path — input-derived caches (packed activation panels,
-    /// unfolded patches, quantized codes) and the fused wide GEMM — only
-    /// when this holds and its input edge was frozen at compile
-    /// ([`PlanArenas::is_frozen`]).
-    pub static_faults: bool,
 }
 
 /// The injector-facing view of one [`PlannedOperand`]. The faulty buffer
@@ -306,6 +278,15 @@ impl SparseCells {
     pub fn mark_pending(&mut self, b: usize) {
         self.pending[b] = true;
     }
+
+    /// Records that realization `b`'s pack now equals its faulty buffer:
+    /// the pack's list becomes the faulty list. `clone_from` reuses the
+    /// reserved capacity, so this allocates nothing.
+    fn adopt(&mut self, b: usize) {
+        let Self { faulty, panel, .. } = self;
+        panel[b].idx.clone_from(&faulty[b].idx);
+        panel[b].exact = faulty[b].exact;
+    }
 }
 
 /// One plan-owned fault operand: a weighted layer's clean matrix, packed
@@ -314,25 +295,31 @@ impl SparseCells {
 /// (each packed as a [`PackedB`]) share one implementation.
 ///
 /// A plan stacks `batch` realizations ([`Plan::compile_batched`]; 1 for
-/// ordinary plans): the faulty buffer holds `batch` copies of the matrix,
-/// the dirty/stale sets track `batch · rows` rows, and each realization owns
-/// its own cached packed panel, so B fused forward passes share one clean
-/// reference pack.
+/// ordinary plans): the faulty buffer holds `batch` copies of the matrix
+/// and the dirty/stale sets track `batch · rows` rows. The live packed form
+/// is fixed at registration by the layer that reads it: a frozen layer
+/// ([`PlanArenas::gemm_layer`]) reads **one** pack over the whole
+/// `[batch · rows, cols]` stack — the stacked faulty buffer *is* that
+/// matrix — in one wide GEMM; any other layer reads one pack per
+/// realization. Either way each pack covers `span` realizations (`batch`
+/// or 1), realization `b` owning rows `[b·rows, (b+1)·rows)` of the stack,
+/// and one clean pack of the same extent is the reference the refresh
+/// restores and scales from.
 ///
-/// Four realization regimes are tracked per panel:
+/// Four realization regimes are tracked per pack:
 ///
 /// * **Sparse rows** ([`PlanView::dirty`]): the injector rewrote the
-///   realization's faulty slice and marked the touched rows; only panels
-///   covering the union of those rows and the previous realization's rows
-///   are re-packed.
+///   realizations' faulty slices and marked the touched rows; only the
+///   strips covering the union of those rows and the previous
+///   realizations' rows are re-packed.
 /// * **Sparse cells** ([`PlanView::cells`]): the injector recorded the
-///   exact touched cells; they are written straight into the packed panel
-///   (packed-domain injection, O(cells)).
+///   exact touched cells of every realization the pack covers; they are
+///   written straight into the pack (packed-domain injection, O(cells)).
 /// * **Uniform scale** ([`PlanView::scale`]): the realization is the clean
-///   matrix times one factor (retention drift); every packed panel is scaled
-///   from the clean operand directly — and skipped entirely when the factor
-///   is already applied.
-/// * **Clean**: nothing marked; the packed operands are already exact.
+///   matrix times one factor (retention drift); every pack is scaled from
+///   the clean pack directly — and skipped entirely when the factor is
+///   already applied.
+/// * **Clean**: nothing marked; the packs are already exact.
 ///
 /// Code-domain i.i.d. stuck-at keeps the row path: cell writes into the
 /// quad-interleaved i8 packing do not pay for i.i.d. scatter, while line
@@ -341,60 +328,56 @@ impl SparseCells {
 pub struct PlannedOperand<T: Element> {
     index: usize,
     bits: u8,
+    /// The clean matrix tiled `span` times, packed once.
     packed_clean: PackedB<T>,
-    panels: Vec<PackedB<T>>,
+    /// The live packs: one over the whole stack, or one per realization.
+    packs: Vec<PackedB<T>>,
     clean: Vec<T>,
     /// The stacked faulty buffer sparse realizations write (`batch × numel`).
     faulty: Vec<T>,
     /// Rows the current realization batch touched (`batch · rows` rows).
     dirty: DirtyRows,
-    /// Rows where the panels still differ from the clean operand (from the
+    /// Rows where the packs still differ from the clean operand (from the
     /// previous realization batch).
     stale: DirtyRows,
     /// Pending uniform-scale request for the next refresh.
     scale_req: Option<f32>,
     applied_scale: Option<f32>,
     cells: SparseCells,
-    batch: usize,
+    /// Realizations each pack covers: `batch` when the layer is frozen,
+    /// else 1.
+    span: usize,
     rows: usize,
     cols: usize,
-    /// Wide representation: ONE packed operand over the whole stacked
-    /// `[batch · rows, cols]` faulty matrix, used by frozen layers to drive
-    /// a single `[N, batch · rows]` wide GEMM per forward (full microkernel
-    /// width, the cached activation panel streamed once). Materialized
-    /// lazily on first use — a layer consistently uses either the wide or
-    /// the per-realization representation, never both.
-    wide: PackedB<T>,
-    wide_clean: PackedB<T>,
-    wide_stale: DirtyRows,
-    wide_applied: Option<f32>,
 }
 
 impl<T: Element> PlannedOperand<T> {
-    /// Packs the clean `[n, k]` matrix once as the immutable clean reference
-    /// and stages the stacked faulty buffer with `batch` clean copies.
-    fn new(target: Target, clean: &[T], k: usize, n: usize, batch: usize) -> Self {
+    /// Packs the clean `[n, k]` matrix once in the form its layer reads —
+    /// `batch` tiled copies for a frozen layer, one copy otherwise — as the
+    /// clean reference, clones it into the live packs, and stages the
+    /// stacked faulty buffer with `batch` clean copies.
+    fn new(target: Target, clean: &[T], k: usize, n: usize, batch: usize, frozen: bool) -> Self {
+        let span = if frozen { batch } else { 1 };
+        // The faulty buffer starts as `batch` clean copies; its first
+        // `span` copies are the clean form the layer reads.
+        let faulty = clean.repeat(batch);
         let mut packed_clean = PackedB::new();
-        packed_clean.pack(true, clean, k, n);
+        packed_clean.pack(true, &faulty[..span * clean.len()], k, span * n);
         Self {
             index: target.index,
             bits: target.bits,
+            packs: vec![packed_clean.clone(); batch / span],
             packed_clean,
-            panels: Vec::new(),
             clean: clean.to_vec(),
-            faulty: clean.repeat(batch),
+            faulty,
             dirty: DirtyRows::new(batch * n),
             stale: DirtyRows::new(batch * n),
             scale_req: None,
             applied_scale: None,
             cells: SparseCells::new(batch, clean.len()),
-            batch,
+            span,
             rows: n,
             cols: k,
-            wide: PackedB::new(),
-            wide_clean: PackedB::new(),
-            wide_stale: DirtyRows::new(batch * n),
-            wide_applied: None,
         }
     }
 
@@ -403,10 +386,11 @@ impl<T: Element> PlannedOperand<T> {
         self.bits
     }
 
-    /// Realization `b`'s live packed operand (call
-    /// [`PlannedOperand::refresh_all`] first).
-    pub fn panel(&self, b: usize) -> &PackedB<T> {
-        &self.panels[b]
+    /// Live pack `i` (call [`PlannedOperand::refresh`] first): for a frozen
+    /// layer's operand, pack 0 is the whole `[batch · rows, cols]` stack;
+    /// otherwise pack `b` is realization `b`'s `[rows, cols]` matrix.
+    pub fn pack(&self, i: usize) -> &PackedB<T> {
+        &self.packs[i]
     }
 
     /// The injector-facing view of this operand's realization state.
@@ -422,181 +406,103 @@ impl<T: Element> PlannedOperand<T> {
         }
     }
 
-    /// Materializes the live packed operands (per-realization panels or the
-    /// wide operand over the tiled clean stack) as clean packs.
-    // lint: alloc_ok(first forward materializes the live panels)
-    #[cold]
-    #[inline(never)]
-    fn materialize(&mut self, wide: bool) {
-        if wide {
-            let tiled = self.clean.repeat(self.batch);
-            self.wide_clean
-                .pack(true, &tiled, self.cols, self.batch * self.rows);
-            self.wide = self.wide_clean.clone();
-        } else {
-            self.panels = vec![self.packed_clean.clone(); self.batch];
-        }
-    }
-
-    /// Brings the **wide stacked operand** (`[batch · rows, cols]`, one
-    /// panel over every realization) up to date with the realization the
-    /// injector recorded and returns it ready for the fused `[N, B·out]`
-    /// GEMM. The stacked faulty buffer *is* the wide source matrix, so the
-    /// dirty-row, uniform-scale and sparse-cell bookkeeping apply
-    /// unchanged, with realization `b` owning rows `[b·rows, (b+1)·rows)`.
-    /// Allocation-free once materialized.
+    /// Brings every live pack up to date with the realizations the
+    /// injector recorded — a uniform scale, sparse cells, dirty rows, or
+    /// nothing — ready for the layer's GEMMs. Allocation-free.
     // lint: no_alloc
-    pub fn refresh_wide(&mut self) -> &PackedB<T> {
-        let numel = self.rows * self.cols;
-        if self.wide_clean.n() != self.batch * self.rows {
-            self.materialize(true);
-        }
-        if let Some(factor) = self.scale_req.take() {
-            if self.wide_applied != Some(factor) || self.dirty.any() {
-                self.wide.scale_from(&self.wide_clean, factor);
-                self.wide_applied = Some(factor);
-                self.dirty.clear();
-                self.wide_stale.clear();
-                for b in 0..self.batch {
-                    self.cells.panel[b].set_unknown();
-                }
-            }
-            self.cells.pending.fill(false);
-            return &self.wide;
-        }
-        if self.wide_applied.take().is_some() {
-            self.wide.copy_from(&self.wide_clean);
-            self.wide_stale.clear();
-            for b in 0..self.batch {
-                self.cells.panel[b].set_empty_exact();
-            }
-        }
-        let all_sparse = (0..self.batch).all(|b| {
-            self.cells.pending[b] && self.cells.panel[b].exact && self.cells.faulty[b].exact
-        });
-        if all_sparse {
-            // Packed-domain cell update over the stacked operand: revert
-            // every realization's previous cells, scatter the new ones.
-            for b in 0..self.batch {
-                let row0 = b * self.rows;
-                let fb = &self.faulty[b * numel..][..numel];
-                for &i in &self.cells.panel[b].idx {
-                    let i = i as usize;
-                    self.wide
-                        .write_cell(row0 + i / self.cols, i % self.cols, self.clean[i]);
-                }
-                for &i in &self.cells.faulty[b].idx {
-                    let i = i as usize;
-                    self.wide
-                        .write_cell(row0 + i / self.cols, i % self.cols, fb[i]);
-                }
-                let SparseCells { faulty, panel, .. } = &mut self.cells;
-                panel[b].idx.clone_from(&faulty[b].idx);
-                panel[b].exact = true;
-            }
-            std::mem::swap(&mut self.wide_stale, &mut self.dirty);
-            self.dirty.clear();
-        } else if self.dirty.any() || self.wide_stale.any() {
-            self.wide_stale.merge(&self.dirty);
-            self.wide.repack_rows(&self.faulty, &self.wide_stale, 0);
-            std::mem::swap(&mut self.wide_stale, &mut self.dirty);
-            self.dirty.clear();
-            for b in 0..self.batch {
-                if self.cells.pending[b] {
-                    let SparseCells { faulty, panel, .. } = &mut self.cells;
-                    panel[b].idx.clone_from(&faulty[b].idx);
-                    panel[b].exact = faulty[b].exact;
-                } else {
-                    self.cells.panel[b].set_unknown();
-                    self.cells.faulty[b].set_unknown();
-                }
-            }
-        }
-        self.cells.pending.fill(false);
-        &self.wide
-    }
-
-    /// Brings every per-realization packed panel up to date with the
-    /// realization the injector recorded (sparse cells, dirty rows, uniform
-    /// scale, or nothing), ready for the per-realization GEMMs.
-    /// Allocation-free once materialized.
-    // lint: no_alloc
-    pub fn refresh_all(&mut self) {
-        let numel = self.rows * self.cols;
-        if self.panels.is_empty() {
-            self.materialize(false);
-        }
-        if let Some(factor) = self.scale_req.take() {
-            // Uniform-scale regime: `panel = packed_clean · factor`,
+    pub fn refresh(&mut self) {
+        let Self {
+            packed_clean,
+            packs,
+            clean,
+            faulty,
+            dirty,
+            stale,
+            scale_req,
+            applied_scale,
+            cells,
+            span,
+            rows,
+            cols,
+            ..
+        } = self;
+        let (span, rows, cols) = (*span, *rows, *cols);
+        if let Some(factor) = scale_req.take() {
+            // Uniform-scale regime: `pack = packed_clean · factor`,
             // bit-identical to packing scaled weights. Skip when the exact
-            // factor is already applied and nothing else touched the panels.
-            if self.applied_scale != Some(factor) || self.dirty.any() {
-                for (b, panel) in self.panels.iter_mut().enumerate() {
-                    panel.scale_from(&self.packed_clean, factor);
-                    self.cells.panel[b].set_unknown();
+            // factor is already applied and nothing else touched the packs.
+            if *applied_scale != Some(factor) || dirty.any() {
+                for pack in packs.iter_mut() {
+                    pack.scale_from(packed_clean, factor);
                 }
-                self.applied_scale = Some(factor);
-                self.dirty.clear();
-                self.stale.clear();
+                cells.panel.iter_mut().for_each(CellList::set_unknown);
+                *applied_scale = Some(factor);
+                dirty.clear();
+                stale.clear();
             }
-            self.cells.pending.fill(false);
+            cells.pending.fill(false);
             return;
         }
-        if self.applied_scale.take().is_some() {
-            // Leaving the scaled regime: restore the clean panels, then
-            // apply this realization's dirty rows/cells below.
-            for (b, panel) in self.panels.iter_mut().enumerate() {
-                panel.copy_from(&self.packed_clean);
-                self.cells.panel[b].set_empty_exact();
+        if applied_scale.take().is_some() {
+            // Leaving the scaled regime: restore the clean packs, then
+            // apply this realization batch's dirty rows/cells below.
+            for pack in packs.iter_mut() {
+                pack.copy_from(packed_clean);
             }
-            self.stale.clear();
+            cells.panel.iter_mut().for_each(CellList::set_empty_exact);
+            stale.clear();
         }
-        for b in 0..self.batch {
-            let (lo, hi) = (b * self.rows, (b + 1) * self.rows);
-            let faulty_b = &self.faulty[b * numel..][..numel];
-            let panel = &mut self.panels[b];
-            let pending = std::mem::replace(&mut self.cells.pending[b], false);
-            if pending && self.cells.panel[b].exact && self.cells.faulty[b].exact {
-                // Packed-domain cell update: revert the previous
-                // realization's cells to clean, scatter this realization's
-                // cells — O(cells), no row re-pack. Bit-identical to a
+        let numel = rows * cols;
+        for (p, pack) in packs.iter_mut().enumerate() {
+            // Pack p covers realizations [first, first + span), which own
+            // rows [lo, hi) of the stack.
+            let first = p * span;
+            let (lo, hi) = (first * rows, (first + span) * rows);
+            let source = &faulty[first * numel..][..span * numel];
+            let sparse = (first..first + span)
+                .all(|b| cells.pending[b] && cells.panel[b].exact && cells.faulty[b].exact);
+            if sparse {
+                // Packed-domain cell update: revert every covered
+                // realization's previous cells to clean and scatter its new
+                // ones — O(cells), no row re-pack. Bit-identical to a
                 // re-pack of the same faulty matrix.
-                for &i in &self.cells.panel[b].idx {
-                    let i = i as usize;
-                    panel.write_cell(i / self.cols, i % self.cols, self.clean[i]);
+                for b in first..first + span {
+                    let j = b - first;
+                    let (row0, faulty_b) = (j * rows, &source[j * numel..][..numel]);
+                    for &i in &cells.panel[b].idx {
+                        let i = i as usize;
+                        pack.write_cell(row0 + i / cols, i % cols, clean[i]);
+                    }
+                    for &i in &cells.faulty[b].idx {
+                        let i = i as usize;
+                        pack.write_cell(row0 + i / cols, i % cols, faulty_b[i]);
+                    }
+                    // The pack now equals the faulty buffer exactly.
+                    cells.adopt(b);
                 }
-                for &i in &self.cells.faulty[b].idx {
-                    let i = i as usize;
-                    panel.write_cell(i / self.cols, i % self.cols, faulty_b[i]);
-                }
-                // The panel now equals the faulty buffer exactly.
-                let (panel_list, faulty_list) = (&mut self.cells.panel[b], &self.cells.faulty[b]);
-                panel_list.idx.clone_from(&faulty_list.idx);
-                panel_list.exact = true;
-                self.stale.copy_range(&self.dirty, lo, hi);
-                self.dirty.clear_range(lo, hi);
-            } else if self.dirty.any_in(lo, hi) || self.stale.any_in(lo, hi) {
-                // Row-granular re-pack of the union of this realization's
-                // dirty rows and the panel's stale rows.
-                self.stale.merge_range(&self.dirty, lo, hi);
-                panel.repack_rows(faulty_b, &self.stale, lo);
-                self.stale.copy_range(&self.dirty, lo, hi);
-                self.dirty.clear_range(lo, hi);
-                if pending {
-                    // Sparse injector wrote the buffer (panel list was
-                    // merely unknown): panel == faulty now, adopt its list.
-                    // `clone_from` reuses the reserved capacity, so even
-                    // this recovery transition allocates nothing.
-                    let SparseCells { faulty, panel, .. } = &mut self.cells;
-                    panel[b].idx.clone_from(&faulty[b].idx);
-                    panel[b].exact = faulty[b].exact;
-                } else {
-                    // A dense realization (or a caller writing `faulty`
-                    // directly) — the exact lists no longer describe it.
-                    self.cells.panel[b].set_unknown();
-                    self.cells.faulty[b].set_unknown();
+                stale.copy_range(dirty, lo, hi);
+                dirty.clear_range(lo, hi);
+            } else if dirty.any_in(lo, hi) || stale.any_in(lo, hi) {
+                // Row-granular re-pack of the union of this batch's dirty
+                // rows and the pack's stale rows.
+                stale.merge_range(dirty, lo, hi);
+                pack.repack_rows(source, stale, lo);
+                stale.copy_range(dirty, lo, hi);
+                dirty.clear_range(lo, hi);
+                for b in first..first + span {
+                    if cells.pending[b] {
+                        // The sparse injector wrote the buffer (the pack's
+                        // list was merely unknown): pack == faulty now.
+                        cells.adopt(b);
+                    } else {
+                        // A dense realization (or a caller writing `faulty`
+                        // directly) — the exact lists no longer describe it.
+                        cells.panel[b].set_unknown();
+                        cells.faulty[b].set_unknown();
+                    }
                 }
             }
+            cells.pending[first..first + span].fill(false);
         }
     }
 }
@@ -639,7 +545,10 @@ impl<T: Element> Operands<T> {
     /// Registers a weighted layer's clean row-major `[n, k]` matrix as the
     /// domain's next operand (packed once, staged as the plan's batch of
     /// faulty copies) and returns the id [`Layer::plan_forward`] reads it
-    /// back by (`arenas.weights[id]`). Layers register in
+    /// back by (`arenas.weights[id]`). `frozen` is the layer's
+    /// [`PlanArenas::gemm_layer`] answer: a frozen layer reads one pack
+    /// over all stacked realizations, any other one pack per realization
+    /// (see [`PlannedOperand`]). Layers register in
     /// [`Layer::plan_compile`], in [`Layer::visit_params`] order of their
     /// rank ≥ 2 parameters (f32) or [`Layer::visit_codes`] order (codes).
     ///
@@ -648,7 +557,7 @@ impl<T: Element> Operands<T> {
     /// Returns [`NnError::Config`] when the model exposes no further
     /// parameter of this domain, or the next one holds a different element
     /// count.
-    pub fn register(&mut self, clean: &[T], k: usize, n: usize) -> Result<OperandId> {
+    pub fn register(&mut self, clean: &[T], k: usize, n: usize, frozen: bool) -> Result<OperandId> {
         let id = self.list.len();
         let Some(&target) = self.targets.get(id) else {
             return Err(operand_count_mismatch(
@@ -665,7 +574,7 @@ impl<T: Element> Operands<T> {
                 target.numel
             )));
         }
-        let operand = PlannedOperand::new(target, clean, k, n, self.batch);
+        let operand = PlannedOperand::new(target, clean, k, n, self.batch, frozen);
         self.list.push(operand);
         Ok(OperandId(id))
     }
@@ -718,7 +627,6 @@ pub struct Plan {
     /// Per-realization input dims (`input.dims` with the leading dimension
     /// divided by the batch) — the shape [`Plan::load_input`] accepts.
     per_dims: Vec<usize>,
-    lifetime: FaultLifetime,
 }
 
 impl Plan {
@@ -740,8 +648,9 @@ impl Plan {
     /// example (written once per [`Plan::load_input`], so frozen-input
     /// caches — packed activation panels, unfolded patches, quantized codes
     /// — are still computed once per input), and every registered operand
-    /// stacks `batch` faulty buffers plus per-realization cached packed
-    /// panels. One [`Plan::forward`] then evaluates every realization, with
+    /// stacks `batch` faulty buffers plus its cached packs (one over the
+    /// whole stack for a frozen layer, one per realization otherwise). One
+    /// [`Plan::forward`] then evaluates every realization, with
     /// realization `b` owning rows `[b·N, (b+1)·N)` of the output's leading
     /// dimension — each bit-identical to a single-realization planned (and
     /// therefore direct) forward on its faulty weights.
@@ -814,7 +723,6 @@ impl Plan {
             out_tensor,
             gen: 0,
             per_dims,
-            lifetime: FaultLifetime::Static,
         };
         plan.load_input(example)?;
         Ok(plan)
@@ -881,21 +789,6 @@ impl Plan {
         &mut self.arenas.codes.list
     }
 
-    /// Declares the fault lifetime subsequent forwards run under (see
-    /// [`FaultLifetime`]). Under [`FaultLifetime::PerInference`] the plan
-    /// stops asserting the frozen-input property, so input-derived caches
-    /// (packed activation panels, the fused wide-GEMM path) are bypassed and
-    /// every pass consumes the freshly realized operands; setting
-    /// [`FaultLifetime::Static`] back restores the caching.
-    pub fn set_fault_lifetime(&mut self, lifetime: FaultLifetime) {
-        self.lifetime = lifetime;
-    }
-
-    /// The fault lifetime this plan currently models.
-    pub fn fault_lifetime(&self) -> FaultLifetime {
-        self.lifetime
-    }
-
     /// Runs one planned forward pass over the loaded input, consuming each
     /// operand's faulty buffers (refreshing dirty panels on the way), and
     /// returns the output. Steady-state calls perform zero heap
@@ -909,10 +802,6 @@ impl Plan {
     pub fn forward<M: Layer + ?Sized>(&mut self, model: &mut M) -> Result<&Tensor> {
         let ctx = PlanCtx {
             input_gen: self.gen,
-            // A per-inference fault lifetime voids the frozen-input
-            // property: caches keyed on a run-invariant input edge must not
-            // serve this pass.
-            static_faults: self.lifetime == FaultLifetime::Static,
         };
         model.plan_forward(&self.input, &self.output, ctx, &mut self.arenas)?;
         self.out_tensor
@@ -1284,13 +1173,15 @@ mod tests {
         assert_eq!(stacked.i8_bytes, one.i8_bytes);
     }
 
-    /// Both conv paths of a stacked plan reuse the one-tile slots: the
-    /// frozen path (static faults) and the per-realization path (faults
-    /// re-drawn per inference) each reproduce the B = 1 output in every
-    /// stacked realization, bit for bit, for f32 and quantized convs.
+    /// Both conv paths of a stacked plan reuse the one-tile slots and
+    /// reproduce the B = 1 output in every stacked realization, bit for
+    /// bit, for f32 and quantized convs: the frozen path of the conv reading
+    /// the plan input, and the per-realization path of the same conv behind
+    /// a ReLU, which leaves the non-negative input unchanged but gives the
+    /// conv an edge of its own.
     #[test]
     fn batched_conv_plans_match_single_realization_on_both_paths() {
-        let x = Tensor::randn(&[2, 3, 32, 32], 0.0, 1.0, &mut Rng::seed_from(14));
+        let x = Tensor::randn(&[2, 3, 32, 32], 0.0, 1.0, &mut Rng::seed_from(14)).abs();
         for quantized in [false, true] {
             let mut net = bench_cnn(quantized);
             let single = Plan::compile(&mut net, &x)
@@ -1298,10 +1189,14 @@ mod tests {
                 .forward(&mut net)
                 .unwrap()
                 .clone();
+            net.plan_end();
+            let behind_relu = Sequential::new()
+                .with(Box::new(Relu::new()))
+                .with(Box::new(bench_cnn(quantized)));
             let batch = 3;
-            let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
-            for lifetime in [FaultLifetime::Static, FaultLifetime::PerInference] {
-                plan.set_fault_lifetime(lifetime);
+            for (mut net, frozen) in [(net, true), (behind_relu, false)] {
+                let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+                assert_eq!(plan.frozen_fill().is_some(), frozen);
                 let out = plan.forward(&mut net).unwrap();
                 for b in 0..batch {
                     let rows = &out.data()[b * single.numel()..][..single.numel()];
@@ -1309,11 +1204,11 @@ mod tests {
                         (rows.iter().zip(single.data())).all(|(a, c)| a.to_bits() == c.to_bits());
                     assert!(
                         identical,
-                        "quantized={quantized} {lifetime:?} realization {b}"
+                        "quantized={quantized} frozen={frozen} realization {b}"
                     );
                 }
+                net.plan_end();
             }
-            net.plan_end();
         }
     }
 

@@ -126,9 +126,8 @@ pub struct QuantizedLinear {
 
 /// Compiled-plan state shared by both quantized layers: arena slots for one
 /// realization's activation codes / patch matrix and the i32 accumulators,
-/// the id of the plan-owned code operand (one packed panel per stacked
-/// realization for batched plans), and the cached packed activation panel
-/// (plus its quantization scale) for frozen inputs.
+/// the id of the plan-owned code operand, and the cached packed activation
+/// panel (plus its quantization scale) for frozen inputs.
 #[derive(Debug)]
 struct QuantizedPlan {
     qin: ArenaSlot,
@@ -317,12 +316,12 @@ impl Layer for QuantizedLinear {
         self.plan = Some(QuantizedPlan {
             // One realization's activation codes, reused across the stack;
             // the accumulators hold the fused wide `[N, B·out]` product of a
-            // frozen layer (the per-realization path reuses the `[N, out]`
-            // prefix).
+            // frozen layer (the per-realization path reuses one `[N, out]`
+            // product across the stack).
             qin: arenas.q.reserve(n_per * fin),
             cols: arenas.q.reserve(0),
             acc: arenas.acc.reserve(n_per * fout * wide),
-            codes: arenas.codes.register(&self.codes, fin, fout)?,
+            codes: arenas.codes.register(&self.codes, fin, fout, frozen)?,
             frozen,
             packed_a: PackedA::new(),
             a_gen: 0,
@@ -336,6 +335,7 @@ impl Layer for QuantizedLinear {
         })
     }
 
+    // lint: no_alloc
     fn plan_forward(
         &mut self,
         input: &PlanShape,
@@ -349,11 +349,13 @@ impl Layer for QuantizedLinear {
         let (fin, fout) = (self.in_features, self.out_features);
         let batch = arenas.batch();
         let n = input.dims[0] / batch;
-        let frozen = state.frozen && ctx.static_faults;
         let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
         let qin = arenas.q.slot_mut(state.qin);
         let acc = arenas.acc.slot_mut(state.acc);
+        // Bring the cached packs up to date with this realization batch
+        // (cell scatter / dirty-row re-packing / uniform-scale).
         let codes = &mut arenas.codes[state.codes];
+        codes.refresh();
         let bias = self.bias.as_ref().map(Tensor::data);
         // Dequantizes realization b's `[n, fout]` block of accumulators
         // (leading dimension `ld`, first column `col0`); bias is digital f32.
@@ -368,7 +370,7 @@ impl Layer for QuantizedLinear {
                 }
             }
         };
-        if frozen {
+        if state.frozen {
             // Frozen plan input: quantize + pack the first tile's codes once
             // per `load_input` and reuse the panel.
             if state.a_gen != ctx.input_gen {
@@ -379,42 +381,24 @@ impl Layer for QuantizedLinear {
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
-        }
-        if frozen && batch > 1 {
-            // Fused wide product: the cached activation panel meets the wide
-            // stacked code operand in a single `[N, B·out]` integer GEMM;
+            // Fused wide product: the cached activation panel meets the
+            // stacked code pack in a single `[N, B·out]` integer GEMM;
             // realization b dequantizes its own column block.
-            telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
+            if batch > 1 {
+                telemetry::count(telemetry::Counter::WideGemms, 1);
+            }
+            gemm_prepacked_ab(&state.packed_a, codes.pack(0), false, acc);
             for b in 0..batch {
                 let out_b = &mut out[b * n * fout..][..n * fout];
                 dequantize(acc, batch * fout, b * fout, state.a_scale, out_b);
             }
             return Ok(());
         }
-        // Bring the cached packed operands up to date with this realization
-        // batch (cell scatter / dirty-row re-packing / uniform-scale).
-        codes.refresh_all();
         for b in 0..batch {
-            let out_b = &mut out[b * n * fout..][..n * fout];
-            let acc = &mut acc[..n * fout];
-            let sx = if frozen {
-                gemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
-                state.a_scale
-            } else {
-                let sx = quantize_activations(&x[b * n * fin..][..n * fin], self.act_scale, qin);
-                gemm_prepacked_b(
-                    false,
-                    n,
-                    qin,
-                    codes.panel(b),
-                    false,
-                    acc,
-                    &mut state.plan_scratch,
-                );
-                sx
-            };
-            dequantize(acc, fout, 0, sx, out_b);
+            let sx = quantize_activations(&x[b * n * fin..][..n * fin], self.act_scale, qin);
+            let scratch = &mut state.plan_scratch;
+            gemm_prepacked_b(false, n, qin, codes.pack(b), false, acc, scratch);
+            dequantize(acc, fout, 0, sx, &mut out[b * n * fout..][..n * fout]);
         }
         Ok(())
     }
@@ -626,11 +610,13 @@ impl Layer for QuantizedConv2d {
             // unfolds one tile at a time (each with its own dynamic scale).
             // The i32 accumulators hold the fused wide `[rows/B, B·oc]`
             // product of a frozen layer (the per-realization path reuses
-            // the `[rows/B, oc]` prefix).
+            // one `[rows/B, oc]` product across the stack).
             qin: arenas.q.reserve(input.numel() / batch),
             cols: arenas.q.reserve(rows_per * shape.patch),
             acc: arenas.acc.reserve(rows_per * oc * wide),
-            codes: arenas.codes.register(&self.codes, shape.patch, oc)?,
+            codes: arenas
+                .codes
+                .register(&self.codes, shape.patch, oc, frozen)?,
             frozen,
             packed_a: PackedA::new(),
             a_gen: 0,
@@ -644,6 +630,7 @@ impl Layer for QuantizedConv2d {
         })
     }
 
+    // lint: no_alloc
     fn plan_forward(
         &mut self,
         input: &PlanShape,
@@ -661,11 +648,13 @@ impl Layer for QuantizedConv2d {
         let rows_per = shape.rows / batch;
         let per_in = input.numel() / batch;
         let per_out = n_per * oc * shape.oh * shape.ow;
-        let frozen = state.frozen && ctx.static_faults;
         let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
         let [qin, cols] = arenas.q.many_mut([state.qin, state.cols]);
         let acc = arenas.acc.slot_mut(state.acc);
+        // Bring the cached packs up to date with this realization batch
+        // (cell scatter / dirty-row re-packing / uniform-scale).
         let codes = &mut arenas.codes[state.codes];
+        codes.refresh();
         let bias = self.bias.as_ref().map(Tensor::data);
         // Dequantizes realization b's accumulators (leading dimension `ld`,
         // first column `col0`) during the NCHW re-layout; bias is digital
@@ -686,7 +675,7 @@ impl Layer for QuantizedConv2d {
                 }
             }
         };
-        if frozen {
+        if state.frozen {
             // Frozen plan input: quantize + unfold + pack the first tile's
             // patch panel once per `load_input`.
             if state.a_gen != ctx.input_gen {
@@ -698,46 +687,29 @@ impl Layer for QuantizedConv2d {
             } else {
                 telemetry::count(telemetry::Counter::FrozenInputHits, 1);
             }
-        }
-        if frozen && batch > 1 {
-            // Fused wide product: the cached patch panel meets the wide
-            // stacked kernel operand in a single `[rows, B·oc]` integer
-            // GEMM; realization b dequantizes its strided column block
-            // during the NCHW re-layout.
-            telemetry::count(telemetry::Counter::WideGemms, 1);
-            gemm_prepacked_ab(&state.packed_a, codes.refresh_wide(), false, acc);
+            // Fused wide product: the cached patch panel meets the stacked
+            // kernel pack in a single `[rows, B·oc]` integer GEMM;
+            // realization b dequantizes its strided column block during the
+            // NCHW re-layout.
+            if batch > 1 {
+                telemetry::count(telemetry::Counter::WideGemms, 1);
+            }
+            gemm_prepacked_ab(&state.packed_a, codes.pack(0), false, acc);
             for b in 0..batch {
                 let out_b = &mut out[b * per_out..][..per_out];
                 dequantize(acc, batch * oc, b * oc, state.a_scale, out_b);
             }
             return Ok(());
         }
-        // Bring the cached packed operands up to date with this realization
-        // batch (cell scatter / dirty-row re-packing / uniform-scale).
-        codes.refresh_all();
         for b in 0..batch {
-            let acc = &mut acc[..rows_per * oc];
-            let sx = if frozen {
-                gemm_prepacked_ab(&state.packed_a, codes.panel(b), false, acc);
-                state.a_scale
-            } else {
-                // Per-realization inputs: quantize realization b's tile with
-                // its own dynamic scale (the sequential per-instance scale
-                // semantics), unfold it into the one-tile patch slot, and
-                // multiply it.
-                let sx = quantize_activations(&x[b * per_in..][..per_in], self.act_scale, qin);
-                im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
-                gemm_prepacked_b(
-                    false,
-                    rows_per,
-                    cols,
-                    codes.panel(b),
-                    false,
-                    acc,
-                    &mut state.plan_scratch,
-                );
-                sx
-            };
+            // Per-realization inputs: quantize realization b's tile with its
+            // own dynamic scale (the sequential per-instance scale
+            // semantics), unfold it into the one-tile patch slot, and
+            // multiply it.
+            let sx = quantize_activations(&x[b * per_in..][..per_in], self.act_scale, qin);
+            im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
+            let scratch = &mut state.plan_scratch;
+            gemm_prepacked_b(false, rows_per, cols, codes.pack(b), false, acc, scratch);
             dequantize(acc, oc, 0, sx, &mut out[b * per_out..][..per_out]);
         }
         Ok(())

@@ -209,18 +209,6 @@ impl DirtyRows {
         (lo..hi).any(|r| self.is_marked(r))
     }
 
-    /// Marks every row marked in `other` (set union).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sets track a different number of rows.
-    pub fn merge(&mut self, other: &DirtyRows) {
-        assert_eq!(self.rows, other.rows, "DirtyRows size mismatch");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-        }
-    }
-
     /// Number of marked rows.
     pub fn count(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
@@ -412,7 +400,7 @@ mod tests {
         let mut other = DirtyRows::new(70);
         other.mark(3);
         d.clear();
-        d.merge(&other);
+        d.merge_range(&other, 0, 70);
         assert!(d.is_marked(3) && d.count() == 1);
     }
 }

@@ -147,7 +147,7 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
 /// Returns an error when the input is not rank-4, the geometry is invalid or
 /// the buffer length is wrong.
 pub fn im2col_into(input: &Tensor, spec: &Conv2dSpec, cols: &mut [f32]) -> Result<()> {
-    let (n, c, h, w) = as_nchw(input)?;
+    let (n, c, h, w) = nchw(input.dims())?;
     im2col_generic(input.data(), n, c, h, w, spec, cols)
 }
 
@@ -343,21 +343,8 @@ pub fn conv2d_forward(
     bias: Option<&Tensor>,
     spec: &Conv2dSpec,
 ) -> Result<Conv2dForward> {
-    let (n, c, h, w) = as_nchw(input)?;
-    let wd = weight.dims();
-    if wd.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wd.len(),
-        });
-    }
-    let (oc, wc, wkh, wkw) = (wd[0], wd[1], wd[2], wd[3]);
-    if wc != c || wkh != spec.kh || wkw != spec.kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "weight shape {wd:?} inconsistent with input channels {c} and kernel {}x{}",
-            spec.kh, spec.kw
-        )));
-    }
+    let (n, c, h, w) = nchw(input.dims())?;
+    let oc = check_operands(c, weight, bias, spec)?;
     let (oh, ow) = spec.output_hw(h, w)?;
     let cols = im2col(input, spec)?;
     let weight_mat = weight.reshape(&[oc, c * spec.kh * spec.kw])?;
@@ -394,29 +381,8 @@ pub fn conv2d_forward_with_scratch(
     spec: &Conv2dSpec,
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
-    let (n, c, h, w) = as_nchw(input)?;
-    let wd = weight.dims();
-    if wd.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wd.len(),
-        });
-    }
-    let (oc, wc, wkh, wkw) = (wd[0], wd[1], wd[2], wd[3]);
-    if wc != c || wkh != spec.kh || wkw != spec.kw {
-        return Err(TensorError::InvalidArgument(format!(
-            "weight shape {wd:?} inconsistent with input channels {c} and kernel {}x{}",
-            spec.kh, spec.kw
-        )));
-    }
-    if let Some(b) = bias {
-        if b.numel() != oc {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![oc],
-                rhs: b.dims().to_vec(),
-            });
-        }
-    }
+    let (n, c, h, w) = nchw(input.dims())?;
+    let oc = check_operands(c, weight, bias, spec)?;
     let ConvShape { oh, ow, patch, .. } = conv_out_shape(input.dims(), spec)?;
     let pixels = oh * ow;
     let image_len = c * h * w;
@@ -606,14 +572,7 @@ pub fn conv2d_backward(
     input_dims: &[usize],
     spec: &Conv2dSpec,
 ) -> Result<Conv2dGrads> {
-    let god = grad_output.dims();
-    if god.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: god.len(),
-        });
-    }
-    let (n, oc, oh, ow) = (god[0], god[1], god[2], god[3]);
+    let (n, oc, oh, ow) = check_backward_operands(grad_output, weight, None, input_dims, spec)?;
     let wd = weight.dims();
     let patch = wd[1] * wd[2] * wd[3];
     // Re-layout grad_output [N, OC, OH, OW] into matrix [N*OH*OW, OC].
@@ -667,14 +626,8 @@ pub fn conv2d_backward_into(
     grad_bias: Option<&mut Tensor>,
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
-    let god = grad_output.dims();
-    if god.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: god.len(),
-        });
-    }
-    let (n, oc, oh, ow) = (god[0], god[1], god[2], god[3]);
+    let (n, oc, oh, ow) =
+        check_backward_operands(grad_output, weight, grad_bias.as_deref(), input_dims, spec)?;
     let wd = weight.dims().to_vec();
     let patch = wd[1] * wd[2] * wd[3];
     let rows = n * oh * ow;
@@ -723,12 +676,6 @@ pub fn conv2d_backward_into(
         grad_weight.data_mut(),
     );
     if let Some(gb) = grad_bias {
-        if gb.numel() != oc {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![oc],
-                rhs: gb.dims().to_vec(),
-            });
-        }
         // Column sums of go_mat, staged so the accumulation into the live
         // gradient keeps the same summation order as `sum_axis` + add.
         let sums = uninit_slice(bias_buf, oc);
@@ -792,15 +739,63 @@ pub fn squeeze_1d(input: &Tensor) -> Result<Tensor> {
     input.reshape(&[d[0], d[1], d[3]])
 }
 
-fn as_nchw(t: &Tensor) -> Result<(usize, usize, usize, usize)> {
-    let d = t.dims();
-    if d.len() != 4 {
-        return Err(TensorError::RankMismatch {
+/// The `(N, C, H, W)` of rank-4 dims.
+fn nchw(d: &[usize]) -> Result<(usize, usize, usize, usize)> {
+    match *d {
+        [n, c, h, w] => Ok((n, c, h, w)),
+        _ => Err(TensorError::RankMismatch {
             expected: 4,
             actual: d.len(),
+        }),
+    }
+}
+
+/// The operand check all four convolution kernels run before touching any
+/// data: `weight` must be `[OC, C, KH, KW]` for an input of `channels`
+/// channels and `spec`'s kernel, and a bias (or bias gradient) must hold
+/// `OC` values. Returns `OC`.
+fn check_operands(
+    channels: usize,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Result<usize> {
+    let wd = weight.dims();
+    let (oc, wc, kh, kw) = nchw(wd)?;
+    if wc != channels || kh != spec.kh || kw != spec.kw {
+        return Err(TensorError::InvalidArgument(format!(
+            "weight shape {wd:?} inconsistent with input channels {channels} and kernel {}x{}",
+            spec.kh, spec.kw
+        )));
+    }
+    match bias {
+        Some(b) if b.numel() != oc => Err(TensorError::ShapeMismatch {
+            lhs: vec![oc],
+            rhs: b.dims().to_vec(),
+        }),
+        _ => Ok(oc),
+    }
+}
+
+/// [`check_operands`] for the backward kernels, whose input channels come
+/// from `input_dims` and whose `[N, OC, OH, OW]` `grad_output` must carry
+/// the kernel's `OC` channels. Returns `grad_output`'s dims.
+fn check_backward_operands(
+    grad_output: &Tensor,
+    weight: &Tensor,
+    grad_bias: Option<&Tensor>,
+    input_dims: &[usize],
+    spec: &Conv2dSpec,
+) -> Result<(usize, usize, usize, usize)> {
+    let (n, oc, oh, ow) = nchw(grad_output.dims())?;
+    let (_, channels, _, _) = nchw(input_dims)?;
+    if check_operands(channels, weight, grad_bias, spec)? != oc {
+        return Err(TensorError::ShapeMismatch {
+            lhs: weight.dims().to_vec(),
+            rhs: grad_output.dims().to_vec(),
         });
     }
-    Ok((d[0], d[1], d[2], d[3]))
+    Ok((n, oc, oh, ow))
 }
 
 #[cfg(test)]
@@ -814,7 +809,7 @@ mod tests {
         bias: Option<&Tensor>,
         spec: &Conv2dSpec,
     ) -> Tensor {
-        let (n, c, h, w) = as_nchw(input).unwrap();
+        let (n, c, h, w) = nchw(input.dims()).unwrap();
         let wd = weight.dims();
         let oc = wd[0];
         let (oh, ow) = spec.output_hw(h, w).unwrap();
@@ -1073,6 +1068,79 @@ mod tests {
         let mut scratch = Scratch::new();
         assert!(
             conv2d_forward_with_scratch(&input, &weight, Some(&bias), &spec, &mut scratch).is_err()
+        );
+    }
+
+    /// All four kernels check their operands before touching data and
+    /// return typed errors: a bias shorter or longer than OC, a kernel that
+    /// is not rank 4, a `grad_output` whose channels are not the kernel's,
+    /// and a bias gradient of the wrong length, which must leave the weight
+    /// gradient untouched.
+    #[test]
+    fn kernels_reject_malformed_operands_with_typed_errors() {
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let mut rng = Rng::seed_from(13);
+        let input = Tensor::randn(&[1, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let weight = Tensor::randn(&[4, 2, 3, 3], 0.0, 0.5, &mut rng);
+        let mut scratch = Scratch::new();
+        let shape = |r: Result<Tensor>| matches!(r, Err(TensorError::ShapeMismatch { .. }));
+        for len in [3, 5] {
+            let bias = Tensor::zeros(&[len]);
+            let fwd = conv2d_forward(&input, &weight, Some(&bias), &spec);
+            assert!(
+                shape(fwd.map(|f| f.output)),
+                "conv2d_forward, bias of {len}"
+            );
+            let fwd =
+                conv2d_forward_with_scratch(&input, &weight, Some(&bias), &spec, &mut scratch);
+            assert!(shape(fwd), "conv2d_forward_with_scratch, bias of {len}");
+        }
+        let fwd = conv2d_forward(&input, &weight, None, &spec).unwrap();
+        let (cols, dims) = (&fwd.cols, input.dims());
+        let grad = Tensor::ones(fwd.output.dims());
+        let rank = |r: Result<Tensor>| {
+            let expected = (4, 2);
+            matches!(r, Err(TensorError::RankMismatch { expected: e, actual: a }) if (e, a) == expected)
+        };
+        let flat = Tensor::zeros(&[4, 18]);
+        let backward = conv2d_backward(&grad, cols, &flat, dims, &spec);
+        assert!(rank(backward.map(|g| g.grad_input)));
+        let mut gw = Tensor::zeros(&[4, 18]);
+        let backward =
+            conv2d_backward_into(&grad, cols, &flat, dims, &spec, &mut gw, None, &mut scratch);
+        assert!(rank(backward));
+        // Three gradient channels against a four-channel kernel.
+        let narrow = Tensor::ones(&[1, 3, 5, 5]);
+        let backward = conv2d_backward(&narrow, cols, &weight, dims, &spec);
+        assert!(shape(backward.map(|g| g.grad_input)));
+        let mut gw = Tensor::zeros(weight.dims());
+        let backward = conv2d_backward_into(
+            &narrow,
+            cols,
+            &weight,
+            dims,
+            &spec,
+            &mut gw,
+            None,
+            &mut scratch,
+        );
+        assert!(shape(backward));
+        let mut gb = Tensor::zeros(&[3]);
+        let backward = conv2d_backward_into(
+            &grad,
+            cols,
+            &weight,
+            dims,
+            &spec,
+            &mut gw,
+            Some(&mut gb),
+            &mut scratch,
+        );
+        assert!(shape(backward));
+        assert_eq!(
+            gw.sq_norm(),
+            0.0,
+            "a rejected call accumulated into the gradient"
         );
     }
 

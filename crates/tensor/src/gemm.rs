@@ -1532,7 +1532,7 @@ pub(crate) mod tests {
             let row = 1.min(n - 1);
             nudge_row(&mut next, row, k);
             let mut union = DirtyRows::new(n);
-            union.merge(&dirty);
+            union.merge_range(&dirty, 0, n);
             union.mark(row);
             packed_b.repack_rows(&next, &union, 0);
             assert_packs_to(&packed_b, &next, k, n, "union repack");

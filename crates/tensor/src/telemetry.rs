@@ -127,8 +127,9 @@ pub enum Counter {
     /// Sparse packed-domain cell scatters via `write_cell` (stuck-at /
     /// line-defect realizations landing straight in the panels).
     CellScatters = 4,
-    /// Fused wide-GEMM invocations (`[N, B·out]` product over the stacked
-    /// realization operand of a frozen layer).
+    /// Fused wide-GEMM invocations that stack more than one realization
+    /// (a frozen layer's `[N, B·out]` product over its stacked operand,
+    /// B > 1).
     WideGemms = 5,
     /// Batched-plan recompilations triggered by a tail batch smaller than
     /// the steady-state stack.

@@ -1,20 +1,17 @@
-//! Structured fault topologies and fault lifetimes on the planned engine.
+//! Structured fault topologies on the planned engine.
 //!
-//! Demonstrates the three structured additions to the fault catalogue —
-//! whole stuck crossbar lines ([`FaultModel::LineDefect`]), per-tile
-//! correlated retention drift ([`FaultModel::CorrelatedDrift`]) and
-//! transient read noise (any model carried with a per-inference
-//! [`FaultLifetime`]) — and runs them through `MonteCarloEngine::run_auto`,
-//! the planned engine, checking each against the sequential oracle
-//! `MonteCarloEngine::run`. A recurrent `Lstm` network runs planned too.
-//! Every claim printed below is asserted.
+//! Demonstrates the structured additions to the fault catalogue — whole
+//! stuck crossbar lines ([`FaultModel::LineDefect`], both orientations) and
+//! per-tile correlated retention drift ([`FaultModel::CorrelatedDrift`]) —
+//! and runs them through `MonteCarloEngine::run_auto`, the planned engine,
+//! checking each against the sequential oracle `MonteCarloEngine::run`. A
+//! recurrent `Lstm` network runs planned too. Every claim printed below is
+//! asserted.
 //!
 //! Run with `cargo run --release --example structured_faults`.
 
 use invnorm_imc::montecarlo::MonteCarloEngine;
-use invnorm_imc::{
-    DegradationPolicy, EngineKind, FaultLifetime, FaultModel, FaultSpec, LineOrientation, TileShape,
-};
+use invnorm_imc::{DegradationPolicy, EngineKind, FaultModel, LineOrientation, TileShape};
 use invnorm_nn::activation::Relu;
 use invnorm_nn::layer::{Layer, Mode};
 use invnorm_nn::linear::Linear;
@@ -97,54 +94,6 @@ fn main() -> Result<(), NnError> {
         );
     }
 
-    // Transient read noise: the same Gaussian model, but re-drawn on every
-    // inference. The oracle's snapshot/restore bracket holds one
-    // realization across its whole evaluation, so `run` rejects the spec
-    // loudly...
-    let read_noise = FaultSpec::new(
-        FaultModel::AdditiveVariation { sigma: 0.1 },
-        FaultLifetime::PerInference,
-    );
-    let mut net = build_mlp(7);
-    let err = engine
-        .run(&mut net, read_noise, |n| {
-            Ok(n.forward(&x, Mode::Eval)?.abs().mean())
-        })
-        .unwrap_err();
-    assert!(matches!(err, NnError::FaultUnsupported { .. }));
-    println!("\nsequential engine on per-inference read noise: {err}");
-
-    // ...while the planned engine re-realizes before every forward, and —
-    // because each chip instance runs exactly one forward — the per-run
-    // metrics
-    // stay bit-identical to the static lifetime (the documented
-    // reproducibility boundary).
-    let outcome = engine.run_auto(
-        || build_mlp(7),
-        read_noise,
-        &x,
-        |out| Ok(out.abs().mean()),
-        8,
-        4,
-        DegradationPolicy::Graceful,
-    )?;
-    assert_eq!(outcome.engine, EngineKind::Planned);
-    let static_ref = engine.run_auto(
-        || build_mlp(7),
-        read_noise.model,
-        &x,
-        |out| Ok(out.abs().mean()),
-        8,
-        4,
-        DegradationPolicy::Graceful,
-    )?;
-    assert_eq!(outcome.summary.per_run, static_ref.summary.per_run);
-    println!(
-        "per-inference read noise on {}: mean {:.4} (bit-identical to static for single-forward metrics)",
-        outcome.engine.name(),
-        outcome.summary.mean
-    );
-
     // The paper's recurrent forecaster stack — a sequence-returning Lstm
     // feeding one that is not, under a dense head — plans like every other
     // weighted layer: both recurrent weight matrices are plan operands, and
@@ -183,6 +132,6 @@ fn main() -> Result<(), NnError> {
         outcome.summary.mean
     );
 
-    println!("\nall structured-fault, lifetime and Lstm claims verified");
+    println!("\nall structured-fault and Lstm claims verified");
     Ok(())
 }
