@@ -9,13 +9,15 @@
 //! `naive_gemm_*` pairs track the blocked kernel's speedup and the
 //! `qgemm_*` / `gemm_*` and `q*_forward_*` / `*_forward_*` pairs track the
 //! integer path across PRs. The `gemm_dispatched_*` / `gemm_pinned_*` pairs
-//! check that runtime kernel dispatch costs nothing over pinning a tier, and
-//! the `elementwise` group tracks the vectorized `vecmath` kernels against
-//! the scalar loops they replaced.
+//! check that runtime kernel dispatch costs nothing over pinning a tier, the
+//! `elementwise` group tracks the vectorized `vecmath` kernels against the
+//! scalar loops they replaced, and the `inject` group does the same for the
+//! keyed Gaussian fault draws (`BENCH_inject.json`).
 use criterion::{criterion_group, criterion_main, Criterion};
 use invnorm_core::bayesian::BayesianPredictor;
 use invnorm_core::{InvNormConfig, InvertedNorm};
 use invnorm_imc::crossbar::{CrossbarArray, CrossbarConfig};
+use invnorm_imc::FaultModel;
 use invnorm_nn::conv::Conv2d;
 use invnorm_nn::layer::{Layer, Mode};
 use invnorm_nn::linear::Linear;
@@ -301,5 +303,67 @@ fn bench_layers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_elementwise, bench_layers);
+/// Fault-draw throughput on the linear probe's 512×256 weight: one
+/// additive-variation realization through `FaultModel::perturb_into` (keyed
+/// draws, pinned to each tier the host has, like `gemm_pinned_*`) against
+/// the scalar loop it replaced, one sequential libm Box–Muller per weight.
+/// Each point also prints draws/s off its median.
+fn bench_inject(c: &mut Criterion) {
+    const ROWS: usize = 512;
+    const COLS: usize = 256;
+    let mut rng = Rng::seed_from(21);
+    let src: Vec<f32> = (0..ROWS * COLS).map(|_| rng.normal(0.0, 0.05)).collect();
+    let mut dst = vec![0.0f32; src.len()];
+    let model = FaultModel::AdditiveVariation { sigma: 0.1 };
+    let mut group = c.benchmark_group("inject");
+    group.sample_size(20);
+    let report = |group: &criterion::BenchmarkGroup<'_>| {
+        let stats = group.results().last().expect("a point was just run");
+        let per_s = (ROWS * COLS) as f64 / (stats.median_ns * 1e-9);
+        println!("{:<40} {:>10.1} Mdraws/s", stats.name, per_s * 1e-6);
+    };
+
+    let detected = dispatch::detected();
+    for tier in [KernelTier::Portable, KernelTier::Avx2, KernelTier::Avx512] {
+        if tier > detected {
+            continue;
+        }
+        dispatch::force(tier);
+        group.bench_function(
+            format!("inject_additive_{ROWS}x{COLS}_{}", tier.name()),
+            |b| {
+                b.iter(|| {
+                    model
+                        .perturb_into(&src, (ROWS, COLS), &mut dst, &mut rng)
+                        .unwrap();
+                    dst[0]
+                })
+            },
+        );
+        report(&group);
+    }
+    dispatch::reset();
+
+    group.bench_function(format!("inject_additive_scalar_{ROWS}x{COLS}"), |b| {
+        b.iter(|| {
+            let scale = src.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x.abs()));
+            let std = 0.1 * scale.max(1e-12);
+            for (d, &s) in dst.iter_mut().zip(&src) {
+                *d = s + rng.normal(0.0, std);
+            }
+            dst[0]
+        })
+    });
+    report(&group);
+
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_gemm,
+    bench_elementwise,
+    bench_layers,
+    bench_inject
+);
 criterion_main!(benches);

@@ -29,7 +29,7 @@ use crate::Result;
 use invnorm_nn::NnError;
 use invnorm_quant::binary::BinaryTensor;
 use invnorm_quant::uniform::QuantizedTensor;
-use invnorm_tensor::{Rng, Tensor};
+use invnorm_tensor::{vecmath, Rng, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Which crossbar lines a [`FaultModel::LineDefect`] takes out.
@@ -319,7 +319,8 @@ impl FaultModel {
     /// paper sweeps a dimensionless σ from 0 to 1 across models with very
     /// different weight magnitudes. This is [`FaultModel::perturb_into`]
     /// over the tensor's crossbar shape into a fresh tensor (every arm
-    /// writes every element), so the two realization paths cannot diverge.
+    /// writes every element), so the two realization paths cannot diverge,
+    /// and it advances `rng` exactly as that function does.
     ///
     /// # Errors
     ///
@@ -335,6 +336,14 @@ impl FaultModel {
     /// realization step of the planned engine, where B perturbed copies of
     /// each parameter land in a stacked buffer. Only the structured models
     /// use the shape; the bit-flip models quantize a copy of the slice.
+    ///
+    /// The two Gaussian variation arms draw **keyed**: they take exactly one
+    /// `u64` from `rng` as a key, and weight `i` gets output `i mod 2` of
+    /// [`vecmath::normal_pair`]`(key, i/2)` through the dispatched
+    /// [`vecmath::add_normal`] / [`vecmath::scale_normal`] kernels, so the
+    /// realization is bit-identical on every kernel tier. Every other arm
+    /// draws from `rng` itself, in element, line or tile order (drift draws
+    /// nothing).
     ///
     /// # Errors
     ///
@@ -365,15 +374,10 @@ impl FaultModel {
                     .iter()
                     .fold(f32::NEG_INFINITY, |m, &x| m.max(x.abs()))
                     .max(1e-12);
-                let std = sigma * scale;
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = s + rng.normal(0.0, std);
-                }
+                vecmath::add_normal(src, dst, sigma * scale, rng.next_u64(), 0);
             }
             FaultModel::MultiplicativeVariation { sigma } => {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = s * rng.normal(1.0, sigma);
-                }
+                vecmath::scale_normal(src, dst, sigma, rng.next_u64(), 0);
             }
             FaultModel::UniformNoise { strength } => {
                 let scale = src

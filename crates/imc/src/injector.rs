@@ -25,7 +25,7 @@ use invnorm_nn::plan::{
 use invnorm_nn::NnError;
 use invnorm_tensor::gemm::Element;
 use invnorm_tensor::telemetry;
-use invnorm_tensor::{DirtyRows, Rng, Tensor};
+use invnorm_tensor::{vecmath, DirtyRows, Rng, Tensor};
 use std::sync::{Arc, RwLock};
 
 /// Minimum total targeted elements before per-parameter perturbation fans
@@ -219,17 +219,16 @@ impl WeightFaultInjector {
             .snapshot
             .take()
             .ok_or_else(|| NnError::Config("restore() called without a prior inject()".into()))?;
-        let mut idx = 0usize;
-        let mut mismatch = false;
+        let expected = snapshot.len();
+        let mut clean = snapshot.into_iter();
+        let mut visited = 0usize;
         network.visit_params(&mut |p| {
-            if idx < snapshot.len() {
-                p.value = snapshot[idx].clone();
-            } else {
-                mismatch = true;
+            if let Some(value) = clean.next() {
+                p.value = value;
             }
-            idx += 1;
+            visited += 1;
         });
-        if mismatch || idx != snapshot.len() {
+        if visited != expected {
             return Err(NnError::Config(
                 "parameter count changed between inject() and restore()".into(),
             ));
@@ -690,11 +689,44 @@ fn realize_one_codes(
     }
 }
 
+/// Codes widened to f32 per keyed-kernel call in [`map_codes_keyed`]; even,
+/// so every chunk starts on a pair boundary of the keyed stream.
+const CODE_CHUNK: usize = 256;
+
+/// Runs a keyed-normal `kernel` ([`vecmath::add_normal`] or
+/// [`vecmath::scale_normal`]) with magnitude `std` over a code slice: each
+/// chunk is widened to f32 on the stack, perturbed from its first pair
+/// index on, rounded to the nearest code and clamped. Code `i` thus draws
+/// output `i mod 2` of [`vecmath::normal_pair`]`(key, i/2)`, exactly as
+/// weight `i` does in [`FaultModel::perturb_into`].
+fn map_codes_keyed(
+    codes: &mut [i8],
+    kernel: fn(&[f32], &mut [f32], f32, u64, u64),
+    std: f32,
+    key: u64,
+    clamp: impl Fn(i32) -> i8,
+) {
+    let (mut src, mut dst) = ([0.0f32; CODE_CHUNK], [0.0f32; CODE_CHUNK]);
+    for (chunk, codes) in codes.chunks_mut(CODE_CHUNK).enumerate() {
+        let (n, pair0) = (codes.len(), (chunk * CODE_CHUNK / 2) as u64);
+        for (s, &c) in src.iter_mut().zip(codes.iter()) {
+            *s = f32::from(c);
+        }
+        kernel(&src[..n], &mut dst[..n], std, key, pair0);
+        for (c, &v) in codes.iter_mut().zip(&dst) {
+            *c = clamp(v.round() as i32);
+        }
+    }
+}
+
 /// Applies a fault model to one slice of `bits`-bit codes, in place.
 /// Infallible for validated models; [`FaultModel::BitFlip`]'s `bits` field is
 /// ignored in favour of the layer's actual width. `rows` is the leading
 /// (output) dimension of the code matrix — the axis the structured tile
-/// topologies map crossbar lines onto; element-i.i.d. models ignore it.
+/// topologies map crossbar lines onto; element-i.i.d. models ignore it. The
+/// two Gaussian variation arms take one `u64` key from `rng` and draw
+/// keyed, like the f32 arms of [`FaultModel::perturb_into`]; the rest draw
+/// from `rng` itself.
 fn perturb_codes(codes: &mut [i8], bits: u8, rows: usize, model: FaultModel, rng: &mut Rng) {
     let qmax = ((1i32 << (bits - 1)) - 1).min(127);
     let clamp = |v: i32| v.clamp(-qmax, qmax) as i8;
@@ -703,18 +735,13 @@ fn perturb_codes(codes: &mut [i8], bits: u8, rows: usize, model: FaultModel, rng
         FaultModel::None => {}
         FaultModel::AdditiveVariation { sigma } => {
             if sigma > 0.0 {
-                for c in codes {
-                    let delta = rng.normal(0.0, sigma * qmax as f32).round() as i32;
-                    *c = clamp(i32::from(*c) + delta);
-                }
+                let std = sigma * qmax as f32;
+                map_codes_keyed(codes, vecmath::add_normal, std, rng.next_u64(), clamp);
             }
         }
         FaultModel::MultiplicativeVariation { sigma } => {
             if sigma > 0.0 {
-                for c in codes {
-                    let factor = 1.0 + rng.normal(0.0, sigma);
-                    *c = clamp((f32::from(*c) * factor).round() as i32);
-                }
+                map_codes_keyed(codes, vecmath::scale_normal, sigma, rng.next_u64(), clamp);
             }
         }
         FaultModel::UniformNoise { strength } => {

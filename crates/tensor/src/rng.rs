@@ -8,7 +8,9 @@
 //!
 //! Keeping the generator local (a self-contained xoshiro256++ seeded through
 //! SplitMix64, no external crates) makes Monte-Carlo fault simulation
-//! reproducible from a single `u64` seed per simulated chip instance.
+//! reproducible from a single `u64` seed per simulated chip instance. The
+//! Gaussian fault draws take a single `u64` key from an [`Rng`] and draw
+//! the rest keyed, lane-parallel (see [`crate::vecmath::normal_pair`]).
 
 /// Seeded random number generator used across the `invnorm` workspace.
 ///
@@ -33,12 +35,21 @@ pub struct Rng {
     state: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// SplitMix64's increment, `2⁶⁴ / φ` rounded to odd.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finalizer (Steele, Lea & Flood), a bijective
+/// avalanche mix of one 64-bit word.
+#[inline(always)]
+pub(crate) fn splitmix_finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    splitmix_finalize(*state)
 }
 
 impl Rng {

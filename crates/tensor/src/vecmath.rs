@@ -23,14 +23,26 @@
 //!
 //! Widening the vectors therefore changes *which register* a lane sits in,
 //! never its rounding. The transcendental functions ([`exp_scalar`],
-//! [`sigmoid_scalar`], [`tanh_scalar`]) use an explicit branch-free
-//! polynomial (Cephes `expf`, the classic SIMD-friendly formulation) instead
-//! of libm, both so the vector tiers can actually vectorize them and so the
-//! scalar fallback computes the exact same thing.
+//! [`sigmoid_scalar`], [`tanh_scalar`], and the `ln` and `sincos` inside
+//! [`normal_pair`]) use explicit branch-free polynomials (Cephes `expf`,
+//! `sinf` and `cosf`, the classic SIMD-friendly formulations, and an
+//! `atanh` series for `ln`) instead of libm, both so the vector tiers can
+//! actually vectorize them and so the scalar fallback computes the exact
+//! same thing.
+//!
+//! ## Keyed Gaussian draws
+//!
+//! [`add_normal`] and [`scale_normal`] apply additive and multiplicative
+//! Gaussian variation with counter-based randomness (Salmon et al.,
+//! "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): lane `i` of a
+//! slice draws output `i mod 2` of [`normal_pair`]`(key, i/2)`, a pure
+//! function of one `u64` key and the pair index, so one realization fills
+//! SIMD lanes instead of walking a sequential stream.
 //!
 //! lint: no_alloc
 
 use crate::dispatch::{self, KernelTier};
+use crate::rng::{splitmix_finalize, GOLDEN_GAMMA};
 
 /// Defines a dispatched elementwise function: the given body is compiled
 /// once per kernel tier behind `#[target_feature]` trampolines and the
@@ -147,6 +159,116 @@ pub fn sigmoid_scalar(x: f32) -> f32 {
 pub fn tanh_scalar(x: f32) -> f32 {
     let e = exp_scalar(2.0 * x);
     (e - 1.0) / (e + 1.0)
+}
+
+// ---------------------------------------------------------------------------
+// Keyed Gaussian draws (counter-based Box–Muller).
+// ---------------------------------------------------------------------------
+
+/// Spacing of the 24-bit lattice both Box–Muller inputs live on.
+const LATTICE: f32 = 1.0 / 16_777_216.0;
+/// Bit pattern of `√½`: [`ln_lattice`] splits its input into `2^e · m` with
+/// `m ∈ [√½, √2)`.
+const SQRT_HALF_BITS: i32 = 0x3f35_04f3;
+
+/// Branch-free natural log for positive normal inputs (the Box–Muller
+/// radius only needs `(0, 1]`): `x = 2^e · m` with `m ∈ [√½, √2)`, then
+/// `ln m = 2·atanh(s)` with `s = (m − 1)/(m + 1)`, `|s| ≤ 0.172`, summed to
+/// `s⁹` (truncation below 1e-9), and `e·ln 2` added in the Cody–Waite split
+/// [`exp_scalar`] uses. Exact at 1.
+#[inline(always)]
+fn ln_lattice(x: f32) -> f32 {
+    let bits = x.to_bits() as i32;
+    let e = (bits - SQRT_HALF_BITS) >> 23;
+    let m = f32::from_bits((bits - (e << 23)) as u32);
+    let s = (m - 1.0) / (m + 1.0);
+    let t = s * s;
+    let mut p = 2.0 / 9.0;
+    p = p * t + 2.0 / 7.0;
+    p = p * t + 2.0 / 5.0;
+    p = p * t + 2.0 / 3.0;
+    let ln_m = s * t * p + (s + s);
+    let e = e as f32;
+    e * LN2_HI + (e * LN2_LO + ln_m)
+}
+
+/// `(cos θ, sin θ)` for `θ = 2π · k / 2²⁴`, `k ∈ [0, 2²⁴)`. The quadrant is
+/// read exactly off `k`, leaving `|φ| ≤ π/4` for the Cephes `sinf`/`cosf`
+/// polynomials; the quadrant then swaps the pair and flips signs bitwise.
+#[inline(always)]
+fn sincos_turns(k: i32) -> (f32, f32) {
+    let q = (k + (1 << 21)) >> 22;
+    let phi = (k - (q << 22)) as f32 * (std::f32::consts::TAU * LATTICE);
+    let z = phi * phi;
+    let mut s = -1.951_529_6e-4;
+    s = s * z + 8.332_161e-3;
+    s = s * z - 1.666_665_5e-1;
+    let sin = s * z * phi + phi;
+    let mut c = 2.443_315_7e-5;
+    c = c * z - 1.388_731_6e-3;
+    c = c * z + 4.166_664_6e-2;
+    let cos = c * z * z - 0.5 * z + 1.0;
+    let odd = q & 1 != 0;
+    let (c, s) = if odd { (sin, cos) } else { (cos, sin) };
+    // Quadrants 1 and 2 negate the cosine, 2 and 3 the sine.
+    let c_sign = (((q + 1) & 2) as u32) << 30;
+    let s_sign = ((q & 2) as u32) << 30;
+    (
+        f32::from_bits(c.to_bits() ^ c_sign),
+        f32::from_bits(s.to_bits() ^ s_sign),
+    )
+}
+
+/// Box–Muller on one 64-bit hash `h`, using both outputs: the top 24 bits
+/// `t` give `u₁ = (t + 1) · 2⁻²⁴ ∈ (0, 1]`, the next 24 the angle, and the
+/// pair is `√(−2 ln u₁) · (cos θ, sin θ)`. `|z|` is at most
+/// `√(48 ln 2) ≈ 5.77`, at `u₁ = 2⁻²⁴`.
+#[inline(always)]
+fn box_muller(h: u64) -> (f32, f32) {
+    let u1 = ((h >> 40) as i32 + 1) as f32 * LATTICE;
+    let r = (-2.0 * ln_lattice(u1)).sqrt();
+    let (c, s) = sincos_turns((h >> 16) as i32 & 0x00ff_ffff);
+    (r * c, r * s)
+}
+
+/// Pair `pair` of the keyed standard-normal stream `key`: Box–Muller on
+/// the SplitMix64 hash of `key + (pair + 1)·γ` — the `pair`-th output of
+/// SplitMix64 seeded with `key`. A pure function of its arguments, so any
+/// part of a stream can be drawn in any order, on any lane. It is the
+/// per-lane body of [`add_normal`] and [`scale_normal`], which makes both
+/// bit-identical on every tier.
+#[inline(always)]
+pub fn normal_pair(key: u64, pair: u64) -> (f32, f32) {
+    box_muller(splitmix_finalize(
+        key.wrapping_add(pair.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
+    ))
+}
+
+/// Pairs drawn per block of [`map_normals`] (its stack staging buffer).
+const NORMAL_BLOCK: usize = 64;
+
+/// The loop of the keyed-normal kernels: `dst[i] = f(src[i], z_i)`, where
+/// `z_i` is output `i mod 2` of `normal_pair(key, pair0 + i/2)`. Each block
+/// first draws its pairs into a stack buffer (a pure vertical loop the
+/// tiers vectorize) and then applies `f` lane by lane.
+#[inline(always)]
+fn map_normals(src: &[f32], dst: &mut [f32], key: u64, pair0: u64, f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(src.len(), dst.len());
+    let mut z = [0.0f32; 2 * NORMAL_BLOCK];
+    for (block, (s, d)) in src
+        .chunks(2 * NORMAL_BLOCK)
+        .zip(dst.chunks_mut(2 * NORMAL_BLOCK))
+        .enumerate()
+    {
+        let first = pair0.wrapping_add((block * NORMAL_BLOCK) as u64);
+        let z = &mut z[..2 * d.len().div_ceil(2)];
+        for (j, zz) in z.chunks_exact_mut(2).enumerate() {
+            (zz[0], zz[1]) = normal_pair(key, first.wrapping_add(j as u64));
+        }
+        for ((d, &s), &z) in d.iter_mut().zip(s).zip(z.iter()) {
+            *d = f(s, z);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,6 +468,32 @@ dispatched! {
     }
 }
 
+dispatched! {
+    /// `dst[i] = src[i] + std · z_i` — additive Gaussian variation — where
+    /// `z_i` is output `i mod 2` of [`normal_pair`]`(key, pair0 + i/2)`.
+    /// Splitting a slice at an even index and passing each part its own
+    /// `pair0` draws the same values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` and `dst` lengths differ.
+    pub fn add_normal(src: &[f32], dst: &mut [f32], std: f32, key: u64, pair0: u64) {
+        map_normals(src, dst, key, pair0, |s, z| s + std * z);
+    }
+}
+
+dispatched! {
+    /// `dst[i] = src[i] · (1 + sigma · z_i)` — multiplicative Gaussian
+    /// variation — with `z_i` drawn as in [`add_normal`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` and `dst` lengths differ.
+    pub fn scale_normal(src: &[f32], dst: &mut [f32], sigma: f32, key: u64, pair0: u64) {
+        map_normals(src, dst, key, pair0, |s, z| s * (1.0 + sigma * z));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,6 +604,79 @@ mod tests {
         // The two equal maxima map to equal probabilities, the largest ones.
         assert_eq!(e[1], e[4]);
         assert!(e.iter().all(|&p| p <= e[1]));
+    }
+
+    #[test]
+    fn keyed_normal_lanes_follow_normal_pair() {
+        let src: Vec<f32> = (0..1031).map(|i| (i as f32 * 0.37).sin()).collect();
+        let (std, sigma, key) = (0.3f32, 0.2f32, 0x5EED_0001u64);
+        for len in [0usize, 1, 2, 3, 127, 128, 129, 130, 1031] {
+            for pair0 in [0u64, 5] {
+                let src = &src[..len];
+                let (mut add, mut scale) = (vec![0.0f32; len], vec![0.0f32; len]);
+                add_normal(src, &mut add, std, key, pair0);
+                scale_normal(src, &mut scale, sigma, key, pair0);
+                for (i, &s) in src.iter().enumerate() {
+                    let (z0, z1) = normal_pair(key, pair0 + i as u64 / 2);
+                    let z = if i % 2 == 0 { z0 } else { z1 };
+                    let lane = format!("len {len}, pair0 {pair0}, lane {i}");
+                    assert_eq!(add[i].to_bits(), (s + std * z).to_bits(), "{lane}");
+                    assert_eq!(
+                        scale[i].to_bits(),
+                        (s * (1.0 + sigma * z)).to_bits(),
+                        "{lane}"
+                    );
+                }
+            }
+        }
+        // Splitting at an even index and resuming at the matching pair
+        // draws the same values as one call.
+        let mut whole = vec![0.0f32; src.len()];
+        add_normal(&src, &mut whole, std, key, 0);
+        let mut split = vec![0.0f32; src.len()];
+        let (head, tail) = split.split_at_mut(300);
+        add_normal(&src[..300], head, std, key, 0);
+        add_normal(&src[300..], tail, std, key, 150);
+        assert_eq!(whole, split);
+    }
+
+    #[test]
+    fn box_muller_lattice_extremes() {
+        // Top 24 bits zero: u₁ = 2⁻²⁴, the largest radius, √(48 ln 2).
+        let r_max = (48.0f64 * std::f64::consts::LN_2).sqrt() as f32;
+        let (z0, z1) = box_muller(0);
+        assert!(z0.is_finite() && (z0 - r_max).abs() < 1e-5, "z0 = {z0}");
+        assert_eq!(z1, 0.0, "θ = 0 has no sine part");
+        let (z0, z1) = box_muller(0x0000_00ff_ffff_0000);
+        let r = (z0 * z0 + z1 * z1).sqrt();
+        assert!((r - r_max).abs() < 1e-5, "radius {r} at the largest angle");
+        // Top 24 bits all ones: u₁ = 1, ln 1 = 0 exactly, radius 0.
+        assert_eq!(ln_lattice(1.0), 0.0);
+        for h in [0xffff_ff00_0000_0000u64, u64::MAX] {
+            assert_eq!(box_muller(h), (0.0, 0.0), "h = {h:#x}");
+        }
+    }
+
+    #[test]
+    fn ln_and_sincos_match_libm() {
+        // Every third point of the (0, 1] lattice, plus both ends.
+        for k in (1..=1u32 << 24).step_by(3).chain([1 << 24]) {
+            let u = k as f32 * LATTICE;
+            let (got, want) = (f64::from(ln_lattice(u)), f64::from(u).ln());
+            assert!(
+                (got - want).abs() <= 3e-7 * want.abs(),
+                "ln({u}): got {got}, want {want}"
+            );
+        }
+        for k in (0..1i32 << 24).step_by(5).chain([(1 << 24) - 1]) {
+            let (c, s) = sincos_turns(k);
+            let theta = f64::from(k) * std::f64::consts::TAU / 16_777_216.0;
+            assert!(
+                (f64::from(c) - theta.cos()).abs() < 2e-7
+                    && (f64::from(s) - theta.sin()).abs() < 2e-7,
+                "sincos(2π·{k}/2²⁴) = ({c}, {s})"
+            );
+        }
     }
 
     #[test]

@@ -196,6 +196,10 @@ fn vecmath_is_bit_identical_across_all_tiers() {
         out.push(buf.clone());
         vecmath::normalize_affine(&src, &mut buf, 0.2, 1.3, 0.9, -0.1);
         out.push(buf.clone());
+        vecmath::add_normal(&src, &mut buf, 0.3, 0x5EED, 3);
+        out.push(buf.clone());
+        vecmath::scale_normal(&src, &mut buf, 0.3, 0x5EED, 3);
+        out.push(buf.clone());
         out
     };
     let mut baseline: Option<(KernelTier, Vec<Vec<f32>>)> = None;
