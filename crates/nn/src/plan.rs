@@ -1123,18 +1123,31 @@ mod tests {
     /// The bench CNN: conv 3→8 5×5, ReLU, 2×2 max-pool, flatten, linear
     /// 2048→10, with its first conv (and head) optionally quantized.
     fn bench_cnn(quantized: bool) -> Sequential {
+        gemm_cnn(quantized, true, false)
+    }
+
+    /// [`bench_cnn`] with or without biases on its conv and head and, when
+    /// quantized, with dynamic activation scales or with static scales
+    /// calibrated on random samples of each layer's input shape.
+    fn gemm_cnn(quantized: bool, bias: bool, calibrated: bool) -> Sequential {
         use crate::conv::Conv2d;
+        use crate::layer::BoxedLayer;
         use crate::pool::MaxPool2d;
         use crate::quantized::{QuantizedConv2d, QuantizedLinear};
         use crate::reshape::Flatten;
         let mut rng = Rng::seed_from(12);
-        let conv = Conv2d::new(3, 8, 5, 1, 2, &mut rng);
-        let head = Linear::new(8 * 16 * 16, 10, &mut rng);
-        let (conv, head): (crate::layer::BoxedLayer, crate::layer::BoxedLayer) = if quantized {
-            (
-                Box::new(QuantizedConv2d::from_conv2d(&conv, 8).unwrap()),
-                Box::new(QuantizedLinear::from_linear(&head, 8).unwrap()),
-            )
+        let conv = Conv2d::with_bias(3, 8, 5, 1, 2, bias, &mut rng);
+        let head = Linear::with_bias(8 * 16 * 16, 10, bias, &mut rng);
+        let (conv, head): (BoxedLayer, BoxedLayer) = if quantized {
+            let mut conv = QuantizedConv2d::from_conv2d(&conv, 8).unwrap();
+            let mut head = QuantizedLinear::from_linear(&head, 8).unwrap();
+            if calibrated {
+                conv.calibrate(&Tensor::randn(&[2, 3, 32, 32], 0.0, 1.0, &mut rng))
+                    .unwrap();
+                head.calibrate(&Tensor::randn(&[2, 8 * 16 * 16], 0.0, 1.0, &mut rng))
+                    .unwrap();
+            }
+            (Box::new(conv), Box::new(head))
         } else {
             (Box::new(conv), Box::new(head))
         };
@@ -1173,41 +1186,48 @@ mod tests {
         assert_eq!(stacked.i8_bytes, one.i8_bytes);
     }
 
-    /// Both conv paths of a stacked plan reuse the one-tile slots and
-    /// reproduce the B = 1 output in every stacked realization, bit for
-    /// bit, for f32 and quantized convs: the frozen path of the conv reading
-    /// the plan input, and the per-realization path of the same conv behind
-    /// a ReLU, which leaves the non-negative input unchanged but gives the
-    /// conv an edge of its own.
+    /// Both paths of a plan reuse the one-tile slots and reproduce the
+    /// direct eval forward in every stacked realization, bit for bit, at
+    /// B = 1 and B = 3: the frozen path of the conv reading the plan input,
+    /// and the per-realization path of the same conv behind a ReLU, which
+    /// leaves the non-negative input unchanged but gives the conv an edge of
+    /// its own (the head is per-realization in both). The table covers f32
+    /// layers with and without biases and quantized layers with dynamic and
+    /// calibrated activation scales.
     #[test]
     fn batched_conv_plans_match_single_realization_on_both_paths() {
         let x = Tensor::randn(&[2, 3, 32, 32], 0.0, 1.0, &mut Rng::seed_from(14)).abs();
-        for quantized in [false, true] {
-            let mut net = bench_cnn(quantized);
-            let single = Plan::compile(&mut net, &x)
-                .unwrap()
-                .forward(&mut net)
-                .unwrap()
-                .clone();
-            net.plan_end();
+        // (quantized, bias, calibrated)
+        let table = [
+            (false, true, false),
+            (false, false, false),
+            (true, true, false),
+            (true, true, true),
+            (true, false, true),
+        ];
+        for (quantized, bias, calibrated) in table {
+            let mut net = gemm_cnn(quantized, bias, calibrated);
+            let direct = net.forward(&x, Mode::Eval).unwrap();
             let behind_relu = Sequential::new()
                 .with(Box::new(Relu::new()))
-                .with(Box::new(bench_cnn(quantized)));
-            let batch = 3;
+                .with(Box::new(gemm_cnn(quantized, bias, calibrated)));
             for (mut net, frozen) in [(net, true), (behind_relu, false)] {
-                let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
-                assert_eq!(plan.frozen_fill().is_some(), frozen);
-                let out = plan.forward(&mut net).unwrap();
-                for b in 0..batch {
-                    let rows = &out.data()[b * single.numel()..][..single.numel()];
-                    let identical =
-                        (rows.iter().zip(single.data())).all(|(a, c)| a.to_bits() == c.to_bits());
-                    assert!(
-                        identical,
-                        "quantized={quantized} frozen={frozen} realization {b}"
-                    );
+                for batch in [1, 3] {
+                    let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+                    assert_eq!(plan.frozen_fill().is_some(), frozen);
+                    let out = plan.forward(&mut net).unwrap();
+                    for b in 0..batch {
+                        let rows = &out.data()[b * direct.numel()..][..direct.numel()];
+                        let identical = (rows.iter().zip(direct.data()))
+                            .all(|(a, c)| a.to_bits() == c.to_bits());
+                        assert!(
+                            identical,
+                            "quantized={quantized} bias={bias} calibrated={calibrated} \
+                             frozen={frozen} B={batch} realization {b}"
+                        );
+                    }
+                    net.plan_end();
                 }
-                net.plan_end();
             }
         }
     }

@@ -309,6 +309,85 @@ fn planned_drift_scales_panels_and_never_repacks_in_either_domain() {
     }
 }
 
+/// One of the four GEMM layers, with an input it accepts: `Linear`,
+/// `Conv2d`, and their 8-bit quantized twins.
+fn gemm_layer(kind: usize) -> (Box<dyn Layer + Send>, Tensor) {
+    let mut rng = Rng::seed_from(61);
+    let linear = Linear::new(6, 4, &mut rng);
+    let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+    let rows = Tensor::randn(&[2, 6], 0.0, 1.0, &mut rng);
+    let images = Tensor::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+    match kind {
+        0 => (Box::new(linear), rows),
+        1 => (Box::new(conv), images),
+        2 => (
+            Box::new(QuantizedLinear::from_linear(&linear, 8).unwrap()),
+            rows,
+        ),
+        _ => (
+            Box::new(QuantizedConv2d::from_conv2d(&conv, 8).unwrap()),
+            images,
+        ),
+    }
+}
+
+/// The frozen-path counters sweepbench reads (`nn.frozen_input_hit_ratio`,
+/// `tensor.wide_gemms`), pinned per GEMM layer: a layer reading the plan
+/// input misses its cache once per `load_input` and hits it on every later
+/// forward, and runs one wide GEMM per forward when it stacks more than one
+/// realization; behind a `Relu` the same layer takes the per-realization
+/// path and counts none of the three.
+#[test]
+fn frozen_path_counters_count_one_miss_per_input_and_one_wide_gemm_per_forward() {
+    let _guard = telemetry_lock();
+    let _restore = DisableOnDrop;
+    for kind in 0..4 {
+        for frozen in [true, false] {
+            for batch in [1, 3] {
+                let (layer, x) = gemm_layer(kind);
+                let name = layer.name();
+                let mut net = if frozen {
+                    Sequential::new().with(layer)
+                } else {
+                    Sequential::new().with(Box::new(Relu::new())).with(layer)
+                };
+                let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+                Telemetry::reset();
+                Telemetry::enable();
+                let mut forwards = 0;
+                for load in 1..=2u64 {
+                    if load > 1 {
+                        plan.load_input(&x).unwrap();
+                    }
+                    for _ in 0..3 {
+                        plan.forward(&mut net).unwrap();
+                        forwards += 1;
+                        let counts = [
+                            Counter::FrozenInputMisses,
+                            Counter::FrozenInputHits,
+                            Counter::WideGemms,
+                        ]
+                        .map(Telemetry::counter);
+                        let expected = if frozen {
+                            let wide = if batch > 1 { forwards } else { 0 };
+                            [load, forwards - load, wide]
+                        } else {
+                            [0; 3]
+                        };
+                        assert_eq!(
+                            counts, expected,
+                            "{name} frozen={frozen} B={batch}: [misses, hits, wide GEMMs] \
+                             after {forwards} forwards"
+                        );
+                    }
+                }
+                Telemetry::disable();
+                net.plan_end();
+            }
+        }
+    }
+}
+
 #[test]
 fn chrome_trace_export_is_well_formed_and_balanced() {
     let _guard = telemetry_lock();
