@@ -10,8 +10,9 @@
 //!
 //! The crossbar is not needed to reproduce the paper's robustness curves
 //! (the paper itself evaluates with the algorithmic abstraction), but it
-//! closes the loop from "weights in a file" to "currents in an array" and is
-//! exercised by one of the examples and a throughput benchmark.
+//! closes the loop from "weights in a file" to "currents in an array". No
+//! example uses it: it is exercised by `tests/fault_injection_pipeline.rs`
+//! and the `crossbar_matvec` point of the `layer_throughput` bench.
 
 use crate::Result;
 use invnorm_nn::NnError;

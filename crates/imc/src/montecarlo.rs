@@ -1124,8 +1124,10 @@ mod tests {
         assert!(result.is_err());
     }
 
-    /// All eight fault models of the catalogue, at strengths that actually
-    /// perturb something.
+    /// The eight unstructured fault models of the catalogue, at strengths
+    /// that actually perturb something. The other two, line defects (in
+    /// both orientations) and correlated drift, are in
+    /// `structured_fault_models`.
     fn all_fault_models() -> [FaultModel; 8] {
         [
             FaultModel::None,

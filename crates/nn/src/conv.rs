@@ -3,12 +3,10 @@
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
-use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
+use crate::plan::{check_gemm_input, GemmNode, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{self, conv_out_shape, Conv2dSpec};
-use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
-use invnorm_tensor::telemetry;
-use invnorm_tensor::{ArenaSlot, Rng, Scratch, Tensor};
+use invnorm_tensor::{Rng, Scratch, Tensor};
 
 /// 2-D convolution layer over `[N, C, H, W]` activations.
 ///
@@ -31,27 +29,7 @@ pub struct Conv2d {
     cached_cols: Option<Tensor>,
     cached_input_dims: Option<Vec<usize>>,
     scratch: Scratch,
-    plan: Option<Conv2dPlan>,
-}
-
-/// Compiled-plan state: arena slots for one realization's im2col patch
-/// matrix and the GEMM staging buffer, the id of the plan-owned kernel
-/// operand, and the cached packed patch panel for frozen (run-invariant)
-/// inputs.
-#[derive(Debug)]
-struct Conv2dPlan {
-    cols: ArenaSlot,
-    om: ArenaSlot,
-    weight: OperandId,
-    /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
-    frozen: bool,
-    packed_a: PackedA<f32>,
-    a_gen: u64,
-    plan_scratch: Scratch,
-    /// Dims of one realization's tile of the stacked input edge: the unit
-    /// every unfold works on (frozen inputs unfold only the first tile —
-    /// every tile is identical).
-    tile_dims: Vec<usize>,
+    plan: Option<GemmNode<f32>>,
 }
 
 impl Conv2d {
@@ -211,43 +189,17 @@ impl Layer for Conv2d {
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
         let batch = arenas.batch();
-        if input.dims.len() != 4
-            || input.dims[1] != self.in_channels
-            || !input.dims[0].is_multiple_of(batch)
-        {
-            return Err(NnError::Config(format!(
-                "Conv2d expects [N, {}, H, W] (N divisible by the plan batch {batch}), got {:?}",
-                self.in_channels, input.dims
-            )));
-        }
+        check_gemm_input("Conv2d", &input.dims, 4, self.in_channels, batch)?;
         let shape = conv_out_shape(&input.dims, &self.spec)?;
-        let oc = self.out_channels;
-        let rows_per = shape.rows / batch;
-        let mut tile_dims = input.dims.clone();
-        tile_dims[0] /= batch;
-        let frozen = arenas.gemm_layer::<f32>(input, oc);
-        let wide = if frozen { batch } else { 1 };
-        self.plan = Some(Conv2dPlan {
-            // One realization's patches: every path unfolds one tile at a
-            // time, so compile cost does not grow with the stack.
-            cols: arenas.f.reserve(rows_per * shape.patch),
-            // GEMM staging: the fused wide `[rows/B, B·oc]` product of a
-            // frozen layer; the per-realization path reuses one
-            // `[rows/B, oc]` product across the stack.
-            om: arenas.f.reserve(rows_per * oc * wide),
-            weight: arenas
-                .weights
-                .register(self.weight.value.data(), shape.patch, oc, frozen)?,
-            frozen,
-            packed_a: PackedA::new(),
-            a_gen: 0,
-            plan_scratch: Scratch::new(),
-            tile_dims,
-        });
-        Ok(PlanShape {
-            slot: arenas.f.reserve(shape.output_dims(oc).iter().product()),
-            dims: shape.output_dims(oc).to_vec(),
-        })
+        // One realization's patches: both paths unfold one tile at a time,
+        // so compile cost does not grow with the stack.
+        let stage = shape.rows / batch * shape.patch;
+        let out_dims = shape.output_dims(self.out_channels).to_vec();
+        let bias = self.bias.as_ref().map(|b| b.value.data());
+        let weight = self.weight.value.data();
+        let (node, output) = GemmNode::compile(arenas, input, weight, out_dims, stage, bias, None)?;
+        self.plan = Some(node);
+        Ok(output)
     }
 
     // lint: no_alloc
@@ -258,71 +210,17 @@ impl Layer for Conv2d {
         ctx: PlanCtx,
         arenas: &mut PlanArenas,
     ) -> Result<()> {
-        let state = self.plan.as_mut().ok_or_else(|| {
+        let node = self.plan.as_mut().ok_or_else(|| {
             NnError::Config("Conv2d::plan_forward called without plan_compile".into())
         })?;
-        let shape = conv_out_shape(&input.dims, &self.spec)?;
-        let oc = self.out_channels;
-        let batch = arenas.batch();
-        let n_per = shape.n / batch;
-        let rows_per = shape.rows / batch;
-        let per_in = input.numel() / batch;
-        let per_out = n_per * oc * shape.oh * shape.ow;
-        let bias = self.bias.as_ref().map(|bias| &bias.value);
-        // Bring the cached packs up to date with this realization batch
-        // (cell scatter / dirty-row re-packing / uniform-scale).
-        let weight = &mut arenas.weights[state.weight];
-        weight.refresh();
-        let [x, cols, om, out] = arenas
-            .f
-            .many_mut([input.slot, state.cols, state.om, output.slot]);
-        if state.frozen {
-            // Frozen plan input: the stacked tiles are identical, so the
-            // first tile is unfolded and its patch panel packed once per
-            // `load_input`, then reused for every realization.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                conv::im2col_slice_into(&x[..per_in], &state.tile_dims, &self.spec, cols)?;
-                state.packed_a.pack(false, cols, rows_per, shape.patch);
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            // Fused wide product: ONE cached patch panel meets the stacked
-            // kernel pack in a single `[rows, B·oc]` GEMM; realization b's
-            // strided columns are then re-laid out into its NCHW block.
-            if batch > 1 {
-                telemetry::count(telemetry::Counter::WideGemms, 1);
-            }
-            gemm_prepacked_ab(&state.packed_a, weight.pack(0), false, om);
-            for b in 0..batch {
-                let out_b = &mut out[b * per_out..][..per_out];
-                conv::relayout_nchw_strided(
-                    om,
-                    batch * oc,
-                    b * oc,
-                    bias,
-                    n_per,
-                    oc,
-                    shape.oh,
-                    shape.ow,
-                    out_b,
-                );
-            }
-            return Ok(());
-        }
-        for b in 0..batch {
-            // Per-realization inputs: unfold realization b's tile into the
-            // one-tile patch slot (im2col is per-sample, so this equals its
-            // rows of a whole-stack unfold) and multiply it.
-            let tile = &x[b * per_in..][..per_in];
-            conv::im2col_slice_into(tile, &state.tile_dims, &self.spec, cols)?;
-            let scratch = &mut state.plan_scratch;
-            gemm_prepacked_b(false, rows_per, cols, weight.pack(b), false, om, scratch);
-            let out_b = &mut out[b * per_out..][..per_out];
-            conv::relayout_nchw_into(om, bias, n_per, oc, shape.oh, shape.ow, out_b);
-        }
-        Ok(())
+        let d = &input.dims;
+        let (tile, spec) = ([d[0] / arenas.batch(), d[1], d[2], d[3]], &self.spec);
+        // The A operand is the tile's im2col patch matrix (im2col is
+        // per-sample, so it equals the tile's rows of a whole-stack unfold).
+        node.forward(input, output, ctx, arenas, |x, cols| {
+            conv::im2col_slice_into(x, &tile, spec, cols)?;
+            Ok((cols, 1.0))
+        })
     }
 
     fn plan_end(&mut self) {

@@ -147,10 +147,15 @@ pub trait Layer {
     /// `arenas.codes`), reading it back by id in [`Layer::plan_forward`];
     /// `Plan::compile` fails with [`crate::NnError::Config`] if one is left
     /// unregistered. Containers compile children in `visit_params` order.
-    /// A GEMM layer reports its product's output width through
-    /// [`crate::plan::PlanArenas::gemm_layer`], which also tells it whether
-    /// its input edge is frozen, and passes that answer to `register`; a
-    /// layer that copies its input unchanged
+    /// A GEMM layer (one that multiplies its input rows or patches by its
+    /// weight matrix) does not do this by hand: it keeps a
+    /// [`crate::plan::GemmNode`], built by
+    /// [`crate::plan::GemmNode::compile`] (which registers the operand,
+    /// asks [`crate::plan::PlanArenas::gemm_layer`] whether the input edge
+    /// is frozen and reserves the buffers), and its `plan_forward` calls
+    /// [`crate::plan::GemmNode::forward`] with a closure that builds one
+    /// realization's A operand; `Linear`, `Conv2d` and both quantized
+    /// layers are written this way. A layer that copies its input unchanged
     /// into a new edge declares it with
     /// [`crate::plan::PlanArenas::copy_edge`].
     ///

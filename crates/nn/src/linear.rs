@@ -2,11 +2,9 @@
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode, Param};
-use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
+use crate::plan::{check_gemm_input, GemmNode, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
-use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, PackedA};
-use invnorm_tensor::telemetry;
-use invnorm_tensor::{ops, ArenaSlot, Rng, Scratch, Tensor};
+use invnorm_tensor::{ops, Rng, Tensor};
 
 /// A fully connected layer computing `y = x Wᵀ + b` for `x: [N, in]`,
 /// `W: [out, in]`, `b: [out]`.
@@ -37,23 +35,7 @@ pub struct Linear {
     weight: Param,
     bias: Option<Param>,
     cached_input: Option<Tensor>,
-    plan: Option<LinearPlan>,
-}
-
-/// Compiled-plan state: the id of the plan-owned weight operand, and for a
-/// frozen layer the cached packed activation panel and the staging of its
-/// fused wide product.
-#[derive(Debug)]
-struct LinearPlan {
-    weight: OperandId,
-    /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
-    frozen: bool,
-    packed_a: PackedA<f32>,
-    a_gen: u64,
-    scratch: Scratch,
-    /// Staging for a frozen layer's fused wide `[N, B·out]` product, copied
-    /// into per-realization stacking afterwards (empty otherwise).
-    wide_stage: ArenaSlot,
+    plan: Option<GemmNode<f32>>,
 }
 
 impl Linear {
@@ -164,32 +146,13 @@ impl Layer for Linear {
     }
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
-        let batch = arenas.batch();
-        if input.dims.len() != 2
-            || input.dims[1] != self.in_features
-            || !input.dims[0].is_multiple_of(batch)
-        {
-            return Err(NnError::Config(format!(
-                "Linear expects input [N, {}] (N divisible by the plan batch {batch}), got {:?}",
-                self.in_features, input.dims
-            )));
-        }
-        let n = input.dims[0];
-        let (fin, fout) = (self.in_features, self.out_features);
-        let frozen = arenas.gemm_layer::<f32>(input, fout);
-        let weights = &mut arenas.weights;
-        self.plan = Some(LinearPlan {
-            weight: weights.register(self.weight.value.data(), fin, fout, frozen)?,
-            frozen,
-            packed_a: PackedA::new(),
-            a_gen: 0,
-            scratch: Scratch::new(),
-            wide_stage: arenas.f.reserve(if frozen { n * fout } else { 0 }),
-        });
-        Ok(PlanShape {
-            slot: arenas.f.reserve(n * fout),
-            dims: vec![n, fout],
-        })
+        check_gemm_input("Linear", &input.dims, 2, self.in_features, arenas.batch())?;
+        let out_dims = vec![input.dims[0], self.out_features];
+        let bias = self.bias.as_ref().map(|b| b.value.data());
+        let weight = self.weight.value.data();
+        let (node, output) = GemmNode::compile(arenas, input, weight, out_dims, 0, bias, None)?;
+        self.plan = Some(node);
+        Ok(output)
     }
 
     // lint: no_alloc
@@ -200,64 +163,11 @@ impl Layer for Linear {
         ctx: PlanCtx,
         arenas: &mut PlanArenas,
     ) -> Result<()> {
-        let state = self.plan.as_mut().ok_or_else(|| {
+        let node = self.plan.as_mut().ok_or_else(|| {
             NnError::Config("Linear::plan_forward called without plan_compile".into())
         })?;
-        let (fin, fout) = (self.in_features, self.out_features);
-        let batch = arenas.batch();
-        // Realization b owns rows [b·n, (b+1)·n) of the stacked edges.
-        let n = input.dims[0] / batch;
-        // Bring the cached packs up to date with this realization batch
-        // (cell scatter / dirty-row re-packing / uniform-scale).
-        let weight = &mut arenas.weights[state.weight];
-        weight.refresh();
-        let [x, stage, out] = arenas
-            .f
-            .many_mut([input.slot, state.wide_stage, output.slot]);
-        if state.frozen {
-            // The plan input is constant across runs — and its stacked
-            // realizations are tiles of the same activation — so the first
-            // tile is packed once per `load_input`.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.packed_a.pack(false, &x[..n * fin], n, fin);
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            // Fused wide product: the cached activation panel meets the
-            // stacked weight pack in a single `[N, B·out]` GEMM (full
-            // microkernel width, the activation panel streamed once), then
-            // each realization's columns are copied into its rows.
-            if batch > 1 {
-                telemetry::count(telemetry::Counter::WideGemms, 1);
-            }
-            gemm_prepacked_ab(&state.packed_a, weight.pack(0), false, stage);
-            let ld = batch * fout;
-            for b in 0..batch {
-                let out_b = &mut out[b * n * fout..][..n * fout];
-                for i in 0..n {
-                    out_b[i * fout..(i + 1) * fout]
-                        .copy_from_slice(&stage[i * ld + b * fout..][..fout]);
-                }
-            }
-        } else {
-            for b in 0..batch {
-                let out_b = &mut out[b * n * fout..][..n * fout];
-                let x_b = &x[b * n * fin..][..n * fin];
-                let scratch = &mut state.scratch;
-                gemm_prepacked_b(false, n, x_b, weight.pack(b), false, out_b, scratch);
-            }
-        }
-        if let Some(bias) = &self.bias {
-            let bd = bias.value.data();
-            for row in out.chunks_exact_mut(fout) {
-                for (o, &bv) in row.iter_mut().zip(bd) {
-                    *o += bv;
-                }
-            }
-        }
-        Ok(())
+        // The A operand is the realization's input rows themselves.
+        node.forward(input, output, ctx, arenas, |rows, _| Ok((rows, 1.0)))
     }
 
     fn plan_end(&mut self) {

@@ -28,7 +28,8 @@
 //! The planned forward is **bit-identical** to the direct eval path: the
 //! same kernels run in the same blocking order over the same packed values,
 //! so the planned Monte-Carlo engine reproduces the sequential oracle's
-//! metrics exactly (tested for all eight fault models).
+//! metrics exactly (tested for all ten fault models of the catalogue, line
+//! defects in both orientations).
 //!
 //! Layers participate through three methods on [`Layer`]
 //! ([`Layer::plan_compile`], [`Layer::plan_forward`], [`Layer::plan_end`])
@@ -41,14 +42,25 @@
 //! their ordinary `forward` (correct, but allocating); it rejects rank ≥ 2
 //! weights and quantization codes with [`NnError::Unsupported`] — a loud
 //! failure instead of silently evaluating clean weights.
+//!
+//! A GEMM layer — `Linear`, `Conv2d`, `QuantizedLinear`, `QuantizedConv2d`,
+//! or a user layer that multiplies its input by a weight matrix — plans
+//! through one [`GemmNode`]: [`GemmNode::compile`] registers its operand
+//! and reserves its buffers, and [`GemmNode::forward`] runs the
+//! frozen-input cache, the fused wide GEMM or the per-realization GEMMs,
+//! the frozen-path counters, and the one output store
+//! ([`invnorm_tensor::epilogue::store`]). The layer supplies only its shape
+//! check and how it builds the A operand of one realization from its input
+//! tile.
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
 use crate::Result;
 use invnorm_tensor::dispatch;
-use invnorm_tensor::gemm::{self, Element, PackedB};
+use invnorm_tensor::epilogue::{self, OutputMap};
+use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, Element, PackedA, PackedB};
 use invnorm_tensor::telemetry::{self, PlanFootprint};
-use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Tensor};
+use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Scratch, Tensor};
 
 /// The per-plan buffer arenas, one per element type so f32 activations, i8
 /// quantization codes and i32 accumulators each live in a single allocation,
@@ -609,6 +621,264 @@ impl<T: Element> std::ops::IndexMut<OperandId> for Operands<T> {
     fn index_mut(&mut self, id: OperandId) -> &mut PlannedOperand<T> {
         &mut self.list[id.0]
     }
+}
+
+/// The element types a [`GemmNode`] multiplies — f32 weights and i8 codes
+/// — and where a plan keeps each one's buffers: an f32 node stages its A
+/// operand and accumulates in the f32 arena against `arenas.weights`; an i8
+/// node stages its input codes and patches in the code arena and
+/// accumulates in the i32 arena against `arenas.codes`.
+pub trait PlanElement: Element {
+    /// This type's fault operands: `arenas.weights` or `arenas.codes`.
+    fn operands(arenas: &mut PlanArenas) -> &mut Operands<Self>;
+    /// Reserves `stage` elements of A staging and `acc` accumulators.
+    fn reserve(arenas: &mut PlanArenas, stage: usize, acc: usize) -> [ArenaSlot; 2];
+    /// Borrows one node's buffers at once: the f32 `[input, output]` edges
+    /// and the node's `[stage, acc]` slots, plus its operand `id`.
+    fn borrow(
+        arenas: &mut PlanArenas,
+        edges: [ArenaSlot; 2],
+        slots: [ArenaSlot; 2],
+        id: OperandId,
+    ) -> NodeBuffers<'_, Self>;
+}
+
+/// What [`PlanElement::borrow`] hands a [`GemmNode`] forward: its input
+/// edge, output edge, A staging, accumulators and operand.
+pub type NodeBuffers<'a, T> = (
+    &'a [f32],
+    &'a mut [f32],
+    &'a mut [T],
+    &'a mut [<T as Element>::Acc],
+    &'a mut PlannedOperand<T>,
+);
+
+impl PlanElement for f32 {
+    fn operands(arenas: &mut PlanArenas) -> &mut Operands<f32> {
+        &mut arenas.weights
+    }
+
+    fn reserve(arenas: &mut PlanArenas, stage: usize, acc: usize) -> [ArenaSlot; 2] {
+        [arenas.f.reserve(stage), arenas.f.reserve(acc)]
+    }
+
+    fn borrow(
+        arenas: &mut PlanArenas,
+        [input, output]: [ArenaSlot; 2],
+        [stage, acc]: [ArenaSlot; 2],
+        id: OperandId,
+    ) -> NodeBuffers<'_, f32> {
+        let [x, out, stage, acc] = arenas.f.many_mut([input, output, stage, acc]);
+        (x, out, stage, acc, &mut arenas.weights[id])
+    }
+}
+
+impl PlanElement for i8 {
+    fn operands(arenas: &mut PlanArenas) -> &mut Operands<i8> {
+        &mut arenas.codes
+    }
+
+    fn reserve(arenas: &mut PlanArenas, stage: usize, acc: usize) -> [ArenaSlot; 2] {
+        [arenas.q.reserve(stage), arenas.acc.reserve(acc)]
+    }
+
+    fn borrow(
+        arenas: &mut PlanArenas,
+        edges: [ArenaSlot; 2],
+        [stage, acc]: [ArenaSlot; 2],
+        id: OperandId,
+    ) -> NodeBuffers<'_, i8> {
+        let [x, out] = arenas.f.many_mut(edges);
+        let (stage, acc) = (arenas.q.slot_mut(stage), arenas.acc.slot_mut(acc));
+        (x, out, stage, acc, &mut arenas.codes[id])
+    }
+}
+
+/// The plan node of a GEMM layer (`Linear`, `Conv2d`, `QuantizedLinear`,
+/// `QuantizedConv2d`, or a user layer built the same way): it runs the
+/// frozen-input protocol for every such layer, so each layer keeps only its
+/// shape check and how it builds its A operand from one realization's
+/// input tile.
+///
+/// A realization's product is the `[m, k]` A operand (input rows, or im2col
+/// patch rows; f32 as is, or quantized codes) times the transposed `[OC, k]`
+/// operand, and [`invnorm_tensor::epilogue::store`] lays it out as the
+/// realization's `[N, OC, …]` output block, dequantized by the channel
+/// scales and plus the bias. [`GemmNode::compile`] asks
+/// [`PlanArenas::gemm_layer`] whether the input is frozen, and that fixes
+/// the one path the node runs for every stack B ≥ 1:
+///
+/// * **Frozen**: the A operand is built from the first input tile and
+///   packed once per [`Plan::load_input`] (a `FrozenInputMisses` count,
+///   then `FrozenInputHits` until the next load), and meets the stacked
+///   operand pack in one `[m, B·OC]` GEMM (`gemm_prepacked_ab`; a
+///   `WideGemms` count when B > 1). Realization `b` stores columns
+///   `[b·OC, (b+1)·OC)`.
+/// * **Per realization**: each tile is built into the one-tile staging
+///   slot and multiplied against its realization's pack
+///   (`gemm_prepacked_b`).
+#[derive(Debug)]
+pub struct GemmNode<T: PlanElement> {
+    operand: OperandId,
+    frozen: bool,
+    /// Depth of one realization's `[m, k]` A operand.
+    k: usize,
+    /// How one realization's `[m, OC]` product lands in its output block
+    /// (`m = map.n · map.pixels`).
+    map: OutputMap,
+    /// The A staging slot and the accumulator slot.
+    slots: [ArenaSlot; 2],
+    packed_a: PackedA<T>,
+    a_gen: u64,
+    a_scale: f32,
+    scratch: Scratch,
+    bias: Option<Vec<f32>>,
+    scales: Option<Vec<f32>>,
+}
+
+impl<T: PlanElement> GemmNode<T> {
+    /// Compiles the node of a GEMM layer reading `input` whose stacked
+    /// output edge is `[N, OC, …]` (`out_dims`; the trailing dims multiply
+    /// to the outputs per channel). Registers `matrix`, the layer's clean
+    /// row-major `[OC, k]` weights or codes, as its operand; reserves
+    /// `stage` elements of A staging (what the A builder of one realization
+    /// writes: 0 when A is the input tile itself), the accumulators and the
+    /// output edge; and copies the per-channel `bias` and, for codes, the
+    /// per-channel weight `scales`, as it copies the matrix. Returns the
+    /// node and the output edge.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Config`] when the operand does not match the next
+    /// parameter of its domain (see [`Operands::register`]).
+    pub fn compile(
+        arenas: &mut PlanArenas,
+        input: &PlanShape,
+        matrix: &[T],
+        out_dims: Vec<usize>,
+        stage: usize,
+        bias: Option<&[f32]>,
+        scales: Option<&[f32]>,
+    ) -> Result<(Self, PlanShape)> {
+        let batch = arenas.batch();
+        let (oc, pixels) = (out_dims[1], out_dims[2..].iter().product());
+        let map = OutputMap::dense(out_dims[0] / batch, oc, pixels);
+        let k = matrix.len() / oc.max(1);
+        let frozen = arenas.gemm_layer::<T>(input, oc);
+        let operand = T::operands(arenas).register(matrix, k, oc, frozen)?;
+        let wide = if frozen { batch } else { 1 };
+        let slots = T::reserve(arenas, stage, map.n * pixels * oc * wide);
+        let output = PlanShape {
+            slot: arenas.f.reserve(out_dims.iter().product()),
+            dims: out_dims,
+        };
+        let node = Self {
+            operand,
+            frozen,
+            k,
+            map,
+            slots,
+            packed_a: PackedA::new(),
+            a_gen: 0,
+            a_scale: 1.0,
+            scratch: Scratch::new(),
+            bias: bias.map(<[f32]>::to_vec),
+            scales: scales.map(<[f32]>::to_vec),
+        };
+        Ok((node, output))
+    }
+
+    /// Runs the node for every stacked realization. `build_a` turns one
+    /// realization's input tile into its `[m, k]` A operand, written into
+    /// the staging slot it is handed (or the tile itself), and returns it
+    /// with the activation scale the store dequantizes by (ignored without
+    /// channel scales).
+    ///
+    /// # Errors
+    ///
+    /// Returns what `build_a` or the store returns.
+    // lint: no_alloc
+    pub fn forward<F>(
+        &mut self,
+        input: &PlanShape,
+        output: &PlanShape,
+        ctx: PlanCtx,
+        arenas: &mut PlanArenas,
+        mut build_a: F,
+    ) -> Result<()>
+    where
+        F: for<'a> FnMut(&'a [f32], &'a mut [T]) -> Result<(&'a [T], f32)>,
+    {
+        let batch = arenas.batch();
+        let (per_in, per_out) = (input.numel() / batch, output.numel() / batch);
+        let edges = [input.slot, output.slot];
+        let (x, out, stage, acc, operand) = T::borrow(arenas, edges, self.slots, self.operand);
+        // Bring the cached packs up to date with this realization batch
+        // (cell scatter / dirty-row re-packing / uniform-scale).
+        operand.refresh();
+        let (map, m, k) = (self.map, self.map.n * self.map.pixels, self.k);
+        if self.frozen {
+            // The plan input is constant across runs, and its stacked tiles
+            // are copies of one activation, so the first tile's A operand is
+            // built and packed once per `load_input`.
+            if self.a_gen != ctx.input_gen {
+                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
+                let (a, scale) = build_a(&x[..per_in], stage)?;
+                self.packed_a.pack(false, a, m, k);
+                self.a_scale = scale;
+                self.a_gen = ctx.input_gen;
+            } else {
+                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
+            }
+            // Fused wide product: the cached panel meets the stacked operand
+            // pack in a single `[m, B·OC]` GEMM (full microkernel width, the
+            // panel streamed once); realization b stores its column block.
+            if batch > 1 {
+                telemetry::count(telemetry::Counter::WideGemms, 1);
+            }
+            gemm_prepacked_ab(&self.packed_a, operand.pack(0), false, acc);
+        }
+        let tiles = x.chunks_exact(per_in).zip(out.chunks_exact_mut(per_out));
+        for (b, (tile, out_b)) in tiles.enumerate() {
+            let (map, scale) = if self.frozen {
+                let (ld, col0) = (batch * map.oc, b * map.oc);
+                (OutputMap { ld, col0, ..map }, self.a_scale)
+            } else {
+                let (a, scale) = build_a(tile, stage)?;
+                let scratch = &mut self.scratch;
+                gemm_prepacked_b(false, m, a, operand.pack(b), false, acc, scratch);
+                (map, scale)
+            };
+            let dequant = self.scales.as_deref().map(|sw| (scale, sw));
+            epilogue::store(acc, map, dequant, self.bias.as_deref(), out_b)?;
+        }
+        Ok(())
+    }
+}
+
+/// The input check of a GEMM layer (`what` names it in the error): dims
+/// `[N, channels]` at rank 2 or `[N, channels, H, W]` at rank 4, with a
+/// leading dimension the plan's `batch` divides (1 outside a plan).
+///
+/// # Errors
+///
+/// Returns [`NnError::Config`] naming the expected and the given dims.
+pub(crate) fn check_gemm_input(
+    what: &str,
+    dims: &[usize],
+    rank: usize,
+    channels: usize,
+    batch: usize,
+) -> Result<()> {
+    if dims.len() == rank && dims[1] == channels && dims[0].is_multiple_of(batch) {
+        return Ok(());
+    }
+    let rest = if rank == 4 { ", H, W" } else { "" };
+    let plan = (batch > 1).then(|| format!(" (N divisible by the plan batch {batch})"));
+    Err(NnError::Config(format!(
+        "{what} expects [N, {channels}{rest}]{}, got {dims:?}",
+        plan.unwrap_or_default()
+    )))
 }
 
 /// A compiled inference plan for one model and one input shape.

@@ -14,8 +14,17 @@
 //! ```text
 //! x (f32) ──quantize──▶ i8 codes ──im2col──▶ i8 patches ──qgemm──▶ i32
 //!                                                                   │
-//! y (f32) ◀── +bias ◀── × (s_x · s_w[channel]) ◀──────dequantize────┘
+//! y (f32) ◀── +bias ◀── (acc · s_x) · s_w[channel] ◀──dequantize────┘
 //! ```
+//!
+//! The last step, dequantize plus bias into the output layout, is the one
+//! store every GEMM layer shares ([`invnorm_tensor::epilogue::store`]). In a
+//! compiled plan both layers run as a [`crate::plan::GemmNode`] over i8
+//! codes, like their f32 counterparts over weights: the node owns the
+//! frozen-input cache, the GEMMs and the store, and each layer only builds
+//! its A operand from one realization's input tile — the tile's codes, or
+//! the patch matrix of those codes, quantized at the tile's own dynamic
+//! scale or the calibrated one.
 //!
 //! The i8 weight codes are exposed through [`crate::layer::Layer::visit_codes`],
 //! which is where the code-domain fault injection of `invnorm-imc` perturbs
@@ -28,13 +37,13 @@
 
 use crate::error::NnError;
 use crate::layer::{CodeView, Layer, Mode};
-use crate::plan::{OperandId, PlanArenas, PlanCtx, PlanShape};
+use crate::plan::{check_gemm_input, GemmNode, PlanArenas, PlanCtx, PlanShape};
 use crate::Result;
 use invnorm_tensor::conv::{conv_out_shape, im2col_slice_into, Conv2dSpec};
-use invnorm_tensor::gemm::{gemm_prepacked_ab, gemm_prepacked_b, gemm_with_scratch, PackedA};
+use invnorm_tensor::epilogue::{store, OutputMap};
+use invnorm_tensor::gemm::gemm_with_scratch;
 use invnorm_tensor::scratch::uninit_slice;
-use invnorm_tensor::telemetry;
-use invnorm_tensor::{ArenaSlot, Scratch, Tensor};
+use invnorm_tensor::{Scratch, Tensor};
 
 /// Largest i8 code magnitude; also the fixed bit-width ceiling of the packed
 /// storage.
@@ -121,29 +130,7 @@ pub struct QuantizedLinear {
     qin: Vec<i8>,
     acc: Vec<i32>,
     scratch: Scratch,
-    plan: Option<QuantizedPlan>,
-}
-
-/// Compiled-plan state shared by both quantized layers: arena slots for one
-/// realization's activation codes / patch matrix and the i32 accumulators,
-/// the id of the plan-owned code operand, and the cached packed activation
-/// panel (plus its quantization scale) for frozen inputs.
-#[derive(Debug)]
-struct QuantizedPlan {
-    qin: ArenaSlot,
-    /// One realization's patch matrix of unfolded codes (conv only; empty
-    /// slot for linear).
-    cols: ArenaSlot,
-    acc: ArenaSlot,
-    codes: OperandId,
-    /// Whether the input edge is frozen ([`PlanArenas::is_frozen`]).
-    frozen: bool,
-    packed_a: PackedA<i8>,
-    a_gen: u64,
-    a_scale: f32,
-    plan_scratch: Scratch,
-    /// Dims of one realization's tile of the stacked input edge (conv only).
-    tile_dims: Vec<usize>,
+    plan: Option<GemmNode<i8>>,
 }
 
 impl QuantizedLinear {
@@ -183,13 +170,8 @@ impl QuantizedLinear {
     ///
     /// Returns an error when the sample is not `[N, in_features]`.
     pub fn calibrate(&mut self, sample: &Tensor) -> Result<f32> {
-        if sample.rank() != 2 || sample.dims()[1] != self.in_features {
-            return Err(NnError::Config(format!(
-                "QuantizedLinear calibration expects [N, {}], got {:?}",
-                self.in_features,
-                sample.dims()
-            )));
-        }
+        let what = "QuantizedLinear calibration";
+        check_gemm_input(what, sample.dims(), 2, self.in_features, 1)?;
         let scale = scale_for_max_abs(max_abs(sample.data()));
         self.act_scale = Some(scale);
         Ok(scale)
@@ -245,41 +227,19 @@ impl QuantizedLinear {
 
 impl Layer for QuantizedLinear {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
-            return Err(NnError::Config(format!(
-                "QuantizedLinear expects input [N, {}], got {:?}",
-                self.in_features,
-                input.dims()
-            )));
-        }
-        let n = input.dims()[0];
-        let qin = uninit_slice(&mut self.qin, n * self.in_features);
+        check_gemm_input("QuantizedLinear", input.dims(), 2, self.in_features, 1)?;
+        let (n, fin, fout) = (input.dims()[0], self.in_features, self.out_features);
+        let qin = uninit_slice(&mut self.qin, n * fin);
         let sx = quantize_activations(input.data(), self.act_scale, qin);
-        let acc = uninit_slice(&mut self.acc, n * self.out_features);
-        gemm_with_scratch(
-            false,
-            true,
-            n,
-            self.out_features,
-            self.in_features,
-            qin,
-            &self.codes,
-            false,
-            acc,
-            &mut self.scratch,
-        );
-        let mut out = vec![0.0f32; n * self.out_features];
+        let acc = uninit_slice(&mut self.acc, n * fout);
+        let (codes, scratch) = (&self.codes, &mut self.scratch);
+        gemm_with_scratch(false, true, n, fout, fin, qin, codes, false, acc, scratch);
+        // Dequantize into the output; bias is digital f32.
+        let mut out = vec![0.0f32; n * fout];
         let bias = self.bias.as_ref().map(Tensor::data);
-        for i in 0..n {
-            for j in 0..self.out_features {
-                let mut v = acc[i * self.out_features + j] as f32 * sx * self.scales[j];
-                if let Some(b) = bias {
-                    v += b[j];
-                }
-                out[i * self.out_features + j] = v;
-            }
-        }
-        Ok(Tensor::from_vec(out, &[n, self.out_features])?)
+        let map = OutputMap::dense(n, fout, 1);
+        store(acc, map, Some((sx, &self.scales[..])), bias, &mut out)?;
+        Ok(Tensor::from_vec(out, &[n, fout])?)
     }
 
     fn backward(&mut self, _grad_output: &Tensor) -> Result<Tensor> {
@@ -299,40 +259,15 @@ impl Layer for QuantizedLinear {
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
         let batch = arenas.batch();
-        if input.dims.len() != 2
-            || input.dims[1] != self.in_features
-            || !input.dims[0].is_multiple_of(batch)
-        {
-            return Err(NnError::Config(format!(
-                "QuantizedLinear expects input [N, {}] (N divisible by the plan batch {batch}), got {:?}",
-                self.in_features, input.dims
-            )));
-        }
-        let n = input.dims[0];
-        let n_per = n / batch;
-        let (fin, fout) = (self.in_features, self.out_features);
-        let frozen = arenas.gemm_layer::<i8>(input, fout);
-        let wide = if frozen { batch } else { 1 };
-        self.plan = Some(QuantizedPlan {
-            // One realization's activation codes, reused across the stack;
-            // the accumulators hold the fused wide `[N, B·out]` product of a
-            // frozen layer (the per-realization path reuses one `[N, out]`
-            // product across the stack).
-            qin: arenas.q.reserve(n_per * fin),
-            cols: arenas.q.reserve(0),
-            acc: arenas.acc.reserve(n_per * fout * wide),
-            codes: arenas.codes.register(&self.codes, fin, fout, frozen)?,
-            frozen,
-            packed_a: PackedA::new(),
-            a_gen: 0,
-            a_scale: 1.0,
-            plan_scratch: Scratch::new(),
-            tile_dims: Vec::new(),
-        });
-        Ok(PlanShape {
-            slot: arenas.f.reserve(n * fout),
-            dims: vec![n, fout],
-        })
+        check_gemm_input("QuantizedLinear", &input.dims, 2, self.in_features, batch)?;
+        // One realization's activation codes, reused across the stack.
+        let stage = input.numel() / batch;
+        let out_dims = vec![input.dims[0], self.out_features];
+        let (bias, scales) = (self.bias.as_ref().map(Tensor::data), Some(&self.scales[..]));
+        let (node, output) =
+            GemmNode::compile(arenas, input, &self.codes, out_dims, stage, bias, scales)?;
+        self.plan = Some(node);
+        Ok(output)
     }
 
     // lint: no_alloc
@@ -343,64 +278,16 @@ impl Layer for QuantizedLinear {
         ctx: PlanCtx,
         arenas: &mut PlanArenas,
     ) -> Result<()> {
-        let state = self.plan.as_mut().ok_or_else(|| {
+        let node = self.plan.as_mut().ok_or_else(|| {
             NnError::Config("QuantizedLinear::plan_forward called without plan_compile".into())
         })?;
-        let (fin, fout) = (self.in_features, self.out_features);
-        let batch = arenas.batch();
-        let n = input.dims[0] / batch;
-        let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
-        let qin = arenas.q.slot_mut(state.qin);
-        let acc = arenas.acc.slot_mut(state.acc);
-        // Bring the cached packs up to date with this realization batch
-        // (cell scatter / dirty-row re-packing / uniform-scale).
-        let codes = &mut arenas.codes[state.codes];
-        codes.refresh();
-        let bias = self.bias.as_ref().map(Tensor::data);
-        // Dequantizes realization b's `[n, fout]` block of accumulators
-        // (leading dimension `ld`, first column `col0`); bias is digital f32.
-        let dequantize = |acc: &[i32], ld: usize, col0: usize, sx: f32, out_b: &mut [f32]| {
-            for i in 0..n {
-                for j in 0..fout {
-                    let mut v = acc[i * ld + col0 + j] as f32 * sx * self.scales[j];
-                    if let Some(bd) = bias {
-                        v += bd[j];
-                    }
-                    out_b[i * fout + j] = v;
-                }
-            }
-        };
-        if state.frozen {
-            // Frozen plan input: quantize + pack the first tile's codes once
-            // per `load_input` and reuse the panel.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.a_scale = quantize_activations(&x[..n * fin], self.act_scale, qin);
-                state.packed_a.pack(false, qin, n, fin);
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            // Fused wide product: the cached activation panel meets the
-            // stacked code pack in a single `[N, B·out]` integer GEMM;
-            // realization b dequantizes its own column block.
-            if batch > 1 {
-                telemetry::count(telemetry::Counter::WideGemms, 1);
-            }
-            gemm_prepacked_ab(&state.packed_a, codes.pack(0), false, acc);
-            for b in 0..batch {
-                let out_b = &mut out[b * n * fout..][..n * fout];
-                dequantize(acc, batch * fout, b * fout, state.a_scale, out_b);
-            }
-            return Ok(());
-        }
-        for b in 0..batch {
-            let sx = quantize_activations(&x[b * n * fin..][..n * fin], self.act_scale, qin);
-            let scratch = &mut state.plan_scratch;
-            gemm_prepacked_b(false, n, qin, codes.pack(b), false, acc, scratch);
-            dequantize(acc, fout, 0, sx, &mut out[b * n * fout..][..n * fout]);
-        }
-        Ok(())
+        // The A operand is the tile's rows quantized at its own dynamic
+        // scale (or the calibrated one).
+        let act_scale = self.act_scale;
+        node.forward(input, output, ctx, arenas, |x, qin| {
+            let sx = quantize_activations(x, act_scale, qin);
+            Ok((qin, sx))
+        })
     }
 
     fn plan_end(&mut self) {
@@ -431,7 +318,7 @@ pub struct QuantizedConv2d {
     cols: Vec<i8>,
     acc: Vec<i32>,
     scratch: Scratch,
-    plan: Option<QuantizedPlan>,
+    plan: Option<GemmNode<i8>>,
 }
 
 impl QuantizedConv2d {
@@ -469,13 +356,8 @@ impl QuantizedConv2d {
     ///
     /// Returns an error when the sample is not `[N, in_channels, H, W]`.
     pub fn calibrate(&mut self, sample: &Tensor) -> Result<f32> {
-        if sample.rank() != 4 || sample.dims()[1] != self.in_channels {
-            return Err(NnError::Config(format!(
-                "QuantizedConv2d calibration expects [N, {}, H, W], got {:?}",
-                self.in_channels,
-                sample.dims()
-            )));
-        }
+        let what = "QuantizedConv2d calibration";
+        check_gemm_input(what, sample.dims(), 4, self.in_channels, 1)?;
         let scale = scale_for_max_abs(max_abs(sample.data()));
         self.act_scale = Some(scale);
         Ok(scale)
@@ -519,57 +401,26 @@ impl QuantizedConv2d {
 
 impl Layer for QuantizedConv2d {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        if input.rank() != 4 || input.dims()[1] != self.in_channels {
-            return Err(NnError::Config(format!(
-                "QuantizedConv2d expects [N, {}, H, W], got {:?}",
-                self.in_channels,
-                input.dims()
-            )));
-        }
-        let d = input.dims().to_vec();
-        let shape = conv_out_shape(&d, &self.spec)?;
-        let (n, oh, ow, patch, rows) = (shape.n, shape.oh, shape.ow, shape.patch, shape.rows);
-        let oc = self.out_channels;
-
+        check_gemm_input("QuantizedConv2d", input.dims(), 4, self.in_channels, 1)?;
+        let shape = conv_out_shape(input.dims(), &self.spec)?;
+        let (rows, patch, oc) = (shape.rows, shape.patch, self.out_channels);
         // Quantize the input once, then unfold the codes.
         let qin = uninit_slice(&mut self.qin, input.numel());
         let sx = quantize_activations(input.data(), self.act_scale, qin);
         let cols = uninit_slice(&mut self.cols, rows * patch);
-        im2col_slice_into(qin, &d, &self.spec, cols)?;
-
+        im2col_slice_into(qin, input.dims(), &self.spec, cols)?;
         // [rows, patch] @ [oc, patch]ᵀ → [rows, oc], exact i32.
         let acc = uninit_slice(&mut self.acc, rows * oc);
+        let (codes, scratch) = (&self.codes, &mut self.scratch);
         gemm_with_scratch(
-            false,
-            true,
-            rows,
-            oc,
-            patch,
-            cols,
-            &self.codes,
-            false,
-            acc,
-            &mut self.scratch,
+            false, true, rows, oc, patch, cols, codes, false, acc, scratch,
         );
-
         // Dequantize during the NCHW re-layout; bias is digital f32.
-        let mut out = vec![0.0f32; n * oc * oh * ow];
+        let mut out = vec![0.0f32; rows * oc];
         let bias = self.bias.as_ref().map(Tensor::data);
-        for ni in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (ni * oh + oy) * ow + ox;
-                    for co in 0..oc {
-                        let mut v = acc[row * oc + co] as f32 * sx * self.scales[co];
-                        if let Some(b) = bias {
-                            v += b[co];
-                        }
-                        out[((ni * oc + co) * oh + oy) * ow + ox] = v;
-                    }
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[n, oc, oh, ow])?)
+        let map = OutputMap::dense(shape.n, oc, shape.oh * shape.ow);
+        store(acc, map, Some((sx, &self.scales[..])), bias, &mut out)?;
+        Ok(Tensor::from_vec(out, &shape.output_dims(oc))?)
     }
 
     fn backward(&mut self, _grad_output: &Tensor) -> Result<Tensor> {
@@ -589,45 +440,17 @@ impl Layer for QuantizedConv2d {
 
     fn plan_compile(&mut self, input: &PlanShape, arenas: &mut PlanArenas) -> Result<PlanShape> {
         let batch = arenas.batch();
-        if input.dims.len() != 4
-            || input.dims[1] != self.in_channels
-            || !input.dims[0].is_multiple_of(batch)
-        {
-            return Err(NnError::Config(format!(
-                "QuantizedConv2d expects [N, {}, H, W] (N divisible by the plan batch {batch}), got {:?}",
-                self.in_channels, input.dims
-            )));
-        }
+        check_gemm_input("QuantizedConv2d", &input.dims, 4, self.in_channels, batch)?;
         let shape = conv_out_shape(&input.dims, &self.spec)?;
-        let oc = self.out_channels;
-        let rows_per = shape.rows / batch;
-        let mut tile_dims = input.dims.clone();
-        tile_dims[0] /= batch;
-        let frozen = arenas.gemm_layer::<i8>(input, oc);
-        let wide = if frozen { batch } else { 1 };
-        self.plan = Some(QuantizedPlan {
-            // One realization's codes and patches: every path quantizes and
-            // unfolds one tile at a time (each with its own dynamic scale).
-            // The i32 accumulators hold the fused wide `[rows/B, B·oc]`
-            // product of a frozen layer (the per-realization path reuses
-            // one `[rows/B, oc]` product across the stack).
-            qin: arenas.q.reserve(input.numel() / batch),
-            cols: arenas.q.reserve(rows_per * shape.patch),
-            acc: arenas.acc.reserve(rows_per * oc * wide),
-            codes: arenas
-                .codes
-                .register(&self.codes, shape.patch, oc, frozen)?,
-            frozen,
-            packed_a: PackedA::new(),
-            a_gen: 0,
-            a_scale: 1.0,
-            plan_scratch: Scratch::new(),
-            tile_dims,
-        });
-        Ok(PlanShape {
-            slot: arenas.f.reserve(shape.output_dims(oc).iter().product()),
-            dims: shape.output_dims(oc).to_vec(),
-        })
+        // One realization's codes, then its patches: both paths quantize
+        // and unfold one tile at a time (each with its own dynamic scale).
+        let stage = input.numel() / batch + shape.rows / batch * shape.patch;
+        let out_dims = shape.output_dims(self.out_channels).to_vec();
+        let (bias, scales) = (self.bias.as_ref().map(Tensor::data), Some(&self.scales[..]));
+        let (node, output) =
+            GemmNode::compile(arenas, input, &self.codes, out_dims, stage, bias, scales)?;
+        self.plan = Some(node);
+        Ok(output)
     }
 
     // lint: no_alloc
@@ -638,81 +461,21 @@ impl Layer for QuantizedConv2d {
         ctx: PlanCtx,
         arenas: &mut PlanArenas,
     ) -> Result<()> {
-        let state = self.plan.as_mut().ok_or_else(|| {
+        let node = self.plan.as_mut().ok_or_else(|| {
             NnError::Config("QuantizedConv2d::plan_forward called without plan_compile".into())
         })?;
-        let shape = conv_out_shape(&input.dims, &self.spec)?;
-        let oc = self.out_channels;
-        let batch = arenas.batch();
-        let n_per = shape.n / batch;
-        let rows_per = shape.rows / batch;
-        let per_in = input.numel() / batch;
-        let per_out = n_per * oc * shape.oh * shape.ow;
-        let [x, out] = arenas.f.many_mut([input.slot, output.slot]);
-        let [qin, cols] = arenas.q.many_mut([state.qin, state.cols]);
-        let acc = arenas.acc.slot_mut(state.acc);
-        // Bring the cached packs up to date with this realization batch
-        // (cell scatter / dirty-row re-packing / uniform-scale).
-        let codes = &mut arenas.codes[state.codes];
-        codes.refresh();
-        let bias = self.bias.as_ref().map(Tensor::data);
-        // Dequantizes realization b's accumulators (leading dimension `ld`,
-        // first column `col0`) during the NCHW re-layout; bias is digital
-        // f32 — the exact loop of the direct forward.
-        let dequantize = |acc: &[i32], ld: usize, col0: usize, sx: f32, out_b: &mut [f32]| {
-            for ni in 0..n_per {
-                for oy in 0..shape.oh {
-                    for ox in 0..shape.ow {
-                        let row = (ni * shape.oh + oy) * shape.ow + ox;
-                        for co in 0..oc {
-                            let mut v = acc[row * ld + col0 + co] as f32 * sx * self.scales[co];
-                            if let Some(bd) = bias {
-                                v += bd[co];
-                            }
-                            out_b[((ni * oc + co) * shape.oh + oy) * shape.ow + ox] = v;
-                        }
-                    }
-                }
-            }
-        };
-        if state.frozen {
-            // Frozen plan input: quantize + unfold + pack the first tile's
-            // patch panel once per `load_input`.
-            if state.a_gen != ctx.input_gen {
-                telemetry::count(telemetry::Counter::FrozenInputMisses, 1);
-                state.a_scale = quantize_activations(&x[..per_in], self.act_scale, qin);
-                im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
-                state.packed_a.pack(false, cols, rows_per, shape.patch);
-                state.a_gen = ctx.input_gen;
-            } else {
-                telemetry::count(telemetry::Counter::FrozenInputHits, 1);
-            }
-            // Fused wide product: the cached patch panel meets the stacked
-            // kernel pack in a single `[rows, B·oc]` integer GEMM;
-            // realization b dequantizes its strided column block during the
-            // NCHW re-layout.
-            if batch > 1 {
-                telemetry::count(telemetry::Counter::WideGemms, 1);
-            }
-            gemm_prepacked_ab(&state.packed_a, codes.pack(0), false, acc);
-            for b in 0..batch {
-                let out_b = &mut out[b * per_out..][..per_out];
-                dequantize(acc, batch * oc, b * oc, state.a_scale, out_b);
-            }
-            return Ok(());
-        }
-        for b in 0..batch {
-            // Per-realization inputs: quantize realization b's tile with its
-            // own dynamic scale (the sequential per-instance scale
-            // semantics), unfold it into the one-tile patch slot, and
-            // multiply it.
-            let sx = quantize_activations(&x[b * per_in..][..per_in], self.act_scale, qin);
-            im2col_slice_into(qin, &state.tile_dims, &self.spec, cols)?;
-            let scratch = &mut state.plan_scratch;
-            gemm_prepacked_b(false, rows_per, cols, codes.pack(b), false, acc, scratch);
-            dequantize(acc, oc, 0, sx, &mut out[b * per_out..][..per_out]);
-        }
-        Ok(())
+        let d = &input.dims;
+        let tile = [d[0] / arenas.batch(), d[1], d[2], d[3]];
+        let (spec, act_scale) = (&self.spec, self.act_scale);
+        // The A operand is the patch matrix of the tile's codes, quantized
+        // at the tile's own dynamic scale (the sequential per-instance
+        // scale semantics) or the calibrated one.
+        node.forward(input, output, ctx, arenas, |x, stage| {
+            let (qin, cols) = stage.split_at_mut(x.len());
+            let sx = quantize_activations(x, act_scale, qin);
+            im2col_slice_into(qin, &tile, spec, cols)?;
+            Ok((cols, sx))
+        })
     }
 
     fn plan_end(&mut self) {

@@ -10,6 +10,7 @@
 //! provided; 1-D convolution is implemented by lifting to a 2-D convolution
 //! with height 1 so there is a single, well-tested code path.
 
+use crate::epilogue::{self, OutputMap};
 use crate::error::TensorError;
 use crate::ops;
 use crate::scratch::{uninit_slice, Scratch};
@@ -350,7 +351,9 @@ pub fn conv2d_forward(
     let weight_mat = weight.reshape(&[oc, c * spec.kh * spec.kw])?;
     // [N*OH*OW, patch] @ [patch, OC] -> [N*OH*OW, OC]
     let out_mat = ops::matmul_a_bt(&cols, &weight_mat)?;
-    let out = relayout_nchw(out_mat.data(), bias, n, oc, oh, ow);
+    let mut out = vec![0.0f32; n * oc * oh * ow];
+    let map = OutputMap::dense(n, oc, oh * ow);
+    epilogue::store(out_mat.data(), map, None, bias.map(Tensor::data), &mut out)?;
     Ok(Conv2dForward {
         output: Tensor::from_vec(out, &[n, oc, oh, ow])?,
         cols,
@@ -493,70 +496,6 @@ fn inside(k: usize, pad: usize, stride: usize, extent: usize, out_len: usize) ->
     (lo, hi)
 }
 
-/// Re-layouts a `[N*OH*OW, OC]` GEMM result into `[N, OC, OH, OW]`, adding
-/// the per-channel bias on the way.
-fn relayout_nchw(
-    om: &[f32],
-    bias: Option<&Tensor>,
-    n: usize,
-    oc: usize,
-    oh: usize,
-    ow: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; n * oc * oh * ow];
-    relayout_nchw_into(om, bias, n, oc, oh, ow, &mut out);
-    out
-}
-
-/// `relayout_nchw` into a caller-provided slice of exactly `N*OC*OH*OW`
-/// elements (every element is overwritten), adding the per-channel bias on
-/// the way. Public so compiled plans can re-layout GEMM results straight
-/// into arena buffers.
-pub fn relayout_nchw_into(
-    om: &[f32],
-    bias: Option<&Tensor>,
-    n: usize,
-    oc: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    relayout_nchw_strided(om, oc, 0, bias, n, oc, oh, ow, out);
-}
-
-/// [`relayout_nchw_into`] reading a `[N*OH*OW, ld]` GEMM result at column
-/// offset `col0` — the extraction step of the batch-fused wide GEMM, where
-/// realization `b` owns columns `[b·OC, (b+1)·OC)` of one `[rows, B·OC]`
-/// product. Public so batched compiled plans can extract realizations
-/// straight into arena buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn relayout_nchw_strided(
-    om: &[f32],
-    ld: usize,
-    col0: usize,
-    bias: Option<&Tensor>,
-    n: usize,
-    oc: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (ni * oh + oy) * ow + ox;
-                for ci in 0..oc {
-                    let mut v = om[row * ld + col0 + ci];
-                    if let Some(b) = bias {
-                        v += b.data()[ci];
-                    }
-                    out[((ni * oc + ci) * oh + oy) * ow + ox] = v;
-                }
-            }
-        }
-    }
-}
-
 /// 2-D convolution backward pass.
 ///
 /// `grad_output` is `[N, OutC, OH, OW]`; `cols` is the patch matrix cached by
@@ -575,19 +514,8 @@ pub fn conv2d_backward(
     let (n, oc, oh, ow) = check_backward_operands(grad_output, weight, None, input_dims, spec)?;
     let wd = weight.dims();
     let patch = wd[1] * wd[2] * wd[3];
-    // Re-layout grad_output [N, OC, OH, OW] into matrix [N*OH*OW, OC].
-    let gd = grad_output.data();
     let mut go_mat = vec![0.0f32; n * oh * ow * oc];
-    for ni in 0..n {
-        for ci in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (ni * oh + oy) * ow + ox;
-                    go_mat[row * oc + ci] = gd[((ni * oc + ci) * oh + oy) * ow + ox];
-                }
-            }
-        }
-    }
+    grad_rows(grad_output.data(), n, oc, oh * ow, &mut go_mat);
     let go_mat = Tensor::from_vec(go_mat, &[n * oh * ow, oc])?;
     let weight_mat = weight.reshape(&[oc, patch])?;
     // grad_cols = go_mat @ weight_mat : [rows, patch]
@@ -650,19 +578,8 @@ pub fn conv2d_backward_into(
         step: bias_buf,
         ..
     } = scratch;
-    // Re-layout grad_output [N, OC, OH, OW] into matrix [N*OH*OW, OC].
-    let gd = grad_output.data();
     let go_mat = uninit_slice(go_buf, rows * oc);
-    for ni in 0..n {
-        for ci in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (ni * oh + oy) * ow + ox;
-                    go_mat[row * oc + ci] = gd[((ni * oc + ci) * oh + oy) * ow + ox];
-                }
-            }
-        }
-    }
+    grad_rows(grad_output.data(), n, oc, oh * ow, go_mat);
     // grad_weight += go_matᵀ @ cols : [OC, patch], fused by accumulating.
     crate::gemm::gemm(
         true,
@@ -705,6 +622,18 @@ pub fn conv2d_backward_into(
     let mut grad_input = vec![0.0f32; input_dims.iter().product()];
     col2im_into(grad_cols, rows, patch, input_dims, spec, &mut grad_input)?;
     Tensor::from_vec(grad_input, input_dims)
+}
+
+/// Re-lays a `[N, OC, P]` output gradient out as the `[N·P, OC]` matrix
+/// the backward GEMMs read (the transpose of [`epilogue::store`]'s layout).
+fn grad_rows(grad: &[f32], n: usize, oc: usize, pixels: usize, rows: &mut [f32]) {
+    for ni in 0..n {
+        for c in 0..oc {
+            for p in 0..pixels {
+                rows[(ni * pixels + p) * oc + c] = grad[(ni * oc + c) * pixels + p];
+            }
+        }
+    }
 }
 
 /// Lifts a `[N, C, L]` tensor to `[N, C, 1, L]` so 1-D convolutions reuse the

@@ -50,6 +50,7 @@
 
 use crate::arena::DirtyRows;
 use crate::dispatch::{self, KernelTier};
+use crate::epilogue::Accumulator;
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
 use std::cell::RefCell;
@@ -101,8 +102,8 @@ pub struct Kernel<T: Element> {
 /// rule and its debug operand guard; the blocking, packing, parallel path
 /// and packed operands are shared.
 pub trait Element: Copy + Default + Send + Sync + std::fmt::Debug + 'static {
-    /// The element type of C.
-    type Acc: Copy + Default + AddAssign + Send + Sync + std::fmt::Debug;
+    /// The element type of C, which [`crate::epilogue::store`] reads.
+    type Acc: Copy + Default + AddAssign + Send + Sync + std::fmt::Debug + Accumulator;
     /// Reduction elements one microkernel k-step consumes: packed operands
     /// interleave k in groups of this size, zero-padding the last group.
     const KQ: usize;

@@ -28,6 +28,9 @@
 //!   semantics across all tiers.
 //! * [`scratch`] — reusable workspace buffers so hot-path kernels allocate
 //!   nothing in steady state.
+//! * [`epilogue`] — the one store that turns a GEMM product into
+//!   channel-major f32 output, dequantizing integer products and adding a
+//!   per-channel bias on the way.
 //! * [`conv`] — 1-D and 2-D convolution kernels: image-at-a-time `W · cols`
 //!   products for inference, im2col/col2im for training (forward and the
 //!   gradient products needed for backward passes).
@@ -57,6 +60,7 @@
 pub mod arena;
 pub mod conv;
 pub mod dispatch;
+pub mod epilogue;
 pub mod error;
 pub mod gemm;
 pub mod ops;
