@@ -751,6 +751,10 @@ impl<T: PlanElement> GemmNode<T> {
     ///
     /// Returns [`NnError::Config`] when the operand does not match the next
     /// parameter of its domain (see [`Operands::register`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out_dims` has fewer than two dims.
     pub fn compile(
         arenas: &mut PlanArenas,
         input: &PlanShape,
@@ -760,6 +764,11 @@ impl<T: PlanElement> GemmNode<T> {
         bias: Option<&[f32]>,
         scales: Option<&[f32]>,
     ) -> Result<(Self, PlanShape)> {
+        // Copied before the operand registers: these small blocks live as
+        // long as the plan, and allocated after the operand's large ones
+        // they would pin the heap top above them once those are freed
+        // (+0.2 MiB peak RSS on a 512→256 linear probe).
+        let (bias, scales) = (bias.map(<[f32]>::to_vec), scales.map(<[f32]>::to_vec));
         let batch = arenas.batch();
         let (oc, pixels) = (out_dims[1], out_dims[2..].iter().product());
         let map = OutputMap::dense(out_dims[0] / batch, oc, pixels);
@@ -782,8 +791,8 @@ impl<T: PlanElement> GemmNode<T> {
             a_gen: 0,
             a_scale: 1.0,
             scratch: Scratch::new(),
-            bias: bias.map(<[f32]>::to_vec),
-            scales: scales.map(<[f32]>::to_vec),
+            bias,
+            scales,
         };
         Ok((node, output))
     }
@@ -838,8 +847,9 @@ impl<T: PlanElement> GemmNode<T> {
             }
             gemm_prepacked_ab(&self.packed_a, operand.pack(0), false, acc);
         }
-        let tiles = x.chunks_exact(per_in).zip(out.chunks_exact_mut(per_out));
-        for (b, (tile, out_b)) in tiles.enumerate() {
+        for b in 0..batch {
+            let tile = &x[b * per_in..][..per_in];
+            let out_b = &mut out[b * per_out..][..per_out];
             let (map, scale) = if self.frozen {
                 let (ld, col0) = (batch * map.oc, b * map.oc);
                 (OutputMap { ld, col0, ..map }, self.a_scale)
