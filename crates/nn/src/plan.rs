@@ -741,9 +741,9 @@ impl<T: PlanElement> GemmNode<T> {
     /// output edge is `[N, OC, …]` (`out_dims`; the trailing dims multiply
     /// to the outputs per channel). Registers `matrix`, the layer's clean
     /// row-major `[OC, k]` weights or codes, as its operand; reserves
-    /// `stage` elements of A staging (what the A builder of one realization
-    /// writes: 0 when A is the input tile itself), the accumulators and the
-    /// output edge; and copies the per-channel `bias` and, for codes, the
+    /// `stage` elements of A staging (what [`GemmNode::forward`]'s `build_a`
+    /// writes for one realization: 0 when A is the input tile itself), the
+    /// accumulators and the output edge; and copies the per-channel `bias` and, for codes, the
     /// per-channel weight `scales`, as it copies the matrix. Returns the
     /// node and the output edge.
     ///
@@ -1401,14 +1401,9 @@ mod tests {
     }
 
     /// The bench CNN: conv 3→8 5×5, ReLU, 2×2 max-pool, flatten, linear
-    /// 2048→10, with its first conv (and head) optionally quantized.
-    fn bench_cnn(quantized: bool) -> Sequential {
-        gemm_cnn(quantized, true, false)
-    }
-
-    /// [`bench_cnn`] with or without biases on its conv and head and, when
-    /// quantized, with dynamic activation scales or with static scales
-    /// calibrated on random samples of each layer's input shape.
+    /// 2048→10, with or without biases on its conv and head, and the two
+    /// optionally quantized, with dynamic activation scales or with static
+    /// scales calibrated on random samples of each layer's input shape.
     fn gemm_cnn(quantized: bool, bias: bool, calibrated: bool) -> Sequential {
         use crate::conv::Conv2d;
         use crate::layer::BoxedLayer;
@@ -1449,7 +1444,7 @@ mod tests {
     fn batched_conv_plans_stage_one_tile_of_patches() {
         let x = Tensor::randn(&[8, 3, 32, 32], 0.0, 1.0, &mut Rng::seed_from(13));
         let footprints = |quantized| {
-            let mut net = bench_cnn(quantized);
+            let mut net = gemm_cnn(quantized, true, false);
             let one = Plan::compile(&mut net, &x).unwrap().footprint();
             let stacked = Plan::compile_batched(&mut net, &x, 16).unwrap().footprint();
             net.plan_end();
