@@ -25,6 +25,7 @@ use invnorm_nn::norm::BatchNorm;
 use invnorm_nn::quantized::{QuantizedConv2d, QuantizedLinear};
 use invnorm_nn::Sequential;
 use invnorm_tensor::dispatch::{self, KernelTier};
+use invnorm_tensor::gemm::PackedB;
 use invnorm_tensor::{ops, vecmath, Rng, Tensor};
 
 /// Square-GEMM sizes the blocked kernel is tracked on. 256 is the
@@ -305,9 +306,12 @@ fn bench_layers(c: &mut Criterion) {
 
 /// Fault-draw throughput on the linear probe's 512×256 weight: one
 /// additive-variation realization through `FaultModel::perturb_into` (keyed
-/// draws, pinned to each tier the host has, like `gemm_pinned_*`) against
-/// the scalar loop it replaced, one sequential libm Box–Muller per weight.
-/// Each point also prints draws/s off its median.
+/// draws, pinned to each tier the host has, like `gemm_pinned_*`), the same
+/// realization drawn straight into the probe's packed operand
+/// (`PackedB::draw_rows`, k = 512 inputs by n = 256 outputs, its scale
+/// folded once outside the loop as the planned engine folds it once per
+/// operand), and the scalar loop both replaced, one sequential libm
+/// Box–Muller per weight. Each point also prints draws/s off its median.
 fn bench_inject(c: &mut Criterion) {
     const ROWS: usize = 512;
     const COLS: usize = 256;
@@ -337,6 +341,21 @@ fn bench_inject(c: &mut Criterion) {
                         .perturb_into(&src, (ROWS, COLS), &mut dst, &mut rng)
                         .unwrap();
                     dst[0]
+                })
+            },
+        );
+        report(&group);
+
+        let mut clean = PackedB::new();
+        clean.pack(true, &src, ROWS, COLS);
+        let mut live = clean.clone();
+        let variation = model.keyed_variation(&src).expect("an active keyed model");
+        group.bench_function(
+            format!("inject_additive_packed_{ROWS}x{COLS}_{}", tier.name()),
+            |b| {
+                b.iter(|| {
+                    live.draw_rows(&clean, 0..COLS, variation, rng.next_u64());
+                    live.as_slice()[0]
                 })
             },
         );

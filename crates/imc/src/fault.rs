@@ -340,9 +340,13 @@ impl FaultModel {
     /// The two Gaussian variation arms draw **keyed**: they take exactly one
     /// `u64` from `rng` as a key, and weight `i` gets output `i mod 2` of
     /// [`vecmath::normal_pair`]`(key, i/2)` through the dispatched
-    /// [`vecmath::add_normal`] / [`vecmath::scale_normal`] kernels, so the
-    /// realization is bit-identical on every kernel tier. Every other arm
-    /// draws from `rng` itself, in element, line or tile order (drift draws
+    /// [`vecmath::add_normal`] / [`vecmath::scale_normal`] kernels (see
+    /// [`FaultModel::keyed_variation`]), so the realization is bit-identical
+    /// on every kernel tier. A draw is a pure function of the key and the
+    /// element index, so the planned engine draws the same values straight
+    /// into a packed weight panel, in the order its microkernel reads them
+    /// ([`invnorm_nn::plan::PlanView::draw_packed`]). Every other arm draws
+    /// from `rng` itself, in element, line or tile order (drift draws
     /// nothing).
     ///
     /// # Errors
@@ -368,23 +372,13 @@ impl FaultModel {
             dst.copy_from_slice(src);
             return Ok(());
         }
+        if let Some(variation) = self.keyed_variation(src) {
+            variation.apply(src, dst, rng.next_u64(), 0);
+            return Ok(());
+        }
         match *self {
-            FaultModel::AdditiveVariation { sigma } => {
-                let scale = src
-                    .iter()
-                    .fold(f32::NEG_INFINITY, |m, &x| m.max(x.abs()))
-                    .max(1e-12);
-                vecmath::add_normal(src, dst, sigma * scale, rng.next_u64(), 0);
-            }
-            FaultModel::MultiplicativeVariation { sigma } => {
-                vecmath::scale_normal(src, dst, sigma, rng.next_u64(), 0);
-            }
             FaultModel::UniformNoise { strength } => {
-                let scale = src
-                    .iter()
-                    .fold(f32::NEG_INFINITY, |m, &x| m.max(x.abs()))
-                    .max(1e-12);
-                let span = strength * scale;
+                let span = strength * magnitude(src);
                 for (d, &s) in dst.iter_mut().zip(src) {
                     *d = s + rng.uniform_range(-span, span);
                 }
@@ -473,10 +467,41 @@ impl FaultModel {
                 }
                 dst.copy_from_slice(b.dequantize().data());
             }
-            FaultModel::None => unreachable!("inactive models handled above"),
+            FaultModel::None
+            | FaultModel::AdditiveVariation { .. }
+            | FaultModel::MultiplicativeVariation { .. } => {
+                unreachable!("inactive and keyed models handled above")
+            }
         }
         Ok(())
     }
+
+    /// The keyed Gaussian variation an active variation model applies to
+    /// the clean slice `clean` — additive at `σ · max|w|`, the slice's own
+    /// scale, or multiplicative at `σ` — and `None` for every other or
+    /// inactive model. The additive arm folds `max|w|` over `clean`, so a
+    /// caller realizing one slice many times derives this once.
+    pub fn keyed_variation(&self, clean: &[f32]) -> Option<vecmath::NormalVariation> {
+        match *self {
+            FaultModel::AdditiveVariation { sigma } if sigma > 0.0 => {
+                Some(vecmath::NormalVariation::Additive {
+                    std: sigma * magnitude(clean),
+                })
+            }
+            FaultModel::MultiplicativeVariation { sigma } if sigma > 0.0 => {
+                Some(vecmath::NormalVariation::Multiplicative { sigma })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A weight slice's scale for the noise models: its largest magnitude,
+/// floored at `1e-12` so an all-zero slice still gets a finite magnitude.
+fn magnitude(src: &[f32]) -> f32 {
+    src.iter()
+        .fold(f32::NEG_INFINITY, |m, &x| m.max(x.abs()))
+        .max(1e-12)
 }
 
 /// The two stuck-cell levels of a weight slice (its minimum and maximum

@@ -25,7 +25,8 @@ use invnorm_nn::plan::{
 use invnorm_nn::NnError;
 use invnorm_tensor::gemm::Element;
 use invnorm_tensor::telemetry;
-use invnorm_tensor::{vecmath, DirtyRows, Rng, Tensor};
+use invnorm_tensor::vecmath::{self, NormalVariation};
+use invnorm_tensor::{DirtyRows, Rng, Tensor};
 use std::sync::{Arc, RwLock};
 
 /// Minimum total targeted elements before per-parameter perturbation fans
@@ -261,12 +262,16 @@ impl WeightFaultInjector {
     /// [`MonteCarloEngine::run`](crate::MonteCarloEngine::run) would have
     /// programmed.
     ///
-    /// Dense fault models (variation, noise, f32 bit flips, which rewrite
-    /// every element) mark every row dirty; the sparse stuck-at and
-    /// line-defect models mark only rows whose values actually changed and
-    /// hand their exact cells to the plan, and retention drift requests the
-    /// uniform-scale fast path — which is what removes the per-run
-    /// weight-pack cost.
+    /// The two Gaussian variation models draw keyed straight into the
+    /// plan's packed panels ([`PlanView::draw_packed`]) for every operand
+    /// whose reduction depth `k` is even, so neither a faulty buffer nor a
+    /// re-pack is written; an odd-`k` operand (a 3-channel conv stem) draws
+    /// into its faulty slice instead. The other dense models (noise, f32
+    /// bit flips, which rewrite every element) mark every row dirty; the
+    /// sparse stuck-at and line-defect models mark only rows whose values
+    /// actually changed and hand their exact cells to the plan, and
+    /// retention drift requests the uniform-scale fast path — which is what
+    /// removes the per-run weight-pack cost.
     ///
     /// # Errors
     ///
@@ -290,12 +295,25 @@ impl WeightFaultInjector {
             plan.batch(),
             plan.weights_mut(),
             rngs,
-            // The stuck levels depend only on the clean weights: computed
-            // once per parameter, not once per realization.
-            |view, _| stuck.then(|| stuck_levels(view.clean)),
-            |view, &levels, b, stream| realize_one_f32(view, model, b, levels, stream),
+            // The stuck levels and the keyed variation (its additive scale
+            // folds max|w|) depend only on the clean weights: derived once
+            // per parameter, not once per realization.
+            |view, _| OperandFaults {
+                levels: stuck.then(|| stuck_levels(view.clean)),
+                variation: model.keyed_variation(view.clean),
+            },
+            |view, faults, b, stream| realize_one_f32(view, model, b, faults, stream),
         )
     }
+}
+
+/// What [`WeightFaultInjector::realize_plan_batch`] derives from one
+/// operand's clean weights before realizing it.
+struct OperandFaults {
+    /// The stuck-at and line-defect levels.
+    levels: Option<(f32, f32)>,
+    /// The keyed Gaussian variation.
+    variation: Option<NormalVariation>,
 }
 
 /// The planned realization loop of both fault domains: validates the
@@ -322,11 +340,12 @@ fn realize_plan<T: Element, C>(
     for operand in operands {
         let bits = operand.bits();
         let mut view = operand.view();
+        // The request stands until the next realization replaces it.
+        *view.scale = scale;
         if scale.is_some() {
             for parent in rngs.iter_mut() {
                 let _ = parent.fork(view.index as u64);
             }
-            *view.scale = scale;
             continue;
         }
         let ctx = per_operand(&view, bits);
@@ -347,8 +366,8 @@ fn stream_count_mismatch(streams: usize, batch: usize) -> NnError {
     ))
 }
 
-/// Materializes realization `b` of one weight operand into its slice of
-/// the stacked faulty buffer, with per-realization dirty-row reporting.
+/// Materializes realization `b` of one weight operand, with
+/// per-realization dirty-row reporting.
 ///
 /// Stuck-at and line defects take the **sparse packed-domain path**: the
 /// previous realization's cells are reverted through the exact cell list
@@ -357,17 +376,20 @@ fn stream_count_mismatch(streams: usize, batch: usize) -> NnError {
 /// the cells straight into the packed panels. Line defects route through the
 /// same canonical tile iteration as the dense perturbation
 /// ([`for_each_fired_line`]), so both draw exactly the random variates of
-/// the sequential injector, in the same order. Every other model realizes
-/// densely via [`FaultModel::perturb_into`].
+/// the sequential injector, in the same order. The Gaussian variations take
+/// the one key [`FaultModel::perturb_into`] would and draw into the packed
+/// panel (even `k`) or the faulty slice (odd `k`). Every other model
+/// realizes densely via [`FaultModel::perturb_into`].
 fn realize_one_f32(
     view: &mut PlanView<'_, f32>,
     model: FaultModel,
     b: usize,
-    levels: Option<(f32, f32)>,
+    faults: &OperandFaults,
     stream: &mut Rng,
 ) -> Result<()> {
     let (rows, numel) = (view.rows, view.clean.len());
     let sparse = rows > 0 && numel > 0;
+    let levels = faults.levels;
     match model {
         FaultModel::StuckAt { rate } if rate > 0.0 && sparse => {
             let (lo, hi) = levels.unwrap_or_else(|| stuck_levels(view.clean));
@@ -394,9 +416,16 @@ fn realize_one_f32(
         // included) copies the clean weights, leaving nothing to re-pack;
         // an active one rewrites every element, so every row is dirty.
         _ => {
-            let faulty_b = &mut view.faulty[b * numel..][..numel];
             let cols = numel.checked_div(rows).unwrap_or(0);
-            model.perturb_into(view.clean, (rows, cols), faulty_b, stream)?;
+            let faulty_b = &mut view.faulty[b * numel..][..numel];
+            match faults.variation {
+                Some(variation) if sparse && cols % 2 == 0 => {
+                    view.draw_packed(b, variation, stream.next_u64());
+                    return Ok(());
+                }
+                Some(variation) => variation.apply(view.clean, faulty_b, stream.next_u64(), 0),
+                None => model.perturb_into(view.clean, (rows, cols), faulty_b, stream)?,
+            }
             view.cells.invalidate_faulty(b);
             if model.is_active() && numel > 0 {
                 view.dirty.mark_range(b * rows, (b + 1) * rows);
@@ -963,6 +992,64 @@ mod tests {
         v
     }
 
+    /// The rank ≥ 2 weights `inject` programs on chip instance `seed`, one
+    /// vector per seed.
+    fn sequential(net: &mut Sequential, fault: FaultModel, seeds: &[u64]) -> Vec<Vec<f32>> {
+        seeds
+            .iter()
+            .map(|&seed| {
+                let mut injector = WeightFaultInjector::new(fault).unwrap();
+                injector.inject(net, &mut Rng::seed_from(seed)).unwrap();
+                let mut faulty = Vec::new();
+                net.visit_params(&mut |p| {
+                    if p.value.rank() >= 2 {
+                        faulty.extend_from_slice(p.value.data());
+                    }
+                });
+                injector.restore(net).unwrap();
+                faulty
+            })
+            .collect()
+    }
+
+    /// Refreshes every weight operand of `plan` and asserts that each live
+    /// pack equals, bit for bit and padding included, `PackedB::pack` of
+    /// the realizations it covers, realization `b` being `expected[b]`
+    /// (every operand's weights, in registration order).
+    fn assert_live_packs(plan: &mut invnorm_nn::plan::Plan, expected: &[Vec<f32>], what: &str) {
+        use invnorm_tensor::gemm::PackedB;
+        let mut offset = 0;
+        for (o, operand) in plan.weights_mut().iter_mut().enumerate() {
+            operand.refresh();
+            let (rows, numel) = {
+                let view = operand.view();
+                (view.rows, view.clean.len())
+            };
+            let k = numel / rows;
+            // A frozen layer's one pack covers the whole stack.
+            let span = operand.pack(0).n() / rows;
+            for (p, covered) in expected.chunks(span).enumerate() {
+                let stack: Vec<f32> = covered
+                    .iter()
+                    .flat_map(|e| e[offset..offset + numel].iter().copied())
+                    .collect();
+                let mut want = PackedB::new();
+                want.pack(true, &stack, k, span * rows);
+                let (got, want) = (operand.pack(p).as_slice(), want.as_slice());
+                let same = got.len() == want.len()
+                    && got
+                        .iter()
+                        .zip(want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(
+                    same,
+                    "{what}: operand {o} ([{rows}, {k}]) pack {p} diverged"
+                );
+            }
+            offset += numel;
+        }
+    }
+
     #[test]
     fn inject_then_restore_is_identity() {
         let mut rng = Rng::seed_from(1);
@@ -1086,35 +1173,31 @@ mod tests {
             },
         ] {
             // Sequential realization of chip instance 7.
-            let mut rng = Rng::seed_from(7000);
-            let mut injector = WeightFaultInjector::new(fault).unwrap();
-            injector.inject(&mut net, &mut rng).unwrap();
-            let mut expected = Vec::new();
-            net.visit_params(&mut |p| {
-                if p.value.rank() >= 2 {
-                    expected.extend_from_slice(p.value.data());
-                }
-            });
-            injector.restore(&mut net).unwrap();
+            let expected = sequential(&mut net, fault, &[7000]);
             // Planned realization from the same stream.
             let mut plan = Plan::compile(&mut net, &x).unwrap();
             WeightFaultInjector::new(fault)
                 .unwrap()
                 .realize_plan_batch(&mut plan, &mut [Rng::seed_from(7000)])
                 .unwrap();
-            let mut got = Vec::new();
-            for operand in plan.weights_mut() {
-                got.extend_from_slice(operand.view().faulty);
+            // Keyed variations draw into the packs (every k here is even)
+            // and leave the faulty buffer alone.
+            if fault.keyed_variation(&[1.0]).is_none() {
+                let mut got = Vec::new();
+                for operand in plan.weights_mut() {
+                    got.extend_from_slice(operand.view().faulty);
+                }
+                let identical = expected[0]
+                    .iter()
+                    .zip(got.iter())
+                    .all(|(e, g)| e.to_bits() == g.to_bits());
+                assert!(
+                    identical && expected[0].len() == got.len(),
+                    "{fault:?} planned realization diverged from sequential"
+                );
             }
+            assert_live_packs(&mut plan, &expected, &format!("{fault:?}"));
             net.plan_end();
-            let identical = expected
-                .iter()
-                .zip(got.iter())
-                .all(|(e, g)| e.to_bits() == g.to_bits());
-            assert!(
-                identical && expected.len() == got.len(),
-                "{fault:?} planned realization diverged from sequential"
-            );
         }
     }
 
@@ -1150,20 +1233,8 @@ mod tests {
                 tile: TileShape { rows: 4, cols: 4 },
             },
         ] {
-            let mut expected: Vec<Vec<f32>> = Vec::new();
-            for b in 0..batch {
-                let mut rng = Rng::seed_from(8000 + b as u64);
-                let mut injector = WeightFaultInjector::new(fault).unwrap();
-                injector.inject(&mut net, &mut rng).unwrap();
-                let mut faulty = Vec::new();
-                net.visit_params(&mut |p| {
-                    if p.value.rank() >= 2 {
-                        faulty.extend_from_slice(p.value.data());
-                    }
-                });
-                injector.restore(&mut net).unwrap();
-                expected.push(faulty);
-            }
+            let seeds: Vec<u64> = (0..batch as u64).map(|b| 8000 + b).collect();
+            let expected = sequential(&mut net, fault, &seeds);
             let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
             // Two realization rounds (different streams first) so the sparse
             // stuck-at path exercises its revert-previous-cells bookkeeping.
@@ -1184,8 +1255,9 @@ mod tests {
                     dst.extend_from_slice(&view.faulty[b * numel..][..numel]);
                 }
             }
-            net.plan_end();
-            for b in 0..batch {
+            // Keyed variations draw into the packs (every k here is even)
+            // and leave the faulty buffer alone.
+            for b in (0..batch).filter(|_| fault.keyed_variation(&[1.0]).is_none()) {
                 let identical = expected[b]
                     .iter()
                     .zip(got[b].iter())
@@ -1195,6 +1267,8 @@ mod tests {
                     "{fault:?} stacked realization {b} diverged"
                 );
             }
+            assert_live_packs(&mut plan, &expected, &format!("{fault:?}"));
+            net.plan_end();
         }
         // including_vectors stays unsupported on the planned paths.
         let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
@@ -1285,6 +1359,121 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Two plannable MLPs whose operands cover the packed draw's edges, at
+    /// B = 3: `[k, n]` of 6→10 (frozen, so its three 10-row realizations
+    /// share one stacked pack whose strips straddle them), 10→37 (one pack
+    /// per realization, `n` off every strip width) and 37→3 (odd `k`: the
+    /// faulty-buffer route); and 520→300 (frozen, `k > KC`, `n > NC`) and
+    /// 300→20.
+    fn draw_edge_networks() -> [(Sequential, Tensor); 2] {
+        use invnorm_nn::activation::Relu;
+        let mut rng = Rng::seed_from(90);
+        let mut small = Sequential::new();
+        small.push(Box::new(Linear::new(6, 10, &mut rng)));
+        small.push(Box::new(Relu::new()));
+        small.push(Box::new(Linear::new(10, 37, &mut rng)));
+        small.push(Box::new(Relu::new()));
+        small.push(Box::new(Linear::new(37, 3, &mut rng)));
+        let mut large = Sequential::new();
+        large.push(Box::new(Linear::new(520, 300, &mut rng)));
+        large.push(Box::new(Relu::new()));
+        large.push(Box::new(Linear::new(300, 20, &mut rng)));
+        [
+            (small, Tensor::randn(&[3, 6], 0.0, 1.0, &mut rng)),
+            (large, Tensor::randn(&[2, 520], 0.0, 1.0, &mut rng)),
+        ]
+    }
+
+    #[test]
+    fn keyed_variations_draw_each_live_pack_bit_for_bit() {
+        use invnorm_nn::plan::Plan;
+        let batch = 3;
+        let seeds: Vec<u64> = (0..batch as u64).map(|b| 9500 + b).collect();
+        for (mut net, x) in draw_edge_networks() {
+            for fault in [
+                FaultModel::AdditiveVariation { sigma: 0.3 },
+                FaultModel::MultiplicativeVariation { sigma: 0.25 },
+            ] {
+                let expected = sequential(&mut net, fault, &seeds);
+                for b in [1, batch] {
+                    let mut plan = Plan::compile_batched(&mut net, &x, b).unwrap();
+                    let mut rngs: Vec<Rng> =
+                        seeds[..b].iter().map(|&s| Rng::seed_from(s)).collect();
+                    WeightFaultInjector::new(fault)
+                        .unwrap()
+                        .realize_plan_batch(&mut plan, &mut rngs)
+                        .unwrap();
+                    let what = format!("{fault:?} at B = {b}");
+                    assert_live_packs(&mut plan, &expected[..b], &what);
+                    // A second refresh with nothing realized keeps them.
+                    assert_live_packs(&mut plan, &expected[..b], &what);
+                    // The odd-k operand took the faulty-buffer route.
+                    let odd = plan
+                        .weights_mut()
+                        .iter_mut()
+                        .find(|o| o.pack(0).k() % 2 == 1);
+                    if let Some(odd) = odd {
+                        let view = odd.view();
+                        let numel = view.clean.len();
+                        let offset = expected[0].len() - numel;
+                        for (r, want) in expected[..b].iter().enumerate() {
+                            let got = &view.faulty[r * numel..][..numel];
+                            assert!(
+                                got.iter()
+                                    .zip(&want[offset..])
+                                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                                "{what}: odd-k realization {r} diverged"
+                            );
+                        }
+                    }
+                    net.plan_end();
+                }
+            }
+        }
+    }
+
+    /// One stacked plan through every regime change the drawn regime meets:
+    /// each realization's live packs must equal packing what `inject`
+    /// programs, however the previous realization left them.
+    #[test]
+    fn drawn_packs_survive_every_regime_transition() {
+        use invnorm_nn::plan::Plan;
+        let [(mut net, x), _] = draw_edge_networks();
+        let batch = 3;
+        let mut plan = Plan::compile_batched(&mut net, &x, batch).unwrap();
+        let keyed = [
+            FaultModel::AdditiveVariation { sigma: 0.3 },
+            FaultModel::MultiplicativeVariation { sigma: 0.2 },
+        ];
+        let steps = [
+            keyed[0],
+            FaultModel::StuckAt { rate: 0.2 },
+            keyed[1],
+            FaultModel::Drift {
+                nu: 0.05,
+                time_ratio: 100.0,
+            },
+            keyed[0],
+            FaultModel::UniformNoise { strength: 0.2 },
+            keyed[1],
+        ];
+        for (step, fault) in steps.into_iter().enumerate() {
+            let seeds: Vec<u64> = (0..batch as u64)
+                .map(|b| 9700 + 10 * step as u64 + b)
+                .collect();
+            let expected = sequential(&mut net, fault, &seeds);
+            let mut rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
+            WeightFaultInjector::new(fault)
+                .unwrap()
+                .realize_plan_batch(&mut plan, &mut rngs)
+                .unwrap();
+            let what = format!("step {step}, {fault:?}");
+            assert_live_packs(&mut plan, &expected, &what);
+            assert_live_packs(&mut plan, &expected, &what);
+        }
+        net.plan_end();
     }
 
     #[test]

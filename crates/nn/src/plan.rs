@@ -60,6 +60,7 @@ use invnorm_tensor::dispatch;
 use invnorm_tensor::epilogue::{self, OutputMap};
 use invnorm_tensor::gemm::{self, gemm_prepacked_ab, gemm_prepacked_b, Element, PackedA, PackedB};
 use invnorm_tensor::telemetry::{self, PlanFootprint};
+use invnorm_tensor::vecmath::NormalVariation;
 use invnorm_tensor::{Arena, ArenaSlot, DirtyRows, Scratch, Tensor};
 
 /// The per-plan buffer arenas, one per element type so f32 activations, i8
@@ -173,6 +174,13 @@ pub struct PlanCtx {
 /// stacks the plan's `batch` realizations (`faulty[b·numel..(b+1)·numel]`
 /// is realization `b`) and `dirty` tracks `batch · rows` rows, realization
 /// `b` owning rows `[b·rows, (b+1)·rows)`.
+///
+/// An injector realizes `b` one of four ways: it writes `faulty` and marks
+/// the rows it changed in `dirty`; it records exact cells in `cells`
+/// besides; it requests a uniform `scale`; or, for a keyed Gaussian
+/// variation of f32 weights with an even `k`, it draws straight into the
+/// live pack ([`PlanView::draw_packed`]), which leaves realization `b`'s
+/// faulty slice stale.
 #[derive(Debug)]
 pub struct PlanView<'a, T> {
     /// The injector's RNG fork index, fixed at compile: the parameter's
@@ -192,11 +200,50 @@ pub struct PlanView<'a, T> {
     /// Uniform-scale fast path: an injector whose realization is the clean
     /// matrix times one factor shared by every stacked realization
     /// (retention drift) sets this instead of writing `faulty`; the refresh
-    /// then scales the cached packed panels from the clean operand.
+    /// then scales the cached packed panels from the clean operand, and
+    /// keeps them scaled for every further forward until an injector sets
+    /// this back to `None` with its next realization.
     pub scale: &'a mut Option<f32>,
     /// Sparse packed-domain bookkeeping: injectors touching few cells record
     /// them here, and the refresh writes them straight into the panels.
     pub cells: &'a mut SparseCells,
+    packs: &'a mut [PackedB<T>],
+    packed_clean: &'a PackedB<T>,
+    stale: &'a mut DirtyRows,
+    span: usize,
+}
+
+impl PlanView<'_, f32> {
+    /// Draws realization `b` of a keyed Gaussian `variation` straight into
+    /// the live pack that covers it, from the clean pack
+    /// ([`PackedB::draw_rows`]): weight `i` of the row-major `[rows, k]`
+    /// realization draws output `i mod 2` of
+    /// [`vecmath::normal_pair`](invnorm_tensor::vecmath::normal_pair)`(key,
+    /// i/2)`, exactly what
+    /// [`NormalVariation::apply`](invnorm_tensor::vecmath::NormalVariation::apply)
+    /// writes into a faulty slice, without the slice or the refresh's
+    /// re-pack. The operand records the fifth regime of
+    /// [`PlannedOperand`]: `b`'s rows are stale, its dirty rows are
+    /// cleared, and its cell lists are unknown.
+    ///
+    /// The refresh leaves a pack alone while every realization it covers
+    /// was last drawn this way (`realize_plan_batch` draws them all); once
+    /// one is written through `faulty` again (its cell list reset or
+    /// invalidated) or a row of the pack is marked dirty, the pack is
+    /// refreshed from the faulty buffer, every drawn row included.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is odd or `b` is not a stacked realization.
+    pub fn draw_packed(&mut self, b: usize, variation: NormalVariation, key: u64) {
+        let rows = self.rows;
+        let r0 = (b % self.span) * rows;
+        self.packs[b / self.span].draw_rows(self.packed_clean, r0..r0 + rows, variation, key);
+        let (lo, hi) = (b * rows, (b + 1) * rows);
+        self.dirty.clear_range(lo, hi);
+        self.stale.mark_range(lo, hi);
+        self.cells.drawn(b);
+    }
 }
 
 /// Exact-cell realization bookkeeping for sparse packed-domain injection.
@@ -214,8 +261,21 @@ pub struct PlanView<'a, T> {
 pub struct SparseCells {
     faulty: Vec<CellList>,
     panel: Vec<CellList>,
-    pending: Vec<bool>,
+    written: Vec<Written>,
     cap: usize,
+}
+
+/// Where a realization's values were last written, for the refresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Written {
+    /// The faulty buffer: the refresh re-packs its marked and stale rows.
+    Buffer,
+    /// The faulty buffer, by the sparse injector since the last refresh,
+    /// with exact cells ([`SparseCells::mark_pending`]).
+    Cells,
+    /// The pack itself, by a keyed draw ([`PlanView::draw_packed`]); the
+    /// faulty slice is stale until the realization is next written there.
+    Pack,
 }
 
 #[derive(Debug, Clone)]
@@ -249,7 +309,7 @@ impl SparseCells {
         Self {
             faulty: (0..batch).map(|_| list()).collect(),
             panel: (0..batch).map(|_| list()).collect(),
-            pending: vec![false; batch],
+            written: vec![Written::Buffer; batch],
             cap,
         }
     }
@@ -263,6 +323,7 @@ impl SparseCells {
     /// (the caller has just reverted the faulty buffer to clean).
     pub fn reset_faulty(&mut self, b: usize) {
         self.faulty[b].set_empty_exact();
+        self.written[b] = Written::Buffer;
     }
 
     /// Records that the sparse injector wrote cell `idx` of realization `b`;
@@ -283,12 +344,21 @@ impl SparseCells {
     /// cell list no longer describes it).
     pub fn invalidate_faulty(&mut self, b: usize) {
         self.faulty[b].set_unknown();
+        self.written[b] = Written::Buffer;
     }
 
     /// Marks realization `b` as written by the sparse injector since the
     /// last refresh, which is what entitles the refresh to trust the lists.
     pub fn mark_pending(&mut self, b: usize) {
-        self.pending[b] = true;
+        self.written[b] = Written::Cells;
+    }
+
+    /// Records that realization `b` was drawn straight into its pack: the
+    /// faulty buffer and the pack no longer match any cell list.
+    fn drawn(&mut self, b: usize) {
+        self.faulty[b].set_unknown();
+        self.panel[b].set_unknown();
+        self.written[b] = Written::Pack;
     }
 
     /// Records that realization `b`'s pack now equals its faulty buffer:
@@ -318,7 +388,7 @@ impl SparseCells {
 /// and one clean pack of the same extent is the reference the refresh
 /// restores and scales from.
 ///
-/// Four realization regimes are tracked per pack:
+/// Five realization regimes are tracked per pack:
 ///
 /// * **Sparse rows** ([`PlanView::dirty`]): the injector rewrote the
 ///   realizations' faulty slices and marked the touched rows; only the
@@ -331,6 +401,13 @@ impl SparseCells {
 ///   matrix times one factor (retention drift); every pack is scaled from
 ///   the clean pack directly — and skipped entirely when the factor is
 ///   already applied.
+/// * **Drawn** ([`PlanView::draw_packed`]): the injector drew every
+///   realization the pack covers straight into it from the clean pack (a
+///   keyed Gaussian variation of f32 weights with even `k`); their rows are
+///   stale, nothing is dirty, the cell lists are unknown, and the refresh
+///   leaves the pack alone. The faulty slices are not written, so a later
+///   sparse realization reverts them by a full clean copy and the refresh
+///   re-packs every stale row.
 /// * **Clean**: nothing marked; the packs are already exact.
 ///
 /// Code-domain i.i.d. stuck-at keeps the row path: cell writes into the
@@ -415,12 +492,17 @@ impl<T: Element> PlannedOperand<T> {
             dirty: &mut self.dirty,
             scale: &mut self.scale_req,
             cells: &mut self.cells,
+            packs: &mut self.packs,
+            packed_clean: &self.packed_clean,
+            stale: &mut self.stale,
+            span: self.span,
         }
     }
 
     /// Brings every live pack up to date with the realizations the
-    /// injector recorded — a uniform scale, sparse cells, dirty rows, or
-    /// nothing — ready for the layer's GEMMs. Allocation-free.
+    /// injector recorded — a uniform scale, sparse cells, dirty rows, a
+    /// draw into the pack, or nothing — ready for the layer's GEMMs.
+    /// Allocation-free.
     // lint: no_alloc
     pub fn refresh(&mut self) {
         let Self {
@@ -439,11 +521,12 @@ impl<T: Element> PlannedOperand<T> {
             ..
         } = self;
         let (span, rows, cols) = (*span, *rows, *cols);
-        if let Some(factor) = scale_req.take() {
+        if let Some(factor) = *scale_req {
             // Uniform-scale regime: `pack = packed_clean · factor`,
             // bit-identical to packing scaled weights. Skip when the exact
             // factor is already applied and nothing else touched the packs.
-            if *applied_scale != Some(factor) || dirty.any() {
+            let drawn = cells.written.contains(&Written::Pack);
+            if *applied_scale != Some(factor) || dirty.any() || drawn {
                 for pack in packs.iter_mut() {
                     pack.scale_from(packed_clean, factor);
                 }
@@ -452,27 +535,40 @@ impl<T: Element> PlannedOperand<T> {
                 dirty.clear();
                 stale.clear();
             }
-            cells.pending.fill(false);
+            cells.written.fill(Written::Buffer);
             return;
         }
-        if applied_scale.take().is_some() {
-            // Leaving the scaled regime: restore the clean packs, then
-            // apply this realization batch's dirty rows/cells below.
-            for pack in packs.iter_mut() {
-                pack.copy_from(packed_clean);
-            }
-            cells.panel.iter_mut().for_each(CellList::set_empty_exact);
-            stale.clear();
-        }
+        let unscale = applied_scale.take().is_some();
         let numel = rows * cols;
         for (p, pack) in packs.iter_mut().enumerate() {
             // Pack p covers realizations [first, first + span), which own
             // rows [lo, hi) of the stack.
             let first = p * span;
             let (lo, hi) = (first * rows, (first + span) * rows);
+            let last = first + span;
+            if cells.written[first..last]
+                .iter()
+                .all(|&w| w == Written::Pack)
+                && !dirty.any_in(lo, hi)
+            {
+                // Drawn regime: every covered realization was drawn from
+                // the clean pack, its rows already marked stale, and stays
+                // so until it is next realized.
+                continue;
+            }
+            if unscale {
+                // Leaving the scaled regime: restore the clean pack, then
+                // apply this realization batch's dirty rows/cells below.
+                pack.copy_from(packed_clean);
+                cells.panel[first..last]
+                    .iter_mut()
+                    .for_each(CellList::set_empty_exact);
+                stale.clear_range(lo, hi);
+            }
             let source = &faulty[first * numel..][..span * numel];
-            let sparse = (first..first + span)
-                .all(|b| cells.pending[b] && cells.panel[b].exact && cells.faulty[b].exact);
+            let sparse = (first..last).all(|b| {
+                cells.written[b] == Written::Cells && cells.panel[b].exact && cells.faulty[b].exact
+            });
             if sparse {
                 // Packed-domain cell update: revert every covered
                 // realization's previous cells to clean and scatter its new
@@ -501,8 +597,8 @@ impl<T: Element> PlannedOperand<T> {
                 pack.repack_rows(source, stale, lo);
                 stale.copy_range(dirty, lo, hi);
                 dirty.clear_range(lo, hi);
-                for b in first..first + span {
-                    if cells.pending[b] {
+                for b in first..last {
+                    if cells.written[b] == Written::Cells {
                         // The sparse injector wrote the buffer (the pack's
                         // list was merely unknown): pack == faulty now.
                         cells.adopt(b);
@@ -514,7 +610,7 @@ impl<T: Element> PlannedOperand<T> {
                     }
                 }
             }
-            cells.pending[first..first + span].fill(false);
+            cells.written[first..last].fill(Written::Buffer);
         }
     }
 }

@@ -487,22 +487,6 @@ impl Layer for QuantizedConv2d {
     }
 }
 
-/// Blanket helper: quantizes every [`crate::linear::Linear`]-compatible
-/// float layer of a [`crate::Sequential`]-built network is out of scope for
-/// a generic container (layers are type-erased); model builders construct
-/// quantized networks layer by layer instead. This free function covers the
-/// common leaf case: quantize a `Linear` and box it.
-///
-/// # Errors
-///
-/// Returns an error when `bits` is outside `[2, 8]`.
-pub fn quantize_linear_boxed(
-    linear: &crate::linear::Linear,
-    bits: u8,
-) -> Result<crate::layer::BoxedLayer> {
-    Ok(Box::new(QuantizedLinear::from_linear(linear, bits)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

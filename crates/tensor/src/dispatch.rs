@@ -46,8 +46,8 @@ pub enum KernelTier {
     /// AVX2 + FMA: 6×16 f32 GEMM tiles, 4×16 `maddubs` sign-split i8 GEMM
     /// tiles.
     Avx2 = 1,
-    /// AVX-512F/BW/VNNI: 14×32 f32 GEMM tiles, 8×32 `vpdpbusd` i8 GEMM
-    /// tiles.
+    /// AVX-512F/BW/DQ/VNNI: 14×32 f32 GEMM tiles, 8×32 `vpdpbusd` i8 GEMM
+    /// tiles, and 16-lane keyed Gaussian draws (`vpmullq` is DQ).
     Avx512 = 2,
 }
 
@@ -104,6 +104,7 @@ pub fn detected() -> KernelTier {
     {
         if is_x86_feature_detected!("avx512f")
             && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512dq")
             && is_x86_feature_detected!("avx512vnni")
         {
             return KernelTier::Avx512;

@@ -53,8 +53,9 @@ use crate::dispatch::{self, KernelTier};
 use crate::epilogue::Accumulator;
 use crate::scratch::{uninit_slice, Scratch};
 use crate::telemetry;
+use crate::vecmath;
 use std::cell::RefCell;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// k-panel size: a KC×nr strip of packed B stays L1-resident. A multiple of
@@ -649,7 +650,14 @@ impl<T: Element> PackedB<T> {
             (src.k, src.n, src.trans_b, src.tier),
             "packed operands disagree on shape or kernel tier"
         );
-        self.n.div_ceil(NC).max(1) * self.k_panels * self.slot
+        self.as_slice().len()
+    }
+
+    /// The packed elements, in the order the microkernel reads them, edge
+    /// padding included: two operands of the same shape and tier hold the
+    /// same matrix exactly when these slices are equal bit for bit.
+    pub fn as_slice(&self) -> &[T] {
+        &self.buf[..self.n.div_ceil(NC).max(1) * self.k_panels * self.slot]
     }
 
     /// Re-packs only the nr-strips covering rows marked in `dirty` from the
@@ -732,6 +740,77 @@ impl<T: Element> PackedB<T> {
             + (row - jc - jr) * T::KQ // row within the k-step
             + p % T::KQ; // element within the k-step
         self.buf[pos] = value;
+    }
+}
+
+impl PackedB<f32> {
+    /// Writes rows `rows` (stored rows: output features of a `[n, k]`
+    /// weight packed with `trans_b`) of this live operand from `clean`, the
+    /// same matrix packed alike, under a keyed Gaussian `variation`: element
+    /// `(row, kidx)` becomes `clean + std·z(i)` (additive) or
+    /// `clean·(1 + σ·z(i))` (multiplicative), where `i = (row −
+    /// rows.start)·k + kidx` and `z(i)` is output `i mod 2` of
+    /// [`vecmath::normal_pair`]`(key, i/2)`.
+    ///
+    /// That is the draw [`vecmath::add_normal`] / [`vecmath::scale_normal`]
+    /// (`pair0 = 0`) gives the `[rows, k]` row-major matrix, so the result
+    /// is bit-identical to packing that perturbed matrix — but drawn in the
+    /// packed order itself ([`vecmath::normal_strip`]): within an nr-strip,
+    /// lane `r` takes both outputs of one pair for k-steps `2q` and
+    /// `2q + 1`, which is why `k` must be even (no pair straddles two
+    /// rows). Lanes outside `rows` — other rows of the strip, and the zero
+    /// padding past `n` — are not written.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the operands were packed with different dimensions,
+    /// without `trans_b` or under different kernel tiers, when `k` is odd,
+    /// or when `rows` reaches past `n`.
+    pub fn draw_rows(
+        &mut self,
+        clean: &PackedB<f32>,
+        rows: Range<usize>,
+        variation: vecmath::NormalVariation,
+        key: u64,
+    ) {
+        self.same_layout_len(clean);
+        assert!(self.trans_b, "draw_rows addresses trans_b packed operands");
+        assert!(
+            self.k.is_multiple_of(2),
+            "keyed pairs must not straddle rows: k must be even"
+        );
+        assert!(
+            rows.start <= rows.end && rows.end <= self.n,
+            "rows out of range"
+        );
+        let (k, n) = (self.k, self.n);
+        let nr = f32::kernel(self.tier).nr;
+        let row_pairs = (k / 2) as u64;
+        for (ji, jc) in (0..n).step_by(NC).enumerate() {
+            let nc = NC.min(n - jc);
+            for jr in (0..nc).step_by(nr) {
+                let j0 = jc + jr;
+                let (lo, hi) = (rows.start.max(j0), rows.end.min(j0 + nr.min(nc - jr)));
+                if lo >= hi {
+                    continue;
+                }
+                for (pi, pc) in (0..k).step_by(KC).enumerate() {
+                    let len = KC.min(k - pc) * nr;
+                    let at = (ji * self.k_panels + pi) * self.slot + (jr / nr) * len;
+                    let pair0 = (((lo - rows.start) * k + pc) / 2) as u64;
+                    vecmath::normal_strip(
+                        variation,
+                        &clean.buf[at..][..len],
+                        &mut self.buf[at..][..len],
+                        nr,
+                        lo - j0..hi - j0,
+                        key,
+                        pair0,
+                        row_pairs,
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -1235,17 +1314,12 @@ pub(crate) mod tests {
         x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.bits() == q.bits())
     }
 
-    /// The packed elements covering an operand's current dimensions.
-    fn packed<T: Element>(p: &PackedB<T>) -> &[T] {
-        &p.buf[..p.same_layout_len(p)]
-    }
-
     /// Asserts `packed` equals a from-scratch pack of the `[n, k]` matrix `b`.
     fn assert_packs_to<T: Check>(packed_b: &PackedB<T>, b: &[T], k: usize, n: usize, what: &str) {
         let mut want = PackedB::new();
         want.pack(true, b, k, n);
         assert!(
-            same_elems(packed(packed_b), packed(&want)),
+            same_elems(packed_b.as_slice(), want.as_slice()),
             "{what}: n={n} k={k} diverged from a fresh pack"
         );
     }
@@ -1640,12 +1714,12 @@ pub(crate) mod tests {
                 let mut scaled = clean.clone();
                 scaled.scale_from(&clean, factor);
                 assert!(
-                    same_elems(packed(&scaled), packed(&expected)),
+                    same_elems(scaled.as_slice(), expected.as_slice()),
                     "n={n} k={k} factor={factor}"
                 );
                 scaled.copy_from(&clean);
                 assert!(
-                    same_elems(packed(&scaled), packed(&clean)),
+                    same_elems(scaled.as_slice(), clean.as_slice()),
                     "copy_from n={n} k={k}"
                 );
             }
@@ -1746,6 +1820,38 @@ pub(crate) mod tests {
     #[test]
     fn scale_from_is_bit_identical_to_packing_drifted_weights() {
         check_scale_from::<f32>();
+    }
+
+    /// Each keyed draw leaves the live pack equal, bit for bit and padding
+    /// included, to packing the clean matrix with the drawn rows perturbed
+    /// by the slice kernel; rows not yet drawn keep their clean values.
+    #[test]
+    fn draw_rows_matches_packing_the_perturbed_rows() {
+        use vecmath::NormalVariation;
+        let mut rng = Rng::seed_from(23);
+        let variations = [
+            NormalVariation::Additive { std: 0.3 },
+            NormalVariation::Multiplicative { sigma: 0.2 },
+        ];
+        // (n, k, rows drawn per key): n off every strip width; k past KC
+        // and n past NC; a stack of three 10-row realizations whose strips
+        // straddle them; the smallest even k.
+        for (n, k, rows) in [(37, 6, 37), (300, 520, 300), (30, 8, 10), (5, 2, 5)] {
+            let clean = f32::random(n * k, &mut rng);
+            let mut packed_clean = PackedB::new();
+            packed_clean.pack(true, &clean, k, n);
+            for v in variations {
+                let mut live = packed_clean.clone();
+                let mut want = clean.clone();
+                for (b, r0) in (0..n).step_by(rows).enumerate() {
+                    let key = 0xD1CE + b as u64;
+                    live.draw_rows(&packed_clean, r0..r0 + rows, v, key);
+                    let span = r0 * k..(r0 + rows) * k;
+                    v.apply(&clean[span.clone()], &mut want[span], key, 0);
+                    assert_packs_to(&live, &want, k, n, &format!("{v:?} rows {r0}.."));
+                }
+            }
+        }
     }
 
     mod packed_b_props {

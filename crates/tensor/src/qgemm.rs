@@ -277,8 +277,8 @@ mod tests {
     //! The i8 runs of the generic driver and packed-operand checks in
     //! `gemm::tests`, plus what only the integer microkernels need.
 
+    use crate::gemm::gemm;
     use crate::gemm::tests::*;
-    use crate::gemm::{gemm, PackedA, PackedB};
     use crate::rng::Rng;
     use proptest::prelude::*;
 
@@ -391,6 +391,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "codes must lie in [-127, 127]")]
     fn packing_b_rejects_code_minus_128_in_debug_builds() {
+        use crate::gemm::PackedB;
         PackedB::<i8>::new().pack(true, &[1, i8::MIN, 3, 4], 2, 2);
     }
 
@@ -398,6 +399,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "codes must lie in [-127, 127]")]
     fn packing_a_rejects_code_minus_128_in_debug_builds() {
+        use crate::gemm::PackedA;
         PackedA::<i8>::new().pack(false, &[1, 2, i8::MIN, 4], 2, 2);
     }
 

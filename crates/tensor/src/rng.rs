@@ -38,12 +38,17 @@ pub struct Rng {
 /// SplitMix64's increment, `2⁶⁴ / φ` rounded to odd.
 pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The two multipliers of [`splitmix_finalize`] (shared with the AVX-512
+/// keyed-normal body in [`crate::vecmath`]).
+pub(crate) const SPLITMIX_M1: u64 = 0xBF58_476D_1CE4_E5B9;
+pub(crate) const SPLITMIX_M2: u64 = 0x94D0_49BB_1331_11EB;
+
 /// SplitMix64's output finalizer (Steele, Lea & Flood), a bijective
 /// avalanche mix of one 64-bit word.
 #[inline(always)]
 pub(crate) fn splitmix_finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX_M1);
+    z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX_M2);
     z ^ (z >> 31)
 }
 

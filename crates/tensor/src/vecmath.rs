@@ -37,12 +37,28 @@
 //! "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): lane `i` of a
 //! slice draws output `i mod 2` of [`normal_pair`]`(key, i/2)`, a pure
 //! function of one `u64` key and the pair index, so one realization fills
-//! SIMD lanes instead of walking a sequential stream.
+//! SIMD lanes instead of walking a sequential stream. [`normal_strip`]
+//! draws the same values in the order of a packed GEMM strip, one row per
+//! lane, so a realization is written straight into a packed weight panel.
+//!
+//! These three kernels have an **explicit AVX-512 body** (`core::arch`,
+//! 16 lanes per op, `vpmullq` for SplitMix64's 64-bit multiplies) instead
+//! of the autovectorized trampoline: a `target-cpu=native` build on an
+//! AVX-512 host keeps LLVM's autovectorized code at 256 bits
+//! (`prefer-256-bit`), so the trampoline drew no faster than AVX2. The
+//! explicit body performs each lane's scalar operations in their order,
+//! FMA-free, so it stays bit-identical to the other tiers. The other
+//! kernels here still autovectorize, at 256 bits on such a build. On the
+//! portable and AVX2 tiers [`normal_strip`] draws a tile of 8 lanes × 64
+//! pairs with the slice kernels' vectorized loop and then writes it to the
+//! strip a k-step at a time, the AVX2 body through explicit 8×8
+//! transposes.
 //!
 //! lint: no_alloc
 
 use crate::dispatch::{self, KernelTier};
 use crate::rng::{splitmix_finalize, GOLDEN_GAMMA};
+use std::ops::Range;
 
 /// Defines a dispatched elementwise function: the given body is compiled
 /// once per kernel tier behind `#[target_feature]` trampolines and the
@@ -244,16 +260,25 @@ pub fn normal_pair(key: u64, pair: u64) -> (f32, f32) {
     ))
 }
 
-/// Pairs drawn per block of [`map_normals`] (its stack staging buffer).
+/// Pairs drawn per block of the portable keyed-normal loops (their stack
+/// staging buffer).
 const NORMAL_BLOCK: usize = 64;
 
-/// The loop of the keyed-normal kernels: `dst[i] = f(src[i], z_i)`, where
-/// `z_i` is output `i mod 2` of `normal_pair(key, pair0 + i/2)`. Each block
-/// first draws its pairs into a stack buffer (a pure vertical loop the
-/// tiers vectorize) and then applies `f` lane by lane.
+/// `z[2j]` and `z[2j + 1]` get both outputs of `normal_pair(key, first + j)`:
+/// a pure vertical loop the tiers vectorize.
+#[inline(always)]
+fn draw_pairs(key: u64, first: u64, z: &mut [f32]) {
+    for (j, zz) in z.chunks_exact_mut(2).enumerate() {
+        (zz[0], zz[1]) = normal_pair(key, first.wrapping_add(j as u64));
+    }
+}
+
+/// The portable loop of the keyed slice kernels: `dst[i] = f(src[i], z_i)`,
+/// where `z_i` is output `i mod 2` of `normal_pair(key, pair0 + i/2)`. Each
+/// block first draws its pairs into a stack buffer and then applies `f`
+/// lane by lane.
 #[inline(always)]
 fn map_normals(src: &[f32], dst: &mut [f32], key: u64, pair0: u64, f: impl Fn(f32, f32) -> f32) {
-    assert_eq!(src.len(), dst.len());
     let mut z = [0.0f32; 2 * NORMAL_BLOCK];
     for (block, (s, d)) in src
         .chunks(2 * NORMAL_BLOCK)
@@ -262,11 +287,547 @@ fn map_normals(src: &[f32], dst: &mut [f32], key: u64, pair0: u64, f: impl Fn(f3
     {
         let first = pair0.wrapping_add((block * NORMAL_BLOCK) as u64);
         let z = &mut z[..2 * d.len().div_ceil(2)];
-        for (j, zz) in z.chunks_exact_mut(2).enumerate() {
-            (zz[0], zz[1]) = normal_pair(key, first.wrapping_add(j as u64));
-        }
+        draw_pairs(key, first, z);
         for ((d, &s), &z) in d.iter_mut().zip(s).zip(z.iter()) {
             *d = f(s, z);
+        }
+    }
+}
+
+/// Rows of consecutive strip draws, one per lane of an 8-lane group.
+type Tile = [[f32; 2 * NORMAL_BLOCK]; 8];
+
+/// The tile loop of the portable and AVX2 strip kernels: 8 lanes at a time,
+/// each lane draws a block of up to `NORMAL_BLOCK` consecutive pairs into
+/// its row of a stack [`Tile`] with [`draw_pairs`] (the vertical loop the
+/// slice kernels vectorize), then `put(tile, lanes, steps)` writes the
+/// tile's columns to k-steps `steps` of lanes `lanes` of the strip, column
+/// `s` to k-step `steps.start + s`. Writing each lane's draws straight down
+/// its column, one strided element at a time, drew a strip about a quarter
+/// slower than a slice.
+#[inline(always)]
+fn strip_tiles(
+    pairs: usize,
+    lanes: Range<usize>,
+    key: u64,
+    pair0: u64,
+    row_pairs: u64,
+    mut put: impl FnMut(&Tile, Range<usize>, Range<usize>),
+) {
+    let mut tile = [[0.0f32; 2 * NORMAL_BLOCK]; 8];
+    for g in (lanes.start..lanes.end).step_by(8) {
+        let count = (lanes.end - g).min(8);
+        let j0 = (g - lanes.start) as u64;
+        for q0 in (0..pairs).step_by(NORMAL_BLOCK) {
+            let steps = 2 * (pairs - q0).min(NORMAL_BLOCK);
+            for (j, row) in (j0..).zip(&mut tile[..count]) {
+                let first = pair0.wrapping_add(j.wrapping_mul(row_pairs));
+                draw_pairs(key, first.wrapping_add(q0 as u64), &mut row[..steps]);
+            }
+            put(&tile, g..g + count, 2 * q0..2 * q0 + steps);
+        }
+    }
+}
+
+/// The portable loop of [`normal_strip`]: [`strip_tiles`], each tile
+/// written one k-step at a time.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn strip_lanes(
+    clean: &[f32],
+    live: &mut [f32],
+    width: usize,
+    lanes: Range<usize>,
+    key: u64,
+    pair0: u64,
+    row_pairs: u64,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    let pairs = clean.len() / (2 * width);
+    strip_tiles(pairs, lanes, key, pair0, row_pairs, |tile, lanes, steps| {
+        for (s, step) in steps.enumerate() {
+            let (lo, hi) = (step * width + lanes.start, step * width + lanes.end);
+            for ((d, &c), row) in live[lo..hi].iter_mut().zip(&clean[lo..hi]).zip(tile) {
+                *d = f(c, row[s]);
+            }
+        }
+    });
+}
+
+/// A keyed Gaussian weight variation: what [`add_normal`] (additive) and
+/// [`scale_normal`] (multiplicative) apply to a slice, and what
+/// [`normal_strip`] applies to one packed strip.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NormalVariation {
+    /// `w + std · z`.
+    Additive {
+        /// Standard deviation of the added noise, in weight units.
+        std: f32,
+    },
+    /// `w · (1 + sigma · z)`.
+    Multiplicative {
+        /// Standard deviation of the relative change.
+        sigma: f32,
+    },
+}
+
+impl NormalVariation {
+    /// Applies the variation to a slice: [`add_normal`] or [`scale_normal`]
+    /// with this magnitude.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` and `dst` lengths differ.
+    pub fn apply(self, src: &[f32], dst: &mut [f32], key: u64, pair0: u64) {
+        assert_eq!(src.len(), dst.len());
+        match dispatch::active() {
+            // SAFETY: `dispatch::active` (and `force`, which asserts) never
+            // returns a tier the host CPU does not support, and the AVX-512
+            // tier requires AVX-512F and DQ.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => unsafe { keyed_slice_avx512(self, src, dst, key, pair0) },
+            // SAFETY: as above; the AVX2 tier requires AVX2.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => unsafe { keyed_slice_avx2(self, src, dst, key, pair0) },
+            _ => keyed_slice(self, src, dst, key, pair0),
+        }
+    }
+
+    /// `std` or `sigma`.
+    fn magnitude(self) -> f32 {
+        match self {
+            NormalVariation::Additive { std } => std,
+            NormalVariation::Multiplicative { sigma } => sigma,
+        }
+    }
+}
+
+/// The portable body of [`NormalVariation::apply`].
+#[inline(always)]
+fn keyed_slice(v: NormalVariation, src: &[f32], dst: &mut [f32], key: u64, pair0: u64) {
+    match v {
+        NormalVariation::Additive { std } => map_normals(src, dst, key, pair0, |s, z| s + std * z),
+        NormalVariation::Multiplicative { sigma } => {
+            map_normals(src, dst, key, pair0, |s, z| s * (1.0 + sigma * z))
+        }
+    }
+}
+
+/// The portable body of [`normal_strip`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn keyed_strip(
+    v: NormalVariation,
+    clean: &[f32],
+    live: &mut [f32],
+    width: usize,
+    lanes: Range<usize>,
+    key: u64,
+    pair0: u64,
+    row_pairs: u64,
+) {
+    let (c, w, l, p) = (clean, width, lanes, row_pairs);
+    match v {
+        NormalVariation::Additive { std } => {
+            strip_lanes(c, live, w, l, key, pair0, p, |s, z| s + std * z)
+        }
+        NormalVariation::Multiplicative { sigma } => {
+            strip_lanes(c, live, w, l, key, pair0, p, |s, z| s * (1.0 + sigma * z))
+        }
+    }
+}
+
+/// [`keyed_slice`] compiled for AVX2 (autovectorized at 256 bits).
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn keyed_slice_avx2(v: NormalVariation, src: &[f32], dst: &mut [f32], key: u64, pair0: u64) {
+    keyed_slice(v, src, dst, key, pair0)
+}
+
+// ---------------------------------------------------------------------------
+// Explicit SIMD bodies: the AVX2 strip writes (8 lanes per op) and the
+// AVX-512 keyed-normal kernels (16 lanes per op).
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{
+    __m256, __m256i, __m512, __m512i, __mmask16, _mm256_add_ps, _mm256_cmpgt_epi32,
+    _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_mul_ps,
+    _mm256_permute2f128_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+    _mm256_shuffle_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm512_add_epi32, _mm512_add_epi64,
+    _mm512_add_ps, _mm512_and_si512, _mm512_castps_si512, _mm512_castsi256_si512,
+    _mm512_castsi512_ps, _mm512_cvtepi32_ps, _mm512_cvtepi64_epi32, _mm512_div_ps,
+    _mm512_inserti64x4, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_mask_blend_ps,
+    _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_mullo_epi64,
+    _mm512_permutex2var_ps, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_set1_ps,
+    _mm512_setr_epi32, _mm512_slli_epi32, _mm512_sqrt_ps, _mm512_srai_epi32, _mm512_srli_epi64,
+    _mm512_storeu_ps, _mm512_sub_epi32, _mm512_sub_ps, _mm512_test_epi32_mask, _mm512_xor_si512,
+};
+
+/// The AVX2 body of [`normal_strip`]: the tiles of [`strip_tiles`], each
+/// turned into k-step rows by 8×8 transposes and applied 8 lanes per op.
+/// (The portable loop compiled for AVX2 writes each tile element by
+/// element and drew the probe's packed operand about 15 % slower.)
+///
+/// # Safety
+///
+/// The host must support AVX2; `clean` and `live` must hold the same whole
+/// number of `2·width`-element k-step pairs, and `lanes.end <= width`.
+#[allow(clippy::too_many_arguments)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn keyed_strip_avx2(
+    v: NormalVariation,
+    clean: &[f32],
+    live: &mut [f32],
+    width: usize,
+    lanes: Range<usize>,
+    key: u64,
+    pair0: u64,
+    row_pairs: u64,
+) {
+    let pairs = clean.len() / (2 * width);
+    let m = _mm256_set1_ps(v.magnitude());
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    strip_tiles(pairs, lanes, key, pair0, row_pairs, |tile, lanes, steps| {
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes.len() as i32), lane);
+        for c0 in (0..steps.len()).step_by(8) {
+            // SAFETY: AVX2 is this fn's contract; `c0` is a multiple of 8
+            // below `steps.len() <= 2·NORMAL_BLOCK`, itself a multiple of 8,
+            // so `c0 + 8 <= 2·NORMAL_BLOCK`. Row `step < 2·pairs` of lanes
+            // `lanes` ends at element `step·width + lanes.end - 1 <
+            // 2·pairs·width == live.len() == clean.len()`, since `lanes.end
+            // <= width`; the masked loads and stores touch no other lane.
+            unsafe {
+                let rows = transpose8x8(tile, c0);
+                for (step, &z) in (steps.start + c0..steps.end).zip(&rows) {
+                    let at = step * width + lanes.start;
+                    let c = _mm256_maskload_ps(clean.as_ptr().add(at), mask);
+                    _mm256_maskstore_ps(live.as_mut_ptr().add(at), mask, apply8(v, m, c, z));
+                }
+            }
+        }
+    });
+}
+
+/// Columns `c0 .. c0 + 8` of a tile as 8-lane rows: `out[s][l] = tile[l][c0
+/// + s]`.
+///
+/// # Safety
+///
+/// The host must support AVX, and `c0 + 8 <= 2·NORMAL_BLOCK`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn transpose8x8(tile: &Tile, c0: usize) -> [__m256; 8] {
+    let r: [__m256; 8] = std::array::from_fn(|l| {
+        // SAFETY: reads `tile[l][c0 .. c0 + 8]`, in bounds by the contract.
+        unsafe { _mm256_loadu_ps(tile[l].as_ptr().add(c0)) }
+    });
+    let t = [
+        _mm256_unpacklo_ps(r[0], r[1]),
+        _mm256_unpackhi_ps(r[0], r[1]),
+        _mm256_unpacklo_ps(r[2], r[3]),
+        _mm256_unpackhi_ps(r[2], r[3]),
+        _mm256_unpacklo_ps(r[4], r[5]),
+        _mm256_unpackhi_ps(r[4], r[5]),
+        _mm256_unpacklo_ps(r[6], r[7]),
+        _mm256_unpackhi_ps(r[6], r[7]),
+    ];
+    // `u[c]` holds column `c` of rows 0–3 in its low half and column `c + 4`
+    // in its high half; `u[c + 4]` the same for rows 4–7.
+    let u = [
+        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+        _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+        _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+        _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+        _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+    ];
+    std::array::from_fn(|s| match s {
+        0..4 => _mm256_permute2f128_ps::<0x20>(u[s], u[s + 4]),
+        _ => _mm256_permute2f128_ps::<0x31>(u[s - 4], u[s]),
+    })
+}
+
+/// `s + m·z` (additive) or `s · (1 + m·z)` (multiplicative) on 8 lanes.
+///
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn apply8(v: NormalVariation, m: __m256, s: __m256, z: __m256) -> __m256 {
+    match v {
+        NormalVariation::Additive { .. } => _mm256_add_ps(s, _mm256_mul_ps(m, z)),
+        NormalVariation::Multiplicative { .. } => {
+            _mm256_mul_ps(s, _mm256_add_ps(_mm256_set1_ps(1.0), _mm256_mul_ps(m, z)))
+        }
+    }
+}
+
+/// The SplitMix64 states `key + (pair(l) + 1)·γ` of 16 lanes, lanes 0–7
+/// and 8–15: hashing them gives lane `l` the hash of [`normal_pair`]`(key,
+/// pair(l))`, and adding `γ` to a state steps its lane to the next pair.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn states16(key: u64, pair: impl Fn(usize) -> u64) -> [__m512i; 2] {
+    let mut x = [0u64; 16];
+    for (l, x) in x.iter_mut().enumerate() {
+        *x = key.wrapping_add(pair(l).wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
+    }
+    // SAFETY: `x` holds 16 `u64`s, two full 512-bit vectors.
+    unsafe {
+        [
+            _mm512_loadu_si512(x.as_ptr().cast()),
+            _mm512_loadu_si512(x.as_ptr().add(8).cast()),
+        ]
+    }
+}
+
+/// [`splitmix_finalize`] on 8 lanes (`vpmullq` is AVX-512DQ).
+///
+/// # Safety
+///
+/// The host must support AVX-512F and AVX-512DQ.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx512dq")]
+unsafe fn finalize8(z: __m512i) -> __m512i {
+    let m1 = _mm512_set1_epi64(crate::rng::SPLITMIX_M1 as i64);
+    let m2 = _mm512_set1_epi64(crate::rng::SPLITMIX_M2 as i64);
+    let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), m1);
+    let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
+    _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+}
+
+/// Bits `[shift, shift + 32)` of 16 hashes (lanes 0–7 in `lo`, 8–15 in
+/// `hi`) as 16 `i32` lanes.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn bits16<const SHIFT: u32>(lo: __m512i, hi: __m512i) -> __m512i {
+    let lo: __m256i = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<SHIFT>(lo));
+    let hi: __m256i = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<SHIFT>(hi));
+    _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi)
+}
+
+/// [`ln_lattice`] on 16 lanes, in its operation order.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn ln_lattice16(x: __m512) -> __m512 {
+    let bits = _mm512_castps_si512(x);
+    let e = _mm512_srai_epi32::<23>(_mm512_sub_epi32(bits, _mm512_set1_epi32(SQRT_HALF_BITS)));
+    let m = _mm512_castsi512_ps(_mm512_sub_epi32(bits, _mm512_slli_epi32::<23>(e)));
+    let one = _mm512_set1_ps(1.0);
+    let s = _mm512_div_ps(_mm512_sub_ps(m, one), _mm512_add_ps(m, one));
+    let t = _mm512_mul_ps(s, s);
+    let mut p = _mm512_set1_ps(2.0f32 / 9.0);
+    p = _mm512_add_ps(_mm512_mul_ps(p, t), _mm512_set1_ps(2.0f32 / 7.0));
+    p = _mm512_add_ps(_mm512_mul_ps(p, t), _mm512_set1_ps(2.0f32 / 5.0));
+    p = _mm512_add_ps(_mm512_mul_ps(p, t), _mm512_set1_ps(2.0f32 / 3.0));
+    let ln_m = _mm512_add_ps(_mm512_mul_ps(_mm512_mul_ps(s, t), p), _mm512_add_ps(s, s));
+    let e = _mm512_cvtepi32_ps(e);
+    let hi = _mm512_mul_ps(e, _mm512_set1_ps(LN2_HI));
+    let lo = _mm512_mul_ps(e, _mm512_set1_ps(LN2_LO));
+    _mm512_add_ps(hi, _mm512_add_ps(lo, ln_m))
+}
+
+/// [`sincos_turns`] on 16 lanes, in its operation order.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn sincos_turns16(k: __m512i) -> (__m512, __m512) {
+    let q = _mm512_srai_epi32::<22>(_mm512_add_epi32(k, _mm512_set1_epi32(1 << 21)));
+    let phi = _mm512_mul_ps(
+        _mm512_cvtepi32_ps(_mm512_sub_epi32(k, _mm512_slli_epi32::<22>(q))),
+        _mm512_set1_ps(std::f32::consts::TAU * LATTICE),
+    );
+    let z = _mm512_mul_ps(phi, phi);
+    let mut s = _mm512_set1_ps(-1.951_529_6e-4);
+    s = _mm512_add_ps(_mm512_mul_ps(s, z), _mm512_set1_ps(8.332_161e-3));
+    s = _mm512_sub_ps(_mm512_mul_ps(s, z), _mm512_set1_ps(1.666_665_5e-1));
+    let sin = _mm512_add_ps(_mm512_mul_ps(_mm512_mul_ps(s, z), phi), phi);
+    let mut c = _mm512_set1_ps(2.443_315_7e-5);
+    c = _mm512_sub_ps(_mm512_mul_ps(c, z), _mm512_set1_ps(1.388_731_6e-3));
+    c = _mm512_add_ps(_mm512_mul_ps(c, z), _mm512_set1_ps(4.166_664_6e-2));
+    let czz = _mm512_mul_ps(_mm512_mul_ps(c, z), z);
+    let half_z = _mm512_mul_ps(_mm512_set1_ps(0.5), z);
+    let cos = _mm512_add_ps(_mm512_sub_ps(czz, half_z), _mm512_set1_ps(1.0));
+    let odd = _mm512_test_epi32_mask(q, _mm512_set1_epi32(1));
+    let (c, s) = (
+        _mm512_mask_blend_ps(odd, cos, sin),
+        _mm512_mask_blend_ps(odd, sin, cos),
+    );
+    let two = _mm512_set1_epi32(2);
+    let c_sign = _mm512_slli_epi32::<30>(_mm512_and_si512(
+        _mm512_add_epi32(q, _mm512_set1_epi32(1)),
+        two,
+    ));
+    let s_sign = _mm512_slli_epi32::<30>(_mm512_and_si512(q, two));
+    (
+        _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(c), c_sign)),
+        _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(s), s_sign)),
+    )
+}
+
+/// Both outputs of [`normal_pair`] on 16 lanes, from their SplitMix states
+/// (see [`states16`]): [`box_muller`] in its operation order.
+///
+/// # Safety
+///
+/// The host must support AVX-512F and AVX-512DQ.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f", enable = "avx512dq")]
+unsafe fn normals16([lo, hi]: [__m512i; 2]) -> (__m512, __m512) {
+    // SAFETY: the helpers need AVX-512F and DQ, which this fn's contract
+    // guarantees.
+    unsafe {
+        let (lo, hi) = (finalize8(lo), finalize8(hi));
+        let t = _mm512_add_epi32(bits16::<40>(lo, hi), _mm512_set1_epi32(1));
+        let u1 = _mm512_mul_ps(_mm512_cvtepi32_ps(t), _mm512_set1_ps(LATTICE));
+        let r = _mm512_sqrt_ps(_mm512_mul_ps(_mm512_set1_ps(-2.0), ln_lattice16(u1)));
+        let k = _mm512_and_si512(bits16::<16>(lo, hi), _mm512_set1_epi32(0x00ff_ffff));
+        let (c, s) = sincos_turns16(k);
+        (_mm512_mul_ps(r, c), _mm512_mul_ps(r, s))
+    }
+}
+
+/// `s + m·z` (additive) or `s · (1 + m·z)` (multiplicative) on 16 lanes.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn apply16(v: NormalVariation, m: __m512, s: __m512, z: __m512) -> __m512 {
+    match v {
+        NormalVariation::Additive { .. } => _mm512_add_ps(s, _mm512_mul_ps(m, z)),
+        NormalVariation::Multiplicative { .. } => {
+            _mm512_mul_ps(s, _mm512_add_ps(_mm512_set1_ps(1.0), _mm512_mul_ps(m, z)))
+        }
+    }
+}
+
+/// The AVX-512 body of [`NormalVariation::apply`]: 16 pairs per step give
+/// 32 outputs, interleaved back into slice order; the last `len mod 32`
+/// elements take the portable loop.
+///
+/// # Safety
+///
+/// The host must support AVX-512F and AVX-512DQ, and `dst` must be as long
+/// as `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512dq")]
+unsafe fn keyed_slice_avx512(
+    v: NormalVariation,
+    src: &[f32],
+    dst: &mut [f32],
+    key: u64,
+    pair0: u64,
+) {
+    let full = src.len() / 32 * 32;
+    // SAFETY: the helpers need AVX-512F and DQ, which this fn's contract
+    // guarantees, and every load and store covers `[i, i + 32)` with
+    // `i + 32 <= full <= src.len() == dst.len()`.
+    unsafe {
+        let m = _mm512_set1_ps(v.magnitude());
+        let mut states = states16(key, |l| pair0.wrapping_add(l as u64));
+        let step = _mm512_set1_epi64(GOLDEN_GAMMA.wrapping_mul(16) as i64);
+        // Output 2j is z0 of lane j, output 2j + 1 its z1.
+        let even = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let odd = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        for i in (0..full).step_by(32) {
+            let (z0, z1) = normals16(states);
+            let za = _mm512_permutex2var_ps(z0, even, z1);
+            let zb = _mm512_permutex2var_ps(z0, odd, z1);
+            let (s, d) = (src.as_ptr().add(i), dst.as_mut_ptr().add(i));
+            _mm512_storeu_ps(d, apply16(v, m, _mm512_loadu_ps(s), za));
+            _mm512_storeu_ps(d.add(16), apply16(v, m, _mm512_loadu_ps(s.add(16)), zb));
+            states = states.map(|x| _mm512_add_epi64(x, step));
+        }
+    }
+    let tail = pair0.wrapping_add((full / 2) as u64);
+    keyed_slice(v, &src[full..], &mut dst[full..], key, tail);
+}
+
+/// The AVX-512 body of [`normal_strip`]: the lanes go 16 at a time (a
+/// masked group at a partial end), each group stepping its 16 SplitMix
+/// states down the k-steps.
+///
+/// # Safety
+///
+/// The host must support AVX-512F and AVX-512DQ; `clean` and `live` must
+/// hold the same whole number of `2·width`-element k-step pairs, and
+/// `lanes.end <= width`.
+#[allow(clippy::too_many_arguments)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512dq")]
+unsafe fn keyed_strip_avx512(
+    v: NormalVariation,
+    clean: &[f32],
+    live: &mut [f32],
+    width: usize,
+    lanes: Range<usize>,
+    key: u64,
+    pair0: u64,
+    row_pairs: u64,
+) {
+    let pairs = clean.len() / (2 * width);
+    // SAFETY: the helpers need AVX-512F and DQ, which this fn's contract
+    // guarantees. Group `g` touches lanes `[g, g + count)` of k-steps `2q`
+    // and `2q + 1`, at most element `(2q + 1)·width + lanes.end - 1 <
+    // 2·pairs·width == live.len() == clean.len()`, since `lanes.end <=
+    // width`; the masked loads and stores touch no other lane.
+    unsafe {
+        let m = _mm512_set1_ps(v.magnitude());
+        let gamma = _mm512_set1_epi64(GOLDEN_GAMMA as i64);
+        for g in (lanes.start..lanes.end).step_by(16) {
+            let count = (lanes.end - g).min(16);
+            let mask = (u32::MAX >> (32 - count)) as __mmask16;
+            let j0 = g - lanes.start;
+            let lane_pair =
+                |l: usize| pair0.wrapping_add(((j0 + l) as u64).wrapping_mul(row_pairs));
+            let mut states = states16(key, lane_pair);
+            for q in 0..pairs {
+                let (z0, z1) = normals16(states);
+                let (s, d) = (
+                    clean.as_ptr().add(2 * q * width + g),
+                    live.as_mut_ptr().add(2 * q * width + g),
+                );
+                let s0 = _mm512_maskz_loadu_ps(mask, s);
+                _mm512_mask_storeu_ps(d, mask, apply16(v, m, s0, z0));
+                let s1 = _mm512_maskz_loadu_ps(mask, s.add(width));
+                _mm512_mask_storeu_ps(d.add(width), mask, apply16(v, m, s1, z1));
+                states = states.map(|x| _mm512_add_epi64(x, gamma));
+            }
         }
     }
 }
@@ -468,29 +1029,78 @@ dispatched! {
     }
 }
 
-dispatched! {
-    /// `dst[i] = src[i] + std · z_i` — additive Gaussian variation — where
-    /// `z_i` is output `i mod 2` of [`normal_pair`]`(key, pair0 + i/2)`.
-    /// Splitting a slice at an even index and passing each part its own
-    /// `pair0` draws the same values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `src` and `dst` lengths differ.
-    pub fn add_normal(src: &[f32], dst: &mut [f32], std: f32, key: u64, pair0: u64) {
-        map_normals(src, dst, key, pair0, |s, z| s + std * z);
-    }
+/// `dst[i] = src[i] + std · z_i` — additive Gaussian variation — where
+/// `z_i` is output `i mod 2` of [`normal_pair`]`(key, pair0 + i/2)`.
+/// Splitting a slice at an even index and passing each part its own
+/// `pair0` draws the same values.
+///
+/// # Panics
+///
+/// Panics when `src` and `dst` lengths differ.
+pub fn add_normal(src: &[f32], dst: &mut [f32], std: f32, key: u64, pair0: u64) {
+    NormalVariation::Additive { std }.apply(src, dst, key, pair0);
 }
 
-dispatched! {
-    /// `dst[i] = src[i] · (1 + sigma · z_i)` — multiplicative Gaussian
-    /// variation — with `z_i` drawn as in [`add_normal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `src` and `dst` lengths differ.
-    pub fn scale_normal(src: &[f32], dst: &mut [f32], sigma: f32, key: u64, pair0: u64) {
-        map_normals(src, dst, key, pair0, |s, z| s * (1.0 + sigma * z));
+/// `dst[i] = src[i] · (1 + sigma · z_i)` — multiplicative Gaussian
+/// variation — with `z_i` drawn as in [`add_normal`].
+///
+/// # Panics
+///
+/// Panics when `src` and `dst` lengths differ.
+pub fn scale_normal(src: &[f32], dst: &mut [f32], sigma: f32, key: u64, pair0: u64) {
+    NormalVariation::Multiplicative { sigma }.apply(src, dst, key, pair0);
+}
+
+/// Applies `variation` to lanes `lanes` of one packed strip. `clean` and
+/// `live` hold `steps × width` elements, k-step `s` of lane `r` at
+/// `s·width + r` (the layout of one [`crate::gemm::PackedB`] nr-strip), and
+/// `live[s·width + r] = variation(clean[s·width + r], z)`, where lane
+/// `lanes.start + j` takes both outputs of [`normal_pair`]`(key, pair0 +
+/// j·row_pairs + q)`: the first at k-step `2q`, the second at `2q + 1`.
+/// Lanes outside `lanes` are not written.
+///
+/// With `row_pairs = k/2` for an even `k`, that is the draw
+/// [`add_normal`]/[`scale_normal`] gives element `(row, kidx)` of a
+/// row-major `[rows, k]` matrix, so a packed operand is perturbed in the
+/// order its microkernel reads it, without an unpacked copy.
+///
+/// # Panics
+///
+/// Panics when `clean` and `live` lengths differ or are not a multiple of
+/// `2·width`, or when `lanes` reaches past `width`.
+#[allow(clippy::too_many_arguments)]
+pub fn normal_strip(
+    variation: NormalVariation,
+    clean: &[f32],
+    live: &mut [f32],
+    width: usize,
+    lanes: Range<usize>,
+    key: u64,
+    pair0: u64,
+    row_pairs: u64,
+) {
+    assert_eq!(clean.len(), live.len(), "strips must have the same length");
+    assert!(
+        width > 0 && clean.len().is_multiple_of(2 * width),
+        "a strip holds whole pairs of {width}-wide k-steps"
+    );
+    assert!(
+        lanes.start <= lanes.end && lanes.end <= width,
+        "lanes must lie within the strip's width"
+    );
+    let (v, w, p) = (variation, width, row_pairs);
+    match dispatch::active() {
+        // SAFETY: `dispatch::active` (and `force`, which asserts) never
+        // returns a tier the host CPU does not support, and the AVX-512 tier
+        // requires AVX-512F and DQ; the asserts above are the body's bounds.
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 => unsafe {
+            keyed_strip_avx512(v, clean, live, w, lanes, key, pair0, p)
+        },
+        // SAFETY: as above; the AVX2 tier requires AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => unsafe { keyed_strip_avx2(v, clean, live, w, lanes, key, pair0, p) },
+        _ => keyed_strip(v, clean, live, w, lanes, key, pair0, p),
     }
 }
 
@@ -638,6 +1248,64 @@ mod tests {
         add_normal(&src[..300], head, std, key, 0);
         add_normal(&src[300..], tail, std, key, 150);
         assert_eq!(whole, split);
+    }
+
+    #[test]
+    fn strip_lanes_follow_normal_pair() {
+        let (key, pair0, row_pairs) = (0x5EED_0002u64, 7u64, 13u64);
+        let sentinel = -7.5f32;
+        // Enough k-steps to cross a portable staging block.
+        let steps = 2 * (NORMAL_BLOCK + 3);
+        let variations = [
+            NormalVariation::Additive { std: 0.25 },
+            NormalVariation::Multiplicative { sigma: 0.2 },
+        ];
+        for width in [8usize, 16, 32, 40] {
+            let clean: Vec<f32> = (0..steps * width)
+                .map(|i| (i as f32 * 0.31).cos())
+                .collect();
+            let partial = [
+                0..width,
+                0..1,
+                3..width.min(21),
+                width - 1..width,
+                5..5,
+                2..width,
+            ];
+            for (lanes, v) in partial
+                .iter()
+                .flat_map(|l| variations.map(|v| (l.clone(), v)))
+            {
+                let mut live = vec![sentinel; clean.len()];
+                normal_strip(
+                    v,
+                    &clean,
+                    &mut live,
+                    width,
+                    lanes.clone(),
+                    key,
+                    pair0,
+                    row_pairs,
+                );
+                for (at, (&got, &c)) in live.iter().zip(&clean).enumerate() {
+                    let (step, lane) = (at / width, at % width);
+                    let what =
+                        format!("{v:?}, width {width}, lanes {lanes:?}, step {step}, lane {lane}");
+                    if !lanes.contains(&lane) {
+                        assert_eq!(got.to_bits(), sentinel.to_bits(), "{what}");
+                        continue;
+                    }
+                    let j = (lane - lanes.start) as u64;
+                    let (z0, z1) = normal_pair(key, pair0 + j * row_pairs + step as u64 / 2);
+                    let z = if step % 2 == 0 { z0 } else { z1 };
+                    let want = match v {
+                        NormalVariation::Additive { std } => c + std * z,
+                        NormalVariation::Multiplicative { sigma } => c * (1.0 + sigma * z),
+                    };
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

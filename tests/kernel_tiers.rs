@@ -200,6 +200,21 @@ fn vecmath_is_bit_identical_across_all_tiers() {
         out.push(buf.clone());
         vecmath::scale_normal(&src, &mut buf, 0.3, 0x5EED, 3);
         out.push(buf.clone());
+        // Packed-strip draws: 40 lanes (a partial lane group at the end),
+        // 134 k-steps (past one 64-pair staging block), full and partial
+        // lane ranges.
+        let strip: Vec<f32> = src.iter().cycle().take(40 * 134).copied().collect();
+        for (variation, lanes) in [
+            (vecmath::NormalVariation::Additive { std: 0.3 }, 0..40),
+            (
+                vecmath::NormalVariation::Multiplicative { sigma: 0.3 },
+                3..29,
+            ),
+        ] {
+            let mut live = vec![0.0f32; strip.len()];
+            vecmath::normal_strip(variation, &strip, &mut live, 40, lanes, 0x5EED, 5, 17);
+            out.push(live);
+        }
         out
     };
     let mut baseline: Option<(KernelTier, Vec<Vec<f32>>)> = None;
